@@ -249,7 +249,7 @@ let e4 =
               Table.cell_int random_cont;
               Table.cell_int (n * n);
             ])
-        [ 2; 3; 4; 5; 6; 7 ];
+        [ 2; 3; 4; 5; 6; 7; 8 ];
       Table.add_note tbl
         "3nH_n exceeds n^2 for n <= 10, so the certificate is loose here; the \
          point is searched < random < identity, and exactness of the Cont \

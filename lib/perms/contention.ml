@@ -34,19 +34,84 @@ let d_contention_profile_wrt psi ~rho =
     psi;
   total
 
-let exact_max eval psi =
+(* Every rho^{-1} for rho in S_n, in lexicographic order of rho, flat:
+   row [r] occupies [inv.(r * n) .. inv.(r * n + n - 1)]. Built once per
+   exact evaluation or search instead of materialising [Perm.all n]. *)
+type inverses = { n : int; orders : int; inv : int array }
+
+let inverses n =
+  if n < 0 || n > 8 then invalid_arg "Contention.inverses: n must be in 0..8";
+  let orders = ref 1 in
+  for k = 2 to n do
+    orders := !orders * k
+  done;
+  let inv = Array.make (!orders * n) 0 in
+  let rho = Array.init n Fun.id in
+  let r = ref 0 and more = ref true in
+  while !more do
+    for i = 0 to n - 1 do
+      inv.((!r * n) + rho.(i)) <- i
+    done;
+    incr r;
+    more := Perm.next_in_place rho
+  done;
+  { n; orders = !orders; inv }
+
+let orders t = t.orders
+
+(* [lrm(rho_r^{-1} o pi)]: the left-to-right maxima of the sequence
+   [inv_r.(pi(0)), inv_r.(pi(1)), ...], without building it. *)
+let lrm_at t pi r =
+  let base = r * t.n in
+  let best = ref (-1) and c = ref 0 in
+  for j = 0 to t.n - 1 do
+    let v = t.inv.(base + Perm.apply pi j) in
+    if v > !best then begin
+      best := v;
+      incr c
+    end
+  done;
+  !c
+
+(* Position [j] is a d-lrm when fewer than [d] earlier elements exceed it;
+   a quadratic count is cheaper than a Fenwick tree at [n <= 8]. *)
+let d_lrm_at ~d t pi r =
+  let base = r * t.n in
+  let c = ref 0 in
+  for j = 0 to t.n - 1 do
+    let v = t.inv.(base + Perm.apply pi j) in
+    let greater = ref 0 in
+    for i = 0 to j - 1 do
+      if t.inv.(base + Perm.apply pi i) > v then incr greater
+    done;
+    if !greater < d then incr c
+  done;
+  !c
+
+(* Row sums of the per-schedule columns, then their maximum. *)
+let exact_max at psi =
   match psi with
   | [] -> 0
   | pi :: _ ->
     let n = Perm.size pi in
     if n > 8 then
       invalid_arg "Contention.*_exact: exhaustive search limited to n <= 8";
-    List.fold_left
-      (fun best rho -> max best (eval psi ~rho))
-      min_int (Perm.all n)
+    ignore (check_sizes psi pi);
+    let t = inverses n in
+    let sum = Array.make t.orders 0 in
+    List.iter
+      (fun pi ->
+        for r = 0 to t.orders - 1 do
+          sum.(r) <- sum.(r) + at t pi r
+        done)
+      psi;
+    Array.fold_left max min_int sum
 
-let contention_exact psi = exact_max contention_wrt psi
-let d_contention_exact ~d psi = exact_max (d_contention_wrt ~d) psi
+let contention_exact psi = exact_max lrm_at psi
+
+let d_contention_exact ~d psi =
+  if d < 1 then invalid_arg "Contention.d_contention_exact: d must be >= 1";
+  exact_max (d_lrm_at ~d) psi
 
 (* First-improvement hill climbing over rho under the swap neighbourhood.
    Contention is invariant under relabelling only of both psi and rho, so

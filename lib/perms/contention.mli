@@ -30,9 +30,31 @@ val d_contention_profile_wrt : Perm.t list -> rho:Perm.t -> int array
     in one pass per schedule ({!Lrm.d_lrm_profile}). Entry 0 is 0. *)
 
 val contention_exact : Perm.t list -> int
-(** [Cont(psi)] by exhaustive maximization; requires size [<= 8]. *)
+(** [Cont(psi)] by exhaustive maximization; requires size [<= 8]. Sums
+    {!lrm_at} over one {!inverses} table, allocating nothing per order. *)
 
 val d_contention_exact : d:int -> Perm.t list -> int
+(** [(d)-Cont(psi)] the same way; requires [d >= 1] and size [<= 8]. *)
+
+(** {2 Per-schedule columns}
+
+    [Cont(psi) = max_r sum_u col_u.(r)] where the column [col_u] holds
+    [lrm(rho_r^{-1} o pi_u)] for every order [rho_r in S_n]. A search that
+    changes one schedule only needs that schedule's column again. *)
+
+type inverses
+(** Every [rho^{-1}], [rho in S_n], in one flat array. *)
+
+val inverses : int -> inverses
+(** The table for size [n], [0 <= n <= 8]: [n!] rows of [n] entries. *)
+
+val orders : inverses -> int
+(** [n!], the length of a column. *)
+
+val lrm_at : inverses -> Perm.t -> int -> int
+(** [lrm_at t pi r] is [lrm(rho_r^{-1} o pi)], entry [r] of [pi]'s
+    column, for [0 <= r < orders t]; [pi] has the table's size. O(n),
+    allocation-free. *)
 
 val contention_estimate :
   ?restarts:int -> ?samples:int -> rng:Doall_sim.Rng.t -> Perm.t list -> int

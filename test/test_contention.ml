@@ -146,6 +146,30 @@ let prop_conjugation_keeps_range =
       let c = Contention.d_contention_wrt ~d:1 psi ~rho in
       c >= count && c <= count * n)
 
+(* The exact paths (a flat rho^{-1} table, per-row kernels and Search's
+   incremental columns) against the plain definition: max over S_n of the
+   per-rho sums. *)
+let prop_exact_matches_reference =
+  QCheck2.Test.make ~name:"exact Cont, (d)-Cont and improve match max over S_n"
+    ~count:60
+    QCheck2.Gen.(
+      int_range 1 7 >>= fun n ->
+      map3
+        (fun count d seed -> (n, count, d, seed))
+        (int_range 1 8) (int_range 1 n) (int_bound 10_000))
+    (fun (n, count, d, seed) ->
+      let rng = Rng.create seed in
+      let psi = Gen.random_list ~rng ~n ~count in
+      let reference eval psi =
+        List.fold_left (fun m rho -> max m (eval psi ~rho)) min_int (Perm.all n)
+      in
+      let improved, c = Search.improve ~steps:20 ~rng psi in
+      Contention.contention_exact psi = reference Contention.contention_wrt psi
+      && Contention.d_contention_exact ~d psi
+         = reference (Contention.d_contention_wrt ~d) psi
+      && c = Contention.contention_exact improved
+      && c = reference Contention.contention_wrt improved)
+
 let suite =
   [
     Alcotest.test_case "two-processor example" `Quick
@@ -168,4 +192,5 @@ let suite =
     Alcotest.test_case "size mismatch rejected" `Quick test_size_mismatch;
     QCheck_alcotest.to_alcotest prop_profile_matches_per_d;
     QCheck_alcotest.to_alcotest prop_conjugation_keeps_range;
+    QCheck_alcotest.to_alcotest prop_exact_matches_reference;
   ]

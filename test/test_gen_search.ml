@@ -48,7 +48,75 @@ let test_certified_range () =
         (float_of_int cert.Search.contention <= cert.Search.bound);
       check_int "exact recomputation agrees" cert.Search.contention
         (Contention.contention_exact cert.Search.list))
-    [ 2; 3; 4; 5 ]
+    [ 2; 3; 4; 5; 6; 7; 8 ]
+
+(* The lists DA(q) runs with: [Search.certified] under the seed
+   [Algo_da.default_psi] uses. Any change to the search or to contention
+   evaluation that alters them changes every DA result. *)
+let da_lists =
+  [
+    (2, 3, [ [ 1; 0 ]; [ 0; 1 ] ]);
+    (3, 6, [ [ 2; 1; 0 ]; [ 1; 0; 2 ]; [ 0; 1; 2 ] ]);
+    (4, 9, [ [ 2; 1; 3; 0 ]; [ 0; 3; 2; 1 ]; [ 3; 1; 2; 0 ]; [ 1; 0; 2; 3 ] ]);
+    ( 5,
+      13,
+      [
+        [ 0; 4; 2; 1; 3 ];
+        [ 3; 1; 2; 0; 4 ];
+        [ 2; 0; 3; 1; 4 ];
+        [ 4; 1; 0; 3; 2 ];
+        [ 1; 3; 4; 0; 2 ];
+      ] );
+    ( 6,
+      18,
+      [
+        [ 5; 1; 0; 4; 3; 2 ];
+        [ 1; 3; 5; 4; 2; 0 ];
+        [ 0; 3; 2; 4; 5; 1 ];
+        [ 2; 4; 1; 0; 3; 5 ];
+        [ 5; 3; 0; 2; 1; 4 ];
+        [ 4; 2; 3; 5; 0; 1 ];
+      ] );
+    ( 7,
+      23,
+      [
+        [ 0; 5; 3; 4; 2; 1; 6 ];
+        [ 2; 4; 6; 5; 0; 1; 3 ];
+        [ 4; 3; 6; 0; 5; 1; 2 ];
+        [ 0; 6; 1; 2; 3; 4; 5 ];
+        [ 5; 3; 2; 1; 6; 4; 0 ];
+        [ 1; 6; 4; 5; 0; 3; 2 ];
+        [ 2; 6; 1; 3; 0; 5; 4 ];
+      ] );
+    ( 8,
+      28,
+      [
+        [ 4; 5; 6; 7; 3; 1; 0; 2 ];
+        [ 2; 5; 4; 7; 3; 6; 0; 1 ];
+        [ 2; 1; 3; 6; 0; 4; 5; 7 ];
+        [ 6; 0; 2; 7; 4; 5; 1; 3 ];
+        [ 3; 5; 2; 1; 0; 6; 4; 7 ];
+        [ 6; 4; 1; 3; 2; 0; 5; 7 ];
+        [ 7; 0; 1; 6; 5; 4; 3; 2 ];
+        [ 7; 4; 3; 0; 6; 1; 2; 5 ];
+      ] );
+  ]
+
+let test_da_lists_pinned () =
+  List.iter
+    (fun (q, cont, expected) ->
+      let cert = Search.certified ~rng:(Rng.create (0xDA5EED + q)) q in
+      check_int (Printf.sprintf "q=%d contention" q) cont cert.Search.contention;
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "q=%d list" q)
+        expected
+        (List.map (fun pi -> Array.to_list (Perm.to_array pi)) cert.Search.list);
+      check
+        (Printf.sprintf "q=%d is Algo_da.default_psi" q)
+        true
+        (List.for_all2 Perm.equal cert.Search.list
+           (Doall_core.Algo_da.default_psi ~q)))
+    da_lists
 
 let test_certified_beats_or_ties_random () =
   let rng = Rng.create 33 in
@@ -68,6 +136,18 @@ let test_improve_never_worsens () =
   let _, after = Search.improve ~steps:100 ~rng psi0 in
   check "improve monotone" true (after <= before)
 
+let test_improve_rejects_bad_input () =
+  let rng = Rng.create 36 in
+  let improve list () = ignore (Search.improve ~steps:1 ~rng list) in
+  Alcotest.check_raises "empty list"
+    (Invalid_argument "Search.improve: empty list") (improve []);
+  Alcotest.check_raises "mixed sizes"
+    (Invalid_argument "Search.improve: permutations of different sizes")
+    (improve [ Perm.identity 3; Perm.identity 4 ]);
+  Alcotest.check_raises "size above 8"
+    (Invalid_argument "Search.improve: exact contention needs size in 1..8")
+    (improve [ Perm.identity 9 ])
+
 let test_certified_bad_n () =
   let rng = Rng.create 35 in
   Alcotest.check_raises "n too large"
@@ -82,10 +162,14 @@ let suite =
     Alcotest.test_case "rotation list" `Quick test_rotation_list;
     Alcotest.test_case "exhaustive n=2 optimum" `Quick test_exhaustive_n2;
     Alcotest.test_case "exhaustive n=3" `Quick test_exhaustive_n3;
-    Alcotest.test_case "certified for n=2..5" `Slow test_certified_range;
+    Alcotest.test_case "certified for n=2..8" `Quick test_certified_range;
+    Alcotest.test_case "DA(q) lists pinned for q=2..8" `Quick
+      test_da_lists_pinned;
     Alcotest.test_case "certified vs random draw" `Quick
       test_certified_beats_or_ties_random;
     Alcotest.test_case "improve never worsens" `Quick
       test_improve_never_worsens;
+    Alcotest.test_case "improve rejects bad input" `Quick
+      test_improve_rejects_bad_input;
     Alcotest.test_case "certified rejects bad n" `Quick test_certified_bad_n;
   ]
