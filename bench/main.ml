@@ -8,7 +8,10 @@
    Run all experiments with `dune exec bench/main.exe`, a subset with
    e.g. `dune exec bench/main.exe -- e2 e6 fig1`, or `micro` / `perf` /
    `obs` for the performance targets. `--list` shows every registered
-   experiment with its one-line doc. *)
+   experiment with its one-line doc. `perf` and `xl` write their
+   default BENCH_2.json / BENCH_4.json only if that file does not exist
+   yet; the committed ones are records, so pass `--out PATH`. The
+   benchmark proper is benchsuite/ (see BENCHMARK.json). *)
 
 open Doall_sim
 open Doall_core
@@ -1014,7 +1017,9 @@ let list_experiments () =
   print_string "micro  Bechamel microbenchmarks (bitsets, event queues, engine cells)\n";
   print_string "perf   wall-clock grid + parallel-grid speedup, writes BENCH_2.json\n";
   print_string "obs    probe overhead on the paper-scale cell (target < 5%); --profile gates the span self-profiler instead\n";
-  print_string "xl     scale-wall cells (p=16384, t=1e6) + BENCH_3/BENCH_1 speedup gates, writes BENCH_4.json\n"
+  print_string "xl     scale-wall cells (p=16384, t=1e6) + BENCH_3/BENCH_1 speedup gates, writes BENCH_4.json\n";
+  print_string "(perf and xl refuse to overwrite an existing default file; pass --out PATH)\n";
+  print_string "The benchmark is benchsuite/ (see BENCHMARK.json): dune exec benchsuite/suite.exe -- --workload NAME\n"
 
 let unknown id =
   Printf.eprintf "unknown experiment %S; known experiments:\n" id;
@@ -1076,7 +1081,20 @@ let () =
     in
     List.iter
       (fun id ->
-        let out default = Option.value !out_override ~default in
+        (* the default files are committed trajectory records: refuse to
+           overwrite one unless the caller names the target explicitly *)
+        let out default =
+          match !out_override with
+          | Some path -> path
+          | None when Sys.file_exists default ->
+            Printf.eprintf
+              "bench %s: %s already exists (the BENCH_N files are \
+               committed records); pass --out PATH to write elsewhere, or \
+               --out %s to replace it\n"
+              id default default;
+            exit 2
+          | None -> default
+        in
         if id = "micro" then micro ()
         else if id = "perf" then perf ~quick:!quick ~out:(out "BENCH_2.json") ()
         else if id = "obs" then

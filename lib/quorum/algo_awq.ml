@@ -286,10 +286,10 @@ let make ?(q = 4) ?psi ?(quorum = fun ~p -> Quorum.majority ~p)
       in
       begin_phase st pnd ~phase:Store ~ts ~value
 
-    let result st ?performed ?broadcast ?halt () =
+    let result st ?performed ?broadcast ?halt ?waiting () =
       let unicasts = st.outbox in
       st.outbox <- [];
-      Algorithm.result ?performed ?broadcast ~unicasts ?halt ()
+      Algorithm.result ?performed ?broadcast ~unicasts ?halt ?waiting ()
 
     let start_or_finish_leaf st leaf =
       (* Perform one member of the leaf's job, or write the leaf if the
@@ -354,7 +354,12 @@ let make ?(q = 4) ?psi ?(quorum = fun ~p -> Quorum.majority ~p)
                broadcast, as a real round trip would *)
             let req = start_store_phase st pnd in
             result st ~broadcast:req ()
-          else result st () (* waiting on the quorum: an idle, charged step *)
+          else
+            (* waiting on the quorum: an idle, charged step. Only a
+               response can complete the phase, and [receive] is the
+               only writer of the outbox, so until a message arrives
+               every step lands here again with nothing to send. *)
+            result st ~waiting:true ()
         | None -> (
           match st.current with
           | Some leaf -> start_or_finish_leaf st leaf

@@ -5,13 +5,21 @@ type 'msg step_result = {
   broadcast : 'msg option;
   unicasts : (int * 'msg) list;
   halt : bool;
+  waiting : bool;
 }
 
 let nothing =
-  { performed = None; broadcast = None; unicasts = []; halt = false }
+  {
+    performed = None;
+    broadcast = None;
+    unicasts = [];
+    halt = false;
+    waiting = false;
+  }
 
-let result ?performed ?broadcast ?(unicasts = []) ?(halt = false) () =
-  { performed; broadcast; unicasts; halt }
+let result ?performed ?broadcast ?(unicasts = []) ?(halt = false)
+    ?(waiting = false) () =
+  { performed; broadcast; unicasts; halt; waiting }
 
 module type S = sig
   val name : string

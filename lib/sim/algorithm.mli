@@ -29,6 +29,16 @@ type 'msg step_result = {
           {!Doall_quorum}; a multicast counts [p-1] messages, each
           unicast counts 1 *)
   halt : bool;  (** voluntary halt; legal only when all-done is known *)
+  waiting : bool;
+      (** this step only waited, and so will every later one until a
+          message arrives: [true] promises that, until this processor's
+          next {!S.receive}, every later step performs no task, sends
+          nothing, does not halt and leaves the state unchanged (this
+          step itself may still flush sends). The engine's lookahead
+          stops its isolated clone here, because an isolated clone
+          receives nothing; the real run ignores the flag and charges
+          every waiting step as work (Definition 2.1). [false] promises
+          nothing. *)
 }
 
 val nothing : 'msg step_result
@@ -39,6 +49,7 @@ val result :
   ?broadcast:'msg ->
   ?unicasts:(int * 'msg) list ->
   ?halt:bool ->
+  ?waiting:bool ->
   unit ->
   'msg step_result
 (** Labelled constructor; omitted fields default to "nothing". *)

@@ -128,8 +128,11 @@ module Make (A : Algorithm.S) = struct
 
   (* Lookahead used by the omniscient adversary: clone [pid]'s state and
      step the clone in isolation (no deliveries), collecting the distinct
-     tasks it performs. [step_cap] bounds bookkeeping-only steps so a
-     clone that has halted (or spins on a finished tree) cannot loop. *)
+     tasks it performs. The clone stops at a halt or at its first waiting
+     step: it receives nothing, so by the [waiting] contract every later
+     step would perform nothing, and the plan is the one a run to the cap
+     returns. [step_cap] bounds bookkeeping-only steps so a clone that
+     spins without declaring it (e.g. on a finished tree) cannot loop. *)
   let isolated_plan states ~pid ~horizon ~step_cap =
     let clone = A.copy states.(pid) in
     let performed = ref [] in
@@ -147,7 +150,7 @@ module Make (A : Algorithm.S) = struct
             incr count
           | Some _ -> incr count
           | None -> ());
-         if r.Algorithm.halt then raise Exit
+         if r.Algorithm.halt || r.Algorithm.waiting then raise Exit
        done
      with Exit -> ());
     List.rev !performed

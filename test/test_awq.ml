@@ -242,6 +242,167 @@ let test_deterministic_reproducible () =
   let w seed = (run ~seed "max-delay").Metrics.work in
   check_int "seed-insensitive" (w 1) (w 2)
 
+(* W/M/sigma/executions of every awq variant under the two lower-bound
+   adversaries, which plan with lookahead clones. The literals were
+   dumped from an engine whose lookahead stepped every clone to its step
+   cap: stopping a clone at its first waiting step must not change a
+   single run. awq-q2 (and awq-q8 at the small size) does not complete
+   under these adversaries even at the default time cap: they keep most
+   processors from stepping, and a processor that does not step answers
+   no quorum request (to a quorum system an unbounded delay is as bad as
+   a crash, the caveat of Section 1.1). Those cells are pinned at a
+   smaller time cap; they are where the most clones wait. *)
+let pinned_max_time = 2_000
+
+let lb_pins =
+  [
+    ("awq-q2", "lb-det", 16, 128, 4, 1, (16588, 4388, 2000, 152), false);
+    ("awq-q2", "lb-det", 16, 128, 4, 2, (16588, 4388, 2000, 152), false);
+    ("awq-q2", "lb-det", 32, 384, 8, 1, (35096, 23908, 2000, 500), false);
+    ("awq-q2", "lb-det", 32, 384, 8, 2, (35096, 23908, 2000, 500), false);
+    ("awq-q2", "lb-rand", 16, 128, 4, 1, (16590, 4606, 2000, 160), false);
+    ("awq-q2", "lb-rand", 16, 128, 4, 2, (16590, 4606, 2000, 160), false);
+    ("awq-q2", "lb-rand", 32, 384, 8, 1, (35115, 24952, 2000, 516), false);
+    ("awq-q2", "lb-rand", 32, 384, 8, 2, (35115, 24952, 2000, 516), false);
+    ("awq-q4", "lb-det", 16, 128, 4, 1, (888, 2469, 67, 188), true);
+    ("awq-q4", "lb-det", 16, 128, 4, 2, (888, 2469, 67, 188), true);
+    ("awq-q4", "lb-det", 32, 384, 8, 1, (6044, 19925, 203, 1016), true);
+    ("awq-q4", "lb-det", 32, 384, 8, 2, (6044, 19925, 203, 1016), true);
+    ("awq-q4", "lb-rand", 16, 128, 4, 1, (921, 2587, 67, 203), true);
+    ("awq-q4", "lb-rand", 16, 128, 4, 2, (921, 2587, 67, 203), true);
+    ("awq-q4", "lb-rand", 32, 384, 8, 1, (6077, 20129, 203, 1047), true);
+    ("awq-q4", "lb-rand", 32, 384, 8, 2, (6077, 20129, 203, 1047), true);
+    ("awq-q8", "lb-det", 16, 128, 4, 1, (16888, 5738, 2000, 564), false);
+    ("awq-q8", "lb-det", 16, 128, 4, 2, (16888, 5738, 2000, 564), false);
+    ("awq-q8", "lb-det", 32, 384, 8, 1, (6036, 18965, 203, 1400), true);
+    ("awq-q8", "lb-det", 32, 384, 8, 2, (6036, 18965, 203, 1400), true);
+    ("awq-q8", "lb-rand", 16, 128, 4, 1, (16899, 5792, 2000, 556), false);
+    ("awq-q8", "lb-rand", 16, 128, 4, 2, (16899, 5792, 2000, 556), false);
+    ("awq-q8", "lb-rand", 32, 384, 8, 1, (5868, 18275, 203, 1364), true);
+    ("awq-q8", "lb-rand", 32, 384, 8, 2, (5868, 18275, 203, 1364), true);
+    ("awq-abd-q4", "lb-det", 16, 128, 4, 1, (1576, 4923, 115, 188), true);
+    ("awq-abd-q4", "lb-det", 16, 128, 4, 2, (1576, 4923, 115, 188), true);
+    ("awq-abd-q4", "lb-det", 32, 384, 8, 1, (11324, 39819, 379, 1016), true);
+    ("awq-abd-q4", "lb-det", 32, 384, 8, 2, (11324, 39819, 379, 1016), true);
+    ("awq-abd-q4", "lb-rand", 16, 128, 4, 1, (1609, 5041, 115, 203), true);
+    ("awq-abd-q4", "lb-rand", 16, 128, 4, 2, (1609, 5041, 115, 203), true);
+    ("awq-abd-q4", "lb-rand", 32, 384, 8, 1, (11357, 40023, 379, 1047), true);
+    ("awq-abd-q4", "lb-rand", 32, 384, 8, 2, (11357, 40023, 379, 1047), true);
+  ]
+
+let test_lb_pins () =
+  Register.install ();
+  List.iter
+    (fun (algo, adv, p, t, d, seed, (w, m, sigma, ex), completed) ->
+      let name =
+        Printf.sprintf "%s/%s/p%d/t%d/d%d/seed%d" algo adv p t d seed
+      in
+      let got =
+        try
+          (Runner.run ~max_time:pinned_max_time ~seed ~algo ~adv ~p ~t ~d ())
+            .Runner.metrics
+        with Runner.Run_timeout { metrics; _ } -> metrics
+      in
+      Alcotest.(check (pair (list int) bool))
+        name
+        ([ w; m; sigma; ex ], completed)
+        ( [
+            got.Metrics.work;
+            got.Metrics.messages;
+            got.Metrics.sigma;
+            got.Metrics.executions;
+          ],
+          got.Metrics.completed ))
+    lb_pins
+
+(* A reference check of the [waiting] contract (algorithm.mli). The
+   wrapper fails the test as soon as a step that follows a waiting step,
+   with no [receive] in between, does anything but wait again. It also
+   counts the steps taken on copies, which the engine makes only for the
+   adversary's lookahead. *)
+module Waiting_checked (A : Algorithm.S) : sig
+  include Algorithm.S with type msg = A.msg
+
+  val lookahead_steps : int ref
+end = struct
+  let name = A.name
+
+  type msg = A.msg
+  type state = { st : A.state; clone : bool; mutable waiting : bool }
+
+  let lookahead_steps = ref 0
+  let init cfg ~pid = { st = A.init cfg ~pid; clone = false; waiting = false }
+  let copy s = { st = A.copy s.st; clone = true; waiting = s.waiting }
+
+  let receive s ~src m =
+    s.waiting <- false;
+    A.receive s.st ~src m
+
+  let merge_homomorphic = A.merge_homomorphic
+
+  let step s =
+    if s.clone then incr lookahead_steps;
+    let r = A.step s.st in
+    if
+      s.waiting
+      && not
+           (r.Algorithm.performed = None
+           && r.Algorithm.broadcast = None
+           && r.Algorithm.unicasts = []
+           && (not r.Algorithm.halt)
+           && r.Algorithm.waiting)
+    then
+      Alcotest.failf
+        "%s: a step after a waiting step did not wait (performed=%b \
+         broadcast=%b unicasts=%d halt=%b waiting=%b)"
+        A.name
+        (r.Algorithm.performed <> None)
+        (r.Algorithm.broadcast <> None)
+        (List.length r.Algorithm.unicasts)
+        r.Algorithm.halt r.Algorithm.waiting;
+    s.waiting <- r.Algorithm.waiting;
+    r
+
+  let is_done s = A.is_done s.st
+  let done_tasks s = A.done_tasks s.st
+end
+
+let run_waiting_checked ~seed ~p ~t ~d algo adv =
+  let (module A : Algorithm.S) = algo in
+  let module W = Waiting_checked (A) in
+  let adversary = (Runner.find_adv adv).Runner.instantiate ~p ~t ~d in
+  let cfg = Config.make ~seed ~p ~t () in
+  let m =
+    Engine.run_packed (module W) cfg ~d ~adversary ~max_time:pinned_max_time
+      ~check:true ()
+  in
+  (m, !W.lookahead_steps)
+
+let test_waiting_contract () =
+  List.iter
+    (fun algo ->
+      List.iter
+        (fun adv ->
+          ignore (run_waiting_checked ~seed:1 ~p:16 ~t:128 ~d:4 algo adv))
+        [ "lb-det"; "lb-rand"; "fair"; "max-delay" ])
+    [
+      Algo_awq.make ~q:2 ();
+      Algo_awq.make ~q:4 ();
+      Algo_awq.make ~q:8 ();
+      Algo_awq.make ~q:4 ~protocol:`Abd ();
+    ]
+
+let test_waiting_lookahead_steps () =
+  (* stepping every clone on to the 16(t+8) step cap takes 36,955,953
+     lookahead steps on this cell *)
+  let m, steps =
+    run_waiting_checked ~seed:1 ~p:32 ~t:384 ~d:8 (Algo_awq.make ~q:4 ())
+      "lb-rand"
+  in
+  check "completed" true m.Metrics.completed;
+  check_int "W as pinned" 6077 m.Metrics.work;
+  check_int "lookahead steps" 8_559 steps
+
 let suite =
   [
     Alcotest.test_case "quorum arithmetic" `Quick test_quorum_arithmetic;
@@ -274,4 +435,8 @@ let suite =
       test_builtin_names_protected;
     Alcotest.test_case "deterministic reproducible" `Quick
       test_deterministic_reproducible;
+    Alcotest.test_case "lower-bound adversary pins" `Quick test_lb_pins;
+    Alcotest.test_case "waiting contract" `Quick test_waiting_contract;
+    Alcotest.test_case "lookahead stops at a waiting step" `Quick
+      test_waiting_lookahead_steps;
   ]
