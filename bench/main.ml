@@ -410,25 +410,6 @@ let micro () =
              (fun dl -> Bitset.apply_delta_tracked ~dst tk dl)
              digest_deltas))
   in
-  (* Steady-state delivery: one "tick" = 63 sends into the future plus a
-     drain of what is due now, mimicking a broadcast to p-1 = 63 peers.
-     The ring and heap variants run identical traffic. *)
-  let equeue_bench name q =
-    let now = ref 0 in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           incr now;
-           for i = 0 to 62 do
-             Event_queue.add q ~time:(!now + 1 + (i mod 8)) i
-           done;
-           Event_queue.drain_due q ~now:!now (fun _ -> ())))
-  in
-  let equeue_ring =
-    equeue_bench "equeue-ring-tick-63send-d8" (Event_queue.create ~horizon:8 ())
-  in
-  let equeue_heap =
-    equeue_bench "equeue-heap-tick-63send-d8" (Event_queue.create ())
-  in
   let dlrm =
     let rng = Rng.create 1 in
     let pi = Perm.random rng 1024 in
@@ -508,8 +489,6 @@ let micro () =
         bitset_iter_set;
         digest_union_many;
         digest_seq_apply;
-        equeue_ring;
-        equeue_heap;
         dlrm;
         cont;
         tree_marks;
@@ -1014,7 +993,7 @@ let list_experiments () =
   List.iter
     (fun e -> Printf.printf "%-5s %s\n" e.Exp.id (Exp.one_liner e))
     (Exp.all ());
-  print_string "micro  Bechamel microbenchmarks (bitsets, event queues, engine cells)\n";
+  print_string "micro  Bechamel microbenchmarks (bitsets, digests, engine cells)\n";
   print_string "perf   wall-clock grid + parallel-grid speedup, writes BENCH_2.json\n";
   print_string "obs    probe overhead on the paper-scale cell (target < 5%); --profile gates the span self-profiler instead\n";
   print_string "xl     scale-wall cells (p=16384, t=1e6) + BENCH_3/BENCH_1 speedup gates, writes BENCH_4.json\n";

@@ -321,30 +321,3 @@ let deactivate s ~pid =
     s.cursor.(pid) <- s.tail;
     if s.head < s.tail then reclaim s
   end
-
-let pending_for s ~dst =
-  check_pid s dst "Bcast.pending_for";
-  if not s.active.(dst) then 0
-  else begin
-    let mask = Array.length s.due - 1 in
-    let n = ref 0 in
-    for k = s.cursor.(dst) to s.tail - 1 do
-      if Array.unsafe_get s.src (k land mask) <> dst then incr n
-    done;
-    !n
-  end
-
-let next_due s ~dst =
-  check_pid s dst "Bcast.next_due";
-  if not s.active.(dst) then None
-  else begin
-    let mask = Array.length s.due - 1 in
-    let res = ref None in
-    let k = ref s.cursor.(dst) in
-    while !res = None && !k < s.tail do
-      if Array.unsafe_get s.src (!k land mask) <> dst then
-        res := Some (Array.unsafe_get s.due (!k land mask));
-      incr k
-    done;
-    !res
-  end

@@ -64,12 +64,6 @@ val deactivate : 'msg t -> pid:int -> unit
     recovery): undelivered records stop waiting for it and future
     records exclude it. Idempotent. *)
 
-val pending_for : 'msg t -> dst:int -> int
-(** Undelivered records addressed to [dst] (0 if inactive). Read-only. *)
-
-val next_due : 'msg t -> dst:int -> int option
-(** Earliest due among records still addressed to [dst]. Read-only. *)
-
 val drain : 'msg t -> dst:int -> now:int -> (int -> 'msg -> unit) -> int
 (** Deliver every record due for [dst] by [now] and return the number
     of {e logical} deliveries (records from other sources consumed),

@@ -195,16 +195,6 @@ let receive_iter t ~dst ~now f =
 
 let pending t = t.in_flight
 
-let pending_for t ~dst =
-  check_pid t dst "Channel.pending_for";
-  Queue.length t.inbox.(dst)
-
-let next_due t ~dst =
-  check_pid t dst "Channel.next_due";
-  match Queue.peek_opt t.inbox.(dst) with
-  | Some dv -> Some dv.due
-  | None -> None
-
 let sent t = t.sent
 let collisions t = t.n_collisions
 let busy_slots t = t.n_busy

@@ -87,12 +87,6 @@ val pending : 'msg t -> int
     eventual fan-out (a broadcast frame counts [p - 1]), resolved
     deliveries count individually until received. *)
 
-val pending_for : 'msg t -> dst:int -> int
-(** Resolved deliveries waiting in [dst]'s inbox (queued frames are not
-    yet addressed to anyone). *)
-
-val next_due : 'msg t -> dst:int -> int option
-
 val sent : 'msg t -> int
 (** Logical messages across all transmission attempts so far — the
     shared-channel message complexity (see module doc). *)

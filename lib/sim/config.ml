@@ -13,11 +13,10 @@ type t = {
   transport : transport;
 }
 
-let make ?(seed = 0) ?(record_trace = false) ?(wire = Full) ?(transport = Ptp)
-    ~p ~t () =
+let make ?(seed = 0) ?(record_trace = false) ?(transport = Ptp) ~p ~t () =
   if p <= 0 then invalid_arg "Config.make: p must be positive";
   if t <= 0 then invalid_arg "Config.make: t must be positive";
-  { p; t; seed; record_trace; wire; transport }
+  { p; t; seed; record_trace; wire = Full; transport }
 
 let with_seed cfg seed = { cfg with seed }
 let with_wire cfg wire = { cfg with wire }

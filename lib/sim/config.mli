@@ -47,22 +47,17 @@ type t = private {
 }
 
 val make :
-  ?seed:int ->
-  ?record_trace:bool ->
-  ?wire:wire ->
-  ?transport:transport ->
-  p:int ->
-  t:int ->
-  unit ->
-  t
-(** Validates [p >= 1] and [t >= 1]. [wire] defaults to [Full],
-    [transport] to [Ptp]. *)
+  ?seed:int -> ?record_trace:bool -> ?transport:transport -> p:int -> t:int ->
+  unit -> t
+(** Validates [p >= 1] and [t >= 1]. [transport] defaults to [Ptp];
+    [wire] starts [Full] and is set by the engine. *)
 
 val with_seed : t -> int -> t
 
 val with_wire : t -> wire -> t
-(** Used by the engine to switch delta-safe runs to the sparse
-    encoding; see {!type-wire} for when that is sound. *)
+(** Used by the engine to set the wire of every run: [Delta] exactly
+    when it is sound (see {!type-wire}), [Full] otherwise, whatever the
+    caller's config carried. *)
 
 val with_transport : t -> transport -> t
 

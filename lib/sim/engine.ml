@@ -77,6 +77,11 @@ let instruments probe ~p =
     s_inflight = Probe.series probe "net.in_flight";
   }
 
+(* The run's message fabric: the paper's point-to-point network (§2.1),
+   or the multiple-access shared channel beyond the model (docs/MODEL.md).
+   Every medium-specific decision in the engine is one [match] on this. *)
+type 'msg fabric = Ptp of 'msg Network.t | Shared of 'msg Channel.t
+
 module Make (A : Algorithm.S) = struct
   type t = {
     cfg : Config.t;
@@ -91,14 +96,12 @@ module Make (A : Algorithm.S) = struct
            the general path by construction (pinned by the golden grid
            and the stream equivalence tests). *)
     stream_delta : int; (* the declared constant, clamped into [1..d] *)
-    chan : bool;
-        (* the run's transport is the multiple-access shared channel:
-           each step's outbound traffic becomes one frame, the slot is
-           resolved at the end of every tick, and the stream fast path
-           is off (its FIFO constant-latency promise cannot survive
-           contention). *)
     states : A.state array;
-    net : A.msg Transport.t;
+    fabric : A.msg fabric;
+        (* on a shared channel each step's outbound traffic becomes one
+           frame, the slot is resolved at the end of every tick, and the
+           stream fast path is off (its FIFO constant-latency promise
+           cannot survive contention) *)
     global_done : Bitset.t;
     alive : bool array;
     halted : bool array;
@@ -165,7 +168,7 @@ module Make (A : Algorithm.S) = struct
     let spans =
       match spans with Some sp -> sp | None -> Span.create ~enabled:false ()
     in
-    let chan =
+    let shared =
       match cfg.Config.transport with
       | Config.Channel _ -> true
       | Config.Ptp -> false
@@ -174,7 +177,7 @@ module Make (A : Algorithm.S) = struct
        per point-to-point copy; a shared medium has no per-copy channel
        to corrupt, so the combination is rejected rather than silently
        ignored *)
-    if chan && (match adversary.Adversary.faults with Some _ -> true | None -> false)
+    if shared && (match adversary.Adversary.faults with Some _ -> true | None -> false)
     then
       invalid_arg
         "Engine.create: fault injection requires the point-to-point \
@@ -197,11 +200,13 @@ module Make (A : Algorithm.S) = struct
     (* the stream fast path is a point-to-point construct: shared Bcast
        records assume every copy of a multicast is individually due at a
        constant offset, which a contended slotted medium cannot honour *)
-    let stream = (not chan) && stream_delta >= 0 in
+    let stream = (not shared) && stream_delta >= 0 in
     (* Constant latency + reliable FIFO channels is exactly when delta
-       payloads are exact (config.mli); switch the wire before states
-       are built so algorithms encode accordingly. *)
-    let cfg = if stream then Config.with_wire cfg Config.Delta else cfg in
+       payloads are exact (config.mli); set the wire before states are
+       built so algorithms encode accordingly. *)
+    let cfg =
+      Config.with_wire cfg (if stream then Config.Delta else Config.Full)
+    in
     let eng =
       {
         cfg;
@@ -209,18 +214,19 @@ module Make (A : Algorithm.S) = struct
         adv = adversary;
         stream;
         stream_delta;
-        chan;
         states = Array.init p (fun pid -> A.init cfg ~pid);
-        net =
-          (* the digest witness only applies on the stream fast path:
-             elsewhere broadcasts fan out as per-destination sends and
-             the shared stream never sees a record *)
+        fabric =
           (match cfg.Config.transport with
            | Config.Ptp ->
-             Transport.create ~transport:Config.Ptp
-               ?digest:(if stream then A.merge_homomorphic else None)
-               ~horizon:d ~p ()
-           | Config.Channel _ as tr -> Transport.create ~transport:tr ~p ());
+             (* the digest witness only applies on the stream fast path:
+                elsewhere broadcasts fan out as per-destination sends and
+                the shared stream never sees a record *)
+             Ptp
+               (Network.create
+                  ?digest:(if stream then A.merge_homomorphic else None)
+                  ~horizon:d ~p ())
+           | Config.Channel collision ->
+             Shared (Channel.create ~p ~collision ()));
         global_done = Bitset.create cfg.Config.t;
         alive = Array.make p true;
         halted = Array.make p false;
@@ -354,97 +360,58 @@ module Make (A : Algorithm.S) = struct
           eng.alive.(pid) <- false;
           eng.live <- eng.live - 1;
           if not eng.halted.(pid) then unlink_eligible eng pid;
-          (* stream implies no restart policy: the crash is permanent *)
-          if eng.stream then Transport.deactivate eng.net ~pid;
-          (* on a shared channel the transmit buffer dies with the
-             volatile state; no-op on point-to-point (§2.1: in-flight
-             messages outlive their sender) *)
-          Transport.silence eng.net ~pid;
+          (match eng.fabric with
+           | Ptp net ->
+             (* in-flight messages outlive their sender (§2.1); stream
+                implies no restart policy, so the crash is permanent *)
+             if eng.stream then Network.deactivate net ~pid
+           | Shared ch ->
+             (* the transmit buffer dies with the volatile state *)
+             Channel.silence ch ~pid);
           if eng.done_seen.(pid) then eng.done_alive <- eng.done_alive - 1;
           if eng.cfg.Config.record_trace then
             Trace.add eng.trace (Trace.Crash { time = eng.time; pid })
         end)
       pids
 
-  let step_processor eng pid =
-    (match eng.check with
-     | Some _ ->
-       Span.enter eng.ph.ph_oracle;
-       Oracle.check_step (oracle_view eng) ~pid;
-       Span.leave eng.ph.ph_oracle
-     | None -> ());
-    (* Deliver due messages, then take the local step. *)
-    let st = eng.states.(pid) in
-    (* receive_iter returns the logical delivery count itself (a digest
-       callback can stand for a whole epoch), so probed and unprobed
-       runs share one delivery loop *)
-    (* The three hot phases run back to back, so each transition is one
-       clock read ({!Span.shift}); the whole step costs four reads. *)
-    Span.enter eng.ph.ph_deliver;
-    let delivered =
-      Transport.receive_iter eng.net ~dst:pid ~now:eng.time (fun src msg ->
-          A.receive st ~src msg)
+  (* Shared channel: the step's whole outbound — broadcast and/or
+     unicasts — is one frame queued at [pid]'s station. The delayed
+     adversary may hold it back (clamped into [0 .. d-1], so the
+     per-round cap never exceeds the run's delay bound) before it first
+     contends. No per-copy [delay] consultation and no latency
+     histogram: delivery timing is decided by slot contention, not by a
+     per-message adversary pick. *)
+  let transmit_frame eng ch pid (r : A.msg Algorithm.step_result) =
+    let bcast = r.Algorithm.broadcast in
+    let unis = List.filter (fun (dst, _) -> dst <> pid) r.Algorithm.unicasts in
+    let logical =
+      (match bcast with Some _ -> 1 | None -> 0) + List.length unis
     in
-    if eng.ins.obs_on && delivered > 0 then
-      Probe.add eng.ins.i_deliveries delivered;
-    Span.shift eng.ph.ph_deliver eng.ph.ph_algo;
-    let r = A.step st in
-    Span.shift eng.ph.ph_algo eng.ph.ph_bcast;
-    eng.work <- eng.work + 1;
-    eng.per_proc_work.(pid) <- eng.per_proc_work.(pid) + 1;
-    (match r.Algorithm.performed with
-     | Some task ->
-       let fresh = not (Bitset.mem eng.global_done task) in
-       Bitset.set eng.global_done task;
-       eng.executions <- eng.executions + 1;
-       if eng.ins.obs_on then
-         Probe.incr
-           (if fresh then eng.ins.i_fresh else eng.ins.i_redundant);
-       if eng.cfg.Config.record_trace then
-         Trace.add eng.trace
-           (Trace.Perform { time = eng.time; pid; task; fresh })
-     | None ->
-       if eng.ins.obs_on then Probe.vincr eng.ins.i_idle pid;
-       if eng.cfg.Config.record_trace then
-         Trace.add eng.trace (Trace.Step { time = eng.time; pid }));
-    if eng.chan then begin
-      (* Shared channel: the step's whole outbound — broadcast and/or
-         unicasts — is one frame queued at [pid]'s station. The delayed
-         adversary may hold it back (clamped into [0 .. d-1], so the
-         per-round cap never exceeds the run's delay bound) before it
-         first contends. No per-copy [delay] consultation and no
-         latency histogram: delivery timing is decided by slot
-         contention, not by a per-message adversary pick. *)
-      let bcast = r.Algorithm.broadcast in
-      let unis =
-        List.filter (fun (dst, _) -> dst <> pid) r.Algorithm.unicasts
+    if logical > 0 then begin
+      let hold =
+        match eng.adv.Adversary.channel with
+        | Some { Adversary.hold = Some h; _ } ->
+          let o = oracle eng in
+          max 0 (min (eng.d - 1) (h o ~src:pid))
+        | _ -> 0
       in
-      let logical =
-        (match bcast with Some _ -> 1 | None -> 0) + List.length unis
-      in
-      if logical > 0 then begin
-        let hold =
-          match eng.adv.Adversary.channel with
-          | Some { Adversary.hold = Some h; _ } ->
-            let o = oracle eng in
-            max 0 (min (eng.d - 1) (h o ~src:pid))
-          | _ -> 0
-        in
-        Transport.transmit eng.net ~src:pid ~release:(eng.time + hold) ?bcast
-          ~unis ();
-        if eng.ins.obs_on then begin
-          (* net.sends counts logical messages; on the shared medium a
-             broadcast is one (see Channel's module doc on M) *)
-          Probe.add eng.ins.i_sends logical;
-          Probe.observe eng.ins.i_fanout logical
-        end
-      end;
-      if r.Algorithm.broadcast <> None && eng.cfg.Config.record_trace then
-        Trace.add eng.trace
-          (Trace.Broadcast
-             { time = eng.time; src = pid; copies = eng.cfg.Config.p - 1 })
-    end
-    else begin
+      Channel.transmit ch ~src:pid ~release:(eng.time + hold) ?bcast ~unis ();
+      if eng.ins.obs_on then begin
+        (* net.sends counts logical messages; on the shared medium a
+           broadcast is one (see Channel's module doc on M) *)
+        Probe.add eng.ins.i_sends logical;
+        Probe.observe eng.ins.i_fanout logical
+      end
+    end;
+    if bcast <> None && eng.cfg.Config.record_trace then
+      Trace.add eng.trace
+        (Trace.Broadcast
+           { time = eng.time; src = pid; copies = eng.cfg.Config.p - 1 })
+
+  (* Point-to-point: every copy gets its own adversarial delay (and
+     fault verdict), except on the stream fast path, where a broadcast
+     is one shared record due after the declared constant. *)
+  let send_ptp eng net pid (r : A.msg Algorithm.step_result) =
     (* Per-message delivery deltas feed net.delivery_latency, but paying
        a histogram update per send costs ~10% on broadcast-heavy runs.
        Deltas arrive in runs of equal values (constant for max-delay,
@@ -470,27 +437,27 @@ module Make (A : Algorithm.S) = struct
         (* the reliable network of the paper's model: one branch, no
            extra RNG draws — fault-free runs stay bit-identical *)
         observe_latency delta;
-        Transport.send eng.net ~src:pid ~dst ~due:(eng.time + delta) msg
+        Network.send net ~src:pid ~dst ~due:(eng.time + delta) msg
       | Some f -> (
         match f o ~src:pid ~dst with
         | Adversary.Deliver ->
           observe_latency delta;
-          Transport.send eng.net ~src:pid ~dst ~due:(eng.time + delta) msg
+          Network.send net ~src:pid ~dst ~due:(eng.time + delta) msg
         | Adversary.Drop ->
           (* the algorithm paid for the send: it counts toward M even
              though nothing is enqueued; no latency sample (no delivery) *)
-          Transport.count_lost eng.net;
+          Network.count_lost net;
           if eng.ins.obs_on then Probe.incr eng.ins.i_drops
         | Adversary.Duplicate n ->
           observe_latency delta;
-          Transport.send eng.net ~src:pid ~dst ~due:(eng.time + delta) msg;
+          Network.send net ~src:pid ~dst ~due:(eng.time + delta) msg;
           (* replicas re-draw their latency (a resend travels a fresh
              path) and do not count toward M — the algorithm sent once *)
           for _ = 1 to n do
             let raw' = eng.adv.Adversary.delay o ~src:pid ~dst in
             let delta' = max 1 (min eng.d raw') in
-            Transport.send_replica eng.net ~src:pid ~dst
-              ~due:(eng.time + delta') msg
+            Network.send_replica net ~src:pid ~dst ~due:(eng.time + delta')
+              msg
           done;
           if eng.ins.obs_on then Probe.add eng.ins.i_dups (max 0 n)
         | Adversary.Reorder j ->
@@ -498,10 +465,8 @@ module Make (A : Algorithm.S) = struct
              into [1..d] so the calendar-ring horizon still holds *)
           let delta' = max 1 (min eng.d (delta + max 0 j)) in
           observe_latency delta';
-          Transport.send eng.net ~src:pid ~dst ~due:(eng.time + delta') msg)
+          Network.send net ~src:pid ~dst ~due:(eng.time + delta') msg)
     in
-    (* ph_bcast has been open since the post-[A.step] shift: it covers
-       the step's outbound traffic plus its result bookkeeping. *)
     (match r.Algorithm.broadcast with
      | Some msg ->
        let p = eng.cfg.Config.p in
@@ -517,7 +482,7 @@ module Make (A : Algorithm.S) = struct
              lat_v := delta;
              lat_n := p - 1
            end;
-         Transport.broadcast eng.net ~src:pid ~due:(eng.time + delta) msg
+         Network.broadcast net ~src:pid ~due:(eng.time + delta) msg
        end
        else
          for dst = 0 to p - 1 do
@@ -548,7 +513,55 @@ module Make (A : Algorithm.S) = struct
         Probe.observe eng.ins.i_fanout fan
       end
     end
-    end;
+
+  let step_processor eng pid =
+    (match eng.check with
+     | Some _ ->
+       Span.enter eng.ph.ph_oracle;
+       Oracle.check_step (oracle_view eng) ~pid;
+       Span.leave eng.ph.ph_oracle
+     | None -> ());
+    (* Deliver due messages, then take the local step. *)
+    let st = eng.states.(pid) in
+    (* receive_iter returns the logical delivery count itself (a digest
+       callback can stand for a whole epoch), so probed and unprobed
+       runs share one delivery loop *)
+    (* The three hot phases run back to back, so each transition is one
+       clock read ({!Span.shift}); the whole step costs four reads. *)
+    Span.enter eng.ph.ph_deliver;
+    let deliver src msg = A.receive st ~src msg in
+    let delivered =
+      match eng.fabric with
+      | Ptp net -> Network.receive_iter net ~dst:pid ~now:eng.time deliver
+      | Shared ch -> Channel.receive_iter ch ~dst:pid ~now:eng.time deliver
+    in
+    if eng.ins.obs_on && delivered > 0 then
+      Probe.add eng.ins.i_deliveries delivered;
+    Span.shift eng.ph.ph_deliver eng.ph.ph_algo;
+    let r = A.step st in
+    Span.shift eng.ph.ph_algo eng.ph.ph_bcast;
+    eng.work <- eng.work + 1;
+    eng.per_proc_work.(pid) <- eng.per_proc_work.(pid) + 1;
+    (match r.Algorithm.performed with
+     | Some task ->
+       let fresh = not (Bitset.mem eng.global_done task) in
+       Bitset.set eng.global_done task;
+       eng.executions <- eng.executions + 1;
+       if eng.ins.obs_on then
+         Probe.incr
+           (if fresh then eng.ins.i_fresh else eng.ins.i_redundant);
+       if eng.cfg.Config.record_trace then
+         Trace.add eng.trace
+           (Trace.Perform { time = eng.time; pid; task; fresh })
+     | None ->
+       if eng.ins.obs_on then Probe.vincr eng.ins.i_idle pid;
+       if eng.cfg.Config.record_trace then
+         Trace.add eng.trace (Trace.Step { time = eng.time; pid }));
+    (* ph_bcast has been open since the post-[A.step] shift: it covers
+       the step's outbound traffic plus its result bookkeeping. *)
+    (match eng.fabric with
+     | Ptp net -> send_ptp eng net pid r
+     | Shared ch -> transmit_frame eng ch pid r);
     Span.leave eng.ph.ph_bcast;
     if r.Algorithm.halt then begin
       assert (A.is_done st);
@@ -556,7 +569,9 @@ module Make (A : Algorithm.S) = struct
       eng.halted_count <- eng.halted_count + 1;
       unlink_eligible eng pid;
       (* a stream run has no restart policy, so the halt is permanent *)
-      if eng.stream then Transport.deactivate eng.net ~pid;
+      (match eng.fabric with
+       | Ptp net when eng.stream -> Network.deactivate net ~pid
+       | Ptp _ | Shared _ -> ());
       if eng.cfg.Config.record_trace then
         Trace.add eng.trace (Trace.Halt { time = eng.time; pid })
     end;
@@ -606,24 +621,25 @@ module Make (A : Algorithm.S) = struct
       end;
       pid := next
     done;
-    if eng.chan then begin
-      (* resolve this time unit's transmission slot: the ordered
-         adversary (if any) permutes the contenders, serializing the
-         medium in an order of its choosing; otherwise two or more
-         contenders collide *)
-      let arbitrate =
-        match eng.adv.Adversary.channel with
-        | Some { Adversary.order = Some f; _ } ->
-          let o = oracle eng in
-          Some (fun contenders -> f o contenders)
-        | _ -> None
-      in
-      let slot = Transport.resolve eng.net ~now:eng.time ?arbitrate () in
-      if eng.ins.obs_on then begin
-        if slot.Channel.slot_busy then Probe.incr eng.ins.i_busy;
-        if slot.Channel.slot_collided then Probe.incr eng.ins.i_collisions
-      end
-    end;
+    (match eng.fabric with
+     | Ptp _ -> ()
+     | Shared ch ->
+       (* resolve this time unit's transmission slot: the ordered
+          adversary (if any) permutes the contenders, serializing the
+          medium in an order of its choosing; otherwise two or more
+          contenders collide *)
+       let arbitrate =
+         match eng.adv.Adversary.channel with
+         | Some { Adversary.order = Some f; _ } ->
+           let o = oracle eng in
+           Some (fun contenders -> f o contenders)
+         | _ -> None
+       in
+       let slot = Channel.resolve ch ~now:eng.time ?arbitrate () in
+       if eng.ins.obs_on then begin
+         if slot.Channel.slot_busy then Probe.incr eng.ins.i_busy;
+         if slot.Channel.slot_collided then Probe.incr eng.ins.i_collisions
+       end);
     if eng.ins.obs_on then begin
       (* per-tick trajectories: cumulative executions and the in-flight
          message backlog (sends minus deliveries so far) *)
@@ -636,16 +652,21 @@ module Make (A : Algorithm.S) = struct
          enter the queue and duplicate replicas are not sends, so the
          arithmetic lies under a faulty network; identical values on a
          reliable one *)
-      let inflight = Transport.pending eng.net in
+      let inflight =
+        match eng.fabric with
+        | Ptp net ->
+          (* shared-stream occupancy: retained broadcast records and
+             bytes held by cached epoch digests (0 outside the digest
+             path) *)
+          let records, digest_words = Network.stream_stats net in
+          Probe.set eng.ins.i_stream_pending records;
+          Probe.set eng.ins.i_stream_digest
+            (digest_words * (Sys.word_size / 8));
+          Network.pending net
+        | Shared ch -> Channel.pending ch
+      in
       Probe.set eng.ins.i_inflight inflight;
-      Probe.sample eng.ins.s_inflight ~time inflight;
-      (* shared-stream occupancy: retained broadcast records and bytes
-         held by cached epoch digests (0 outside the digest path) *)
-      match Transport.stream_stats eng.net with
-      | Some (records, digest_words) ->
-        Probe.set eng.ins.i_stream_pending records;
-        Probe.set eng.ins.i_stream_digest (digest_words * (Sys.word_size / 8))
-      | None -> ()
+      Probe.sample eng.ins.s_inflight ~time inflight
     end;
     if eng.done_alive > 0 && Bitset.is_full eng.global_done then begin
       eng.finished <- true;
@@ -674,7 +695,10 @@ module Make (A : Algorithm.S) = struct
       t = eng.cfg.Config.t;
       d = eng.d;
       work = eng.work;
-      messages = Transport.sent eng.net;
+      messages =
+        (match eng.fabric with
+         | Ptp net -> Network.sent net
+         | Shared ch -> Channel.sent ch);
       sigma = (if eng.finished then eng.sigma else eng.time);
       executions = eng.executions;
       completed = eng.finished;

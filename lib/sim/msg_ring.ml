@@ -1,8 +1,15 @@
 (* See msg_ring.mli. Layout: [horizon + 1] buckets (slot = due mod
    buckets); each bucket is a circular struct-of-arrays FIFO with
    power-of-two capacity, grown geometrically and reused thereafter —
-   zero allocation per message at steady state. The correctness argument
-   for bucket FIFOs being due-sorted is the same as Event_queue's. *)
+   zero allocation per message at steady state.
+
+   Correctness rests on one invariant: appends to the same bucket arrive
+   in non-decreasing due order. Two events in one bucket have dues
+   differing by a multiple of [horizon + 1]; under the add contract (an
+   event lands at most [horizon] ahead of the instant it is added,
+   instants never decreasing), a later add can be earlier-due by at most
+   [horizon], so equal buckets force equal-or-later dues. Each bucket is
+   therefore a FIFO sorted by due, and within one due by insertion. *)
 
 type 'msg bucket = {
   mutable due : int array;
@@ -102,15 +109,3 @@ let pop r =
   b.head <- (b.head + 1) land (Array.length b.due - 1);
   b.len <- b.len - 1;
   r.count <- r.count - 1
-
-let next_time r =
-  if r.count = 0 then None
-  else
-    (* each bucket FIFO is due-sorted, so its front is its minimum *)
-    Array.fold_left
-      (fun acc b ->
-        if b.len = 0 then acc
-        else
-          let t = Array.unsafe_get b.due b.head in
-          match acc with Some u -> Some (min t u) | None -> Some t)
-      None r.slots

@@ -1,12 +1,14 @@
 (** A calendar ring of point-to-point messages, specialized for the
     engine's per-destination delivery path.
 
-    Same contract as {!Event_queue.create} with a horizon — O(1) add and
-    O(1) amortized delivery for events due at most [horizon] ahead of a
-    non-decreasing clock — but stored as struct-of-arrays bucket FIFOs
-    of (due, src, seq, msg) columns, so the steady-state hot path
-    allocates nothing per message (the generic queue paid a tuple, a
-    payload pair, and a FIFO cell per send).
+    O(1) add and O(1) amortized delivery for events due at most
+    [horizon] ahead of a non-decreasing clock: each add satisfies
+    [now < due <= now + horizon], where [now] is the caller's clock at
+    the moment of the add — never behind a previous {!peek}. The
+    engine's delay clamp guarantees exactly this with [horizon = d].
+    Storage is struct-of-arrays bucket FIFOs of (due, src, seq, msg)
+    columns, so the steady-state hot path allocates nothing per
+    message.
 
     Delivery order is (due, seq): [seq] is caller-supplied and must be
     strictly increasing across adds (the network's global send counter),
@@ -25,13 +27,11 @@ val create : horizon:int -> unit -> 'msg t
 
 val add : 'msg t -> due:int -> src:int -> seq:int -> 'msg -> unit
 (** Raises [Invalid_argument] if [due] is at or before the delivery
-    cursor (the ring invariant — see {!Event_queue.add}). *)
+    cursor. Violating the upper bound ([due <= now + horizon]) is not
+    detectable locally and forfeits delivery-order guarantees. *)
 
 val size : 'msg t -> int
 (** Messages added but not yet popped. *)
-
-val next_time : 'msg t -> int option
-(** Earliest due time among pending messages. Read-only. *)
 
 val peek : 'msg t -> now:int -> bool
 (** Position the head at the earliest (due, seq) message with

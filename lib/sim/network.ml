@@ -1,46 +1,30 @@
-(* See network.mli. Two backends: the general heap-backed queues (no
-   horizon), and the bounded-delay fast path — per-destination
-   struct-of-arrays calendar rings (Msg_ring) merged with the shared
-   broadcast stream (Bcast) under one total (due, seq) key. [seq] is a
-   single network-wide send counter, so relative order per destination
-   is exactly what per-queue insertion order used to give. *)
-
-type 'msg backend =
-  | Heap of (int * 'msg) Event_queue.t array (* per dst; payload = (src, msg) *)
-  | Ring of {
-      rings : 'msg Msg_ring.t option array; (* per dst, made on first send *)
-      horizon : int;
-      bcast : 'msg Bcast.t;
-    }
+(* See network.mli. Per-destination struct-of-arrays calendar rings
+   (Msg_ring) merged with the shared broadcast stream (Bcast) under one
+   total (due, seq) key. [seq] is a single network-wide send counter, so
+   relative order per destination is exactly send order. *)
 
 type 'msg t = {
   p : int;
-  backend : 'msg backend;
+  rings : 'msg Msg_ring.t option array; (* per dst, made on first send *)
+  horizon : int;
+  bcast : 'msg Bcast.t;
   mutable sent : int;
   mutable in_flight : int; (* queued but not yet received, O(1) pending *)
   mutable seq : int;
 }
 
-let create ?digest ?horizon ~p () =
+let create ?digest ~horizon ~p () =
   if p <= 0 then invalid_arg "Network.create: need at least one processor";
-  let backend =
-    match horizon with
-    | None ->
-      if digest <> None then
-        invalid_arg
-          "Network.create: ?digest requires ~horizon (heap backends have no \
-           shared broadcast stream to fold)";
-      Heap (Array.init p (fun _ -> Event_queue.create ()))
-    | Some h ->
-      if h < 1 then invalid_arg "Network.create: horizon must be >= 1";
-      Ring
-        {
-          rings = Array.make p None;
-          horizon = h;
-          bcast = Bcast.create ?fold:digest ~p ();
-        }
-  in
-  { p; backend; sent = 0; in_flight = 0; seq = 0 }
+  if horizon < 1 then invalid_arg "Network.create: horizon must be >= 1";
+  {
+    p;
+    rings = Array.make p None;
+    horizon;
+    bcast = Bcast.create ?fold:digest ~p ();
+    sent = 0;
+    in_flight = 0;
+    seq = 0;
+  }
 
 let p t = t.p
 
@@ -52,22 +36,19 @@ let next_seq t =
   t.seq <- s + 1;
   s
 
-let ring_for rings ~horizon dst =
-  match Array.unsafe_get rings dst with
+let ring_for t dst =
+  match Array.unsafe_get t.rings dst with
   | Some r -> r
   | None ->
-    let r = Msg_ring.create ~horizon () in
-    rings.(dst) <- Some r;
+    let r = Msg_ring.create ~horizon:t.horizon () in
+    t.rings.(dst) <- Some r;
     r
 
 let enqueue t ~src ~dst ~due msg name =
   check_pid t src (name ^ " src");
   check_pid t dst (name ^ " dst");
   if src = dst then invalid_arg (name ^ ": self-send");
-  (match t.backend with
-   | Heap queues -> Event_queue.add queues.(dst) ~time:due (src, msg)
-   | Ring { rings; horizon; _ } ->
-     Msg_ring.add (ring_for rings ~horizon dst) ~due ~src ~seq:(next_seq t) msg);
+  Msg_ring.add (ring_for t dst) ~due ~src ~seq:(next_seq t) msg;
   t.in_flight <- t.in_flight + 1
 
 let send t ~src ~dst ~due msg =
@@ -81,15 +62,7 @@ let count_lost t = t.sent <- t.sent + 1
 
 let broadcast t ~src ~due msg =
   check_pid t src "Network.broadcast src";
-  (match t.backend with
-   | Heap queues ->
-     (* no shared stream without a horizon: fall back to p - 1 sends *)
-     for dst = 0 to t.p - 1 do
-       if dst <> src then
-         Event_queue.add queues.(dst) ~time:due (src, msg)
-     done
-   | Ring { bcast; _ } ->
-     if t.p > 1 then Bcast.add bcast ~due ~src ~seq:(next_seq t) msg);
+  if t.p > 1 then Bcast.add t.bcast ~due ~src ~seq:(next_seq t) msg;
   (* one multicast = p - 1 point-to-point messages (Definition 2.2),
      however it is stored *)
   t.sent <- t.sent + (t.p - 1);
@@ -97,94 +70,61 @@ let broadcast t ~src ~due msg =
 
 let deactivate t ~pid =
   check_pid t pid "Network.deactivate";
-  match t.backend with
-  | Heap _ -> ()
-  | Ring { bcast; _ } -> Bcast.deactivate bcast ~pid
+  Bcast.deactivate t.bcast ~pid
 
 let receive_iter t ~dst ~now f =
   check_pid t dst "Network.receive_iter";
-  match t.backend with
-  | Heap queues ->
+  let bcast = t.bcast in
+  match Array.unsafe_get t.rings dst with
+  | None ->
+    (* the common broadcast-only case: one stream, no merge; with a
+       digest fold this is the epoch fast path — [n] counts logical
+       deliveries even when whole epochs collapse to one callback *)
+    let n = Bcast.drain bcast ~dst ~now f in
+    t.in_flight <- t.in_flight - n;
+    n
+  | Some ring ->
     let n = ref 0 in
-    Event_queue.drain_due queues.(dst) ~now (fun (src, msg) ->
+    let continue = ref true in
+    while !continue do
+      let has_u = Msg_ring.peek ring ~now in
+      let has_b = Bcast.peek bcast ~dst ~now in
+      let take_unicast =
+        has_u
+        && ((not has_b)
+            ||
+            let ud = Msg_ring.head_due ring
+            and bd = Bcast.head_due bcast ~dst in
+            ud < bd
+            || (ud = bd && Msg_ring.head_seq ring < Bcast.head_seq bcast ~dst)
+           )
+      in
+      if take_unicast then begin
+        let src = Msg_ring.head_src ring and msg = Msg_ring.head_msg ring in
+        Msg_ring.pop ring;
         t.in_flight <- t.in_flight - 1;
         incr n;
-        f src msg);
+        f src msg
+      end
+      else if has_b then begin
+        let src = Bcast.head_src bcast ~dst
+        and msg = Bcast.head_msg bcast ~dst in
+        Bcast.pop bcast ~dst;
+        t.in_flight <- t.in_flight - 1;
+        incr n;
+        f src msg
+      end
+      else continue := false
+    done;
     !n
-  | Ring { rings; bcast; _ } -> (
-    match Array.unsafe_get rings dst with
-    | None ->
-      (* the common broadcast-only case: one stream, no merge; with a
-         digest fold this is the epoch fast path — [n] counts logical
-         deliveries even when whole epochs collapse to one callback *)
-      let n = Bcast.drain bcast ~dst ~now f in
-      t.in_flight <- t.in_flight - n;
-      n
-    | Some ring ->
-      let n = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let has_u = Msg_ring.peek ring ~now in
-        let has_b = Bcast.peek bcast ~dst ~now in
-        let take_unicast =
-          has_u
-          && ((not has_b)
-              ||
-              let ud = Msg_ring.head_due ring
-              and bd = Bcast.head_due bcast ~dst in
-              ud < bd
-              || (ud = bd && Msg_ring.head_seq ring < Bcast.head_seq bcast ~dst)
-             )
-        in
-        if take_unicast then begin
-          let src = Msg_ring.head_src ring and msg = Msg_ring.head_msg ring in
-          Msg_ring.pop ring;
-          t.in_flight <- t.in_flight - 1;
-          incr n;
-          f src msg
-        end
-        else if has_b then begin
-          let src = Bcast.head_src bcast ~dst
-          and msg = Bcast.head_msg bcast ~dst in
-          Bcast.pop bcast ~dst;
-          t.in_flight <- t.in_flight - 1;
-          incr n;
-          f src msg
-        end
-        else continue := false
-      done;
-      !n)
 
 let receive t ~dst ~now =
   let acc = ref [] in
   let _ : int = receive_iter t ~dst ~now (fun src msg -> acc := (src, msg) :: !acc) in
   List.rev !acc
 
-let stream_stats t =
-  match t.backend with
-  | Heap _ -> None
-  | Ring { bcast; _ } -> Some (Bcast.stats bcast)
+let stream_stats t = Bcast.stats t.bcast
 
 let pending t = t.in_flight
-
-let pending_for t ~dst =
-  check_pid t dst "Network.pending_for";
-  match t.backend with
-  | Heap queues -> Event_queue.size queues.(dst)
-  | Ring { rings; bcast; _ } ->
-    (match rings.(dst) with Some r -> Msg_ring.size r | None -> 0)
-    + Bcast.pending_for bcast ~dst
-
-let next_due t ~dst =
-  check_pid t dst "Network.next_due";
-  match t.backend with
-  | Heap queues -> Event_queue.next_time queues.(dst)
-  | Ring { rings; bcast; _ } -> (
-    let u = match rings.(dst) with Some r -> Msg_ring.next_time r | None -> None in
-    let b = Bcast.next_due bcast ~dst in
-    match (u, b) with
-    | Some a, Some c -> Some (min a c)
-    | (Some _ as s), None | None, (Some _ as s) -> s
-    | None, None -> None)
 
 let sent t = t.sent

@@ -14,17 +14,16 @@
 type 'msg t
 
 val create :
-  ?digest:('msg array -> 'msg) -> ?horizon:int -> p:int -> unit -> 'msg t
-(** A network connecting processors [0..p-1]. With [~horizon:h], each
-    per-destination queue is a calendar ring (see {!Event_queue.create}):
-    O(1) sends instead of O(log pending), valid when every send's due
-    time is at most [h] ahead of the sender's (non-decreasing) clock —
-    the engine's delay clamp guarantees exactly this with [h = d].
+  ?digest:('msg array -> 'msg) -> horizon:int -> p:int -> unit -> 'msg t
+(** A network connecting processors [0..p-1]. Each per-destination
+    queue is a calendar ring ({!Msg_ring}): O(1) sends, valid when
+    every send's due time is after the destination's last delivery
+    poll and at most [horizon] ahead of the sender's (non-decreasing)
+    clock — the engine's delay clamp guarantees exactly this with
+    [horizon = d], the paper's delivery bound (§2). A send due at or
+    before the destination's delivery cursor raises [Invalid_argument].
 
-    [?digest] (horizon networks only; [Invalid_argument] if supplied
-    without [~horizon] — heap backends have no shared broadcast stream
-    to fold, and silently dropping the witness would hide a
-    misconfiguration) is the algorithm's merge-homomorphism witness
+    [?digest] is the algorithm's merge-homomorphism witness
     ({!Algorithm.S.merge_homomorphic}): broadcasts due at the same
     instant are pre-folded once and delivered to each receiver as a
     single epoch-digest message with source [-1] (see {!Bcast.create}).
@@ -43,7 +42,7 @@ val broadcast : 'msg t -> src:int -> due:int -> 'msg -> unit
 (** Queue one multicast from [src] to every other processor, all due at
     the same absolute time — [p - 1] logical point-to-point messages
     ({!sent} and {!pending} advance by [p - 1]), but stored as {e one}
-    shared record on horizon networks ({!Bcast}). Only valid when every
+    shared record ({!Bcast}). Only valid when every
     copy is genuinely due at once, i.e. under a declared-constant-latency
     adversary; the engine's per-destination send loop remains the
     general path. Delivery order is identical to [p - 1] individual
@@ -54,7 +53,7 @@ val deactivate : 'msg t -> pid:int -> unit
     with no recovery adversary): shared broadcast storage stops waiting
     for it. Messages already owed to [pid] still count in {!pending} —
     exactly like undeliverable messages rotting in a per-destination
-    queue. No-op on heap-backed networks. *)
+    queue. *)
 
 val send_replica : 'msg t -> src:int -> dst:int -> due:int -> 'msg -> unit
 (** Like {!send} but without incrementing {!sent}: a network-level copy
@@ -78,7 +77,7 @@ val receive_iter : 'msg t -> dst:int -> now:int -> (int -> 'msg -> unit) -> int
     the number of logical deliveries: on the digest fast path one
     callback can stand for a whole epoch ([f (-1) digest]), but the
     count still reflects the individual messages consumed, so
-    [net.deliveries] accounting is backend-independent. *)
+    [net.deliveries] is the same with or without a digest. *)
 
 val pending : 'msg t -> int
 (** Messages queued but not yet received. O(1): maintained as an
@@ -86,16 +85,10 @@ val pending : 'msg t -> int
     engine's per-tick gauge sample no longer folds over all [p]
     queues. *)
 
-val pending_for : 'msg t -> dst:int -> int
-
-val next_due : 'msg t -> dst:int -> int option
-(** Earliest due time among messages queued for [dst]. *)
-
 val sent : 'msg t -> int
 (** Total point-to-point messages sent so far — the message complexity
     [M] of Definition 2.2, counted incrementally. *)
 
-val stream_stats : 'msg t -> (int * int) option
-(** [Some (pending_records, digest_words)] for horizon networks — the
-    shared broadcast stream's occupancy ({!Bcast.stats}); [None] on
-    heap backends, which have no shared storage to report. *)
+val stream_stats : 'msg t -> int * int
+(** [(pending_records, digest_words)]: the shared broadcast stream's
+    occupancy ({!Bcast.stats}). *)

@@ -1,12 +1,12 @@
 (* The multiple-access shared channel: slot semantics (deliver iff
    exactly one contender), collision modes, adversary arbitration,
-   message counting on a broadcast medium, engine integration behind the
-   Transport seam, and bit-determinism of channel-backed grids.
+   message counting on a broadcast medium, engine integration, and
+   bit-determinism of channel-backed grids.
 
-   The companion guarantee — that the point-to-point backend is
-   byte-identical through the Transport refactor — is pinned by the
-   existing golden suites (test_golden_grid, test_exp's e1/e2/e19);
-   here we only pin the new backend's own semantics. *)
+   The companion guarantee — that point-to-point runs are unchanged by
+   the channel's arrival — is pinned by the existing golden suites
+   (test_golden_grid, test_exp's e1/e2/e19); here we only pin the
+   channel's own semantics. *)
 
 open Doall_sim
 open Doall_core
@@ -206,15 +206,6 @@ let test_faults_rejected_on_channel () =
        false
      with Invalid_argument _ -> true)
 
-let test_digest_requires_horizon () =
-  (* satellite of the same PR: Network.create's ?digest used to be
-     silently ignored on heap backends; now it is rejected *)
-  check "Network.create ?digest without ~horizon rejected" true
-    (try
-       ignore (Network.create ~digest:(fun (a : int array) -> a.(0)) ~p:4 ());
-       false
-     with Invalid_argument _ -> true)
-
 let probed_run ~transport ~algo ~adv ~p ~t ~d =
   let probe = Probe.create () in
   let r = Runner.run ~seed:3 ~probe ~transport ~algo ~adv ~p ~t ~d () in
@@ -328,8 +319,6 @@ let suite =
       test_spec_name_transport_suffix;
     Alcotest.test_case "faults rejected on channel" `Quick
       test_faults_rejected_on_channel;
-    Alcotest.test_case "digest requires horizon" `Quick
-      test_digest_requires_horizon;
     Alcotest.test_case "net.collisions / net.channel_busy probes" `Quick
       test_probe_counters;
     Alcotest.test_case "chan adversaries inert on ptp" `Quick

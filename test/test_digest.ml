@@ -3,7 +3,7 @@
    broadcasts and applying the digest once has to leave every receiver's
    knowledge, every re-broadcast tracker, and every counter exactly
    where the per-record walk would. Three layers of pins: the bitset
-   algebra (QCheck), raw network traffic across all three backends, and
+   algebra (QCheck), raw network traffic against the list reference, and
    full engine runs compared probe-counter by probe-counter. *)
 
 open Doall_sim
@@ -94,9 +94,10 @@ let prop_union_many_one_pair_per_word =
       Bitset.delta_words (Bitset.union_many deltas) = expected_words)
 
 (* ------------------------------------------------------------------ *)
-(* Backend parity: identical broadcast traffic through Heap, Ring, and
-   Ring + digest must agree on sends, logical deliveries, and the
-   payload multiset each destination sees. Payload elements are tagged
+(* Backend parity: identical broadcast traffic through the list
+   reference (Ref_net), the ring network, and ring + digest must agree
+   on sends, logical deliveries, and the payload multiset each
+   destination sees. Payload elements are tagged
    with their source because a digest may fold the receiver's own
    contribution in (sound for knowledge unions, which absorb it);
    own-tagged elements are filtered before comparison, mirroring that
@@ -106,22 +107,22 @@ let prop_union_many_one_pair_per_word =
 let test_backend_parity () =
   let p = 8 in
   let fold msgs = List.concat (Array.to_list msgs) in
-  let drive net =
+  let drive ~broadcast ~receive_iter ~sent =
     let got = Array.make p [] in
     let delivered = ref 0 in
     for now = 0 to 40 do
       for dst = 0 to p - 1 do
         delivered :=
           !delivered
-          + Network.receive_iter net ~dst ~now (fun _src msg ->
+          + receive_iter ~dst ~now (fun _src msg ->
                 got.(dst) <- msg @ got.(dst))
       done;
       if now <= 30 then begin
         (* two same-due broadcasts per step: multi-record epochs, one of
            which periodically lands on a destination's own source *)
         let s1 = now mod p and s2 = (now + 3) mod p in
-        Network.broadcast net ~src:s1 ~due:(now + 3) [ (s1, now) ];
-        Network.broadcast net ~src:s2 ~due:(now + 3) [ (s2, 1000 + now) ]
+        broadcast ~src:s1 ~due:(now + 3) [ (s1, now) ];
+        broadcast ~src:s2 ~due:(now + 3) [ (s2, 1000 + now) ]
       end
     done;
     let cleaned =
@@ -130,16 +131,26 @@ let test_backend_parity () =
           List.sort compare (List.filter (fun (src, _) -> src <> dst) l))
         got
     in
-    (Network.sent net, !delivered, cleaned)
+    (sent (), !delivered, cleaned)
   in
-  let hs, hd, hg = drive (Network.create ~p ()) in
-  let rs, rd, rg = drive (Network.create ~horizon:8 ~p ()) in
-  let ds, dd, dg = drive (Network.create ~digest:fold ~horizon:8 ~p ()) in
-  check_int "net.sends: heap = ring" hs rs;
+  let drive_net net =
+    drive ~broadcast:(Network.broadcast net)
+      ~receive_iter:(Network.receive_iter net) ~sent:(fun () ->
+        Network.sent net)
+  in
+  let fs, fd, fg =
+    let rf = Ref_net.create ~p in
+    drive ~broadcast:(Ref_net.broadcast rf)
+      ~receive_iter:(Ref_net.receive_iter rf) ~sent:(fun () ->
+        Ref_net.sent rf)
+  in
+  let rs, rd, rg = drive_net (Network.create ~horizon:8 ~p ()) in
+  let ds, dd, dg = drive_net (Network.create ~digest:fold ~horizon:8 ~p ()) in
+  check_int "net.sends: reference = ring" fs rs;
   check_int "net.sends: ring = digest" rs ds;
-  check_int "net.deliveries: heap = ring" hd rd;
+  check_int "net.deliveries: reference = ring" fd rd;
   check_int "net.deliveries: ring = digest" rd dd;
-  check "per-dst payloads: heap = ring" true (hg = rg);
+  check "per-dst payloads: reference = ring" true (fg = rg);
   check "per-dst payloads: ring = digest" true (rg = dg)
 
 let test_digest_sources_are_anonymous () =
@@ -199,7 +210,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_digest_equals_sequential;
     QCheck_alcotest.to_alcotest prop_union_many_one_pair_per_word;
-    Alcotest.test_case "backend parity (heap | ring | digest)" `Quick
+    Alcotest.test_case "backend parity (Ref_net|ring|digest)" `Quick
       test_backend_parity;
     Alcotest.test_case "digest deliveries are source-anonymous" `Quick
       test_digest_sources_are_anonymous;

@@ -3,8 +3,11 @@ open Doall_sim
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Unit tests that drive a network directly use the sender's clock 0, so
+   their horizon must cover their largest due. *)
+
 let test_send_receive () =
-  let net = Network.create ~p:3 () in
+  let net = Network.create ~horizon:8 ~p:3 () in
   Network.send net ~src:0 ~dst:1 ~due:5 "hello";
   Alcotest.(check (list (pair int string))) "not yet" []
     (Network.receive net ~dst:1 ~now:4);
@@ -14,18 +17,18 @@ let test_send_receive () =
     (Network.receive net ~dst:1 ~now:5)
 
 let test_no_self_send () =
-  let net = Network.create ~p:2 () in
+  let net = Network.create ~horizon:1 ~p:2 () in
   Alcotest.check_raises "self send" (Invalid_argument "Network.send: self-send")
     (fun () -> Network.send net ~src:1 ~dst:1 ~due:1 ())
 
 let test_pid_range () =
-  let net = Network.create ~p:2 () in
+  let net = Network.create ~horizon:1 ~p:2 () in
   Alcotest.check_raises "bad dst"
     (Invalid_argument "Network.send dst: pid out of range") (fun () ->
       Network.send net ~src:0 ~dst:5 ~due:1 ())
 
 let test_message_counting () =
-  let net = Network.create ~p:4 () in
+  let net = Network.create ~horizon:2 ~p:4 () in
   (* simulate one multicast from 0: three point-to-point sends *)
   List.iter (fun dst -> Network.send net ~src:0 ~dst ~due:2 "m") [ 1; 2; 3 ];
   check_int "sent counts p2p" 3 (Network.sent net);
@@ -37,7 +40,7 @@ let test_message_counting () =
 let test_delayed_processor_receives_backlog () =
   (* A processor that did not step for a while gets everything at once,
      in order. *)
-  let net = Network.create ~p:2 () in
+  let net = Network.create ~horizon:3 ~p:2 () in
   Network.send net ~src:0 ~dst:1 ~due:1 "a";
   Network.send net ~src:0 ~dst:1 ~due:3 "b";
   Network.send net ~src:0 ~dst:1 ~due:2 "c";
@@ -46,25 +49,27 @@ let test_delayed_processor_receives_backlog () =
     (Network.receive net ~dst:1 ~now:10)
 
 let test_per_destination_isolation () =
-  let net = Network.create ~p:3 () in
+  let net = Network.create ~horizon:1 ~p:3 () in
   Network.send net ~src:0 ~dst:1 ~due:1 "for1";
   Network.send net ~src:0 ~dst:2 ~due:1 "for2";
   Alcotest.(check (list (pair int string))) "only own messages"
     [ (0, "for2") ]
-    (Network.receive net ~dst:2 ~now:1);
-  check_int "pending_for dst 1" 1 (Network.pending_for net ~dst:1)
+    (Network.receive net ~dst:2 ~now:1)
 
-let test_next_due () =
-  let net = Network.create ~p:2 () in
-  Alcotest.(check (option int)) "none" None (Network.next_due net ~dst:1);
-  Network.send net ~src:0 ~dst:1 ~due:9 ();
-  Network.send net ~src:0 ~dst:1 ~due:4 ();
-  Alcotest.(check (option int)) "min due" (Some 4)
-    (Network.next_due net ~dst:1)
+let test_send_behind_cursor_rejected () =
+  (* the ring contract: once [dst] has polled at [now], a send due at or
+     before [now] would land in a bucket the cursor already passed *)
+  let net = Network.create ~horizon:3 ~p:2 () in
+  Network.send net ~src:0 ~dst:1 ~due:2 "on time";
+  ignore (Network.receive net ~dst:1 ~now:5);
+  Alcotest.check_raises "send at the cursor"
+    (Invalid_argument "Msg_ring.add: ring event at or before the cursor")
+    (fun () -> Network.send net ~src:0 ~dst:1 ~due:5 "late")
 
 let test_reliability () =
-  (* every message sent is eventually received exactly once *)
-  let net = Network.create ~p:4 () in
+  (* every message sent is eventually received exactly once; dues reach
+     19, hence the horizon *)
+  let net = Network.create ~horizon:20 ~p:4 () in
   let sent = ref [] in
   let rng = Rng.create 77 in
   for i = 0 to 99 do
@@ -126,45 +131,44 @@ let test_bounded_horizon_network () =
 let test_broadcast_basic () =
   (* One shared record, p-1 logical messages: everyone but the source
      receives exactly one copy, and M/pending advance by p-1. *)
+  let net = Network.create ~horizon:8 ~p:4 () in
+  Network.broadcast net ~src:1 ~due:3 "news";
+  check_int "sent = p-1" 3 (Network.sent net);
+  check_int "pending = p-1" 3 (Network.pending net);
+  Alcotest.(check (list (pair int string)))
+    "source gets nothing" []
+    (Network.receive net ~dst:1 ~now:10);
   List.iter
-    (fun horizon ->
-      let net = Network.create ?horizon ~p:4 () in
-      Network.broadcast net ~src:1 ~due:3 "news";
-      check_int "sent = p-1" 3 (Network.sent net);
-      check_int "pending = p-1" 3 (Network.pending net);
+    (fun dst ->
       Alcotest.(check (list (pair int string)))
-        "source gets nothing" []
-        (Network.receive net ~dst:1 ~now:10);
-      List.iter
-        (fun dst ->
-          Alcotest.(check (list (pair int string)))
-            (Printf.sprintf "dst %d" dst)
-            [ (1, "news") ]
-            (Network.receive net ~dst ~now:10))
-        [ 0; 2; 3 ];
-      check_int "drained" 0 (Network.pending net))
-    [ None; Some 8 ]
+        (Printf.sprintf "dst %d" dst)
+        [ (1, "news") ]
+        (Network.receive net ~dst ~now:10))
+    [ 0; 2; 3 ];
+  check_int "drained" 0 (Network.pending net)
 
 let test_broadcast_merge_order () =
   (* Shared-stream deliveries interleave with per-destination unicasts
      exactly as if the broadcast had been p-1 individual sends: global
      (due, send order). *)
-  let mk horizon =
-    let net = Network.create ?horizon ~p:3 () in
-    Network.send net ~src:2 ~dst:1 ~due:2 "u-first";
-    Network.broadcast net ~src:0 ~due:2 "b1";
-    Network.send net ~src:2 ~dst:1 ~due:2 "u-mid";
-    Network.broadcast net ~src:2 ~due:4 "b2";
-    Network.send net ~src:0 ~dst:1 ~due:3 "u-late";
-    net
-  in
-  let heap = Network.receive (mk None) ~dst:1 ~now:10 in
-  let ring = Network.receive (mk (Some 8)) ~dst:1 ~now:10 in
+  let net = Network.create ~horizon:8 ~p:3 () and rf = Ref_net.create ~p:3 in
+  Network.send net ~src:2 ~dst:1 ~due:2 "u-first";
+  Ref_net.send rf ~src:2 ~dst:1 ~due:2 "u-first";
+  Network.broadcast net ~src:0 ~due:2 "b1";
+  Ref_net.broadcast rf ~src:0 ~due:2 "b1";
+  Network.send net ~src:2 ~dst:1 ~due:2 "u-mid";
+  Ref_net.send rf ~src:2 ~dst:1 ~due:2 "u-mid";
+  Network.broadcast net ~src:2 ~due:4 "b2";
+  Ref_net.broadcast rf ~src:2 ~due:4 "b2";
+  Network.send net ~src:0 ~dst:1 ~due:3 "u-late";
+  Ref_net.send rf ~src:0 ~dst:1 ~due:3 "u-late";
+  let spec = Ref_net.receive rf ~dst:1 ~now:10 in
   Alcotest.(check (list (pair int string)))
-    "heap order is the spec"
+    "reference order is the spec"
     [ (2, "u-first"); (0, "b1"); (2, "u-mid"); (0, "u-late"); (2, "b2") ]
-    heap;
-  Alcotest.(check (list (pair int string))) "ring = heap" heap ring
+    spec;
+  Alcotest.(check (list (pair int string))) "ring = reference" spec
+    (Network.receive net ~dst:1 ~now:10)
 
 let test_broadcast_stream_growth () =
   (* Keep more undelivered broadcasts in flight than the stream's
@@ -221,14 +225,14 @@ let test_broadcast_deactivate () =
   Network.deactivate net ~pid:2 (* idempotent *);
   check_int "still pending after re-deactivate" 2 (Network.pending net)
 
-let test_broadcast_ring_matches_heap_random () =
-  (* Randomized mixed traffic: the shared-stream backend must deliver
-     exactly the heap backend's sequences at every destination. The
+let test_broadcast_ring_matches_ref_random () =
+  (* Randomized mixed traffic: rings merged with the shared stream must
+     deliver exactly the reference's sequences at every destination. The
      stream requires non-decreasing broadcast dues (constant-latency
      traffic), so broadcasts use a fixed delta while unicasts roam. *)
   let p = 5 in
   let delta = 6 in
-  let heap = Network.create ~p () in
+  let rf = Ref_net.create ~p in
   let ring = Network.create ~horizon:8 ~p () in
   let rng = Rng.create 4242 in
   let mismatch = ref false in
@@ -237,42 +241,113 @@ let test_broadcast_ring_matches_heap_random () =
     for _ = 1 to burst do
       let src = Rng.int rng p in
       if Rng.int rng 3 = 0 then begin
-        Network.broadcast heap ~src ~due:(now + delta) now;
+        Ref_net.broadcast rf ~src ~due:(now + delta) now;
         Network.broadcast ring ~src ~due:(now + delta) now
       end
       else begin
         let dst = (src + 1 + Rng.int rng (p - 1)) mod p in
         let due = now + 1 + Rng.int rng 8 in
-        Network.send heap ~src ~dst ~due now;
+        Ref_net.send rf ~src ~dst ~due now;
         Network.send ring ~src ~dst ~due now
       end
     done;
     for dst = 0 to p - 1 do
-      if Network.receive heap ~dst ~now <> Network.receive ring ~dst ~now
+      if Ref_net.receive rf ~dst ~now <> Network.receive ring ~dst ~now
       then mismatch := true
     done
   done;
   for dst = 0 to p - 1 do
-    if Network.receive heap ~dst ~now:300 <> Network.receive ring ~dst ~now:300
+    if Ref_net.receive rf ~dst ~now:300 <> Network.receive ring ~dst ~now:300
     then mismatch := true
   done;
-  check "ring = heap on mixed random traffic" false !mismatch;
-  check_int "same sent" (Network.sent heap) (Network.sent ring);
-  check_int "same pending" (Network.pending heap) (Network.pending ring)
+  check "ring = reference on mixed random traffic" false !mismatch;
+  check_int "same sent" (Ref_net.sent rf) (Network.sent ring);
+  check_int "same pending" (Ref_net.pending rf) (Network.pending ring)
 
-let test_broadcast_next_due_pending_for () =
-  let net = Network.create ~horizon:8 ~p:3 () in
-  Alcotest.(check (option int)) "empty" None (Network.next_due net ~dst:1);
-  Network.broadcast net ~src:0 ~due:7 "b";
-  Network.send net ~src:2 ~dst:1 ~due:9 "u";
-  Alcotest.(check (option int)) "min over stream and ring" (Some 7)
-    (Network.next_due net ~dst:1);
-  check_int "pending_for counts both" 2 (Network.pending_for net ~dst:1);
-  check_int "other dst sees only the broadcast" 1
-    (Network.pending_for net ~dst:2);
-  ignore (Network.receive net ~dst:1 ~now:7);
-  Alcotest.(check (option int)) "unicast remains" (Some 9)
-    (Network.next_due net ~dst:1)
+(* The determinism keystone: on engine-shaped traffic — unicasts due in
+   (now, now + h], broadcasts at one constant latency, readers polling
+   at arbitrary instants — the network delivers exactly the reference's
+   per-destination sequences, with or without a digest fold. Payloads
+   are [(src, id)] lists so a digest (list concatenation) can be
+   flattened back into the records it folded; a digest may fold the
+   receiver's own broadcasts in (knowledge unions absorb them), so
+   own-source elements are dropped before comparing. *)
+let prop_network_matches_ref =
+  let p = 5 in
+  QCheck2.Test.make ~name:"network = Ref_net (rings, stream, digest)"
+    ~count:300
+    QCheck2.Gen.(
+      let* horizon = int_range 1 9 in
+      let* delta = int_range 1 horizon in
+      let* digest = bool in
+      (* (kind: 0 = broadcast, src, dst offset, unicast latency) *)
+      let send =
+        quad (int_range 0 2) (int_range 0 (p - 1)) (int_range 1 (p - 1))
+          (int_range 1 horizon)
+      in
+      let* ops =
+        list_size (int_range 1 60)
+          (triple (int_range 0 3) (list_size (int_range 0 4) send)
+             (int_range 0 ((1 lsl p) - 1)))
+      in
+      return (horizon, delta, digest, ops))
+    (fun (horizon, delta, digest, ops) ->
+      let net =
+        if digest then
+          Network.create ~digest:(fun ms -> List.concat (Array.to_list ms))
+            ~horizon ~p ()
+        else Network.create ~horizon ~p ()
+      in
+      let rf = Ref_net.create ~p in
+      let got = Array.make p [] and want = Array.make p [] in
+      let n_got = ref 0 and n_want = ref 0 in
+      let keep dst msg acc =
+        List.fold_left
+          (fun acc ((src, _) as x) -> if src = dst then acc else x :: acc)
+          acc msg
+      in
+      let poll dst now =
+        n_got :=
+          !n_got
+          + Network.receive_iter net ~dst ~now (fun _ msg ->
+                got.(dst) <- keep dst msg got.(dst));
+        n_want :=
+          !n_want
+          + Ref_net.receive_iter rf ~dst ~now (fun _ msg ->
+                want.(dst) <- keep dst msg want.(dst))
+      in
+      let now = ref 0 and id = ref 0 in
+      List.iter
+        (fun (advance, sends, polled) ->
+          for dst = 0 to p - 1 do
+            if polled land (1 lsl dst) <> 0 then poll dst !now
+          done;
+          List.iter
+            (fun (kind, src, off, lat) ->
+              incr id;
+              let msg = [ (src, !id) ] in
+              if kind = 0 then begin
+                Network.broadcast net ~src ~due:(!now + delta) msg;
+                Ref_net.broadcast rf ~src ~due:(!now + delta) msg
+              end
+              else begin
+                let dst = (src + off) mod p in
+                Network.send net ~src ~dst ~due:(!now + lat) msg;
+                Ref_net.send rf ~src ~dst ~due:(!now + lat) msg
+              end)
+            sends;
+          now := !now + advance)
+        ops;
+      let same_counts () =
+        Network.sent net = Ref_net.sent rf
+        && Network.pending net = Ref_net.pending rf
+        && !n_got = !n_want
+      in
+      let mid = same_counts () in
+      for dst = 0 to p - 1 do
+        poll dst (!now + horizon + 1)
+      done;
+      mid && same_counts () && got = want && Network.pending net = 0)
 
 let suite =
   [
@@ -288,7 +363,8 @@ let suite =
       test_delayed_processor_receives_backlog;
     Alcotest.test_case "per-destination isolation" `Quick
       test_per_destination_isolation;
-    Alcotest.test_case "next_due" `Quick test_next_due;
+    Alcotest.test_case "send behind the delivery cursor rejected" `Quick
+      test_send_behind_cursor_rejected;
     Alcotest.test_case "reliable: no loss, no duplication" `Quick
       test_reliability;
     Alcotest.test_case "broadcast: one record, p-1 messages" `Quick
@@ -299,8 +375,7 @@ let suite =
       test_broadcast_stream_growth;
     Alcotest.test_case "broadcast to deactivated pid rots in pending" `Quick
       test_broadcast_deactivate;
-    Alcotest.test_case "broadcast ring = heap on random traffic" `Quick
-      test_broadcast_ring_matches_heap_random;
-    Alcotest.test_case "broadcast next_due / pending_for" `Quick
-      test_broadcast_next_due_pending_for;
+    Alcotest.test_case "broadcast ring = reference on random traffic" `Quick
+      test_broadcast_ring_matches_ref_random;
+    QCheck_alcotest.to_alcotest prop_network_matches_ref;
   ]

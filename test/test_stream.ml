@@ -142,8 +142,37 @@ let test_messages_count_multicast () =
   let m = run ~p (Algo_pa.make_ran1 ()) Adversary.max_delay in
   check_int "M is a multiple of p-1" 0 (m.Metrics.messages mod (p - 1))
 
+let test_engine_sets_wire () =
+  (* The wire is the engine's decision alone: a config that arrives
+     carrying [Delta] on a run off the stream path (uniform-delay
+     declares no constant latency) must reach the algorithm as [Full];
+     a declared-constant run reaches it as [Delta]. *)
+  let seen = ref [] in
+  let (module A : Algorithm.S) = Algo_pa.make_ran1 () in
+  let module Spy = struct
+    include A
+
+    let init cfg ~pid =
+      seen := cfg.Config.wire :: !seen;
+      A.init cfg ~pid
+  end in
+  let wires adv =
+    seen := [];
+    let cfg =
+      Config.with_wire (Config.make ~seed:1 ~p:8 ~t:32 ()) Config.Delta
+    in
+    ignore (Engine.run_packed (module Spy) cfg ~d:4 ~adversary:adv ());
+    List.sort_uniq compare !seen
+  in
+  check "uniform-delay reaches the algorithm as Full" true
+    (wires Adversary.uniform_delay = [ Config.Full ]);
+  check "max-delay reaches the algorithm as Delta" true
+    (wires Adversary.max_delay = [ Config.Delta ])
+
 let suite =
   [
+    Alcotest.test_case "engine sets the wire both ways" `Quick
+      test_engine_sets_wire;
     Alcotest.test_case "stream = per-destination path (all pairs)" `Quick
       test_stream_equals_slow_path;
     Alcotest.test_case "variable latency stays general" `Quick
