@@ -3,7 +3,28 @@ open Doall_perms
 
 let det_list_seed = 0xD0A11
 
-type variant = Ran1 | Ran2 | Det of Perm.t list option
+(* One entry per domain, keyed on [(n, p)]: every pid of a run reads
+   its row of the same list, and a grid cell on another domain builds
+   its own, so no lock is needed. *)
+let det_cache : ((int * int) * int array array) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let det_schedules ~n ~p =
+  match Domain.DLS.get det_cache with
+  | Some (key, psi) when key = (n, p) -> psi
+  | Some _ | None ->
+    let psi =
+      Array.of_list
+        (List.map Perm.to_array
+           (Gen.seeded_list ~seed:det_list_seed ~n ~count:p))
+    in
+    Domain.DLS.set det_cache (Some ((n, p), psi));
+    psi
+
+(* [Det None]: the default list, [det_schedules]; [Det (Some psi)]: a
+   caller's list, as arrays. Rows are shared by every pid and never
+   written. *)
+type variant = Ran1 | Ran2 | Det of int array array option
 
 let variant_name = function
   | Ran1 -> "paran1"
@@ -46,7 +67,8 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
            fanout variants, whose payloads are not whole-knowledge
            snapshots of a FIFO stream). *)
       order : int array;
-        (* Ran1/Det: the job schedule; Ran2: the pool, whose first [pos]
+        (* Ran1/Det: the job schedule, never written (Det's is a row
+           shared by every pid); Ran2: the pool, whose first [pos]
            entries are the not-yet-eliminated candidates. *)
       mutable pos : int;
       rng : Rng.t;
@@ -74,14 +96,12 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
           let psi =
             match psi with
             | Some psi -> psi
-            | None -> Gen.seeded_list ~seed:det_list_seed ~n ~count:cfg.p
+            | None -> det_schedules ~n ~p:cfg.p
           in
-          let len = List.length psi in
-          if len = 0 then invalid_arg "Algo_pa: empty schedule list";
-          let pi = List.nth psi (pid mod len) in
-          if Perm.size pi <> n then
+          let row = psi.(pid mod Array.length psi) in
+          if Array.length row <> n then
             invalid_arg "Algo_pa: schedule size must be min(p, t)";
-          (Perm.to_array pi, 0)
+          (row, 0)
       in
       let know = Bitset.create cfg.t in
       let tracker =
@@ -154,7 +174,7 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
     let is_done st = Bitset.is_full st.know
     let done_tasks st = st.know
 
-    let job_end st j = snd st.part.Task.task_ranges.(j)
+    let job_end st j = Task.job_hi st.part j
 
     (* Advance the cursor to job [j]'s first unknown member; false when
        the job is finished. Equivalent to [not (Task.job_done ...)] but
@@ -175,7 +195,7 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
         let pick j =
           st.cur_lo <-
             Task.first_unknown st.part st.know j
-              ~from:(fst st.part.Task.task_ranges.(j));
+              ~from:(Task.job_lo st.part j);
           Some j
         in
         match variant with
@@ -276,4 +296,11 @@ let make_ran2 ?gossip ?broadcast_every ?fanout () =
   make_variant ?gossip ?broadcast_every ?fanout Ran2
 
 let make_det ?gossip ?broadcast_every ?fanout ?psi () =
+  let psi =
+    Option.map
+      (fun psi ->
+        if psi = [] then invalid_arg "Algo_pa: empty schedule list";
+        Array.of_list (List.map Perm.to_array psi))
+      psi
+  in
   make_variant ?gossip ?broadcast_every ?fanout (Det psi)

@@ -46,7 +46,9 @@ val make_det :
   ?psi:Doall_perms.Perm.t list ->
   unit ->
   Doall_sim.Algorithm.packed
-(** An explicit [psi] must hold permutations of size [min(p, t)]; when it
+(** An explicit [psi] must be non-empty ([Invalid_argument] here
+    otherwise) and hold permutations of size [min(p, t)]
+    ([Invalid_argument] at the run's first [init] otherwise); when it
     has fewer than [p] entries, processor [pid] uses entry
     [pid mod length].
 
@@ -73,3 +75,10 @@ val make_det :
 
 val det_list_seed : int
 (** The fixed seed from which PaDet's default schedule list derives. *)
+
+val det_schedules : n:int -> p:int -> int array array
+(** PaDet's default list for [p] processors and [n = min(p, t)] jobs:
+    row [u] is [Perm.to_array] of entry [u] of
+    [Gen.seeded_list ~seed:det_list_seed ~n ~count:p]. Built once and
+    kept in a one-entry per-domain cache keyed on [(n, p)], so every
+    processor of a run shares it; the rows must not be written. *)

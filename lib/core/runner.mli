@@ -17,8 +17,9 @@
     - [algo_spec.make] is likewise called once per run from the worker
       domain and must return a packed module whose [init] builds
       per-processor state only from the run's [Config]. Internal memo
-      tables (e.g. the DA(q) searched-list cache) must be guarded — see
-      [lib/core/algo_da.ml].
+      tables must be guarded (the DA(q) searched-list cache, see
+      [lib/core/algo_da.ml]) or kept per domain (PaDet's default
+      list, see [lib/core/algo_pa.ml]).
     - {!register_algorithm} is safe to call from any domain, but
       registration racing a live grid would let some runs of that grid
       see the algorithm and others not; register at startup, before

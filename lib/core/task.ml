@@ -1,67 +1,48 @@
 open Doall_sim
 
-type partition = {
-  t : int;
-  n : int;
-  job_of_task : int array;
-  task_ranges : (int * int) array;
-}
+type partition = { t : int; n : int; base : int; extra : int }
 
 let make ~p ~t =
   if p <= 0 || t <= 0 then invalid_arg "Task.make: p and t must be positive";
   let n = min p t in
-  let base = t / n and extra = t mod n in
-  let task_ranges = Array.make n (0, 0) in
-  let job_of_task = Array.make t 0 in
-  let start = ref 0 in
-  for j = 0 to n - 1 do
-    let size = base + if j < extra then 1 else 0 in
-    task_ranges.(j) <- (!start, !start + size);
-    for z = !start to !start + size - 1 do
-      job_of_task.(z) <- j
-    done;
-    start := !start + size
-  done;
-  assert (!start = t);
-  { t; n; job_of_task; task_ranges }
+  { t; n; base = t / n; extra = t mod n }
 
 let check_job part j =
   if j < 0 || j >= part.n then invalid_arg "Task: job id out of range"
 
-let job_size part j =
+(* The first [extra] jobs hold [base + 1] tasks, the rest [base]. *)
+let lo part j = (j * part.base) + Int.min j part.extra
+
+let job_lo part j =
   check_job part j;
-  let lo, hi = part.task_ranges.(j) in
-  hi - lo
+  lo part j
+
+let job_hi part j =
+  check_job part j;
+  lo part (j + 1)
+
+let job_size part j = job_hi part j - lo part j
 
 let tasks_of_job part j =
-  check_job part j;
-  let lo, hi = part.task_ranges.(j) in
-  List.init (hi - lo) (fun k -> lo + k)
+  let first = job_lo part j in
+  List.init (lo part (j + 1) - first) (fun k -> first + k)
 
 let job_of_task part z =
   if z < 0 || z >= part.t then invalid_arg "Task.job_of_task: out of range";
-  part.job_of_task.(z)
-
-let job_done part know j =
-  check_job part j;
-  let lo, hi = part.task_ranges.(j) in
-  let rec go z = z >= hi || (Bitset.mem know z && go (z + 1)) in
-  go lo
-
-let next_member part know j =
-  check_job part j;
-  let lo, hi = part.task_ranges.(j) in
-  let rec go z =
-    if z >= hi then None else if Bitset.mem know z then go (z + 1) else Some z
-  in
-  go lo
+  let big = part.extra * (part.base + 1) in
+  if z < big then z / (part.base + 1) else part.extra + ((z - big) / part.base)
 
 let first_unknown part know j ~from =
-  check_job part j;
-  let lo, hi = part.task_ranges.(j) in
-  let z = ref (max lo from) in
+  let hi = job_hi part j in
+  let z = ref (Int.max (lo part j) from) in
   while !z < hi && Bitset.mem know !z do incr z done;
   !z
+
+let job_done part know j = first_unknown part know j ~from:0 = job_hi part j
+
+let next_member part know j =
+  let z = first_unknown part know j ~from:0 in
+  if z < job_hi part j then Some z else None
 
 let jobs_done_count part know =
   let c = ref 0 in

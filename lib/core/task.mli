@@ -10,14 +10,23 @@
 type partition = private {
   t : int;  (** tasks, ids [0..t-1] *)
   n : int;  (** jobs, ids [0..n-1]; [n = min(p, t)] *)
-  job_of_task : int array;
-  task_ranges : (int * int) array;
-      (** job [j] owns tasks [fst..snd-1] (contiguous ranges) *)
+  base : int;  (** [t / n] *)
+  extra : int;  (** [t mod n]: jobs [0..extra-1] hold [base + 1] tasks *)
 }
+(** O(1) words: job [j] owns the contiguous tasks
+    [[j * base + min j extra, (j + 1) * base + min (j + 1) extra)], so
+    every query below is closed-form arithmetic. *)
 
 val make : p:int -> t:int -> partition
 (** Balanced contiguous grouping into [min(p, t)] jobs whose sizes differ
     by at most one (so every size is [<= ceil(t/p)]). *)
+
+val job_lo : partition -> int -> int
+(** First task of the job. *)
+
+val job_hi : partition -> int -> int
+(** One past the last task of the job: job [j] owns
+    [job_lo j .. job_hi j - 1], and [job_hi j = job_lo (j + 1)]. *)
 
 val job_size : partition -> int -> int
 val tasks_of_job : partition -> int -> int list

@@ -198,6 +198,61 @@ let test_padet_explicit_psi () =
   in
   check "padet with explicit psi" true m.Metrics.completed
 
+let test_padet_empty_psi () =
+  Alcotest.check_raises "empty psi rejected at make"
+    (Invalid_argument "Algo_pa: empty schedule list") (fun () ->
+      ignore (Algo_pa.make_det ~psi:[] ()))
+
+let test_padet_psi_wrong_size () =
+  (* p = 4, t = 8: n = 4 jobs, but the schedules order 3. *)
+  let algo = Algo_pa.make_det ~psi:[ Doall_perms.Perm.identity 3 ] () in
+  let cfg = Config.make ~seed:1 ~p:4 ~t:8 () in
+  Alcotest.check_raises "wrong-size psi rejected at init"
+    (Invalid_argument "Algo_pa: schedule size must be min(p, t)") (fun () ->
+      ignore (Engine.run_packed algo cfg ~d:1 ~adversary:Adversary.fair ()))
+
+let test_padet_cache_is_seeded_list () =
+  let shapes = [ (4, 4); (6, 10); (16, 16); (1, 5); (32, 32) ] in
+  let check_rows (n, p) =
+    let psi = Algo_pa.det_schedules ~n ~p in
+    let expected =
+      Doall_perms.Gen.seeded_list ~seed:Algo_pa.det_list_seed ~n ~count:p
+    in
+    check_int "one row per processor" p (Array.length psi);
+    List.iteri
+      (fun u pi ->
+        Alcotest.(check (array int))
+          (Printf.sprintf "n=%d p=%d row %d" n p u)
+          (Doall_perms.Perm.to_array pi) psi.(u))
+      expected;
+    check "a second lookup shares the list" true
+      (Algo_pa.det_schedules ~n ~p == psi)
+  in
+  (* each shape evicts the previous one; then revisit them all *)
+  List.iter check_rows shapes;
+  List.iter check_rows (List.rev shapes)
+
+let test_padet_grid_domains () =
+  (* Each domain keeps its own cache entry; interleaved shapes evict it
+     on every cell. Two domains must compute what one does. *)
+  let specs =
+    Runner.grid ~seeds:[ 0; 1 ] ~algos:[ "padet" ]
+      ~advs:[ "fair"; "max-delay"; "lb-rand" ]
+      ~points:[ (8, 32, 3); (5, 40, 7); (16, 16, 2); (12, 7, 4) ]
+      ()
+  in
+  let key (r : Runner.result) =
+    ( r.Runner.metrics.Metrics.work,
+      r.Runner.metrics.Metrics.messages,
+      r.Runner.metrics.Metrics.sigma )
+  in
+  let one = List.map key (Runner.run_grid ~jobs:1 specs) in
+  let two =
+    Pool.with_pool ~jobs:2 (fun pool ->
+        List.map key (Runner.run_grid ~pool specs))
+  in
+  if one <> two then Alcotest.fail "padet grid differs on 2 domains"
+
 let test_paran1_vs_paran2_comparable () =
   (* Same expected work family: with matched instances, the two should be
      within a small factor of each other on average. *)
@@ -319,6 +374,13 @@ let suite =
     Alcotest.test_case "DA: explicit psi" `Quick test_da_explicit_psi;
     Alcotest.test_case "DA: rejects bad psi" `Quick test_da_rejects_bad_psi;
     Alcotest.test_case "PaDet: explicit psi" `Quick test_padet_explicit_psi;
+    Alcotest.test_case "PaDet: empty psi" `Quick test_padet_empty_psi;
+    Alcotest.test_case "PaDet: psi of the wrong size" `Quick
+      test_padet_psi_wrong_size;
+    Alcotest.test_case "PaDet: cached list = seeded list" `Quick
+      test_padet_cache_is_seeded_list;
+    Alcotest.test_case "PaDet: grid on 1 and 2 domains" `Quick
+      test_padet_grid_domains;
     Alcotest.test_case "PaRan1 ~ PaRan2 on average" `Slow
       test_paran1_vs_paran2_comparable;
     Alcotest.test_case "PA throttled/fanout variants correct" `Quick

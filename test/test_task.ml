@@ -69,13 +69,13 @@ let prop_first_unknown_agrees_with_next_member =
       let cursors = Array.make part.Task.n 0 in
       List.init part.Task.n Fun.id
       |> List.iter (fun j ->
-             cursors.(j) <- fst part.Task.task_ranges.(j));
+             cursors.(j) <- Task.job_lo part j);
       List.for_all
         (fun i ->
           Bitset.set know i;
           List.for_all
             (fun j ->
-              let lo, hi = part.Task.task_ranges.(j) in
+              let lo = Task.job_lo part j and hi = Task.job_hi part j in
               (* cursor-carried scan = fresh scan = next_member *)
               cursors.(j) <-
                 Task.first_unknown part know j ~from:cursors.(j);
@@ -117,6 +117,67 @@ let prop_partition_invariants =
            (List.init n Fun.id)
       && List.fold_left ( + ) 0 (List.init n (Task.job_size part)) = t)
 
+(* The grouping as it was once stored: a per-task job map and a range
+   list, filled job by job. The arithmetic partition must agree with it
+   everywhere. *)
+let reference_partition ~p ~t =
+  let n = min p t in
+  let base = t / n and extra = t mod n in
+  let ranges = Array.make n (0, 0) in
+  let job_of_task = Array.make t 0 in
+  let start = ref 0 in
+  for j = 0 to n - 1 do
+    let size = base + if j < extra then 1 else 0 in
+    ranges.(j) <- (!start, !start + size);
+    for z = !start to !start + size - 1 do
+      job_of_task.(z) <- j
+    done;
+    start := !start + size
+  done;
+  (job_of_task, Array.to_list ranges)
+
+let prop_partition_matches_reference =
+  QCheck2.Test.make ~name:"arithmetic partition = per-task reference"
+    ~count:500
+    QCheck2.Gen.(
+      let* p = int_range 1 64 in
+      let* t =
+        oneof
+          [
+            int_range 1 600;
+            (* p > t *)
+            int_range 1 (max 1 (p - 1));
+            (* t mod p = 0 *)
+            map (fun k -> p * k) (int_range 1 (600 / p));
+            (* t mod p = p - 1 *)
+            map
+              (fun k -> max 1 ((p * k) + p - 1))
+              (int_range 0 ((600 / p) - 1));
+          ]
+      in
+      return (p, t))
+    (fun (p, t) ->
+      let part = Task.make ~p ~t in
+      let ref_job_of_task, ranges = reference_partition ~p ~t in
+      part.Task.n = List.length ranges
+      && List.for_all
+           (fun (j, (lo, hi)) ->
+             Task.job_lo part j = lo
+             && Task.job_hi part j = hi
+             && Task.job_size part j = hi - lo
+             && Task.tasks_of_job part j = List.init (hi - lo) (( + ) lo)
+             && (j = 0 || Task.job_lo part j = Task.job_hi part (j - 1)))
+           (List.mapi (fun j r -> (j, r)) ranges)
+      && Task.job_lo part 0 = 0
+      && Task.job_hi part (part.Task.n - 1) = t
+      && Array.for_all Fun.id
+           (Array.mapi (fun z j -> Task.job_of_task part z = j) ref_job_of_task))
+
+let test_partition_size () =
+  (* O(1) words whatever t is: no per-task map, no range table. *)
+  let words = Obj.reachable_words (Obj.repr (Task.make ~p:256 ~t:131072)) in
+  check "partition under 16 words" true (words < 16)
+
 let suite =
   [
     Alcotest.test_case "p >= t: singleton jobs" `Quick test_p_ge_t;
@@ -130,4 +191,6 @@ let suite =
     Alcotest.test_case "jobs_done_count" `Quick test_jobs_done_count;
     Alcotest.test_case "validation" `Quick test_validation;
     QCheck_alcotest.to_alcotest prop_partition_invariants;
+    QCheck_alcotest.to_alcotest prop_partition_matches_reference;
+    Alcotest.test_case "partition is O(1) words" `Quick test_partition_size;
   ]
