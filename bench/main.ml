@@ -383,33 +383,6 @@ let micro () =
            Bitset.iter_set b (fun i -> acc := !acc + i);
            ignore !acc))
   in
-  (* One epoch of delta traffic: 64 senders each flush a small tracked
-     delta of a 4096-bit knowledge set. The digest path folds them once
-     per epoch (union-many); the per-record path applies each delta at
-     every receiver (seq-apply measures one receiver's share, on the
-     steady-state absorbed sweep like bitset-union-absorbed above). *)
-  let digest_deltas =
-    Array.init 64 (fun s ->
-        let b = Bitset.create 4096 in
-        let tk = Bitset.tracker b in
-        for i = 0 to 7 do
-          Bitset.set_tracked b tk (((s * 131) + (i * 63)) mod 4096)
-        done;
-        Bitset.delta_flush b tk)
-  in
-  let digest_union_many =
-    Test.make ~name:"digest-union-many-64x8w"
-      (Staged.stage (fun () -> ignore (Bitset.union_many digest_deltas)))
-  in
-  let digest_seq_apply =
-    let dst = Bitset.create 4096 in
-    let tk = Bitset.tracker dst in
-    Test.make ~name:"digest-seq-apply-64x8w"
-      (Staged.stage (fun () ->
-           Array.iter
-             (fun dl -> Bitset.apply_delta_tracked ~dst tk dl)
-             digest_deltas))
-  in
   let dlrm =
     let rng = Rng.create 1 in
     let pi = Perm.random rng 1024 in
@@ -487,8 +460,6 @@ let micro () =
         bitset_union_absorbed;
         bitset_first_missing;
         bitset_iter_set;
-        digest_union_many;
-        digest_seq_apply;
         dlrm;
         cont;
         tree_marks;
@@ -638,10 +609,10 @@ let obs_overhead ~quick ~profile () =
    pipeline could reach: p=16384 fleets, where every broadcast used to
    cost p-1 calendar-ring insertions and p-1 payload copies, and t=1e6
    task sets, where every knowledge snapshot used to copy ~16k words.
-   The shared-broadcast stream plus delta payloads collapse both. A
-   third arm re-runs the BENCH_1 headline cells and requires the
-   broadcast-heavy PA ones to have gained >= 1.5x at unchanged
-   golden-pinned metrics. *)
+   The shared-broadcast stream plus copy-on-write knowledge snapshots
+   collapse both. A third arm re-runs the BENCH_1 headline cells and
+   requires the broadcast-heavy PA ones to have gained >= 1.5x at
+   unchanged golden-pinned metrics. *)
 
 let vm_hwm_kb () =
   (* Peak resident set of this process (kB), from /proc/self/status.
@@ -993,7 +964,7 @@ let list_experiments () =
   List.iter
     (fun e -> Printf.printf "%-5s %s\n" e.Exp.id (Exp.one_liner e))
     (Exp.all ());
-  print_string "micro  Bechamel microbenchmarks (bitsets, digests, engine cells)\n";
+  print_string "micro  Bechamel microbenchmarks (bitsets, engine cells)\n";
   print_string "perf   wall-clock grid + parallel-grid speedup, writes BENCH_2.json\n";
   print_string "obs    probe overhead on the paper-scale cell (target < 5%); --profile gates the span self-profiler instead\n";
   print_string "xl     scale-wall cells (p=16384, t=1e6) + BENCH_3/BENCH_1 speedup gates, writes BENCH_4.json\n";

@@ -18,34 +18,9 @@ let default_psi ~q =
         Hashtbl.replace psi_cache q cert.Search.list;
         cert.Search.list)
 
-(* Each replica component travels either as a full copy ([Know], the
-   paper's reading) or, on the engine's delta-wire runs (Config.wire),
-   as only the words touched since the sender's previous multicast. *)
-type payload = Know of Bitset.t | Delta of Bitset.delta
-type msg = { m_tree : payload; m_tasks : payload }
-
-(* Union one epoch's worth of one replica component — the digest half
-   of [merge_homomorphic] below, applied to tree and tasks alike. *)
-let fold_payloads (ps : payload array) : payload =
-  if Array.for_all (function Delta _ -> true | Know _ -> false) ps then
-    Delta
-      (Bitset.union_many
-         (Array.map (function Delta dl -> dl | Know _ -> assert false) ps))
-  else begin
-    let cap =
-      Array.fold_left
-        (fun acc -> function
-          | Know b -> max acc (Bitset.length b) | Delta _ -> acc)
-        0 ps
-    in
-    let acc = Bitset.create cap in
-    Array.iter
-      (function
-        | Know b -> Bitset.union_into ~dst:acc b
-        | Delta dl -> Bitset.apply_delta ~dst:acc dl)
-      ps;
-    Know acc
-  end
+(* Both replica components travel as copy-on-write snapshots of the
+   sender's sets at send time. *)
+type msg = { m_tree : Bitset.snapshot; m_tasks : Bitset.snapshot }
 
 type frame = {
   node : int;
@@ -82,9 +57,6 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
       sh : Progress_tree.t;
       tree : Bitset.t;
       know : Bitset.t;
-      trackers : (Bitset.tracker * Bitset.tracker) option;
-        (* Some (tree, tasks) on delta-wire runs: words touched since
-           the last multicast of each component. *)
       digits : int array;
       mutable stack : frame list;
       mutable current : int option; (* leaf node whose job is in progress *)
@@ -110,18 +82,11 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
             ],
             None )
       in
-      let know = Bitset.create cfg.t in
-      let trackers =
-        match cfg.Config.wire with
-        | Config.Delta -> Some (Bitset.tracker tree, Bitset.tracker know)
-        | Config.Full -> None
-      in
       {
         part;
         sh;
         tree;
-        know;
-        trackers;
+        know = Bitset.create cfg.t;
         digits;
         stack;
         current;
@@ -133,11 +98,6 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
         st with
         tree = Bitset.copy st.tree;
         know = Bitset.copy st.know;
-        trackers =
-          Option.map
-            (fun (tt, tk) ->
-              (Bitset.tracker_copy tt, Bitset.tracker_copy tk))
-            st.trackers;
         stack =
           List.map
             (fun fr ->
@@ -145,34 +105,9 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
             st.stack;
       }
 
-    (* All tree/know mutations funnel through these two so the delta
-       trackers never miss a touched word. *)
-    let mark_tree st node =
-      match st.trackers with
-      | Some (tt, _) -> Bitset.set_tracked st.tree tt node
-      | None -> Bitset.set st.tree node
-
-    let mark_task st z =
-      match st.trackers with
-      | Some (_, tk) -> Bitset.set_tracked st.know tk z
-      | None -> Bitset.set st.know z
-
     let receive st ~src:_ msg =
-      match st.trackers with
-      | Some (tt, tk) ->
-        (match msg.m_tree with
-         | Know b -> Bitset.union_into_tracked ~dst:st.tree tt b
-         | Delta dl -> Bitset.apply_delta_tracked ~dst:st.tree tt dl);
-        (match msg.m_tasks with
-         | Know b -> Bitset.union_into_tracked ~dst:st.know tk b
-         | Delta dl -> Bitset.apply_delta_tracked ~dst:st.know tk dl)
-      | None ->
-        (match msg.m_tree with
-         | Know b -> Bitset.union_into ~dst:st.tree b
-         | Delta dl -> Bitset.apply_delta ~dst:st.tree dl);
-        (match msg.m_tasks with
-         | Know b -> Bitset.union_into ~dst:st.know b
-         | Delta dl -> Bitset.apply_delta ~dst:st.know dl)
+      Bitset.union_into ~dst:st.tree msg.m_tree;
+      Bitset.union_into ~dst:st.know msg.m_tasks
 
     (* Both components of [receive] are src-independent monotone unions
        into disjoint sets, so folding an epoch componentwise delivers
@@ -181,27 +116,18 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
       Some
         (fun msgs ->
           {
-            m_tree = fold_payloads (Array.map (fun m -> m.m_tree) msgs);
-            m_tasks = fold_payloads (Array.map (fun m -> m.m_tasks) msgs);
+            m_tree =
+              Bitset.union_snapshots (Array.map (fun m -> m.m_tree) msgs);
+            m_tasks =
+              Bitset.union_snapshots (Array.map (fun m -> m.m_tasks) msgs);
           })
 
     let is_done st = Bitset.is_full st.know
     let done_tasks st = st.know
 
     let snapshot st =
-      match st.trackers with
-      | Some (tt, tk) ->
-        Some
-          {
-            m_tree = Delta (Bitset.delta_flush st.tree tt);
-            m_tasks = Delta (Bitset.delta_flush st.know tk);
-          }
-      | None ->
-        Some
-          {
-            m_tree = Know (Bitset.copy st.tree);
-            m_tasks = Know (Bitset.copy st.know);
-          }
+      Some
+        { m_tree = Bitset.snapshot st.tree; m_tasks = Bitset.snapshot st.know }
 
     let perform_at_leaf st leaf =
       (* One member task of the leaf's job; mark and multicast when the
@@ -209,9 +135,9 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
       let j = Progress_tree.job_of_leaf st.sh leaf in
       match Task.next_member st.part st.know j with
       | Some z ->
-        mark_task st z;
+        Bitset.set st.know z;
         if Task.job_done st.part st.know j then begin
-          mark_tree st leaf;
+          Bitset.set st.tree leaf;
           st.current <- None;
           Algorithm.result ~performed:z ?broadcast:(snapshot st) ()
         end
@@ -221,7 +147,7 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
         end
       | None ->
         (* The job completed elsewhere while we were heading to it. *)
-        mark_tree st leaf;
+        Bitset.set st.tree leaf;
         st.current <- None;
         Algorithm.result ?broadcast:(snapshot st) ()
 
@@ -249,7 +175,7 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
             else if fr.idx >= st.sh.Progress_tree.q then begin
               (* Post-order completion: mark the node and share the news
                  (lines 50-52 of Fig. 3). *)
-              mark_tree st fr.node;
+              Bitset.set st.tree fr.node;
               st.stack <- rest;
               Algorithm.result ?broadcast:(snapshot st) ()
             end

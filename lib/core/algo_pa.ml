@@ -48,24 +48,15 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
         | None -> ""
         | Some k -> Printf.sprintf "-f%d" k
 
-    (* [Know]: a full copy of the sender's knowledge (the paper's
-       reading, always correct). [Delta]: only the words touched since
-       the sender's previous broadcast — exact on the engine's
-       delta-wire runs (Config.wire), where channels are FIFO and
-       reliable so every receiver already holds the sender's earlier
-       flushes. *)
-    type msg = Know of Bitset.t | Delta of Bitset.delta
+    (* The sender's knowledge at send time (the paper's reading): a
+       copy-on-write snapshot, exact under any delivery order. *)
+    type msg = Bitset.snapshot
 
     type state = {
       p : int;
       pid : int;
       part : Task.partition;
       know : Bitset.t;
-      tracker : Bitset.tracker option;
-        (* Some = delta wire: words of [know] touched since the last
-           broadcast. None = full payloads (also for the `Single and
-           fanout variants, whose payloads are not whole-knowledge
-           snapshots of a FIFO stream). *)
       order : int array;
         (* Ran1/Det: the job schedule, never written (Det's is a row
            shared by every pid); Ran2: the pool, whose first [pos]
@@ -103,18 +94,11 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
             invalid_arg "Algo_pa: schedule size must be min(p, t)";
           (row, 0)
       in
-      let know = Bitset.create cfg.t in
-      let tracker =
-        match (cfg.wire, gossip, fanout) with
-        | Config.Delta, `Full, None -> Some (Bitset.tracker know)
-        | _ -> None
-      in
       {
         p = cfg.p;
         pid;
         part;
-        know;
-        tracker;
+        know = Bitset.create cfg.t;
         order;
         pos;
         rng;
@@ -128,48 +112,16 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
       {
         st with
         know = Bitset.copy st.know;
-        tracker = Option.map Bitset.tracker_copy st.tracker;
         order = Array.copy st.order;
         rng = Rng.copy st.rng;
       }
 
-    let receive st ~src:_ msg =
-      match (msg, st.tracker) with
-      | Know b, None -> Bitset.union_into ~dst:st.know b
-      | Know b, Some tk -> Bitset.union_into_tracked ~dst:st.know tk b
-      | Delta dl, Some tk -> Bitset.apply_delta_tracked ~dst:st.know tk dl
-      | Delta dl, None -> Bitset.apply_delta ~dst:st.know dl
+    let receive st ~src:_ msg = Bitset.union_into ~dst:st.know msg
 
     (* [receive] never reads [src] and only ORs payload bits into
        [know]: a source-independent monotone union for every variant,
        so one epoch of broadcasts may be pre-folded (algorithm.mli). *)
-    let merge_homomorphic =
-      Some
-        (fun msgs ->
-          if Array.for_all (function Delta _ -> true | Know _ -> false) msgs
-          then
-            Delta
-              (Bitset.union_many
-                 (Array.map
-                    (function Delta dl -> dl | Know _ -> assert false)
-                    msgs))
-          else begin
-            (* any [Know] payload (`Single gossip): union into a fresh
-               full-capacity set *)
-            let cap =
-              Array.fold_left
-                (fun acc -> function
-                  | Know b -> max acc (Bitset.length b) | Delta _ -> acc)
-                0 msgs
-            in
-            let acc = Bitset.create cap in
-            Array.iter
-              (function
-                | Know b -> Bitset.union_into ~dst:acc b
-                | Delta dl -> Bitset.apply_delta ~dst:acc dl)
-              msgs;
-            Know acc
-          end)
+    let merge_homomorphic = Some Bitset.union_snapshots
 
     let is_done st = Bitset.is_full st.know
     let done_tasks st = st.know
@@ -240,9 +192,7 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
             Algorithm.nothing (* unreachable: select checked *)
           else begin
             let z = st.cur_lo in
-            (match st.tracker with
-             | Some tk -> Bitset.set_tracked st.know tk z
-             | None -> Bitset.set st.know z);
+            Bitset.set st.know z;
             st.current <- (if current_pending st j then Some j else None);
             st.performed_steps <- st.performed_steps + 1;
             (* Throttling (extension, cf. the paper's closing open
@@ -254,15 +204,12 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
             then begin
               let payload =
                 match gossip with
-                | `Full -> (
-                  match st.tracker with
-                  | Some tk -> Delta (Bitset.delta_flush st.know tk)
-                  | None -> Know (Bitset.copy st.know))
+                | `Full -> Bitset.snapshot st.know
                 | `Single ->
                   (* Ablation: announce only the task just performed. *)
                   let b = Bitset.create (Bitset.length st.know) in
                   Bitset.set b z;
-                  Know b
+                  Bitset.snapshot b
               in
               match fanout with
               | None -> Algorithm.result ~performed:z ~broadcast:payload ()
@@ -270,9 +217,8 @@ let make_variant ?(gossip = `Full) ?(broadcast_every = 1) ?fanout variant :
                 Algorithm.result ~performed:z ~broadcast:payload ()
               | Some k ->
                 (* Gossip extension (cf. [12]): k distinct random
-                   destinations instead of all p-1. The payload is fresh
-                   and never mutated after this step, so one copy can be
-                   shared by all recipients. *)
+                   destinations instead of all p-1. The payload is a
+                   read-only snapshot, so all recipients share it. *)
                 let dests =
                   Rng.sample_without_replacement st.rng k (st.p - 1)
                 in

@@ -34,9 +34,8 @@ let job_of_task part z =
 
 let first_unknown part know j ~from =
   let hi = job_hi part j in
-  let z = ref (Int.max (lo part j) from) in
-  while !z < hi && Bitset.mem know !z do incr z done;
-  !z
+  let z = Int.max (lo part j) from in
+  if z >= hi then z else Int.min hi (Bitset.next_missing know z)
 
 let job_done part know j = first_unknown part know j ~from:0 = job_hi part j
 

@@ -296,17 +296,27 @@ let drain s ~dst ~now f =
       end
 
 let stats s =
-  let pending = s.tail - s.head in
-  let words = ref 0 in
+  (* one walk over every cached digest together: digests may share
+     blocks (copy-on-write knowledge chunks), and a per-digest sum would
+     count each shared block once per digest *)
+  let digests = ref [] in
   if s.e_tail > s.e_head then begin
     let emask = Array.length s.e_start - 1 in
     for e = s.e_head to s.e_tail - 1 do
       match Array.unsafe_get s.e_digest (e land emask) with
-      | Some d -> words := !words + Obj.reachable_words (Obj.repr d)
+      | Some d -> digests := d :: !digests
       | None -> ()
     done
   end;
-  (pending, !words)
+  let words =
+    match !digests with
+    | [] -> 0
+    | ds ->
+      let arr = Array.of_list ds in
+      (* minus the walk's own array block *)
+      Obj.reachable_words (Obj.repr arr) - (Array.length arr + 1)
+  in
+  (s.tail - s.head, words)
 
 let deactivate s ~pid =
   check_pid s pid "Bcast.deactivate";

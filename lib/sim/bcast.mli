@@ -79,6 +79,7 @@ val drain : 'msg t -> dst:int -> now:int -> (int -> 'msg -> unit) -> int
 
 val stats : 'msg t -> int * int
 (** [(pending, digest_words)]: retained records ([tail - head]) and the
-    total heap words reachable from currently cached epoch digests —
+    heap words reachable from the currently cached epoch digests taken
+    together, so a block shared by several digests counts once —
     the occupancy feed for the [net.stream_pending] /
     [net.stream_digest_bytes] gauges. Read-only. *)

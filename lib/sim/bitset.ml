@@ -1,6 +1,25 @@
-(* Word-packed bitsets: 63 bits per native int. See bitset.mli. *)
+(* Chunked copy-on-write bitsets: 63 bits per native int, words grouped
+   into power-of-two chunks. See bitset.mli.
 
-type t = { words : int array; n : int; mutable count : int }
+   Ownership invariant: a chunk marked in a set's [owned] map is
+   referenced by that set alone, so it may be written in place. Every
+   other chunk (the shared all-zero chunk, chunks reached through
+   [copy]/[snapshot] or adopted by [union_into]) is referenced by any
+   number of sets and snapshots and is never written: the first write
+   copies it. *)
+
+type 'k set = {
+  n : int;
+  shift : int; (* a chunk holds [1 lsl shift] words *)
+  chunks : int array array;
+  mutable owned : Bytes.t;
+      (* per chunk: '\001' = this set may write it in place. Empty until
+         the first write, so snapshots and fresh sets carry none. *)
+  mutable count : int;
+}
+
+type t = [ `Live ] set
+type snapshot = [ `Snapshot ] set
 
 let bits_per_word = 63
 
@@ -10,32 +29,86 @@ let () =
 
 let words_for n = (n + bits_per_word - 1) / bits_per_word
 
+(* Chunks of 2^s words with s = clamp(floor(log4 words), 3, 6): a snapshot
+   costs about [words / 2^s] pointers plus the 2^s-word chunk its sender
+   writes next, so both terms stay near sqrt(words). The last chunk holds
+   only the words that remain, so a small set is one exact-size chunk. *)
+let shift_for words =
+  let rec log2 k w = if w <= 1 then k else log2 (k + 1) (w lsr 1) in
+  max 3 (min 6 (log2 0 words / 2))
+
+(* One immutable all-zero chunk per chunk length, shared by every set. *)
+let zero_chunks = Array.init 65 (fun len -> Array.make len 0)
+
 let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
-  { words = Array.make (words_for n) 0; n; count = 0 }
+  let words = words_for n in
+  let shift = shift_for words in
+  let cw = 1 lsl shift in
+  {
+    n;
+    shift;
+    chunks =
+      Array.init
+        ((words + cw - 1) lsr shift)
+        (fun c -> zero_chunks.(min cw (words - (c lsl shift))));
+    owned = Bytes.empty;
+    count = 0;
+  }
 
 let length b = b.n
 
-let copy b =
-  (* an empty set has nothing worth memcpy-ing: a fresh zero block is
-     cheaper and yields the same value *)
-  if b.count = 0 then { words = Array.make (Array.length b.words) 0; n = b.n; count = 0 }
-  else { words = Array.copy b.words; n = b.n; count = b.count }
+let owns b c =
+  Bytes.length b.owned > 0 && Bytes.unsafe_get b.owned c <> '\000'
+
+(* Chunk [c] of [b], copied first unless [b] already owns it. *)
+let writable b c =
+  if Bytes.length b.owned = 0 then
+    b.owned <- Bytes.make (Array.length b.chunks) '\000';
+  if Bytes.unsafe_get b.owned c = '\000' then begin
+    Array.unsafe_set b.chunks c (Array.copy (Array.unsafe_get b.chunks c));
+    Bytes.unsafe_set b.owned c '\001'
+  end;
+  Array.unsafe_get b.chunks c
+
+(* O(chunks): the pointer array is copied and both sides disown every
+   chunk, so whichever writes first copies the one chunk it touches. *)
+let share b =
+  let o = b.owned in
+  if Bytes.length o > 0 then Bytes.fill o 0 (Bytes.length o) '\000';
+  {
+    n = b.n;
+    shift = b.shift;
+    chunks = Array.copy b.chunks;
+    owned = Bytes.empty;
+    count = b.count;
+  }
+
+let copy (b : t) : t = share b
+let snapshot (b : t) : snapshot = share b
 
 let check b i =
   if i < 0 || i >= b.n then invalid_arg "Bitset: index out of range"
 
+let word b w =
+  Array.unsafe_get
+    (Array.unsafe_get b.chunks (w lsr b.shift))
+    (w land ((1 lsl b.shift) - 1))
+
 let mem b i =
   check b i;
-  Array.unsafe_get b.words (i / 63) land (1 lsl (i mod 63)) <> 0
+  word b (i / 63) land (1 lsl (i mod 63)) <> 0
 
 let set b i =
   check b i;
   let w = i / 63 in
   let bit = 1 lsl (i mod 63) in
-  let v = Array.unsafe_get b.words w in
+  let v = word b w in
   if v land bit = 0 then begin
-    Array.unsafe_set b.words w (v lor bit);
+    Array.unsafe_set
+      (writable b (w lsr b.shift))
+      (w land ((1 lsl b.shift) - 1))
+      (v lor bit);
     b.count <- b.count + 1
   end
 
@@ -57,41 +130,109 @@ let popcount w =
   let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
   top + ((x * 0x0101010101010101) lsr 56)
 
+(* OR [s] into [d] in place; the number of bits gained. *)
+let or_into d s =
+  let added = ref 0 in
+  for k = 0 to Array.length d - 1 do
+    let a = Array.unsafe_get d k in
+    let v = a lor Array.unsafe_get s k in
+    if v <> a then begin
+      Array.unsafe_set d k v;
+      added := !added + popcount (v lxor a)
+    end
+  done;
+  !added
+
+(* The bits of [s] missing from [d], ORed together: 0 iff [d] holds
+   every bit of [s]. Straight-line for 8-word chunks (every set of 8 to
+   255 words has them), so the common absorbed chunk costs no loop exit
+   branch; that exit, once per chunk, made the receive of a small set
+   about twice as slow as a flat word loop. *)
+let fresh_bits (d : int array) (s : int array) =
+  let open Array in
+  if length d = 8 then
+    unsafe_get s 0 land lnot (unsafe_get d 0)
+    lor (unsafe_get s 1 land lnot (unsafe_get d 1))
+    lor (unsafe_get s 2 land lnot (unsafe_get d 2))
+    lor (unsafe_get s 3 land lnot (unsafe_get d 3))
+    lor (unsafe_get s 4 land lnot (unsafe_get d 4))
+    lor (unsafe_get s 5 land lnot (unsafe_get d 5))
+    lor (unsafe_get s 6 land lnot (unsafe_get d 6))
+    lor (unsafe_get s 7 land lnot (unsafe_get d 7))
+  else begin
+    let fresh = ref 0 in
+    for k = 0 to length d - 1 do
+      fresh := !fresh lor (unsafe_get s k land lnot (unsafe_get d k))
+    done;
+    !fresh
+  end
+
+(* Merges chunk [c] of [src], [s], into [dst], whose chunk [d] is shared
+   and lacks some of [s]'s bits; the number of bits gained. [dst] adopts
+   [s] when d ⊆ s and nobody writes [s] in place. (An owned [d] is ORed
+   in place instead: adopting there would make the next local write
+   copy the adopted chunk again.) *)
+let merge_shared dst src c s d =
+  if fresh_bits s d = 0 && not (owns src c) then begin
+    let gained = ref 0 in
+    for k = 0 to Array.length d - 1 do
+      gained :=
+        !gained + popcount (Array.unsafe_get s k lxor Array.unsafe_get d k)
+    done;
+    Array.unsafe_set dst.chunks c s;
+    !gained
+  end
+  else or_into (writable dst c) s
+
 let union_into ~dst src =
   if dst.n <> src.n then invalid_arg "Bitset.union_into: capacity mismatch";
   if src.count = 0 || dst.count = dst.n then ()
   else begin
-    let dw = dst.words and sw = src.words in
+    let dcs = dst.chunks and scs = src.chunks in
     let added = ref 0 in
-    for i = 0 to Array.length dw - 1 do
-      let a = Array.unsafe_get dw i in
-      let v = a lor Array.unsafe_get sw i in
-      if v <> a then begin
-        Array.unsafe_set dw i v;
-        added := !added + popcount (v lxor a)
-      end
+    for c = 0 to Array.length dcs - 1 do
+      let s = Array.unsafe_get scs c and d = Array.unsafe_get dcs c in
+      (* absorbed chunks, the steady state, end at the read-only test *)
+      if s != d && fresh_bits d s <> 0 then
+        added :=
+          !added
+          + if owns dst c then or_into d s else merge_shared dst src c s d
     done;
     dst.count <- dst.count + !added
   end
 
+let union_snapshots ss =
+  if Array.length ss = 0 then invalid_arg "Bitset.union_snapshots: empty";
+  let acc = create ss.(0).n in
+  Array.iter (fun s -> union_into ~dst:acc s) ss;
+  (* [acc] is dropped here, so its owned chunks pass to the snapshot *)
+  ({ acc with owned = Bytes.empty } : snapshot)
+
+(* Loops rather than local closures: the oracle calls [subset] for
+   every pid on every tick. Physically shared chunks are skipped. *)
 let subset a b =
   if a.n <> b.n then invalid_arg "Bitset.subset: capacity mismatch";
-  let len = Array.length a.words in
-  let rec go i =
-    i >= len
-    || (Array.unsafe_get a.words i land lnot (Array.unsafe_get b.words i) = 0
-        && go (i + 1))
-  in
-  go 0
+  let ok = ref true and c = ref 0 in
+  while !ok && !c < Array.length a.chunks do
+    let x = Array.unsafe_get a.chunks !c and y = Array.unsafe_get b.chunks !c in
+    if x != y && fresh_bits y x <> 0 then ok := false;
+    incr c
+  done;
+  !ok
 
 let equal a b =
   a.n = b.n && a.count = b.count
   &&
-  let rec go i =
-    i < 0
-    || (Array.unsafe_get a.words i = Array.unsafe_get b.words i && go (i - 1))
-  in
-  go (Array.length a.words - 1)
+  let ok = ref true and c = ref 0 in
+  while !ok && !c < Array.length a.chunks do
+    let x = Array.unsafe_get a.chunks !c and y = Array.unsafe_get b.chunks !c in
+    if x != y then
+      for k = 0 to Array.length x - 1 do
+        if Array.unsafe_get x k <> Array.unsafe_get y k then ok := false
+      done;
+    incr c
+  done;
+  !ok
 
 (* Mask selecting the valid bits of the word at [base] (the last word of a
    capacity not divisible by 63 is partial). All 63 bits of an int set is
@@ -100,33 +241,26 @@ let valid_mask b base =
   let valid = b.n - base in
   if valid >= bits_per_word then -1 else (1 lsl valid) - 1
 
+(* Calls [f] on the index of every set bit of [w], whose bit 0 is [base]. *)
+let iter_bits w base f =
+  let w = ref w and i = ref base in
+  while !w <> 0 do
+    if !w land 1 = 1 then f !i;
+    incr i;
+    w := !w lsr 1
+  done
+
 let iter_set b f =
-  let nw = Array.length b.words in
-  for wi = 0 to nw - 1 do
-    let w = ref (Array.unsafe_get b.words wi) in
-    if !w <> 0 then begin
-      let i = ref (wi * bits_per_word) in
-      while !w <> 0 do
-        if !w land 1 = 1 then f !i;
-        incr i;
-        w := !w lsr 1
-      done
-    end
+  for wi = 0 to words_for b.n - 1 do
+    let w = word b wi in
+    if w <> 0 then iter_bits w (wi * bits_per_word) f
   done
 
 let iter_missing b f =
-  let nw = Array.length b.words in
-  for wi = 0 to nw - 1 do
+  for wi = 0 to words_for b.n - 1 do
     let base = wi * bits_per_word in
-    let w = ref (lnot (Array.unsafe_get b.words wi) land valid_mask b base) in
-    if !w <> 0 then begin
-      let i = ref base in
-      while !w <> 0 do
-        if !w land 1 = 1 then f !i;
-        incr i;
-        w := !w lsr 1
-      done
-    end
+    let w = lnot (word b wi) land valid_mask b base in
+    if w <> 0 then iter_bits w base f
   done
 
 let to_list b =
@@ -139,217 +273,31 @@ let missing b =
   iter_missing b (fun i -> acc := i :: !acc);
   List.rev !acc
 
+let next_missing b i =
+  if i < 0 || i > b.n then invalid_arg "Bitset: index out of range";
+  let nw = words_for b.n in
+  let res = ref b.n and wi = ref (i / bits_per_word) in
+  (* bits at or above [i] in the first word, every bit after it *)
+  let from = ref (-1 lsl (i mod bits_per_word)) in
+  while !res = b.n && !wi < nw do
+    let base = !wi * bits_per_word in
+    let m = lnot (word b !wi) land valid_mask b base land !from in
+    if m <> 0 then res := base + popcount ((m land -m) - 1)
+    else begin
+      incr wi;
+      from := -1
+    end
+  done;
+  !res
+
 let first_missing b =
-  if b.count = b.n then None
-  else begin
-    let nw = Array.length b.words in
-    let res = ref None in
-    let wi = ref 0 in
-    while !res = None && !wi < nw do
-      let base = !wi * bits_per_word in
-      let m = lnot (Array.unsafe_get b.words !wi) land valid_mask b base in
-      if m <> 0 then begin
-        let i = ref base and v = ref m in
-        while !v land 1 = 0 do
-          incr i;
-          v := !v lsr 1
-        done;
-        res := Some !i
-      end;
-      incr wi
-    done;
-    !res
-  end
+  let i = next_missing b 0 in
+  if i < b.n then Some i else None
 
 let of_list n is =
   let b = create n in
   List.iter (set b) is;
   b
-
-(* ---- Delta wire encoding (see bitset.mli and docs/PERFORMANCE.md) ----
-
-   A [tracker] remembers which words of a set were touched since its last
-   [delta_flush]; a [delta] is the flat [|w0; v0; w1; v1; ...|] array of
-   those words' current values. Merging a delta ORs the pairs in —
-   O(touched words) instead of O(capacity words). *)
-
-type delta = int array
-
-module Tracker = struct
-  type bitset = t
-
-  type t = {
-    mutable idx : int array; (* touched word indices, in mark order *)
-    mutable len : int;
-    seen : Bytes.t; (* per-word touched flag *)
-  }
-
-  let create (b : bitset) =
-    let words = Array.length b.words in
-    { idx = Array.make 8 0; len = 0; seen = Bytes.make (max 1 words) '\000' }
-
-  let copy tk =
-    { idx = Array.copy tk.idx; len = tk.len; seen = Bytes.copy tk.seen }
-
-  let mark tk w =
-    if Bytes.unsafe_get tk.seen w = '\000' then begin
-      Bytes.unsafe_set tk.seen w '\001';
-      let cap = Array.length tk.idx in
-      if tk.len = cap then begin
-        let bigger = Array.make (2 * cap) 0 in
-        Array.blit tk.idx 0 bigger 0 cap;
-        tk.idx <- bigger
-      end;
-      Array.unsafe_set tk.idx tk.len w;
-      tk.len <- tk.len + 1
-    end
-end
-
-type tracker = Tracker.t
-
-let tracker b = Tracker.create b
-let tracker_copy = Tracker.copy
-let tracker_pending (tk : tracker) = tk.Tracker.len
-
-let set_tracked b tk i =
-  check b i;
-  let w = i / 63 in
-  let bit = 1 lsl (i mod 63) in
-  let v = Array.unsafe_get b.words w in
-  if v land bit = 0 then begin
-    Array.unsafe_set b.words w (v lor bit);
-    b.count <- b.count + 1;
-    Tracker.mark tk w
-  end
-
-let union_into_tracked ~dst tk src =
-  if dst.n <> src.n then
-    invalid_arg "Bitset.union_into_tracked: capacity mismatch";
-  if src.count = 0 || dst.count = dst.n then ()
-  else begin
-    let dw = dst.words and sw = src.words in
-    let added = ref 0 in
-    for i = 0 to Array.length dw - 1 do
-      let a = Array.unsafe_get dw i in
-      let v = a lor Array.unsafe_get sw i in
-      if v <> a then begin
-        Array.unsafe_set dw i v;
-        added := !added + popcount (v lxor a);
-        Tracker.mark tk i
-      end
-    done;
-    dst.count <- dst.count + !added
-  end
-
-let empty_delta : delta = [||]
-
-let delta_flush b tk =
-  let open Tracker in
-  if tk.len = 0 then empty_delta
-  else begin
-    let d = Array.make (2 * tk.len) 0 in
-    for k = 0 to tk.len - 1 do
-      let w = Array.unsafe_get tk.idx k in
-      Array.unsafe_set d (2 * k) w;
-      Array.unsafe_set d ((2 * k) + 1) (Array.unsafe_get b.words w);
-      Bytes.unsafe_set tk.seen w '\000'
-    done;
-    tk.len <- 0;
-    d
-  end
-
-let delta_words (dl : delta) = Array.length dl / 2
-
-let apply_delta_gen ~dst (dl : delta) tk =
-  let dw = dst.words in
-  let nw = Array.length dw in
-  let added = ref 0 in
-  let k = ref 0 in
-  let len = Array.length dl in
-  while !k < len do
-    let w = Array.unsafe_get dl !k in
-    if w < 0 || w >= nw then invalid_arg "Bitset.apply_delta: word out of range";
-    let v = Array.unsafe_get dl (!k + 1) in
-    let a = Array.unsafe_get dw w in
-    let nv = a lor v in
-    if nv <> a then begin
-      Array.unsafe_set dw w nv;
-      added := !added + popcount (nv lxor a);
-      match tk with Some tk -> Tracker.mark tk w | None -> ()
-    end;
-    k := !k + 2
-  done;
-  dst.count <- dst.count + !added
-
-let apply_delta ~dst dl = apply_delta_gen ~dst dl None
-let apply_delta_tracked ~dst tk dl = apply_delta_gen ~dst dl (Some tk)
-
-let union_many (ds : delta array) : delta =
-  let total = Array.fold_left (fun acc d -> acc + Array.length d) 0 ds in
-  if total = 0 then empty_delta
-  else begin
-    (* Word order is first-seen across the inputs; repeated words OR their
-       values into the already-emitted slot, so the result stays one pair
-       per distinct word and application order cannot matter. Word indices
-       are bounded by the source sets' word counts (n / 63), so a flat
-       direct-indexed slot table beats any hash: one extra O(total) pass
-       to size it, then every dedup probe is a single array read. *)
-    let maxw = ref 0 in
-    Array.iter
-      (fun (d : delta) ->
-        let k = ref 0 in
-        let dl = Array.length d in
-        while !k < dl do
-          let w = Array.unsafe_get d !k in
-          if w > !maxw then maxw := w;
-          k := !k + 2
-        done)
-      ds;
-    (* One fold per epoch feeds p digest applies, so the result must be
-       sized exactly: count distinct words first (overlap across senders
-       is the common case — every sender re-broadcasts what it just
-       learned), then emit into a right-sized array. The extra counting
-       pass is linear reads; the alternative — allocating [total] pairs
-       and shrinking — churns the major heap once per epoch. *)
-    let slot_of_word = Array.make (!maxw + 1) 0 in
-    let distinct = ref 0 in
-    Array.iter
-      (fun (d : delta) ->
-        let k = ref 0 in
-        let dl = Array.length d in
-        while !k < dl do
-          let w = Array.unsafe_get d !k in
-          if Array.unsafe_get slot_of_word w = 0 then begin
-            Array.unsafe_set slot_of_word w (-1);
-            incr distinct
-          end;
-          k := !k + 2
-        done)
-      ds;
-    let out = Array.make (2 * !distinct) 0 in
-    let len = ref 0 in
-    Array.iter
-      (fun (d : delta) ->
-        let k = ref 0 in
-        let dl = Array.length d in
-        while !k < dl do
-          let w = Array.unsafe_get d !k in
-          let v = Array.unsafe_get d (!k + 1) in
-          let s = Array.unsafe_get slot_of_word w in
-          if s < 0 then begin
-            (* first sighting: claim the next pair slot, first-seen order *)
-            Array.unsafe_set out !len w;
-            Array.unsafe_set out (!len + 1) v;
-            Array.unsafe_set slot_of_word w (!len + 2);
-            len := !len + 2
-          end
-          else
-            Array.unsafe_set out (s - 1) (Array.unsafe_get out (s - 1) lor v);
-          k := !k + 2
-        done)
-      ds;
-    out
-  end
 
 let pp ppf b =
   Format.fprintf ppf "{%a}/%d"

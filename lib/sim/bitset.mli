@@ -1,134 +1,112 @@
-(** Fixed-capacity mutable bitsets, packed 63 bits per native int word.
+(** Fixed-capacity monotone bitsets, packed 63 bits per native int word,
+    with copy-on-write sharing.
 
     The workhorse data structure of the whole library: Do-All knowledge
     ("which tasks do I know to be done?"), progress-tree node markings, and
-    the engine's global completion ledger are all bitsets. Operations the
-    algorithms perform on every simulated step ([set], [mem], [union_into],
-    [cardinal]) are O(1) or O(words) with no allocation. [union_into] is
-    the per-message receive cost of every algorithm here, so it works a
-    word at a time and counts newly-acquired bits only — monotonicity
+    the engine's global completion ledger are all bitsets. [union_into]
+    is the per-message receive cost of every algorithm here, so it works
+    a chunk at a time and counts newly-acquired bits only — monotonicity
     makes that O(n) total over a whole run per destination set.
-    Iteration skips all-zero (or all-one) words. *)
 
-type t
+    {b Layout.} Words are grouped into chunks of [2^s] words, with
+    [s = clamp(⌊log₄ words⌋, 3, 6)] (8 words at [n = 4096], 32 at
+    [n = 131072]); the last chunk holds only the words that remain.
+    {!copy} and {!snapshot} copy only the chunk pointers;
+    afterwards both sides share every chunk, and the first write to a
+    shared chunk copies that one chunk. So [set] is O(1) but may
+    allocate one chunk after a copy or snapshot; [mem] and [cardinal]
+    are O(1) and never allocate. [union_into] skips physically equal
+    chunks and may adopt a source chunk instead of writing one (see
+    {!union_into}). A fresh set shares one immutable all-zero chunk and
+    allocates no zero words.
+
+    {b Two views.} ['k set] is the representation; {!t} is a live,
+    writable set and {!snapshot} a read-only one. Every read accepts
+    either; only {!t} can be written. A snapshot is what a broadcast
+    carries: it is a value, exact under loss, reordering, duplication
+    and restart, and nothing its sender does later can change it. *)
+
+type 'k set
+
+type t = [ `Live ] set
+(** A live set: written with {!set} and {!union_into}. *)
+
+type snapshot = [ `Snapshot ] set
+(** A read-only set, made by {!snapshot} or {!union_snapshots}. *)
 
 val create : int -> t
 (** [create n] is an all-zero bitset of capacity [n] (indices [0..n-1]). *)
 
-val length : t -> int
+val length : _ set -> int
 (** Capacity, as given to {!create}. *)
 
 val copy : t -> t
-(** An independent duplicate. *)
+(** An independent duplicate, in O(chunks). *)
+
+val snapshot : t -> snapshot
+(** The current contents of [b] as a read-only value, in O(chunks).
+    Later writes to [b] copy the chunks they touch and never show in
+    the snapshot. *)
 
 val set : t -> int -> unit
 (** [set b i] turns bit [i] on. Out-of-range indices raise
     [Invalid_argument]. Bits are never turned off: all knowledge in the
     Do-All model is monotone, and the API enforces it. *)
 
-val mem : t -> int -> bool
+val mem : _ set -> int -> bool
 (** [mem b i] is the value of bit [i]. *)
 
-val cardinal : t -> int
+val cardinal : _ set -> int
 (** Number of set bits. O(1): maintained incrementally. *)
 
-val is_full : t -> bool
+val is_full : _ set -> bool
 (** All [length b] bits set. *)
 
-val is_empty : t -> bool
+val is_empty : _ set -> bool
 
-val union_into : dst:t -> t -> unit
+val union_into : dst:t -> _ set -> unit
 (** [union_into ~dst src] ORs [src] into [dst]. The two must have equal
     capacity. This is the receive-side "merge the sender's knowledge"
-    operation of every algorithm in the paper. *)
+    operation of every algorithm in the paper. Chunks physically shared
+    with [src] are skipped. Where [dst]'s chunk is shared, is a subset
+    of [src]'s, and [src] does not write its chunk in place, [dst]
+    adopts [src]'s chunk rather than copying, so later merges from the
+    same lineage skip it too. *)
 
-val subset : t -> t -> bool
+val union_snapshots : snapshot array -> snapshot
+(** The union of a non-empty array of equal-capacity snapshots: one
+    epoch's broadcasts folded into one digest. Merging the result once
+    equals merging every input in turn. *)
+
+val subset : _ set -> _ set -> bool
 (** [subset a b] iff every bit of [a] is set in [b]. *)
 
-val equal : t -> t -> bool
+val equal : _ set -> _ set -> bool
 
-val iter_missing : t -> (int -> unit) -> unit
+val iter_missing : _ set -> (int -> unit) -> unit
 (** [iter_missing b f] applies [f] to every index whose bit is clear, in
     increasing order. *)
 
-val iter_set : t -> (int -> unit) -> unit
+val iter_set : _ set -> (int -> unit) -> unit
 (** [iter_set b f] applies [f] to every set index, in increasing order. *)
 
-val to_list : t -> int list
+val to_list : _ set -> int list
 (** Set indices, increasing. *)
 
-val missing : t -> int list
+val missing : _ set -> int list
 (** Clear indices, increasing. *)
 
-val first_missing : t -> int option
+val first_missing : _ set -> int option
 (** Smallest clear index, if any. *)
+
+val next_missing : _ set -> int -> int
+(** [next_missing b i] is the smallest clear index [>= i], or [length b]
+    when there is none. [0 <= i <= length b]. A word at a time: the
+    job scans of the algorithms ({!Doall_core.Task.first_unknown}) use
+    it instead of probing bit by bit. *)
 
 val of_list : int -> int list -> t
 (** [of_list n is] is a capacity-[n] bitset with exactly the bits [is] set. *)
 
-val pp : Format.formatter -> t -> unit
+val pp : Format.formatter -> _ set -> unit
 (** Renders as e.g. [{0,3,7}/16] (set indices / capacity). *)
-
-(** {2 Delta wire encoding}
-
-    The sparse payload format of the engine's delta-wire optimization
-    (docs/PERFORMANCE.md): instead of broadcasting a full O(t/63)-word
-    copy of a knowledge set, a sender broadcasts only the words touched
-    since its previous broadcast. A {!tracker} records touched word
-    indices as the set mutates; {!delta_flush} snapshots their current
-    values into a {!type-delta} and resets the tracker; {!apply_delta}
-    ORs a delta into a receiver's set in O(touched words).
-
-    Merging a delta equals merging a full copy {e only when} the
-    receiver has already merged every earlier flush from the same
-    sender — a protocol property the engine guarantees on reliable
-    FIFO constant-latency runs (see {!Config.wire}), never checked
-    here. *)
-
-type delta
-(** A flushed set of touched words: pairs of (word index, word value). *)
-
-type tracker
-(** Mutable record of which words of one bitset were touched since the
-    last flush. A tracker is bound to the capacity of the set it was
-    created from; using it with a different-capacity set is unchecked. *)
-
-val tracker : t -> tracker
-(** A fresh tracker for [b], with nothing marked. *)
-
-val tracker_copy : tracker -> tracker
-(** Independent duplicate — required by [Algorithm.S.copy] so adversary
-    lookahead clones cannot consume the original's pending delta. *)
-
-val tracker_pending : tracker -> int
-(** Words currently marked (0 after a flush). *)
-
-val set_tracked : t -> tracker -> int -> unit
-(** {!set}, also marking the touched word in the tracker. *)
-
-val union_into_tracked : dst:t -> tracker -> t -> unit
-(** {!union_into}, also marking every word that gained a bit. *)
-
-val delta_flush : t -> tracker -> delta
-(** Snapshot the marked words' current values of [b] and reset the
-    tracker. Flushing with nothing marked returns an empty delta. *)
-
-val delta_words : delta -> int
-(** Number of (index, value) pairs carried. *)
-
-val apply_delta : dst:t -> delta -> unit
-(** OR the delta's words into [dst], maintaining {!cardinal}. Word
-    indices beyond [dst]'s capacity raise [Invalid_argument]. *)
-
-val apply_delta_tracked : dst:t -> tracker -> delta -> unit
-(** {!apply_delta}, also marking every word that gained a bit — the
-    receive path of a processor that itself re-broadcasts deltas. *)
-
-val union_many : delta array -> delta
-(** Fold [k] deltas into one digest delta in a single pass: one
-    [|w; v|] pair per distinct word, values OR-combined, words in
-    first-seen order. Applying the result once is equivalent to
-    applying every input (in any order), because OR is associative,
-    commutative, and idempotent. O(total input pairs); the engine's
-    epoch-digest delivery path leans on this to turn [p-1] per-receiver
-    applies into one. *)

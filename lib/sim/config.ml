@@ -1,6 +1,5 @@
 (* See config.mli. *)
 
-type wire = Full | Delta
 type collision = Silent | Detectable
 type transport = Ptp | Channel of collision
 
@@ -9,17 +8,15 @@ type t = {
   t : int;
   seed : int;
   record_trace : bool;
-  wire : wire;
   transport : transport;
 }
 
 let make ?(seed = 0) ?(record_trace = false) ?(transport = Ptp) ~p ~t () =
   if p <= 0 then invalid_arg "Config.make: p must be positive";
   if t <= 0 then invalid_arg "Config.make: t must be positive";
-  { p; t; seed; record_trace; wire = Full; transport }
+  { p; t; seed; record_trace; transport }
 
 let with_seed cfg seed = { cfg with seed }
-let with_wire cfg wire = { cfg with wire }
 let with_transport cfg transport = { cfg with transport }
 
 let transport_to_string = function

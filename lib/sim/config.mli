@@ -7,20 +7,6 @@
     environment, supplied to {!Engine.run} alongside the adversary — the
     type system makes it impossible for an algorithm to peek at it. *)
 
-(** Wire encoding of knowledge payloads — a transport optimization the
-    {e engine} selects, not an algorithm choice. [Full]: every broadcast
-    carries a complete copy of the sender's knowledge sets (the paper's
-    reading, always correct). [Delta]: a broadcast carries only the
-    words touched since the sender's previous broadcast
-    ({!Bitset.delta_flush}). The two are observationally identical —
-    every receiver ends each step with exactly the same knowledge — but
-    only when every earlier broadcast of the same sender has already
-    been merged, which holds on reliable FIFO runs: constant declared
-    latency ({!Adversary.latency}), no fault injection, no crash
-    recovery. The engine enables [Delta] exactly under those conditions;
-    algorithms just honour whichever encoding the config carries. *)
-type wire = Full | Delta
-
 (** What happens when several processors transmit on a shared channel in
     the same slot (docs/MODEL.md "beyond the model"). [Silent]: the slot
     is wasted and every colliding transmission is lost without the
@@ -42,22 +28,15 @@ type t = private {
   t : int;  (** number of tasks, with ids [0..t-1] *)
   seed : int;  (** master seed; all randomness in a run derives from it *)
   record_trace : bool;  (** record per-event traces (costs memory) *)
-  wire : wire;  (** knowledge payload encoding (engine-managed) *)
   transport : transport;  (** communication medium (default [Ptp]) *)
 }
 
 val make :
   ?seed:int -> ?record_trace:bool -> ?transport:transport -> p:int -> t:int ->
   unit -> t
-(** Validates [p >= 1] and [t >= 1]. [transport] defaults to [Ptp];
-    [wire] starts [Full] and is set by the engine. *)
+(** Validates [p >= 1] and [t >= 1]. [transport] defaults to [Ptp]. *)
 
 val with_seed : t -> int -> t
-
-val with_wire : t -> wire -> t
-(** Used by the engine to set the wire of every run: [Delta] exactly
-    when it is sound (see {!type-wire}), [Full] otherwise, whatever the
-    caller's config carried. *)
 
 val with_transport : t -> transport -> t
 

@@ -90,11 +90,12 @@ module Make (A : Algorithm.S) = struct
     stream : bool;
         (* constant-latency fast path: declared Fixed/Maximal latency, no
            fault injection, no crash recovery. Broadcasts become one
-           shared Bcast record instead of p-1 sends, knowledge payloads
-           ride the Delta wire, and permanently-stopped pids are
-           deactivated so shared storage is reclaimed. Bit-identical to
-           the general path by construction (pinned by the golden grid
-           and the stream equivalence tests). *)
+           shared Bcast record instead of p-1 sends, epochs of
+           merge-homomorphic payloads fold into one digest, and
+           permanently-stopped pids are deactivated so shared storage
+           is reclaimed. Bit-identical to the general path by
+           construction (pinned by the golden grid and the stream
+           equivalence tests). *)
     stream_delta : int; (* the declared constant, clamped into [1..d] *)
     states : A.state array;
     fabric : A.msg fabric;
@@ -201,12 +202,6 @@ module Make (A : Algorithm.S) = struct
        records assume every copy of a multicast is individually due at a
        constant offset, which a contended slotted medium cannot honour *)
     let stream = (not shared) && stream_delta >= 0 in
-    (* Constant latency + reliable FIFO channels is exactly when delta
-       payloads are exact (config.mli); set the wire before states are
-       built so algorithms encode accordingly. *)
-    let cfg =
-      Config.with_wire cfg (if stream then Config.Delta else Config.Full)
-    in
     let eng =
       {
         cfg;

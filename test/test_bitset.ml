@@ -222,75 +222,221 @@ let test_copy_empty_skips_words () =
   check "original untouched" false (Bitset.mem b 150);
   check_int "copy cardinal" 1 (Bitset.cardinal c)
 
-let test_tracker_delta_roundtrip () =
-  (* sender/receiver pair: every flush of the sender's touched words,
-     applied in order to a receiver that held the previous state, keeps
-     the receiver identical to the sender — the delta-wire invariant. *)
-  let n = 200 in
-  let sender = Bitset.create n in
-  let tk = Bitset.tracker sender in
-  let receiver = Bitset.create n in
-  let rng = Rng.create 11 in
-  for _round = 1 to 20 do
-    for _ = 1 to 5 do
-      Bitset.set_tracked sender tk (Rng.int rng n)
-    done;
-    let dl = Bitset.delta_flush sender tk in
-    check_int "flush resets the tracker" 0 (Bitset.tracker_pending tk);
-    Bitset.apply_delta ~dst:receiver dl;
-    check "receiver caught up" true (Bitset.equal sender receiver)
-  done;
-  (* an empty flush is the empty delta *)
-  check_int "no touches, no words" 0
-    (Bitset.delta_words (Bitset.delta_flush sender tk))
+(* ------------------------------------------------------------------ *)
+(* Copy-on-write model test: random op sequences over live sets and
+   snapshots, each checked after every op against a plain bool array.
+   Capacities cover a single short chunk (1, 62..64), one full 8-word
+   chunk (504 bits) and one plus a 1-word tail (505), 8-word chunks
+   (4096/4097) and 32-word chunks (131072). A mutation that leaks through a shared or
+   adopted chunk shows up as a model mismatch on the other side. *)
 
-let test_tracked_union_and_relay () =
-  (* union_into_tracked marks exactly the changed words, so a relay
-     (receive tracked, flush, forward) carries the union onward. *)
-  let n = 130 in
-  let a = Bitset.of_list n [ 0; 63; 100 ] in
-  let mid = Bitset.create n in
-  let tk = Bitset.tracker mid in
-  Bitset.union_into_tracked ~dst:mid tk a;
-  Bitset.set_tracked mid tk 64;
-  let dl = Bitset.delta_flush mid tk in
-  let far = Bitset.create n in
-  let far_tk = Bitset.tracker far in
-  Bitset.apply_delta_tracked ~dst:far far_tk dl;
-  check "relay reproduces the union" true (Bitset.equal mid far);
-  check "relay tracker saw the words" true (Bitset.tracker_pending far_tk > 0);
-  (* absorbing a subset touches nothing: the next flush is empty *)
-  Bitset.union_into_tracked ~dst:mid tk a;
-  check_int "absorbed union tracks no words" 0
-    (Bitset.delta_words (Bitset.delta_flush mid tk))
+type model = { bits : bool array; mutable count : int }
 
-let prop_delta_stream_equals_state =
-  QCheck2.Test.make
-    ~name:"chained delta flushes reconstruct the sender (tracker copies too)"
-    ~count:200
-    QCheck2.Gen.(
-      pair (int_range 1 150) (list_size (int_range 0 60) (int_range 0 1000)))
-    (fun (n, touches) ->
-      let sender = Bitset.create n in
-      let tk = Bitset.tracker sender in
-      let receiver = Bitset.create n in
+let model_set m i =
+  if not m.bits.(i) then begin
+    m.bits.(i) <- true;
+    m.count <- m.count + 1
+  end
+
+let model_copy m = { bits = Array.copy m.bits; count = m.count }
+
+let model_union ~dst src =
+  Array.iteri (fun i b -> if b then model_set dst i) src.bits
+
+(* to_list is O(words + set bits); with the cardinal it pins the whole
+   contents without an O(n) sweep per set per op *)
+let matches (b : _ Bitset.set) m =
+  let l = Bitset.to_list b in
+  Bitset.cardinal b = m.count
+  && List.length l = m.count
+  && List.for_all (fun i -> m.bits.(i)) l
+
+(* a live set or a snapshot, for the read-only ops *)
+type any = Any : _ Bitset.set * model -> any
+
+type op =
+  | Set of int * int (* live set, bit *)
+  | Union_live of int * int (* dst live, src live *)
+  | Union_snap of int * int (* dst live, src snapshot *)
+  | Copy of int
+  | Snapshot of int
+  | Subset of int * int (* any set, any set *)
+  | Equal of int * int
+  | First_missing of int
+  | Next_missing of int * int (* any set, start index *)
+  | Iter_missing of int
+
+let pp_op = function
+  | Set (a, i) -> Printf.sprintf "set %d %d" a i
+  | Union_live (a, b) -> Printf.sprintf "union live%d <- live%d" a b
+  | Union_snap (a, b) -> Printf.sprintf "union live%d <- snap%d" a b
+  | Copy a -> Printf.sprintf "copy %d" a
+  | Snapshot a -> Printf.sprintf "snapshot %d" a
+  | Subset (a, b) -> Printf.sprintf "subset %d %d" a b
+  | Equal (a, b) -> Printf.sprintf "equal %d %d" a b
+  | First_missing a -> Printf.sprintf "first_missing %d" a
+  | Next_missing (a, i) -> Printf.sprintf "next_missing %d %d" a i
+  | Iter_missing a -> Printf.sprintf "iter_missing %d" a
+
+let cow_gen =
+  QCheck2.Gen.(
+    let* n =
+      frequency
+        [
+          (2, oneofl [ 1; 62; 63; 64 ]);
+          (3, oneofl [ 504; 505 ]);
+          (3, oneofl [ 4096; 4097 ]);
+          (1, return 131072);
+        ]
+    in
+    (* half the bits land in a hot window so sets collide on chunks *)
+    let bit = oneof [ int_range 0 (n - 1); int_range 0 (min n 700 - 1) ] in
+    let any = int_range 0 1000 in
+    let op =
+      frequency
+        [
+          (6, map2 (fun a i -> Set (a, i)) any bit);
+          (2, map2 (fun a b -> Union_live (a, b)) any any);
+          (3, map2 (fun a b -> Union_snap (a, b)) any any);
+          (2, map (fun a -> Copy a) any);
+          (3, map (fun a -> Snapshot a) any);
+          (1, map2 (fun a b -> Subset (a, b)) any any);
+          (1, map2 (fun a b -> Equal (a, b)) any any);
+          (1, map (fun a -> First_missing a) any);
+          (1, map2 (fun a i -> Next_missing (a, i)) any (int_range 0 n));
+          (1, map (fun a -> Iter_missing a) any);
+        ]
+    in
+    pair (return n) (list_size (int_range 1 80) op))
+
+let prop_cow_model =
+  QCheck2.Test.make ~name:"copy-on-write sets and snapshots = bool array model"
+    ~count:400
+    ~print:(fun (n, ops) ->
+      Printf.sprintf "n=%d: %s" n (String.concat "; " (List.map pp_op ops)))
+    cow_gen
+    (fun (n, ops) ->
+      let fresh = { bits = Array.make n false; count = 0 } in
+      let lives = ref [| (Bitset.create n, fresh) |] in
+      let snaps = ref [||] in
+      (* at most four of each, so ops keep meeting the same few sets;
+         a new one past that replaces an earlier one *)
+      let added = ref 0 in
+      let add r x =
+        incr added;
+        if Array.length !r < 4 then r := Array.append !r [| x |]
+        else !r.(!added mod 4) <- x
+      in
+      let live a = !lives.(a mod Array.length !lives) in
+      (* readers range over live sets and snapshots alike *)
+      let read a =
+        let nl = Array.length !lives in
+        let k = a mod (nl + Array.length !snaps) in
+        if k < nl then (let b, m = !lives.(k) in Any (b, m))
+        else (let b, m = !snaps.(k - nl) in Any (b, m))
+      in
       let ok = ref true in
-      List.iteri
-        (fun i x ->
-          Bitset.set_tracked sender tk (x mod n);
-          if i mod 7 = 0 then begin
-            (* a lookahead clone must not consume the original's
-               pending delta *)
-            let clone = Bitset.tracker_copy tk in
-            ignore (Bitset.delta_flush (Bitset.copy sender) clone)
-          end;
-          if i mod 3 = 0 then begin
-            Bitset.apply_delta ~dst:receiver (Bitset.delta_flush sender tk);
-            if not (Bitset.equal sender receiver) then ok := false
-          end)
-        touches;
-      Bitset.apply_delta ~dst:receiver (Bitset.delta_flush sender tk);
-      !ok && Bitset.equal sender receiver)
+      let expect c = if not c then ok := false in
+      List.iter
+        (fun op ->
+          (match op with
+           | Set (a, i) ->
+             let b, m = live a in
+             Bitset.set b i;
+             model_set m i
+           | Union_live (a, c) ->
+             let b, m = live a and src, ms = live c in
+             Bitset.union_into ~dst:b src;
+             model_union ~dst:m ms
+           | Union_snap (a, c) ->
+             if Array.length !snaps > 0 then begin
+               let b, m = live a in
+               let src, ms = !snaps.(c mod Array.length !snaps) in
+               Bitset.union_into ~dst:b src;
+               model_union ~dst:m ms
+             end
+           | Copy a ->
+             let b, m = live a in
+             add lives (Bitset.copy b, model_copy m)
+           | Snapshot a ->
+             let b, m = live a in
+             add snaps (Bitset.snapshot b, model_copy m)
+           | Subset (a, c) ->
+             (match (read a, read c) with
+              | Any (x, mx), Any (y, my) ->
+                let model =
+                  Array.for_all Fun.id
+                    (Array.mapi (fun i v -> (not v) || my.bits.(i)) mx.bits)
+                in
+                expect (Bitset.subset x y = model))
+           | Equal (a, c) ->
+             (match (read a, read c) with
+              | Any (x, mx), Any (y, my) ->
+                expect (Bitset.equal x y = (mx.bits = my.bits)))
+           | First_missing a ->
+             (match read a with
+              | Any (x, mx) ->
+                let rec first i =
+                  if i >= n then None
+                  else if mx.bits.(i) then first (i + 1)
+                  else Some i
+                in
+                expect (Bitset.first_missing x = first 0))
+           | Next_missing (a, from) ->
+             (match read a with
+              | Any (x, mx) ->
+                let rec next i =
+                  if i >= n || not mx.bits.(i) then i else next (i + 1)
+                in
+                expect (Bitset.next_missing x from = next from))
+           | Iter_missing a ->
+             (match read a with
+              | Any (x, mx) ->
+                let got = ref [] in
+                Bitset.iter_missing x (fun i -> got := i :: !got);
+                let model =
+                  List.filter (fun i -> not mx.bits.(i)) (List.init n Fun.id)
+                in
+                expect (List.rev !got = model)));
+          Array.iter (fun (b, m) -> expect (matches b m)) !lives;
+          Array.iter (fun (b, m) -> expect (matches b m)) !snaps)
+        ops;
+      !ok)
+
+let test_no_adoption_into_owned_chunk () =
+  (* [live] owns its chunk ({1}) when the superset snapshot {1, 2}
+     arrives. Adopting the snapshot's chunk there would let the next
+     local write land in the snapshot. *)
+  let a = Bitset.create 100 in
+  let b = Bitset.copy a in
+  Bitset.set a 1;
+  Bitset.set a 2;
+  let s = Bitset.snapshot a in
+  Bitset.set b 1;
+  Bitset.union_into ~dst:b s;
+  Bitset.set b 3;
+  Alcotest.(check (list int)) "snapshot unchanged" [ 1; 2 ] (Bitset.to_list s);
+  Alcotest.(check (list int)) "receiver" [ 1; 2; 3 ] (Bitset.to_list b);
+  (* and a shared receiver chunk that does adopt stays copy-on-write *)
+  let c = Bitset.create 100 in
+  Bitset.union_into ~dst:c s;
+  Bitset.set c 4;
+  Alcotest.(check (list int)) "snapshot unchanged after adoption" [ 1; 2 ]
+    (Bitset.to_list s)
+
+let test_snapshot_size () =
+  (* A snapshot costs its chunk pointers plus the chunks it does not
+     share: at t = 131072 (32-word chunks), one written chunk, the
+     shared zero chunk and 66 pointers. A flat copy is ~2 081 words. *)
+  let b = Bitset.create 131072 in
+  Bitset.set b 70_000;
+  let s = Bitset.snapshot b in
+  let words = Obj.reachable_words (Obj.repr s) in
+  check (Printf.sprintf "snapshot holds %d words, < 150" words) true
+    (words < 150);
+  (* the sender's next write copies one chunk, not the snapshot *)
+  Bitset.set b 70_001;
+  check "snapshot unchanged by the sender's write" false (Bitset.mem s 70_001)
 
 let suite =
   [
@@ -315,12 +461,11 @@ let suite =
     Alcotest.test_case "SWAR popcount edge words" `Quick
       test_swar_popcount_edges;
     Alcotest.test_case "copy of empty set" `Quick test_copy_empty_skips_words;
-    Alcotest.test_case "tracker/delta roundtrip" `Quick
-      test_tracker_delta_roundtrip;
-    Alcotest.test_case "tracked union relays" `Quick
-      test_tracked_union_and_relay;
+    Alcotest.test_case "snapshot size at t=131072" `Quick test_snapshot_size;
+    Alcotest.test_case "no adoption into an owned chunk" `Quick
+      test_no_adoption_into_owned_chunk;
     QCheck_alcotest.to_alcotest prop_cardinal_matches;
     QCheck_alcotest.to_alcotest prop_union_commutes_with_membership;
     QCheck_alcotest.to_alcotest prop_subset_iff_union_noop;
-    QCheck_alcotest.to_alcotest prop_delta_stream_equals_state;
+    QCheck_alcotest.to_alcotest prop_cow_model;
   ]

@@ -1,7 +1,7 @@
 (* The epoch-digest fast path (Bcast ?fold / Algorithm.merge_homomorphic)
    must be invisible everywhere except wall clock: folding one epoch's
    broadcasts and applying the digest once has to leave every receiver's
-   knowledge, every re-broadcast tracker, and every counter exactly
+   knowledge, every payload it re-broadcasts, and every counter exactly
    where the per-record walk would. Three layers of pins: the bitset
    algebra (QCheck), raw network traffic against the list reference, and
    full engine runs compared probe-counter by probe-counter. *)
@@ -14,84 +14,54 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* ------------------------------------------------------------------ *)
-(* Property: applying union_many(deltas) once = applying each delta,
-   including the tracker marks a relaying receiver would flush next.   *)
+(* Property: applying union_snapshots(snapshots) once = applying each
+   snapshot in turn, and neither way of applying them (nor the
+   receivers' later writes) changes a snapshot. *)
 
-let deltas_gen =
+let snapshots_gen =
   QCheck2.Gen.(
-    let* n = int_range 1 300 in
+    let* n = oneof [ int_range 1 300; oneofl [ 4096; 4097 ] ] in
     let* receiver = list_size (int_range 0 40) (int_range 0 (n - 1)) in
     let* senders =
       list_size (int_range 1 12)
         (list_size (int_range 0 25) (int_range 0 (n - 1)))
     in
-    return (n, receiver, senders))
-
-(* [delta] is abstract; a flush is characterized by its pair count plus
-   its image on an empty set (flushes never emit duplicate words, and a
-   pair's value is the word's full content, so the image recovers every
-   pair). *)
-let flush_fingerprint n b tk =
-  let dl = Bitset.delta_flush b tk in
-  let img = Bitset.create n in
-  Bitset.apply_delta ~dst:img dl;
-  (Bitset.delta_words dl, img)
-
-let fingerprint_equal (w1, img1) (w2, img2) = w1 = w2 && Bitset.equal img1 img2
+    let* later = list_size (int_range 0 10) (int_range 0 (n - 1)) in
+    return (n, receiver, senders, later))
 
 let prop_digest_equals_sequential =
   QCheck2.Test.make ~name:"digest apply = sequential applies" ~count:300
-    deltas_gen (fun (n, receiver, senders) ->
-      let deltas =
-        Array.of_list
+    snapshots_gen (fun (n, receiver, senders, later) ->
+      (* one sender lineage: each snapshot extends the previous one, so
+         the inputs share chunks the way relayed knowledge does *)
+      let live = Bitset.create n in
+      let snaps, models =
+        List.split
           (List.map
              (fun is ->
-               let b = Bitset.create n in
-               let tk = Bitset.tracker b in
-               List.iter (Bitset.set_tracked b tk) is;
-               Bitset.delta_flush b tk)
+               List.iter (Bitset.set live) is;
+               (Bitset.snapshot live, Bitset.to_list live))
              senders)
       in
+      let snaps = Array.of_list snaps in
       let seq = Bitset.of_list n receiver in
-      let seq_tk = Bitset.tracker seq in
-      Array.iter
-        (fun dl -> Bitset.apply_delta_tracked ~dst:seq seq_tk dl)
-        deltas;
+      Array.iter (fun s -> Bitset.union_into ~dst:seq s) snaps;
       let dig = Bitset.of_list n receiver in
-      let dig_tk = Bitset.tracker dig in
-      Bitset.apply_delta_tracked ~dst:dig dig_tk (Bitset.union_many deltas);
-      (* same knowledge, and the delta each receiver would re-broadcast
-         carries the same word/value pairs (order may differ: marks
-         happen in first-gain vs first-seen order, and application is
-         order-insensitive either way) *)
-      Bitset.equal seq dig
-      && Bitset.cardinal seq = Bitset.cardinal dig
-      && fingerprint_equal
-           (flush_fingerprint n seq seq_tk)
-           (flush_fingerprint n dig dig_tk))
-
-let prop_union_many_one_pair_per_word =
-  QCheck2.Test.make ~name:"union_many emits one pair per distinct word"
-    ~count:200 deltas_gen (fun (n, _receiver, senders) ->
-      let deltas =
-        Array.of_list
-          (List.map
-             (fun is ->
-               let b = Bitset.create n in
-               let tk = Bitset.tracker b in
-               List.iter (Bitset.set_tracked b tk) is;
-               Bitset.delta_flush b tk)
-             senders)
+      Bitset.union_into ~dst:dig (Bitset.union_snapshots snaps);
+      let same =
+        Bitset.equal seq dig && Bitset.cardinal seq = Bitset.cardinal dig
       in
-      (* every touched word of a fresh set holds a gained bit, so the
-         distinct words across all inputs are exactly the distinct
-         word indices of the set bits *)
-      let expected_words =
-        List.length
-          (List.sort_uniq compare
-             (List.map (fun i -> i / 63) (List.concat senders)))
-      in
-      Bitset.delta_words (Bitset.union_many deltas) = expected_words)
+      List.iter
+        (fun i ->
+          Bitset.set seq i;
+          Bitset.set dig i;
+          Bitset.set live i)
+        later;
+      same
+      && Bitset.equal seq dig
+      && List.for_all2
+           (fun s m -> Bitset.to_list s = m)
+           (Array.to_list snaps) models)
 
 (* ------------------------------------------------------------------ *)
 (* Backend parity: identical broadcast traffic through the list
@@ -209,7 +179,6 @@ let test_engine_probe_parity () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_digest_equals_sequential;
-    QCheck_alcotest.to_alcotest prop_union_many_one_pair_per_word;
     Alcotest.test_case "backend parity (Ref_net|ring|digest)" `Quick
       test_backend_parity;
     Alcotest.test_case "digest deliveries are source-anonymous" `Quick

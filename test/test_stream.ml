@@ -1,10 +1,10 @@
-(* The shared-broadcast stream and the delta wire are pure transport
+(* The shared-broadcast stream and its epoch digests are pure transport
    optimizations: a run under a declared-constant-latency adversary must
    be observably identical to the same run with the declaration stripped
    ([Adversary.with_latency Variable]), which forces the general
-   per-destination path with full-snapshot payloads. These tests pin
-   that equivalence across algorithms and adversaries, and pin the xl
-   cell shapes' determinism across domain-pool sizes. *)
+   per-destination path. These tests pin that equivalence across
+   algorithms and adversaries, and pin the xl cell shapes' determinism
+   across domain-pool sizes. *)
 
 open Doall_sim
 open Doall_adversary
@@ -74,8 +74,8 @@ let test_variable_latency_not_streamed () =
     (metrics_key m <> metrics_key (run (Algo_pa.make_det ()) Adversary.fair))
 
 let test_faulted_declaration_is_safe () =
-  (* Fault injection (dup / reorder / drop) gates the stream and the
-     delta wire off even when latency is declared: the declared and
+  (* Fault injection (dup / reorder / drop) gates the stream off even
+     when latency is declared: the declared and
      stripped runs still agree, now both on the general path. *)
   let faulted name policy =
     (name, Fault.into ~name policy)
@@ -100,8 +100,9 @@ let test_faulted_declaration_is_safe () =
     ]
 
 let test_recovery_gates_stream_off () =
-  (* A restart policy invalidates the delta wire's monotone-receiver
-     premise; the engine must fall back even under declared latency. *)
+  (* A restart policy invalidates the stream's premise that a stopped
+     pid stays stopped; the engine must fall back even under declared
+     latency. *)
   let crash, restart = Crash.flaky ~survivor:0 ~up:6 ~down:3 () in
   let adv = Crash.into_recovering ~name:"flaky" ~crash ~restart in
   let fast = run (Algo_pa.make_ran1 ()) adv in
@@ -142,37 +143,8 @@ let test_messages_count_multicast () =
   let m = run ~p (Algo_pa.make_ran1 ()) Adversary.max_delay in
   check_int "M is a multiple of p-1" 0 (m.Metrics.messages mod (p - 1))
 
-let test_engine_sets_wire () =
-  (* The wire is the engine's decision alone: a config that arrives
-     carrying [Delta] on a run off the stream path (uniform-delay
-     declares no constant latency) must reach the algorithm as [Full];
-     a declared-constant run reaches it as [Delta]. *)
-  let seen = ref [] in
-  let (module A : Algorithm.S) = Algo_pa.make_ran1 () in
-  let module Spy = struct
-    include A
-
-    let init cfg ~pid =
-      seen := cfg.Config.wire :: !seen;
-      A.init cfg ~pid
-  end in
-  let wires adv =
-    seen := [];
-    let cfg =
-      Config.with_wire (Config.make ~seed:1 ~p:8 ~t:32 ()) Config.Delta
-    in
-    ignore (Engine.run_packed (module Spy) cfg ~d:4 ~adversary:adv ());
-    List.sort_uniq compare !seen
-  in
-  check "uniform-delay reaches the algorithm as Full" true
-    (wires Adversary.uniform_delay = [ Config.Full ]);
-  check "max-delay reaches the algorithm as Delta" true
-    (wires Adversary.max_delay = [ Config.Delta ])
-
 let suite =
   [
-    Alcotest.test_case "engine sets the wire both ways" `Quick
-      test_engine_sets_wire;
     Alcotest.test_case "stream = per-destination path (all pairs)" `Quick
       test_stream_equals_slow_path;
     Alcotest.test_case "variable latency stays general" `Quick
