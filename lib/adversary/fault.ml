@@ -48,9 +48,9 @@ let duplicate ?(copies = 1) ~prob =
   remember
     (if copies = 1 then Printf.sprintf "dup=%g" prob
      else Printf.sprintf "dup=%gx%d" prob copies)
-    (fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
-      if Rng.float o.rng 1.0 < prob then Adversary.Duplicate copies
-      else Adversary.Deliver)
+    (let dup = Adversary.Duplicate copies in
+     fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
+       if Rng.float o.rng 1.0 < prob then dup else Adversary.Deliver)
 
 let reorder ~prob =
   check_prob "reorder" prob;
@@ -67,18 +67,17 @@ let window ~from_ ~until policy : t =
   if now >= from_ && now < until then policy o ~src ~dst
   else Adversary.Deliver
 
+(* the first non-[Deliver] verdict, policies asked in order; top-level so
+   that a verdict allocates no closure per copy *)
+let rec first_verdict o ~src ~dst = function
+  | [] -> Adversary.Deliver
+  | (policy : t) :: rest -> (
+    match policy o ~src ~dst with
+    | Adversary.Deliver -> first_verdict o ~src ~dst rest
+    | decision -> decision)
+
 let all policies : t =
-  let chained : t =
-   fun o ~src ~dst ->
-    let rec first = function
-      | [] -> Adversary.Deliver
-      | policy :: rest -> (
-        match policy o ~src ~dst with
-        | Adversary.Deliver -> first rest
-        | decision -> decision)
-    in
-    first policies
-  in
+  let chained : t = fun o ~src ~dst -> first_verdict o ~src ~dst policies in
   (* the chain serializes iff every component does *)
   let names = List.map to_spec policies in
   if policies <> [] && List.for_all Option.is_some names then

@@ -45,9 +45,13 @@ let ring_for t dst =
     r
 
 let enqueue t ~src ~dst ~due msg name =
-  check_pid t src (name ^ " src");
-  check_pid t dst (name ^ " dst");
-  if src = dst then invalid_arg (name ^ ": self-send");
+  (* one test on the per-copy path; the error text is built only when
+     it fails, with the same precedence: src range, dst range, self *)
+  if src < 0 || src >= t.p || dst < 0 || dst >= t.p || src = dst then begin
+    check_pid t src (name ^ " src");
+    check_pid t dst (name ^ " dst");
+    invalid_arg (name ^ ": self-send")
+  end;
   Msg_ring.add (ring_for t dst) ~due ~src ~seq:(next_seq t) msg;
   t.in_flight <- t.in_flight + 1
 

@@ -1,4 +1,13 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** state words live unboxed in a 32-byte buffer,
+   read and written in native byte order: a draw touches no Int64 box
+   and no write barrier, so [int] and [bool] allocate nothing and
+   [float] only its boxed result where the call is not inlined. The
+   byte order never leaks: the state is only seeded, stepped and copied
+   in place. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* SplitMix64: used only to expand a seed into xoshiro's 256-bit state and
    to derive split streams. *)
@@ -12,51 +21,61 @@ let splitmix_next state =
 
 let of_seed64 seed64 =
   let st = ref seed64 in
-  let s0 = splitmix_next st in
-  let s1 = splitmix_next st in
-  let s2 = splitmix_next st in
-  let s3 = splitmix_next st in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix_next st)
+  done;
+  t
 
 let create seed = of_seed64 (Int64.of_int seed)
 
-let rotl x k = Int64.(logor (shift_left x k) (shift_right_logical x (64 - k)))
+let[@inline] rotl x k =
+  Int64.(logor (shift_left x k) (shift_right_logical x (64 - k)))
 
-let bits64 t =
+(* One xoshiro256** step: advance the state, return the raw output. *)
+let[@inline] advance t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16
+  and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set64 t 8 (logxor s1 s2);
+  set64 t 0 (logxor s0 s3);
+  set64 t 16 (logxor s2 tmp);
+  set64 t 24 (rotl s3 45);
   result
+
+(* The next output shifted right by [k], as an [int]: the one step every
+   bounded draw is built on. For [k >= 2] the value is exactly the top
+   [64 - k] bits, non-negative; for [k = 0] the top bit is dropped. *)
+let next t k = Int64.to_int (Int64.shift_right_logical (advance t) k)
+
+let bits64 t = advance t
 
 let split t =
   (* Derive a child seed from the parent stream; SplitMix re-expansion keeps
      the child decorrelated from subsequent parent output. *)
   of_seed64 (bits64 t)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling on the top 62 bits for exact uniformity. *)
   let mask = 0x3FFF_FFFF_FFFF_FFFF in
   let bound = mask / n * n in
-  let rec draw () =
-    let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-    if v < bound then v mod n else draw ()
-  in
-  draw ()
+  let v = ref (next t 2) in
+  while !v >= bound do
+    v := next t 2
+  done;
+  !v mod n
 
-let float t x =
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  x *. (v /. 9007199254740992.0 (* 2^53 *))
+let[@inline] float t x =
+  x *. (Float.of_int (next t 11) /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = next t 0 land 1 = 1
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -27,6 +27,55 @@ let test_pid_range () =
     (Invalid_argument "Network.send dst: pid out of range") (fun () ->
       Network.send net ~src:0 ~dst:5 ~due:1 ())
 
+let test_send_src_range () =
+  let net = Network.create ~horizon:1 ~p:2 () in
+  Alcotest.check_raises "bad src"
+    (Invalid_argument "Network.send src: pid out of range") (fun () ->
+      Network.send net ~src:(-1) ~dst:1 ~due:1 ());
+  (* src is checked first, even when the send is also a self-send *)
+  Alcotest.check_raises "bad src = dst"
+    (Invalid_argument "Network.send src: pid out of range") (fun () ->
+      Network.send net ~src:2 ~dst:2 ~due:1 ())
+
+let test_send_replica_errors () =
+  let net = Network.create ~horizon:1 ~p:2 () in
+  Alcotest.check_raises "self send"
+    (Invalid_argument "Network.send_replica: self-send") (fun () ->
+      Network.send_replica net ~src:1 ~dst:1 ~due:1 ());
+  Alcotest.check_raises "bad src"
+    (Invalid_argument "Network.send_replica src: pid out of range") (fun () ->
+      Network.send_replica net ~src:5 ~dst:1 ~due:1 ());
+  Alcotest.check_raises "bad dst"
+    (Invalid_argument "Network.send_replica dst: pid out of range") (fun () ->
+      Network.send_replica net ~src:0 ~dst:(-1) ~due:1 ());
+  check_int "nothing queued" 0 (Network.pending net)
+
+(* A per-copy send allocates nothing once the destination's calendar
+   buckets have grown: rounds of all-to-all sends due one tick later,
+   received outside the measured window. *)
+let test_send_allocates_nothing () =
+  let p = 8 and rounds = 200 in
+  let net = Network.create ~horizon:4 ~p () in
+  let words = ref 0.0 in
+  for round = 0 to rounds - 1 do
+    let w0 = Gc.minor_words () in
+    for src = 0 to p - 1 do
+      for dst = 0 to p - 1 do
+        if src <> dst then Network.send net ~src ~dst ~due:(round + 1) round
+      done
+    done;
+    (* the first lap over the buckets grows them; measure after it *)
+    if round > 4 then words := !words +. (Gc.minor_words () -. w0);
+    for dst = 0 to p - 1 do
+      ignore (Network.receive_iter net ~dst ~now:(round + 1) (fun _ _ -> ()))
+    done
+  done;
+  check_int "every send delivered" 0 (Network.pending net);
+  check
+    (Printf.sprintf "%.0f words over %d sends" !words
+       ((rounds - 5) * p * (p - 1)))
+    true (!words = 0.0)
+
 let test_message_counting () =
   let net = Network.create ~horizon:2 ~p:4 () in
   (* simulate one multicast from 0: three point-to-point sends *)
@@ -358,6 +407,10 @@ let suite =
       test_bounded_horizon_network;
     Alcotest.test_case "self-send rejected" `Quick test_no_self_send;
     Alcotest.test_case "pid range checked" `Quick test_pid_range;
+    Alcotest.test_case "src range checked" `Quick test_send_src_range;
+    Alcotest.test_case "send_replica errors" `Quick test_send_replica_errors;
+    Alcotest.test_case "send allocates nothing" `Quick
+      test_send_allocates_nothing;
     Alcotest.test_case "message counting" `Quick test_message_counting;
     Alcotest.test_case "backlog delivered in order" `Quick
       test_delayed_processor_receives_backlog;

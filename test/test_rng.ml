@@ -135,6 +135,111 @@ let test_pick_member () =
     check "member" true (Array.exists (( = ) v) a)
   done
 
+(* Stream pins: literal outputs of the xoshiro256** / SplitMix64 streams.
+   Any change to the state representation or the draw functions that
+   shifts a stream fails here by name, not only through the golden grid. *)
+let int64_list = Alcotest.(list int64)
+
+let take n f = List.init n (fun _ -> f ())
+
+let test_bits64_pins () =
+  List.iter
+    (fun (seed, expected) ->
+      let r = Rng.create seed in
+      Alcotest.check int64_list
+        (Printf.sprintf "seed %d" seed)
+        expected
+        (take 8 (fun () -> Rng.bits64 r)))
+    [
+      ( 0,
+        [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+          7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+          7788427924976520344L; -8565655843838424513L ] );
+      ( 1,
+        [ -5480124913605472059L; -8846382939111011094L; -7856363154187860716L;
+          7218738570589545383L; -5586072249713871245L; 2648436617965840162L;
+          1310552918490157286L; 7031611932980406429L ] );
+      ( 42,
+        [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L;
+          -1389169964527427423L; -151191095644234140L; -4247557243643801032L;
+          -5178765164775350862L; -2766855848391737209L ] );
+      ( -1,
+        [ -8118546653352383224L; -4290065566684577747L; -9088772293754075490L;
+          -4655159067405239249L; -7983312046894832854L; -4948507577611999963L;
+          6831296623176769502L; -4285393230689821982L ] );
+    ]
+
+let test_bounded_draw_pins () =
+  let r = Rng.create 42 in
+  Alcotest.(check (list int)) "int 17, seed 42"
+    [ 4; 3; 11; 12; 6; 1; 9; 5; 12; 14; 0; 10; 1; 16; 3; 3 ]
+    (take 16 (fun () -> Rng.int r 17));
+  let r = Rng.create 42 in
+  (* exact equality: hex literals are the bit patterns *)
+  Alcotest.(check (list (float 0.0))) "float 1.0, seed 42"
+    [ 0x1.5780b2e0c2ecp-4; 0x1.84136619b444ep-2; 0x1.5c2ea66473c93p-1;
+      0x1.d9715a8e0766cp-1; 0x1.fbcdb8ffc5d8bp-1; 0x1.8a1b4a6202f2ap-1;
+      0x1.7042a90ab4cbbp-1; 0x1.b3344e87d7ccp-1 ]
+    (take 8 (fun () -> Rng.float r 1.0));
+  let r = Rng.create 42 in
+  Alcotest.(check (list bool)) "bool, seed 42"
+    [ false; false; true; true; false; false; false; true; false; true;
+      true; true; false; false; true; false ]
+    (take 16 (fun () -> Rng.bool r))
+
+let test_split_copy_pins () =
+  let r = Rng.create 42 in
+  let child = Rng.split r in
+  Alcotest.check int64_list "split child of seed 42"
+    [ -8150312660505607085L; 1184342940732292706L; 8258043193327897829L;
+      -7937530469794552443L ]
+    (take 4 (fun () -> Rng.bits64 child));
+  (* the split consumed exactly one parent output *)
+  Alcotest.check int64_list "parent after split"
+    [ 6990951692964543102L; -5902157311460992607L; -1389169964527427423L;
+      -151191095644234140L ]
+    (take 4 (fun () -> Rng.bits64 r));
+  let r = Rng.create 7 in
+  ignore (Rng.bits64 r);
+  ignore (Rng.bits64 r);
+  let c = Rng.copy r in
+  let expected =
+    [ -2958351167216911978L; -348685429060373952L; -168598097271454952L;
+      -2346906591474643895L ]
+  in
+  Alcotest.check int64_list "copy of seed 7 after two draws" expected
+    (take 4 (fun () -> Rng.bits64 c));
+  Alcotest.check int64_list "original replays the same" expected
+    (take 4 (fun () -> Rng.bits64 r))
+
+(* Allocation guard: the per-copy delay and fault draws run millions of
+   times per run, so a draw must allocate nothing. [Rng.float] returns a
+   float across a compilation-unit boundary; where that call is not
+   inlined (dune's dev profile compiles with -opaque) the result is one
+   boxed float, 2 words, and nothing else. *)
+let words_per_call f =
+  let n = 100_000 in
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_draws_allocate_nothing () =
+  let r = Rng.create 3 in
+  let check_words name limit f =
+    let w = words_per_call f in
+    check (Printf.sprintf "%s: %.2f words per call <= %g" name w limit) true
+      (w <= limit)
+  in
+  check_words "Rng.int r 16" 0.0 (fun () ->
+      ignore (Sys.opaque_identity (Rng.int r 16)));
+  check_words "Rng.bool r" 0.0 (fun () ->
+      ignore (Sys.opaque_identity (Rng.bool r)));
+  check_words "Rng.float r 1.0 < 0.5" 2.0 (fun () ->
+      ignore (Sys.opaque_identity (Rng.float r 1.0 < 0.5)))
+
 let suite =
   [
     Alcotest.test_case "determinism from seed" `Quick test_determinism;
@@ -154,4 +259,11 @@ let suite =
       test_sample_without_replacement;
     Alcotest.test_case "sample k=n" `Quick test_sample_full;
     Alcotest.test_case "pick returns a member" `Quick test_pick_member;
+    Alcotest.test_case "bits64 streams pinned" `Quick test_bits64_pins;
+    Alcotest.test_case "int/float/bool streams pinned" `Quick
+      test_bounded_draw_pins;
+    Alcotest.test_case "split and copy streams pinned" `Quick
+      test_split_copy_pins;
+    Alcotest.test_case "draws allocate nothing" `Quick
+      test_draws_allocate_nothing;
   ]
