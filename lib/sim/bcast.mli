@@ -12,9 +12,9 @@
 
     Records must be added in non-decreasing due order (checked); [seq]
     must be strictly increasing across adds — the same counter the
-    per-destination {!Msg_ring}s use, so the two streams merge under one
-    total (due, seq) delivery key, preserving the exact delivery order
-    of the per-destination path.
+    network's per-destination payload records draw, so the two streams
+    merge under one total (due, seq) delivery key, preserving the exact
+    delivery order of the per-destination path.
 
     A destination that halts or crashes for good is {!deactivate}d: its
     cursor stops holding records alive, so a broadcast's storage is

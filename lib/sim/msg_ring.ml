@@ -1,7 +1,8 @@
 (* See msg_ring.mli. Layout: [horizon + 1] buckets (slot = due mod
-   buckets); each bucket is a circular struct-of-arrays FIFO with
-   power-of-two capacity, grown geometrically and reused thereafter —
-   zero allocation per message at steady state.
+   buckets); each bucket is a circular struct-of-arrays FIFO of (due, id)
+   int columns with power-of-two capacity, grown geometrically and
+   reused thereafter — zero allocation per message at steady state, and
+   no pointer store (so no remembered-set entry) per message.
 
    Correctness rests on one invariant: appends to the same bucket arrive
    in non-decreasing due order. Two events in one bucket have dues
@@ -11,68 +12,52 @@
    [horizon], so equal buckets force equal-or-later dues. Each bucket is
    therefore a FIFO sorted by due, and within one due by insertion. *)
 
-type 'msg bucket = {
+type bucket = {
   mutable due : int array;
-  mutable src : int array;
-  mutable seq : int array;
-  mutable msg : 'msg array;
+  mutable id : int array;
   mutable head : int;
   mutable len : int;
 }
 
-type 'msg t = {
-  slots : 'msg bucket array;
+type t = {
+  slots : bucket array;
   mutable cursor : int; (* every event due <= cursor has been popped *)
   mutable count : int;
-  mutable hd : 'msg bucket; (* bucket found by the last successful peek *)
-  mutable filler : 'msg option; (* overwrites popped slots: no payload leak *)
+  mutable hd : bucket; (* bucket found by the last successful peek *)
 }
 
 let create ~horizon () =
   if horizon < 1 then invalid_arg "Msg_ring.create: horizon must be >= 1";
-  let bucket () =
-    { due = [||]; src = [||]; seq = [||]; msg = [||]; head = 0; len = 0 }
-  in
+  let bucket () = { due = [||]; id = [||]; head = 0; len = 0 } in
   let slots = Array.init (horizon + 1) (fun _ -> bucket ()) in
-  { slots; cursor = -1; count = 0; hd = slots.(0); filler = None }
+  { slots; cursor = -1; count = 0; hd = slots.(0) }
 
 let size r = r.count
 
-let push b ~due ~src ~seq msg =
+let push b ~due ~id =
   let cap = Array.length b.due in
   if b.len = cap then begin
     (* full (or never allocated): grow to the next power of two *)
     let cap' = if cap = 0 then 4 else 2 * cap in
-    let due' = Array.make cap' 0
-    and src' = Array.make cap' 0
-    and seq' = Array.make cap' 0
-    and msg' = Array.make cap' msg in
+    let due' = Array.make cap' 0 and id' = Array.make cap' 0 in
     for i = 0 to b.len - 1 do
       let j = (b.head + i) land (cap - 1) in
       due'.(i) <- b.due.(j);
-      src'.(i) <- b.src.(j);
-      seq'.(i) <- b.seq.(j);
-      msg'.(i) <- b.msg.(j)
+      id'.(i) <- b.id.(j)
     done;
     b.due <- due';
-    b.src <- src';
-    b.seq <- seq';
-    b.msg <- msg';
+    b.id <- id';
     b.head <- 0
   end;
-  let cap = Array.length b.due in
-  let at = (b.head + b.len) land (cap - 1) in
+  let at = (b.head + b.len) land (Array.length b.due - 1) in
   Array.unsafe_set b.due at due;
-  Array.unsafe_set b.src at src;
-  Array.unsafe_set b.seq at seq;
-  Array.unsafe_set b.msg at msg;
+  Array.unsafe_set b.id at id;
   b.len <- b.len + 1
 
-let add r ~due ~src ~seq msg =
+let add r ~due ~id =
   if due <= r.cursor then
     invalid_arg "Msg_ring.add: ring event at or before the cursor";
-  (match r.filler with None -> r.filler <- Some msg | Some _ -> ());
-  push r.slots.(due mod Array.length r.slots) ~due ~src ~seq msg;
+  push r.slots.(due mod Array.length r.slots) ~due ~id;
   r.count <- r.count + 1
 
 let peek r ~now =
@@ -97,15 +82,10 @@ let peek r ~now =
   end
 
 let head_due r = Array.unsafe_get r.hd.due r.hd.head
-let head_seq r = Array.unsafe_get r.hd.seq r.hd.head
-let head_src r = Array.unsafe_get r.hd.src r.hd.head
-let head_msg r = Array.unsafe_get r.hd.msg r.hd.head
+let head_id r = Array.unsafe_get r.hd.id r.hd.head
 
 let pop r =
   let b = r.hd in
-  (match r.filler with
-   | Some f -> Array.unsafe_set b.msg b.head f
-   | None -> assert false (* pop follows a successful peek *));
   b.head <- (b.head + 1) land (Array.length b.due - 1);
   b.len <- b.len - 1;
   r.count <- r.count - 1

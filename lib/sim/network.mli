@@ -9,7 +9,16 @@
 
     A multicast is modelled, exactly as in the paper's complexity measure
     (Definition 2.2), as [p - 1] point-to-point messages: {!sent} counts
-    every point-to-point send. *)
+    every point-to-point send.
+
+    Storage: a queued copy is two ints, its due time and the id of a
+    payload record; a record holds the source, the send order and the
+    payload once for all copies of one multicast, and is released when
+    its last copy is received. Consecutive sends from one source with a
+    physically equal payload share a record — the engine's
+    per-destination loop over a multicast, and its replicas. Copies
+    owed to a processor that never steps again keep their records
+    alive: one per multicast, as its ring keeps one entry each. *)
 
 type 'msg t
 

@@ -398,6 +398,182 @@ let prop_network_matches_ref =
       done;
       mid && same_counts () && got = want && Network.pending net = 0)
 
+(* One payload record per multicast: the network reuses the previous
+   send's record when the source is the same and the payload physically
+   equal. A broadcast in between must break that reuse, or the second
+   send would share the first one's send order and overtake the
+   broadcast in the (due, seq) merge. *)
+let test_broadcast_breaks_payload_reuse () =
+  let net = Network.create ~horizon:8 ~p:3 () in
+  let m = "m" ^ string_of_int (Sys.opaque_identity 1) in
+  Network.send net ~src:0 ~dst:1 ~due:5 m;
+  Network.broadcast net ~src:0 ~due:5 "X";
+  Network.send net ~src:0 ~dst:1 ~due:5 m;
+  Alcotest.(check (list (pair int string)))
+    "send order survives payload reuse"
+    [ (0, "m1"); (0, "X"); (0, "m1") ]
+    (Network.receive net ~dst:1 ~now:5)
+
+(* A released record must not be revived. Its slot holds the filler,
+   which is the network's first payload, so resending that payload from
+   the same source is the one send that could match it again. *)
+let test_released_record_not_reused () =
+  let net = Network.create ~horizon:4 ~p:3 () in
+  let m = "m" ^ string_of_int (Sys.opaque_identity 1) in
+  Network.send net ~src:0 ~dst:1 ~due:1 m;
+  ignore (Network.receive net ~dst:1 ~now:1);
+  Network.send net ~src:0 ~dst:1 ~due:2 m;
+  Network.send net ~src:0 ~dst:2 ~due:2 "n";
+  Alcotest.(check (list (pair int string)))
+    "dst 1" [ (0, "m1") ] (Network.receive net ~dst:1 ~now:2);
+  Alcotest.(check (list (pair int string)))
+    "dst 2" [ (0, "n") ] (Network.receive net ~dst:2 ~now:2)
+
+(* The payload table keeps a payload only while a copy of it is queued.
+   The first payload a network sees fills released slots for the
+   network's lifetime, so each test sends a throwaway one first. *)
+let fresh_payload () = Bytes.make 64 (Char.chr (Random.int 256))
+
+let[@inline never] sent_payload send =
+  let w = Weak.create 1 in
+  let m = fresh_payload () in
+  Weak.set w 0 (Some m);
+  send m;
+  w
+
+let[@inline never] receive_none net ~dst ~now =
+  ignore (Network.receive_iter net ~dst ~now (fun _ _ -> ()))
+
+let alive w =
+  Gc.full_major ();
+  Weak.check w 0
+
+let test_payload_released_with_last_copy () =
+  let net = Network.create ~horizon:4 ~p:4 () in
+  Network.send net ~src:0 ~dst:1 ~due:1 (fresh_payload ());
+  receive_none net ~dst:1 ~now:1;
+  let w =
+    sent_payload (fun m ->
+        List.iter (fun dst -> Network.send net ~src:0 ~dst ~due:2 m) [ 1; 2; 3 ])
+  in
+  receive_none net ~dst:1 ~now:2;
+  receive_none net ~dst:2 ~now:2;
+  check "alive while a copy is queued" true (alive w);
+  receive_none net ~dst:3 ~now:2;
+  check "collected after the last copy" false (alive w);
+  check_int "nothing pending" 0 (Network.pending net)
+
+let test_replica_payload_released () =
+  let net = Network.create ~horizon:4 ~p:2 () in
+  Network.send net ~src:0 ~dst:1 ~due:1 (fresh_payload ());
+  receive_none net ~dst:1 ~now:1;
+  let w =
+    sent_payload (fun m ->
+        Network.send net ~src:0 ~dst:1 ~due:2 m;
+        Network.send_replica net ~src:0 ~dst:1 ~due:4 m)
+  in
+  receive_none net ~dst:1 ~now:2;
+  check "alive while the replica is queued" true (alive w);
+  receive_none net ~dst:1 ~now:4;
+  check "collected after the replica" false (alive w);
+  check_int "sent counts the original only" 2 (Network.sent net)
+
+(* Differential test of the payload table: sends that often reuse a
+   payload, both across consecutive sends (a multicast's per-copy loop,
+   replicas) and across sources, mixed with constant-offset broadcasts
+   and polls at a non-decreasing clock. Every poll must return the
+   reference's (src, msg) sequence. [Ref_net] has no replicas, so each
+   replica is a reference send that does not count toward [sent]. *)
+type op =
+  | Advance of int
+  | Poll of int (* dst *)
+  | Broadcast of int (* src *)
+  | Send of { src : int; off : int; lat : int; reuse : int; replica : bool }
+(* [reuse]: 0 = fresh payload, 1 = the last one sent, 2 = an older one *)
+
+let prop_payload_reuse_matches_ref =
+  let horizon = 8 in
+  QCheck2.Test.make ~name:"network = Ref_net under payload reuse" ~count:300
+    QCheck2.Gen.(
+      let* p = int_range 2 5 in
+      let* delta = int_range 1 horizon in
+      let op =
+        frequency
+          [
+            (2, map (fun k -> Advance k) (int_range 0 3));
+            (2, map (fun d -> Poll d) (int_range 0 (p - 1)));
+            (1, map (fun s -> Broadcast s) (int_range 0 (p - 1)));
+            ( 6,
+              let* src = int_range 0 (p - 1) in
+              let* off = int_range 1 (p - 1) in
+              let* lat = int_range 1 horizon in
+              let* reuse = frequencyl [ (1, 0); (3, 1); (1, 2) ] in
+              let* replica = frequencyl [ (4, false); (1, true) ] in
+              return (Send { src; off; lat; reuse; replica }) );
+          ]
+      in
+      let* ops = list_size (int_range 1 120) op in
+      return (p, delta, ops))
+    (fun (p, delta, ops) ->
+      let net = Network.create ~horizon ~p () and rf = Ref_net.create ~p in
+      let now = ref 0 and next = ref 0 and replicas = ref 0 in
+      let recent = ref [] (* payloads sent, newest first *) in
+      let fresh () =
+        incr next;
+        let m = ref !next in
+        recent := m :: !recent;
+        m
+      in
+      let payload reuse =
+        match (reuse, !recent) with
+        | 1, m :: _ -> m
+        | 2, _ :: older when older <> [] ->
+          List.nth older (!next mod List.length older)
+        | _ -> fresh ()
+      in
+      let poll dst =
+        let got = ref [] and want = ref [] in
+        let n =
+          Network.receive_iter net ~dst ~now:!now (fun src m ->
+              got := (src, !m) :: !got)
+        in
+        let n' =
+          Ref_net.receive_iter rf ~dst ~now:!now (fun src m ->
+              want := (src, !m) :: !want)
+        in
+        n = n' && !got = !want
+      in
+      let same_counts () =
+        Network.sent net + !replicas = Ref_net.sent rf
+        && Network.pending net = Ref_net.pending rf
+      in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+           | Advance k -> now := !now + k
+           | Poll dst -> ok := !ok && poll dst
+           | Broadcast src ->
+             let m = fresh () in
+             Network.broadcast net ~src ~due:(!now + delta) m;
+             Ref_net.broadcast rf ~src ~due:(!now + delta) m
+           | Send { src; off; lat; reuse; replica } ->
+             let dst = (src + off) mod p and due = !now + lat in
+             let m = payload reuse in
+             if replica then begin
+               Network.send_replica net ~src ~dst ~due m;
+               incr replicas
+             end
+             else Network.send net ~src ~dst ~due m;
+             Ref_net.send rf ~src ~dst ~due m);
+          ok := !ok && same_counts ())
+        ops;
+      now := !now + horizon + 1;
+      for dst = 0 to p - 1 do
+        ok := !ok && poll dst
+      done;
+      !ok && same_counts () && Network.pending net = 0)
+
 let suite =
   [
     Alcotest.test_case "send/receive with due time" `Quick test_send_receive;
@@ -431,4 +607,13 @@ let suite =
     Alcotest.test_case "broadcast ring = reference on random traffic" `Quick
       test_broadcast_ring_matches_ref_random;
     QCheck_alcotest.to_alcotest prop_network_matches_ref;
+    Alcotest.test_case "broadcast breaks payload reuse" `Quick
+      test_broadcast_breaks_payload_reuse;
+    Alcotest.test_case "released record not reused" `Quick
+      test_released_record_not_reused;
+    Alcotest.test_case "payload released with its last copy" `Quick
+      test_payload_released_with_last_copy;
+    Alcotest.test_case "replica payload released" `Quick
+      test_replica_payload_released;
+    QCheck_alcotest.to_alcotest prop_payload_reuse_matches_ref;
   ]
