@@ -747,7 +747,7 @@ let fuzz_cmd =
     Term.(const run $ replay_arg $ label_arg $ quorum_arg)
 
 (* ------------------------------------------------------------------ *)
-(* The experiment registry: the same specs `bench` runs, surfaced on the
+(* The experiment registry (lib/exp/catalog.ml), surfaced on the
    CLI. `list` and `describe` read the declarative metadata; `run`
    executes bodies through the lib/exp engine (pool parallelism, cell
    memo cache, --csv / --jsonl sinks). *)
@@ -907,8 +907,9 @@ let main =
 
 let () =
   (* Multicore grids stall on stop-the-world minor collections with the
-     default minor heap; match the bench harness's 2M-word setting so
-     --jobs scales (docs/PERFORMANCE.md has the calibration). *)
+     default minor heap; 2M words per domain keeps the rendezvous rate
+     low enough that --jobs scales (docs/PERFORMANCE.md has the
+     calibration). *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 2 * 1024 * 1024 };
   Doall_quorum.Register.install ();
   Catalog.install ();

@@ -1,6 +1,6 @@
 (** Descriptive statistics and log-log regression.
 
-    Used by the benchmark harness to summarize repeated randomized runs
+    Used by the experiment catalog to summarize repeated randomized runs
     and to fit empirical growth exponents (e.g. the [p^epsilon] factor of
     DA's work is estimated as the slope of [log W] against [log p]). *)
 

@@ -55,7 +55,7 @@ val make_det :
     [gossip] is an ablation knob (default [`Full], the paper's model):
     [`Single] broadcasts only the task just performed instead of the
     processor's whole knowledge set, weakening information propagation —
-    used by the benchmark harness to show the knowledge model of
+    used by the experiments to show the knowledge model of
     Lemma 6.1 is load-bearing.
 
     [broadcast_every] (default 1, the paper's algorithm) is an

@@ -1,7 +1,7 @@
 (** Wiring: named algorithms x named adversaries x (p, t, d) -> metrics.
 
     The registries give the CLI, the examples, the tests and the
-    benchmark harness one shared vocabulary. Adversary constructors are
+    benchmark one shared vocabulary. Adversary constructors are
     invoked per run because the lower-bound adversaries are stateful.
 
     {1 Thread-safety contract}
@@ -23,7 +23,7 @@
     - {!register_algorithm} is safe to call from any domain, but
       registration racing a live grid would let some runs of that grid
       see the algorithm and others not; register at startup, before
-      launching grids (the CLI and the bench harness do).
+      launching grids (the CLI does).
 
     Each run builds its own [Config] and derives every [Rng] stream from
     the run's seed, so results are bit-identical for any [?jobs],
@@ -272,8 +272,8 @@ val run_grid :
     {e in completion order}, with the number of cells finished so far
     and the grid total; invocations are serialized by an internal
     mutex but may come from any worker domain, so the callback must
-    not touch domain-local state. The CLI and the bench harness use it
-    to render live [k/n cells, ETA] lines on stderr. *)
+    not touch domain-local state. The CLI uses it to render live
+    [k/n cells, ETA] lines on stderr. *)
 
 val average_work :
   ?seeds:int list ->

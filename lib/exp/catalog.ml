@@ -1,10 +1,9 @@
 (* The built-in experiment catalog: one spec per theorem/figure of the
    paper (see DESIGN.md section 4 and EXPERIMENTS.md for the
-   paper-vs-measured record). Bodies were migrated verbatim from the
-   pre-refactor bench/main.ml; all simulating goes through the
+   paper-vs-measured record). All simulating goes through the
    experiment context's memo cache + pool, and all printing through its
-   sinks, so `bench e2` and `doall exp run e2` render byte-identical
-   tables at any --jobs. *)
+   sinks, so `doall exp run e2` renders byte-identical tables at any
+   --jobs (pinned by test/exp-golden/). *)
 
 open Doall_sim
 open Doall_core
@@ -1531,8 +1530,8 @@ let e21 =
 
 (* ------------------------------------------------------------------ *)
 
-(* Registration order is the order a bare `bench` runs everything in —
-   keep fig1 right after e3, as before the migration. *)
+(* Registration order is the order a bare `doall exp run` runs
+   everything in — keep fig1 right after e3. *)
 let all =
   [
     e1; e2; e3; fig1; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15;

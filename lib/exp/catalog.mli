@@ -2,11 +2,10 @@
     registered {!Exp.t} per paper anchor (see EXPERIMENTS.md for the
     paper-vs-measured record).
 
-    Bodies migrated from the pre-refactor [bench/main.ml] print
-    byte-identical tables — the golden snapshot tests in
-    [test/test_exp.ml] pin this at several [--jobs] levels. *)
+    Every body prints byte-identical tables at any [--jobs] — the golden
+    snapshot tests in [test/test_exp.ml] pin this at several levels. *)
 
 val install : unit -> unit
-(** Register every built-in experiment, in the order a bare [bench] runs
+(** Register every built-in experiment, in the order a bare [doall exp run] runs
     them (e1, e2, e3, fig1, e4 … e19). Idempotent; call it from every
     entry point before touching the {!Exp} registry. *)

@@ -47,8 +47,6 @@ let register e =
 let find id =
   Mutex.protect registry_mutex (fun () -> Hashtbl.find_opt registry id)
 
-let ids () = Mutex.protect registry_mutex (fun () -> List.rev !order)
-
 let all () =
   Mutex.protect registry_mutex (fun () ->
       List.rev_map (Hashtbl.find registry) !order)

@@ -9,8 +9,8 @@
     memo cache, and the output sinks (pretty table / [<id>-<name>.csv] /
     versioned JSONL via {!Doall_obs.Export}).
 
-    The built-in specs live in {!Catalog}; [bench] and [doall exp]
-    both execute the registry, so adding one spec surfaces it in both. *)
+    The built-in specs live in {!Catalog}; [doall exp] executes the
+    registry, so adding one spec surfaces it there. *)
 
 type axes = {
   algos : string list;
@@ -65,9 +65,7 @@ val register : t -> unit
 val find : string -> t option
 
 val all : unit -> t list
-(** In registration order — the order a bare [bench] runs them in. *)
-
-val ids : unit -> string list
+(** In registration order — the order a bare [doall exp run] runs them in. *)
 
 (** {1 Rendering} *)
 

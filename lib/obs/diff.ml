@@ -156,37 +156,3 @@ let compare_files ?tol path_a path_b =
   match (load path_a, load path_b) with
   | Error e, _ | _, Error e -> Error e
   | Ok a, Ok b -> Ok (compare_docs ?tol a b)
-
-(* -- gates (the bench harness's pass/fail conditions, as findings) -- *)
-
-let gate_metric_pins ~key ~pins ~actual =
-  List.filter_map
-    (fun (name, expected) ->
-      let mk actual_s =
-        Some
-          {
-            path = key ^ "." ^ name;
-            expected = string_of_int expected;
-            actual = actual_s;
-            machine = false;
-          }
-      in
-      match List.assoc_opt name actual with
-      | Some got when got = expected -> None
-      | Some got -> mk (string_of_int got)
-      | None -> mk "<missing>")
-    pins
-
-let gate_wall_ratio ~key ~reference_s ~wall_s ~min_ratio =
-  let speedup = reference_s /. wall_s in
-  if speedup >= min_ratio then []
-  else
-    [
-      {
-        path = key ^ ".speedup";
-        expected =
-          Printf.sprintf ">=%.2fx (reference %.3fs)" min_ratio reference_s;
-        actual = Printf.sprintf "%.2fx (%.3fs)" speedup wall_s;
-        machine = true;
-      };
-    ]

@@ -17,9 +17,7 @@
 
     A comparison yields {!finding}s (empty = artifacts agree); loading
     or parse failures are [Error]s. The CLI maps these onto exit codes
-    0 (clean) / 1 (findings) / 2 (load error). The bench harness's
-    BENCH gate conditions are expressed in the same vocabulary via
-    {!gate_metric_pins} and {!gate_wall_ratio}. *)
+    0 (clean) / 1 (findings) / 2 (load error). *)
 
 type finding = {
   path : string;  (** JSONPath-ish locator, prefixed [line N] for JSONL *)
@@ -54,20 +52,3 @@ val load : string -> (Export.Json.t list, string) result
     non-empty line). [Error] carries the failing path/line. *)
 
 val compare_files : ?tol:float -> string -> string -> (finding list, string) result
-
-val gate_metric_pins :
-  key:string ->
-  pins:(string * int) list ->
-  actual:(string * int) list ->
-  finding list
-(** Exact golden-pin check: one finding per pin that is missing from or
-    unequal in [actual]; paths are [key.name]. *)
-
-val gate_wall_ratio :
-  key:string ->
-  reference_s:float ->
-  wall_s:float ->
-  min_ratio:float ->
-  finding list
-(** Perf-regression gate: empty when [reference_s /. wall_s >=
-    min_ratio], else one machine-flagged finding describing the miss. *)

@@ -10,8 +10,8 @@
       what [doall run --obs out.jsonl] emits;
     - {!write_trace}: a [trace] header, the metrics, and one [event]
       line per {!Doall_sim.Trace.event} — [doall trace --jsonl];
-    - {!Json}: the value type the bench harness builds BENCH_*.json
-      from (a whole-file JSON document rather than JSONL). *)
+    - {!Json}: the value type of whole-file JSON documents (the frozen
+      BENCH_*.json records, Chrome traces) rather than JSONL. *)
 
 module Json : sig
   type t =

@@ -8,8 +8,8 @@
 
    The clock is CLOCK_MONOTONIC nanoseconds as an untagged int through
    a noalloc C stub (doall_clock.c): ~20ns and zero allocation per
-   read, which is what keeps per-step phase bracketing under the bench
-   harness's 5% overhead gate. *)
+   read, which is what keeps per-step phase bracketing cheap (the < 5%
+   overhead target and its measurements are in docs/OBSERVABILITY.md). *)
 
 external mono_ns : unit -> (int[@untagged])
   = "doall_mono_ns_byte" "doall_mono_ns_unboxed"

@@ -2,6 +2,6 @@
 
     Call {!install} once at program start to make ["awq-q2"], ["awq-q4"]
     and ["awq-q8"] available through {!Doall_core.Runner} by name (the
-    CLI, benches and examples do). Idempotent. *)
+    CLI, benchmark and examples do). Idempotent. *)
 
 val install : unit -> unit

@@ -23,7 +23,7 @@
       reliable-network mode is bit-identical to before they existed.
 
     Use {!Make} for a statically-known algorithm, or {!run_packed} with a
-    first-class module (how the benchmark harness instantiates algorithm
+    first-class module (how the experiment catalog instantiates algorithm
     families parameterized by permutation lists). *)
 
 module Make (A : Algorithm.S) : sig

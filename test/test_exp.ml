@@ -1,7 +1,7 @@
 (* The declarative experiment subsystem (lib/exp): spec metadata, the
    registry contract, the cell memo cache, and the golden pin that the
-   migrated bodies render byte-identically to the pre-refactor
-   bench/main.ml output at several pool widths. *)
+   catalog bodies render byte-identically to the recorded experiment
+   output at several pool widths. *)
 
 module Exp = Doall_exp.Exp
 module Ctx = Doall_exp.Ctx
@@ -67,10 +67,10 @@ let test_registry_duplicate () =
     (fun () -> Exp.register e)
 
 let test_registry_order_and_find () =
-  let ids = Exp.ids () in
+  let ids = List.map (fun e -> e.Exp.id) (Exp.all ()) in
   let take n l = List.filteri (fun i _ -> i < n) l in
   Alcotest.(check (list string))
-    "catalog order is the bench order"
+    "catalog order is the exp run order"
     [ "e1"; "e2"; "e3"; "fig1"; "e4" ]
     (take 5 ids);
   Alcotest.(check bool) "e19 registered" true (List.mem "e19" ids);
@@ -131,8 +131,8 @@ let test_e1_dedup () =
 
 (* -- golden byte-identity ------------------------------------------ *)
 
-(* test/exp-golden/<id>.expected are verbatim pre-refactor `bench <id>`
-   stdout captures (trailing newline from the driver stripped). The
+(* test/exp-golden/<id>.expected are verbatim `doall exp run <id>`
+   stdout captures (trailing newline stripped). The
    migrated bodies must render the same bytes through a buffer sink at
    any pool width — this is both the migration pin and the pool
    determinism contract applied to whole experiments. *)

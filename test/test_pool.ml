@@ -1,8 +1,8 @@
 (* The domain pool and the parallel grid runner.
 
    The load-bearing property is bit-determinism: Runner.run_grid must
-   return byte-identical results for every jobs count, because BENCH
-   speedups are only honest if the parallel arm computes the same thing
+   return byte-identical results for every jobs count, because parallel
+   timings are only honest if the parallel arm computes the same thing
    as the sequential one, and the golden pins only protect the
    sequential path. *)
 

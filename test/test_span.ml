@@ -343,33 +343,6 @@ let test_diff_files () =
       check "parse failure is Error" true
         (match Diff.compare_files pa pb with Error _ -> true | Ok _ -> false))
 
-let test_diff_gates () =
-  check "pins agree" true
-    (Diff.gate_metric_pins ~key:"cell"
-       ~pins:[ ("work", 368); ("sigma", 22) ]
-       ~actual:[ ("work", 368); ("sigma", 22) ]
-    = []);
-  (match
-     Diff.gate_metric_pins ~key:"cell"
-       ~pins:[ ("work", 368); ("messages", 9) ]
-       ~actual:[ ("work", 369) ]
-   with
-   | [ a; b ] ->
-     check "pin mismatch path" true (a.Diff.path = "cell.work");
-     check "pin mismatch is logical" true (not a.Diff.machine);
-     check "missing pin reported" true (b.Diff.path = "cell.messages")
-   | fs -> Alcotest.failf "expected two pin findings, got %d" (List.length fs));
-  check "wall gate passes" true
-    (Diff.gate_wall_ratio ~key:"cell" ~reference_s:10.0 ~wall_s:2.0
-       ~min_ratio:4.0
-    = []);
-  match
-    Diff.gate_wall_ratio ~key:"cell" ~reference_s:10.0 ~wall_s:5.0
-      ~min_ratio:4.0
-  with
-  | [ f ] -> check "wall gate miss is machine" true f.Diff.machine
-  | fs -> Alcotest.failf "expected one gate finding, got %d" (List.length fs)
-
 let suite =
   [
     Alcotest.test_case "span enter/leave" `Quick test_span_enter_leave;
@@ -393,5 +366,4 @@ let suite =
       test_diff_exact_vs_tolerant;
     Alcotest.test_case "diff structure" `Quick test_diff_structure;
     Alcotest.test_case "diff files" `Quick test_diff_files;
-    Alcotest.test_case "diff gates" `Quick test_diff_gates;
   ]
