@@ -274,7 +274,11 @@ let test_channel_golden_cells () =
   expect "padet/fair/silent: total loss, oblivious wall" (576, 576, 47)
     (cell ~collision:Config.Silent ~algo:"padet" ~adv:"fair");
   expect "padet/chan-delayed-ordered/silent" (300, 299, 24)
-    (cell ~collision:Config.Silent ~algo:"padet" ~adv:"chan-delayed-ordered")
+    (cell ~collision:Config.Silent ~algo:"padet" ~adv:"chan-delayed-ordered");
+  expect "da-q4/chan-ordered-high/silent" (240, 53, 19)
+    (cell ~collision:Config.Silent ~algo:"da-q4" ~adv:"chan-ordered-high");
+  expect "da-q4/chan-delayed/silent" (636, 159, 52)
+    (cell ~collision:Config.Silent ~algo:"da-q4" ~adv:"chan-delayed")
 
 let test_channel_grid_determinism () =
   (* jobs=1/2/4 must be byte-identical for channel cells too *)

@@ -23,6 +23,11 @@ let golden =
     ("da-q4", "crash-all-but-one", 6, 24, 2, (46, 35, 30, 30));
     ("padet", "partition", 8, 32, 8, (96, 672, 11, 96));
     ("paran1", "stragglers", 9, 27, 6, (81, 648, 8, 81));
+    (* instance-sized parameters far past 4096: crash count p-1 and p/2,
+       rotating window p/4 *)
+    ("trivial", "crash-all-but-one", 5000, 16, 2, (10014, 0, 15, 10014));
+    ("trivial", "crash-half", 9000, 16, 2, (94500, 0, 15, 94500));
+    ("trivial", "round-robin", 16400, 2, 2, (8200, 0, 1, 8200));
   ]
 
 let test_pinned_runs () =
