@@ -29,17 +29,7 @@ let most_informed_last (o : Adversary.oracle) contenders =
   Array.sort compare keyed;
   Some (Array.map snd keyed)
 
-let collide (_ : Adversary.oracle) (_ : int array) = None
-
 let batched ~cap (o : Adversary.oracle) ~src:_ =
   if cap < 1 then invalid_arg "Chan.batched: cap >= 1";
   let now = o.time () in
   (cap - (now mod cap)) mod cap
-
-let stagger (o : Adversary.oracle) ~src = src mod max 1 o.d
-
-let policy ~name ?order ?hold () =
-  { Adversary.chan_name = name; order; hold }
-
-let into ~name p =
-  Adversary.with_channel p { Adversary.fair with name }

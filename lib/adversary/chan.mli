@@ -44,10 +44,6 @@ val most_informed_last : order
     first (ties by pid): the adversary lets redundant traffic through
     and defers the messages that would actually spread knowledge. *)
 
-val collide : order
-(** Always decline: every multi-contender slot collides. Useful as the
-    explicit worst case of the collision spectrum. *)
-
 (** {1 Hold rules} *)
 
 val batched : cap:int -> hold
@@ -55,21 +51,3 @@ val batched : cap:int -> hold
     [cap - 1] extra slots, further clamped by the engine to [d - 1]):
     submissions from different slots pile up on the same release slot,
     manufacturing collisions that honest timing would have avoided. *)
-
-val stagger : hold
-(** Hold [src]'s transmission [src mod d] slots — a per-source skew
-    that spreads (or, combined with {!batched}-like timing in the
-    algorithm, re-aligns) contention deterministically. *)
-
-(** {1 Assembly} *)
-
-val policy : name:string -> ?order:order -> ?hold:hold -> unit ->
-  Adversary.channel_policy
-
-val into : name:string -> Adversary.channel_policy -> Adversary.t
-(** Wrap a channel policy into a full adversary: fair scheduling,
-    latency 1, no crashes — on a channel run the contention rules are
-    the whole adversary. The [Fixed 1] latency declaration is kept so
-    the same adversary still triggers the stream fast path when run on
-    point-to-point (where the policy is inert), making ptp-vs-channel
-    comparisons use one adversary value. *)

@@ -35,27 +35,6 @@ let staggered ~every (o : Adversary.oracle) =
   end
   else []
 
-let restart_after ~delay =
-  if delay < 1 then invalid_arg "Crash.restart_after: delay >= 1";
-  (* Stateful: remembers when each pid was first seen down. Single-run
-     only — instantiate a fresh policy per run, as Runner does. *)
-  let down_since : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  fun (o : Adversary.oracle) ->
-    let now = o.time () in
-    let back = ref [] in
-    for pid = o.p - 1 downto 0 do
-      if o.alive pid then Hashtbl.remove down_since pid
-      else
-        match Hashtbl.find_opt down_since pid with
-        | None -> Hashtbl.replace down_since pid now
-        | Some since ->
-          if now - since >= delay then begin
-            Hashtbl.remove down_since pid;
-            back := pid :: !back
-          end
-    done;
-    !back
-
 let flaky ?(survivor = 0) ~up ~down () =
   if up < 1 || down < 1 then invalid_arg "Crash.flaky: up, down >= 1";
   let cycle = up + down in
@@ -77,11 +56,3 @@ let flaky ?(survivor = 0) ~up ~down () =
       (List.init o.p Fun.id)
   in
   (crash, restart)
-
-let into ~name crash =
-  Adversary.with_latency (Adversary.Fixed 1)
-    (Adversary.make ~name ~schedule:Adversary.all_active
-       ~delay:Delay.immediate ~crash)
-
-let into_recovering ~name ~crash ~restart =
-  Adversary.with_restart restart (into ~name crash)

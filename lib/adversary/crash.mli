@@ -37,18 +37,8 @@ val poisson : ?survivor:int -> rate:float -> t
 val staggered : every:int -> t
 (** Crash the lowest live pid every [every] time units. *)
 
-val restart_after : delay:int -> restart
-(** Revive each crashed processor [delay] ticks after it is first seen
-    down. Stateful (remembers sightings) — build a fresh policy per run. *)
-
 val flaky : ?survivor:int -> up:int -> down:int -> unit -> t * restart
 (** A deterministic churn cycle: every processor except [survivor]
     (default pid 0) repeats [up] ticks alive, [down] ticks crashed, with
     per-pid phase offsets so outages stagger. Returns the matching
-    (crash, restart) pair — wire both, e.g. via {!into_recovering}. *)
-
-val into : name:string -> t -> Adversary.t
-(** Wrap with fair scheduling and immediate delivery. *)
-
-val into_recovering : name:string -> crash:t -> restart:restart -> Adversary.t
-(** Like {!into} but with a recovery policy attached. *)
+    (crash, restart) pair — wire both, e.g. via {!Schedule.combine}. *)

@@ -31,12 +31,3 @@ let churn ~calm ~storm (o : Adversary.oracle) ~src:_ ~dst:_ =
 
 let targeted ~victims (o : Adversary.oracle) ~src:_ ~dst =
   if victims dst then o.d else 1
-
-let into ?latency ~name delay =
-  let adv =
-    Adversary.make ~name ~schedule:Adversary.all_active ~delay
-      ~crash:Adversary.no_crash
-  in
-  match latency with
-  | None -> adv
-  | Some l -> Adversary.with_latency l adv

@@ -50,10 +50,3 @@ val churn : calm:int -> storm:int -> t
 val targeted : victims:(int -> bool) -> t
 (** Every message {e to} a victim takes the full [d]; all other traffic
     is fast. Models a fixed set of processors behind a bad link. *)
-
-val into : ?latency:Adversary.latency -> name:string -> t -> Adversary.t
-(** Wrap a delay policy into a full adversary with fair scheduling and no
-    crashes. Pass [latency] when the policy's behaviour matches one of
-    the constant declarations ({!Adversary.latency}) — e.g.
-    [~latency:Adversary.Maximal] for {!maximal} — to unlock the engine's
-    shared-broadcast fast path. Defaults to [Variable] (always sound). *)

@@ -2,31 +2,6 @@ open Doall_sim
 
 type t = Adversary.faults
 
-(* Policies are closures, so [to_spec] cannot introspect them; instead
-   every spec-expressible constructor remembers its normalized spec in a
-   bounded registry keyed by physical equality. Combinators that a spec
-   cannot express (window, drop_all) stay unregistered and invert to
-   [None]. *)
-let spec_mutex = Mutex.create ()
-let spec_names : (t * string) list ref = ref []
-let max_remembered = 1024
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let remember name (policy : t) : t =
-  Mutex.protect spec_mutex (fun () ->
-      spec_names := (policy, name) :: take (max_remembered - 1) !spec_names);
-  policy
-
-let to_spec policy =
-  Mutex.protect spec_mutex (fun () ->
-      List.find_map
-        (fun (q, name) -> if q == policy then Some name else None)
-        !spec_names)
-
 let none (_ : Adversary.oracle) ~src:_ ~dst:_ = Adversary.Deliver
 
 let check_prob name prob =
@@ -35,37 +10,24 @@ let check_prob name prob =
 
 let drop ~prob =
   check_prob "drop" prob;
-  remember
-    (Printf.sprintf "drop=%g" prob)
-    (fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
-      if Rng.float o.rng 1.0 < prob then Adversary.Drop else Adversary.Deliver)
+  fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
+    if Rng.float o.rng 1.0 < prob then Adversary.Drop else Adversary.Deliver
 
 let drop_all (_ : Adversary.oracle) ~src:_ ~dst:_ = Adversary.Drop
 
 let duplicate ?(copies = 1) ~prob =
   check_prob "duplicate" prob;
   if copies < 1 then invalid_arg "Fault.duplicate: copies >= 1";
-  remember
-    (if copies = 1 then Printf.sprintf "dup=%g" prob
-     else Printf.sprintf "dup=%gx%d" prob copies)
-    (let dup = Adversary.Duplicate copies in
-     fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
-       if Rng.float o.rng 1.0 < prob then dup else Adversary.Deliver)
+  let dup = Adversary.Duplicate copies in
+  fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
+    if Rng.float o.rng 1.0 < prob then dup else Adversary.Deliver
 
 let reorder ~prob =
   check_prob "reorder" prob;
-  remember
-    (Printf.sprintf "reorder=%g" prob)
-    (fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
-      if Rng.float o.rng 1.0 < prob then
-        Adversary.Reorder (1 + Rng.int o.rng (max 1 o.d))
-      else Adversary.Deliver)
-
-let window ~from_ ~until policy : t =
- fun o ~src ~dst ->
-  let now = o.time () in
-  if now >= from_ && now < until then policy o ~src ~dst
-  else Adversary.Deliver
+  fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
+    if Rng.float o.rng 1.0 < prob then
+      Adversary.Reorder (1 + Rng.int o.rng (max 1 o.d))
+    else Adversary.Deliver
 
 (* the first non-[Deliver] verdict, policies asked in order; top-level so
    that a verdict allocates no closure per copy *)
@@ -76,19 +38,7 @@ let rec first_verdict o ~src ~dst = function
     | Adversary.Deliver -> first_verdict o ~src ~dst rest
     | decision -> decision)
 
-let all policies : t =
-  let chained : t = fun o ~src ~dst -> first_verdict o ~src ~dst policies in
-  (* the chain serializes iff every component does *)
-  let names = List.map to_spec policies in
-  if policies <> [] && List.for_all Option.is_some names then
-    remember (String.concat "," (List.filter_map Fun.id names)) chained
-  else chained
-
-let into ~name policy =
-  Adversary.with_faults policy
-    (Adversary.with_latency (Adversary.Fixed 1)
-       (Adversary.make ~name ~schedule:Adversary.all_active
-          ~delay:Delay.immediate ~crash:Adversary.no_crash))
+let all policies : t = fun o ~src ~dst -> first_verdict o ~src ~dst policies
 
 (* ---- CLI spec parsing: "drop=0.3,dup=0.2x2,reorder=0.1" ---- *)
 

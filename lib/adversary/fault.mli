@@ -38,29 +38,12 @@ val reorder : prob:float -> t
 (** With probability [prob], add uniform extra latency (1..d) to the
     send — overtaking later traffic becomes likely, i.e. reordering. *)
 
-val window : from_:int -> until:int -> t -> t
-(** Apply a policy only while [from_ <= time < until]; deliver
-    faithfully outside the window. *)
-
 val all : t list -> t
 (** Chain policies: the first non-[Deliver] decision wins. *)
-
-val into : name:string -> t -> Adversary.t
-(** Fair scheduling, immediate delivery, no crashes — plus the faults. *)
 
 val of_spec : string -> (t * string, string) result
 (** Parse a CLI fault spec: comma-separated [drop=P], [dup=PxN] (or
     [dup=P], one copy), [reorder=P], e.g.
     ["drop=0.3,dup=0.2x2,reorder=0.1"]. Returns the policy and a
-    normalized human-readable name, or [Error] with a usage message. *)
-
-val to_spec : t -> string option
-(** The normalized spec string a policy was built from — the inverse of
-    {!of_spec}: policies built by {!drop} / {!duplicate} / {!reorder},
-    by an {!all} of such policies, or by {!of_spec} itself serialize
-    back to the spec that rebuilds them ([of_spec] on the result returns
-    a policy with the same [to_spec]). Policies a spec cannot express
-    ({!none}, {!drop_all}, {!window}, hand-written closures) return
-    [None]. Implemented as a bounded physical-equality registry
-    populated by the constructors, so only the policy value originally
-    returned — not a copy — can be inverted. *)
+    normalized human-readable name, or [Error] with a usage message.
+    The name is canonical: [of_spec] on it returns the same name. *)

@@ -40,11 +40,6 @@ let adaptive_laggard (o : Adversary.oracle) =
    with Exit -> ());
   active
 
-let into ~name schedule =
-  Adversary.with_latency (Adversary.Fixed 1)
-    (Adversary.make ~name ~schedule ~delay:Delay.immediate
-       ~crash:Adversary.no_crash)
-
 let combine ~name ?schedule ?delay ?latency ?(crash = Adversary.no_crash)
     ?faults ?restart () =
   let schedule = Option.value schedule ~default:all in

@@ -36,10 +36,6 @@ val adaptive_laggard : t
     algorithms; the stage adversaries in {!Lb_deterministic} and
     {!Lb_randomized} are the principled versions. *)
 
-val into : name:string -> t -> Adversary.t
-(** Wrap with immediate delivery and no crashes. Declares
-    [Adversary.Fixed 1] latency (immediate delivery is constant). *)
-
 val combine :
   name:string ->
   ?schedule:t ->

@@ -91,6 +91,11 @@ let max_faults = 3
 
 let clamp lo hi v = if v < lo then lo else if v > hi then hi else v
 
+(* upper bound of the genes an instance's p, t or d sizes (window width,
+   stage and churn lengths, crash time and count, flaky periods): beyond
+   any instance, so a spec sized from p/t/d is never silently rewritten *)
+let max_sized = 1 lsl 30
+
 (* quantize to 3 decimals so that %g printing round-trips exactly *)
 let quant3 x = Float.of_int (int_of_float ((x *. 1000.) +. 0.5)) /. 1000.
 let norm_prob x = quant3 (clamp 0.0 1.0 x)
@@ -98,7 +103,7 @@ let norm_prob x = quant3 (clamp 0.0 1.0 x)
 let norm_sched = function
   | S_all -> S_all
   | S_solo pid -> S_solo (clamp 0 4095 pid)
-  | S_rr w -> S_rr (clamp 1 4096 w)
+  | S_rr w -> S_rr (clamp 1 max_sized w)
   | S_random pr -> S_random (norm_prob pr)
   | S_harmonic -> S_harmonic
   | S_laggard -> S_laggard
@@ -108,18 +113,18 @@ let norm_delay = function
   | D_max -> D_max
   | D_uniform -> D_uniform
   | D_bimodal pr -> D_bimodal (norm_prob pr)
-  | D_stage k -> D_stage (clamp 1 4096 k)
+  | D_stage k -> D_stage (clamp 1 max_sized k)
   | D_partition k -> D_partition (clamp 2 64 k)
   | D_target m -> D_target (clamp 2 64 m)
-  | D_churn (a, b) -> D_churn (clamp 1 4096 a, clamp 1 4096 b)
+  | D_churn (a, b) -> D_churn (clamp 1 max_sized a, clamp 1 max_sized b)
 
 let norm_crash = function
   | C_none -> C_none
   | C_at (tm, n, s) ->
-    C_at (clamp 0 1_000_000 tm, clamp 0 4096 n, clamp 1 64 s)
+    C_at (clamp 0 max_sized tm, clamp 0 max_sized n, clamp 1 64 s)
   | C_staggered e -> C_staggered (clamp 1 1_000_000 e)
   | C_poisson r -> C_poisson (quant3 (clamp 0.0 0.5 r))
-  | C_flaky (u, dn) -> C_flaky (clamp 1 1_000_000 u, clamp 1 1_000_000 dn)
+  | C_flaky (u, dn) -> C_flaky (clamp 1 max_sized u, clamp 1 max_sized dn)
 
 let norm_fault = function
   | F_drop pr -> F_drop (norm_prob pr)

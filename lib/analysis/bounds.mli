@@ -3,7 +3,8 @@
     All functions return the bound {e without} its hidden constant: they
     are shape functions for comparing growth against measurements (ratio
     curves should flatten, crossovers should match), not predictions of
-    absolute values. *)
+    absolute values. A delay bound [d < 1] is read as [d = 1], the value
+    the engine runs with. *)
 
 val log_base : base:float -> float -> float
 (** [log_base ~base x]; guards degenerate bases by flooring the base at

@@ -71,70 +71,49 @@ let algorithms =
   ]
   @ da_specs
 
+(* A registry row built through the strategy DSL: one phase sized from
+   the instance, compiled by [Strategy.into] and renamed to its registry
+   name. The five entries the DSL cannot express stay code: the stateful
+   omniscient stage constructions, a crash rule that may take pid 0, and
+   a rotating channel grant at offset 1 ([Ch_ordered k] reaches a rotor
+   only for k mod 4 = 3). *)
+let strategy_row adv_name adv_doc phase =
+  {
+    adv_name;
+    adv_doc;
+    instantiate =
+      (fun ~p ~t ~d ->
+        { (Strategy.into (Strategy.make [ phase ~p ~t ~d ])) with
+          Adversary.name = adv_name });
+  }
+
 let adversaries =
+  let open Strategy in
+  let flaky t = C_flaky (max 4 (t / 4), max 2 (t / 8)) in
+  let chan_cap d = max 2 (min d 4) in
   [
-    {
-      adv_name = "fair";
-      adv_doc = "everyone steps, messages arrive in one unit";
-      instantiate = (fun ~p:_ ~t:_ ~d:_ -> Adversary.fair);
-    };
-    {
-      adv_name = "max-delay";
-      adv_doc = "fair stepping, every message takes the full d";
-      instantiate =
-        (fun ~p:_ ~t:_ ~d:_ ->
-          Delay.into ~latency:Adversary.Maximal ~name:"max-delay"
-            Delay.maximal);
-    };
-    {
-      adv_name = "uniform-delay";
-      adv_doc = "fair stepping, latency uniform on 1..d";
-      instantiate =
-        (fun ~p:_ ~t:_ ~d:_ -> Delay.into ~name:"uniform-delay" Delay.uniform);
-    };
-    {
-      adv_name = "batch";
-      adv_doc = "deliveries batched at stage boundaries (length min(d, t/6))";
-      instantiate =
-        (fun ~p:_ ~t ~d ->
-          let stage_len = max 1 (min d (t / 6)) in
-          Delay.into ~name:"batch" (Delay.stage_batched ~stage_len));
-    };
-    {
-      adv_name = "solo";
-      adv_doc = "only processor 0 ever advances";
-      instantiate = (fun ~p:_ ~t:_ ~d:_ -> Schedule.into ~name:"solo" (Schedule.solo 0));
-    };
-    {
-      adv_name = "round-robin";
-      adv_doc = "a rotating quarter of the processors advances";
-      instantiate =
-        (fun ~p ~t:_ ~d:_ ->
-          Schedule.into ~name:"round-robin"
-            (Schedule.round_robin ~width:(max 1 (p / 4))));
-    };
-    {
-      adv_name = "harmonic";
-      adv_doc = "processor i runs (i+1) times slower than processor 0";
-      instantiate =
-        (fun ~p:_ ~t:_ ~d:_ -> Schedule.into ~name:"harmonic" Schedule.harmonic_speeds);
-    };
-    {
-      adv_name = "random-half";
-      adv_doc = "each processor steps with probability 1/2; uniform delays";
-      instantiate =
-        (fun ~p:_ ~t:_ ~d:_ ->
-          Schedule.combine ~name:"random-half"
-            ~schedule:(Schedule.random_subset ~prob:0.5) ~delay:Delay.uniform ());
-    };
-    {
-      adv_name = "laggard";
-      adv_doc = "omniscient: stalls processors about to perform fresh tasks";
-      instantiate =
-        (fun ~p:_ ~t:_ ~d:_ ->
-          Schedule.combine ~name:"laggard" ~schedule:Schedule.adaptive_laggard
-            ~delay:Delay.maximal ());
-    };
+    strategy_row "fair" "everyone steps, messages arrive in one unit"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ());
+    strategy_row "max-delay" "fair stepping, every message takes the full d"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ~delay:D_max ());
+    strategy_row "uniform-delay" "fair stepping, latency uniform on 1..d"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ~delay:D_uniform ());
+    strategy_row "batch"
+      "deliveries batched at stage boundaries (length min(d, t/6))"
+      (fun ~p:_ ~t ~d -> phase ~delay:(D_stage (max 1 (min d (t / 6)))) ());
+    strategy_row "solo" "only processor 0 ever advances"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ~sched:(S_solo 0) ());
+    strategy_row "round-robin" "a rotating quarter of the processors advances"
+      (fun ~p ~t:_ ~d:_ -> phase ~sched:(S_rr (max 1 (p / 4))) ());
+    strategy_row "harmonic"
+      "processor i runs (i+1) times slower than processor 0"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ~sched:S_harmonic ());
+    strategy_row "random-half"
+      "each processor steps with probability 1/2; uniform delays"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ~sched:(S_random 0.5) ~delay:D_uniform ());
+    strategy_row "laggard"
+      "omniscient: stalls processors about to perform fresh tasks"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ~sched:S_laggard ~delay:D_max ());
     {
       adv_name = "lb-det";
       adv_doc = "the Theorem 3.1 stage adversary (deterministic algorithms)";
@@ -151,168 +130,77 @@ let adversaries =
       instantiate =
         (fun ~p:_ ~t:_ ~d:_ -> Lb_randomized.create ~selection:`Random ());
     };
-    {
-      adv_name = "partition";
-      adv_doc = "two sites: fast within, full-d latency across the cut";
-      instantiate =
-        (fun ~p ~t:_ ~d:_ ->
-          Delay.into ~name:"partition" (Delay.partition ~split:(max 1 (p / 2))));
-    };
-    {
-      adv_name = "churn";
-      adv_doc = "alternating calm (fast) and storm (full-d) periods";
-      instantiate =
-        (fun ~p:_ ~t ~d:_ ->
-          let period = max 2 (t / 8) in
-          Delay.into ~name:"churn"
-            (Delay.churn ~calm:period ~storm:period));
-    };
-    {
-      adv_name = "stragglers";
-      adv_doc = "a third of the processors sit behind a full-d link";
-      instantiate =
-        (fun ~p ~t:_ ~d:_ ->
-          Delay.into ~name:"stragglers"
-            (Delay.targeted ~victims:(fun pid -> pid mod 3 = 0 && p > 1)));
-    };
-    {
-      adv_name = "crash-half";
-      adv_doc = "half the processors crash a third of the way in";
-      instantiate =
-        (fun ~p ~t ~d:_ ->
-          Crash.into ~name:"crash-half"
-            (Crash.at_time ~time:(max 1 (t / 3))
-               ~pids:(List.init (p / 2) (fun i -> (2 * i) + 1))));
-    };
-    {
-      adv_name = "crash-all-but-one";
-      adv_doc = "everyone except processor 0 crashes early";
-      instantiate =
-        (fun ~p:_ ~t ~d:_ ->
-          Crash.into ~name:"crash-all-but-one"
-            (Crash.all_but_one ~survivor:0 ~time:(max 1 (t / 8))));
-    };
+    strategy_row "partition"
+      "two sites: fast within, full-d latency across the cut"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ~delay:(D_partition 2) ());
+    strategy_row "churn" "alternating calm (fast) and storm (full-d) periods"
+      (fun ~p:_ ~t ~d:_ ->
+        let k = max 2 (t / 8) in
+        phase ~delay:(D_churn (k, k)) ());
+    strategy_row "stragglers"
+      "a third of the processors sit behind a full-d link"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ~delay:(D_target 3) ());
+    strategy_row "crash-half" "half the processors crash a third of the way in"
+      (fun ~p ~t ~d:_ -> phase ~crash:(C_at (max 1 (t / 3), p / 2, 2)) ());
+    strategy_row "crash-all-but-one" "everyone except processor 0 crashes early"
+      (fun ~p ~t ~d:_ -> phase ~crash:(C_at (max 1 (t / 8), p - 1, 1)) ());
     {
       adv_name = "crash-staggered";
       adv_doc = "the lowest live pid crashes at regular intervals";
       instantiate =
         (fun ~p ~t ~d:_ ->
-          Crash.into ~name:"crash-staggered"
-            (Crash.staggered ~every:(max 1 (t / max 1 p))));
+          Schedule.combine ~name:"crash-staggered"
+            ~crash:(Crash.staggered ~every:(max 1 (t / max 1 p)))
+            ());
     };
     (* -- chaos adversaries: beyond the paper's model (docs/FAULTS.md).
        Every one keeps pid 0 permanently up, so each registry algorithm
        stays live via its solo fallback even at 100% message loss. -- *)
-    {
-      adv_name = "lossy-half";
-      adv_doc = "uniform delays and every message dropped with prob 1/2";
-      instantiate =
-        (fun ~p:_ ~t:_ ~d:_ ->
-          Adversary.with_faults (Fault.drop ~prob:0.5)
-            (Delay.into ~name:"lossy-half" Delay.uniform));
-    };
-    {
-      adv_name = "lossy-all";
-      adv_doc = "100% message loss: algorithms must finish solo";
-      instantiate =
-        (fun ~p:_ ~t:_ ~d:_ -> Fault.into ~name:"lossy-all" Fault.drop_all);
-    };
-    {
-      adv_name = "dup-storm";
-      adv_doc = "uniform delays; heavy duplication and reordering";
-      instantiate =
-        (fun ~p:_ ~t:_ ~d:_ ->
-          Adversary.with_faults
-            (Fault.all
-               [
-                 Fault.duplicate ~copies:2 ~prob:0.5; Fault.reorder ~prob:0.5;
-               ])
-            (Delay.into ~name:"dup-storm" Delay.uniform));
-    };
-    {
-      adv_name = "flaky-restart";
-      adv_doc = "processors cycle crash/recover (reset state); pid 0 stays up";
-      instantiate =
-        (fun ~p:_ ~t ~d:_ ->
-          let crash, restart =
-            Crash.flaky ~survivor:0 ~up:(max 4 (t / 4)) ~down:(max 2 (t / 8))
-              ()
-          in
-          Schedule.combine ~name:"flaky-restart" ~delay:Delay.uniform ~crash
-            ~restart ());
-    };
-    {
-      adv_name = "chaos";
-      adv_doc = "drops, duplicates, reorders and flaky restarts, all at once";
-      instantiate =
-        (fun ~p:_ ~t ~d:_ ->
-          let crash, restart =
-            Crash.flaky ~survivor:0 ~up:(max 4 (t / 4)) ~down:(max 2 (t / 8))
-              ()
-          in
-          Schedule.combine ~name:"chaos" ~delay:Delay.uniform ~crash ~restart
-            ~faults:
-              (Fault.all
-                 [
-                   Fault.drop ~prob:0.3;
-                   Fault.duplicate ~copies:2 ~prob:0.2;
-                   Fault.reorder ~prob:0.3;
-                 ])
-            ());
-    };
+    strategy_row "lossy-half"
+      "uniform delays and every message dropped with prob 1/2"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ~delay:D_uniform ~faults:[ F_drop 0.5 ] ());
+    strategy_row "lossy-all" "100% message loss: algorithms must finish solo"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ~faults:[ F_drop 1.0 ] ());
+    strategy_row "dup-storm" "uniform delays; heavy duplication and reordering"
+      (fun ~p:_ ~t:_ ~d:_ ->
+        phase ~delay:D_uniform ~faults:[ F_dup (0.5, 2); F_reorder 0.5 ] ());
+    strategy_row "flaky-restart"
+      "processors cycle crash/recover (reset state); pid 0 stays up"
+      (fun ~p:_ ~t ~d:_ -> phase ~delay:D_uniform ~crash:(flaky t) ());
+    strategy_row "chaos"
+      "drops, duplicates, reorders and flaky restarts, all at once"
+      (fun ~p:_ ~t ~d:_ ->
+        phase ~delay:D_uniform ~crash:(flaky t)
+          ~faults:[ F_drop 0.3; F_dup (0.2, 2); F_reorder 0.3 ]
+          ());
     (* -- shared-channel contention adversaries (docs/MODEL.md): the
        ordered and delayed classes over a multiple-access channel. Fair
        stepping and latency 1, so on a point-to-point run they all
        degenerate to [fair] (contention policies are inert there). -- *)
-    {
-      adv_name = "chan-ordered";
-      adv_doc = "shared channel: serialize contenders lowest pid first";
-      instantiate =
-        (fun ~p:_ ~t:_ ~d:_ ->
-          Chan.into ~name:"chan-ordered"
-            (Chan.policy ~name:"ordered-low" ~order:Chan.ordered_low ()));
-    };
-    {
-      adv_name = "chan-ordered-high";
-      adv_doc = "shared channel: serialize contenders highest pid first";
-      instantiate =
-        (fun ~p:_ ~t:_ ~d:_ ->
-          Chan.into ~name:"chan-ordered-high"
-            (Chan.policy ~name:"ordered-high" ~order:Chan.ordered_high ()));
-    };
+    strategy_row "chan-ordered"
+      "shared channel: serialize contenders lowest pid first"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ~chan:(Ch_ordered 0) ());
+    strategy_row "chan-ordered-high"
+      "shared channel: serialize contenders highest pid first"
+      (fun ~p:_ ~t:_ ~d:_ -> phase ~chan:(Ch_ordered 1) ());
     {
       adv_name = "chan-rotor";
       adv_doc = "shared channel: rotating grant across contenders";
       instantiate =
         (fun ~p:_ ~t:_ ~d:_ ->
-          Chan.into ~name:"chan-rotor"
-            (Chan.policy ~name:"rotor" ~order:(Chan.rotor 1) ()));
+          Adversary.with_channel
+            { Adversary.chan_name = "rotor"; order = Some (Chan.rotor 1);
+              hold = None }
+            { Adversary.fair with name = "chan-rotor" });
     };
-    {
-      adv_name = "chan-delayed";
-      adv_doc =
-        "shared channel: releases batched every min(d, 4) slots, so \
-         submissions pile up and collide";
-      instantiate =
-        (fun ~p:_ ~t:_ ~d ->
-          Chan.into ~name:"chan-delayed"
-            (Chan.policy ~name:"delayed"
-               ~hold:(Chan.batched ~cap:(max 2 (min d 4)))
-               ()));
-    };
-    {
-      adv_name = "chan-delayed-ordered";
-      adv_doc =
-        "shared channel: batched releases, then informed contenders \
-         deferred behind redundant ones";
-      instantiate =
-        (fun ~p:_ ~t:_ ~d ->
-          Chan.into ~name:"chan-delayed-ordered"
-            (Chan.policy ~name:"delayed-ordered"
-               ~order:Chan.most_informed_last
-               ~hold:(Chan.batched ~cap:(max 2 (min d 4)))
-               ()));
-    };
+    strategy_row "chan-delayed"
+      "shared channel: releases batched every min(d, 4) slots, so \
+       submissions pile up and collide"
+      (fun ~p:_ ~t:_ ~d -> phase ~chan:(Ch_delayed (chan_cap d)) ());
+    strategy_row "chan-delayed-ordered"
+      "shared channel: batched releases, then informed contenders \
+       deferred behind redundant ones"
+      (fun ~p:_ ~t:_ ~d -> phase ~chan:(Ch_both (chan_cap d, 2)) ());
   ]
 
 let known_names to_name specs =

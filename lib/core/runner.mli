@@ -65,16 +65,25 @@ val all_algorithms : unit -> algo_spec list
 val adversaries : adv_spec list
 (** fair, max-delay, uniform-delay, batch, solo, round-robin,
     harmonic, random-half, laggard, lb-det, lb-rand, lb-rand-random,
-    crash-half, crash-all-but-one, crash-staggered — plus the
-    beyond-the-model chaos adversaries of docs/FAULTS.md: lossy-half,
-    lossy-all, dup-storm, flaky-restart, chaos. Every chaos adversary
-    keeps pid 0 permanently alive, so all registry algorithms terminate
-    under them (pinned by [test/test_faults.ml], including at 100%
-    message loss). The shared-channel contention adversaries
-    chan-ordered, chan-ordered-high, chan-rotor, chan-delayed and
-    chan-delayed-ordered ({!Doall_adversary.Chan}) are also registered;
-    their contention rules only bite on a channel transport — on
-    point-to-point they degenerate to [fair]. *)
+    partition, churn, stragglers, crash-half, crash-all-but-one,
+    crash-staggered — plus the beyond-the-model chaos adversaries of
+    docs/FAULTS.md: lossy-half, lossy-all, dup-storm, flaky-restart,
+    chaos. Every chaos adversary keeps pid 0 permanently alive, so all
+    registry algorithms terminate under them (pinned by
+    [test/test_faults.ml], including at 100% message loss). The
+    shared-channel contention adversaries chan-ordered,
+    chan-ordered-high, chan-rotor, chan-delayed and chan-delayed-ordered
+    are also registered; their contention rules only bite on a channel
+    transport — on point-to-point they degenerate to [fair].
+
+    23 entries are one-phase {!Doall_adversary.Strategy} rows: [instantiate]
+    sizes the phase from p, t and d, compiles it with
+    {!Doall_adversary.Strategy.into} and renames the result, so
+    [strategy:<spec>] with the instantiated spec runs the same
+    adversary. Five stay code: lb-det, lb-rand and lb-rand-random
+    (stateful omniscient constructions), crash-staggered (its rule may
+    crash pid 0) and chan-rotor (a rotating grant at offset 1). The
+    docs/FAULTS.md registry table gives every entry's spec form. *)
 
 val find_algo : string -> algo_spec
 (** Raises [Failure] with a message listing known names. *)

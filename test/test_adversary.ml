@@ -10,10 +10,14 @@ let run ?(p = 8) ?(t = 32) ?(d = 4) ?(seed = 0) ?(algo = Algo_pa.make_det ())
   let cfg = Config.make ~seed ~p ~t () in
   Engine.run_packed algo cfg ~d ~adversary:adv ()
 
+(* work under a delay policy with fair scheduling and no crashes *)
+let work_under ~d delay =
+  (run (Schedule.combine ~name:"delay" ~delay ()) ~d).Metrics.work
+
 let test_delay_policies_complete () =
   List.iter
     (fun (name, delay) ->
-      let m = run (Delay.into ~name delay) in
+      let m = run (Schedule.combine ~name ~delay ()) in
       check (name ^ " completes") true m.Metrics.completed)
     [
       ("immediate", Delay.immediate);
@@ -31,19 +35,14 @@ let test_delay_policies_complete () =
 let test_partition_slows_cross_traffic () =
   (* A partitioned network with large d must cost more than a uniform
      fast one on a coordination-heavy algorithm. *)
-  let w_fast = (run (Delay.into ~name:"i" Delay.immediate) ~d:32).Metrics.work in
-  let w_part =
-    (run (Delay.into ~name:"p" (Delay.partition ~split:4)) ~d:32).Metrics.work
-  in
+  let w_fast = work_under ~d:32 Delay.immediate in
+  let w_part = work_under ~d:32 (Delay.partition ~split:4) in
   check "partition costs work" true (w_part >= w_fast)
 
 let test_churn_between_extremes () =
-  let w_fast = (run (Delay.into ~name:"i" Delay.immediate) ~d:16).Metrics.work in
-  let w_slow = (run (Delay.into ~name:"m" Delay.maximal) ~d:16).Metrics.work in
-  let w_churn =
-    (run (Delay.into ~name:"c" (Delay.churn ~calm:8 ~storm:8)) ~d:16)
-      .Metrics.work
-  in
+  let w_fast = work_under ~d:16 Delay.immediate in
+  let w_slow = work_under ~d:16 Delay.maximal in
+  let w_churn = work_under ~d:16 (Delay.churn ~calm:8 ~storm:8) in
   check
     (Printf.sprintf "fast %d <= churn %d <= slow %d (with slack)" w_fast
        w_churn w_slow)
@@ -51,14 +50,14 @@ let test_churn_between_extremes () =
     (w_churn >= w_fast && w_churn <= (2 * w_slow) + 16)
 
 let test_max_delay_increases_work () =
-  let w_fast = (run (Delay.into ~name:"i" Delay.immediate) ~d:16).Metrics.work in
-  let w_slow = (run (Delay.into ~name:"m" Delay.maximal) ~d:16).Metrics.work in
+  let w_fast = work_under ~d:16 Delay.immediate in
+  let w_slow = work_under ~d:16 Delay.maximal in
   check "slower network, no less work" true (w_slow >= w_fast)
 
 let test_schedules_complete () =
   List.iter
     (fun (name, schedule) ->
-      let m = run (Schedule.into ~name schedule) in
+      let m = run (Schedule.combine ~name ~schedule ()) in
       check (name ^ " completes") true m.Metrics.completed)
     [
       ("all", Schedule.all);
@@ -71,12 +70,20 @@ let test_schedules_complete () =
     ]
 
 let test_solo_serializes () =
-  let m = run (Schedule.into ~name:"solo" (Schedule.solo 2)) ~p:4 ~t:12 in
+  let m =
+    run (Schedule.combine ~name:"solo" ~schedule:(Schedule.solo 2) ()) ~p:4
+      ~t:12
+  in
   (* Only processor 2 works: its work is the total. *)
   check_int "one worker" m.Metrics.work m.Metrics.per_proc_work.(2)
 
 let test_round_robin_spreads () =
-  let m = run (Schedule.into ~name:"rr" (Schedule.round_robin ~width:2)) in
+  let m =
+    run
+      (Schedule.combine ~name:"rr"
+         ~schedule:(Schedule.round_robin ~width:2)
+         ())
+  in
   let active = Array.fold_left (fun acc w -> if w > 0 then acc + 1 else acc) 0
       m.Metrics.per_proc_work
   in
@@ -85,7 +92,7 @@ let test_round_robin_spreads () =
 let test_crashes_complete () =
   List.iter
     (fun (name, crash) ->
-      let m = run (Crash.into ~name crash) in
+      let m = run (Schedule.combine ~name ~crash ()) in
       check (name ^ " completes") true m.Metrics.completed)
     [
       ("none", Crash.none);
@@ -96,7 +103,12 @@ let test_crashes_complete () =
     ]
 
 let test_all_but_one_crash_counts () =
-  let m = run (Crash.into ~name:"abo" (Crash.all_but_one ~survivor:0 ~time:1)) in
+  let m =
+    run
+      (Schedule.combine ~name:"abo"
+         ~crash:(Crash.all_but_one ~survivor:0 ~time:1)
+         ())
+  in
   check_int "p-1 crashed" 7 m.Metrics.crashed
 
 let test_lb_det_stages_recorded () =
@@ -170,7 +182,10 @@ let test_poisson_survivor_deterministic () =
   List.iter
     (fun seed ->
       let m =
-        run ~seed (Crash.into ~name:"p1" (Crash.poisson ~survivor:3 ~rate:1.0))
+        run ~seed
+          (Schedule.combine ~name:"p1"
+             ~crash:(Crash.poisson ~survivor:3 ~rate:1.0)
+             ())
       in
       check "completes" true m.Metrics.completed;
       check_int "p-1 crashed" 7 m.Metrics.crashed;
@@ -183,7 +198,9 @@ let test_poisson_survivor_deterministic () =
   (* moderate rate: same seed, same execution, bit for bit *)
   let go () =
     run ~seed:5
-      (Crash.into ~name:"p.3" (Crash.poisson ~survivor:0 ~rate:0.3))
+      (Schedule.combine ~name:"p.3"
+         ~crash:(Crash.poisson ~survivor:0 ~rate:0.3)
+         ())
   in
   Alcotest.(check bool)
     "seeded poisson is reproducible" true
@@ -195,7 +212,7 @@ let test_delay_policies_clamped () =
      rejected outright, so mere completion proves the clamp held. *)
   List.iter
     (fun (name, delay) ->
-      let m = run ~d:3 (Delay.into ~name delay) in
+      let m = run ~d:3 (Schedule.combine ~name ~delay ()) in
       check (name ^ " completes under d=3") true m.Metrics.completed)
     [
       ("per-dest-huge", Delay.per_destination (fun dst -> 1000 + dst));
@@ -213,7 +230,7 @@ let test_structured_delays_deterministic () =
     (fun (name, delay) ->
       List.iter
         (fun seed ->
-          let go () = run ~seed ~d:5 (Delay.into ~name delay) in
+          let go () = run ~seed ~d:5 (Schedule.combine ~name ~delay ()) in
           Alcotest.(check bool)
             (Printf.sprintf "%s seed=%d reproducible" name seed)
             true
@@ -229,7 +246,11 @@ let test_batched_delivery_legal () =
   (* stage_batched with stage_len <= d never exceeds the bound: engine
      clamps, so completion plus work sanity suffices here; delivery
      batching must not lose messages (PA would then stall). *)
-  let m = run (Delay.into ~name:"b" (Delay.stage_batched ~stage_len:4)) ~d:4 in
+  let m =
+    run
+      (Schedule.combine ~name:"b" ~delay:(Delay.stage_batched ~stage_len:4) ())
+      ~d:4
+  in
   check "completes" true m.Metrics.completed
 
 let suite =

@@ -28,16 +28,16 @@ let adversaries ~p ~t =
     Adversary.fair;
     Adversary.max_delay;
     Adversary.uniform_delay;
-    Doall_adversary.Schedule.into ~name:"rr"
-      (Doall_adversary.Schedule.round_robin ~width:2);
-    Doall_adversary.Schedule.into ~name:"harmonic"
-      Doall_adversary.Schedule.harmonic_speeds;
+    Doall_adversary.Schedule.combine ~name:"rr"
+      ~schedule:(Doall_adversary.Schedule.round_robin ~width:2) ();
+    Doall_adversary.Schedule.combine ~name:"harmonic"
+      ~schedule:Doall_adversary.Schedule.harmonic_speeds ();
     Doall_adversary.Schedule.combine ~name:"random-half"
       ~schedule:(Doall_adversary.Schedule.random_subset ~prob:0.5)
       ~delay:Doall_adversary.Delay.uniform ();
-    Doall_adversary.Crash.into ~name:"crash-mid"
-      (Doall_adversary.Crash.at_time ~time:(max 1 (t / 2))
-         ~pids:[ 0 ]);
+    Doall_adversary.Schedule.combine ~name:"crash-mid"
+      ~crash:(Doall_adversary.Crash.at_time ~time:(max 1 (t / 2)) ~pids:[ 0 ])
+      ();
   ]
 
 (* Run with direct engine access so local knowledge can be audited. *)

@@ -52,6 +52,21 @@ let test_upper_bounds_dominate_lower () =
       check (Printf.sprintf "ub >= lb/4 at d=%d" d) true (ub >= lb /. 4.0))
     [ 1; 4; 16; 64 ]
 
+let test_bounds_read_d0_as_d1 () =
+  (* the engine runs d = 0 as d = 1; the bounds must agree, finitely *)
+  let p = 4 and t = 16 in
+  List.iter
+    (fun (name, f) ->
+      let at0 = f 0 and at1 = f 1 in
+      check (name ^ " finite at d=0") true (Float.is_finite at0);
+      check (name ^ " d=0 = d=1") true (at0 = at1))
+    [
+      ("lower_bound", fun d -> Bounds.lower_bound ~p ~t ~d);
+      ("pa_upper", fun d -> Bounds.pa_upper ~p ~t ~d);
+      ("da_upper", fun d -> Bounds.da_upper ~p ~t ~d ~epsilon:0.5);
+      ("pa_message_upper", fun d -> Bounds.pa_message_upper ~p ~t ~d);
+    ]
+
 let test_epsilon_of_q_decreasing () =
   let prev = ref infinity in
   List.iter
@@ -266,6 +281,8 @@ let suite =
       test_pa_upper_below_oblivious_when_d_small;
     Alcotest.test_case "upper dominates lower (shape)" `Quick
       test_upper_bounds_dominate_lower;
+    Alcotest.test_case "bounds read d=0 as d=1" `Quick
+      test_bounds_read_d0_as_d1;
     Alcotest.test_case "epsilon_of_q decreasing" `Quick
       test_epsilon_of_q_decreasing;
     Alcotest.test_case "stats summary" `Quick test_stats_summary;

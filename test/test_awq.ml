@@ -74,8 +74,9 @@ let test_awq_with_grid_quorum () =
 let test_awq_grid_row_loss_stalls () =
   (* crash one full row of a 3x3 grid: 6 survivors, but no quorum. *)
   let adv =
-    Doall_adversary.Crash.into ~name:"kill-row"
-      (Doall_adversary.Crash.at_time ~time:2 ~pids:[ 0; 1; 2 ])
+    Doall_adversary.Schedule.combine ~name:"kill-row"
+      ~crash:(Doall_adversary.Crash.at_time ~time:2 ~pids:[ 0; 1; 2 ])
+      ()
   in
   let algo =
     Algo_awq.make
@@ -91,8 +92,9 @@ let test_awq_grid_row_loss_stalls () =
   (* while a majority system tolerates the same crash pattern *)
   let cfg = Config.make ~seed:1 ~p:9 ~t:27 () in
   let adv2 =
-    Doall_adversary.Crash.into ~name:"kill-row2"
-      (Doall_adversary.Crash.at_time ~time:2 ~pids:[ 0; 1; 2 ])
+    Doall_adversary.Schedule.combine ~name:"kill-row2"
+      ~crash:(Doall_adversary.Crash.at_time ~time:2 ~pids:[ 0; 1; 2 ])
+      ()
   in
   let m2 =
     Engine.run_packed (Algo_awq.make ()) cfg ~d:3 ~adversary:adv2 ()

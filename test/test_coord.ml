@@ -87,8 +87,9 @@ let test_coordinator_crash_failover () =
   (* Crash the epoch-0 coordinator (pid 0) immediately: the rotation plus
      timeouts must hand progress to the others. *)
   let adversary =
-    Doall_adversary.Crash.into ~name:"kill-coord"
-      (Doall_adversary.Crash.at_time ~time:1 ~pids:[ 0 ])
+    Doall_adversary.Schedule.combine ~name:"kill-coord"
+      ~crash:(Doall_adversary.Crash.at_time ~time:1 ~pids:[ 0 ])
+      ()
   in
   let cfg = Config.make ~seed:2 ~p:6 ~t:24 () in
   let m = Engine.run_packed (Algo_coord.make ()) cfg ~d:2 ~adversary () in

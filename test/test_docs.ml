@@ -72,10 +72,43 @@ let test_registry_names_in_docs_exist () =
       "coord"; "awq-q4"; "awq-abd-q4";
     ]
 
+(* docs/FAULTS.md's registry table gives every registry adversary its
+   spec form, or says why the entry stays code *)
+let test_registry_table_complete () =
+  match repo_root () with
+  | None -> ()
+  | Some root ->
+    let text = read_file (Filename.concat root "docs/FAULTS.md") in
+    let heading = "### The registry as strategy rows" in
+    let section =
+      match Str.search_forward (Str.regexp_string heading) text 0 with
+      | exception Not_found ->
+        Alcotest.failf "docs/FAULTS.md has no %S section" heading
+      | i ->
+        let start = i + String.length heading in
+        let stop =
+          match Str.search_forward (Str.regexp "^#") text start with
+          | j -> j
+          | exception Not_found -> String.length text
+        in
+        String.sub text start (stop - start)
+    in
+    List.iter
+      (fun (s : Doall_core.Runner.adv_spec) ->
+        let row = Str.regexp_string (Printf.sprintf "| `%s` |" s.adv_name) in
+        match Str.search_forward row section 0 with
+        | _ -> ()
+        | exception Not_found ->
+          Alcotest.failf "docs/FAULTS.md registry table has no row for %s"
+            s.adv_name)
+      Doall_core.Runner.adversaries
+
 let suite =
   [
     Alcotest.test_case "doc file references exist" `Quick
       test_doc_paths_exist;
     Alcotest.test_case "documented registry names exist" `Quick
       test_registry_names_in_docs_exist;
+    Alcotest.test_case "registry table lists every adversary" `Quick
+      test_registry_table_complete;
   ]

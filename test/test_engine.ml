@@ -70,8 +70,9 @@ let test_forced_step_under_total_delay () =
 
 let test_crash_all_but_one_still_completes () =
   let adv =
-    Doall_adversary.Crash.into ~name:"cabo"
-      (Doall_adversary.Crash.all_but_one ~survivor:2 ~time:3)
+    Doall_adversary.Schedule.combine ~name:"cabo"
+      ~crash:(Doall_adversary.Crash.all_but_one ~survivor:2 ~time:3)
+      ()
   in
   let m = run (Algo_da.make ~q:2 ()) ~adv ~p:4 ~t:16 ~d:2 in
   check "completed" true m.Metrics.completed;
@@ -80,8 +81,9 @@ let test_crash_all_but_one_still_completes () =
 let test_survivor_rule () =
   (* Crashing everyone is refused for the last processor. *)
   let adv =
-    Doall_adversary.Crash.into ~name:"kill-all"
-      (fun o -> List.init o.Adversary.p Fun.id)
+    Doall_adversary.Schedule.combine ~name:"kill-all"
+      ~crash:(fun o -> List.init o.Adversary.p Fun.id)
+      ()
   in
   let m = run (Algo_trivial.make ()) ~adv ~p:4 ~t:8 in
   check "completed" true m.Metrics.completed;

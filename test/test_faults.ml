@@ -235,26 +235,10 @@ let test_of_spec () =
       | Error _ -> ())
     [ "bogus"; "drop"; "drop=1.5"; "dup=0.2xx2"; "drop=0.1,junk=3" ]
 
-let test_to_spec () =
-  let module F = Doall_adversary.Fault in
-  let pin policy expect =
-    Alcotest.(check (option string)) expect (Some expect) (F.to_spec policy)
-  in
-  pin (F.drop ~prob:0.5) "drop=0.5";
-  pin (F.duplicate ~copies:1 ~prob:0.2) "dup=0.2";
-  pin (F.duplicate ~copies:3 ~prob:0.25) "dup=0.25x3";
-  pin (F.reorder ~prob:0.3) "reorder=0.3";
-  pin
-    (F.all [ F.drop ~prob:0.3; F.reorder ~prob:0.1 ])
-    "drop=0.3,reorder=0.1";
-  (* policies with no spec form serialize to None *)
-  check "none has no spec" true (F.to_spec F.none = None);
-  check "drop_all has no spec" true (F.to_spec F.drop_all = None)
-
-let test_to_spec_roundtrip =
-  (* of_spec -> to_spec yields a canonical name: parsing it again
-     rebuilds a policy that prints identically (a fixpoint) *)
-  QCheck2.Test.make ~name:"Fault.to_spec inverts of_spec" ~count:200
+let test_name_fixpoint =
+  (* of_spec returns a canonical name: parsing that name again returns
+     it unchanged (a fixpoint) *)
+  QCheck2.Test.make ~name:"Fault.of_spec name is a fixpoint" ~count:200
     QCheck2.Gen.(
       triple (int_range 0 1000) (int_range 0 1000) (int_range 1 8))
     (fun (a, b, copies) ->
@@ -268,17 +252,12 @@ let test_to_spec_roundtrip =
       in
       match F.of_spec spec with
       | Error e -> QCheck2.Test.fail_reportf "%s rejected: %s" spec e
-      | Ok (policy, _name) -> (
-        match F.to_spec policy with
-        | None -> QCheck2.Test.fail_reportf "%s: to_spec lost the name" spec
-        | Some name' ->
-          (match F.of_spec name' with
-          | Error e ->
-            QCheck2.Test.fail_reportf "%s unparsable: %s" name' e
-          | Ok (_, name'') ->
-            if name' <> name'' then
-              QCheck2.Test.fail_reportf "not a fixpoint: %s -> %s" name'
-                name'');
+      | Ok (_, name) -> (
+        match F.of_spec name with
+        | Error e -> QCheck2.Test.fail_reportf "%s unparsable: %s" name e
+        | Ok (_, name') ->
+          if name <> name' then
+            QCheck2.Test.fail_reportf "not a fixpoint: %s -> %s" name name';
           true))
 
 let suite =
@@ -306,6 +285,5 @@ let suite =
     Alcotest.test_case "faulty runs deterministic in the seed" `Quick
       test_faulty_runs_deterministic;
     Alcotest.test_case "--faults spec parser" `Quick test_of_spec;
-    Alcotest.test_case "Fault.to_spec pins" `Quick test_to_spec;
-    QCheck_alcotest.to_alcotest test_to_spec_roundtrip;
+    QCheck_alcotest.to_alcotest test_name_fixpoint;
   ]

@@ -43,7 +43,9 @@ let declared_adversaries () =
     ( "laggard",
       Schedule.combine ~name:"laggard" ~schedule:Schedule.adaptive_laggard () );
     ( "crash-two",
-      Crash.into ~name:"crash-two" (Crash.at_time ~time:2 ~pids:[ 1; 5 ]) );
+      Schedule.combine ~name:"crash-two"
+        ~crash:(Crash.at_time ~time:2 ~pids:[ 1; 5 ])
+        () );
   ]
 
 let test_stream_equals_slow_path () =
@@ -78,7 +80,7 @@ let test_faulted_declaration_is_safe () =
      when latency is declared: the declared and
      stripped runs still agree, now both on the general path. *)
   let faulted name policy =
-    (name, Fault.into ~name policy)
+    (name, Schedule.combine ~name ~faults:policy ())
   in
   List.iter
     (fun (vname, adv) ->
@@ -104,7 +106,7 @@ let test_recovery_gates_stream_off () =
      pid stays stopped; the engine must fall back even under declared
      latency. *)
   let crash, restart = Crash.flaky ~survivor:0 ~up:6 ~down:3 () in
-  let adv = Crash.into_recovering ~name:"flaky" ~crash ~restart in
+  let adv = Schedule.combine ~name:"flaky" ~crash ~restart () in
   let fast = run (Algo_pa.make_ran1 ()) adv in
   let slow =
     run (Algo_pa.make_ran1 ()) (Adversary.with_latency Adversary.Variable adv)

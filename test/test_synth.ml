@@ -87,6 +87,8 @@ let test_of_spec_normalizes () =
       (* out-of-range genes clamped *)
       ("sched=all;delay=const:0", "sched=all;delay=const:1");
       ("sched=rr:0;delay=max", "sched=rr:1;delay=max");
+      (* instance-sized genes are not capped at 4096 *)
+      ("sched=rr:5000", "sched=rr:5000;delay=const:1");
       (* non-final phase gets a duration *)
       ("sched=all;delay=max|sched=all;delay=const:1",
        "sched=all;delay=max;for=1|sched=all;delay=const:1");
