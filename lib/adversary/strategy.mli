@@ -91,7 +91,8 @@ type phase = {
 type t = phase list
 (** Non-empty once normalized by {!make} (which every API entry point
     applies): at most 4 phases, every numeric gene clamped to its legal
-    range, probabilities quantized to 3 decimals (so [%g] printing
+    range (docs/FAULTS.md lists them; the genes an instance's p, t or d
+    sizes go up to 2{^30}), probabilities quantized to 3 decimals (so [%g] printing
     round-trips exactly), every non-final phase given a duration and the
     final phase's duration dropped. *)
 
