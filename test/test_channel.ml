@@ -175,6 +175,182 @@ let delivers_iff_single_contender =
         else Channel.lost ch = contenders
       else Channel.lost ch = 0)
 
+(* Differential test against [Ref_chan]: random sequences of
+   transmits (broadcasts, unicasts, release slots, bad pids, self-sends,
+   empty frames), silences, slot resolutions under every arbitration
+   shape (none, identity, reverse, rotor, decline, three kinds of
+   non-permutation, and an out-of-order slot), and receives at random
+   destinations. Receives never run ahead of the next slot to resolve,
+   as in the engine, where a tick's steps come before its slot. Every
+   outcome — unit, slot record, (src, msg) delivery sequence, or the
+   text of a raised [Invalid_argument] — and every counter must match
+   after every operation. Payloads are boxes, sometimes reused, so
+   physically shared payloads are exercised too. *)
+type arb =
+  | No_arb
+  | Identity
+  | Reverse
+  | Rotor
+  | Decline
+  | Duplicate
+  | Short
+  | Stranger
+
+type chan_op =
+  | Transmit of {
+      src : int;
+      release : int; (* offset from the next slot *)
+      bcast : bool;
+      unis : (int * bool) list; (* dst, reuse the previous payload *)
+    }
+  | Silence of int
+  | Resolve of { skip : int; arb : arb } (* skip < 0: the last slot again *)
+  | Receive of { dst : int; back : int }
+
+type outcome =
+  | Done
+  | Raised of string
+  | Slot of Channel.slot
+  | Got of int * (int * int) list
+
+let arbitration arb ~p ~now =
+  let rotate c =
+    let n = Array.length c in
+    Array.init n (fun i -> c.((i + now) mod n))
+  in
+  match arb with
+  | No_arb -> None
+  | Identity -> Some (fun c -> Some c)
+  | Reverse ->
+    Some
+      (fun c ->
+        let n = Array.length c in
+        Some (Array.init n (fun i -> c.(n - 1 - i))))
+  | Rotor -> Some (fun c -> Some (rotate c))
+  | Decline -> Some (fun _ -> None)
+  | Duplicate ->
+    Some
+      (fun c ->
+        let c = rotate c in
+        c.(Array.length c - 1) <- c.(0);
+        Some c)
+  | Short -> Some (fun c -> Some (Array.sub c 1 (Array.length c - 1)))
+  | Stranger ->
+    Some
+      (fun c ->
+        let c = Array.copy c in
+        c.(0) <- p;
+        Some c)
+
+let prop_channel_matches_ref =
+  QCheck2.Test.make ~name:"channel = Ref_chan (both collision modes)"
+    ~count:400
+    QCheck2.Gen.(
+      let* p = int_range 1 5 in
+      let* detectable = bool in
+      let pid = frequency [ (12, int_range 0 (p - 1)); (1, oneofl [ -1; p ]) ] in
+      let op =
+        frequency
+          [
+            ( 5,
+              let* src = pid in
+              let* release = int_range (-1) 3 in
+              let* bcast = frequencyl [ (2, true); (1, false) ] in
+              let* unis =
+                list_size
+                  (frequencyl [ (3, 0); (2, 1); (1, 2); (1, 3) ])
+                  (pair pid bool)
+              in
+              return (Transmit { src; release; bcast; unis }) );
+            (1, map (fun pid -> Silence pid) pid);
+            ( 5,
+              let* skip = frequencyl [ (1, -1); (8, 0); (3, 1); (1, 3) ] in
+              let* arb =
+                frequencyl
+                  [ (4, No_arb); (2, Identity); (2, Reverse); (2, Rotor);
+                    (1, Decline); (1, Duplicate); (1, Short); (1, Stranger) ]
+              in
+              return (Resolve { skip; arb }) );
+            ( 4,
+              let* dst = pid in
+              let* back = frequencyl [ (4, 0); (1, 1); (1, 2) ] in
+              return (Receive { dst; back }) );
+          ]
+      in
+      let* ops = list_size (int_range 1 80) op in
+      return (p, detectable, ops))
+    (fun (p, detectable, ops) ->
+      let collision =
+        if detectable then Config.Detectable else Config.Silent
+      in
+      let ch = Channel.create ~p ~collision () and rf = Ref_chan.create ~p ~collision in
+      let next = ref 0 (* lowest slot that may still resolve *)
+      and last = ref None (* the last slot resolved *)
+      and payload = ref (ref 0) and fresh = ref 0 in
+      let msg reuse =
+        if not reuse then begin
+          incr fresh;
+          payload := ref !fresh
+        end;
+        !payload
+      in
+      let attempt f = try f () with Invalid_argument s -> Raised s in
+      let both f g = (attempt f, attempt g) in
+      let got_of n acc = Got (n, List.rev_map (fun (src, m) -> (src, !m)) acc) in
+      let receive dst now =
+        both
+          (fun () ->
+            let acc = ref [] in
+            let n =
+              Channel.receive_iter ch ~dst ~now (fun src m -> acc := (src, m) :: !acc)
+            in
+            got_of n !acc)
+          (fun () ->
+            let acc = ref [] in
+            let n =
+              Ref_chan.receive_iter rf ~dst ~now (fun src m -> acc := (src, m) :: !acc)
+            in
+            got_of n !acc)
+      in
+      let run = function
+        | Transmit { src; release; bcast; unis } ->
+          let bcast = if bcast then Some (msg false) else None in
+          let unis = List.map (fun (dst, reuse) -> (dst, msg reuse)) unis in
+          let release = !next + release in
+          both
+            (fun () -> Channel.transmit ch ~src ~release ?bcast ~unis (); Done)
+            (fun () -> Ref_chan.transmit rf ~src ~release ?bcast ~unis (); Done)
+        | Silence pid ->
+          both
+            (fun () -> Channel.silence ch ~pid; Done)
+            (fun () -> Ref_chan.silence rf ~pid; Done)
+        | Resolve { skip; arb } ->
+          let now =
+            match !last with
+            | Some slot when skip < 0 -> slot
+            | _ -> !next + max 0 skip
+          in
+          if now >= !next then begin
+            last := Some now;
+            next := now + 1
+          end;
+          let arbitrate = arbitration arb ~p ~now in
+          both
+            (fun () -> Slot (Channel.resolve ch ~now ?arbitrate ()))
+            (fun () -> Slot (Ref_chan.resolve rf ~now ?arbitrate ()))
+        | Receive { dst; back } -> receive dst (!next - back)
+      in
+      let counters () =
+        ( (Channel.sent ch, Channel.lost ch, Channel.collisions ch),
+          (Channel.busy_slots ch, Channel.successes ch, Channel.pending ch) )
+      and ref_counters () =
+        ( (Ref_chan.sent rf, Ref_chan.lost rf, Ref_chan.collisions rf),
+          (Ref_chan.busy_slots rf, Ref_chan.successes rf, Ref_chan.pending rf) )
+      in
+      let agree (got, want) = got = want && counters () = ref_counters () in
+      List.for_all (fun op -> agree (run op)) ops
+      && List.for_all (fun dst -> agree (receive dst !next)) (List.init p Fun.id))
+
 (* -- engine integration -------------------------------------------- *)
 
 let test_spec_name_transport_suffix () =
@@ -280,6 +456,34 @@ let test_channel_golden_cells () =
   expect "da-q4/chan-delayed/silent" (636, 159, 52)
     (cell ~collision:Config.Silent ~algo:"da-q4" ~adv:"chan-delayed")
 
+(* Golden cells for the channel's halted and crashed receivers, with
+   the invariant oracle on. Under [crash=at] the crashed pids never
+   restart, so nothing is owed to them past their crash; under
+   [crash=flaky] they restart and must still receive what was resolved
+   while they were down. *)
+let test_channel_crash_golden_cells () =
+  let cell ~algo ~adv =
+    let r =
+      Runner.run ~seed:1 ~check:true
+        ~transport:(Config.Channel Config.Detectable) ~algo ~adv ~p:16 ~t:64
+        ~d:4 ()
+    in
+    let m = r.Runner.metrics in
+    (m.Metrics.work, m.Metrics.messages, m.Metrics.sigma)
+  in
+  let expect name want got =
+    if got <> want then
+      let w, m, s = got and w', m', s' = want in
+      Alcotest.failf "%s: got W=%d M=%d sigma=%d, want W=%d M=%d sigma=%d"
+        name w m s w' m' s'
+  in
+  let crash_at = "strategy:crash=at:4:8:1;chan=ordered:0"
+  and flaky = "strategy:crash=flaky:4:2;chan=ordered:0" in
+  expect "paran1/crash-at" (328, 327, 36) (cell ~algo:"paran1" ~adv:crash_at);
+  expect "da-q4/crash-at" (200, 40, 20) (cell ~algo:"da-q4" ~adv:crash_at);
+  expect "paran1/flaky" (682, 682, 61) (cell ~algo:"paran1" ~adv:flaky);
+  expect "da-q4/flaky" (781, 27, 70) (cell ~algo:"da-q4" ~adv:flaky)
+
 let test_channel_grid_determinism () =
   (* jobs=1/2/4 must be byte-identical for channel cells too *)
   let specs =
@@ -319,6 +523,7 @@ let suite =
     Alcotest.test_case "message counting on a shared medium" `Quick
       test_message_counting_mixed_frame;
     QCheck_alcotest.to_alcotest delivers_iff_single_contender;
+    QCheck_alcotest.to_alcotest prop_channel_matches_ref;
     Alcotest.test_case "spec_name transport suffix" `Quick
       test_spec_name_transport_suffix;
     Alcotest.test_case "faults rejected on channel" `Quick
@@ -329,6 +534,8 @@ let suite =
       test_chan_adversary_inert_on_ptp;
     Alcotest.test_case "channel golden cells" `Quick
       test_channel_golden_cells;
+    Alcotest.test_case "channel golden cells: crashed and restarted pids" `Quick
+      test_channel_crash_golden_cells;
     Alcotest.test_case "channel grid bit-determinism" `Slow
       test_channel_grid_determinism;
   ]
