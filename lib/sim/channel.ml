@@ -1,26 +1,32 @@
-(* See channel.mli. One frame queue per station (a station transmits at
-   most one frame per slot, oldest first), one delivery queue per
-   destination. Resolution happens once per slot in ascending slot
-   order, so inbox queues are enqueued with non-decreasing due times and
-   receive_iter only ever inspects the head. *)
+(* See channel.mli. Each station is a circular struct-of-arrays FIFO of
+   frames (a station transmits at most one frame per slot, oldest
+   first) whose columns are the broadcast option, the unicast list and
+   the release slot the caller handed over, so queuing a frame
+   allocates nothing once the columns have grown. A resolved frame goes
+   into an embedded Network, due at the next slot: its broadcast as one
+   shared record, each unicast as one ring entry. Slots resolve in
+   strictly increasing order and a slot delivers at most one frame, so
+   Network's (due, seq) merge hands each destination its deliveries in
+   slot order, a frame's broadcast before its unicasts. *)
 
-type 'msg frame = {
-  f_bcast : 'msg option;
-  f_unis : (int * 'msg) list;
-  f_sent : int; (* logical messages (the M units paid at submission) *)
-  f_fan : int; (* deliveries on success: (p - 1 if broadcast) + unicasts *)
-  mutable f_release : int; (* first slot at which the frame contends *)
+type 'msg station = {
+  mutable bcast : 'msg option array;
+  mutable unis : (int * 'msg) list array;
+  mutable release : int array;
+  mutable head : int;
+  mutable len : int;
 }
-
-type 'msg delivery = { due : int; d_src : int; d_msg : 'msg }
 
 type 'msg t = {
   p : int;
   collision : Config.collision;
-  stations : 'msg frame Queue.t array; (* per src: local transmit queue *)
-  inbox : 'msg delivery Queue.t array; (* per dst: resolved deliveries *)
+  stations : 'msg station array;
+  net : 'msg Network.t; (* resolved deliveries, due one slot later *)
+  contenders : int array; (* this slot's contending pids, ascending *)
+  stamp : int array; (* per pid: the last permutation check that saw it *)
+  mutable generation : int;
+  mutable queued_fan : int; (* deliveries owed by frames still queued *)
   mutable sent : int;
-  mutable in_flight : int; (* deliveries owed, O(1) pending *)
   mutable n_collisions : int;
   mutable n_busy : int;
   mutable n_success : int;
@@ -33,10 +39,15 @@ let create ~p ~collision () =
   {
     p;
     collision;
-    stations = Array.init p (fun _ -> Queue.create ());
-    inbox = Array.init p (fun _ -> Queue.create ());
+    stations =
+      Array.init p (fun _ ->
+          { bcast = [||]; unis = [||]; release = [||]; head = 0; len = 0 });
+    net = Network.create ~horizon:1 ~p ();
+    contenders = Array.make p 0;
+    stamp = Array.make p 0;
+    generation = 0;
+    queued_fan = 0;
     sent = 0;
-    in_flight = 0;
     n_collisions = 0;
     n_busy = 0;
     n_success = 0;
@@ -50,35 +61,81 @@ let collision t = t.collision
 let check_pid t pid name =
   if pid < 0 || pid >= t.p then invalid_arg (name ^ ": pid out of range")
 
+(* logical messages (the M units paid at submission) and deliveries on
+   success ((p - 1 if broadcast) + unicasts) of one frame *)
+let logical bcast unis =
+  (match bcast with Some _ -> 1 | None -> 0) + List.length unis
+
+let fan t bcast unis =
+  (match bcast with Some _ -> t.p - 1 | None -> 0) + List.length unis
+
+let push st ~release bcast unis =
+  let cap = Array.length st.release in
+  if st.len = cap then begin
+    (* full (or never allocated): grow to the next power of two *)
+    let cap' = if cap = 0 then 4 else 2 * cap in
+    let bcast' = Array.make cap' None
+    and unis' = Array.make cap' []
+    and release' = Array.make cap' 0 in
+    for i = 0 to st.len - 1 do
+      let j = (st.head + i) land (cap - 1) in
+      bcast'.(i) <- st.bcast.(j);
+      unis'.(i) <- st.unis.(j);
+      release'.(i) <- st.release.(j)
+    done;
+    st.bcast <- bcast';
+    st.unis <- unis';
+    st.release <- release';
+    st.head <- 0
+  end;
+  let at = (st.head + st.len) land (Array.length st.release - 1) in
+  Array.unsafe_set st.bcast at bcast;
+  Array.unsafe_set st.unis at unis;
+  Array.unsafe_set st.release at release;
+  st.len <- st.len + 1
+
+(* drop the head frame, clearing its slots so the ring holds no payload
+   nobody will receive *)
+let drop_head st =
+  Array.unsafe_set st.bcast st.head None;
+  Array.unsafe_set st.unis st.head [];
+  st.head <- (st.head + 1) land (Array.length st.release - 1);
+  st.len <- st.len - 1
+
+let rec check_unis t ~src = function
+  | [] -> ()
+  | (dst, _) :: rest ->
+    check_pid t dst "Channel.transmit dst";
+    if dst = src then invalid_arg "Channel.transmit: self-send";
+    check_unis t ~src rest
+
 let transmit t ~src ~release ?bcast ~unis () =
   check_pid t src "Channel.transmit src";
-  List.iter
-    (fun (dst, _) ->
-      check_pid t dst "Channel.transmit dst";
-      if dst = src then invalid_arg "Channel.transmit: self-send")
-    unis;
-  let n_unis = List.length unis in
-  let logical = (match bcast with Some _ -> 1 | None -> 0) + n_unis in
+  check_unis t ~src unis;
+  let logical = logical bcast unis in
   if logical = 0 then invalid_arg "Channel.transmit: empty frame";
-  let fan =
-    (match bcast with Some _ -> t.p - 1 | None -> 0) + n_unis
-  in
-  Queue.add
-    { f_bcast = bcast; f_unis = unis; f_sent = logical; f_fan = fan;
-      f_release = release }
-    t.stations.(src);
+  push t.stations.(src) ~release bcast unis;
   t.sent <- t.sent + logical;
-  t.in_flight <- t.in_flight + fan
+  t.queued_fan <- t.queued_fan + fan t bcast unis
+
+(* the head frame of [st] is discarded undelivered *)
+let lose_head t st =
+  let bcast = Array.unsafe_get st.bcast st.head
+  and unis = Array.unsafe_get st.unis st.head in
+  t.n_lost <- t.n_lost + logical bcast unis;
+  t.queued_fan <- t.queued_fan - fan t bcast unis;
+  drop_head st
 
 let silence t ~pid =
   check_pid t pid "Channel.silence";
-  let q = t.stations.(pid) in
-  Queue.iter
-    (fun f ->
-      t.n_lost <- t.n_lost + f.f_sent;
-      t.in_flight <- t.in_flight - f.f_fan)
-    q;
-  Queue.clear q
+  let st = t.stations.(pid) in
+  while st.len > 0 do
+    lose_head t st
+  done
+
+let deactivate t ~pid =
+  check_pid t pid "Channel.deactivate";
+  Network.deactivate t.net ~pid
 
 type slot = {
   slot_busy : bool;
@@ -86,20 +143,32 @@ type slot = {
   slot_delivered : int;
 }
 
-let deliver t ~now ~src f =
+let idle = { slot_busy = false; slot_collided = false; slot_delivered = 0 }
+let collided = { slot_busy = true; slot_collided = true; slot_delivered = 0 }
+
+let rec send_unis t ~src ~due = function
+  | [] -> ()
+  | (dst, m) :: rest ->
+    Network.send t.net ~src ~dst ~due m;
+    send_unis t ~src ~due rest
+
+(* [src]'s head frame transmits alone in slot [now] *)
+let deliver t ~now ~src =
+  let st = t.stations.(src) in
+  let bcast = Array.unsafe_get st.bcast st.head
+  and unis = Array.unsafe_get st.unis st.head in
+  drop_head st;
   let due = now + 1 in
-  (match f.f_bcast with
-   | Some m ->
-     for dst = 0 to t.p - 1 do
-       if dst <> src then Queue.add { due; d_src = src; d_msg = m } t.inbox.(dst)
-     done
+  (match bcast with
+   | Some m -> Network.broadcast t.net ~src ~due m
    | None -> ());
-  List.iter
-    (fun (dst, m) -> Queue.add { due; d_src = src; d_msg = m } t.inbox.(dst))
-    f.f_unis;
+  send_unis t ~src ~due unis;
+  t.queued_fan <- t.queued_fan - fan t bcast unis;
+  t.n_success <- t.n_success + 1;
   (* logical messages, matching the channel's M measure: a delivered
-     broadcast counts 1 even though it fans out to p - 1 inboxes *)
-  f.f_sent
+     broadcast counts 1 even though it fans out to p - 1 destinations *)
+  { slot_busy = true; slot_collided = false;
+    slot_delivered = logical bcast unis }
 
 (* the deterministic TDMA backoff: the next slot u > now in [src]'s
    residue class mod p — distinct transmitters land in distinct slots *)
@@ -107,93 +176,84 @@ let backoff_slot ~p ~now ~src =
   let r = (src - (now + 1)) mod p in
   now + 1 + (if r < 0 then r + p else r)
 
+let defer t src ~release =
+  let st = t.stations.(src) in
+  Array.unsafe_set st.release st.head release
+
+(* [perm] must be a permutation of the [n] contenders: each entry a
+   contender (stamped [g]) seen once (then restamped [g + 1]) *)
+let check_permutation t n perm =
+  let g = t.generation + 2 in
+  t.generation <- g;
+  for i = 0 to n - 1 do
+    Array.unsafe_set t.stamp (Array.unsafe_get t.contenders i) g
+  done;
+  let ok = ref (Array.length perm = n) in
+  for i = 0 to Array.length perm - 1 do
+    let src = perm.(i) in
+    if src < 0 || src >= t.p || Array.unsafe_get t.stamp src <> g then
+      ok := false
+    else Array.unsafe_set t.stamp src (g + 1)
+  done;
+  if not !ok then
+    invalid_arg
+      "Channel.resolve: arbitration did not return a permutation of the \
+       contenders"
+
 let resolve t ~now ?arbitrate () =
   if now <= t.last_slot then
     invalid_arg "Channel.resolve: slots must resolve in increasing order";
   t.last_slot <- now;
-  let contenders = ref [] in
-  for src = t.p - 1 downto 0 do
-    match Queue.peek_opt t.stations.(src) with
-    | Some f when f.f_release <= now -> contenders := src :: !contenders
-    | Some _ | None -> ()
+  let n = ref 0 in
+  for src = 0 to t.p - 1 do
+    let st = Array.unsafe_get t.stations src in
+    if st.len > 0 && Array.unsafe_get st.release st.head <= now then begin
+      Array.unsafe_set t.contenders !n src;
+      incr n
+    end
   done;
-  match !contenders with
-  | [] -> { slot_busy = false; slot_collided = false; slot_delivered = 0 }
-  | [ src ] ->
-    let f = Queue.pop t.stations.(src) in
+  let n = !n in
+  if n = 0 then idle
+  else begin
     t.n_busy <- t.n_busy + 1;
-    t.n_success <- t.n_success + 1;
-    let delivered = deliver t ~now ~src f in
-    { slot_busy = true; slot_collided = false; slot_delivered = delivered }
-  | contenders -> (
-    t.n_busy <- t.n_busy + 1;
-    let order =
-      match arbitrate with
-      | None -> None
-      | Some f -> (
-        let arr = Array.of_list contenders in
-        match f (Array.copy arr) with
-        | None -> None (* the adversary declines: let this slot collide *)
-        | Some perm ->
-          (* the order must be a permutation of the contenders: same
-             length, same members ([arr] is ascending, so sorting a copy
-             of [perm] must reproduce it) *)
-          let sorted = Array.copy perm in
-          Array.sort compare sorted;
-          if sorted <> arr then
-            invalid_arg
-              "Channel.resolve: arbitration did not return a permutation of \
-               the contenders";
-          Some perm)
-    in
-    match order with
-    | Some perm ->
-      (* ordered adversary: the head transmits alone, the rest are
-         deferred to the next slot (where they contend again) *)
-      let winner = perm.(0) in
-      let f = Queue.pop t.stations.(winner) in
-      for i = 1 to Array.length perm - 1 do
-        (Queue.peek t.stations.(perm.(i))).f_release <- now + 1
-      done;
-      t.n_success <- t.n_success + 1;
-      let delivered = deliver t ~now ~src:winner f in
-      { slot_busy = true; slot_collided = false; slot_delivered = delivered }
-    | None ->
-      (* a genuine collision *)
-      t.n_collisions <- t.n_collisions + 1;
-      (match t.collision with
-       | Config.Silent ->
-         List.iter
-           (fun src ->
-             let f = Queue.pop t.stations.(src) in
-             t.n_lost <- t.n_lost + f.f_sent;
-             t.in_flight <- t.in_flight - f.f_fan)
-           contenders
-       | Config.Detectable ->
-         List.iter
-           (fun src ->
-             (Queue.peek t.stations.(src)).f_release <-
-               backoff_slot ~p:t.p ~now ~src)
-           contenders);
-      { slot_busy = true; slot_collided = true; slot_delivered = 0 })
+    if n = 1 then deliver t ~now ~src:t.contenders.(0)
+    else
+      let order =
+        match arbitrate with
+        | None -> None
+        | Some f -> (
+          match f (Array.sub t.contenders 0 n) with
+          | None -> None (* the adversary declines: let this slot collide *)
+          | Some perm ->
+            check_permutation t n perm;
+            Some perm)
+      in
+      match order with
+      | Some perm ->
+        (* ordered adversary: the head transmits alone, the rest are
+           deferred to the next slot (where they contend again) *)
+        for i = 1 to n - 1 do
+          defer t perm.(i) ~release:(now + 1)
+        done;
+        deliver t ~now ~src:perm.(0)
+      | None ->
+        (* a genuine collision *)
+        t.n_collisions <- t.n_collisions + 1;
+        for i = 0 to n - 1 do
+          let src = t.contenders.(i) in
+          match t.collision with
+          | Config.Silent -> lose_head t t.stations.(src)
+          | Config.Detectable ->
+            defer t src ~release:(backoff_slot ~p:t.p ~now ~src)
+        done;
+        collided
+  end
 
 let receive_iter t ~dst ~now f =
   check_pid t dst "Channel.receive_iter";
-  let q = t.inbox.(dst) in
-  let n = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt q with
-    | Some dv when dv.due <= now ->
-      ignore (Queue.pop q);
-      t.in_flight <- t.in_flight - 1;
-      incr n;
-      f dv.d_src dv.d_msg
-    | Some _ | None -> continue := false
-  done;
-  !n
+  Network.receive_iter t.net ~dst ~now f
 
-let pending t = t.in_flight
+let pending t = t.queued_fan + Network.pending t.net
 
 let sent t = t.sent
 let collisions t = t.n_collisions

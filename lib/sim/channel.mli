@@ -29,7 +29,18 @@
 
     Everything is deterministic: contenders are resolved in ascending
     pid order, per-destination deliveries are enqueued in slot order,
-    and no randomness is drawn. *)
+    and no randomness is drawn.
+
+    Storage: each station is a ring of frames whose columns are the
+    broadcast option, the unicast list and the release slot as the
+    caller handed them over, so queuing a frame allocates no block of
+    its own. A delivered frame goes into an embedded {!Network}, due at
+    the next slot: its broadcast is one shared record for all [p - 1]
+    destinations, each unicast one entry of its destination's ring. A
+    slot delivers at most one frame, so the network's (due, send order)
+    merge keeps slot order, a frame's broadcast before its unicasts.
+    Copies owed to a processor that is never {!deactivate}d and never
+    steps again keep their records alive. *)
 
 type 'msg t
 
@@ -61,6 +72,13 @@ val silence : 'msg t -> pid:int -> unit
     {!sent} stay counted; {!lost} records the discarded payload.
     Already-delivered traffic is unaffected. *)
 
+val deactivate : 'msg t -> pid:int -> unit
+(** Declare that [pid] will never take another step (halted, or crashed
+    with no recovery adversary): broadcasts stop waiting for it
+    ({!Network.deactivate}). Its station keeps transmitting what is
+    already queued, and messages already owed to it still count in
+    {!pending}. Idempotent. *)
+
 type slot = {
   slot_busy : bool;  (** at least one frame contended *)
   slot_collided : bool;  (** two or more contended with no arbitration *)
@@ -80,7 +98,11 @@ val resolve :
 
 val receive_iter : 'msg t -> dst:int -> now:int -> (int -> 'msg -> unit) -> int
 (** Deliver every message owed to [dst] with due time [<= now], oldest
-    first, as [f src msg]; returns the delivery count. *)
+    first, as [f src msg]; returns the delivery count. [now] must not
+    run ahead of the next slot to resolve, as in the engine, where a
+    tick's steps come before its slot: a frame resolved at a slot
+    before [dst]'s last [now] would be due behind its delivery cursor
+    ([Invalid_argument] from {!resolve}). *)
 
 val pending : 'msg t -> int
 (** Deliveries owed but not yet received: queued frames count their

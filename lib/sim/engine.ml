@@ -90,10 +90,9 @@ module Make (A : Algorithm.S) = struct
     stream : bool;
         (* constant-latency fast path: declared Fixed/Maximal latency, no
            fault injection, no crash recovery. Broadcasts become one
-           shared Bcast record instead of p-1 sends, epochs of
-           merge-homomorphic payloads fold into one digest, and
-           permanently-stopped pids are deactivated so shared storage
-           is reclaimed. Bit-identical to the general path by
+           shared Bcast record instead of p-1 sends and epochs of
+           merge-homomorphic payloads fold into one digest.
+           Bit-identical to the general path by
            construction (pinned by the golden grid and the stream
            equivalence tests). *)
     stream_delta : int; (* the declared constant, clamped into [1..d] *)
@@ -347,6 +346,16 @@ module Make (A : Algorithm.S) = struct
         end)
       pids
 
+  (* Without a restart policy a halt or crash is permanent, so shared
+     broadcast storage stops waiting for [pid]. *)
+  let deactivate_if_permanent eng pid =
+    match eng.adv.Adversary.restart with
+    | Some _ -> ()
+    | None -> (
+      match eng.fabric with
+      | Ptp net -> Network.deactivate net ~pid
+      | Shared ch -> Channel.deactivate ch ~pid)
+
   let apply_crashes eng pids =
     List.iter
       (fun pid ->
@@ -355,14 +364,13 @@ module Make (A : Algorithm.S) = struct
           eng.alive.(pid) <- false;
           eng.live <- eng.live - 1;
           if not eng.halted.(pid) then unlink_eligible eng pid;
+          (* in-flight messages outlive their sender (§2.1); on the
+             shared channel the transmit buffer dies with the volatile
+             state *)
           (match eng.fabric with
-           | Ptp net ->
-             (* in-flight messages outlive their sender (§2.1); stream
-                implies no restart policy, so the crash is permanent *)
-             if eng.stream then Network.deactivate net ~pid
-           | Shared ch ->
-             (* the transmit buffer dies with the volatile state *)
-             Channel.silence ch ~pid);
+           | Ptp _ -> ()
+           | Shared ch -> Channel.silence ch ~pid);
+          deactivate_if_permanent eng pid;
           if eng.done_seen.(pid) then eng.done_alive <- eng.done_alive - 1;
           if eng.cfg.Config.record_trace then
             Trace.add eng.trace (Trace.Crash { time = eng.time; pid })
@@ -563,10 +571,7 @@ module Make (A : Algorithm.S) = struct
       eng.halted.(pid) <- true;
       eng.halted_count <- eng.halted_count + 1;
       unlink_eligible eng pid;
-      (* a stream run has no restart policy, so the halt is permanent *)
-      (match eng.fabric with
-       | Ptp net when eng.stream -> Network.deactivate net ~pid
-       | Ptp _ | Shared _ -> ());
+      deactivate_if_permanent eng pid;
       if eng.cfg.Config.record_trace then
         Trace.add eng.trace (Trace.Halt { time = eng.time; pid })
     end;
