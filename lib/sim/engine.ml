@@ -158,6 +158,23 @@ module Make (A : Algorithm.S) = struct
      with Exit -> ());
     List.rev !performed
 
+  (* [isolated_plan ~horizon:1] without the bookkeeping: the first task
+     the clone performs, if it performs one before it halts, waits or
+     reaches [step_cap]. *)
+  let first_task states ~pid ~step_cap =
+    let clone = A.copy states.(pid) in
+    let rec go steps =
+      if steps >= step_cap then None
+      else
+        let r = A.step clone in
+        match r.Algorithm.performed with
+        | Some _ as task -> task
+        | None ->
+          if r.Algorithm.halt || r.Algorithm.waiting then None
+          else go (steps + 1)
+    in
+    go 0
+
   let create ?probe ?spans ?(check = false) cfg ~d ~adversary =
     if d < 0 then invalid_arg "Engine.create: d must be non-negative";
     let d = max 1 d in
@@ -256,13 +273,7 @@ module Make (A : Algorithm.S) = struct
           undone = (fun () -> Bitset.missing eng.global_done);
           task_done = (fun task -> Bitset.mem eng.global_done task);
           would_perform =
-            (fun pid ->
-              match
-                isolated_plan eng.states ~pid ~horizon:1
-                  ~step_cap:plan_step_cap
-              with
-              | [] -> None
-              | task :: _ -> Some task);
+            (fun pid -> first_task eng.states ~pid ~step_cap:plan_step_cap);
           plan =
             (fun ~pid ~horizon ->
               isolated_plan eng.states ~pid ~horizon ~step_cap:plan_step_cap);
