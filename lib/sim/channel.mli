@@ -39,8 +39,9 @@
     destinations, each unicast one entry of its destination's ring. A
     slot delivers at most one frame, so the network's (due, send order)
     merge keeps slot order, a frame's broadcast before its unicasts.
-    Copies owed to a processor that is never {!deactivate}d and never
-    steps again keep their records alive. *)
+    A broadcast record stays alive until every processor that is not
+    {!deactivate}d has received it; unicasts owed to a processor that
+    never steps again stay in its ring. *)
 
 type 'msg t
 

@@ -144,6 +144,47 @@ let test_message_counting_mixed_frame () =
   check_int "dst 1" 2 (Channel.receive_iter ch ~dst:1 ~now:1 (fun _ _ -> ()));
   check_int "dst 3" 1 (Channel.receive_iter ch ~dst:3 ~now:1 (fun _ _ -> ()))
 
+(* Queuing a frame and receiving its copies allocate nothing once the
+   rings have grown, and resolving a slot allocates at most its [slot]
+   record, however many destinations the frame reaches: rounds in
+   which one station transmits a broadcast and a unicast, the slot
+   resolves, and every destination receives the previous slot's frame. *)
+let test_frames_allocate_nothing () =
+  let p = 16 and rounds = 200 in
+  let ch = Channel.create ~p ~collision:Config.Silent () in
+  let bcast = Some "b" and unis = [ (0, "u") ] in
+  let receiver _ _ = () in
+  let queued = ref 0.0 and resolved = ref 0.0 and received = ref 0.0 in
+  let measure acc f =
+    let w0 = Gc.minor_words () in
+    f ();
+    acc := !acc +. (Gc.minor_words () -. w0)
+  in
+  for round = 0 to rounds - 1 do
+    let src = 1 + (round mod (p - 1)) in
+    let warm = round < 2 * p in
+    let sink = ref 0.0 in
+    measure (if warm then sink else queued) (fun () ->
+        Channel.transmit ch ~src ~release:round ?bcast ~unis ());
+    measure (if warm then sink else resolved) (fun () ->
+        ignore (Channel.resolve ch ~now:round ()));
+    measure (if warm then sink else received) (fun () ->
+        for dst = 0 to p - 1 do
+          ignore (Channel.receive_iter ch ~dst ~now:(round + 1) receiver)
+        done)
+  done;
+  check_int "every frame delivered" 0 (Channel.pending ch);
+  let measured = rounds - (2 * p) in
+  check (Printf.sprintf "%.0f words queuing %d frames" !queued measured) true
+    (!queued = 0.0);
+  check
+    (Printf.sprintf "%.0f words receiving %d frames" !received measured)
+    true (!received = 0.0);
+  check
+    (Printf.sprintf "%.0f words resolving %d slots" !resolved measured)
+    true
+    (!resolved <= float_of_int (4 * measured))
+
 (* QCheck: the defining property — an unarbitrated slot delivers iff
    exactly one station contends. *)
 let delivers_iff_single_contender =
@@ -522,6 +563,8 @@ let suite =
     Alcotest.test_case "frame validation" `Quick test_frame_validation;
     Alcotest.test_case "message counting on a shared medium" `Quick
       test_message_counting_mixed_frame;
+    Alcotest.test_case "frames and delivered copies allocate nothing" `Quick
+      test_frames_allocate_nothing;
     QCheck_alcotest.to_alcotest delivers_iff_single_contender;
     QCheck_alcotest.to_alcotest prop_channel_matches_ref;
     Alcotest.test_case "spec_name transport suffix" `Quick
