@@ -221,23 +221,20 @@ let resolve t ~now ?arbitrate () =
       let order =
         match arbitrate with
         | None -> None
-        | Some f -> (
-          match f (Array.sub t.contenders 0 n) with
-          | None -> None (* the adversary declines: let this slot collide *)
-          | Some perm ->
-            check_permutation t n perm;
-            Some perm)
+        | Some f -> f (Array.sub t.contenders 0 n)
       in
       match order with
       | Some perm ->
         (* ordered adversary: the head transmits alone, the rest are
            deferred to the next slot (where they contend again) *)
+        check_permutation t n perm;
         for i = 1 to n - 1 do
           defer t perm.(i) ~release:(now + 1)
         done;
         deliver t ~now ~src:perm.(0)
       | None ->
-        (* a genuine collision *)
+        (* a genuine collision: no arbitration, or the adversary
+           declined *)
         t.n_collisions <- t.n_collisions + 1;
         for i = 0 to n - 1 do
           let src = t.contenders.(i) in
