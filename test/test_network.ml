@@ -463,6 +463,29 @@ let test_payload_released_with_last_copy () =
   check "collected after the last copy" false (alive w);
   check_int "nothing pending" 0 (Network.pending net)
 
+(* A broadcast's payload is held once for every receiver, so it lives
+   while any cursor still owes it, the sender's included: it goes with
+   the last receiver to pass it, or with the lagging pid's deactivation. *)
+let test_broadcast_payload_released () =
+  let lagging_broadcast () =
+    let net = Network.create ~horizon:4 ~p:4 () in
+    Network.broadcast net ~src:0 ~due:1 (fresh_payload ());
+    List.iter (fun dst -> receive_none net ~dst ~now:1) [ 0; 1; 2; 3 ];
+    let w = sent_payload (fun m -> Network.broadcast net ~src:0 ~due:2 m) in
+    List.iter (fun dst -> receive_none net ~dst ~now:2) [ 0; 1; 2 ];
+    (net, w)
+  in
+  let net, w = lagging_broadcast () in
+  check "alive while a cursor lags" true (alive w);
+  receive_none net ~dst:3 ~now:2;
+  check "collected once the lagging cursor drains it" false (alive w);
+  check_int "nothing pending" 0 (Network.pending net);
+  let net, w = lagging_broadcast () in
+  check "alive before deactivation" true (alive w);
+  Network.deactivate net ~pid:3;
+  check "collected once the lagging pid is deactivated" false (alive w);
+  check_int "the deactivated pid's copy still pending" 1 (Network.pending net)
+
 let test_replica_payload_released () =
   let net = Network.create ~horizon:4 ~p:2 () in
   Network.send net ~src:0 ~dst:1 ~due:1 (fresh_payload ());
@@ -483,10 +506,14 @@ let test_replica_payload_released () =
    replicas) and across sources, mixed with constant-offset broadcasts
    and polls at a non-decreasing clock. Every poll must return the
    reference's (src, msg) sequence. [Ref_net] has no replicas, so each
-   replica is a reference send that does not count toward [sent]. *)
+   replica is a reference send that does not count toward [sent]. A
+   deactivated pid is never polled again; the reference keeps its copies
+   queued, as the network counts them in [pending], and the broadcast
+   records it no longer holds are released and their ids reused. *)
 type op =
   | Advance of int
   | Poll of int (* dst *)
+  | Deactivate of int (* pid *)
   | Broadcast of int (* src *)
   | Send of { src : int; off : int; lat : int; reuse : int; replica : bool }
 (* [reuse]: 0 = fresh payload, 1 = the last one sent, 2 = an older one *)
@@ -503,6 +530,7 @@ let prop_payload_reuse_matches_ref =
             (2, map (fun k -> Advance k) (int_range 0 3));
             (2, map (fun d -> Poll d) (int_range 0 (p - 1)));
             (1, map (fun s -> Broadcast s) (int_range 0 (p - 1)));
+            (1, map (fun d -> Deactivate d) (int_range 0 (p - 1)));
             ( 6,
               let* src = int_range 0 (p - 1) in
               let* off = int_range 1 (p - 1) in
@@ -517,6 +545,7 @@ let prop_payload_reuse_matches_ref =
     (fun (p, delta, ops) ->
       let net = Network.create ~horizon ~p () and rf = Ref_net.create ~p in
       let now = ref 0 and next = ref 0 and replicas = ref 0 in
+      let inactive = Array.make p false in
       let recent = ref [] (* payloads sent, newest first *) in
       let fresh () =
         incr next;
@@ -552,7 +581,10 @@ let prop_payload_reuse_matches_ref =
         (fun op ->
           (match op with
            | Advance k -> now := !now + k
-           | Poll dst -> ok := !ok && poll dst
+           | Poll dst -> if not inactive.(dst) then ok := !ok && poll dst
+           | Deactivate pid ->
+             Network.deactivate net ~pid;
+             inactive.(pid) <- true
            | Broadcast src ->
              let m = fresh () in
              Network.broadcast net ~src ~due:(!now + delta) m;
@@ -570,9 +602,9 @@ let prop_payload_reuse_matches_ref =
         ops;
       now := !now + horizon + 1;
       for dst = 0 to p - 1 do
-        ok := !ok && poll dst
+        if not inactive.(dst) then ok := !ok && poll dst
       done;
-      !ok && same_counts () && Network.pending net = 0)
+      !ok && same_counts ())
 
 let suite =
   [
@@ -613,6 +645,8 @@ let suite =
       test_released_record_not_reused;
     Alcotest.test_case "payload released with its last copy" `Quick
       test_payload_released_with_last_copy;
+    Alcotest.test_case "broadcast payload released" `Quick
+      test_broadcast_payload_released;
     Alcotest.test_case "replica payload released" `Quick
       test_replica_payload_released;
     QCheck_alcotest.to_alcotest prop_payload_reuse_matches_ref;
