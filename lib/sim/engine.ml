@@ -90,11 +90,15 @@ module Make (A : Algorithm.S) = struct
     stream : bool;
         (* constant-latency fast path: declared Fixed/Maximal latency, no
            fault injection, no crash recovery. Broadcasts become one
-           shared Bcast record instead of p-1 sends and epochs of
-           merge-homomorphic payloads fold into one digest.
-           Bit-identical to the general path by
-           construction (pinned by the golden grid and the stream
-           equivalence tests). *)
+           entry of the network's broadcast log instead of p-1 sends and
+           epochs of merge-homomorphic payloads fold into one digest.
+           Bit-identical to the general path by construction (pinned by
+           the golden grid and the stream equivalence tests). Recovery
+           stays excluded because of the digest: it folds in the
+           receiver's own broadcasts, which is harmless only while the
+           receiver's knowledge already contains them, and a restart
+           resets that knowledge (test_stream pins a flaky cell where
+           the two paths differ). *)
     stream_delta : int; (* the declared constant, clamped into [1..d] *)
     states : A.state array;
     fabric : A.msg fabric;
@@ -214,9 +218,9 @@ module Make (A : Algorithm.S) = struct
       in
       match constant with Some k when reliable -> k | _ -> -1
     in
-    (* the stream fast path is a point-to-point construct: shared Bcast
-       records assume every copy of a multicast is individually due at a
-       constant offset, which a contended slotted medium cannot honour *)
+    (* the stream fast path is a point-to-point construct: a broadcast
+       log entry assumes every copy of a multicast is individually due at
+       a constant offset, which a contended slotted medium cannot honour *)
     let stream = (not shared) && stream_delta >= 0 in
     let eng =
       {
@@ -231,7 +235,7 @@ module Make (A : Algorithm.S) = struct
            | Config.Ptp ->
              (* the digest witness only applies on the stream fast path:
                 elsewhere broadcasts fan out as per-destination sends and
-                the shared stream never sees a record *)
+                the broadcast log never sees an entry *)
              Ptp
                (Network.create
                   ?digest:(if stream then A.merge_homomorphic else None)
@@ -424,7 +428,7 @@ module Make (A : Algorithm.S) = struct
 
   (* Point-to-point: every copy gets its own adversarial delay (and
      fault verdict), except on the stream fast path, where a broadcast
-     is one shared record due after the declared constant. *)
+     is one broadcast log entry due after the declared constant. *)
   let send_ptp eng net pid (r : A.msg Algorithm.step_result) =
     (* Per-message delivery deltas feed net.delivery_latency, but paying
        a histogram update per send costs ~10% on broadcast-heavy runs.
@@ -666,9 +670,8 @@ module Make (A : Algorithm.S) = struct
       let inflight =
         match eng.fabric with
         | Ptp net ->
-          (* shared-stream occupancy: retained broadcast records and
-             bytes held by cached epoch digests (0 outside the digest
-             path) *)
+          (* broadcast-log occupancy: retained log entries and bytes
+             held by cached epoch digests (0 outside the digest path) *)
           let records, digest_words = Network.stream_stats net in
           Probe.set eng.ins.i_stream_pending records;
           Probe.set eng.ins.i_stream_digest

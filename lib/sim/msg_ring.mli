@@ -14,8 +14,8 @@
 
     Delivery order is (due, insertion order). The caller keeps each
     id's send order [seq], non-decreasing in insertion order, and
-    merges the ring with the shared broadcast stream ({!Bcast}) under
-    one total (due, seq) key.
+    merges the ring with its broadcast log under one total (due, seq)
+    key.
 
     The peek/pop split exists for that merge: [peek] positions the head
     at the earliest due event without removing it, the [head_*]

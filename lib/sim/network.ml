@@ -1,24 +1,38 @@
-(* See network.mli. Per-destination struct-of-arrays calendar rings
-   (Msg_ring) merged with the shared broadcast stream (Bcast) under one
-   total (due, seq) key. [seq] is a single network-wide send counter, so
-   relative order per destination is exactly send order.
+(* See network.mli. One payload table, indexed two ways and merged under
+   one total (due, seq) delivery key. [seq] is a single network-wide send
+   counter, so relative order per destination is exactly send order. A
+   record of the table holds one multicast's [src], [seq] and payload
+   once, however many copies are queued and however they are delivered.
 
-   A ring entry is two ints, (due, id): [id] names a record of the
-   payload table, which holds each multicast's [src], [seq] and payload
-   once however many copies are queued. [enqueue] reuses the previous
-   send's record when the source is the same and the payload physically
-   equal, which is what a multicast's per-destination send loop (and its
-   replicas and reorders) looks like; otherwise it opens a record, which
-   draws the next [seq]. Sharing one [seq] among copies keeps the merge
-   exact: every copy of a record is sent before the next broadcast,
-   because {!broadcast} drops the reuse cache. A record is released
-   when its last queued copy is received. *)
+   Per-destination struct-of-arrays calendar rings (Msg_ring) hold a
+   queued copy as two ints, (due, id), where [id] names a record.
+   [enqueue] reuses the previous send's record when the source is the
+   same and the payload physically equal, which is what a multicast's
+   per-destination send loop (and its replicas and reorders) looks like;
+   otherwise it opens a record, which draws the next [seq]. Sharing one
+   [seq] among copies keeps the merge exact: every copy of a record is
+   sent before the next broadcast, because {!broadcast} drops the reuse
+   cache. A ring record is released when its last queued copy is
+   received.
+
+   A broadcast opens a record and appends one entry to the broadcast
+   log, a growable circular struct-of-arrays buffer, globally sorted by
+   (due, seq) because the engine only broadcasts when the delay is a
+   declared constant: send instants never decrease, so dues never
+   decrease, and seq breaks ties in send order. Each destination keeps a
+   cursor (absolute log index); delivery walks the cursor over entries
+   due by now. An entry's [l_rc] counts the active destinations whose
+   cursors have not passed it yet (the sender included — it passes its
+   own entry without a delivery). Counts fall in log order, so the
+   entries at zero form a prefix: the log drops them from its head and
+   releases their records. An entry keeps its own [src] and [rc] next to
+   [due] and [id], so every cursor's scan reads contiguous columns, not
+   records the free-list scattered. *)
 
 type 'msg t = {
   p : int;
   rings : Msg_ring.t option array; (* per dst, made on first send *)
   horizon : int;
-  bcast : 'msg Bcast.t;
   mutable sent : int;
   mutable in_flight : int; (* queued but not yet received, O(1) pending *)
   mutable seq : int;
@@ -27,12 +41,38 @@ type 'msg t = {
   mutable rec_src : int array;
   mutable rec_seq : int array;
   mutable rec_msg : 'msg array;
-  mutable rec_copies : int array; (* copies still queued *)
+  mutable rec_copies : int array; (* ring copies still queued *)
   mutable free : int array;
   mutable n_free : int;
   mutable opened : int;
   mutable last : int; (* the previous send's record, or -1 *)
   mutable filler : 'msg option; (* overwrites released slots *)
+  (* broadcast log, circular: slot = index land (capacity - 1) *)
+  mutable l_due : int array;
+  mutable l_id : int array;
+  mutable l_src : int array;
+  mutable l_rc : int array;
+  mutable head : int; (* absolute index of the first retained entry *)
+  mutable tail : int; (* absolute index one past the last entry *)
+  mutable last_due : int;
+  cursor : int array; (* per pid: absolute index of the next entry *)
+  active : bool array;
+  mutable n_active : int;
+  (* Epoch index for the digest fast path (None fold = disabled). An
+     epoch is a maximal run of equal-due entries; since dues never
+     decrease, epochs are contiguous [e_start(e), e_start(e+1)) slices
+     of the log, themselves kept in a circular deque indexed by absolute
+     epoch number. [e_digest] caches fold(all msgs of the epoch),
+     computed at the first whole-epoch drain and shared by every later
+     receiver; sound because an entry due at T was added at
+     T - delta < T (delta >= 1), so a deliverable epoch can no longer
+     grow. *)
+  fold : ('msg array -> 'msg) option;
+  mutable e_start : int array; (* absolute log index opening epoch e *)
+  mutable e_due : int array;
+  mutable e_digest : 'msg option array;
+  mutable e_head : int; (* absolute index of first retained epoch *)
+  mutable e_tail : int; (* one past the last epoch *)
 }
 
 let create ?digest ~horizon ~p () =
@@ -42,7 +82,6 @@ let create ?digest ~horizon ~p () =
     p;
     rings = Array.make p None;
     horizon;
-    bcast = Bcast.create ?fold:digest ~p ();
     sent = 0;
     in_flight = 0;
     seq = 0;
@@ -55,17 +94,28 @@ let create ?digest ~horizon ~p () =
     opened = 0;
     last = -1;
     filler = None;
+    l_due = [||];
+    l_id = [||];
+    l_src = [||];
+    l_rc = [||];
+    head = 0;
+    tail = 0;
+    last_due = min_int;
+    cursor = Array.make p 0;
+    active = Array.make p true;
+    n_active = p;
+    fold = digest;
+    e_start = [||];
+    e_due = [||];
+    e_digest = [||];
+    e_head = 0;
+    e_tail = 0;
   }
 
 let p t = t.p
 
 let check_pid t pid name =
   if pid < 0 || pid >= t.p then invalid_arg (name ^ ": pid out of range")
-
-let next_seq t =
-  let s = t.seq in
-  t.seq <- s + 1;
-  s
 
 let ring_for t dst =
   match Array.unsafe_get t.rings dst with
@@ -74,6 +124,8 @@ let ring_for t dst =
     let r = Msg_ring.create ~horizon:t.horizon () in
     t.rings.(dst) <- Some r;
     r
+
+(* -- payload table ------------------------------------------------- *)
 
 let grow t msg =
   let cap = Array.length t.rec_src in
@@ -111,25 +163,228 @@ let open_record t ~src msg =
     end
   in
   Array.unsafe_set t.rec_src id src;
-  Array.unsafe_set t.rec_seq id (next_seq t);
+  Array.unsafe_set t.rec_seq id t.seq;
+  t.seq <- t.seq + 1;
   Array.unsafe_set t.rec_msg id msg;
   Array.unsafe_set t.rec_copies id 0;
   t.last <- id;
   id
 
-(* one copy of record [id] was received: release the record with its
-   last copy, so the table holds no payload nobody will receive *)
+(* back on the free-list, so the table holds no payload nobody will
+   receive *)
+let release t id =
+  (match t.filler with
+   | Some f -> Array.unsafe_set t.rec_msg id f
+   | None -> ());
+  Array.unsafe_set t.free t.n_free id;
+  t.n_free <- t.n_free + 1;
+  if t.last = id then t.last <- -1
+
+(* one ring copy of record [id] was received: release it with its last *)
 let drop_copy t id =
   let c = Array.unsafe_get t.rec_copies id - 1 in
   Array.unsafe_set t.rec_copies id c;
-  if c = 0 then begin
-    (match t.filler with
-     | Some f -> Array.unsafe_set t.rec_msg id f
-     | None -> ());
-    Array.unsafe_set t.free t.n_free id;
-    t.n_free <- t.n_free + 1;
-    if t.last = id then t.last <- -1
+  if c = 0 then release t id
+
+(* -- broadcast log and its epoch deque ------------------------------ *)
+
+(* circular array [a] copied into a fresh one of capacity [cap'], every
+   absolute index in [lo, hi) kept at its slot *)
+let recap a ~lo ~hi cap' z =
+  let a' = Array.make cap' z in
+  let mask = Array.length a - 1 and mask' = cap' - 1 in
+  for k = lo to hi - 1 do
+    Array.unsafe_set a' (k land mask') (Array.unsafe_get a (k land mask))
+  done;
+  a'
+
+let grow_log t =
+  let cap = Array.length t.l_due in
+  let cap' = if cap = 0 then 64 else 2 * cap in
+  let lo = t.head and hi = t.tail in
+  t.l_due <- recap t.l_due ~lo ~hi cap' 0;
+  t.l_id <- recap t.l_id ~lo ~hi cap' 0;
+  t.l_src <- recap t.l_src ~lo ~hi cap' 0;
+  t.l_rc <- recap t.l_rc ~lo ~hi cap' 0
+
+let epoch_end t e =
+  if e + 1 < t.e_tail then t.e_start.((e + 1) land (Array.length t.e_start - 1))
+  else t.tail
+
+let epoch_push t ~due =
+  let emask = Array.length t.e_start - 1 in
+  if
+    t.e_tail = t.e_head
+    || due > Array.unsafe_get t.e_due ((t.e_tail - 1) land emask)
+  then begin
+    if t.e_tail - t.e_head = Array.length t.e_start then begin
+      let cap = Array.length t.e_start in
+      let cap' = if cap = 0 then 8 else 2 * cap in
+      let lo = t.e_head and hi = t.e_tail in
+      t.e_start <- recap t.e_start ~lo ~hi cap' 0;
+      t.e_due <- recap t.e_due ~lo ~hi cap' 0;
+      t.e_digest <- recap t.e_digest ~lo ~hi cap' None
+    end;
+    let j = t.e_tail land (Array.length t.e_start - 1) in
+    Array.unsafe_set t.e_start j t.tail;
+    Array.unsafe_set t.e_due j due;
+    Array.unsafe_set t.e_digest j None;
+    t.e_tail <- t.e_tail + 1
   end
+
+(* Greatest retained epoch whose start is <= c (binary search; the
+   in-flight window holds at most delta + 1 epochs, but stay O(log)). *)
+let epoch_of t c =
+  let emask = Array.length t.e_start - 1 in
+  let lo = ref t.e_head and hi = ref (t.e_tail - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if Array.unsafe_get t.e_start (mid land emask) <= c then lo := mid
+    else hi := mid - 1
+  done;
+  !lo
+
+let epoch_reclaim t =
+  while t.e_head < t.e_tail && epoch_end t t.e_head <= t.head do
+    let j = t.e_head land (Array.length t.e_start - 1) in
+    Array.unsafe_set t.e_digest j None;
+    t.e_head <- t.e_head + 1
+  done
+
+(* drop the zero-count prefix of the log with its records *)
+let reclaim t =
+  let mask = Array.length t.l_due - 1 in
+  let moved = ref false in
+  while t.head < t.tail && Array.unsafe_get t.l_rc (t.head land mask) = 0 do
+    release t (Array.unsafe_get t.l_id (t.head land mask));
+    t.head <- t.head + 1;
+    moved := true
+  done;
+  if !moved && t.e_tail > t.e_head then epoch_reclaim t
+
+(* Position [dst]'s cursor at its earliest undelivered entry with
+   [due <= now]; false if there is none or [dst] is inactive. *)
+let peek t ~dst ~now =
+  Array.unsafe_get t.active dst
+  &&
+  let mask = Array.length t.l_due - 1 in
+  let c = ref (Array.unsafe_get t.cursor dst) in
+  (* pass (without delivering) our own due entries: they keep global
+     (due, seq) order but a processor never receives from itself *)
+  while
+    !c < t.tail
+    && Array.unsafe_get t.l_due (!c land mask) <= now
+    && Array.unsafe_get t.l_src (!c land mask) = dst
+  do
+    let i = !c land mask in
+    Array.unsafe_set t.l_rc i (Array.unsafe_get t.l_rc i - 1);
+    incr c
+  done;
+  if !c > Array.unsafe_get t.cursor dst then begin
+    Array.unsafe_set t.cursor dst !c;
+    reclaim t
+  end;
+  !c < t.tail && Array.unsafe_get t.l_due (!c land mask) <= now
+
+(* the log slot under [dst]'s cursor *)
+let slot t dst = Array.unsafe_get t.cursor dst land (Array.length t.l_due - 1)
+
+(* Deliver the entry located by the last successful [peek] for [dst]:
+   advance the cursor and drop one count. *)
+let pop t ~dst f =
+  let i = slot t dst in
+  let src = Array.unsafe_get t.l_src i
+  and msg = Array.unsafe_get t.rec_msg (Array.unsafe_get t.l_id i) in
+  Array.unsafe_set t.l_rc i (Array.unsafe_get t.l_rc i - 1);
+  Array.unsafe_set t.cursor dst (Array.unsafe_get t.cursor dst + 1);
+  reclaim t;
+  t.in_flight <- t.in_flight - 1;
+  f src msg
+
+(* fold(all msgs of epoch [e]), cached so only the first receiver pays.
+   Safe to compute at any drain: [head <= cursor(dst) = e_start(e)]
+   keeps every entry of the epoch and its record un-reclaimed, and a
+   deliverable epoch is sealed (see the type comment). *)
+let digest t e fold =
+  let j = e land (Array.length t.e_start - 1) in
+  match Array.unsafe_get t.e_digest j with
+  | Some d -> d
+  | None ->
+    let start = Array.unsafe_get t.e_start j in
+    let stop = epoch_end t e in
+    let mask = Array.length t.l_due - 1 in
+    let msg k =
+      Array.unsafe_get t.rec_msg (Array.unsafe_get t.l_id (k land mask))
+    in
+    let d =
+      if stop - start = 1 then msg start
+      else fold (Array.init (stop - start) (fun i -> msg (start + i)))
+    in
+    Array.unsafe_set t.e_digest j (Some d);
+    d
+
+(* Deliver every log entry due for [dst] by [now] and return the number
+   of logical deliveries (entries from other sources consumed). Without
+   [fold] this is a peek/pop loop, one callback per entry with its true
+   source. With [fold], each whole due epoch is delivered as a single
+   callback carrying the epoch digest and source [-1] (the digest has no
+   single source); the receiver's own contribution may be folded in —
+   harmless under the merge-homomorphism contract — while the count
+   still excludes its own entries. A cursor left mid-epoch by the
+   per-entry merge path falls back to single-entry delivery until the
+   next epoch boundary. *)
+let drain t ~dst ~now f =
+  let delivered = ref 0 in
+  (match t.fold with
+   | None ->
+     while peek t ~dst ~now do
+       pop t ~dst f;
+       incr delivered
+     done
+   | Some fold ->
+     let running = ref (Array.unsafe_get t.active dst) in
+     while !running do
+       let c = Array.unsafe_get t.cursor dst in
+       let mask = Array.length t.l_due - 1 in
+       if c >= t.tail || Array.unsafe_get t.l_due (c land mask) > now then
+         running := false
+       else begin
+         let e = epoch_of t c in
+         if Array.unsafe_get t.e_start (e land (Array.length t.e_start - 1)) = c
+         then begin
+           (* whole due epoch: one digest apply replaces the per-entry
+              walk; own entries are passed inside the same scan (their
+              contribution to the digest is a subset of the receiver's
+              own knowledge) *)
+           let stop = epoch_end t e in
+           let dmsg = digest t e fold in
+           let own = ref 0 in
+           for k = c to stop - 1 do
+             let i = k land mask in
+             Array.unsafe_set t.l_rc i (Array.unsafe_get t.l_rc i - 1);
+             if Array.unsafe_get t.l_src i = dst then incr own
+           done;
+           Array.unsafe_set t.cursor dst stop;
+           reclaim t;
+           let n = stop - c - !own in
+           if n > 0 then begin
+             delivered := !delivered + n;
+             t.in_flight <- t.in_flight - n;
+             f (-1) dmsg
+           end
+         end
+         else if peek t ~dst ~now then begin
+           (* mid-epoch cursor (left by the per-entry merge path):
+              single-entry step, then retry the fast path *)
+           pop t ~dst f;
+           incr delivered
+         end
+         else running := false
+       end
+     done);
+  !delivered
+
+(* -- sends and deliveries ------------------------------------------ *)
 
 let enqueue t ~src ~dst ~due msg name =
   (* one test on the per-copy path; the error text is built only when
@@ -163,9 +418,22 @@ let count_lost t = t.sent <- t.sent + 1
 
 let broadcast t ~src ~due msg =
   check_pid t src "Network.broadcast src";
-  (* a later unicast must draw a later [seq] than this record *)
-  t.last <- -1;
-  if t.p > 1 then Bcast.add t.bcast ~due ~src ~seq:(next_seq t) msg;
+  if t.p > 1 then begin
+    if due < t.last_due then
+      invalid_arg "Network.broadcast: due times must be non-decreasing";
+    t.last_due <- due;
+    let id = open_record t ~src msg in
+    (* a later unicast must draw a later [seq] than this record *)
+    t.last <- -1;
+    if t.tail - t.head = Array.length t.l_due then grow_log t;
+    (match t.fold with Some _ -> epoch_push t ~due | None -> ());
+    let i = t.tail land (Array.length t.l_due - 1) in
+    Array.unsafe_set t.l_due i due;
+    Array.unsafe_set t.l_id i id;
+    Array.unsafe_set t.l_src i src;
+    Array.unsafe_set t.l_rc i t.n_active;
+    t.tail <- t.tail + 1
+  end;
   (* one multicast = p - 1 point-to-point messages (Definition 2.2),
      however it is stored *)
   t.sent <- t.sent + (t.p - 1);
@@ -173,36 +441,42 @@ let broadcast t ~src ~due msg =
 
 let deactivate t ~pid =
   check_pid t pid "Network.deactivate";
-  Bcast.deactivate t.bcast ~pid
+  if Array.unsafe_get t.active pid then begin
+    t.active.(pid) <- false;
+    t.n_active <- t.n_active - 1;
+    let mask = Array.length t.l_due - 1 in
+    for k = t.cursor.(pid) to t.tail - 1 do
+      let i = k land mask in
+      Array.unsafe_set t.l_rc i (Array.unsafe_get t.l_rc i - 1)
+    done;
+    t.cursor.(pid) <- t.tail;
+    if t.head < t.tail then reclaim t
+  end
 
 let receive_iter t ~dst ~now f =
   check_pid t dst "Network.receive_iter";
-  let bcast = t.bcast in
   match Array.unsafe_get t.rings dst with
   | None ->
-    (* the common broadcast-only case: one stream, no merge; with a
-       digest fold this is the epoch fast path — [n] counts logical
-       deliveries even when whole epochs collapse to one callback *)
-    let n = Bcast.drain bcast ~dst ~now f in
-    t.in_flight <- t.in_flight - n;
-    n
+    (* the common broadcast-only case: one index, no merge; with a
+       digest fold this is the epoch fast path *)
+    drain t ~dst ~now f
   | Some ring ->
     let n = ref 0 in
     let continue = ref true in
     while !continue do
       let has_u = Msg_ring.peek ring ~now in
-      let has_b = Bcast.peek bcast ~dst ~now in
+      let has_b = peek t ~dst ~now in
       let take_unicast =
         has_u
         && ((not has_b)
-            ||
-            let ud = Msg_ring.head_due ring
-            and bd = Bcast.head_due bcast ~dst in
-            ud < bd
-            || ud = bd
-               && Array.unsafe_get t.rec_seq (Msg_ring.head_id ring)
-                  < Bcast.head_seq bcast ~dst
-           )
+           ||
+           let i = slot t dst in
+           let ud = Msg_ring.head_due ring
+           and bd = Array.unsafe_get t.l_due i in
+           ud < bd
+           || ud = bd
+              && Array.unsafe_get t.rec_seq (Msg_ring.head_id ring)
+                 < Array.unsafe_get t.rec_seq (Array.unsafe_get t.l_id i))
       in
       if take_unicast then begin
         let id = Msg_ring.head_id ring in
@@ -215,12 +489,8 @@ let receive_iter t ~dst ~now f =
         f src msg
       end
       else if has_b then begin
-        let src = Bcast.head_src bcast ~dst
-        and msg = Bcast.head_msg bcast ~dst in
-        Bcast.pop bcast ~dst;
-        t.in_flight <- t.in_flight - 1;
-        incr n;
-        f src msg
+        pop t ~dst f;
+        incr n
       end
       else continue := false
     done;
@@ -231,7 +501,28 @@ let receive t ~dst ~now =
   let _ : int = receive_iter t ~dst ~now (fun src msg -> acc := (src, msg) :: !acc) in
   List.rev !acc
 
-let stream_stats t = Bcast.stats t.bcast
+let stream_stats t =
+  (* one walk over every cached digest together: digests may share
+     blocks (copy-on-write knowledge chunks), and a per-digest sum would
+     count each shared block once per digest *)
+  let digests = ref [] in
+  if t.e_tail > t.e_head then begin
+    let emask = Array.length t.e_start - 1 in
+    for e = t.e_head to t.e_tail - 1 do
+      match Array.unsafe_get t.e_digest (e land emask) with
+      | Some d -> digests := d :: !digests
+      | None -> ()
+    done
+  end;
+  let words =
+    match !digests with
+    | [] -> 0
+    | ds ->
+      let arr = Array.of_list ds in
+      (* minus the walk's own array block *)
+      Obj.reachable_words (Obj.repr arr) - (Array.length arr + 1)
+  in
+  (t.tail - t.head, words)
 
 let pending t = t.in_flight
 

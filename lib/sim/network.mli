@@ -11,14 +11,19 @@
     (Definition 2.2), as [p - 1] point-to-point messages: {!sent} counts
     every point-to-point send.
 
-    Storage: a queued copy is two ints, its due time and the id of a
-    payload record; a record holds the source, the send order and the
-    payload once for all copies of one multicast, and is released when
-    its last copy is received. Consecutive sends from one source with a
-    physically equal payload share a record — the engine's
-    per-destination loop over a multicast, and its replicas. Copies
-    owed to a processor that never steps again keep their records
-    alive: one per multicast, as its ring keeps one entry each. *)
+    Storage: one payload table, indexed two ways. A record holds the
+    source, the send order and the payload once for all copies of one
+    multicast. A per-destination send queues a copy of two ints, its
+    due time and the record's id, in the destination's ring; the record
+    is released when its last copy is received, and consecutive sends
+    from one source with a physically equal payload share it — the
+    engine's per-destination loop over a multicast, and its replicas. A
+    {!broadcast} appends one entry to a due-ordered log that every
+    destination reads through its own cursor; the record is released
+    when every active destination's cursor has passed the entry. Ring
+    copies owed to a processor that never steps again keep their
+    records alive, one per multicast, as its ring keeps one entry each;
+    log entries stop waiting for it once it is {!deactivate}d. *)
 
 type 'msg t
 
@@ -35,7 +40,9 @@ val create :
     [?digest] is the algorithm's merge-homomorphism witness
     ({!Algorithm.S.merge_homomorphic}): broadcasts due at the same
     instant are pre-folded once and delivered to each receiver as a
-    single epoch-digest message with source [-1] (see {!Bcast.create}).
+    single epoch-digest message with source [-1]. Epochs are sealed
+    before they become deliverable (broadcasts due at [T] were sent at
+    [T - delta], [delta >= 1]), so a cached digest never goes stale.
     Counters — {!sent}, {!pending}, and the delivery count returned by
     {!receive_iter} — are unchanged: they account logical [p - 1]-way
     multicasts regardless of how deliveries are materialized. *)
@@ -51,16 +58,17 @@ val broadcast : 'msg t -> src:int -> due:int -> 'msg -> unit
 (** Queue one multicast from [src] to every other processor, all due at
     the same absolute time — [p - 1] logical point-to-point messages
     ({!sent} and {!pending} advance by [p - 1]), but stored as {e one}
-    shared record ({!Bcast}). Only valid when every
+    log entry (see "Storage" above). Only valid when every
     copy is genuinely due at once, i.e. under a declared-constant-latency
     adversary; the engine's per-destination send loop remains the
-    general path. Delivery order is identical to [p - 1] individual
-    {!send}s issued at the same instant. *)
+    general path. Successive broadcasts' dues must not decrease
+    ([Invalid_argument]). Delivery order is identical to [p - 1]
+    individual {!send}s issued at the same instant. *)
 
 val deactivate : 'msg t -> pid:int -> unit
 (** Declare that [pid] will never take another step (halted, or crashed
-    with no recovery adversary): shared broadcast storage stops waiting
-    for it. Messages already owed to [pid] still count in {!pending} —
+    with no recovery adversary): the broadcast log stops waiting for
+    it. Messages already owed to [pid] still count in {!pending} —
     exactly like undeliverable messages rotting in a per-destination
     queue. *)
 
@@ -99,5 +107,7 @@ val sent : 'msg t -> int
     [M] of Definition 2.2, counted incrementally. *)
 
 val stream_stats : 'msg t -> int * int
-(** [(pending_records, digest_words)]: the shared broadcast stream's
-    occupancy ({!Bcast.stats}). *)
+(** [(pending_records, digest_words)]: the broadcast log's occupancy —
+    retained entries, and the heap words reachable from the currently
+    cached epoch digests taken together, so a block shared by several
+    digests counts once. Read-only. *)

@@ -1,4 +1,4 @@
-(* The epoch-digest fast path (Bcast ?fold / Algorithm.merge_homomorphic)
+(* The epoch-digest fast path (Network ?digest / Algorithm.merge_homomorphic)
    must be invisible everywhere except wall clock: folding one epoch's
    broadcasts and applying the digest once has to leave every receiver's
    knowledge, every payload it re-broadcasts, and every counter exactly
