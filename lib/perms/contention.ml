@@ -34,84 +34,114 @@ let d_contention_profile_wrt psi ~rho =
     psi;
   total
 
-(* Every rho^{-1} for rho in S_n, in lexicographic order of rho, flat:
-   row [r] occupies [inv.(r * n) .. inv.(r * n + n - 1)]. Built once per
-   exact evaluation or search instead of materialising [Perm.all n]. *)
-type inverses = { n : int; orders : int; inv : int array }
+(* The subset recurrence of the .mli: [gain.(r * n + x)] is
+   [gain(r, x)], [f] is kept solved for it, and [saved] is [f] before
+   the current swap. *)
+type table = {
+  n : int;
+  psi : int array array;
+  gain : int array;
+  f : int array;
+  saved : int array;
+}
 
-let inverses n =
-  if n < 0 || n > 8 then invalid_arg "Contention.inverses: n must be in 0..8";
-  let orders = ref 1 in
-  for k = 2 to n do
-    orders := !orders * k
-  done;
-  let inv = Array.make (!orders * n) 0 in
-  let rho = Array.init n Fun.id in
-  let r = ref 0 and more = ref true in
-  while !more do
-    for i = 0 to n - 1 do
-      inv.((!r * n) + rho.(i)) <- i
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
+
+(* Adds [sign] to [gain(r, a.(k))] for [lo <= k <= hi] wherever [a.(k)]
+   is a d-lrm: fewer than [d] of the elements before it ([before] at
+   [k = lo]) lie outside [r]. [(r + 1) lor base] steps through the
+   supersets of [base]; for [d = 1] only supersets of the prefix count. *)
+let add ~d t ~sign a ~before lo hi =
+  let before = ref before and full = (1 lsl t.n) - 1 in
+  for k = lo to hi do
+    let bit = 1 lsl a.(k) in
+    let base = if d = 1 then !before lor bit else bit in
+    let r = ref base in
+    while !r <= full do
+      if d = 1 || popcount (!before land lnot !r) < d then
+        t.gain.((!r * t.n) + a.(k)) <- t.gain.((!r * t.n) + a.(k)) + sign;
+      r := (!r + 1) lor base
     done;
-    incr r;
-    more := Perm.next_in_place rho
-  done;
-  { n; orders = !orders; inv }
+    before := !before lor bit
+  done
 
-let orders t = t.orders
-
-(* [lrm(rho_r^{-1} o pi)]: the left-to-right maxima of the sequence
-   [inv_r.(pi(0)), inv_r.(pi(1)), ...], without building it. *)
-let lrm_at t pi r =
-  let base = r * t.n in
-  let best = ref (-1) and c = ref 0 in
-  for j = 0 to t.n - 1 do
-    let v = t.inv.(base + Perm.apply pi j) in
-    if v > !best then begin
-      best := v;
-      incr c
-    end
-  done;
-  !c
-
-(* Position [j] is a d-lrm when fewer than [d] earlier elements exceed it;
-   a quadratic count is cheaper than a Fenwick tree at [n <= 8]. *)
-let d_lrm_at ~d t pi r =
-  let base = r * t.n in
-  let c = ref 0 in
-  for j = 0 to t.n - 1 do
-    let v = t.inv.(base + Perm.apply pi j) in
-    let greater = ref 0 in
-    for i = 0 to j - 1 do
-      if t.inv.(base + Perm.apply pi i) > v then incr greater
+(* Re-solves [f] on the supersets of [above] in increasing order. [f]
+   grows with [r], and [f(full) >= count + f(r)] for [r <> full] since
+   every element is an lrm of every schedule when it ranks highest; so
+   the pass stops at the first [r] that shows [f(full) > cap]. It says
+   whether [f(full) <= cap]. *)
+let resolve t ~above ~cap =
+  let n = t.n and full = (1 lsl t.n) - 1 and count = Array.length t.psi in
+  let r = ref above and over = ref false in
+  while (not !over) && !r <= full do
+    let s = !r and best = ref 0 in
+    for x = 0 to n - 1 do
+      if s land (1 lsl x) <> 0 then begin
+        let v = t.gain.((s * n) + x) + t.f.(s lxor (1 lsl x)) in
+        if v > !best then best := v
+      end
     done;
-    if !greater < d then incr c
+    t.f.(s) <- !best;
+    over := !best + (if s = full then 0 else count) > cap;
+    r := (s + 1) lor above
   done;
-  !c
+  not !over
 
-(* Row sums of the per-schedule columns, then their maximum. *)
-let exact_max at psi =
+let build ~d psi =
+  let n = Array.length psi.(0) in
+  let size = 1 lsl n in
+  let t =
+    { n; psi; gain = Array.make (size * n) 0; f = Array.make size 0;
+      saved = Array.make size 0 }
+  in
+  Array.iter (fun a -> add ~d t ~sign:1 a ~before:0 0 (n - 1)) psi;
+  ignore (resolve t ~above:0 ~cap:max_int);
+  t
+
+let table psi =
+  if Array.length psi = 0 || Array.length psi.(0) > 8 then
+    invalid_arg "Contention.table: needs a non-empty list of size <= 8";
+  build ~d:1 psi
+
+let value t = t.f.((1 lsl t.n) - 1)
+
+(* Swapping positions [lo < hi] changes the prefix sets of the elements
+   at [lo..hi] only, so only their gains move, and [f] only on the
+   supersets of the prefix [above]. The same move again reverts the
+   gains; [saved] reverts [f]. *)
+let try_swap t u i j =
+  let a = t.psi.(u) and cap = value t in
+  let lo, hi = if i < j then (i, j) else (j, i) in
+  let rec mask k = if k = 0 then 0 else mask (k - 1) lor (1 lsl a.(k - 1)) in
+  let above = mask lo in
+  let move () =
+    add ~d:1 t ~sign:(-1) a ~before:above lo hi;
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp;
+    add ~d:1 t ~sign:1 a ~before:above lo hi
+  in
+  Array.blit t.f 0 t.saved 0 (Array.length t.f);
+  move ();
+  if not (resolve t ~above ~cap) then begin
+    move ();
+    Array.blit t.saved 0 t.f 0 (Array.length t.f)
+  end
+
+let exact ~d psi =
   match psi with
   | [] -> 0
   | pi :: _ ->
-    let n = Perm.size pi in
-    if n > 8 then
+    if Perm.size pi > 8 then
       invalid_arg "Contention.*_exact: exhaustive search limited to n <= 8";
     ignore (check_sizes psi pi);
-    let t = inverses n in
-    let sum = Array.make t.orders 0 in
-    List.iter
-      (fun pi ->
-        for r = 0 to t.orders - 1 do
-          sum.(r) <- sum.(r) + at t pi r
-        done)
-      psi;
-    Array.fold_left max min_int sum
+    value (build ~d (Array.of_list (List.map Perm.to_array psi)))
 
-let contention_exact psi = exact_max lrm_at psi
+let contention_exact psi = exact ~d:1 psi
 
 let d_contention_exact ~d psi =
   if d < 1 then invalid_arg "Contention.d_contention_exact: d must be >= 1";
-  exact_max (d_lrm_at ~d) psi
+  exact ~d psi
 
 (* First-improvement hill climbing over rho under the swap neighbourhood.
    Contention is invariant under relabelling only of both psi and rho, so

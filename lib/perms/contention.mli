@@ -14,8 +14,9 @@
     d-adversary (Lemma 6.1). For any list, [n <= Cont(psi) <= n*p] when
     [psi] has [p] schedules (the paper states [n..n^2] for [p = n]).
 
-    The exact maximum ranges over [n!] orders and is only computed for
-    small [n]; for larger [n] we report a certified {e lower} estimate
+    The exact maximum ranges over [n!] orders but is computed by a
+    recurrence over the [2^n] subsets of [{0..n-1}], for [n <= 8];
+    for larger [n] we report a certified {e lower} estimate
     obtained by hill-climbing over [rho] — safe for claims of the form
     "contention of this list is at least x" and for comparing lists. *)
 
@@ -30,31 +31,35 @@ val d_contention_profile_wrt : Perm.t list -> rho:Perm.t -> int array
     in one pass per schedule ({!Lrm.d_lrm_profile}). Entry 0 is 0. *)
 
 val contention_exact : Perm.t list -> int
-(** [Cont(psi)] by exhaustive maximization; requires size [<= 8]. Sums
-    {!lrm_at} over one {!inverses} table, allocating nothing per order. *)
+(** [Cont(psi)] exactly, by the subset recurrence below; requires size
+    [<= 8]. [2^n * n * |psi|] work instead of [n! * n * |psi|]. *)
 
 val d_contention_exact : d:int -> Perm.t list -> int
 (** [(d)-Cont(psi)] the same way; requires [d >= 1] and size [<= 8]. *)
 
-(** {2 Per-schedule columns}
+(** {2 The subset table}
 
-    [Cont(psi) = max_r sum_u col_u.(r)] where the column [col_u] holds
-    [lrm(rho_r^{-1} o pi_u)] for every order [rho_r in S_n]. A search that
-    changes one schedule only needs that schedule's column again. *)
+    Place [rho]'s elements from the highest rank down; [r] is the set
+    not yet placed. The next element [x] is a d-lrm of [rho^{-1} o pi_u]
+    iff fewer than [d] of the elements before [x] in [pi_u] lie outside
+    [r], so the number [gain(r, x)] of schedules where it is depends on
+    [(r, x)] alone, and [(d)-Cont(psi) = f(full)] with
+    [f(r) = max_{x in r} gain(r, x) + f(r \ {x})], [f(empty) = 0]. *)
 
-type inverses
-(** Every [rho^{-1}], [rho in S_n], in one flat array. *)
+type table
+(** A list of schedules with its [d = 1] gains and [f], kept solved. *)
 
-val inverses : int -> inverses
-(** The table for size [n], [0 <= n <= 8]: [n!] rows of [n] entries. *)
+val table : int array array -> table
+(** The table of a non-empty list of permutations of one size [<= 8].
+    It owns the arrays: {!try_swap} mutates them. *)
 
-val orders : inverses -> int
-(** [n!], the length of a column. *)
+val value : table -> int
+(** [Cont] of the list the table holds. *)
 
-val lrm_at : inverses -> Perm.t -> int -> int
-(** [lrm_at t pi r] is [lrm(rho_r^{-1} o pi)], entry [r] of [pi]'s
-    column, for [0 <= r < orders t]; [pi] has the table's size. O(n),
-    allocation-free. *)
+val try_swap : table -> int -> int -> int -> unit
+(** [try_swap t u i j] swaps positions [i] and [j] of schedule [u] and
+    keeps the swap iff {!value} does not grow; otherwise the schedule
+    and the table are restored exactly. *)
 
 val contention_estimate :
   ?restarts:int -> ?samples:int -> rng:Doall_sim.Rng.t -> Perm.t list -> int

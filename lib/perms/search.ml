@@ -33,10 +33,8 @@ let exhaustive n =
     { list; contention; bound = Contention.bound_lemma_4_1 n }
   | None -> assert false
 
-(* Keeps one Cont column per schedule and their row sums, so a step that
-   swaps two entries of [pi_u] recomputes column [u] only. The new
-   maximum is exact; a step stops early once some order already exceeds
-   the current contention, since it is then rejected either way. *)
+(* One subset table for the list: a step only updates the gains of the
+   swapped span and re-solves where they can matter. *)
 let improve ?(steps = 400) ~rng list =
   let arrs = Array.of_list (List.map Perm.to_array list) in
   let count = Array.length arrs in
@@ -46,51 +44,13 @@ let improve ?(steps = 400) ~rng list =
     invalid_arg "Search.improve: permutations of different sizes";
   if n < 1 || n > 8 then
     invalid_arg "Search.improve: exact contention needs size in 1..8";
-  let table = Contention.inverses n in
-  let rows = Contention.orders table in
-  let column a =
-    Array.init rows (Contention.lrm_at table (Perm.of_array_unsafe a))
-  in
-  let cols = Array.map column arrs in
-  let sum =
-    Array.init rows (fun r -> Array.fold_left (fun s col -> s + col.(r)) 0 cols)
-  in
-  let current = ref (Array.fold_left max min_int sum) in
-  let fresh = ref (Array.make rows 0) in
+  let table = Contention.table arrs in
   for _ = 1 to steps do
     let u = Rng.int rng count in
     let i = Rng.int rng n and j = Rng.int rng n in
-    if i <> j then begin
-      let a = arrs.(u) in
-      let tmp = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- tmp;
-      let old = cols.(u) and col = !fresh in
-      let pi = Perm.of_array_unsafe a in
-      let c = ref min_int and r = ref 0 in
-      while !r < rows && !c <= !current do
-        let k = Contention.lrm_at table pi !r in
-        let v = sum.(!r) - old.(!r) + k in
-        col.(!r) <- k;
-        if v > !c then c := v;
-        incr r
-      done;
-      if !c <= !current then begin
-        current := !c;
-        for r = 0 to rows - 1 do
-          sum.(r) <- sum.(r) - old.(r) + col.(r)
-        done;
-        cols.(u) <- col;
-        fresh := old
-      end
-      else begin
-        let tmp = a.(i) in
-        a.(i) <- a.(j);
-        a.(j) <- tmp
-      end
-    end
+    if i <> j then Contention.try_swap table u i j
   done;
-  (Array.to_list (Array.map Perm.of_array arrs), !current)
+  (Array.to_list (Array.map Perm.of_array arrs), Contention.value table)
 
 let certified ?(attempts = 32) ?(local_steps = 200) ~rng n =
   if n < 2 || n > 8 then

@@ -33,8 +33,7 @@ val improve :
   ?steps:int -> rng:Doall_sim.Rng.t -> Perm.t list -> Perm.t list * int
 (** Local search from a given list: random transpositions inside single
     permutations, keeping changes that do not increase exact contention.
-    Returns the improved list and its exact contention. Each step
-    recomputes only the changed schedule's column of
-    {!Contention.lrm_at} values. Raises [Invalid_argument] on an empty
-    list, on permutations of different sizes, and on sizes outside
-    [1..8]. *)
+    Returns the improved list and its exact contention. Each step is a
+    {!Contention.try_swap} on one {!Contention.table}. Raises
+    [Invalid_argument] on an empty list, on permutations of different
+    sizes, and on sizes outside [1..8]. *)

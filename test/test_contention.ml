@@ -146,9 +146,9 @@ let prop_conjugation_keeps_range =
       let c = Contention.d_contention_wrt ~d:1 psi ~rho in
       c >= count && c <= count * n)
 
-(* The exact paths (a flat rho^{-1} table, per-row kernels and Search's
-   incremental columns) against the plain definition: max over S_n of the
-   per-rho sums. *)
+(* The exact paths (the subset recurrence and Search's incremental
+   table) against the plain definition: max over S_n of the per-rho
+   sums. *)
 let prop_exact_matches_reference =
   QCheck2.Test.make ~name:"exact Cont, (d)-Cont and improve match max over S_n"
     ~count:60
@@ -170,6 +170,58 @@ let prop_exact_matches_reference =
       && c = Contention.contention_exact improved
       && c = reference Contention.contention_wrt improved)
 
+(* max over S_n of the per-rho profile: (d)-Cont(psi) for every d at
+   once, straight from the definition. *)
+let profile_max n psi =
+  let best = Array.make (n + 1) 0 in
+  List.iter
+    (fun rho ->
+      let prof = Contention.d_contention_profile_wrt psi ~rho in
+      for d = 1 to n do
+        if prof.(d) > best.(d) then best.(d) <- prof.(d)
+      done)
+    (Perm.all n);
+  best
+
+(* The qcheck property above stops at n = 7; the exact path at n = 8,
+   every d, against one pass over all of S_8. *)
+let test_exact_n8_matches_definition () =
+  let n = 8 in
+  List.iter
+    (fun (name, psi) ->
+      let best = profile_max n psi in
+      check_int (name ^ ": Cont") best.(1) (Contention.contention_exact psi);
+      for d = 1 to n do
+        check_int
+          (Printf.sprintf "%s: (%d)-Cont" name d)
+          best.(d)
+          (Contention.d_contention_exact ~d psi)
+      done;
+      if name = "all-identity" then
+        Array.iteri
+          (fun d c -> if d >= 1 then check_int "all-identity is n^2" 64 c)
+          best)
+    [
+      ("all-identity", Gen.identity_list ~n ~count:n);
+      ("identity/reverse", Gen.reverse_identity_pair ~n);
+      ("DA(8) list", Doall_core.Algo_da.default_psi ~q:n);
+    ]
+
+(* 200 steps at n = 8 reject some swaps, so the value Search.improve
+   returns is only right if every rejected step restored its table
+   exactly. *)
+let test_improve_n8_exact () =
+  let n = 8 in
+  let rng = Rng.create 88 in
+  let psi = Gen.random_list ~rng ~n ~count:n in
+  let before = Contention.contention_exact psi in
+  let improved, c = Search.improve ~steps:200 ~rng psi in
+  check "never worse" true (c <= before);
+  check_int "improve's value = exact Cont of its list"
+    (Contention.contention_exact improved)
+    c;
+  check_int "= max over S_8" (profile_max n improved).(1) c
+
 let suite =
   [
     Alcotest.test_case "two-processor example" `Quick
@@ -190,6 +242,10 @@ let suite =
       test_random_list_meets_whp_bound;
     Alcotest.test_case "empty list" `Quick test_empty_list;
     Alcotest.test_case "size mismatch rejected" `Quick test_size_mismatch;
+    Alcotest.test_case "exact at n = 8 = max over S_8, every d" `Quick
+      test_exact_n8_matches_definition;
+    Alcotest.test_case "improve at n = 8 keeps an exact value" `Quick
+      test_improve_n8_exact;
     QCheck_alcotest.to_alcotest prop_profile_matches_per_d;
     QCheck_alcotest.to_alcotest prop_conjugation_keeps_range;
     QCheck_alcotest.to_alcotest prop_exact_matches_reference;

@@ -63,30 +63,56 @@ let test_beats_trivial_except_at_wall () =
       check (Printf.sprintf "%s beats trivial at d=1" algo) true (w < w_triv))
     [ "da-q2"; "paran1"; "padet" ]
 
+(* Registry adversaries outside the model of Lemma 6.1, which has none
+   of these: message faults (lossy-half, lossy-all, dup-storm), restarts
+   (flaky-restart), both (chaos), or a shared-channel policy (the five
+   chan-* adversaries). *)
+let outside_lemma_6_1 =
+  [ "lossy-half"; "lossy-all"; "dup-storm"; "flaky-restart"; "chaos";
+    "chan-ordered"; "chan-ordered-high"; "chan-rotor"; "chan-delayed";
+    "chan-delayed-ordered" ]
+
 let test_lemma_6_1_bound () =
   (* Work of PaDet with explicit psi is bounded by (d)-Cont(psi) against
-     a d-adversary (Lemma 6.1). Exact d-contention needs n <= 8. *)
-  let n = 8 in
-  let psi = Gen.seeded_list ~seed:123 ~n ~count:n in
-  let algo = Algo_pa.make_det ~psi () in
+     a d-adversary (Lemma 6.1): every other registry adversary, at
+     d = 1, 2, 4, 8, on three seeded lists. Exact d-contention needs
+     n <= 8. *)
+  let n = 8 and ds = [ 1; 2; 4; 8 ] in
+  let in_model (a : Adversary.t) =
+    Option.is_none a.faults && Option.is_none a.restart
+    && Option.is_none a.channel
+  in
   List.iter
-    (fun (adv, d) ->
-      let cfg = Config.make ~seed:4 ~p:n ~t:n () in
-      let adversary =
-        (Runner.find_adv adv).Runner.instantiate ~p:n ~t:n ~d
-      in
-      let m = Engine.run_packed algo cfg ~d ~adversary () in
-      check "completed" true m.Metrics.completed;
-      let dcont = Contention.d_contention_exact ~d psi in
-      (* task-performing steps = executions; Lemma 6.1 bounds those.
-         Allow the +p halt steps. *)
-      check
-        (Printf.sprintf "%s d=%d: executions %d <= dCont %d" adv d
-           m.Metrics.executions dcont)
-        true
-        (m.Metrics.executions <= dcont))
-    [ ("fair", 1); ("max-delay", 2); ("max-delay", 4); ("uniform-delay", 3);
-      ("lb-rand", 2); ("batch", 1) ]
+    (fun seed ->
+      let psi = Gen.seeded_list ~seed ~n ~count:n in
+      let algo = Algo_pa.make_det ~psi () in
+      List.iter
+        (fun (spec : Runner.adv_spec) ->
+          let adv = spec.adv_name in
+          let inside =
+            List.for_all (fun d -> in_model (spec.instantiate ~p:n ~t:n ~d)) ds
+          in
+          check (adv ^ " is outside the model iff listed")
+            (not (List.mem adv outside_lemma_6_1))
+            inside;
+          if inside then
+            List.iter
+              (fun d ->
+                let cfg = Config.make ~seed:4 ~p:n ~t:n () in
+                let adversary = spec.instantiate ~p:n ~t:n ~d in
+                let m = Engine.run_packed algo cfg ~d ~adversary () in
+                check "completed" true m.Metrics.completed;
+                let dcont = Contention.d_contention_exact ~d psi in
+                (* task-performing steps = executions; Lemma 6.1 bounds
+                   those. *)
+                check
+                  (Printf.sprintf "%s psi seed %d d=%d: executions %d <= dCont %d"
+                     adv seed d m.Metrics.executions dcont)
+                  true
+                  (m.Metrics.executions <= dcont))
+              ds)
+        Runner.adversaries)
+    [ 123; 124; 125 ]
 
 let test_randomized_reproducible_with_seed () =
   let r1 = Runner.run ~seed:9 ~algo:"paran2" ~adv:"random-half" ~p:8 ~t:32 ~d:4 () in
