@@ -65,15 +65,12 @@ let add ~d t ~sign a ~before lo hi =
     before := !before lor bit
   done
 
-(* Re-solves [f] on the supersets of [above] in increasing order. [f]
-   grows with [r], and [f(full) >= count + f(r)] for [r <> full] since
-   every element is an lrm of every schedule when it ranks highest; so
-   the pass stops at the first [r] that shows [f(full) > cap]. It says
-   whether [f(full) <= cap]. *)
-let resolve t ~above ~cap =
-  let n = t.n and full = (1 lsl t.n) - 1 and count = Array.length t.psi in
-  let r = ref above and over = ref false in
-  while (not !over) && !r <= full do
+(* Re-solves [f] on the supersets of [above] in increasing order; the
+   gains that moved lie on those sets only, so [f] elsewhere holds. *)
+let resolve t ~above =
+  let n = t.n and full = (1 lsl t.n) - 1 in
+  let r = ref above in
+  while !r <= full do
     let s = !r and best = ref 0 in
     for x = 0 to n - 1 do
       if s land (1 lsl x) <> 0 then begin
@@ -82,10 +79,8 @@ let resolve t ~above ~cap =
       end
     done;
     t.f.(s) <- !best;
-    over := !best + (if s = full then 0 else count) > cap;
     r := (s + 1) lor above
-  done;
-  not !over
+  done
 
 let build ~d psi =
   let n = Array.length psi.(0) in
@@ -95,7 +90,7 @@ let build ~d psi =
       saved = Array.make size 0 }
   in
   Array.iter (fun a -> add ~d t ~sign:1 a ~before:0 0 (n - 1)) psi;
-  ignore (resolve t ~above:0 ~cap:max_int);
+  resolve t ~above:0;
   t
 
 let table psi =
@@ -110,7 +105,7 @@ let value t = t.f.((1 lsl t.n) - 1)
    supersets of the prefix [above]. The same move again reverts the
    gains; [saved] reverts [f]. *)
 let try_swap t u i j =
-  let a = t.psi.(u) and cap = value t in
+  let a = t.psi.(u) and old = value t in
   let lo, hi = if i < j then (i, j) else (j, i) in
   let rec mask k = if k = 0 then 0 else mask (k - 1) lor (1 lsl a.(k - 1)) in
   let above = mask lo in
@@ -123,7 +118,8 @@ let try_swap t u i j =
   in
   Array.blit t.f 0 t.saved 0 (Array.length t.f);
   move ();
-  if not (resolve t ~above ~cap) then begin
+  resolve t ~above;
+  if value t > old then begin
     move ();
     Array.blit t.saved 0 t.f 0 (Array.length t.f)
   end

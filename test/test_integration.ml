@@ -75,9 +75,9 @@ let outside_lemma_6_1 =
 let test_lemma_6_1_bound () =
   (* Work of PaDet with explicit psi is bounded by (d)-Cont(psi) against
      a d-adversary (Lemma 6.1): every other registry adversary, at
-     d = 1, 2, 4, 8, on three seeded lists. Exact d-contention needs
+     d = 1, 2, 3, 4, 8, on three seeded lists. Exact d-contention needs
      n <= 8. *)
-  let n = 8 and ds = [ 1; 2; 4; 8 ] in
+  let n = 8 and ds = [ 1; 2; 3; 4; 8 ] in
   let in_model (a : Adversary.t) =
     Option.is_none a.faults && Option.is_none a.restart
     && Option.is_none a.channel
