@@ -136,7 +136,8 @@ let test_e1_dedup () =
    migrated bodies must render the same bytes through a buffer sink at
    any pool width — this is both the migration pin and the pool
    determinism contract applied to whole experiments. *)
-let golden_ids = [ "e1"; "e2"; "e19" ]
+let golden_ids =
+  [ "e1"; "e2"; "e6"; "e8"; "e9"; "e13"; "e16"; "e17"; "e18"; "e19" ]
 
 let read_file path =
   let ic = open_in_bin path in
