@@ -4,7 +4,6 @@ type t = Adversary.oracle -> int list
 type restart = Adversary.oracle -> int list
 
 let none = Adversary.no_crash
-let no_restart (_ : Adversary.oracle) = []
 
 let at_time ~time ~pids (o : Adversary.oracle) =
   if o.time () = time then pids else []

@@ -18,7 +18,6 @@ type restart = Adversary.oracle -> int list
 (** Called once per tick (before {!t}); returns crashed pids to revive. *)
 
 val none : t
-val no_restart : restart
 
 val at_time : time:int -> pids:int list -> t
 (** Crash exactly [pids] at [time]. *)

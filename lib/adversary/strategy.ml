@@ -586,127 +586,6 @@ let into t =
   end
   else adv
 
-(* ---- genes ---- *)
-
-let genes t =
-  let acc = ref [] in
-  let push x = acc := x :: !acc in
-  let pushi x = push (float_of_int x) in
-  List.iter
-    (fun ph ->
-      (match ph.sched with
-      | S_all | S_harmonic | S_laggard -> ()
-      | S_solo k | S_rr k -> pushi k
-      | S_random pr -> push pr);
-      (match ph.delay with
-      | D_max | D_uniform -> ()
-      | D_const k | D_stage k | D_partition k | D_target k -> pushi k
-      | D_bimodal pr -> push pr
-      | D_churn (a, b) ->
-        pushi a;
-        pushi b);
-      (match ph.crash with
-      | C_none -> ()
-      | C_at (tm, n, s) ->
-        pushi tm;
-        pushi n;
-        pushi s
-      | C_staggered e -> pushi e
-      | C_poisson r -> push r
-      | C_flaky (u, dn) ->
-        pushi u;
-        pushi dn);
-      List.iter
-        (function
-          | F_drop pr | F_reorder pr -> push pr
-          | F_dup (pr, n) ->
-            push pr;
-            pushi n)
-        ph.faults;
-      (match ph.chan with
-      | Ch_none -> ()
-      | Ch_ordered k -> pushi k
-      | Ch_delayed cap -> pushi cap
-      | Ch_both (cap, k) ->
-        pushi cap;
-        pushi k);
-      match ph.lasts with None -> () | Some k -> pushi k)
-    (make t);
-  Array.of_list (List.rev !acc)
-
-let with_genes t g =
-  let i = ref 0 in
-  let next old =
-    if !i < Array.length g then begin
-      let v = g.(!i) in
-      incr i;
-      v
-    end
-    else old
-  in
-  let nexti old = int_of_float (Float.round (next (float_of_int old))) in
-  let map_ph ph =
-    let sched =
-      match ph.sched with
-      | (S_all | S_harmonic | S_laggard) as s -> s
-      | S_solo k -> S_solo (nexti k)
-      | S_rr w -> S_rr (nexti w)
-      | S_random pr -> S_random (next pr)
-    in
-    let delay =
-      match ph.delay with
-      | (D_max | D_uniform) as d -> d
-      | D_const k -> D_const (nexti k)
-      | D_stage k -> D_stage (nexti k)
-      | D_partition k -> D_partition (nexti k)
-      | D_target k -> D_target (nexti k)
-      | D_bimodal pr -> D_bimodal (next pr)
-      | D_churn (a, b) ->
-        let a = nexti a in
-        let b = nexti b in
-        D_churn (a, b)
-    in
-    let crash =
-      match ph.crash with
-      | C_none -> C_none
-      | C_at (tm, n, s) ->
-        let tm = nexti tm in
-        let n = nexti n in
-        let s = nexti s in
-        C_at (tm, n, s)
-      | C_staggered e -> C_staggered (nexti e)
-      | C_poisson r -> C_poisson (next r)
-      | C_flaky (u, dn) ->
-        let u = nexti u in
-        let dn = nexti dn in
-        C_flaky (u, dn)
-    in
-    let faults =
-      map_seq
-        (function
-          | F_drop pr -> F_drop (next pr)
-          | F_reorder pr -> F_reorder (next pr)
-          | F_dup (pr, n) ->
-            let pr = next pr in
-            let n = nexti n in
-            F_dup (pr, n))
-        ph.faults
-    in
-    let chan =
-      match ph.chan with
-      | Ch_none -> Ch_none
-      | Ch_ordered k -> Ch_ordered (nexti k)
-      | Ch_delayed cap -> Ch_delayed (nexti cap)
-      | Ch_both (cap, k) ->
-        let cap = nexti cap in
-        let k = nexti k in
-        Ch_both (cap, k)
-    in
-    let lasts = Option.map (fun k -> nexti k) ph.lasts in
-    { sched; delay; crash; faults; chan; lasts }
-  in
-  make (map_seq map_ph (make t))
-
 (* ---- search support ---- *)
 
 let repair ~space ~p t =

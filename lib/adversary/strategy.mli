@@ -180,10 +180,3 @@ val mutate :
 
 val crossover : rng:Rng.t -> space:space -> p:int -> t -> t -> t
 (** Field-wise uniform crossover of two parents, phase by phase. *)
-
-val genes : t -> float array
-(** The numeric genes in canonical AST order (ints as floats). *)
-
-val with_genes : t -> float array -> t
-(** Replace genes in the same order (extra entries ignored, missing ones
-    keep their value), then normalize. *)

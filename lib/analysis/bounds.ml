@@ -33,5 +33,3 @@ let pa_message_upper ~p ~t ~d =
 let epsilon_of_q ~q =
   let qf = float_of_int q in
   log_base ~base:qf (4.0 *. log qf)
-
-let subquadratic_threshold ~p:_ ~t = float_of_int t

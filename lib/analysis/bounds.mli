@@ -37,7 +37,3 @@ val epsilon_of_q : q:int -> float
 (** The exponent achieved by DA(q) in Theorem 5.4's proof:
     [log_q (4 a log q)] with the proof's constant folded to [a = 1] —
     usable for qualitative "larger q gives smaller epsilon" checks. *)
-
-val subquadratic_threshold : p:int -> t:int -> float
-(** The delay beyond which no algorithm can stay subquadratic, i.e. the
-    [d = Theta(t)] wall of Proposition 2.2 (returned as [t]). *)

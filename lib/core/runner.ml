@@ -485,14 +485,3 @@ let run_grid ?jobs ?pool ?max_time ?(probes = false) ?(profile = false)
   match List.filter_map (function Error s -> Some s | Ok _ -> None) results with
   | [] -> List.map (function Ok r -> r | Error _ -> assert false) results
   | timeouts -> raise (Grid_incomplete timeouts)
-
-let average_work ?(seeds = [ 1; 2; 3; 4; 5 ]) ?jobs ?pool ?transport ~algo
-    ~adv ~p ~t ~d () =
-  let specs =
-    List.map (fun seed -> spec ~seed ?transport ~algo ~adv ~p ~t ~d ()) seeds
-  in
-  let runs = List.map (fun r -> r.metrics) (run_grid ?jobs ?pool specs) in
-  let len = float_of_int (List.length runs) in
-  let mean f = List.fold_left (fun acc m -> acc +. f m) 0.0 runs /. len in
-  ( mean (fun m -> float_of_int m.Metrics.work),
-    mean (fun m -> float_of_int m.Metrics.messages) )

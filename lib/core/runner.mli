@@ -195,10 +195,10 @@ val run_traced :
 (** {1 Parallel grids} *)
 
 exception Grid_incomplete of run_spec list
-(** Raised by {!run_grid} (and through it {!average_work}) when runs hit
-    the [max_time] cap without completing: the full list of capped
-    cells, never a silent partial result. A printable form is installed
-    via [Printexc.register_printer]. *)
+(** Raised by {!run_grid} when runs hit the [max_time] cap without
+    completing: the full list of capped cells, never a silent partial
+    result. A printable form is installed via
+    [Printexc.register_printer]. *)
 
 val spec :
   ?seed:int ->
@@ -283,20 +283,3 @@ val run_grid :
     mutex but may come from any worker domain, so the callback must
     not touch domain-local state. The CLI uses it to render live
     [k/n cells, ETA] lines on stderr. *)
-
-val average_work :
-  ?seeds:int list ->
-  ?jobs:int ->
-  ?pool:Pool.t ->
-  ?transport:Config.transport ->
-  algo:string ->
-  adv:string ->
-  p:int ->
-  t:int ->
-  d:int ->
-  unit ->
-  float * float
-(** Mean work and mean messages over the given seeds (default 5 seeds),
-    for estimating expected complexity of the randomized algorithms.
-    Seeds run through {!run_grid}, so [?jobs]/[?pool] parallelize them
-    and a capped seed raises {!Grid_incomplete}. *)

@@ -15,15 +15,18 @@ let wf = float_of_int
 let work_of ctx ?(seed = 1) ~algo ~adv ~p ~t ~d () =
   (Ctx.cell ctx (Runner.spec ~seed ~algo ~adv ~p ~t ~d ())).Runner.metrics
 
-let mean_work ctx ?(seeds = [ 1; 2; 3; 4; 5 ]) ~algo ~adv ~p ~t ~d () =
-  Ctx.mean_work ctx ~seeds ~algo ~adv ~p ~t ~d ()
-
-(* Run a packed algorithm (for variants not in the registry): these
-   bypass the registry-keyed memo cache by construction. *)
+(* Run a packed algorithm variant that the registry does not name (e9's
+   identity list and single-task gossip, e14, e16): these bypass the
+   registry-keyed memo cache by construction. Registry algorithms go
+   through [work_of] / [Ctx.mean_work]. *)
 let run_packed ?(seed = 1) algo ~adv ~p ~t ~d =
   let adversary = (Runner.find_adv adv).Runner.instantiate ~p ~t ~d in
   let cfg = Config.make ~seed ~p ~t () in
   Engine.run_packed algo cfg ~d ~adversary ()
+
+(* The bound and measured/bound cells of a table that checks a value
+   against one of the paper's bounds. *)
+let vs_bound ~bound v = [ Table.cell_float bound; Table.cell_ratio v bound ]
 
 (* ------------------------------------------------------------------ *)
 (* E1. Proposition 2.2: the quadratic wall at d = Theta(t).            *)
@@ -125,17 +128,11 @@ let e2 =
           let w2 = run "da-q2" in
           let w4 = run "da-q4" in
           let wd = run "padet" in
-          let lb = Bounds.lower_bound ~p ~t ~d in
           Table.add_row tbl
-            [
-              Table.cell_int d;
-              Table.cell_int w2;
-              Table.cell_int w4;
-              Table.cell_int wd;
-              Table.cell_float lb;
-              Table.cell_ratio (wf w4) lb;
-              Table.cell_int !stagecount;
-            ])
+            ([ Table.cell_int d; Table.cell_int w2; Table.cell_int w4;
+               Table.cell_int wd ]
+            @ vs_bound ~bound:(Bounds.lower_bound ~p ~t ~d) (wf w4)
+            @ [ Table.cell_int !stagecount ]))
         [ 1; 2; 4; 8 ];
       Table.add_note tbl
         "expected shape: forced work grows with d and tracks \
@@ -166,7 +163,7 @@ let e3 =
       List.iter
         (fun d ->
           let mean algo adv =
-            mean_work ctx ~seeds:[ 1; 2; 3 ] ~algo ~adv ~p ~t ~d ()
+            Ctx.mean_work ctx ~seeds:[ 1; 2; 3 ] ~algo ~adv ~p ~t ~d ()
           in
           Table.add_row tbl
             [
@@ -280,12 +277,8 @@ let e5 =
           in
           let bound = Contention.bound_theorem_4_4 ~n ~p:n ~d in
           Table.add_row tbl
-            [
-              Table.cell_int d;
-              Table.cell_int est;
-              Table.cell_float bound;
-              Table.cell_ratio (wf est) bound;
-            ])
+            (Table.cell_int d :: Table.cell_int est
+            :: vs_bound ~bound (wf est)))
         [ 1; 2; 4; 8; 16 ];
       Table.add_note tbl
         "estimate lower-bounds the true max over rho; staying well under the \
@@ -370,15 +363,12 @@ let e6 =
       in
       List.iter
         (fun d ->
-          let m = work_of ctx ~algo:"da-q4" ~adv:"max-delay" ~p ~t ~d () in
-          let ub = Bounds.da_upper ~p ~t ~d ~epsilon:eps in
+          let w =
+            (work_of ctx ~algo:"da-q4" ~adv:"max-delay" ~p ~t ~d ()).Metrics.work
+          in
           Table.add_row tbl
-            [
-              Table.cell_int d;
-              Table.cell_int m.Metrics.work;
-              Table.cell_float ub;
-              Table.cell_ratio (wf m.Metrics.work) ub;
-            ])
+            (Table.cell_int d :: Table.cell_int w
+            :: vs_bound ~bound:(Bounds.da_upper ~p ~t ~d ~epsilon:eps) (wf w)))
         [ 1; 4; 16; 64; 256 ];
       Table.add_note tbl "expected shape: ratio bounded by a constant across d";
       Ctx.emit ctx ~name:"d-sweep" tbl;
@@ -390,26 +380,20 @@ let e6 =
             (Printf.sprintf "E6b: DA work scaling in p (t=%d d=%d, max-delay)" t d)
           ~columns:[ "p"; "da-q2"; "da-q4"; "da-q8" ]
       in
-      let points = Hashtbl.create 16 in
+      let w_at q p =
+        let algo = Printf.sprintf "da-q%d" q in
+        (work_of ctx ~algo ~adv:"max-delay" ~p ~t ~d ()).Metrics.work
+      in
       List.iter
         (fun p ->
-          let row =
-            List.map
-              (fun q ->
-                let algo = Printf.sprintf "da-q%d" q in
-                let m = work_of ctx ~algo ~adv:"max-delay" ~p ~t ~d () in
-                Hashtbl.replace points (q, p) m.Metrics.work;
-                Table.cell_int m.Metrics.work)
-              [ 2; 4; 8 ]
-          in
-          Table.add_row tbl2 (Table.cell_int p :: row))
+          Table.add_row tbl2
+            (Table.cell_int p
+            :: List.map (fun q -> Table.cell_int (w_at q p)) [ 2; 4; 8 ]))
         [ 4; 8; 16; 32; 64 ];
       List.iter
         (fun q ->
           let pairs =
-            List.map
-              (fun p -> (wf p, wf (Hashtbl.find points (q, p))))
-              [ 4; 8; 16; 32; 64 ]
+            List.map (fun p -> (wf p, wf (w_at q p))) [ 4; 8; 16; 32; 64 ]
           in
           let fit = Stats.loglog_fit pairs in
           Table.add_note tbl2
@@ -426,19 +410,19 @@ let e6 =
           ~title:(Printf.sprintf "E6c: DA(4) work scaling in t (p=%d d=%d)" p d)
           ~columns:[ "t"; "work"; "work/t" ]
       in
-      let pairs = ref [] in
+      let ts = [ 64; 128; 256; 512; 1024 ] in
+      let w_at t =
+        (work_of ctx ~algo:"da-q4" ~adv:"max-delay" ~p ~t ~d ()).Metrics.work
+      in
       List.iter
         (fun t ->
-          let m = work_of ctx ~algo:"da-q4" ~adv:"max-delay" ~p ~t ~d () in
-          pairs := (wf t, wf m.Metrics.work) :: !pairs;
+          let w = w_at t in
           Table.add_row tbl3
             [
-              Table.cell_int t;
-              Table.cell_int m.Metrics.work;
-              Table.cell_ratio (wf m.Metrics.work) (wf t);
+              Table.cell_int t; Table.cell_int w; Table.cell_ratio (wf w) (wf t);
             ])
-        [ 64; 128; 256; 512; 1024 ];
-      let fit = Stats.loglog_fit !pairs in
+        ts;
+      let fit = Stats.loglog_fit (List.map (fun t -> (wf t, wf (w_at t))) ts) in
       Table.add_note tbl3
         (Printf.sprintf
            "empirical exponent of W in t = %.2f (r2=%.2f); bound predicts ~1"
@@ -527,16 +511,14 @@ let e8 =
           in
           let s1 = Stats.summarize (works "paran1") in
           let s2 = Stats.summarize (works "paran2") in
-          let ub = Bounds.pa_upper ~p ~t ~d in
           Table.add_row tbl
-            [
-              Table.cell_int d;
-              Table.cell_float s1.Stats.mean;
-              Printf.sprintf "+-%.0f" s1.Stats.ci95;
-              Table.cell_float s2.Stats.mean;
-              Table.cell_float ub;
-              Table.cell_ratio s1.Stats.mean ub;
-            ])
+            ([
+               Table.cell_int d;
+               Table.cell_float s1.Stats.mean;
+               Printf.sprintf "+-%.0f" s1.Stats.ci95;
+               Table.cell_float s2.Stats.mean;
+             ]
+            @ vs_bound ~bound:(Bounds.pa_upper ~p ~t ~d) s1.Stats.mean))
         [ 1; 2; 4; 8; 16; 32 ];
       Table.add_note tbl "expected shape: ratio bounded by a constant across d";
       Ctx.emit ctx ~name:"main" tbl;
@@ -550,17 +532,12 @@ let e8 =
       List.iter
         (fun p ->
           let w =
-            mean_work ctx ~seeds:[ 1; 2; 3 ] ~algo:"paran1" ~adv:"max-delay" ~p
-              ~t ~d ()
+            Ctx.mean_work ctx ~seeds:[ 1; 2; 3 ] ~algo:"paran1"
+              ~adv:"max-delay" ~p ~t ~d ()
           in
-          let ub = Bounds.pa_upper ~p ~t ~d in
           Table.add_row tbl2
-            [
-              Table.cell_int p;
-              Table.cell_float w;
-              Table.cell_float ub;
-              Table.cell_ratio w ub;
-            ])
+            (Table.cell_int p :: Table.cell_float w
+            :: vs_bound ~bound:(Bounds.pa_upper ~p ~t ~d) w))
         [ 4; 8; 16; 32; 64 ];
       Ctx.emit ctx ~name:"p-sweep" tbl2)
 
@@ -590,7 +567,7 @@ let e9 =
       List.iter
         (fun d ->
           let w_good =
-            (run_packed (Algo_pa.make_det ()) ~adv:"max-delay" ~p ~t ~d)
+            (work_of ctx ~algo:"padet" ~adv:"max-delay" ~p ~t ~d ())
               .Metrics.work
           in
           let w_bad =
@@ -625,7 +602,7 @@ let e9 =
       List.iter
         (fun d ->
           let w_full =
-            (run_packed (Algo_pa.make_det ()) ~adv:"random-half" ~p ~t ~d)
+            (work_of ctx ~algo:"padet" ~adv:"random-half" ~p ~t ~d ())
               .Metrics.work
           in
           let w_single =
@@ -676,8 +653,8 @@ let e10 =
                 let w =
                   if algo = "paran1" || algo = "paran2" then
                     int_of_float
-                      (mean_work ctx ~seeds:[ 1; 2; 3 ] ~algo ~adv:"max-delay"
-                         ~p ~t ~d ())
+                      (Ctx.mean_work ctx ~seeds:[ 1; 2; 3 ] ~algo
+                         ~adv:"max-delay" ~p ~t ~d ())
                   else
                     (work_of ctx ~algo ~adv:"max-delay" ~p ~t ~d ()).Metrics.work
                 in
@@ -840,7 +817,8 @@ let e13 =
   Exp.make ~id:"e13" ~anchor:"Sec 1.1"
     ~doc:"direct message passing vs quorum-emulated shared memory"
     ~axes:
-      (Exp.axes ~algos:[ "da-q4" ] ~advs:[ "max-delay"; "crash-all-but-one" ]
+      (Exp.axes ~algos:[ "da-q4"; "awq-q4"; "awq-abd-q4" ]
+         ~advs:[ "max-delay"; "crash-all-but-one" ]
          ~points:(List.map (fun d -> (p, t, d)) [ 1; 2; 4; 8; 16; 32 ])
          ~seeds:[ 1 ] ())
     ~tables:[ "main" ]
@@ -857,16 +835,8 @@ let e13 =
       in
       List.iter
         (fun d ->
-          let da = work_of ctx ~algo:"da-q4" ~adv:"max-delay" ~p ~t ~d () in
-          let awq =
-            run_packed (Doall_quorum.Algo_awq.make ~q:4 ()) ~adv:"max-delay" ~p
-              ~t ~d
-          in
-          let abd =
-            run_packed
-              (Doall_quorum.Algo_awq.make ~q:4 ~protocol:`Abd ())
-              ~adv:"max-delay" ~p ~t ~d
-          in
+          let w algo = work_of ctx ~algo ~adv:"max-delay" ~p ~t ~d () in
+          let da = w "da-q4" and awq = w "awq-q4" and abd = w "awq-abd-q4" in
           Table.add_row tbl
             [
               Table.cell_int d;
@@ -885,22 +855,28 @@ let e13 =
          round trips, and the measured ~2x confirms the monotone single-phase \
          optimization is what keeps even the emulation competitive";
       Ctx.emit ctx ~name:"main" tbl;
-      (* the liveness caveat: quorum damage *)
-      let run_crash algo label =
+      (* the liveness caveat: quorum damage. AWQ never completes here, so
+         these runs take a short explicit cap and stay outside the memo
+         cache (whose grid rejects capped cells) *)
+      let run_crash algo =
         let adversary =
           (Runner.find_adv "crash-all-but-one").Runner.instantiate ~p ~t ~d:2
         in
         let cfg = Config.make ~seed:1 ~p ~t () in
-        let m = Engine.run_packed algo cfg ~d:2 ~adversary ~max_time:20_000 () in
+        let m =
+          Engine.run_packed
+            ((Runner.find_algo algo).Runner.make ())
+            cfg ~d:2 ~adversary ~max_time:20_000 ()
+        in
         Ctx.print ctx
           (Printf.sprintf
-             "  %-8s under crash-all-but-one: completed=%b work=%d\n" label
+             "  %-8s under crash-all-but-one: completed=%b work=%d\n" algo
              m.Metrics.completed m.Metrics.work)
       in
       Ctx.print ctx
         "quorum-damage caveat (crashes leave 1 < majority processors):\n";
-      run_crash ((Runner.find_algo "da-q4").Runner.make ()) "da-q4";
-      run_crash (Doall_quorum.Algo_awq.make ~q:4 ()) "awq-q4";
+      run_crash "da-q4";
+      run_crash "awq-q4";
       Ctx.print ctx
         "  (AWQ burns work forever without solving Do-All - the paper's \
          'quorums disabled by failures' failure mode)\n")
@@ -1021,10 +997,6 @@ let e16 =
                p d)
           ~columns:[ "fanout"; "EW"; "EM"; "effort" ]
       in
-      let mean_of f seeds =
-        List.fold_left (fun acc s -> acc +. f s) 0.0 seeds
-        /. wf (List.length seeds)
-      in
       List.iter
         (fun fanout ->
           let runs =
@@ -1035,8 +1007,9 @@ let e16 =
                   ~adv:"uniform-delay" ~p ~t ~d)
               [ 1; 2; 3; 4; 5 ]
           in
-          let ew = mean_of (fun m -> wf m.Metrics.work) runs in
-          let em = mean_of (fun m -> wf m.Metrics.messages) runs in
+          let mean f = Stats.mean (List.map (fun m -> wf (f m)) runs) in
+          let ew = mean (fun m -> m.Metrics.work) in
+          let em = mean (fun m -> m.Metrics.messages) in
           Table.add_row tbl
             [
               (match fanout with None -> "all (p-1)" | Some k -> Table.cell_int k);
@@ -1067,34 +1040,27 @@ let e17 =
     (fun ctx ->
       (* The whole sweep as one flat grid fanned across the pool:
          deterministic algorithms contribute one cell (seed 1) per delay,
-         randomized ones the mean of seeds 1-3. *)
+         randomized ones the mean of seeds 1-3. The means below read the
+         memo this prefetch fills. *)
       let seeds_for algo =
         if (Runner.find_algo algo).Runner.deterministic then [ 1 ]
         else [ 1; 2; 3 ]
       in
-      let specs =
-        List.concat_map
-          (fun algo ->
-            List.concat_map
-              (fun d ->
-                List.map
-                  (fun seed ->
-                    Runner.spec ~seed ~algo ~adv:"max-delay" ~p ~t ~d ())
-                  (seeds_for algo))
-              ds)
-          algos
-      in
-      let results = Ctx.grid ctx specs in
-      let works : (string * int, float list) Hashtbl.t = Hashtbl.create 64 in
-      List.iter2
-        (fun (s : Runner.run_spec) (r : Runner.result) ->
-          let key = (s.Runner.spec_algo, s.Runner.d) in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt works key) in
-          Hashtbl.replace works key (wf r.Runner.metrics.Metrics.work :: prev))
-        specs results;
+      ignore
+        (Ctx.grid ctx
+           (List.concat_map
+              (fun algo ->
+                List.concat_map
+                  (fun d ->
+                    List.map
+                      (fun seed ->
+                        Runner.spec ~seed ~algo ~adv:"max-delay" ~p ~t ~d ())
+                      (seeds_for algo))
+                  ds)
+              algos));
       let mean_at algo d =
-        let ws = Hashtbl.find works (algo, d) in
-        List.fold_left ( +. ) 0.0 ws /. wf (List.length ws)
+        Ctx.mean_work ctx ~seeds:(seeds_for algo) ~algo ~adv:"max-delay" ~p ~t
+          ~d ()
       in
       let tbl =
         Table.create
@@ -1136,7 +1102,7 @@ let e18 =
   Exp.make ~id:"e18" ~anchor:"Sec 1.1"
     ~doc:"one algorithm, three worlds: shared memory, messages, quorums"
     ~axes:
-      (Exp.axes ~algos:[ "da-q4" ] ~advs:[ "max-delay" ]
+      (Exp.axes ~algos:[ "da-q4"; "awq-q4"; "awq-abd-q4" ] ~advs:[ "max-delay" ]
          ~points:(List.map (fun d -> (p, t, d)) [ 1; 4; 16; 64 ])
          ~seeds:[ 1 ] ())
     ~tables:[ "main"; "schedules" ]
@@ -1153,16 +1119,8 @@ let e18 =
       in
       List.iter
         (fun d ->
-          let da = work_of ctx ~algo:"da-q4" ~adv:"max-delay" ~p ~t ~d () in
-          let awq =
-            run_packed (Doall_quorum.Algo_awq.make ~q:4 ()) ~adv:"max-delay" ~p
-              ~t ~d
-          in
-          let abd =
-            run_packed
-              (Doall_quorum.Algo_awq.make ~q:4 ~protocol:`Abd ())
-              ~adv:"max-delay" ~p ~t ~d
-          in
+          let w algo = work_of ctx ~algo ~adv:"max-delay" ~p ~t ~d () in
+          let da = w "da-q4" and awq = w "awq-q4" and abd = w "awq-abd-q4" in
           Table.add_row tbl
             [
               Table.cell_int d;
@@ -1256,19 +1214,8 @@ let e19 =
                 Doall_adversary.Fault.drop ~prob:rate )
           else None
         in
-        let specs =
-          List.map
-            (fun seed ->
-              Runner.spec ~seed ~algo ~adv:"max-delay" ~p ~t ~d ())
-            seeds
-        in
-        let results = Ctx.grid ctx ~check:true ?faults specs in
-        let sum =
-          List.fold_left
-            (fun acc (r : Runner.result) -> acc + r.Runner.metrics.Metrics.work)
-            0 results
-        in
-        wf sum /. wf (List.length seeds)
+        Ctx.mean_work ctx ~check:true ?faults ~seeds ~algo ~adv:"max-delay" ~p
+          ~t ~d ()
       in
       List.iter
         (fun rate ->
@@ -1543,5 +1490,8 @@ let installed = ref false
 let install () =
   if not !installed then begin
     installed := true;
+    (* e13 and e18 read the quorum algorithms by name; registration
+       replaces an existing entry, so a caller's own install is harmless *)
+    Doall_quorum.Register.install ();
     List.iter Exp.register all
   end

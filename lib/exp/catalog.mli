@@ -1,4 +1,4 @@
-(** The built-in experiment catalog: e1–e19 plus the Fig. 1 trace, one
+(** The built-in experiment catalog: e1–e21 plus the Fig. 1 trace, one
     registered {!Exp.t} per paper anchor (see EXPERIMENTS.md for the
     paper-vs-measured record).
 
@@ -7,5 +7,6 @@
 
 val install : unit -> unit
 (** Register every built-in experiment, in the order a bare [doall exp run] runs
-    them (e1, e2, e3, fig1, e4 … e19). Idempotent; call it from every
-    entry point before touching the {!Exp} registry. *)
+    them (e1, e2, e3, fig1, e4 … e21), and the quorum algorithms they
+    read by name ({!Doall_quorum.Register.install}). Idempotent; call it
+    from every entry point before touching the {!Exp} registry. *)

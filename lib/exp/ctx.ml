@@ -92,12 +92,10 @@ let mean_work t ?check ?faults ?transport ~seeds ~algo ~adv ~p ~t:tasks ~d ()
       (fun seed -> Runner.spec ~seed ?transport ~algo ~adv ~p ~t:tasks ~d ())
       seeds
   in
-  let runs = List.map (fun r -> r.Runner.metrics) (grid t ?check ?faults specs) in
-  let len = float_of_int (List.length runs) in
-  List.fold_left
-    (fun acc m -> acc +. float_of_int m.Metrics.work)
-    0.0 runs
-  /. len
+  Doall_analysis.Stats.mean
+    (List.map
+       (fun r -> float_of_int r.Runner.metrics.Metrics.work)
+       (grid t ?check ?faults specs))
 
 let cells_simulated t = t.misses
 

@@ -71,10 +71,10 @@ val mean_work :
   d:int ->
   unit ->
   float
-(** Seed-averaged work through {!grid}: the per-seed cells are memoized
-    individually, and the mean is folded exactly like
-    {!Doall_core.Runner.average_work} so migrated experiments print
-    bit-identical numbers. *)
+(** Seed-averaged work through {!grid}, folded by
+    {!Doall_analysis.Stats.mean}: the per-seed cells are memoized
+    individually, so a later call over the same cells simulates
+    nothing. *)
 
 val cells_simulated : t -> int
 (** Number of cache misses so far — the count of simulations this

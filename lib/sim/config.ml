@@ -17,7 +17,6 @@ let make ?(seed = 0) ?(record_trace = false) ?(transport = Ptp) ~p ~t () =
   { p; t; seed; record_trace; transport }
 
 let with_seed cfg seed = { cfg with seed }
-let with_transport cfg transport = { cfg with transport }
 
 let transport_to_string = function
   | Ptp -> "ptp"

@@ -38,8 +38,6 @@ val make :
 
 val with_seed : t -> int -> t
 
-val with_transport : t -> transport -> t
-
 val transport_to_string : transport -> string
 (** ["ptp"], ["channel"] (silent collisions) or ["channel-detect"] —
     the vocabulary of the CLIs' [--transport] flag and of

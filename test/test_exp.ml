@@ -121,13 +121,21 @@ let test_cell_memo () =
 
 (* E1's table asks for 4 algos x 5 delays and its plot for 4 x 8 (a
    superset of delays) — pre-refactor that simulated 52 cells, the memo
-   cache must do exactly the 32 distinct ones. *)
+   cache must do exactly the 32 distinct ones. E9 (padet under max-delay
+   at 5 delays, random-half at 4), E13 (3 algos x 6 delays) and E18 (3 x
+   4) read their registry algorithms through the context too, so every
+   one of those cells goes through the runner exactly once. *)
 let test_e1_dedup () =
-  let e1 = Option.get (Exp.find "e1") in
-  let before = Runner.sim_count () in
-  Exp.run ~jobs:1 ~sink:null_sink e1;
-  Alcotest.(check int) "e1 simulates each distinct cell once" 32
-    (Runner.sim_count () - before)
+  List.iter
+    (fun (id, cells) ->
+      let e = Option.get (Exp.find id) in
+      let before = Runner.sim_count () in
+      Exp.run ~jobs:1 ~sink:null_sink e;
+      Alcotest.(check int)
+        (id ^ " simulates each distinct cell once")
+        cells
+        (Runner.sim_count () - before))
+    [ ("e1", 32); ("e9", 9); ("e13", 18); ("e18", 12) ]
 
 (* -- golden byte-identity ------------------------------------------ *)
 

@@ -156,18 +156,6 @@ let test_grid_unknown_name () =
             && String.sub msg 0 26 = "unknown algorithm \"nope\" (") then
       Alcotest.failf "unexpected message: %s" msg
 
-let test_average_work_parallel () =
-  let seq =
-    Runner.average_work ~jobs:1 ~algo:"paran1" ~adv:"max-delay" ~p:8 ~t:64
-      ~d:4 ()
-  in
-  let par =
-    Runner.average_work ~jobs:4 ~algo:"paran1" ~adv:"max-delay" ~p:8 ~t:64
-      ~d:4 ()
-  in
-  Alcotest.(check (pair (float 0.0) (float 0.0)))
-    "average_work identical at jobs=1 and jobs=4" seq par
-
 let suite =
   [
     Alcotest.test_case "map preserves order" `Quick test_map_order;
@@ -181,6 +169,4 @@ let suite =
     Alcotest.test_case "grid pool reuse" `Slow test_grid_pool_reuse;
     Alcotest.test_case "Grid_incomplete on cap" `Quick test_grid_incomplete;
     Alcotest.test_case "unknown name fails fast" `Quick test_grid_unknown_name;
-    Alcotest.test_case "average_work parallel" `Quick
-      test_average_work_parallel;
   ]

@@ -61,14 +61,6 @@ let test_deterministic_flags () =
       end)
     Runner.algorithms
 
-let test_average_work () =
-  let w, m =
-    Runner.average_work ~seeds:[ 1; 2; 3 ] ~algo:"paran1" ~adv:"fair" ~p:4
-      ~t:16 ~d:2 ()
-  in
-  check "mean work positive" true (w > 0.0);
-  check "mean messages positive" true (m > 0.0)
-
 let test_run_traced () =
   let r, tr =
     Runner.run_traced ~algo:"trivial" ~adv:"fair" ~p:2 ~t:4 ~d:1 ()
@@ -88,6 +80,5 @@ let suite =
       test_every_algo_runs_under_every_adversary;
     Alcotest.test_case "deterministic algorithms seed-insensitive" `Quick
       test_deterministic_flags;
-    Alcotest.test_case "average_work" `Quick test_average_work;
     Alcotest.test_case "run_traced" `Quick test_run_traced;
   ]
