@@ -310,9 +310,7 @@ let e5 =
                 wf est /. bound)
               (List.init lists Fun.id)
           in
-          let mean =
-            List.fold_left ( +. ) 0.0 fractions /. wf lists
-          in
+          let mean = Stats.mean fractions in
           let worst = List.fold_left Float.max 0.0 fractions in
           let over = List.length (List.filter (fun f -> f > 1.0) fractions) in
           Table.add_row tbl2
