@@ -7,7 +7,7 @@ let constant k _ ~src:_ ~dst:_ = k
 let maximal (o : Adversary.oracle) ~src:_ ~dst:_ = o.d
 
 let uniform (o : Adversary.oracle) ~src:_ ~dst:_ =
-  1 + Rng.int o.rng (max 1 o.d)
+  1 + Rng.int o.rng (Int.max 1 o.d)
 
 let bimodal ~slow_fraction (o : Adversary.oracle) ~src:_ ~dst:_ =
   if Rng.float o.rng 1.0 < slow_fraction then o.d else 1

@@ -26,7 +26,7 @@ let reorder ~prob =
   check_prob "reorder" prob;
   fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
     if Rng.float o.rng 1.0 < prob then
-      Adversary.Reorder (1 + Rng.int o.rng (max 1 o.d))
+      Adversary.Reorder (1 + Rng.int o.rng (Int.max 1 o.d))
     else Adversary.Deliver
 
 (* the first non-[Deliver] verdict, policies asked in order; top-level so

@@ -446,7 +446,7 @@ let compile_delay = function
   | D_stage k -> Delay.stage_batched ~stage_len:k
   | D_partition k ->
     fun (o : Adversary.oracle) ~src ~dst ->
-      Delay.partition ~split:(max 1 (o.p / k)) o ~src ~dst
+      Delay.partition ~split:(Int.max 1 (o.p / k)) o ~src ~dst
   | D_target m -> Delay.targeted ~victims:(fun pid -> pid mod m = 0)
   | D_churn (a, b) -> Delay.churn ~calm:a ~storm:b
 
@@ -533,11 +533,23 @@ let into t =
   in
   let restarts = Array.map (fun ph -> compile_restart ph.crash) arr in
   let faults = Array.map (fun ph -> compile_faults ph.faults) arr in
-  let schedule (o : Adversary.oracle) = scheds.(phase_at (o.time ())) o in
-  let delay (o : Adversary.oracle) ~src ~dst =
-    delays.(phase_at (o.time ())) o ~src ~dst
+  (* A one-phase strategy binds its compiled closures directly: no
+     clock read and no phase lookup per call, which matters for the
+     delay and fault verdicts asked p - 1 times per multicast. Several
+     phases dispatch on the phase running at [o.time ()]. The channel
+     rules, asked once per slot, always dispatch. *)
+  let at (o : Adversary.oracle) = phase_at (o.time ()) in
+  let schedule =
+    match scheds with [| s |] -> s | _ -> fun o -> scheds.(at o) o
   in
-  let crash (o : Adversary.oracle) = crashes.(phase_at (o.time ())) o in
+  let delay =
+    match delays with
+    | [| d |] -> d
+    | _ -> fun o ~src ~dst -> delays.(at o) o ~src ~dst
+  in
+  let crash =
+    match crashes with [| c |] -> c | _ -> fun o -> crashes.(at o) o
+  in
   let adv =
     Adversary.with_latency (latency_of t)
       (Adversary.make ~name ~schedule ~delay ~crash)
@@ -545,20 +557,26 @@ let into t =
   let adv =
     if has_faults t then
       Adversary.with_faults
-        (fun (o : Adversary.oracle) ~src ~dst ->
-          match faults.(phase_at (o.time ())) with
-          | None -> Adversary.Deliver
-          | Some f -> f o ~src ~dst)
+        (match faults with
+         | [| Some f |] -> f
+         | _ ->
+           fun o ~src ~dst ->
+             match faults.(at o) with
+             | None -> Adversary.Deliver
+             | Some f -> f o ~src ~dst)
         adv
     else adv
   in
   let adv =
     if has_restart t then
       Adversary.with_restart
-        (fun (o : Adversary.oracle) ->
-          match restarts.(phase_at (o.time ())) with
-          | None -> []
-          | Some r -> r o)
+        (match restarts with
+         | [| Some r |] -> r
+         | _ ->
+           fun o ->
+             match restarts.(at o) with
+             | None -> []
+             | Some r -> r o)
         adv
     else adv
   in
@@ -572,13 +590,13 @@ let into t =
         order =
           Some
             (fun (o : Adversary.oracle) contenders ->
-              match fst chans.(phase_at (o.time ())) with
+              match fst chans.(at o) with
               | Some f -> f o contenders
               | None -> None);
         hold =
           Some
             (fun (o : Adversary.oracle) ~src ->
-              match snd chans.(phase_at (o.time ())) with
+              match snd chans.(at o) with
               | Some h -> h o ~src
               | None -> 0);
       }
@@ -613,7 +631,7 @@ let repair ~space ~p t =
   | Quorum_safe ->
     (* keep a majority alive and every pid stepping infinitely often;
        faults off (lossy networks can stall quorum emulation forever) *)
-    let minority = max 0 ((p - 1) / 2) in
+    let minority = Int.max 0 ((p - 1) / 2) in
     mapi_seq
       (fun i ph ->
         let sched =
@@ -626,7 +644,7 @@ let repair ~space ~p t =
           (* crashes in the first phase only, so phases cannot
              cumulatively kill a majority *)
           match ph.crash with
-          | C_at (tm, n, s) when i = 0 -> C_at (tm, min n minority, s)
+          | C_at (tm, n, s) when i = 0 -> C_at (tm, Int.min n minority, s)
           | _ -> C_none
         in
         (* contention rules stay off: on a silent channel they can
@@ -644,7 +662,7 @@ let random_sched rng ~space ~p =
     pick rng
       [
         S_all;
-        S_rr (1 + Rng.int rng (max 1 p));
+        S_rr (1 + Rng.int rng (Int.max 1 p));
         S_random (norm_prob (0.2 +. Rng.float rng 0.8));
         S_harmonic;
       ]
@@ -652,8 +670,8 @@ let random_sched rng ~space ~p =
     pick rng
       [
         S_all;
-        S_solo (Rng.int rng (max 1 p));
-        S_rr (1 + Rng.int rng (max 1 p));
+        S_solo (Rng.int rng (Int.max 1 p));
+        S_rr (1 + Rng.int rng (Int.max 1 p));
         S_random (random_prob rng);
         S_harmonic;
         S_laggard;
@@ -662,14 +680,15 @@ let random_sched rng ~space ~p =
 let random_delay rng ~d ~tsk =
   pick rng
     [
-      D_const (1 + Rng.int rng (max 1 (2 * d)));
+      D_const (1 + Rng.int rng (Int.max 1 (2 * d)));
       D_max;
       D_uniform;
       D_bimodal (random_prob rng);
-      D_stage (1 + Rng.int rng (max 1 d));
+      D_stage (1 + Rng.int rng (Int.max 1 d));
       D_partition (2 + Rng.int rng 7);
       D_target (2 + Rng.int rng 7);
-      D_churn (1 + Rng.int rng (max 1 (tsk / 2)), 1 + Rng.int rng (max 1 d));
+      D_churn
+        (1 + Rng.int rng (Int.max 1 (tsk / 2)), 1 + Rng.int rng (Int.max 1 d));
     ]
 
 let random_crash rng ~space ~p ~tsk =
@@ -678,20 +697,24 @@ let random_crash rng ~space ~p ~tsk =
     pick rng
       [
         C_none;
-        C_at (Rng.int rng (max 1 tsk), Rng.int rng (max 1 ((p + 1) / 2)), 1);
+        C_at
+          ( Rng.int rng (Int.max 1 tsk),
+            Rng.int rng (Int.max 1 ((p + 1) / 2)),
+            1 );
       ]
   | Full | Live | In_model ->
     pick rng
       [
         C_none;
         C_at
-          ( Rng.int rng (max 1 tsk),
-            Rng.int rng (max 1 p),
+          ( Rng.int rng (Int.max 1 tsk),
+            Rng.int rng (Int.max 1 p),
             1 + Rng.int rng 3 );
-        C_staggered (1 + Rng.int rng (max 1 (tsk / 4 + 1)));
+        C_staggered (1 + Rng.int rng (Int.max 1 (tsk / 4 + 1)));
         C_poisson (quant3 (0.005 +. Rng.float rng 0.05));
         C_flaky
-          (1 + Rng.int rng (max 1 (tsk / 2)), 1 + Rng.int rng (max 1 (tsk / 4)));
+          ( 1 + Rng.int rng (Int.max 1 (tsk / 2)),
+            1 + Rng.int rng (Int.max 1 (tsk / 4)) );
       ]
 
 let random_fault rng =
@@ -721,8 +744,8 @@ let random_chan rng ~space ~d =
     match Rng.int rng 4 with
     | 0 -> Ch_none
     | 1 -> Ch_ordered (Rng.int rng 8)
-    | 2 -> Ch_delayed (1 + Rng.int rng (max 1 d))
-    | _ -> Ch_both (1 + Rng.int rng (max 1 d), Rng.int rng 8))
+    | 2 -> Ch_delayed (1 + Rng.int rng (Int.max 1 d))
+    | _ -> Ch_both (1 + Rng.int rng (Int.max 1 d), Rng.int rng 8))
 
 let random_phase rng ~space ~chan ~p ~tsk ~d =
   let sched = random_sched rng ~space ~p in
@@ -733,7 +756,7 @@ let random_phase rng ~space ~chan ~p ~tsk ~d =
      the default path free of extra draws preserves the RNG sequence of
      every existing point-to-point search *)
   let chan = if chan then random_chan rng ~space ~d else Ch_none in
-  let lasts = Some (1 + Rng.int rng (max 1 tsk)) in
+  let lasts = Some (1 + Rng.int rng (Int.max 1 tsk)) in
   { sched; delay; crash; faults; chan; lasts }
 
 let random ?(chan = false) ~rng ~space ~p ~t:tsk ~d () =
@@ -744,14 +767,14 @@ let random ?(chan = false) ~rng ~space ~p ~t:tsk ~d () =
 let nudge_int rng v =
   match Rng.int rng 4 with
   | 0 -> v + 1
-  | 1 -> max 1 (v - 1)
+  | 1 -> Int.max 1 (v - 1)
   | 2 -> v * 2
-  | _ -> max 1 (v / 2)
+  | _ -> Int.max 1 (v / 2)
 
 let nudge_prob rng v = norm_prob (v +. Rng.float rng 0.5 -. 0.25)
 
 let nudge_sched rng = function
-  | S_solo k -> S_solo (max 0 (nudge_int rng k))
+  | S_solo k -> S_solo (Int.max 0 (nudge_int rng k))
   | S_rr w -> S_rr (nudge_int rng w)
   | S_random pr -> S_random (nudge_prob rng pr)
   | s -> s
@@ -774,8 +797,8 @@ let nudge_delay rng = function
 let nudge_crash rng = function
   | C_at (tm, n, s) -> (
     match Rng.int rng 3 with
-    | 0 -> C_at (max 0 (nudge_int rng tm), n, s)
-    | 1 -> C_at (tm, max 0 (nudge_int rng n), s)
+    | 0 -> C_at (Int.max 0 (nudge_int rng tm), n, s)
+    | 1 -> C_at (tm, Int.max 0 (nudge_int rng n), s)
     | _ -> C_at (tm, n, nudge_int rng s))
   | C_staggered e -> C_staggered (nudge_int rng e)
   | C_poisson r -> C_poisson (norm_prob (r +. Rng.float rng 0.04 -. 0.02))
@@ -829,7 +852,10 @@ let mutate ?(chan = false) ~rng ~space ~p ~t:tsk ~d str =
           (mapi_seq
              (fun i ph ->
                if i = idx then
-                 [ { ph with lasts = Some (1 + Rng.int rng (max 1 tsk)) }; ph ]
+                 [
+                   { ph with lasts = Some (1 + Rng.int rng (Int.max 1 tsk)) };
+                   ph;
+                 ]
                else [ ph ])
              str)
       | _ ->

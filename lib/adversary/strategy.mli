@@ -154,7 +154,12 @@ val latency_of : t -> Adversary.latency
 val into : t -> Adversary.t
 (** Compile to a runnable adversary named ["strategy:" ^ to_spec].
     Pure and stateless: safe to call once per run from worker domains
-    ({!Doall_core.Runner}'s thread-safety contract). *)
+    ({!Doall_core.Runner}'s thread-safety contract). A one-phase
+    strategy's schedule, delay, crash, fault and restart fields are its
+    compiled rules themselves, with no per-call phase lookup (the delay
+    and fault verdicts are asked once per point-to-point copy); a
+    multi-phase one dispatches each call on the phase running at
+    [o.time ()]. *)
 
 (** {1 Search support} *)
 

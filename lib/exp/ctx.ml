@@ -97,6 +97,11 @@ let mean_work t ?check ?faults ?transport ~seeds ~algo ~adv ~p ~t:tasks ~d ()
        (fun r -> float_of_int r.Runner.metrics.Metrics.work)
        (grid t ?check ?faults specs))
 
+let map t f xs =
+  match t.pool with
+  | Some pool -> Pool.map pool f xs
+  | None -> Pool.run ?jobs:t.jobs f xs
+
 let cells_simulated t = t.misses
 
 let emit t ?name tbl =

@@ -76,6 +76,15 @@ val mean_work :
     individually, so a later call over the same cells simulates
     nothing. *)
 
+val map : t -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ctx f xs] applies [f] to every element of [xs] on the
+    context's pool (a transient one when it has none, sized as for
+    {!grid}) and returns the results in the order of [xs], so what an
+    experiment prints is the same for any [jobs]. For pure work outside
+    the cell memo, such as contention estimates that each seed their
+    own [Rng]; [f] must keep {!Doall_sim.Pool}'s thread-safety
+    contract. *)
+
 val cells_simulated : t -> int
 (** Number of cache misses so far — the count of simulations this
     context actually ran (the dedup tests pin it). *)

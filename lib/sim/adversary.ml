@@ -72,5 +72,5 @@ let max_delay =
 
 let uniform_delay =
   make ~name:"uniform-delay" ~schedule:all_active
-    ~delay:(fun o ~src:_ ~dst:_ -> 1 + Rng.int o.rng (max 1 o.d))
+    ~delay:(fun o ~src:_ ~dst:_ -> 1 + Rng.int o.rng (Int.max 1 o.d))
     ~crash:no_crash

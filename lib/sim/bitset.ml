@@ -35,7 +35,7 @@ let words_for n = (n + bits_per_word - 1) / bits_per_word
    only the words that remain, so a small set is one exact-size chunk. *)
 let shift_for words =
   let rec log2 k w = if w <= 1 then k else log2 (k + 1) (w lsr 1) in
-  max 3 (min 6 (log2 0 words / 2))
+  Int.max 3 (Int.min 6 (log2 0 words / 2))
 
 (* One immutable all-zero chunk per chunk length, shared by every set. *)
 let zero_chunks = Array.init 65 (fun len -> Array.make len 0)
@@ -51,7 +51,7 @@ let create n =
     chunks =
       Array.init
         ((words + cw - 1) lsr shift)
-        (fun c -> zero_chunks.(min cw (words - (c lsl shift))));
+        (fun c -> zero_chunks.(Int.min cw (words - (c lsl shift))));
     owned = Bytes.empty;
     count = 0;
   }

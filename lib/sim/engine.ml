@@ -100,6 +100,9 @@ module Make (A : Algorithm.S) = struct
            resets that knowledge (test_stream pins a flaky cell where
            the two paths differ). *)
     stream_delta : int; (* the declared constant, clamped into [1..d] *)
+    dues : int array;
+        (* per-destination due instants of the multicast being sent,
+           reused by every fault-free per-destination broadcast *)
     states : A.state array;
     fabric : A.msg fabric;
         (* on a shared channel each step's outbound traffic becomes one
@@ -181,7 +184,7 @@ module Make (A : Algorithm.S) = struct
 
   let create ?probe ?spans ?(check = false) cfg ~d ~adversary =
     if d < 0 then invalid_arg "Engine.create: d must be non-negative";
-    let d = max 1 d in
+    let d = Int.max 1 d in
     let p = cfg.Config.p in
     let probe =
       match probe with Some pr -> pr | None -> Probe.create ~enabled:false ()
@@ -206,7 +209,7 @@ module Make (A : Algorithm.S) = struct
     let stream_delta =
       let constant =
         match adversary.Adversary.latency with
-        | Adversary.Fixed k -> Some (max 1 (min d k))
+        | Adversary.Fixed k -> Some (Int.max 1 (Int.min d k))
         | Adversary.Maximal -> Some d
         | Adversary.Variable -> None
       in
@@ -229,6 +232,7 @@ module Make (A : Algorithm.S) = struct
         adv = adversary;
         stream;
         stream_delta;
+        dues = Array.make p 0;
         states = Array.init p (fun pid -> A.init cfg ~pid);
         fabric =
           (match cfg.Config.transport with
@@ -410,7 +414,7 @@ module Make (A : Algorithm.S) = struct
         match eng.adv.Adversary.channel with
         | Some { Adversary.hold = Some h; _ } ->
           let o = oracle eng in
-          max 0 (min (eng.d - 1) (h o ~src:pid))
+          Int.max 0 (Int.min (eng.d - 1) (h o ~src:pid))
         | _ -> 0
       in
       Channel.transmit ch ~src:pid ~release:(eng.time + hold) ?bcast ~unis ();
@@ -449,7 +453,7 @@ module Make (A : Algorithm.S) = struct
     let send_one dst msg =
       let o = oracle eng in
       let raw = eng.adv.Adversary.delay o ~src:pid ~dst in
-      let delta = max 1 (min eng.d raw) in
+      let delta = Int.max 1 (Int.min eng.d raw) in
       match eng.adv.Adversary.faults with
       | None ->
         (* the reliable network of the paper's model: one branch, no
@@ -473,15 +477,15 @@ module Make (A : Algorithm.S) = struct
              path) and do not count toward M — the algorithm sent once *)
           for _ = 1 to n do
             let raw' = eng.adv.Adversary.delay o ~src:pid ~dst in
-            let delta' = max 1 (min eng.d raw') in
+            let delta' = Int.max 1 (Int.min eng.d raw') in
             Network.send_replica net ~src:pid ~dst ~due:(eng.time + delta')
               msg
           done;
-          if eng.ins.obs_on then Probe.add eng.ins.i_dups (max 0 n)
+          if eng.ins.obs_on then Probe.add eng.ins.i_dups (Int.max 0 n)
         | Adversary.Reorder j ->
           (* extra latency on top of the adversary's delay, re-clamped
              into [1..d] so the calendar-ring horizon still holds *)
-          let delta' = max 1 (min eng.d (delta + max 0 j)) in
+          let delta' = Int.max 1 (Int.min eng.d (delta + Int.max 0 j)) in
           observe_latency delta';
           Network.send net ~src:pid ~dst ~due:(eng.time + delta') msg)
     in
@@ -502,10 +506,29 @@ module Make (A : Algorithm.S) = struct
            end;
          Network.broadcast net ~src:pid ~due:(eng.time + delta) msg
        end
-       else
-         for dst = 0 to p - 1 do
-           if dst <> pid then send_one dst msg
-         done;
+       else begin
+         match eng.adv.Adversary.faults with
+         | None ->
+           (* fault-free: every copy's due into the reusable [dues]
+              buffer, then one [Network.multicast] queues them all *)
+           let o = oracle eng in
+           let delay = eng.adv.Adversary.delay
+           and dues = eng.dues
+           and d = eng.d
+           and now = eng.time in
+           for dst = 0 to p - 1 do
+             if dst <> pid then begin
+               let delta = Int.max 1 (Int.min d (delay o ~src:pid ~dst)) in
+               observe_latency delta;
+               Array.unsafe_set dues dst (now + delta)
+             end
+           done;
+           Network.multicast net ~src:pid ~now ~dues msg
+         | Some _ ->
+           for dst = 0 to p - 1 do
+             if dst <> pid then send_one dst msg
+           done
+       end;
        if eng.cfg.Config.record_trace then
          Trace.add eng.trace
            (Trace.Broadcast { time = eng.time; src = pid; copies = p - 1 })

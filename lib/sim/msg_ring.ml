@@ -54,11 +54,13 @@ let push b ~due ~id =
   Array.unsafe_set b.id at id;
   b.len <- b.len + 1
 
-let add r ~due ~id =
+let add_in r ~bucket ~due ~id =
   if due <= r.cursor then
     invalid_arg "Msg_ring.add: ring event at or before the cursor";
-  push r.slots.(due mod Array.length r.slots) ~due ~id;
+  push r.slots.(bucket) ~due ~id;
   r.count <- r.count + 1
+
+let add r ~due ~id = add_in r ~bucket:(due mod Array.length r.slots) ~due ~id
 
 let peek r ~now =
   if r.count = 0 then begin

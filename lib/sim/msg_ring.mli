@@ -32,6 +32,14 @@ val add : t -> due:int -> id:int -> unit
     cursor. Violating the upper bound ([due <= now + horizon]) is not
     detectable locally and forfeits delivery-order guarantees. *)
 
+val add_in : t -> bucket:int -> due:int -> id:int -> unit
+(** {!add} with the bucket supplied by the caller, who guarantees
+    [bucket = due mod (horizon + 1)]. Every ring of one horizon has
+    these [horizon + 1] buckets, so a caller adding many events at one
+    instant [now] takes [b = now mod (horizon + 1)] once and reaches
+    each event's bucket as [b + (due - now)], less [horizon + 1] when
+    that passes it: no division per event ({!Network.multicast}). *)
+
 val size : t -> int
 (** Events added but not yet popped. *)
 

@@ -8,7 +8,8 @@
    queued copy as two ints, (due, id), where [id] names a record.
    [enqueue] reuses the previous send's record when the source is the
    same and the payload physically equal, which is what a multicast's
-   per-destination send loop (and its replicas and reorders) looks like;
+   per-copy sends (and its replicas and reorders) look like, and
+   [multicast] makes the same test once for all its copies;
    otherwise it opens a record, which draws the next [seq]. Sharing one
    [seq] among copies keeps the merge exact: every copy of a record is
    sent before the next broadcast, because {!broadcast} drops the reuse
@@ -386,6 +387,17 @@ let drain t ~dst ~now f =
 
 (* -- sends and deliveries ------------------------------------------ *)
 
+(* the previous send's record when the source is the same and the
+   payload physically equal, else a new one *)
+let record_for t ~src msg =
+  let last = t.last in
+  if
+    last >= 0
+    && Array.unsafe_get t.rec_src last = src
+    && Array.unsafe_get t.rec_msg last == msg
+  then last
+  else open_record t ~src msg
+
 let enqueue t ~src ~dst ~due msg name =
   (* one test on the per-copy path; the error text is built only when
      it fails, with the same precedence: src range, dst range, self *)
@@ -394,15 +406,7 @@ let enqueue t ~src ~dst ~due msg name =
     check_pid t dst (name ^ " dst");
     invalid_arg (name ^ ": self-send")
   end;
-  let last = t.last in
-  let id =
-    if
-      last >= 0
-      && Array.unsafe_get t.rec_src last = src
-      && Array.unsafe_get t.rec_msg last == msg
-    then last
-    else open_record t ~src msg
-  in
+  let id = record_for t ~src msg in
   Msg_ring.add (ring_for t dst) ~due ~id;
   Array.unsafe_set t.rec_copies id (Array.unsafe_get t.rec_copies id + 1);
   t.in_flight <- t.in_flight + 1
@@ -413,6 +417,49 @@ let send t ~src ~dst ~due msg =
 
 let send_replica t ~src ~dst ~due msg =
   enqueue t ~src ~dst ~due msg "Network.send_replica"
+
+let count_copies t id n =
+  Array.unsafe_set t.rec_copies id (Array.unsafe_get t.rec_copies id + n);
+  t.in_flight <- t.in_flight + n;
+  t.sent <- t.sent + n
+
+(* [send] to every [dst <> src] at [dues.(dst)], with the per-multicast
+   work done once: one pid check, one [record_for] (so the table
+   evolves exactly as under p - 1 sends), one [now mod buckets], and
+   the counters raised once. *)
+let multicast t ~src ~now ~dues msg =
+  check_pid t src "Network.multicast src";
+  if Array.length dues < t.p then
+    invalid_arg "Network.multicast: dues too short";
+  if now < 0 then invalid_arg "Network.multicast: negative now";
+  if t.p > 1 then begin
+    let id = record_for t ~src msg in
+    let horizon = t.horizon in
+    let buckets = horizon + 1 in
+    let base = now mod buckets in
+    let queued = ref 0 in
+    (try
+       for dst = 0 to t.p - 1 do
+         if dst <> src then begin
+           let due = Array.unsafe_get dues dst in
+           let delta = due - now in
+           if delta < 1 || delta > horizon then
+             invalid_arg
+               "Network.multicast: due outside [now + 1, now + horizon]";
+           let b = base + delta in
+           Msg_ring.add_in (ring_for t dst)
+             ~bucket:(if b >= buckets then b - buckets else b)
+             ~due ~id;
+           incr queued
+         end
+       done
+     with e ->
+       (* the copies queued before the failing one stay counted, as
+          after the same prefix of sends *)
+       count_copies t id !queued;
+       raise e);
+    count_copies t id !queued
+  end
 
 let count_lost t = t.sent <- t.sent + 1
 

@@ -16,8 +16,9 @@
     multicast. A per-destination send queues a copy of two ints, its
     due time and the record's id, in the destination's ring; the record
     is released when its last copy is received, and consecutive sends
-    from one source with a physically equal payload share it — the
-    engine's per-destination loop over a multicast, and its replicas. A
+    from one source with a physically equal payload share it — a
+    {!multicast}, the engine's per-copy loop over a multicast under
+    faults, and its replicas. A
     {!broadcast} appends one entry to a due-ordered log that every
     destination reads through its own cursor; the record is released
     when every active destination's cursor has passed the entry. Ring
@@ -53,6 +54,23 @@ val send : 'msg t -> src:int -> dst:int -> due:int -> 'msg -> unit
 (** Queue one point-to-point message for delivery at absolute time [due].
     [src] is recorded for tracing; self-sends are rejected
     ([Invalid_argument]) — a processor already knows its own state. *)
+
+val multicast : 'msg t -> src:int -> now:int -> dues:int array -> 'msg -> unit
+(** [multicast t ~src ~now ~dues msg] is {!send} from [src] to every
+    [dst <> src] at [~due:dues.(dst)], in ascending [dst] order, in one
+    call: the same queued copies, delivery order, {!sent}, {!pending}
+    and record sharing as those [p - 1] sends, with the per-multicast
+    work — the [src] check, the record, the counters — done once, and
+    each copy's ring bucket found from one [now mod (horizon + 1)]
+    without a division per copy ({!Msg_ring.add_in}). The engine's
+    fault-free per-destination path fills [dues] in a buffer it reuses
+    across multicasts; [dues.(src)] is ignored.
+
+    Requires [0 <= now], [Array.length dues >= p] and
+    [now < dues.(dst) <= now + horizon] for every [dst <> src], where
+    [now] is the sender's clock; a due outside that window raises
+    [Invalid_argument] after the copies before it were queued and
+    counted, as after the same prefix of sends. *)
 
 val broadcast : 'msg t -> src:int -> due:int -> 'msg -> unit
 (** Queue one multicast from [src] to every other processor, all due at

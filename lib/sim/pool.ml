@@ -44,7 +44,9 @@ let rec worker_loop pool slot =
     worker_loop pool slot
 
 let create ?jobs () =
-  let jobs = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
+  let jobs =
+    Int.max 1 (match jobs with Some j -> j | None -> default_jobs ())
+  in
   let pool =
     {
       jobs;

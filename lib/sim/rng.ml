@@ -63,14 +63,19 @@ let copy = Bytes.copy
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the top 62 bits for exact uniformity. *)
+  (* Rejection sampling on the top 62 bits for exact uniformity, with
+     one division per draw: [v - v mod n] is [v]'s multiple of [n], and
+     [v] is rejected exactly when that multiple's block [n] wide would
+     pass [mask] — the draws past the largest whole block, the same
+     [v >= mask / n * n] test without its second division. *)
   let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let bound = mask / n * n in
   let v = ref (next t 2) in
-  while !v >= bound do
-    v := next t 2
+  let r = ref (!v mod n) in
+  while !v - !r > mask - n do
+    v := next t 2;
+    r := !v mod n
   done;
-  !v mod n
+  !r
 
 let[@inline] float t x =
   x *. (Float.of_int (next t 11) /. 9007199254740992.0 (* 2^53 *))

@@ -21,7 +21,7 @@ let dummy = Step { time = 0; pid = 0 }
 let add t ev =
   let cap = Array.length t.events in
   if t.length = cap then begin
-    let grown = Array.make (max 256 (2 * cap)) dummy in
+    let grown = Array.make (Int.max 256 (2 * cap)) dummy in
     Array.blit t.events 0 grown 0 t.length;
     t.events <- grown
   end;
@@ -88,7 +88,7 @@ let timeline t ~p ~until =
       | Broadcast _ | Note _ -> ());
   (* Extend crash / halt markers to the right for readability. *)
   Array.iteri (fun pid row ->
-      let from = min crashed_at.(pid) halted_at.(pid) in
+      let from = Int.min crashed_at.(pid) halted_at.(pid) in
       if from < until then
         for time = from + 1 to until - 1 do
           if Bytes.get row time = ' ' then

@@ -76,6 +76,65 @@ let test_send_allocates_nothing () =
        ((rounds - 5) * p * (p - 1)))
     true (!words = 0.0)
 
+let test_multicast_allocates_nothing () =
+  let p = 8 and rounds = 200 in
+  let net = Network.create ~horizon:4 ~p () in
+  let dues = Array.make p 0 in
+  let words = ref 0.0 in
+  for round = 0 to rounds - 1 do
+    let w0 = Gc.minor_words () in
+    for src = 0 to p - 1 do
+      for dst = 0 to p - 1 do
+        dues.(dst) <- round + 1 + ((src + dst) mod 4)
+      done;
+      Network.multicast net ~src ~now:round ~dues round
+    done;
+    (* copies stay queued up to four rounds: measure once every bucket
+       has grown to the most it holds *)
+    if round >= 20 then words := !words +. (Gc.minor_words () -. w0);
+    for dst = 0 to p - 1 do
+      ignore (Network.receive_iter net ~dst ~now:(round + 1) (fun _ _ -> ()))
+    done
+  done;
+  for dst = 0 to p - 1 do
+    ignore (Network.receive_iter net ~dst ~now:(rounds + 4) (fun _ _ -> ()))
+  done;
+  check_int "every copy delivered" 0 (Network.pending net);
+  check_int "sent counts p - 1 per multicast" (rounds * p * (p - 1))
+    (Network.sent net);
+  check
+    (Printf.sprintf "%.0f words over %d multicasts" !words ((rounds - 20) * p))
+    true (!words = 0.0)
+
+(* A due outside [now + 1, now + horizon] is rejected, after the copies
+   before it were queued and counted, as after the same prefix of
+   sends. *)
+let test_multicast_errors () =
+  let net = Network.create ~horizon:4 ~p:4 () in
+  Alcotest.check_raises "src out of range"
+    (Invalid_argument "Network.multicast src: pid out of range") (fun () ->
+      Network.multicast net ~src:4 ~now:0 ~dues:(Array.make 4 1) "m");
+  Alcotest.check_raises "dues too short"
+    (Invalid_argument "Network.multicast: dues too short") (fun () ->
+      Network.multicast net ~src:0 ~now:0 ~dues:(Array.make 3 1) "m");
+  let window = "Network.multicast: due outside [now + 1, now + horizon]" in
+  Alcotest.check_raises "due past the horizon" (Invalid_argument window)
+    (fun () -> Network.multicast net ~src:0 ~now:2 ~dues:[| 0; 3; 7; 3 |] "m");
+  check_int "the copy before it counts" 1 (Network.sent net);
+  check_int "and is pending" 1 (Network.pending net);
+  Alcotest.check_raises "due at now" (Invalid_argument window) (fun () ->
+      Network.multicast net ~src:3 ~now:2 ~dues:[| 2; 3; 3; 0 |] "n");
+  Alcotest.(check (list (pair int string)))
+    "dst 1 gets the queued copy" [ (0, "m") ]
+    (Network.receive net ~dst:1 ~now:6);
+  check_int "nothing pending" 0 (Network.pending net);
+  (* the src's own entry is never read *)
+  Network.multicast net ~src:2 ~now:6 ~dues:[| 7; 8; -1; 10 |] "k";
+  Alcotest.(check (list (pair int string)))
+    "dst 3 at its own due" [ (2, "k") ]
+    (Network.receive net ~dst:3 ~now:10);
+  check_int "two copies still pending" 2 (Network.pending net)
+
 let test_message_counting () =
   let net = Network.create ~horizon:2 ~p:4 () in
   (* simulate one multicast from 0: three point-to-point sends *)
@@ -516,7 +575,10 @@ type op =
   | Deactivate of int (* pid *)
   | Broadcast of int (* src *)
   | Send of { src : int; off : int; lat : int; reuse : int; replica : bool }
-(* [reuse]: 0 = fresh payload, 1 = the last one sent, 2 = an older one *)
+  | Multicast of { src : int; lats : int array; reuse : int }
+(* [reuse]: 0 = fresh payload, 1 = the last one sent, 2 = an older one.
+   A [Multicast] is checked against the reference's p - 1 sends at
+   [now + lats.(dst)]. *)
 
 let prop_payload_reuse_matches_ref =
   let horizon = 8 in
@@ -538,6 +600,11 @@ let prop_payload_reuse_matches_ref =
               let* reuse = frequencyl [ (1, 0); (3, 1); (1, 2) ] in
               let* replica = frequencyl [ (4, false); (1, true) ] in
               return (Send { src; off; lat; reuse; replica }) );
+            ( 2,
+              let* src = int_range 0 (p - 1) in
+              let* lats = array_size (return p) (int_range 1 horizon) in
+              let* reuse = frequencyl [ (2, 0); (2, 1); (1, 2) ] in
+              return (Multicast { src; lats; reuse }) );
           ]
       in
       let* ops = list_size (int_range 1 120) op in
@@ -597,12 +664,36 @@ let prop_payload_reuse_matches_ref =
                incr replicas
              end
              else Network.send net ~src ~dst ~due m;
-             Ref_net.send rf ~src ~dst ~due m);
+             Ref_net.send rf ~src ~dst ~due m
+           | Multicast { src; lats; reuse } ->
+             let m = payload reuse in
+             let dues = Array.map (fun lat -> !now + lat) lats in
+             Network.multicast net ~src ~now:!now ~dues m;
+             Array.iteri
+               (fun dst due ->
+                 if dst <> src then Ref_net.send rf ~src ~dst ~due m)
+               dues);
           ok := !ok && same_counts ())
         ops;
       now := !now + horizon + 1;
       for dst = 0 to p - 1 do
         if not inactive.(dst) then ok := !ok && poll dst
+      done;
+      (* record release: once its last queued copy is gone, no payload
+         stays reachable from the network — only the reference still
+         holding a copy (one owed to a deactivated pid) keeps it alive.
+         Payload 1 is exempt: it fills released slots. *)
+      let weak = Weak.create (!next + 1) in
+      List.iter (fun m -> Weak.set weak !m (Some m)) !recent;
+      recent := [];
+      Gc.full_major ();
+      for k = 2 to !next do
+        match Weak.get weak k with
+        | Some m ->
+          ok :=
+            !ok
+            && List.exists (fun (_, _, _, _, m') -> m' == m) rf.Ref_net.queued
+        | None -> ()
       done;
       !ok && same_counts ())
 
@@ -619,6 +710,9 @@ let suite =
     Alcotest.test_case "send_replica errors" `Quick test_send_replica_errors;
     Alcotest.test_case "send allocates nothing" `Quick
       test_send_allocates_nothing;
+    Alcotest.test_case "multicast allocates nothing" `Quick
+      test_multicast_allocates_nothing;
+    Alcotest.test_case "multicast errors" `Quick test_multicast_errors;
     Alcotest.test_case "message counting" `Quick test_message_counting;
     Alcotest.test_case "backlog delivered in order" `Quick
       test_delayed_processor_receives_backlog;

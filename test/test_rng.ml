@@ -240,6 +240,62 @@ let test_draws_allocate_nothing () =
   check_words "Rng.float r 1.0 < 0.5" 2.0 (fun () ->
       ignore (Sys.opaque_identity (Rng.float r 1.0 < 0.5)))
 
+(* The two-division draw [Rng.int] used before its one-division form,
+   kept here as the reference: reject [v >= mask / n * n], return
+   [v mod n]. *)
+let reference_int r n =
+  let mask = 0x3FFF_FFFF_FFFF_FFFF in
+  let bound = mask / n * n in
+  let next () = Int64.to_int (Int64.shift_right_logical (Rng.bits64 r) 2) in
+  let v = ref (next ()) in
+  while !v >= bound do
+    v := next ()
+  done;
+  !v mod n
+
+(* bounds of every size, with many at n >= 2^61, where over a quarter
+   of the 62-bit draws fall past the last whole block and are
+   rejected *)
+let bound_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_range 1 64;
+        map (fun x -> Int.max 1 (x land max_int)) int;
+        map (fun x -> (1 lsl 61) lor (x land ((1 lsl 61) - 1))) int;
+        oneofl [ 1 lsl 61; (1 lsl 61) + 1; max_int / 3 * 2; max_int ];
+      ])
+
+let prop_int_matches_reference =
+  QCheck2.Test.make ~name:"Rng.int = the two-division draw, states equal"
+    ~count:300
+    QCheck2.Gen.(pair int (list_size (int_range 1 40) bound_gen))
+    (fun (seed, bounds) ->
+      let a = Rng.create seed in
+      let b = Rng.copy a in
+      List.for_all (fun n -> Rng.int a n = reference_int b n) bounds
+      && Rng.bits64 a = Rng.bits64 b)
+
+(* the property above only means something where rejection fires:
+   at n = 2^61 + 1 about half the draws are rejected *)
+let test_int_rejection_fires () =
+  let n = (1 lsl 61) + 1 in
+  let a = Rng.create 21 in
+  let b = Rng.copy a in
+  let draws = 200 in
+  for _ = 1 to draws do
+    ignore (Rng.int a n)
+  done;
+  let consumed = ref 0 in
+  let target = Rng.bits64 a in
+  while Rng.bits64 b <> target do
+    incr consumed
+  done;
+  check
+    (Printf.sprintf "%d raw outputs for %d draws" !consumed draws)
+    true
+    (!consumed > draws + (draws / 4))
+
 let suite =
   [
     Alcotest.test_case "determinism from seed" `Quick test_determinism;
@@ -266,4 +322,7 @@ let suite =
       test_split_copy_pins;
     Alcotest.test_case "draws allocate nothing" `Quick
       test_draws_allocate_nothing;
+    Alcotest.test_case "int rejection fires at n > 2^61" `Quick
+      test_int_rejection_fires;
+    QCheck_alcotest.to_alcotest prop_int_matches_reference;
   ]
