@@ -247,10 +247,11 @@ let parse_int s =
   | Some n -> Ok n
   | None -> err "bad integer %S" s
 
+(* finite only: a NaN passes every clamp unchanged *)
 let parse_float s =
   match float_of_string_opt s with
-  | Some x -> Ok x
-  | None -> err "bad number %S" s
+  | Some x when Float.is_finite x -> Ok x
+  | Some _ | None -> err "bad number %S" s
 
 let parse_sched v =
   match String.split_on_char ':' v with

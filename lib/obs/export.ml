@@ -98,6 +98,8 @@ module Json = struct
 
   exception Parse_error of string
 
+  let max_depth = 512
+
   (* Recursive-descent parser for everything this module writes (and for
      general RFC 8259 documents). Numeric literals written with '.', 'e'
      or 'E' parse as [Float], bare integers as [Int] — [float_repr]
@@ -168,22 +170,50 @@ module Json = struct
            | 't' -> Buffer.add_char buf '\t'; incr pos
            | 'u' ->
              if !pos + 4 >= n then fail "truncated \\u escape";
-             let code =
-               match int_of_string_opt ("0x" ^ String.sub input (!pos + 1) 4)
-               with
-               | Some c -> c
-               | None -> fail "bad \\u escape"
-             in
-             add_utf8 buf code;
+             let code = ref 0 in
+             for k = !pos + 1 to !pos + 4 do
+               let h =
+                 match input.[k] with
+                 | '0' .. '9' as c -> Char.code c - Char.code '0'
+                 | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                 | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                 | _ -> fail "bad \\u escape"
+               in
+               code := (!code lsl 4) lor h
+             done;
+             add_utf8 buf !code;
              pos := !pos + 5
            | _ -> fail "bad escape");
           go ()
+        | c when Char.code c < 0x20 -> fail "unescaped control character"
         | c ->
           Buffer.add_char buf c;
           incr pos;
           go ()
       in
       go ()
+    in
+    (* RFC 8259: -? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)? *)
+    let well_formed tok =
+      let len = String.length tok and i = ref 0 in
+      let at c = !i < len && tok.[!i] = c in
+      let digits () =
+        let start = !i in
+        while !i < len && tok.[!i] >= '0' && tok.[!i] <= '9' do
+          incr i
+        done;
+        !i > start
+      in
+      if at '-' then incr i;
+      (if at '0' then (incr i; true) else digits ())
+      && (if at '.' then (incr i; digits ()) else true)
+      && (if at 'e' || at 'E' then begin
+            incr i;
+            if at '+' || at '-' then incr i;
+            digits ()
+          end
+          else true)
+      && !i = len
     in
     let parse_number () =
       let start = !pos in
@@ -197,6 +227,7 @@ module Json = struct
         incr pos
       done;
       let tok = String.sub input start (!pos - start) in
+      if not (well_formed tok) then fail "bad number";
       if
         String.contains tok '.' || String.contains tok 'e'
         || String.contains tok 'E'
@@ -213,10 +244,13 @@ module Json = struct
           | Some f -> Float f
           | None -> fail "bad number")
     in
-    let rec parse_value () =
+    (* [depth] containers enclose the value; bounded, so that no input
+       can overflow the stack *)
+    let rec parse_value depth =
       skip_ws ();
       match peek () with
       | None -> fail "unexpected end of input"
+      | Some ('{' | '[') when depth >= max_depth -> fail "nesting too deep"
       | Some '{' ->
         incr pos;
         skip_ws ();
@@ -231,7 +265,7 @@ module Json = struct
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             fields := (k, v) :: !fields;
             skip_ws ();
             match peek () with
@@ -254,7 +288,7 @@ module Json = struct
         else begin
           let items = ref [] in
           let rec elements () =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             items := v :: !items;
             skip_ws ();
             match peek () with
@@ -275,7 +309,7 @@ module Json = struct
       | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
     in
     match
-      let v = parse_value () in
+      let v = parse_value 0 in
       skip_ws ();
       if !pos <> n then fail "trailing input";
       v

@@ -38,7 +38,9 @@ module Json : sig
       ['e'] or ['E'] parse as {!Float}, bare integers as {!Int} —
       matching what the printers emit, so values round-trip with their
       exact/approximate character intact (what {!Diff} keys on).
-      Errors carry a byte offset. *)
+      Errors carry a byte offset. Malformed input is an [Error], never
+      an exception; so is a document nested deeper than 512 lists and
+      objects. *)
 end
 
 val version : int

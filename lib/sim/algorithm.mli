@@ -88,8 +88,18 @@ module type S = sig
       algorithms need no correction). Algorithms whose receive handler
       is not a pure union — coordinator rounds, view-dependent replies,
       anything that branches on [src] — must declare [None] and keep
-      the per-record path. [fold] is only ever called with at least one
-      message, all published at the same send step of one stream run. *)
+      the per-record path.
+
+      [fold] is only ever called with at least one message. Every
+      element but the first was published at the same send step of one
+      stream run; the first may instead be an earlier digest (a value
+      [fold] returned for an earlier epoch), whose content every
+      receiver of the new digest already holds. So receiving content
+      the receiver already holds must change nothing: [receive st m]
+      after [st] has absorbed [m] leaves [st] as it was. A union, as in
+      PA and DA, qualifies. The earlier digest comes first so that a
+      fold can record its result's lineage against it
+      ({!Bitset.union_snapshots}). *)
 
   val step : state -> msg step_result
   (** One local step. Must eventually reach [is_done] in any fair

@@ -6,7 +6,20 @@
    other chunk (the shared all-zero chunk, chunks reached through
    [copy]/[snapshot] or adopted by [union_into]) is referenced by any
    number of sets and snapshots and is never written: the first write
-   copies it. *)
+   copies it.
+
+   Lineage: a digest made by [union_snapshots ss] records [ss.(0)]'s
+   chunk array as its [base] and, per chunk, the bits it gained over
+   it. A receiver whose chunk is physically [base.(c)] holds exactly
+   [base.(c)]'s bits, which the digest's chunk contains, so it adopts
+   the digest's chunk and adds [gains.(c)] without reading either.
+   [base] belongs to a snapshot, so no set owns any of its chunks and
+   its pointer array is never written. *)
+
+type lineage = { base : int array array; gains : int array }
+
+(* every set but a digest; [base = [||]] never matches a chunk *)
+let no_lineage = { base = [||]; gains = [||] }
 
 type 'k set = {
   n : int;
@@ -16,6 +29,7 @@ type 'k set = {
       (* per chunk: '\001' = this set may write it in place. Empty until
          the first write, so snapshots and fresh sets carry none. *)
   mutable count : int;
+  lineage : lineage;
 }
 
 type t = [ `Live ] set
@@ -54,6 +68,7 @@ let create n =
         (fun c -> zero_chunks.(Int.min cw (words - (c lsl shift))));
     owned = Bytes.empty;
     count = 0;
+    lineage = no_lineage;
   }
 
 let length b = b.n
@@ -82,6 +97,7 @@ let share b =
     chunks = Array.copy b.chunks;
     owned = Bytes.empty;
     count = b.count;
+    lineage = no_lineage;
   }
 
 let copy (b : t) : t = share b
@@ -189,24 +205,54 @@ let union_into ~dst src =
   if src.count = 0 || dst.count = dst.n then ()
   else begin
     let dcs = dst.chunks and scs = src.chunks in
+    let { base; gains } = src.lineage in
+    let lineage = Array.length base > 0 in
     let added = ref 0 in
     for c = 0 to Array.length dcs - 1 do
       let s = Array.unsafe_get scs c and d = Array.unsafe_get dcs c in
-      (* absorbed chunks, the steady state, end at the read-only test *)
-      if s != d && fresh_bits d s <> 0 then
-        added :=
-          !added
-          + if owns dst c then or_into d s else merge_shared dst src c s d
+      if s != d then
+        if lineage && d == Array.unsafe_get base c then begin
+          (* [d] is the lineage base's chunk: adopt without reading *)
+          Array.unsafe_set dcs c s;
+          added := !added + Array.unsafe_get gains c
+        end
+        (* absorbed chunks, the steady state, end at the read-only test *)
+        else if fresh_bits d s <> 0 then
+          added :=
+            !added
+            + if owns dst c then or_into d s else merge_shared dst src c s d
     done;
     dst.count <- dst.count + !added
   end
 
+let chunk_count ch =
+  let k = ref 0 in
+  for i = 0 to Array.length ch - 1 do
+    k := !k + popcount (Array.unsafe_get ch i)
+  done;
+  !k
+
+(* [ss.(1..)] first: one epoch's snapshots share most chunks with one
+   another, so those unions mostly stop at [==]; [ss.(0)], which may be
+   an earlier digest, last, so the lineage is taken against it. *)
 let union_snapshots ss =
   if Array.length ss = 0 then invalid_arg "Bitset.union_snapshots: empty";
-  let acc = create ss.(0).n in
-  Array.iter (fun s -> union_into ~dst:acc s) ss;
+  let first = ss.(0) in
+  let acc = create first.n in
+  for i = 1 to Array.length ss - 1 do
+    union_into ~dst:acc ss.(i)
+  done;
+  union_into ~dst:acc first;
+  let base = first.chunks in
+  let gains =
+    Array.mapi
+      (fun c a ->
+        let b = Array.unsafe_get base c in
+        if a == b then 0 else chunk_count a - chunk_count b)
+      acc.chunks
+  in
   (* [acc] is dropped here, so its owned chunks pass to the snapshot *)
-  ({ acc with owned = Bytes.empty } : snapshot)
+  ({ acc with owned = Bytes.empty; lineage = { base; gains } } : snapshot)
 
 (* Loops rather than local closures: the oracle calls [subset] for
    every pid on every tick. Physically shared chunks are skipped. *)

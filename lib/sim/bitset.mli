@@ -71,12 +71,27 @@ val union_into : dst:t -> _ set -> unit
     with [src] are skipped. Where [dst]'s chunk is shared, is a subset
     of [src]'s, and [src] does not write its chunk in place, [dst]
     adopts [src]'s chunk rather than copying, so later merges from the
-    same lineage skip it too. *)
+    same lineage skip it too. When [src] is a digest with a lineage
+    (see {!union_snapshots}) and [dst]'s chunk is physically the
+    lineage base's, [dst] adopts [src]'s chunk without reading either
+    and adds the bits the lineage recorded for it. *)
 
 val union_snapshots : snapshot array -> snapshot
 (** The union of a non-empty array of equal-capacity snapshots: one
     epoch's broadcasts folded into one digest. Merging the result once
-    equals merging every input in turn. *)
+    equals merging every input in turn.
+
+    {b Lineage.} The result records one against [ss.(0)]: [ss.(0)]'s
+    chunk array as its base, and per chunk the number of bits the
+    result gained over it. A set holding base chunk [c] then takes the
+    result's chunk [c] in {!union_into} as a pointer swap. No set owns
+    a snapshot's chunk, so the recorded count is exact. The engine
+    passes the previous epoch's digest as [ss.(0)], which most
+    receivers' chunks came from. [ss.(1..)] are folded first and
+    [ss.(0)] last: one epoch's snapshots share most chunks with one
+    another, so their unions mostly stop at [==]. A lineage costs the
+    result one pointer array of the base and one int per chunk; every
+    other set carries the shared empty lineage, one word. *)
 
 val subset : _ set -> _ set -> bool
 (** [subset a b] iff every bit of [a] is set in [b]. *)

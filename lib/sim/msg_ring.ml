@@ -54,8 +54,10 @@ let push b ~due ~id =
   Array.unsafe_set b.id at id;
   b.len <- b.len + 1
 
+let admits r ~due = due > r.cursor
+
 let add_in r ~bucket ~due ~id =
-  if due <= r.cursor then
+  if not (admits r ~due) then
     invalid_arg "Msg_ring.add: ring event at or before the cursor";
   push r.slots.(bucket) ~due ~id;
   r.count <- r.count + 1

@@ -32,6 +32,9 @@ val add : t -> due:int -> id:int -> unit
     cursor. Violating the upper bound ([due <= now + horizon]) is not
     detectable locally and forfeits delivery-order guarantees. *)
 
+val admits : t -> due:int -> bool
+(** Whether {!add} accepts [due]: [due] is after the delivery cursor. *)
+
 val add_in : t -> bucket:int -> due:int -> id:int -> unit
 (** {!add} with the bucket supplied by the caller, who guarantees
     [bucket = due mod (horizon + 1)]. Every ring of one horizon has

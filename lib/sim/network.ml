@@ -63,17 +63,28 @@ type 'msg t = {
      epoch is a maximal run of equal-due entries; since dues never
      decrease, epochs are contiguous [e_start(e), e_start(e+1)) slices
      of the log, themselves kept in a circular deque indexed by absolute
-     epoch number. [e_digest] caches fold(all msgs of the epoch),
+     epoch number. [e_digest] caches the epoch's digest (see [digest]),
      computed at the first whole-epoch drain and shared by every later
      receiver; sound because an entry due at T was added at
      T - delta < T (delta >= 1), so a deliverable epoch can no longer
-     grow. *)
+     grow.
+
+     [chain] is the digest of the greatest epoch digested so far,
+     [chain_epoch]; the fold of a later epoch takes it as its first
+     input, so a receiver whose knowledge came from it adopts the new
+     digest's chunks through the lineage (Bitset.union_snapshots). Sound
+     because every receiver of epoch [e] has passed every earlier epoch,
+     by a digest, per entry, or as its own entries, so it already holds
+     [chain]'s content (stream runs have no restarts). Dropped when the
+     log drains. *)
   fold : ('msg array -> 'msg) option;
   mutable e_start : int array; (* absolute log index opening epoch e *)
   mutable e_due : int array;
   mutable e_digest : 'msg option array;
   mutable e_head : int; (* absolute index of first retained epoch *)
   mutable e_tail : int; (* one past the last epoch *)
+  mutable chain : 'msg option;
+  mutable chain_epoch : int;
 }
 
 let create ?digest ~horizon ~p () =
@@ -111,6 +122,8 @@ let create ?digest ~horizon ~p () =
     e_digest = [||];
     e_head = 0;
     e_tail = 0;
+    chain = None;
+    chain_epoch = -1;
   }
 
 let p t = t.p
@@ -261,7 +274,8 @@ let reclaim t =
     t.head <- t.head + 1;
     moved := true
   done;
-  if !moved && t.e_tail > t.e_head then epoch_reclaim t
+  if !moved && t.e_tail > t.e_head then epoch_reclaim t;
+  if t.head = t.tail then t.chain <- None
 
 (* Position [dst]'s cursor at its earliest undelivered entry with
    [due <= now]; false if there is none or [dst] is inactive. *)
@@ -302,26 +316,52 @@ let pop t ~dst f =
   t.in_flight <- t.in_flight - 1;
   f src msg
 
-(* fold(all msgs of epoch [e]), cached so only the first receiver pays.
+(* fold(chain :: all msgs of epoch [e]), cached so only the first
+   receiver pays; a single-record epoch with no chain is its record.
    Safe to compute at any drain: [head <= cursor(dst) = e_start(e)]
    keeps every entry of the epoch and its record un-reclaimed, and a
-   deliverable epoch is sealed (see the type comment). *)
+   deliverable epoch is sealed (see the type comment). The fold's input
+   starts as [Array.make] of a long-lived value: [Array.init] over more
+   than 256 young payloads allocates in the major heap and forces a
+   minor collection first. *)
 let digest t e fold =
   let j = e land (Array.length t.e_start - 1) in
   match Array.unsafe_get t.e_digest j with
   | Some d -> d
   | None ->
     let start = Array.unsafe_get t.e_start j in
-    let stop = epoch_end t e in
+    let n = epoch_end t e - start in
     let mask = Array.length t.l_due - 1 in
     let msg k =
       Array.unsafe_get t.rec_msg (Array.unsafe_get t.l_id (k land mask))
     in
+    (* digests are made in epoch order (whoever reaches [e] first has
+       digested every earlier epoch still retained), so [chain_epoch < e]
+       holds; the test keeps a later digest out regardless *)
+    let prev = if t.chain_epoch < e then t.chain else None in
     let d =
-      if stop - start = 1 then msg start
-      else fold (Array.init (stop - start) (fun i -> msg (start + i)))
+      match prev with
+      | None when n = 1 -> msg start
+      | _ ->
+        let fill = match t.filler with Some f -> f | None -> msg start in
+        let k = match prev with Some _ -> 1 | None -> 0 in
+        let ms = Array.make (k + n) fill in
+        (match prev with Some c -> Array.unsafe_set ms 0 c | None -> ());
+        for i = 0 to n - 1 do
+          Array.unsafe_set ms (k + i) (msg (start + i))
+        done;
+        let d = fold ms in
+        (* a major-heap [ms] would promote the young payloads it still
+           holds at the next minor collection *)
+        Array.fill ms 0 (k + n) fill;
+        d
     in
-    Array.unsafe_set t.e_digest j (Some d);
+    let sd = Some d in
+    Array.unsafe_set t.e_digest j sd;
+    if e > t.chain_epoch then begin
+      t.chain <- sd;
+      t.chain_epoch <- e
+    end;
     d
 
 (* Deliver every log entry due for [dst] by [now] and return the number
@@ -329,11 +369,11 @@ let digest t e fold =
    [fold] this is a peek/pop loop, one callback per entry with its true
    source. With [fold], each whole due epoch is delivered as a single
    callback carrying the epoch digest and source [-1] (the digest has no
-   single source); the receiver's own contribution may be folded in —
-   harmless under the merge-homomorphism contract — while the count
-   still excludes its own entries. A cursor left mid-epoch by the
-   per-entry merge path falls back to single-entry delivery until the
-   next epoch boundary. *)
+   single source); the receiver's own contribution and the chain may be
+   folded in — content it already holds, harmless under the
+   merge-homomorphism contract — while the count still excludes its own
+   entries. A cursor left mid-epoch by the per-entry merge path falls
+   back to single-entry delivery until the next epoch boundary. *)
 let drain t ~dst ~now f =
   let delivered = ref 0 in
   (match t.fold with
@@ -398,6 +438,15 @@ let record_for t ~src msg =
   then last
   else open_record t ~src msg
 
+(* [Msg_ring.add]'s cursor test, made before a record is taken so that
+   a rejected send leaves no trace; a ring not made yet has cursor -1 *)
+let admits t dst due =
+  match Array.unsafe_get t.rings dst with
+  | None -> due >= 0
+  | Some r -> Msg_ring.admits r ~due
+
+let late = "Msg_ring.add: ring event at or before the cursor"
+
 let enqueue t ~src ~dst ~due msg name =
   (* one test on the per-copy path; the error text is built only when
      it fails, with the same precedence: src range, dst range, self *)
@@ -406,6 +455,7 @@ let enqueue t ~src ~dst ~due msg name =
     check_pid t dst (name ^ " dst");
     invalid_arg (name ^ ": self-send")
   end;
+  if not (admits t dst due) then invalid_arg late;
   let id = record_for t ~src msg in
   Msg_ring.add (ring_for t dst) ~due ~id;
   Array.unsafe_set t.rec_copies id (Array.unsafe_get t.rec_copies id + 1);
@@ -423,6 +473,8 @@ let count_copies t id n =
   t.in_flight <- t.in_flight + n;
   t.sent <- t.sent + n
 
+let window = "Network.multicast: due outside [now + 1, now + horizon]"
+
 (* [send] to every [dst <> src] at [dues.(dst)], with the per-multicast
    work done once: one pid check, one [record_for] (so the table
    evolves exactly as under p - 1 sends), one [now mod buckets], and
@@ -433,8 +485,14 @@ let multicast t ~src ~now ~dues msg =
     invalid_arg "Network.multicast: dues too short";
   if now < 0 then invalid_arg "Network.multicast: negative now";
   if t.p > 1 then begin
-    let id = record_for t ~src msg in
     let horizon = t.horizon in
+    (* the first copy is checked before a record is taken, so a
+       multicast rejected there leaves no trace *)
+    let first = if src = 0 then 1 else 0 in
+    let due = Array.unsafe_get dues first in
+    if due - now < 1 || due - now > horizon then invalid_arg window;
+    if not (admits t first due) then invalid_arg late;
+    let id = record_for t ~src msg in
     let buckets = horizon + 1 in
     let base = now mod buckets in
     let queued = ref 0 in
@@ -443,9 +501,7 @@ let multicast t ~src ~now ~dues msg =
          if dst <> src then begin
            let due = Array.unsafe_get dues dst in
            let delta = due - now in
-           if delta < 1 || delta > horizon then
-             invalid_arg
-               "Network.multicast: due outside [now + 1, now + horizon]";
+           if delta < 1 || delta > horizon then invalid_arg window;
            let b = base + delta in
            Msg_ring.add_in (ring_for t dst)
              ~bucket:(if b >= buckets then b - buckets else b)

@@ -46,14 +46,31 @@ val create :
     [T - delta], [delta >= 1]), so a cached digest never goes stale.
     Counters — {!sent}, {!pending}, and the delivery count returned by
     {!receive_iter} — are unchanged: they account logical [p - 1]-way
-    multicasts regardless of how deliveries are materialized. *)
+    multicasts regardless of how deliveries are materialized.
+
+    Digests are cumulative. The network keeps the digest of the
+    greatest epoch digested so far (its chain), and the fold of a later
+    epoch [e] gets it as its first input, before the epoch's payloads.
+    Every receiver of epoch [e] has passed every earlier epoch — by a
+    digest, per entry, or as its own entries — so it already holds the
+    chain's content, which the contract of
+    {!Algorithm.S.merge_homomorphic} makes harmless to receive again.
+    A fold can then record the digest's lineage against the chain's
+    ({!Bitset.union_snapshots}), and a receiver whose knowledge came
+    from the previous digest adopts the new one's chunks unread. An
+    epoch with a single record and no chain is delivered as that
+    record, unfolded. The chain is dropped when the broadcast log
+    drains, so an idle network holds no digest. *)
 
 val p : 'msg t -> int
 
 val send : 'msg t -> src:int -> dst:int -> due:int -> 'msg -> unit
 (** Queue one point-to-point message for delivery at absolute time [due].
     [src] is recorded for tracing; self-sends are rejected
-    ([Invalid_argument]) — a processor already knows its own state. *)
+    ([Invalid_argument]) — a processor already knows its own state.
+    Every check is made before anything is stored, so a rejected send
+    leaves the payload table, the counters and the rings as they
+    were. *)
 
 val multicast : 'msg t -> src:int -> now:int -> dues:int array -> 'msg -> unit
 (** [multicast t ~src ~now ~dues msg] is {!send} from [src] to every
@@ -70,7 +87,8 @@ val multicast : 'msg t -> src:int -> now:int -> dues:int array -> 'msg -> unit
     [now < dues.(dst) <= now + horizon] for every [dst <> src], where
     [now] is the sender's clock; a due outside that window raises
     [Invalid_argument] after the copies before it were queued and
-    counted, as after the same prefix of sends. *)
+    counted, as after the same prefix of sends. A multicast rejected
+    before its first copy was queued leaves no trace, as {!send}. *)
 
 val broadcast : 'msg t -> src:int -> due:int -> 'msg -> unit
 (** Queue one multicast from [src] to every other processor, all due at
@@ -128,4 +146,5 @@ val stream_stats : 'msg t -> int * int
 (** [(pending_records, digest_words)]: the broadcast log's occupancy —
     retained entries, and the heap words reachable from the currently
     cached epoch digests taken together, so a block shared by several
-    digests counts once. Read-only. *)
+    digests counts once. A digest's lineage is reachable from it, so
+    its words count too. Read-only. *)

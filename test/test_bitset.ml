@@ -265,6 +265,7 @@ type op =
   | First_missing of int
   | Next_missing of int * int (* any set, start index *)
   | Iter_missing of int
+  | Digest of int * int list (* ss.(0), ss.(1..): snapshots or digests *)
 
 let pp_op = function
   | Set (a, i) -> Printf.sprintf "set %d %d" a i
@@ -277,6 +278,9 @@ let pp_op = function
   | First_missing a -> Printf.sprintf "first_missing %d" a
   | Next_missing (a, i) -> Printf.sprintf "next_missing %d %d" a i
   | Iter_missing a -> Printf.sprintf "iter_missing %d" a
+  | Digest (a, bs) ->
+    Printf.sprintf "digest snap%d :: [%s]" a
+      (String.concat "," (List.map (Printf.sprintf "snap%d") bs))
 
 let cow_gen =
   QCheck2.Gen.(
@@ -305,6 +309,11 @@ let cow_gen =
           (1, map (fun a -> First_missing a) any);
           (1, map2 (fun a i -> Next_missing (a, i)) any (int_range 0 n));
           (1, map (fun a -> Iter_missing a) any);
+          ( 3,
+            map2
+              (fun a bs -> Digest (a, bs))
+              any
+              (list_size (int_range 0 3) any) );
         ]
     in
     pair (return n) (list_size (int_range 1 80) op))
@@ -361,6 +370,18 @@ let prop_cow_model =
            | Snapshot a ->
              let b, m = live a in
              add snaps (Bitset.snapshot b, model_copy m)
+           | Digest (a, bs) ->
+             (* ss.(0) is often an earlier digest, which receivers that
+                took it hold: their next union of this one goes through
+                the lineage *)
+             if Array.length !snaps > 0 then begin
+               let snap k = !snaps.(k mod Array.length !snaps) in
+               let ss = List.map snap (a :: bs) in
+               let m = { bits = Array.make n false; count = 0 } in
+               List.iter (fun (_, ms) -> model_union ~dst:m ms) ss;
+               add snaps
+                 (Bitset.union_snapshots (Array.of_list (List.map fst ss)), m)
+             end
            | Subset (a, c) ->
              (match (read a, read c) with
               | Any (x, mx), Any (y, my) ->
@@ -424,6 +445,50 @@ let test_no_adoption_into_owned_chunk () =
   Alcotest.(check (list int)) "snapshot unchanged after adoption" [ 1; 2 ]
     (Bitset.to_list s)
 
+(* Digest k + 1 folds digest k first, so its lineage base is digest k's
+   chunk array. A receiver holding digest k's chunks ends on digest
+   k + 1's after one union, with the exact cardinal; a chunk it wrote
+   itself (owned, so not the base's) is merged by reading it. Physical
+   sharing shows in the reachable words: the receiver and digest k + 1
+   together hold little more than the digest. *)
+let test_lineage_adopts_next_digest () =
+  let n = 32768 (* 521 words: 33 chunks of 16, as paran1 at t = 32768 *) in
+  let senders = Array.init 3 (fun _ -> Bitset.create n) in
+  let step k =
+    Array.iteri
+      (fun i s ->
+        for j = 0 to 199 do
+          Bitset.set s (((k * 600) + (i * 200) + j) * 7919 mod n)
+        done)
+      senders;
+    Array.map Bitset.snapshot senders
+  in
+  let d1 = Bitset.union_snapshots (step 0) in
+  let r = Bitset.create n and w = Bitset.create n in
+  Bitset.union_into ~dst:r d1;
+  Bitset.union_into ~dst:w d1;
+  (* [w] writes one bit of its own and so owns that chunk *)
+  let own = 5 in
+  Bitset.set w own;
+  let d2 = Bitset.union_snapshots (Array.append [| d1 |] (step 1)) in
+  Bitset.union_into ~dst:r d2;
+  Bitset.union_into ~dst:w d2;
+  check "receiver = digest k + 1" true (Bitset.equal r d2);
+  check_int "receiver cardinal" (Bitset.cardinal d2) (Bitset.cardinal r);
+  check_int "writer cardinal"
+    (Bitset.cardinal d2 + if Bitset.mem d2 own then 0 else 1)
+    (Bitset.cardinal w);
+  check "writer holds its own bit" true (Bitset.mem w own);
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let extra = words (r, d2) - words d2 in
+  check
+    (Printf.sprintf "receiver adds %d words to digest k + 1, < 60" extra)
+    true (extra < 60);
+  (* and digest k + 1 stays a value: the receiver's writes copy *)
+  let before = Bitset.to_list d2 in
+  Bitset.set r (Bitset.next_missing r 0);
+  Alcotest.(check (list int)) "digest unchanged" before (Bitset.to_list d2)
+
 let test_snapshot_size () =
   (* A snapshot costs its chunk pointers plus the chunks it does not
      share: at t = 131072 (32-word chunks), one written chunk, the
@@ -464,6 +529,8 @@ let suite =
     Alcotest.test_case "snapshot size at t=131072" `Quick test_snapshot_size;
     Alcotest.test_case "no adoption into an owned chunk" `Quick
       test_no_adoption_into_owned_chunk;
+    Alcotest.test_case "lineage: a receiver adopts the next digest" `Quick
+      test_lineage_adopts_next_digest;
     QCheck_alcotest.to_alcotest prop_cardinal_matches;
     QCheck_alcotest.to_alcotest prop_union_commutes_with_membership;
     QCheck_alcotest.to_alcotest prop_subset_iff_union_noop;

@@ -66,62 +66,65 @@ let prop_digest_equals_sequential =
 (* ------------------------------------------------------------------ *)
 (* Backend parity: identical broadcast traffic through the list
    reference (Ref_net), the ring network, and ring + digest must agree
-   on sends, logical deliveries, and the payload multiset each
-   destination sees. Payload elements are tagged
-   with their source because a digest may fold the receiver's own
-   contribution in (sound for knowledge unions, which absorb it);
-   own-tagged elements are filtered before comparison, mirroring that
-   absorption, while the delivery *counts* must match exactly with no
-   filtering. *)
+   on sends and logical deliveries, and every destination must receive
+   the reference's records in the reference's order. Payloads are
+   record sets and the digest is their union (Ref_net.union), so a
+   chained digest may repeat records the receiver holds, but it may
+   carry none not yet due to it. *)
 
 let test_backend_parity () =
   let p = 8 in
-  let fold msgs = List.concat (Array.to_list msgs) in
+  let due_of = Hashtbl.create 64 in
   let drive ~broadcast ~receive_iter ~sent =
-    let got = Array.make p [] in
-    let delivered = ref 0 in
+    let got = Array.init p (fun dst -> Ref_net.arrivals ~dst) in
+    let delivered = ref 0 and ok = ref true and id = ref 0 in
     for now = 0 to 40 do
       for dst = 0 to p - 1 do
         delivered :=
           !delivered
-          + receive_iter ~dst ~now (fun _src msg ->
-                got.(dst) <- msg @ got.(dst))
+          + receive_iter ~dst ~now (fun src msg ->
+                ok :=
+                  !ok
+                  && Ref_net.arrive got.(dst) ~src msg
+                  && List.for_all
+                       (fun (_, i) -> Hashtbl.find due_of i <= now)
+                       msg)
       done;
-      if now <= 30 then begin
+      if now <= 30 then
         (* two same-due broadcasts per step: multi-record epochs, one of
            which periodically lands on a destination's own source *)
-        let s1 = now mod p and s2 = (now + 3) mod p in
-        broadcast ~src:s1 ~due:(now + 3) [ (s1, now) ];
-        broadcast ~src:s2 ~due:(now + 3) [ (s2, 1000 + now) ]
-      end
+        List.iter
+          (fun src ->
+            incr id;
+            Hashtbl.replace due_of !id (now + 3);
+            broadcast ~src ~due:(now + 3) [ (src, !id) ])
+          [ now mod p; (now + 3) mod p ]
     done;
-    let cleaned =
-      Array.mapi
-        (fun dst l ->
-          List.sort compare (List.filter (fun (src, _) -> src <> dst) l))
-        got
-    in
-    (sent (), !delivered, cleaned)
+    (sent (), !delivered, !ok, Array.map (fun a -> a.Ref_net.order) got)
   in
   let drive_net net =
     drive ~broadcast:(Network.broadcast net)
       ~receive_iter:(Network.receive_iter net) ~sent:(fun () ->
         Network.sent net)
   in
-  let fs, fd, fg =
+  let fs, fd, fok, fg =
     let rf = Ref_net.create ~p in
     drive ~broadcast:(Ref_net.broadcast rf)
       ~receive_iter:(Ref_net.receive_iter rf) ~sent:(fun () ->
         Ref_net.sent rf)
   in
-  let rs, rd, rg = drive_net (Network.create ~horizon:8 ~p ()) in
-  let ds, dd, dg = drive_net (Network.create ~digest:fold ~horizon:8 ~p ()) in
+  let rs, rd, rok, rg = drive_net (Network.create ~horizon:8 ~p ()) in
+  let ds, dd, dok, dg =
+    drive_net (Network.create ~digest:Ref_net.union ~horizon:8 ~p ())
+  in
   check_int "net.sends: reference = ring" fs rs;
   check_int "net.sends: ring = digest" rs ds;
   check_int "net.deliveries: reference = ring" fd rd;
   check_int "net.deliveries: ring = digest" rd dd;
-  check "per-dst payloads: reference = ring" true (fg = rg);
-  check "per-dst payloads: ring = digest" true (rg = dg)
+  check "per-record deliveries bring new records only" true (fok && rok);
+  check "digests carry only due records" true dok;
+  check "per-dst records: reference = ring" true (fg = rg);
+  check "per-dst records: ring = digest" true (rg = dg)
 
 let test_digest_sources_are_anonymous () =
   (* A digest delivery carries src = -1: it stands for a whole epoch,
@@ -133,6 +136,32 @@ let test_digest_sources_are_anonymous () =
   let n = Network.receive_iter net ~dst:2 ~now:5 (fun src _ -> srcs := src :: !srcs) in
   check_int "two logical deliveries" 2 n;
   Alcotest.(check (list int)) "one callback, src = -1" [ -1 ] !srcs
+
+(* Digests chain while broadcasts are in flight; once the log drains,
+   the network lets the last digest go. *)
+let test_idle_network_holds_no_digest () =
+  let made = Weak.create 1 in
+  let[@inline never] run net =
+    for now = 0 to 5 do
+      ignore (Network.receive_iter net ~dst:2 ~now (fun _ _ -> ()));
+      Network.broadcast net ~src:0 ~due:(now + 1) [ (0, 2 * now) ];
+      Network.broadcast net ~src:1 ~due:(now + 1) [ (1, (2 * now) + 1) ]
+    done;
+    for dst = 0 to 2 do
+      ignore (Network.receive_iter net ~dst ~now:10 (fun _ _ -> ()))
+    done
+  in
+  let fold ms =
+    let d = Ref_net.union ms in
+    Weak.set made 0 (Some d);
+    d
+  in
+  let net = Network.create ~digest:fold ~horizon:4 ~p:3 () in
+  run net;
+  Gc.full_major ();
+  check "the last digest is collected" false (Weak.check made 0);
+  (* the network itself stays reachable up to here *)
+  check_int "nothing pending" 0 (Network.pending net)
 
 (* ------------------------------------------------------------------ *)
 (* Engine parity: declared (stream + digest) vs stripped (Variable =
@@ -183,6 +212,8 @@ let suite =
       test_backend_parity;
     Alcotest.test_case "digest deliveries are source-anonymous" `Quick
       test_digest_sources_are_anonymous;
+    Alcotest.test_case "an idle network holds no digest" `Quick
+      test_idle_network_holds_no_digest;
     Alcotest.test_case "engine probe parity (declared = stripped)" `Quick
       test_engine_probe_parity;
   ]

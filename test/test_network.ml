@@ -376,10 +376,11 @@ let test_broadcast_ring_matches_ref_random () =
    (now, now + h], broadcasts at one constant latency, readers polling
    at arbitrary instants — the network delivers exactly the reference's
    per-destination sequences, with or without a digest fold. Payloads
-   are [(src, id)] lists so a digest (list concatenation) can be
-   flattened back into the records it folded; a digest may fold the
-   receiver's own broadcasts in (knowledge unions absorb them), so
-   own-source elements are dropped before comparing. *)
+   are record sets and a digest is their union (Ref_net.union), so a
+   chained digest may repeat records; each receiver's records must
+   arrive in the reference's order (Ref_net.arrive), a per-record
+   delivery must bring only new records, and no digest may carry a
+   record not yet due to its receiver. *)
 let prop_network_matches_ref =
   let p = 5 in
   QCheck2.Test.make ~name:"network = Ref_net (rings, stream, digest)"
@@ -401,28 +402,28 @@ let prop_network_matches_ref =
       return (horizon, delta, digest, ops))
     (fun (horizon, delta, digest, ops) ->
       let net =
-        if digest then
-          Network.create ~digest:(fun ms -> List.concat (Array.to_list ms))
-            ~horizon ~p ()
+        if digest then Network.create ~digest:Ref_net.union ~horizon ~p ()
         else Network.create ~horizon ~p ()
       in
       let rf = Ref_net.create ~p in
-      let got = Array.make p [] and want = Array.make p [] in
-      let n_got = ref 0 and n_want = ref 0 in
-      let keep dst msg acc =
-        List.fold_left
-          (fun acc ((src, _) as x) -> if src = dst then acc else x :: acc)
-          acc msg
-      in
+      let got = Array.init p (fun dst -> Ref_net.arrivals ~dst)
+      and want = Array.init p (fun dst -> Ref_net.arrivals ~dst) in
+      let due_of = Hashtbl.create 64 in
+      let n_got = ref 0 and n_want = ref 0 and ok = ref true in
       let poll dst now =
         n_got :=
           !n_got
-          + Network.receive_iter net ~dst ~now (fun _ msg ->
-                got.(dst) <- keep dst msg got.(dst));
+          + Network.receive_iter net ~dst ~now (fun src msg ->
+                ok :=
+                  !ok
+                  && Ref_net.arrive got.(dst) ~src msg
+                  && List.for_all
+                       (fun (_, id) -> Hashtbl.find due_of id <= now)
+                       msg);
         n_want :=
           !n_want
-          + Ref_net.receive_iter rf ~dst ~now (fun _ msg ->
-                want.(dst) <- keep dst msg want.(dst))
+          + Ref_net.receive_iter rf ~dst ~now (fun src msg ->
+                ok := !ok && Ref_net.arrive want.(dst) ~src msg)
       in
       let now = ref 0 and id = ref 0 in
       List.iter
@@ -435,11 +436,13 @@ let prop_network_matches_ref =
               incr id;
               let msg = [ (src, !id) ] in
               if kind = 0 then begin
+                Hashtbl.replace due_of !id (!now + delta);
                 Network.broadcast net ~src ~due:(!now + delta) msg;
                 Ref_net.broadcast rf ~src ~due:(!now + delta) msg
               end
               else begin
                 let dst = (src + off) mod p in
+                Hashtbl.replace due_of !id (!now + lat);
                 Network.send net ~src ~dst ~due:(!now + lat) msg;
                 Ref_net.send rf ~src ~dst ~due:(!now + lat) msg
               end)
@@ -455,7 +458,11 @@ let prop_network_matches_ref =
       for dst = 0 to p - 1 do
         poll dst (!now + horizon + 1)
       done;
-      mid && same_counts () && got = want && Network.pending net = 0)
+      !ok && mid && same_counts ()
+      && Array.for_all2
+           (fun g w -> g.Ref_net.order = w.Ref_net.order)
+           got want
+      && Network.pending net = 0)
 
 (* One payload record per multicast: the network reuses the previous
    send's record when the source is the same and the payload physically
@@ -576,13 +583,44 @@ type op =
   | Broadcast of int (* src *)
   | Send of { src : int; off : int; lat : int; reuse : int; replica : bool }
   | Multicast of { src : int; lats : int array; reuse : int }
+  | Late of { src : int; off : int; reuse : int; replica : bool }
+  | Far of { src : int; lats : int array; bad : int; reuse : int }
+  | Bad_pid of { src : int; dst : int; reuse : int; kind : int }
 (* [reuse]: 0 = fresh payload, 1 = the last one sent, 2 = an older one.
    A [Multicast] is checked against the reference's p - 1 sends at
-   [now + lats.(dst)]. *)
+   [now + lats.(dst)]. The last three are rejected calls, which must
+   leave no trace: a [Late] send is due at the destination's delivery
+   cursor; a [Far] multicast's copy to [bad] is due past the horizon,
+   so only the copies before it are queued; a [Bad_pid] call names a
+   pid out of range, or sends to itself ([kind]: 0 = send, 1 =
+   replica, 2 = multicast). *)
+
+let show_op =
+  let lats a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  function
+  | Advance k -> Printf.sprintf "advance %d" k
+  | Poll d -> Printf.sprintf "poll %d" d
+  | Deactivate d -> Printf.sprintf "deactivate %d" d
+  | Broadcast s -> Printf.sprintf "broadcast %d" s
+  | Send { src; off; lat; reuse; replica } ->
+    Printf.sprintf "send %d+%d lat %d reuse %d%s" src off lat reuse
+      (if replica then " replica" else "")
+  | Multicast { src; lats = l; reuse } ->
+    Printf.sprintf "multicast %d [%s] reuse %d" src (lats l) reuse
+  | Late { src; off; reuse; replica } ->
+    Printf.sprintf "late %d+%d reuse %d%s" src off reuse
+      (if replica then " replica" else "")
+  | Far { src; lats = l; bad; reuse } ->
+    Printf.sprintf "far %d [%s] bad %d reuse %d" src (lats l) bad reuse
+  | Bad_pid { src; dst; reuse; kind } ->
+    Printf.sprintf "bad-pid %d -> %d reuse %d kind %d" src dst reuse kind
 
 let prop_payload_reuse_matches_ref =
   let horizon = 8 in
   QCheck2.Test.make ~name:"network = Ref_net under payload reuse" ~count:300
+    ~print:(fun (p, delta, ops) ->
+      Printf.sprintf "p=%d delta=%d: %s" p delta
+        (String.concat "; " (List.map show_op ops)))
     QCheck2.Gen.(
       let* p = int_range 2 5 in
       let* delta = int_range 1 horizon in
@@ -605,6 +643,24 @@ let prop_payload_reuse_matches_ref =
               let* lats = array_size (return p) (int_range 1 horizon) in
               let* reuse = frequencyl [ (2, 0); (2, 1); (1, 2) ] in
               return (Multicast { src; lats; reuse }) );
+            ( 1,
+              let* src = int_range 0 (p - 1) in
+              let* off = int_range 1 (p - 1) in
+              let* reuse = frequencyl [ (2, 0); (1, 1); (1, 2) ] in
+              let* replica = bool in
+              return (Late { src; off; reuse; replica }) );
+            ( 1,
+              let* src = int_range 0 (p - 1) in
+              let* lats = array_size (return p) (int_range 1 horizon) in
+              let* bad = int_range 0 (p - 1) in
+              let* reuse = frequencyl [ (2, 0); (1, 1); (1, 2) ] in
+              return (Far { src; lats; bad; reuse }) );
+            ( 1,
+              let* src = int_range (-1) p in
+              let* dst = int_range (-1) p in
+              let* reuse = frequencyl [ (2, 0); (1, 1); (1, 2) ] in
+              let* kind = int_range 0 2 in
+              return (Bad_pid { src; dst; reuse; kind }) );
           ]
       in
       let* ops = list_size (int_range 1 120) op in
@@ -613,6 +669,14 @@ let prop_payload_reuse_matches_ref =
       let net = Network.create ~horizon ~p () and rf = Ref_net.create ~p in
       let now = ref 0 and next = ref 0 and replicas = ref 0 in
       let inactive = Array.make p false in
+      (* each destination's ring cursor: made by its first queued copy,
+         moved to [now] by each poll after that *)
+      let has_ring = Array.make p false and cursor = Array.make p (-1) in
+      let rejected f =
+        match f () with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
       let recent = ref [] (* payloads sent, newest first *) in
       let fresh () =
         incr next;
@@ -643,12 +707,16 @@ let prop_payload_reuse_matches_ref =
         Network.sent net + !replicas = Ref_net.sent rf
         && Network.pending net = Ref_net.pending rf
       in
-      let ok = ref true in
+      let ok = ref true and filler = ref None in
       List.iter
         (fun op ->
           (match op with
            | Advance k -> now := !now + k
-           | Poll dst -> if not inactive.(dst) then ok := !ok && poll dst
+           | Poll dst ->
+             if not inactive.(dst) then begin
+               ok := !ok && poll dst;
+               if has_ring.(dst) then cursor.(dst) <- !now
+             end
            | Deactivate pid ->
              Network.deactivate net ~pid;
              inactive.(pid) <- true
@@ -664,6 +732,7 @@ let prop_payload_reuse_matches_ref =
                incr replicas
              end
              else Network.send net ~src ~dst ~due m;
+             has_ring.(dst) <- true;
              Ref_net.send rf ~src ~dst ~due m
            | Multicast { src; lats; reuse } ->
              let m = payload reuse in
@@ -671,8 +740,60 @@ let prop_payload_reuse_matches_ref =
              Network.multicast net ~src ~now:!now ~dues m;
              Array.iteri
                (fun dst due ->
-                 if dst <> src then Ref_net.send rf ~src ~dst ~due m)
-               dues);
+                 if dst <> src then begin
+                   has_ring.(dst) <- true;
+                   Ref_net.send rf ~src ~dst ~due m
+                 end)
+               dues
+           | Late { src; off; reuse; replica } ->
+             let dst = (src + off) mod p and m = payload reuse in
+             let send =
+               if replica then Network.send_replica else Network.send
+             in
+             ok :=
+               !ok && rejected (fun () -> send net ~src ~dst ~due:cursor.(dst) m)
+           | Far { src; lats; bad; reuse } ->
+             let m = payload reuse in
+             let dues =
+               Array.mapi
+                 (fun dst lat -> !now + if dst = bad then horizon + 1 else lat)
+                 lats
+             in
+             ok :=
+               !ok
+               && (bad = src
+                  || rejected (fun () ->
+                         Network.multicast net ~src ~now:!now ~dues m));
+             if bad <> src then
+               (* the documented prefix: the copies before [bad] stay *)
+               for dst = 0 to bad - 1 do
+                 if dst <> src then begin
+                   has_ring.(dst) <- true;
+                   Ref_net.send rf ~src ~dst ~due:dues.(dst) m
+                 end
+               done
+           | Bad_pid { src; dst; reuse; kind } ->
+             let in_range x = x >= 0 && x < p in
+             if not (in_range src && in_range dst && src <> dst) then begin
+               let m = payload reuse in
+               let due = !now + 1 in
+               ok :=
+                 !ok
+                 && rejected (fun () ->
+                        match kind with
+                        | 0 -> Network.send net ~src ~dst ~due m
+                        | 1 -> Network.send_replica net ~src ~dst ~due m
+                        | _ ->
+                          if in_range src then raise (Invalid_argument "")
+                          else
+                            Network.multicast net ~src ~now:!now
+                              ~dues:(Array.make p due) m)
+             end);
+          (* the first payload the network took: its first record's *)
+          if !filler = None then
+            List.iter
+              (fun (_, seq, _, _, m) -> if seq = 0 then filler := Some m)
+              rf.Ref_net.queued;
           ok := !ok && same_counts ())
         ops;
       now := !now + horizon + 1;
@@ -682,18 +803,20 @@ let prop_payload_reuse_matches_ref =
       (* record release: once its last queued copy is gone, no payload
          stays reachable from the network — only the reference still
          holding a copy (one owed to a deactivated pid) keeps it alive.
-         Payload 1 is exempt: it fills released slots. *)
+         The first payload the network took is exempt: it fills released
+         slots. A rejected call's payload must be gone too. *)
       let weak = Weak.create (!next + 1) in
       List.iter (fun m -> Weak.set weak !m (Some m)) !recent;
       recent := [];
+      let filler = match !filler with Some m -> !m | None -> 0 in
       Gc.full_major ();
-      for k = 2 to !next do
+      for k = 1 to !next do
         match Weak.get weak k with
-        | Some m ->
+        | Some m when k <> filler ->
           ok :=
             !ok
             && List.exists (fun (_, _, _, _, m') -> m' == m) rf.Ref_net.queued
-        | None -> ()
+        | _ -> ()
       done;
       !ok && same_counts ())
 
