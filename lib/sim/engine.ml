@@ -324,8 +324,9 @@ module Make (A : Algorithm.S) = struct
     eng.next_eligible.(pid) <- nxt;
     eng.prev_eligible.(nxt) <- pid
 
-  (* A read-only window for the invariant oracle; built only on checked
-     runs, so the closures cost nothing in the default configuration. *)
+  (* A read-only window for the invariant oracle's per-tick audit; built
+     only on checked runs, so the closures cost nothing in the default
+     configuration. *)
   let oracle_view eng =
     {
       Oracle.time = eng.time;
@@ -559,7 +560,7 @@ module Make (A : Algorithm.S) = struct
     (match eng.check with
      | Some _ ->
        Span.enter eng.ph.ph_oracle;
-       Oracle.check_step (oracle_view eng) ~pid;
+       Oracle.check_step ~time:eng.time ~pid ~alive:eng.alive.(pid);
        Span.leave eng.ph.ph_oracle
      | None -> ());
     (* Deliver due messages, then take the local step. *)

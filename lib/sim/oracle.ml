@@ -31,37 +31,39 @@ type view = {
 }
 
 type t = {
-  (* Monotonicity watermark: |global_done| last tick. Comparing cardinals
-     suffices because tasks are only ever set, never cleared — a cleared
-     bit with an equal cardinal would require a set bit elsewhere, i.e. a
-     fresh perform, which also grows local_done ⊆ global_done checks. To
-     be airtight we keep the previous set itself. *)
-  mutable prev_done : Bitset.t;
+  (* The ledger as of the last tick, kept as a live set of its own:
+     after the monotonicity check each tick ORs the ledger into it,
+     which leaves the ledger's chunks owned by the ledger, so the
+     engine's next [set] writes in place instead of copying a chunk
+     a [Bitset.copy] had disowned. [None] before the first tick. *)
+  mutable prev_done : Bitset.t option;
   mutable ticks : int;
 }
 
-let create () = { prev_done = Bitset.create 0; ticks = 0 }
+let create () = { prev_done = None; ticks = 0 }
 
-let fail ~time ?pid ~invariant detail =
+(* Everything below that builds a string, an option or a closure runs
+   only on a failure branch: a healthy check allocates nothing. *)
+let[@inline never] fail ~time ?pid ~invariant detail =
   raise (Invariant_violation { time; pid; invariant; detail })
 
 exception Offender of int
 
-(* First bit set in [sub] but not [super] — only on the failure path, so
-   the O(t) scan never runs in a healthy check ({!Bitset.subset} is the
-   word-at-a-time fast path). *)
-let first_offender ~sub ~super =
-  try
-    Bitset.iter_set sub (fun i -> if not (Bitset.mem super i) then raise (Offender i));
-    None
-  with Offender i -> Some i
-
-let check_subset ~time ?pid ~invariant ~sub ~super ~what ~ledger () =
-  if not (Bitset.subset sub super) then
-    let task = match first_offender ~sub ~super with Some i -> i | None -> -1 in
-    fail ~time ?pid ~invariant
-      (Printf.sprintf "%s claims task %d done but it is not in %s" what task
-         ledger)
+(* [sub ⊄ super] has been established by {!Bitset.subset}, the
+   word-at-a-time test; name the first bit set in [sub] but not in
+   [super] (an O(t) scan) and raise. *)
+let[@inline never] subset_failure ~time ?pid ~invariant ~sub ~super ~what
+    ~ledger () =
+  let task =
+    try
+      Bitset.iter_set sub (fun i ->
+          if not (Bitset.mem super i) then raise (Offender i));
+      -1
+    with Offender i -> i
+  in
+  fail ~time ?pid ~invariant
+    (Printf.sprintf "%s claims task %d done but it is not in %s" what task
+       ledger)
 
 let check_tick t view =
   t.ticks <- t.ticks + 1;
@@ -69,23 +71,31 @@ let check_tick t view =
   if view.live < 1 then
     fail ~time:view.time ~invariant:"survivor"
       (Printf.sprintf "no processor alive (live=%d)" view.live);
-  (* monotone-global-done: performed tasks are never un-performed. *)
-  if Bitset.length t.prev_done > 0 then
-    check_subset ~time:view.time ~invariant:"monotone-global-done"
-      ~sub:t.prev_done ~super:view.global_done ~what:"previous tick"
-      ~ledger:"the current ledger (a done task was un-done)" ();
-  t.prev_done <- Bitset.copy view.global_done;
+  (* monotone-global-done: performed tasks are never un-performed. Once
+     [prev ⊆ global_done] holds, [prev ∪ global_done] is the ledger. *)
+  (match t.prev_done with
+   | None ->
+     let prev = Bitset.create (Bitset.length view.global_done) in
+     Bitset.union_into ~dst:prev view.global_done;
+     t.prev_done <- Some prev
+   | Some prev ->
+     if not (Bitset.subset prev view.global_done) then
+       subset_failure ~time:view.time ~invariant:"monotone-global-done"
+         ~sub:prev ~super:view.global_done ~what:"previous tick"
+         ~ledger:"the current ledger (a done task was un-done)" ();
+     Bitset.union_into ~dst:prev view.global_done);
   (* local-within-global: knowledge may lag reality, never outrun it. *)
   for pid = 0 to view.p - 1 do
-    check_subset ~time:view.time ~pid ~invariant:"local-within-global"
-      ~sub:(view.local_done pid) ~super:view.global_done
-      ~what:(Printf.sprintf "pid %d" pid) ~ledger:"the global ledger" ();
+    let local = view.local_done pid in
+    if not (Bitset.subset local view.global_done) then
+      subset_failure ~time:view.time ~pid ~invariant:"local-within-global"
+        ~sub:local ~super:view.global_done
+        ~what:(Printf.sprintf "pid %d" pid) ~ledger:"the global ledger" ();
     (* halted-knows-all: halting is a terminal claim of completion. *)
-    if view.halted pid && not (Bitset.is_full (view.local_done pid)) then
+    if view.halted pid && not (Bitset.is_full local) then
       fail ~time:view.time ~pid ~invariant:"halted-knows-all"
         (Printf.sprintf "halted with only %d/%d tasks known done"
-           (Bitset.cardinal (view.local_done pid))
-           view.t)
+           (Bitset.cardinal local) view.t)
   done;
   (* termination-complete: Definition 2.1. *)
   if view.finished && not (Bitset.is_full view.global_done) then
@@ -94,9 +104,9 @@ let check_tick t view =
          (Bitset.cardinal view.global_done)
          view.t)
 
-let check_step view ~pid =
-  if not (view.alive pid) then
-    fail ~time:view.time ~pid ~invariant:"step-by-crashed"
+let check_step ~time ~pid ~alive =
+  if not alive then
+    fail ~time ~pid ~invariant:"step-by-crashed"
       "a crashed processor took a step"
 
 let ticks_checked t = t.ticks

@@ -54,19 +54,23 @@ type view = {
   live : int;
   finished : bool;
 }
-(** A read-only window onto the engine, rebuilt per check. *)
+(** A read-only window onto the engine. The engine builds one per
+    audited tick; {!check_step} needs none. *)
 
 type t
-(** Checker state (the monotonicity watermark and a tick count). *)
+(** Checker state (the previous tick's ledger and a tick count). *)
 
 val create : unit -> t
 
 val check_tick : t -> view -> unit
-(** Verify every per-tick invariant; raises {!Invariant_violation} on
-    the first failure. *)
+(** Verify every per-tick invariant for every pid; raises
+    {!Invariant_violation} on the first failure. A passing check
+    allocates nothing: the violation's texts are built only when an
+    invariant fails. *)
 
-val check_step : view -> pid:int -> unit
-(** Verify that [pid], about to take a step, is alive. *)
+val check_step : time:int -> pid:int -> alive:bool -> unit
+(** Verify that [pid], about to take a step at [time], is alive
+    ([alive] is its liveness bit). Allocates nothing when it passes. *)
 
 val ticks_checked : t -> int
 (** How many ticks this checker has audited — lets tests assert the

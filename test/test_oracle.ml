@@ -5,6 +5,7 @@
    reports. *)
 
 open Doall_sim
+open Doall_core
 
 let t = 10
 
@@ -88,9 +89,8 @@ let test_termination_complete () =
 let test_step_by_crashed () =
   expect "step-by-crashed" ~time:5 ~pid:3 ~invariant:"step-by-crashed"
     "a crashed processor took a step"
-    (fun () ->
-      Oracle.check_step (view ~alive:[| true; true; true; false |] []) ~pid:3);
-  Oracle.check_step (view []) ~pid:0
+    (fun () -> Oracle.check_step ~time:5 ~pid:3 ~alive:false);
+  Oracle.check_step ~time:5 ~pid:0 ~alive:true
 
 let test_printed_form () =
   let v =
@@ -109,6 +109,77 @@ let test_printed_form () =
     (Printexc.to_string
        (Oracle.Invariant_violation (violation (tick (view ~live:0 [])))))
 
+(* The healthy path allocates nothing. The warm-up tick builds the
+   previous ledger, taking its own copy of every ledger chunk (the
+   initial ledger has a bit in each); the next 1 000 ticks grow the
+   ledger to full, then audit halted pids and a finished run. *)
+let test_healthy_ticks_allocate_nothing () =
+  let p = 64 and t = 3000 and calls = 1000 in
+  let global = Bitset.create t in
+  for k = 0 to (t / 3) - 1 do
+    Bitset.set global (3 * k)
+  done;
+  let locals =
+    Array.init p (fun pid ->
+        Bitset.of_list t (List.init 20 (fun k -> 3 * ((pid * 31 + k * 97) mod 1000))))
+  in
+  let all = Bitset.of_list t (List.init t Fun.id) in
+  let full = ref false in
+  let view ~finished =
+    {
+      Oracle.time = 0;
+      p;
+      t;
+      global_done = global;
+      local_done = (fun pid -> if !full && pid < 8 then all else locals.(pid));
+      alive = (fun _ -> true);
+      halted = (fun pid -> !full && pid < 8);
+      live = p;
+      finished;
+    }
+  in
+  let growing = view ~finished:false and finished = view ~finished:true in
+  let oc = Oracle.create () in
+  Oracle.check_tick oc growing;
+  let words = ref 0.0 in
+  for i = 0 to calls - 1 do
+    if i < 500 then
+      for k = 2 * i to (2 * i) + 1 do
+        Bitset.set global ((3 * k) + 1);
+        Bitset.set global ((3 * k) + 2)
+      done
+    else full := true;
+    let v = if !full then finished else growing in
+    let w0 = Gc.minor_words () in
+    Oracle.check_tick oc v;
+    words := !words +. (Gc.minor_words () -. w0)
+  done;
+  Alcotest.(check bool) "ledger grew to full" true (Bitset.is_full global);
+  Alcotest.(check int) "every tick audited" (calls + 1) (Oracle.ticks_checked oc);
+  Alcotest.(check (float 0.)) "minor words over the healthy ticks" 0. !words
+
+(* End to end: the oracle adds under 1 % to a run's allocation, on the
+   strategy cell the adaptive-adversary benchmark audits. *)
+let test_checked_run_allocates_as_unchecked () =
+  let run check =
+    let w0 = Gc.minor_words () in
+    let r =
+      Runner.run ~check ~algo:"da-q4"
+        ~adv:"strategy:sched=all;delay=bimodal:0.783;crash=flaky:4:1" ~p:64
+        ~t:1536 ~d:8 ~seed:1 ()
+    in
+    (r.Runner.metrics.Metrics.work, Gc.minor_words () -. w0)
+  in
+  ignore (run false);
+  let w_unchecked, unchecked = run false in
+  let w_checked, checked = run true in
+  Alcotest.(check int) "same W" w_unchecked w_checked;
+  Alcotest.(check bool)
+    (Printf.sprintf "checked %.0f words within 1%% of unchecked %.0f" checked
+       unchecked)
+    true
+    (checked <= unchecked *. 1.01)
+
 let suite =
   [
     Alcotest.test_case "healthy ticks pass" `Quick test_healthy_tick_passes;
@@ -122,4 +193,8 @@ let suite =
       test_termination_complete;
     Alcotest.test_case "step-by-crashed text" `Quick test_step_by_crashed;
     Alcotest.test_case "printed form" `Quick test_printed_form;
+    Alcotest.test_case "healthy ticks allocate nothing" `Quick
+      test_healthy_ticks_allocate_nothing;
+    Alcotest.test_case "checked run allocates as unchecked" `Quick
+      test_checked_run_allocates_as_unchecked;
   ]
