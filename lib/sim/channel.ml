@@ -200,10 +200,11 @@ let check_permutation t n perm =
       "Channel.resolve: arbitration did not return a permutation of the \
        contenders"
 
+(* Every check runs before the first write, so a rejected call leaves
+   the channel as it was and the slot may be resolved again. *)
 let resolve t ~now ?arbitrate () =
   if now <= t.last_slot then
     invalid_arg "Channel.resolve: slots must resolve in increasing order";
-  t.last_slot <- now;
   let n = ref 0 in
   for src = 0 to t.p - 1 do
     let st = Array.unsafe_get t.stations src in
@@ -213,21 +214,22 @@ let resolve t ~now ?arbitrate () =
     end
   done;
   let n = !n in
+  let order =
+    match arbitrate with
+    | Some f when n > 1 -> f (Array.sub t.contenders 0 n)
+    | _ -> None
+  in
+  (match order with Some perm -> check_permutation t n perm | None -> ());
+  t.last_slot <- now;
   if n = 0 then idle
   else begin
     t.n_busy <- t.n_busy + 1;
     if n = 1 then deliver t ~now ~src:t.contenders.(0)
     else
-      let order =
-        match arbitrate with
-        | None -> None
-        | Some f -> f (Array.sub t.contenders 0 n)
-      in
       match order with
       | Some perm ->
         (* ordered adversary: the head transmits alone, the rest are
            deferred to the next slot (where they contend again) *)
-        check_permutation t n perm;
         for i = 1 to n - 1 do
           defer t perm.(i) ~release:(now + 1)
         done;

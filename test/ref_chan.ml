@@ -97,10 +97,10 @@ let backoff ~p ~now ~src =
   while !u mod p <> src do incr u done;
   !u
 
+(* A rejected call changes nothing: every check comes first. *)
 let resolve t ~now ?arbitrate () =
   if now <= t.last_slot then
     invalid_arg "Channel.resolve: slots must resolve in increasing order";
-  t.last_slot <- now;
   let contenders =
     List.filter
       (fun src -> match t.stations.(src) with
@@ -108,6 +108,20 @@ let resolve t ~now ?arbitrate () =
          | [] -> false)
       (List.init t.p Fun.id)
   in
+  let order =
+    match (contenders, arbitrate) with
+    | _ :: _ :: _, Some g -> (
+      match g (Array.of_list contenders) with
+      | None -> None
+      | Some perm ->
+        if List.sort compare (Array.to_list perm) <> contenders then
+          invalid_arg
+            "Channel.resolve: arbitration did not return a permutation of \
+             the contenders";
+        Some (Array.to_list perm))
+    | _ -> None
+  in
+  t.last_slot <- now;
   match contenders with
   | [] ->
     { Doall_sim.Channel.slot_busy = false; slot_collided = false;
@@ -117,19 +131,6 @@ let resolve t ~now ?arbitrate () =
     deliver t ~now ~src (pop t src)
   | _ -> (
     t.busy <- t.busy + 1;
-    let order =
-      match arbitrate with
-      | None -> None
-      | Some g -> (
-        match g (Array.of_list contenders) with
-        | None -> None
-        | Some perm ->
-          if List.sort compare (Array.to_list perm) <> contenders then
-            invalid_arg
-              "Channel.resolve: arbitration did not return a permutation of \
-               the contenders";
-          Some (Array.to_list perm))
-    in
     match order with
     | Some (winner :: deferred) ->
       List.iter (fun src -> (head t src).release <- now + 1) deferred;

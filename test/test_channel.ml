@@ -220,7 +220,8 @@ let delivers_iff_single_contender =
    transmits (broadcasts, unicasts, release slots, bad pids, self-sends,
    empty frames), silences, slot resolutions under every arbitration
    shape (none, identity, reverse, rotor, decline, three kinds of
-   non-permutation, and an out-of-order slot), and receives at random
+   non-permutation, and an out-of-order slot), rejected arbitrations
+   followed by the same slot resolved again, and receives at random
    destinations. Receives never run ahead of the next slot to resolve,
    as in the engine, where a tick's steps come before its slot. Every
    outcome — unit, slot record, (src, msg) delivery sequence, or the
@@ -246,6 +247,9 @@ type chan_op =
     }
   | Silence of int
   | Resolve of { skip : int; arb : arb } (* skip < 0: the last slot again *)
+  | Reject of { skip : int; bad : arb; arb : arb }
+      (* resolve with the non-permutation [bad]; if both reject it,
+         nothing may have changed, and the slot resolves with [arb] *)
   | Receive of { dst : int; back : int }
 
 type outcome =
@@ -312,6 +316,11 @@ let prop_channel_matches_ref =
                     (1, Decline); (1, Duplicate); (1, Short); (1, Stranger) ]
               in
               return (Resolve { skip; arb }) );
+            ( 2,
+              let* skip = int_range 0 1 in
+              let* bad = oneofl [ Duplicate; Short; Stranger ] in
+              let* arb = oneofl [ No_arb; Identity; Reverse; Rotor; Decline ] in
+              return (Reject { skip; bad; arb }) );
             ( 4,
               let* dst = pid in
               let* back = frequencyl [ (4, 0); (1, 1); (1, 2) ] in
@@ -353,6 +362,19 @@ let prop_channel_matches_ref =
             in
             got_of n !acc)
       in
+      let resolve ~now arb =
+        let arbitrate = arbitration arb ~p ~now in
+        both
+          (fun () -> Slot (Channel.resolve ch ~now ?arbitrate ()))
+          (fun () -> Slot (Ref_chan.resolve rf ~now ?arbitrate ()))
+      in
+      let counters () =
+        ( (Channel.sent ch, Channel.lost ch, Channel.collisions ch),
+          (Channel.busy_slots ch, Channel.successes ch, Channel.pending ch) )
+      and ref_counters () =
+        ( (Ref_chan.sent rf, Ref_chan.lost rf, Ref_chan.collisions rf),
+          (Ref_chan.busy_slots rf, Ref_chan.successes rf, Ref_chan.pending rf) )
+      in
       let run = function
         | Transmit { src; release; bcast; unis } ->
           let bcast = if bcast then Some (msg false) else None in
@@ -375,18 +397,22 @@ let prop_channel_matches_ref =
             last := Some now;
             next := now + 1
           end;
-          let arbitrate = arbitration arb ~p ~now in
-          both
-            (fun () -> Slot (Channel.resolve ch ~now ?arbitrate ()))
-            (fun () -> Slot (Ref_chan.resolve rf ~now ?arbitrate ()))
+          resolve ~now arb
+        | Reject { skip; bad; arb } -> (
+          let now = !next + skip in
+          last := Some now;
+          next := now + 1;
+          let before = (counters (), ref_counters ()) in
+          match resolve ~now bad with
+          | Raised _, Raised _ ->
+            if (counters (), ref_counters ()) <> before then
+              (Raised "a rejected arbitration left a trace", Done)
+            else (
+              match resolve ~now arb with
+              | (Slot _, Slot _) as again -> again
+              | _, want -> (Raised "the slot did not resolve after a rejection", want))
+          | outcome -> outcome)
         | Receive { dst; back } -> receive dst (!next - back)
-      in
-      let counters () =
-        ( (Channel.sent ch, Channel.lost ch, Channel.collisions ch),
-          (Channel.busy_slots ch, Channel.successes ch, Channel.pending ch) )
-      and ref_counters () =
-        ( (Ref_chan.sent rf, Ref_chan.lost rf, Ref_chan.collisions rf),
-          (Ref_chan.busy_slots rf, Ref_chan.successes rf, Ref_chan.pending rf) )
       in
       let agree (got, want) = got = want && counters () = ref_counters () in
       List.for_all (fun op -> agree (run op)) ops
