@@ -56,14 +56,22 @@ let begin_stage st (o : Adversary.oracle) =
          (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 delayed))
   end
 
-(* Keyed on the adversary value so [stages_of] can retrieve diagnostics.
-   [create] runs from Runner.run_grid worker domains (one instantiation
-   per run), so the registry and its id counter are mutex-guarded; the
-   [internal] state itself is only ever touched by the one run that owns
-   the adversary. The id only names the instance for [stages_of] lookup
-   and never reaches any metric, so its allocation order is free to vary
-   across parallel schedules. *)
-let registry : (string, internal) Hashtbl.t = Hashtbl.create 8
+(* Keyed physically on the adversary's name string, through an
+   ephemeron, so [stages_of] can retrieve diagnostics while the adversary
+   is reachable and an entry dies with it. [create] runs from
+   Runner.run_grid worker domains (one instantiation per run), so the
+   registry and its id counter are mutex-guarded; the [internal] state
+   itself is only ever touched by the one run that owns the adversary.
+   The id only names the instance and never reaches any metric, so its
+   allocation order is free to vary across parallel schedules. *)
+module Registry = Ephemeron.K1.Make (struct
+  type t = string
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let registry : internal Registry.t = Registry.create 8
 let next_id = ref 0
 let registry_mutex = Mutex.create ()
 
@@ -75,7 +83,7 @@ let create () =
     Mutex.protect registry_mutex (fun () ->
         incr next_id;
         let key = Printf.sprintf "lb-det-%d" !next_id in
-        Hashtbl.replace registry key st;
+        Registry.replace registry key st;
         key)
   in
   let schedule (o : Adversary.oracle) =
@@ -95,7 +103,7 @@ let create () =
 let stages_of (adv : Adversary.t) =
   match
     Mutex.protect registry_mutex (fun () ->
-        Hashtbl.find_opt registry adv.Adversary.name)
+        Registry.find_opt registry adv.Adversary.name)
   with
   | Some st -> List.rev st.history
   | None -> []

@@ -31,4 +31,5 @@ val create : unit -> Adversary.t
 
 val stages_of : Adversary.t -> (int * int * int list) list
 (** Diagnostic history for the {e most recent} run using this instance:
-    [(stage_start, u_s, J_s)] per stage, oldest first. *)
+    [(stage_start, u_s, J_s)] per stage, oldest first. The history is
+    held only while the adversary (its name string) is reachable. *)

@@ -57,10 +57,19 @@ let pick_js selection st (o : Adversary.oracle) =
          (List.length js_list))
   end
 
-(* Mutex-guarded like Lb_deterministic's registry: [create] is called
-   from Runner.run_grid worker domains. The per-instance [internal]
-   state stays single-owner; the id never reaches a metric. *)
-let registry : (string, internal) Hashtbl.t = Hashtbl.create 8
+(* Like Lb_deterministic's registry: an entry is keyed physically on
+   the adversary's name string and dies with it, and the table is
+   mutex-guarded because [create] is called from Runner.run_grid worker
+   domains. The per-instance [internal] state stays single-owner; the id
+   never reaches a metric. *)
+module Registry = Ephemeron.K1.Make (struct
+  type t = string
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let registry : internal Registry.t = Registry.create 8
 let next_id = ref 0
 let registry_mutex = Mutex.create ()
 
@@ -72,7 +81,7 @@ let create ?(selection = `Coverage) () =
     Mutex.protect registry_mutex (fun () ->
         incr next_id;
         let key = Printf.sprintf "lb-rand-%d" !next_id in
-        Hashtbl.replace registry key st;
+        Registry.replace registry key st;
         key)
   in
   let schedule (o : Adversary.oracle) =
@@ -101,7 +110,7 @@ let create ?(selection = `Coverage) () =
 let stages_of (adv : Adversary.t) =
   match
     Mutex.protect registry_mutex (fun () ->
-        Hashtbl.find_opt registry adv.Adversary.name)
+        Registry.find_opt registry adv.Adversary.name)
   with
   | Some st -> List.rev st.history
   | None -> []

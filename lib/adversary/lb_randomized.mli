@@ -34,4 +34,5 @@ val create : ?selection:[ `Coverage | `Random ] -> unit -> Adversary.t
 (** Default selection is [`Coverage]. Fresh instance per run. *)
 
 val stages_of : Adversary.t -> (int * int * int list) list
-(** [(stage_start, u_s, J_s)] history of the most recent run. *)
+(** [(stage_start, u_s, J_s)] history of the most recent run, held
+    only while the adversary (its name string) is reachable. *)

@@ -156,6 +156,27 @@ let test_lb_rand_stages_recorded () =
   check "completes" true m.Metrics.completed;
   check "stages recorded" true (List.length (Lb_randomized.stages_of adv) >= 1)
 
+(* A stage adversary's diagnostics live exactly as long as the
+   adversary: [stages_of] reads them while it is reachable, and once it
+   is dropped a full major collection frees its stage history. *)
+let test_lb_registry_entries_die_with_adversary () =
+  let weak = Weak.create 2 in
+  let[@inline never] run_and_watch i create stages_of algo =
+    let adv = create () in
+    ignore (run adv ~p:16 ~t:16 ~d:4 ~algo);
+    match stages_of adv with
+    | stage :: _ -> Weak.set weak i (Some stage)
+    | [] -> Alcotest.fail "no stage recorded"
+  in
+  run_and_watch 0 Lb_deterministic.create Lb_deterministic.stages_of
+    (Algo_da.make ~q:2 ());
+  run_and_watch 1
+    (fun () -> Lb_randomized.create ())
+    Lb_randomized.stages_of (Algo_pa.make_ran1 ());
+  Gc.full_major ();
+  check "lb-det stage history freed" true (Weak.get weak 0 = None);
+  check "lb-rand stage history freed" true (Weak.get weak 1 = None)
+
 let test_lb_work_grows_with_d () =
   (* The heart of the delay-sensitive lower bound: more delay budget, more
      forced work. Needs p = t large enough that the forced p*delta/3 per
@@ -275,6 +296,8 @@ let suite =
     Alcotest.test_case "lb-rand >= fair on PaRan1" `Quick test_lb_rand_hurts_pa;
     Alcotest.test_case "lb-rand records stages" `Quick
       test_lb_rand_stages_recorded;
+    Alcotest.test_case "lb registry entries die with the adversary" `Quick
+      test_lb_registry_entries_die_with_adversary;
     Alcotest.test_case "forced work grows with d" `Quick
       test_lb_work_grows_with_d;
     Alcotest.test_case "batched delivery legal" `Quick
