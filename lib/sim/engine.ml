@@ -334,7 +334,6 @@ module Make (A : Algorithm.S) = struct
       t = eng.cfg.Config.t;
       global_done = eng.global_done;
       local_done = (fun pid -> A.done_tasks eng.states.(pid));
-      alive = (fun pid -> eng.alive.(pid));
       halted = (fun pid -> eng.halted.(pid));
       live = eng.live;
       finished = eng.finished;

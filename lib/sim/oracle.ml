@@ -24,7 +24,6 @@ type view = {
   t : int;
   global_done : Bitset.t;
   local_done : int -> Bitset.t;
-  alive : int -> bool;
   halted : int -> bool;
   live : int;
   finished : bool;
@@ -35,7 +34,8 @@ type t = {
      after the monotonicity check each tick ORs the ledger into it,
      which leaves the ledger's chunks owned by the ledger, so the
      engine's next [set] writes in place instead of copying a chunk
-     a [Bitset.copy] had disowned. [None] before the first tick. *)
+     a [Bitset.copy] had disowned. [None] before the first tick, when
+     an empty set stands in. *)
   mutable prev_done : Bitset.t option;
   mutable ticks : int;
 }
@@ -73,17 +73,19 @@ let check_tick t view =
       (Printf.sprintf "no processor alive (live=%d)" view.live);
   (* monotone-global-done: performed tasks are never un-performed. Once
      [prev ⊆ global_done] holds, [prev ∪ global_done] is the ledger. *)
-  (match t.prev_done with
-   | None ->
-     let prev = Bitset.create (Bitset.length view.global_done) in
-     Bitset.union_into ~dst:prev view.global_done;
-     t.prev_done <- Some prev
-   | Some prev ->
-     if not (Bitset.subset prev view.global_done) then
-       subset_failure ~time:view.time ~invariant:"monotone-global-done"
-         ~sub:prev ~super:view.global_done ~what:"previous tick"
-         ~ledger:"the current ledger (a done task was un-done)" ();
-     Bitset.union_into ~dst:prev view.global_done);
+  let prev =
+    match t.prev_done with
+    | Some prev -> prev
+    | None ->
+      let prev = Bitset.create (Bitset.length view.global_done) in
+      t.prev_done <- Some prev;
+      prev
+  in
+  if not (Bitset.subset prev view.global_done) then
+    subset_failure ~time:view.time ~invariant:"monotone-global-done"
+      ~sub:prev ~super:view.global_done ~what:"previous tick"
+      ~ledger:"the current ledger (a done task was un-done)" ();
+  Bitset.union_into ~dst:prev view.global_done;
   (* local-within-global: knowledge may lag reality, never outrun it. *)
   for pid = 0 to view.p - 1 do
     let local = view.local_done pid in

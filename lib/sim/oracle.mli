@@ -49,7 +49,6 @@ type view = {
   t : int;
   global_done : Bitset.t;  (** ground truth: tasks performed anywhere *)
   local_done : int -> Bitset.t;  (** a processor's knowledge *)
-  alive : int -> bool;
   halted : int -> bool;
   live : int;
   finished : bool;

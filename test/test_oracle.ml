@@ -11,10 +11,10 @@ let t = 10
 
 let set_of xs = Bitset.of_list t xs
 
-(* A view of [p = 4] processors at tick 5: every pid alive, none halted,
-   each knowing [locals.(pid)], the ledger holding [global]. *)
-let view ?(time = 5) ?(locals = Array.make 4 []) ?(alive = Array.make 4 true)
-    ?(halted = Array.make 4 false) ?(live = 4) ?(finished = false) global =
+(* A view of [p = 4] processors at tick 5, none halted, each knowing
+   [locals.(pid)], the ledger holding [global]. *)
+let view ?(time = 5) ?(locals = Array.make 4 []) ?(halted = Array.make 4 false)
+    ?(live = 4) ?(finished = false) global =
   let locals = Array.map set_of locals in
   {
     Oracle.time;
@@ -22,7 +22,6 @@ let view ?(time = 5) ?(locals = Array.make 4 []) ?(alive = Array.make 4 true)
     t;
     global_done = set_of global;
     local_done = (fun pid -> locals.(pid));
-    alive = (fun pid -> alive.(pid));
     halted = (fun pid -> halted.(pid));
     live;
     finished;
@@ -132,7 +131,6 @@ let test_healthy_ticks_allocate_nothing () =
       t;
       global_done = global;
       local_done = (fun pid -> if !full && pid < 8 then all else locals.(pid));
-      alive = (fun _ -> true);
       halted = (fun pid -> !full && pid < 8);
       live = p;
       finished;
