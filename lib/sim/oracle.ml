@@ -30,12 +30,12 @@ type view = {
 }
 
 type t = {
-  (* The ledger as of the last tick, kept as a live set of its own:
-     after the monotonicity check each tick ORs the ledger into it,
-     which leaves the ledger's chunks owned by the ledger, so the
-     engine's next [set] writes in place instead of copying a chunk
-     a [Bitset.copy] had disowned. [None] before the first tick, when
-     an empty set stands in. *)
+  (* The ledger as of the last tick, a live set of its own that each
+     tick ORs the ledger into after the monotonicity check. Reading the
+     ledger through [union_into] leaves its chunks owned by the ledger,
+     so the engine keeps writing them in place; a [Bitset.copy] would
+     disown them all. [None] before the first tick, when an empty set
+     stands in. *)
   mutable prev_done : Bitset.t option;
   mutable ticks : int;
 }
