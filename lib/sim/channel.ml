@@ -32,6 +32,7 @@ type 'msg t = {
   mutable n_success : int;
   mutable n_lost : int;
   mutable last_slot : int; (* slots resolve in strictly increasing order *)
+  mutable last_receive : int; (* the greatest [now] a receive has seen *)
 }
 
 let create ~p ~collision () =
@@ -53,6 +54,7 @@ let create ~p ~collision () =
     n_success = 0;
     n_lost = 0;
     last_slot = min_int;
+    last_receive = min_int;
   }
 
 let p t = t.p
@@ -205,6 +207,8 @@ let check_permutation t n perm =
 let resolve t ~now ?arbitrate () =
   if now <= t.last_slot then
     invalid_arg "Channel.resolve: slots must resolve in increasing order";
+  if now < t.last_receive then
+    invalid_arg "Channel.resolve: slot before a receiver's clock";
   let n = ref 0 in
   for src = 0 to t.p - 1 do
     let st = Array.unsafe_get t.stations src in
@@ -250,6 +254,7 @@ let resolve t ~now ?arbitrate () =
 
 let receive_iter t ~dst ~now f =
   check_pid t dst "Channel.receive_iter";
+  if now > t.last_receive then t.last_receive <- now;
   Network.receive_iter t.net ~dst ~now f
 
 let pending t = t.queued_fan + Network.pending t.net

@@ -95,15 +95,19 @@ val resolve :
     of its argument ([Invalid_argument] otherwise) or [None] to decline
     — declining (or omitting [?arbitrate]) lets two or more contenders
     collide. Slots must be resolved in strictly increasing [now]
-    order. *)
+    order, and no slot before the greatest [now] a {!receive_iter} has
+    seen may be resolved ([Invalid_argument] either way). Every check
+    comes before the first write, so a rejected call leaves the channel
+    as it was. *)
 
 val receive_iter : 'msg t -> dst:int -> now:int -> (int -> 'msg -> unit) -> int
 (** Deliver every message owed to [dst] with due time [<= now], oldest
     first, as [f src msg]; returns the delivery count. [now] must not
     run ahead of the next slot to resolve, as in the engine, where a
     tick's steps come before its slot: a frame resolved at a slot
-    before [dst]'s last [now] would be due behind its delivery cursor
-    ([Invalid_argument] from {!resolve}). *)
+    before any receiver's last [now] would be due behind that
+    receiver's delivery cursor, so {!resolve} rejects the slot
+    ([Invalid_argument]). *)
 
 val pending : 'msg t -> int
 (** Deliveries owed but not yet received: queued frames count their

@@ -24,6 +24,7 @@ type 'msg t = {
   mutable busy : int;
   mutable successes : int;
   mutable last_slot : int;
+  mutable last_receive : int;
 }
 
 let create ~p ~collision =
@@ -39,6 +40,7 @@ let create ~p ~collision =
     busy = 0;
     successes = 0;
     last_slot = min_int;
+    last_receive = min_int;
   }
 
 let check_pid t pid name =
@@ -101,6 +103,8 @@ let backoff ~p ~now ~src =
 let resolve t ~now ?arbitrate () =
   if now <= t.last_slot then
     invalid_arg "Channel.resolve: slots must resolve in increasing order";
+  if now < t.last_receive then
+    invalid_arg "Channel.resolve: slot before a receiver's clock";
   let contenders =
     List.filter
       (fun src -> match t.stations.(src) with
@@ -150,6 +154,7 @@ let resolve t ~now ?arbitrate () =
 
 let receive_iter t ~dst ~now f =
   check_pid t dst "Channel.receive_iter";
+  t.last_receive <- max t.last_receive now;
   let mine, rest =
     List.partition (fun (due, _, _, d, _) -> d = dst && due <= now) t.queued
   in

@@ -119,6 +119,30 @@ let test_arbitration_must_permute () =
        false
      with Invalid_argument _ -> true)
 
+(* A frame resolved at a slot before a receiver's clock would be due
+   behind its delivery cursor: resolve rejects the slot and changes
+   nothing. *)
+let test_slot_behind_receive_rejected () =
+  let ch = Channel.create ~p:3 ~collision:Config.Silent () in
+  Channel.transmit ch ~src:0 ~release:0 ~bcast:"b" ~unis:[ (2, "u") ] ();
+  check_int "nothing due yet" 0 (Channel.receive_iter ch ~dst:2 ~now:5 (fun _ _ -> ()));
+  let before () =
+    ( (Channel.sent ch, Channel.lost ch, Channel.collisions ch),
+      (Channel.busy_slots ch, Channel.successes ch, Channel.pending ch) )
+  in
+  let counters = before () in
+  check "slot 0 after a receive at 5 rejected" true
+    (try
+       ignore (Channel.resolve ch ~now:0 ());
+       false
+     with Invalid_argument _ -> true);
+  check "counters unchanged" true (before () = counters);
+  check_int "nothing delivered" 0 (Channel.receive_iter ch ~dst:2 ~now:6 (fun _ _ -> ()));
+  let slot = Channel.resolve ch ~now:6 () in
+  check_int "the frame goes out at the receiver's clock" 2 slot.Channel.slot_delivered;
+  check_int "both copies reach pid 2 a slot later" 2
+    (Channel.receive_iter ch ~dst:2 ~now:7 (fun _ _ -> ()))
+
 let test_frame_validation () =
   let ch = Channel.create ~p:3 ~collision:Config.Silent () in
   check "empty frame rejected" true
@@ -223,7 +247,10 @@ let delivers_iff_single_contender =
    non-permutation, and an out-of-order slot), rejected arbitrations
    followed by the same slot resolved again, and receives at random
    destinations. Receives never run ahead of the next slot to resolve,
-   as in the engine, where a tick's steps come before its slot. Every
+   as in the engine, where a tick's steps come before its slot, except
+   in [Behind]: a receive ahead of the next slot, after which resolving
+   that slot must raise and leave every counter and pending delivery as
+   it was. Every
    outcome — unit, slot record, (src, msg) delivery sequence, or the
    text of a raised [Invalid_argument] — and every counter must match
    after every operation. Payloads are boxes, sometimes reused, so
@@ -251,6 +278,9 @@ type chan_op =
       (* resolve with the non-permutation [bad]; if both reject it,
          nothing may have changed, and the slot resolves with [arb] *)
   | Receive of { dst : int; back : int }
+  | Behind of { dst : int; ahead : int; arb : arb }
+      (* receive at [ahead] slots past the next one, then resolve the
+         next slot: both must reject it *)
 
 type outcome =
   | Done
@@ -325,6 +355,11 @@ let prop_channel_matches_ref =
               let* dst = pid in
               let* back = frequencyl [ (4, 0); (1, 1); (1, 2) ] in
               return (Receive { dst; back }) );
+            ( 1,
+              let* dst = int_range 0 (p - 1) in
+              let* ahead = int_range 1 5 in
+              let* arb = oneofl [ No_arb; Identity; Reverse; Rotor; Decline ] in
+              return (Behind { dst; ahead; arb }) );
           ]
       in
       let* ops = list_size (int_range 1 80) op in
@@ -413,6 +448,22 @@ let prop_channel_matches_ref =
               | _, want -> (Raised "the slot did not resolve after a rejection", want))
           | outcome -> outcome)
         | Receive { dst; back } -> receive dst (!next - back)
+        | Behind { dst; ahead; arb } -> (
+          let slot = !next and now = !next + ahead in
+          (* the receiver's clock is now [now]: slots before it are
+             closed for good *)
+          next := now;
+          match receive dst now with
+          | (Got _, Got _) as got when fst got <> snd got -> got
+          | Got _, Got _ -> (
+            let before = (counters (), ref_counters ()) in
+            match resolve ~now:slot arb with
+            | Raised _, Raised _ as raised ->
+              if (counters (), ref_counters ()) <> before then
+                (Raised "a rejected slot left a trace", Done)
+              else raised
+            | _, want -> (Raised "a slot behind a receive resolved", want))
+          | outcome -> outcome)
       in
       let agree (got, want) = got = want && counters () = ref_counters () in
       List.for_all (fun op -> agree (run op)) ops
@@ -586,6 +637,8 @@ let suite =
       test_arbitration_decline_collides;
     Alcotest.test_case "arbitration must permute" `Quick
       test_arbitration_must_permute;
+    Alcotest.test_case "a slot behind a receive is rejected" `Quick
+      test_slot_behind_receive_rejected;
     Alcotest.test_case "frame validation" `Quick test_frame_validation;
     Alcotest.test_case "message counting on a shared medium" `Quick
       test_message_counting_mixed_frame;
