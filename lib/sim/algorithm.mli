@@ -99,7 +99,13 @@ module type S = sig
       after [st] has absorbed [m] leaves [st] as it was. A union, as in
       PA and DA, qualifies. The earlier digest comes first so that a
       fold can record its result's lineage against it
-      ({!Bitset.union_snapshots}). *)
+      ({!Bitset.union_snapshots}).
+
+      Digests are cumulative, and one delivery may span several
+      epochs: a receiver that skipped steps gets the latest digest once,
+      for every epoch it missed, instead of one digest per epoch.
+      Delivering it once must therefore leave [st] as delivering each
+      of those epochs' messages would, which a union does. *)
 
   val step : state -> msg step_result
   (** One local step. Must eventually reach [is_done] in any fair

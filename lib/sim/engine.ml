@@ -91,11 +91,13 @@ module Make (A : Algorithm.S) = struct
         (* constant-latency fast path: declared Fixed/Maximal latency, no
            fault injection, no crash recovery. Broadcasts become one
            entry of the network's broadcast log instead of p-1 sends and
-           epochs of merge-homomorphic payloads fold into one digest.
-           Bit-identical to the general path by construction (pinned by
-           the golden grid and the stream equivalence tests). Recovery
-           stays excluded because of the digest: it folds in the
-           receiver's own broadcasts, which is harmless only while the
+           merge-homomorphic payloads fold, epoch by epoch, into one
+           cumulative digest (the chain), which a receiver gets once for
+           every epoch it has not passed. Bit-identical to the general
+           path by construction (pinned by the golden grid and the
+           stream equivalence tests). Recovery stays excluded because of
+           the chain: it folds in every broadcast below the receiver's
+           cursor, its own included, which is harmless only while the
            receiver's knowledge already contains them, and a restart
            resets that knowledge (test_stream pins a flaky cell where
            the two paths differ). *)
@@ -565,7 +567,7 @@ module Make (A : Algorithm.S) = struct
     (* Deliver due messages, then take the local step. *)
     let st = eng.states.(pid) in
     (* receive_iter returns the logical delivery count itself (a digest
-       callback can stand for a whole epoch), so probed and unprobed
+       callback can stand for several epochs), so probed and unprobed
        runs share one delivery loop *)
     (* The three hot phases run back to back, so each transition is one
        clock read ({!Span.shift}); the whole step costs four reads. *)
@@ -694,7 +696,7 @@ module Make (A : Algorithm.S) = struct
         match eng.fabric with
         | Ptp net ->
           (* broadcast-log occupancy: retained log entries and bytes
-             held by cached epoch digests (0 outside the digest path) *)
+             held by the chain digest (0 outside the digest path) *)
           let records, digest_words = Network.stream_stats net in
           Probe.set eng.ins.i_stream_pending records;
           Probe.set eng.ins.i_stream_digest

@@ -59,32 +59,19 @@ type 'msg t = {
   cursor : int array; (* per pid: absolute index of the next entry *)
   active : bool array;
   mutable n_active : int;
-  (* Epoch index for the digest fast path (None fold = disabled). An
-     epoch is a maximal run of equal-due entries; since dues never
-     decrease, epochs are contiguous [e_start(e), e_start(e+1)) slices
-     of the log, themselves kept in a circular deque indexed by absolute
-     epoch number. [e_digest] caches the epoch's digest (see [digest]),
-     computed at the first whole-epoch drain and shared by every later
-     receiver; sound because an entry due at T was added at
-     T - delta < T (delta >= 1), so a deliverable epoch can no longer
-     grow.
-
-     [chain] is the digest of the greatest epoch digested so far,
-     [chain_epoch]; the fold of a later epoch takes it as its first
-     input, so a receiver whose knowledge came from it adopts the new
-     digest's chunks through the lineage (Bitset.union_snapshots). Sound
-     because every receiver of epoch [e] has passed every earlier epoch,
-     by a digest, per entry, or as its own entries, so it already holds
-     [chain]'s content (stream runs have no restarts). Dropped when the
-     log drains. *)
+  (* Digest fast path (None fold = disabled). [chain] is one cumulative
+     digest of every log entry below [chain_end] (None: no entry is
+     digested yet). An epoch is a maximal run of equal-due entries; the
+     first receiver to reach [chain_end] with the next entry due folds
+     that epoch onto [chain]. Sound because an entry due at T was added
+     at T - delta < T (delta >= 1), so a deliverable epoch can no longer
+     grow. A receiver below [chain_end] gets [chain] in one callback:
+     it has passed every entry below its cursor, by the chain, per entry
+     or as its own, so it already holds the rest of the chain's content
+     (stream runs have no restarts). Dropped when the log drains. *)
   fold : ('msg array -> 'msg) option;
-  mutable e_start : int array; (* absolute log index opening epoch e *)
-  mutable e_due : int array;
-  mutable e_digest : 'msg option array;
-  mutable e_head : int; (* absolute index of first retained epoch *)
-  mutable e_tail : int; (* one past the last epoch *)
   mutable chain : 'msg option;
-  mutable chain_epoch : int;
+  mutable chain_end : int;
 }
 
 let create ?digest ~horizon ~p () =
@@ -117,13 +104,8 @@ let create ?digest ~horizon ~p () =
     active = Array.make p true;
     n_active = p;
     fold = digest;
-    e_start = [||];
-    e_due = [||];
-    e_digest = [||];
-    e_head = 0;
-    e_tail = 0;
     chain = None;
-    chain_epoch = -1;
+    chain_end = 0;
   }
 
 let p t = t.p
@@ -200,7 +182,7 @@ let drop_copy t id =
   Array.unsafe_set t.rec_copies id c;
   if c = 0 then release t id
 
-(* -- broadcast log and its epoch deque ------------------------------ *)
+(* -- broadcast log ------------------------------------------------- *)
 
 (* circular array [a] copied into a fresh one of capacity [cap'], every
    absolute index in [lo, hi) kept at its slot *)
@@ -221,61 +203,17 @@ let grow_log t =
   t.l_src <- recap t.l_src ~lo ~hi cap' 0;
   t.l_rc <- recap t.l_rc ~lo ~hi cap' 0
 
-let epoch_end t e =
-  if e + 1 < t.e_tail then t.e_start.((e + 1) land (Array.length t.e_start - 1))
-  else t.tail
-
-let epoch_push t ~due =
-  let emask = Array.length t.e_start - 1 in
-  if
-    t.e_tail = t.e_head
-    || due > Array.unsafe_get t.e_due ((t.e_tail - 1) land emask)
-  then begin
-    if t.e_tail - t.e_head = Array.length t.e_start then begin
-      let cap = Array.length t.e_start in
-      let cap' = if cap = 0 then 8 else 2 * cap in
-      let lo = t.e_head and hi = t.e_tail in
-      t.e_start <- recap t.e_start ~lo ~hi cap' 0;
-      t.e_due <- recap t.e_due ~lo ~hi cap' 0;
-      t.e_digest <- recap t.e_digest ~lo ~hi cap' None
-    end;
-    let j = t.e_tail land (Array.length t.e_start - 1) in
-    Array.unsafe_set t.e_start j t.tail;
-    Array.unsafe_set t.e_due j due;
-    Array.unsafe_set t.e_digest j None;
-    t.e_tail <- t.e_tail + 1
-  end
-
-(* Greatest retained epoch whose start is <= c (binary search; the
-   in-flight window holds at most delta + 1 epochs, but stay O(log)). *)
-let epoch_of t c =
-  let emask = Array.length t.e_start - 1 in
-  let lo = ref t.e_head and hi = ref (t.e_tail - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if Array.unsafe_get t.e_start (mid land emask) <= c then lo := mid
-    else hi := mid - 1
-  done;
-  !lo
-
-let epoch_reclaim t =
-  while t.e_head < t.e_tail && epoch_end t t.e_head <= t.head do
-    let j = t.e_head land (Array.length t.e_start - 1) in
-    Array.unsafe_set t.e_digest j None;
-    t.e_head <- t.e_head + 1
-  done
-
 (* drop the zero-count prefix of the log with its records *)
 let reclaim t =
   let mask = Array.length t.l_due - 1 in
-  let moved = ref false in
   while t.head < t.tail && Array.unsafe_get t.l_rc (t.head land mask) = 0 do
     release t (Array.unsafe_get t.l_id (t.head land mask));
-    t.head <- t.head + 1;
-    moved := true
+    t.head <- t.head + 1
   done;
-  if !moved && t.e_tail > t.e_head then epoch_reclaim t;
-  if t.head = t.tail then t.chain <- None
+  if t.head = t.tail then begin
+    t.chain <- None;
+    t.chain_end <- t.tail
+  end
 
 (* Position [dst]'s cursor at its earliest undelivered entry with
    [due <= now]; false if there is none or [dst] is inactive. *)
@@ -316,113 +254,97 @@ let pop t ~dst f =
   t.in_flight <- t.in_flight - 1;
   f src msg
 
-(* fold(chain :: all msgs of epoch [e]), cached so only the first
-   receiver pays; a single-record epoch with no chain is its record.
-   Safe to compute at any drain: [head <= cursor(dst) = e_start(e)]
-   keeps every entry of the epoch and its record un-reclaimed, and a
-   deliverable epoch is sealed (see the type comment). The fold's input
-   starts as [Array.make] of a long-lived value: [Array.init] over more
-   than 256 young payloads allocates in the major heap and forces a
-   minor collection first. *)
-let digest t e fold =
-  let j = e land (Array.length t.e_start - 1) in
-  match Array.unsafe_get t.e_digest j with
-  | Some d -> d
-  | None ->
-    let start = Array.unsafe_get t.e_start j in
-    let n = epoch_end t e - start in
-    let mask = Array.length t.l_due - 1 in
-    let msg k =
-      Array.unsafe_get t.rec_msg (Array.unsafe_get t.l_id (k land mask))
-    in
-    (* digests are made in epoch order (whoever reaches [e] first has
-       digested every earlier epoch still retained), so [chain_epoch < e]
-       holds; the test keeps a later digest out regardless *)
-    let prev = if t.chain_epoch < e then t.chain else None in
-    let d =
-      match prev with
-      | None when n = 1 -> msg start
-      | _ ->
-        let fill = match t.filler with Some f -> f | None -> msg start in
-        let k = match prev with Some _ -> 1 | None -> 0 in
-        let ms = Array.make (k + n) fill in
-        (match prev with Some c -> Array.unsafe_set ms 0 c | None -> ());
-        for i = 0 to n - 1 do
-          Array.unsafe_set ms (k + i) (msg (start + i))
-        done;
-        let d = fold ms in
-        (* a major-heap [ms] would promote the young payloads it still
-           holds at the next minor collection *)
-        Array.fill ms 0 (k + n) fill;
-        d
-    in
-    let sd = Some d in
-    Array.unsafe_set t.e_digest j sd;
-    if e > t.chain_epoch then begin
-      t.chain <- sd;
-      t.chain_epoch <- e
-    end;
-    d
+(* Fold the epoch opening at [chain_end] onto [chain]: fold(chain ::
+   the epoch's msgs), or its record when it is a single record and there
+   is no chain. The epoch's entries and records are retained, as the
+   caller's cursor is at [chain_end], and it is sealed (see the type
+   comment). The fold's input starts as [Array.make] of a long-lived
+   value: [Array.init] over more than 256 young payloads allocates in the
+   major heap and forces a minor collection first. *)
+let extend_chain t fold =
+  let mask = Array.length t.l_due - 1 in
+  let start = t.chain_end in
+  let due = Array.unsafe_get t.l_due (start land mask) in
+  let stop = ref (start + 1) in
+  while !stop < t.tail && Array.unsafe_get t.l_due (!stop land mask) = due do
+    incr stop
+  done;
+  let n = !stop - start in
+  let msg k =
+    Array.unsafe_get t.rec_msg (Array.unsafe_get t.l_id (k land mask))
+  in
+  let d =
+    match t.chain with
+    | None when n = 1 -> msg start
+    | prev ->
+      let fill = match t.filler with Some f -> f | None -> msg start in
+      let k = match prev with Some _ -> 1 | None -> 0 in
+      let ms = Array.make (k + n) fill in
+      (match prev with Some c -> Array.unsafe_set ms 0 c | None -> ());
+      for i = 0 to n - 1 do
+        Array.unsafe_set ms (k + i) (msg (start + i))
+      done;
+      let d = fold ms in
+      (* a major-heap [ms] would promote the young payloads it still
+         holds at the next minor collection *)
+      Array.fill ms 0 (k + n) fill;
+      d
+  in
+  t.chain <- Some d;
+  t.chain_end <- !stop
 
 (* Deliver every log entry due for [dst] by [now] and return the number
    of logical deliveries (entries from other sources consumed). Without
    [fold] this is a peek/pop loop, one callback per entry with its true
-   source. With [fold], each whole due epoch is delivered as a single
-   callback carrying the epoch digest and source [-1] (the digest has no
-   single source); the receiver's own contribution and the chain may be
-   folded in — content it already holds, harmless under the
-   merge-homomorphism contract — while the count still excludes its own
-   entries. A cursor left mid-epoch by the per-entry merge path falls
-   back to single-entry delivery until the next epoch boundary. *)
+   source. With [fold], a receiver below [chain_end] gets the chain as a
+   single callback with source [-1] (the digest has no single source),
+   once the last entry it covers is due; the receiver's own entries and
+   entries it passed earlier are folded in too — content it already
+   holds, harmless under the merge-homomorphism contract — while the
+   count still excludes its own entries. A receiver at [chain_end] first
+   folds the next due epoch onto the chain. Entries go one at a time
+   past [chain_end], or while the chain's last entry is not yet due for
+   this receiver's clock. *)
 let drain t ~dst ~now f =
   let delivered = ref 0 in
-  (match t.fold with
-   | None ->
-     while peek t ~dst ~now do
-       pop t ~dst f;
-       incr delivered
-     done
-   | Some fold ->
-     let running = ref (Array.unsafe_get t.active dst) in
-     while !running do
-       let c = Array.unsafe_get t.cursor dst in
-       let mask = Array.length t.l_due - 1 in
-       if c >= t.tail || Array.unsafe_get t.l_due (c land mask) > now then
-         running := false
-       else begin
-         let e = epoch_of t c in
-         if Array.unsafe_get t.e_start (e land (Array.length t.e_start - 1)) = c
-         then begin
-           (* whole due epoch: one digest apply replaces the per-entry
-              walk; own entries are passed inside the same scan (their
-              contribution to the digest is a subset of the receiver's
-              own knowledge) *)
-           let stop = epoch_end t e in
-           let dmsg = digest t e fold in
-           let own = ref 0 in
-           for k = c to stop - 1 do
-             let i = k land mask in
-             Array.unsafe_set t.l_rc i (Array.unsafe_get t.l_rc i - 1);
-             if Array.unsafe_get t.l_src i = dst then incr own
-           done;
-           Array.unsafe_set t.cursor dst stop;
-           reclaim t;
-           let n = stop - c - !own in
-           if n > 0 then begin
-             delivered := !delivered + n;
-             t.in_flight <- t.in_flight - n;
-             f (-1) dmsg
-           end
-         end
-         else if peek t ~dst ~now then begin
-           (* mid-epoch cursor (left by the per-entry merge path):
-              single-entry step, then retry the fast path *)
-           pop t ~dst f;
-           incr delivered
-         end
-         else running := false
-       end
-     done);
+  let running = ref (Array.unsafe_get t.active dst) in
+  while !running do
+    let mask = Array.length t.l_due - 1 in
+    let c = Array.unsafe_get t.cursor dst in
+    (match t.fold with
+     | Some fold
+       when c = t.chain_end && c < t.tail
+            && Array.unsafe_get t.l_due (c land mask) <= now ->
+       extend_chain t fold
+     | _ -> ());
+    let stop = t.chain_end in
+    match t.chain with
+    | Some d
+      when c < stop && Array.unsafe_get t.l_due ((stop - 1) land mask) <= now
+      ->
+      (* one chain apply replaces the per-entry walk; own entries are
+         passed inside the same scan *)
+      let own = ref 0 in
+      for k = c to stop - 1 do
+        let i = k land mask in
+        Array.unsafe_set t.l_rc i (Array.unsafe_get t.l_rc i - 1);
+        if Array.unsafe_get t.l_src i = dst then incr own
+      done;
+      Array.unsafe_set t.cursor dst stop;
+      reclaim t;
+      let n = stop - c - !own in
+      if n > 0 then begin
+        delivered := !delivered + n;
+        t.in_flight <- t.in_flight - n;
+        f (-1) d
+      end
+    | _ ->
+      if peek t ~dst ~now then begin
+        pop t ~dst f;
+        incr delivered
+      end
+      else running := false
+  done;
   !delivered
 
 (* -- sends and deliveries ------------------------------------------ *)
@@ -529,7 +451,6 @@ let broadcast t ~src ~due msg =
     (* a later unicast must draw a later [seq] than this record *)
     t.last <- -1;
     if t.tail - t.head = Array.length t.l_due then grow_log t;
-    (match t.fold with Some _ -> epoch_push t ~due | None -> ());
     let i = t.tail land (Array.length t.l_due - 1) in
     Array.unsafe_set t.l_due i due;
     Array.unsafe_set t.l_id i id;
@@ -561,7 +482,7 @@ let receive_iter t ~dst ~now f =
   match Array.unsafe_get t.rings dst with
   | None ->
     (* the common broadcast-only case: one index, no merge; with a
-       digest fold this is the epoch fast path *)
+       digest fold this is the chain fast path *)
     drain t ~dst ~now f
   | Some ring ->
     let n = ref 0 in
@@ -605,25 +526,8 @@ let receive t ~dst ~now =
   List.rev !acc
 
 let stream_stats t =
-  (* one walk over every cached digest together: digests may share
-     blocks (copy-on-write knowledge chunks), and a per-digest sum would
-     count each shared block once per digest *)
-  let digests = ref [] in
-  if t.e_tail > t.e_head then begin
-    let emask = Array.length t.e_start - 1 in
-    for e = t.e_head to t.e_tail - 1 do
-      match Array.unsafe_get t.e_digest (e land emask) with
-      | Some d -> digests := d :: !digests
-      | None -> ()
-    done
-  end;
   let words =
-    match !digests with
-    | [] -> 0
-    | ds ->
-      let arr = Array.of_list ds in
-      (* minus the walk's own array block *)
-      Obj.reachable_words (Obj.repr arr) - (Array.length arr + 1)
+    match t.chain with Some d -> Obj.reachable_words (Obj.repr d) | None -> 0
   in
   (t.tail - t.head, words)
 

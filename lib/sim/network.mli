@@ -40,27 +40,34 @@ val create :
 
     [?digest] is the algorithm's merge-homomorphism witness
     ({!Algorithm.S.merge_homomorphic}): broadcasts due at the same
-    instant are pre-folded once and delivered to each receiver as a
-    single epoch-digest message with source [-1]. Epochs are sealed
-    before they become deliverable (broadcasts due at [T] were sent at
-    [T - delta], [delta >= 1]), so a cached digest never goes stale.
-    Counters — {!sent}, {!pending}, and the delivery count returned by
-    {!receive_iter} — are unchanged: they account logical [p - 1]-way
-    multicasts regardless of how deliveries are materialized.
+    instant (an epoch) are pre-folded once into one cumulative digest,
+    the chain, delivered as a single message with source [-1]. The
+    network keeps one chain, covering every log entry up to some point;
+    the first receiver to reach that point with the next epoch due folds
+    the epoch onto the chain, the chain first, then the epoch's
+    payloads. Epochs are sealed before they become deliverable
+    (broadcasts due at [T] were sent at [T - delta], [delta >= 1]), so
+    the chain never misses an entry it claims to cover. A receiver
+    whose cursor is behind the chain's end gets the chain in one
+    callback, however many epochs it spans, once the chain's last entry
+    is due to it; until then, and past the chain's end, it takes
+    entries one at a time with their true sources, so a digest never
+    carries a record not yet due to its receiver, whatever clock each
+    destination polls with. Counters — {!sent}, {!pending}, and the
+    delivery count returned by {!receive_iter} — are unchanged: they
+    account logical [p - 1]-way multicasts regardless of how deliveries
+    are materialized.
 
-    Digests are cumulative. The network keeps the digest of the
-    greatest epoch digested so far (its chain), and the fold of a later
-    epoch [e] gets it as its first input, before the epoch's payloads.
-    Every receiver of epoch [e] has passed every earlier epoch — by a
-    digest, per entry, or as its own entries — so it already holds the
-    chain's content, which the contract of
+    A receiver of the chain has passed every entry below its cursor —
+    by the chain, per entry, or as its own entries — so it already holds
+    the rest of the chain's content, which the contract of
     {!Algorithm.S.merge_homomorphic} makes harmless to receive again.
-    A fold can then record the digest's lineage against the chain's
+    A fold can record the new chain's lineage against the old one
     ({!Bitset.union_snapshots}), and a receiver whose knowledge came
-    from the previous digest adopts the new one's chunks unread. An
-    epoch with a single record and no chain is delivered as that
-    record, unfolded. The chain is dropped when the broadcast log
-    drains, so an idle network holds no digest. *)
+    from the old chain adopts the new one's chunks unread. An epoch
+    with a single record and no chain is delivered as that record,
+    unfolded. The chain is dropped when the broadcast log drains, so an
+    idle network holds no digest. *)
 
 val p : 'msg t -> int
 
@@ -128,7 +135,7 @@ val receive_iter : 'msg t -> dst:int -> now:int -> (int -> 'msg -> unit) -> int
     message, in the same order as {!receive}, without materializing the
     intermediate list — the engine's per-step delivery path. Returns
     the number of logical deliveries: on the digest fast path one
-    callback can stand for a whole epoch ([f (-1) digest]), but the
+    callback can stand for one or several epochs ([f (-1) digest]), but the
     count still reflects the individual messages consumed, so
     [net.deliveries] is the same with or without a digest. *)
 
@@ -144,7 +151,6 @@ val sent : 'msg t -> int
 
 val stream_stats : 'msg t -> int * int
 (** [(pending_records, digest_words)]: the broadcast log's occupancy —
-    retained entries, and the heap words reachable from the currently
-    cached epoch digests taken together, so a block shared by several
-    digests counts once. A digest's lineage is reachable from it, so
+    retained entries, and the heap words reachable from the chain (0
+    when there is none). The chain's lineage is reachable from it, so
     its words count too. Read-only. *)

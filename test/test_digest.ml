@@ -70,25 +70,43 @@ let prop_digest_equals_sequential =
    the reference's records in the reference's order. Payloads are
    record sets and the digest is their union (Ref_net.union), so a
    chained digest may repeat records the receiver holds, but it may
-   carry none not yet due to it. *)
+   carry none not yet due to it. Two polling schedules: every receiver
+   polls every step on the common clock; or receivers skip polls for
+   several steps, so one digest spans several epochs, and some poll on
+   their own clocks, lagging the others, so the chain often ends with
+   records not yet due to them. *)
 
 let test_backend_parity () =
   let p = 8 in
   let due_of = Hashtbl.create 64 in
-  let drive ~broadcast ~receive_iter ~sent =
+  let steps = 40 in
+  let drive ~clock ~broadcast ~receive_iter ~sent =
     let got = Array.init p (fun dst -> Ref_net.arrivals ~dst) in
     let delivered = ref 0 and ok = ref true and id = ref 0 in
-    for now = 0 to 40 do
+    let spans = ref 0 and singles = ref 0 in
+    for now = 0 to steps do
       for dst = 0 to p - 1 do
-        delivered :=
-          !delivered
-          + receive_iter ~dst ~now (fun src msg ->
-                ok :=
-                  !ok
-                  && Ref_net.arrive got.(dst) ~src msg
-                  && List.for_all
-                       (fun (_, i) -> Hashtbl.find due_of i <= now)
-                       msg)
+        match clock ~dst ~now with
+        | None -> ()
+        | Some now ->
+          delivered :=
+            !delivered
+            + receive_iter ~dst ~now (fun src msg ->
+                  let due (_, i) = Hashtbl.find due_of i in
+                  (* the distinct dues of the records new to [dst] *)
+                  let fresh =
+                    List.filter
+                      (fun ((s, _) as r) ->
+                        s <> dst && not (Hashtbl.mem got.(dst).Ref_net.seen r))
+                      msg
+                    |> List.map due |> List.sort_uniq compare
+                  in
+                  if src < 0 && List.length fresh > 1 then incr spans;
+                  if src >= 0 then incr singles;
+                  ok :=
+                    !ok
+                    && Ref_net.arrive got.(dst) ~src msg
+                    && List.for_all (fun r -> due r <= now) msg)
       done;
       if now <= 30 then
         (* two same-due broadcasts per step: multi-record epochs, one of
@@ -100,31 +118,48 @@ let test_backend_parity () =
             broadcast ~src ~due:(now + 3) [ (src, !id) ])
           [ now mod p; (now + 3) mod p ]
     done;
-    (sent (), !delivered, !ok, Array.map (fun a -> a.Ref_net.order) got)
+    ( (sent (), !delivered, !ok, Array.map (fun a -> a.Ref_net.order) got),
+      (!spans, !singles) )
   in
-  let drive_net net =
-    drive ~broadcast:(Network.broadcast net)
-      ~receive_iter:(Network.receive_iter net) ~sent:(fun () ->
-        Network.sent net)
+  let parity name clock =
+    let drive_net net =
+      drive ~clock ~broadcast:(Network.broadcast net)
+        ~receive_iter:(Network.receive_iter net) ~sent:(fun () ->
+          Network.sent net)
+    in
+    let (fs, fd, fok, fg), _ =
+      let rf = Ref_net.create ~p in
+      drive ~clock ~broadcast:(Ref_net.broadcast rf)
+        ~receive_iter:(Ref_net.receive_iter rf) ~sent:(fun () ->
+          Ref_net.sent rf)
+    in
+    let (rs, rd, rok, rg), _ = drive_net (Network.create ~horizon:8 ~p ()) in
+    let (ds, dd, dok, dg), shapes =
+      drive_net (Network.create ~digest:Ref_net.union ~horizon:8 ~p ())
+    in
+    let check what = check (name ^ ": " ^ what)
+    and check_int what = check_int (name ^ ": " ^ what) in
+    check_int "net.sends: reference = ring" fs rs;
+    check_int "net.sends: ring = digest" rs ds;
+    check_int "net.deliveries: reference = ring" fd rd;
+    check_int "net.deliveries: ring = digest" rd dd;
+    check "per-record deliveries bring new records only" true (fok && rok);
+    check "digests carry only due records" true dok;
+    check "per-dst records: reference = ring" true (fg = rg);
+    check "per-dst records: ring = digest" true (rg = dg);
+    shapes
   in
-  let fs, fd, fok, fg =
-    let rf = Ref_net.create ~p in
-    drive ~broadcast:(Ref_net.broadcast rf)
-      ~receive_iter:(Ref_net.receive_iter rf) ~sent:(fun () ->
-        Ref_net.sent rf)
+  let _ : int * int = parity "common clock" (fun ~dst:_ ~now -> Some now) in
+  (* pids 1, 2, 3 (and 5, 6, 7) poll every 2, 3, 4 steps; pids 4..7 run
+     1..4 steps behind; every pid polls at the last step *)
+  let spans, singles =
+    parity "skipped polls, lagging clocks" (fun ~dst ~now ->
+        if now = steps || now mod (1 + (dst mod 4)) = 0 then
+          Some (max 0 (now - max 0 (dst - 3)))
+        else None)
   in
-  let rs, rd, rok, rg = drive_net (Network.create ~horizon:8 ~p ()) in
-  let ds, dd, dok, dg =
-    drive_net (Network.create ~digest:Ref_net.union ~horizon:8 ~p ())
-  in
-  check_int "net.sends: reference = ring" fs rs;
-  check_int "net.sends: ring = digest" rs ds;
-  check_int "net.deliveries: reference = ring" fd rd;
-  check_int "net.deliveries: ring = digest" rd dd;
-  check "per-record deliveries bring new records only" true (fok && rok);
-  check "digests carry only due records" true dok;
-  check "per-dst records: reference = ring" true (fg = rg);
-  check "per-dst records: ring = digest" true (rg = dg)
+  check "one digest brings new records of several epochs" true (spans > 0);
+  check "a lagging receiver takes records one at a time" true (singles > 0)
 
 let test_digest_sources_are_anonymous () =
   (* A digest delivery carries src = -1: it stands for a whole epoch,
