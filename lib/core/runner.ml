@@ -346,27 +346,38 @@ let overlay ?faults adversary =
 let sims = Atomic.make 0
 let sim_count () = Atomic.get sims
 
+(* The body of every single run: count it, resolve the names, overlay
+   [faults], attach the spans, and time [engine] — [Engine.run_packed]
+   or [Engine.run_traced]; [metrics] picks the metrics out of its
+   result, which is returned too. *)
+let timed ~record_trace ~seed ?max_time ?probe ~profile ?check ?faults
+    ~transport ~algo ~adv ~p ~t ~d engine metrics =
+  Atomic.incr sims;
+  let aspec = find_algo algo in
+  let vspec = find_adv adv in
+  let cfg = Config.make ~seed ~record_trace ~transport ~p ~t () in
+  let adversary = overlay ?faults (vspec.instantiate ~p ~t ~d) in
+  let sp = make_spans profile in
+  let t0 = Unix.gettimeofday () in
+  let out =
+    engine (aspec.make ()) cfg ~d ~adversary ?max_time ?probe ?spans:sp ?check
+      ()
+  in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  ( {
+      metrics = metrics out; algo; adv; seed; wall_s;
+      obs = snapshot_of probe;
+      spans = spans_of sp;
+    },
+    out )
+
 (* Like [run] but reports a capped run through [metrics.completed]
    instead of raising, so [run_grid] can aggregate timeouts. *)
 let run_unchecked ?(seed = 0) ?max_time ?probe ?(profile = false) ?check
     ?faults ?(transport = Config.Ptp) ~algo ~adv ~p ~t ~d () =
-  Atomic.incr sims;
-  let aspec = find_algo algo in
-  let vspec = find_adv adv in
-  let cfg = Config.make ~seed ~transport ~p ~t () in
-  let adversary = overlay ?faults (vspec.instantiate ~p ~t ~d) in
-  let sp = make_spans profile in
-  let t0 = Unix.gettimeofday () in
-  let metrics =
-    Engine.run_packed (aspec.make ()) cfg ~d ~adversary ?max_time ?probe
-      ?spans:sp ?check ()
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  {
-    metrics; algo; adv; seed; wall_s;
-    obs = snapshot_of probe;
-    spans = spans_of sp;
-  }
+  fst
+    (timed ~record_trace:false ~seed ?max_time ?probe ~profile ?check ?faults
+       ~transport ~algo ~adv ~p ~t ~d Engine.run_packed Fun.id)
 
 let run ?seed ?max_time ?probe ?profile ?check ?faults ?transport ~algo ~adv
     ~p ~t ~d () =
@@ -385,24 +396,11 @@ let run ?seed ?max_time ?probe ?profile ?check ?faults ?transport ~algo ~adv
 
 let run_traced ?(seed = 0) ?max_time ?probe ?(profile = false) ?check ?faults
     ?(transport = Config.Ptp) ~algo ~adv ~p ~t ~d () =
-  Atomic.incr sims;
-  let aspec = find_algo algo in
-  let vspec = find_adv adv in
-  let cfg = Config.make ~seed ~record_trace:true ~transport ~p ~t () in
-  let adversary = overlay ?faults (vspec.instantiate ~p ~t ~d) in
-  let sp = make_spans profile in
-  let t0 = Unix.gettimeofday () in
-  let metrics, trace =
-    Engine.run_traced (aspec.make ()) cfg ~d ~adversary ?max_time ?probe
-      ?spans:sp ?check ()
+  let r, (_, trace) =
+    timed ~record_trace:true ~seed ?max_time ?probe ~profile ?check ?faults
+      ~transport ~algo ~adv ~p ~t ~d Engine.run_traced fst
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  ( {
-      metrics; algo; adv; seed; wall_s;
-      obs = snapshot_of probe;
-      spans = spans_of sp;
-    },
-    trace )
+  (r, trace)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel grids.                                                     *)
