@@ -102,10 +102,10 @@ module type S = sig
       ({!Bitset.union_snapshots}).
 
       Digests are cumulative, and one delivery may span several
-      epochs: a receiver that skipped steps gets the latest digest once,
-      for every epoch it missed, instead of one digest per epoch.
-      Delivering it once must therefore leave [st] as delivering each
-      of those epochs' messages would, which a union does. *)
+      epochs: a receiver that skipped steps gets the latest digest once
+      for every epoch it missed. Delivering it must therefore leave
+      [st] as delivering each of those epochs' messages would, which a
+      union does. *)
 
   val step : state -> msg step_result
   (** One local step. Must eventually reach [is_done] in any fair

@@ -96,8 +96,8 @@ module Make (A : Algorithm.S) = struct
            every epoch it has not passed. Bit-identical to the general
            path by construction (pinned by the golden grid and the
            stream equivalence tests). Recovery stays excluded because of
-           the chain: it folds in every broadcast below the receiver's
-           cursor, its own included, which is harmless only while the
+           the chain: it folds in every broadcast it covers, the
+           receiver's own included, which is harmless only while the
            receiver's knowledge already contains them, and a restart
            resets that knowledge (test_stream pins a flaky cell where
            the two paths differ). *)
