@@ -177,6 +177,55 @@ let test_lb_registry_entries_die_with_adversary () =
   check "lb-det stage history freed" true (Weak.get weak 0 = None);
   check "lb-rand stage history freed" true (Weak.get weak 1 = None)
 
+(* Stage histories of both stage adversaries, pinned: the stage count,
+   W, the first stage's (now, u_s, |J_s|) and an MD5 of every (now, u_s, J_s) in order, at
+   two (p, t, d) points each. J_s is listed in selection order, so a
+   change in how ties between equally covered tasks break shows. *)
+let stages_fingerprint stages =
+  stages
+  |> List.map (fun (now, us, js) ->
+         Printf.sprintf "%d:%d:%s" now us
+           (String.concat "," (List.map string_of_int js)))
+  |> String.concat ";" |> Digest.string |> Digest.to_hex
+
+let test_lb_stage_history_pins () =
+  let first = function
+    | (now, us, js) :: _ -> Printf.sprintf "%d:%d:%d" now us (List.length js)
+    | [] -> ""
+  in
+  List.iter
+    (fun (label, create, stages_of, algo, (p, t, d), want) ->
+      let adv = create () in
+      let m = run adv ~p ~t ~d ~seed:1 ~algo:(algo ()) in
+      let stages = stages_of adv in
+      Alcotest.(check string)
+        (Printf.sprintf "%s p%d t%d d%d" label p t d)
+        want
+        (Printf.sprintf "W=%d stages=%d first=%s md5=%s" m.Metrics.work
+           (List.length stages) (first stages) (stages_fingerprint stages)))
+    [
+      ( "da-q4 lb-det", Lb_deterministic.create, Lb_deterministic.stages_of,
+        (fun () -> Algo_da.make ~q:4 ()), (32, 512, 4),
+        "W=1963 stages=18 first=0:512:42 md5=4ffda73d5ba8361d7c79548a119272bf" );
+      ( "da-q4 lb-det", Lb_deterministic.create, Lb_deterministic.stages_of,
+        (fun () -> Algo_da.make ~q:4 ()), (64, 2048, 8),
+        "W=5458 stages=13 first=0:2048:85 md5=f8afc26fac201d807392bdf5edd20c71" );
+      ( "padet lb-det", Lb_deterministic.create, Lb_deterministic.stages_of,
+        (fun () -> Algo_pa.make_det ()), (32, 512, 4),
+        "W=1124 stages=9 first=0:512:42 md5=863a7d40b82bd99cfe0f5149f8c901c0" );
+      ( "padet lb-det", Lb_deterministic.create, Lb_deterministic.stages_of,
+        (fun () -> Algo_pa.make_det ()), (64, 2048, 8),
+        "W=5640 stages=12 first=0:2048:85 md5=02bec7cc6aaaf639ceacb2e963af9fae" );
+      ( "awq-q4 lb-rand", (fun () -> Lb_randomized.create ()),
+        Lb_randomized.stages_of,
+        (fun () -> Doall_quorum.Algo_awq.make ~q:4 ()), (32, 512, 4),
+        "W=4017 stages=35 first=0:512:102 md5=60054f9bdf9ffb6a1454453e4a4f7c6d" );
+      ( "awq-q4 lb-rand", (fun () -> Lb_randomized.create ()),
+        Lb_randomized.stages_of,
+        (fun () -> Doall_quorum.Algo_awq.make ~q:4 ()), (64, 2048, 8),
+        "W=11670 stages=25 first=0:2048:227 md5=9882d0a2e80c078ba2f4494cc9642993" );
+    ]
+
 let test_lb_work_grows_with_d () =
   (* The heart of the delay-sensitive lower bound: more delay budget, more
      forced work. Needs p = t large enough that the forced p*delta/3 per
@@ -298,6 +347,8 @@ let suite =
       test_lb_rand_stages_recorded;
     Alcotest.test_case "lb registry entries die with the adversary" `Quick
       test_lb_registry_entries_die_with_adversary;
+    Alcotest.test_case "lb stage histories pinned" `Quick
+      test_lb_stage_history_pins;
     Alcotest.test_case "forced work grows with d" `Quick
       test_lb_work_grows_with_d;
     Alcotest.test_case "batched delivery legal" `Quick
