@@ -5,6 +5,7 @@ type internal = {
   mutable stage_len : int;
   mutable delayed : bool array;
   mutable history : (int * int * int list) list;
+  sel : Least_covered.t; (* J_s scratch: coverage and membership per task *)
 }
 
 let stage_length (o : Adversary.oracle) = max 1 (min o.d (o.t / 6))
@@ -18,35 +19,22 @@ let begin_stage st (o : Adversary.oracle) =
   let us = List.length undone in
   if us = 0 then st.delayed <- Array.make o.p false
   else begin
-    (* J_s(i): tasks from U_s processor i would perform this stage in
-       isolation. *)
+    (* J_s(i): tasks processor i would perform this stage in isolation;
+       those outside U_s are ignored by the coverage count, and J_s lies
+       inside U_s. *)
     let plans =
       Array.init o.p (fun pid ->
           if o.alive pid && not (o.halted pid) then
-            List.filter (fun z -> not (o.task_done z)) (o.plan ~pid ~horizon:delta)
+            o.plan ~pid ~horizon:delta
           else [])
     in
-    let coverage = Hashtbl.create (2 * us) in
-    List.iter (fun z -> Hashtbl.replace coverage z 0) undone;
-    Array.iter
-      (List.iter (fun z ->
-           match Hashtbl.find_opt coverage z with
-           | Some c -> Hashtbl.replace coverage z (c + 1)
-           | None -> ()))
-      plans;
-    let js_size = max 1 (us / (3 * delta)) in
-    let by_coverage =
-      List.sort
-        (fun a b ->
-          compare (Hashtbl.find coverage a, a) (Hashtbl.find coverage b, b))
-        undone
+    let js =
+      Least_covered.least_covered st.sel ~tasks:o.t ~undone ~plans
+        (max 1 (us / (3 * delta)))
     in
-    let js = List.filteri (fun i _ -> i < js_size) by_coverage in
-    let js_tbl = Hashtbl.create 16 in
-    List.iter (fun z -> Hashtbl.replace js_tbl z ()) js;
     let delayed =
       Array.init o.p (fun pid ->
-          List.exists (fun z -> Hashtbl.mem js_tbl z) plans.(pid))
+          List.exists (Least_covered.mem st.sel) plans.(pid))
     in
     st.delayed <- delayed;
     st.history <- (now, us, js) :: st.history;
@@ -77,7 +65,13 @@ let registry_mutex = Mutex.create ()
 
 let create () =
   let st =
-    { stage_end = 0; stage_len = 1; delayed = [||]; history = [] }
+    {
+      stage_end = 0;
+      stage_len = 1;
+      delayed = [||];
+      history = [];
+      sel = Least_covered.create ();
+    }
   in
   let key =
     Mutex.protect registry_mutex (fun () ->

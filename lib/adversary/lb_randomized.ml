@@ -2,9 +2,9 @@ open Doall_sim
 
 type internal = {
   mutable stage_end : int;
-  mutable js : (int, unit) Hashtbl.t;
   mutable delayed : bool array; (* delayed-until-stage-end flags *)
   mutable history : (int * int * int list) list;
+  sel : Least_covered.t; (* J_s scratch: coverage and membership per task *)
 }
 
 let stage_length (o : Adversary.oracle) = max 1 (min o.d (max 1 (o.t / 6)))
@@ -18,38 +18,27 @@ let pick_js selection st (o : Adversary.oracle) =
   let us = List.length undone in
   let js_size = max 1 (us / (delta + 1)) in
   let js_list =
-    if us = 0 then []
-    else
-      match selection with
-      | `Random ->
-        let arr = Array.of_list undone in
-        Rng.shuffle o.rng arr;
-        Array.to_list (Array.sub arr 0 (min js_size (Array.length arr)))
-      | `Coverage ->
-        let coverage = Hashtbl.create (2 * us) in
-        List.iter (fun z -> Hashtbl.replace coverage z 0) undone;
-        for pid = 0 to o.p - 1 do
-          if o.alive pid && not (o.halted pid) then
-            List.iter
-              (fun z ->
-                match Hashtbl.find_opt coverage z with
-                | Some c -> Hashtbl.replace coverage z (c + 1)
-                | None -> ())
-              (o.plan ~pid ~horizon:delta)
-        done;
-        let by_coverage =
-          List.sort
-            (fun a b ->
-              compare
-                (Hashtbl.find coverage a, a)
-                (Hashtbl.find coverage b, b))
-            undone
-        in
-        List.filteri (fun i _ -> i < js_size) by_coverage
+    match selection with
+    | `Random ->
+      let js =
+        if us = 0 then []
+        else begin
+          let arr = Array.of_list undone in
+          Rng.shuffle o.rng arr;
+          Array.to_list (Array.sub arr 0 (min js_size (Array.length arr)))
+        end
+      in
+      Least_covered.set_members st.sel ~tasks:o.t js;
+      js
+    | `Coverage ->
+      let plans =
+        Array.init o.p (fun pid ->
+            if us > 0 && o.alive pid && not (o.halted pid) then
+              o.plan ~pid ~horizon:delta
+            else [])
+      in
+      Least_covered.least_covered st.sel ~tasks:o.t ~undone ~plans js_size
   in
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun z -> Hashtbl.replace tbl z ()) js_list;
-  st.js <- tbl;
   if us > 0 then begin
     st.history <- (now, us, js_list) :: st.history;
     o.note
@@ -75,7 +64,12 @@ let registry_mutex = Mutex.create ()
 
 let create ?(selection = `Coverage) () =
   let st =
-    { stage_end = 0; js = Hashtbl.create 1; delayed = [||]; history = [] }
+    {
+      stage_end = 0;
+      delayed = [||];
+      history = [];
+      sel = Least_covered.create ();
+    }
   in
   let key =
     Mutex.protect registry_mutex (fun () ->
@@ -97,7 +91,7 @@ let create ?(selection = `Coverage) () =
         else if not (o.alive pid) || o.halted pid then false
         else
           match o.would_perform pid with
-          | Some task when Hashtbl.mem st.js task ->
+          | Some task when Least_covered.mem st.sel task ->
             st.delayed.(pid) <- true;
             false
           | Some _ | None -> true)

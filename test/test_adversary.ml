@@ -226,6 +226,80 @@ let test_lb_stage_history_pins () =
         "W=11670 stages=25 first=0:2048:227 md5=9882d0a2e80c078ba2f4494cc9642993" );
     ]
 
+(* The J_s selection the stage adversaries used before
+   [Least_covered]: coverage counts in a table, then a sort of [undone]
+   on (coverage, task id). Kept as the reference. *)
+let ref_least_covered ~undone ~plans k =
+  let coverage = Hashtbl.create 16 in
+  List.iter (fun z -> Hashtbl.replace coverage z 0) undone;
+  Array.iter
+    (List.iter (fun z ->
+         match Hashtbl.find_opt coverage z with
+         | Some c -> Hashtbl.replace coverage z (c + 1)
+         | None -> ()))
+    plans;
+  List.sort
+    (fun a b -> compare (Hashtbl.find coverage a, a) (Hashtbl.find coverage b, b))
+    undone
+  |> List.filteri (fun i _ -> i < k)
+
+(* Several stages on one scratch value, as one adversary instance runs
+   them. Task ids are drawn from a small range, so coverage ties are
+   common; plans repeat tasks and name tasks outside [undone], and
+   [undone] may be empty or given in any order. Membership must be
+   exactly the last selection. *)
+let prop_least_covered_matches_ref =
+  QCheck2.Test.make ~name:"least-covered J_s = table and sort reference"
+    ~count:500
+    ~print:(fun (tasks, stages) ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      Printf.sprintf "tasks=%d: %s" tasks
+        (String.concat " | "
+           (List.map
+              (fun (undone, plans, k) ->
+                Printf.sprintf "undone [%s] plans [%s] k %d" (ints undone)
+                  (String.concat "; " (Array.to_list (Array.map ints plans)))
+                  k)
+              stages)))
+    QCheck2.Gen.(
+      let* tasks = int_range 1 24 in
+      let task = int_range 0 (tasks - 1) in
+      let stage =
+        let* undone =
+          map
+            (fun l -> List.sort_uniq compare l)
+            (list_size (int_range 0 tasks) task)
+        in
+        let* undone = shuffle_l undone in
+        let* plans = array_size (int_range 0 6) (list_size (int_range 0 8) task) in
+        let* k = int_range 0 (tasks + 2) in
+        return (undone, plans, k)
+      in
+      let* stages = list_size (int_range 1 4) stage in
+      return (tasks, stages))
+    (fun (tasks, stages) ->
+      let s = Least_covered.create () in
+      List.for_all
+        (fun (undone, plans, k) ->
+          let got = Least_covered.least_covered s ~tasks ~undone ~plans k in
+          got = ref_least_covered ~undone ~plans k
+          && List.for_all
+               (fun z -> Least_covered.mem s z = List.mem z got)
+               (List.init tasks Fun.id))
+        stages)
+
+let test_set_members_replaces_selection () =
+  let s = Least_covered.create () in
+  ignore
+    (Least_covered.least_covered s ~tasks:6 ~undone:[ 0; 1; 2; 3 ]
+       ~plans:[| [ 0 ] |] 2);
+  check "selected 1" true (Least_covered.mem s 1);
+  Least_covered.set_members s ~tasks:6 [ 4; 5 ];
+  check "members are exactly 4 and 5" true
+    (List.for_all
+       (fun z -> Least_covered.mem s z = (z >= 4))
+       (List.init 6 Fun.id))
+
 let test_lb_work_grows_with_d () =
   (* The heart of the delay-sensitive lower bound: more delay budget, more
      forced work. Needs p = t large enough that the forced p*delta/3 per
@@ -349,6 +423,9 @@ let suite =
       test_lb_registry_entries_die_with_adversary;
     Alcotest.test_case "lb stage histories pinned" `Quick
       test_lb_stage_history_pins;
+    QCheck_alcotest.to_alcotest prop_least_covered_matches_ref;
+    Alcotest.test_case "set_members replaces the selection" `Quick
+      test_set_members_replaces_selection;
     Alcotest.test_case "forced work grows with d" `Quick
       test_lb_work_grows_with_d;
     Alcotest.test_case "batched delivery legal" `Quick
