@@ -18,6 +18,22 @@ let default_psi ~q =
         Hashtbl.replace psi_cache q cert.Search.list;
         cert.Search.list)
 
+(* One marked tree per domain, keyed on [(q, jobs)]: every pid of a run
+   (and every restart) starts from a copy of it, and a grid cell on
+   another domain builds its own, so no lock is needed. Copies share its
+   chunks copy-on-write, so no pid ever writes the base. *)
+let marks_cache : ((int * int) * Bitset.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let initial_tree (sh : Progress_tree.t) =
+  let key = (sh.Progress_tree.q, sh.Progress_tree.jobs) in
+  match Domain.DLS.get marks_cache with
+  | Some (k, base) when k = key -> Bitset.copy base
+  | Some _ | None ->
+    let base = Progress_tree.initial_marks sh in
+    Domain.DLS.set marks_cache (Some (key, base));
+    Bitset.copy base
+
 (* Both replica components travel as copy-on-write snapshots of the
    sender's sets at send time. *)
 type msg = { m_tree : Bitset.snapshot; m_tasks : Bitset.snapshot }
@@ -29,7 +45,21 @@ type frame = {
   mutable idx : int;
 }
 
-let make ?(q = 4) ?psi () : Algorithm.packed =
+type state = {
+  part : Task.partition;
+  sh : Progress_tree.t;
+  tree : Bitset.t;
+  know : Bitset.t;
+  digits : int array;
+  mutable stack : frame list;
+  mutable current : int option; (* leaf node whose job is in progress *)
+  mutable halted : bool;
+}
+
+let tree st = st.tree
+
+let make_open ?(q = 4) ?psi () :
+    (module Algorithm.S with type state = state) =
   let psi =
     match psi with
     | Some psi ->
@@ -52,21 +82,12 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
 
     type nonrec msg = msg
 
-    type state = {
-      part : Task.partition;
-      sh : Progress_tree.t;
-      tree : Bitset.t;
-      know : Bitset.t;
-      digits : int array;
-      mutable stack : frame list;
-      mutable current : int option; (* leaf node whose job is in progress *)
-      mutable halted : bool;
-    }
+    type nonrec state = state
 
     let init (cfg : Config.t) ~pid =
       let part = Task.make ~p:cfg.p ~t:cfg.t in
       let sh = Progress_tree.shape ~q ~jobs:part.Task.n in
-      let tree = Progress_tree.initial_marks sh in
+      let tree = initial_tree sh in
       let digits = Qary.digits ~q ~width:sh.Progress_tree.h pid in
       let stack, current =
         if Progress_tree.is_leaf sh Progress_tree.root then
@@ -198,3 +219,7 @@ let make ?(q = 4) ?psi () : Algorithm.packed =
               end
             end)
   end)
+
+let make ?q ?psi () : Algorithm.packed =
+  let module A = (val make_open ?q ?psi ()) in
+  (module A)

@@ -24,13 +24,34 @@
     complexity is [O(p W)] (Theorem 5.6).
 
     The permutation list [psi] defaults to a certified low-contention
-    list from {!Doall_perms.Search.certified} (cached per [q]). *)
+    list from {!Doall_perms.Search.certified} (cached per [q]).
+
+    Every [init] (a run's start and every restart) takes its replica as a
+    copy-on-write {!Doall_sim.Bitset.copy} of one
+    {!Progress_tree.initial_marks} tree, built once per domain and shape
+    [(q, jobs)]; a pid's first write to a chunk copies that chunk, so the
+    shared tree is never written. *)
 
 val make :
   ?q:int -> ?psi:Doall_perms.Perm.t list -> unit -> Doall_sim.Algorithm.packed
 (** [make ~q ()] with [2 <= q <= 8] for the default certified list; an
     explicit [psi] must contain exactly [q] permutations of size [q]
     (any [q >= 2] is then accepted). Default [q = 4]. *)
+
+type state
+(** One processor's local state. *)
+
+val make_open :
+  ?q:int ->
+  ?psi:Doall_perms.Perm.t list ->
+  unit ->
+  (module Doall_sim.Algorithm.S with type state = state)
+(** {!make} with the state type visible, so a caller can read a
+    processor's replica with {!tree}; [make] packs this module. *)
+
+val tree : state -> Doall_sim.Bitset.t
+(** The processor's progress-tree replica. Read it; writing it changes
+    the run. *)
 
 val default_psi : q:int -> Doall_perms.Perm.t list
 (** The cached certified list used by [make] for this [q]. *)

@@ -253,6 +253,92 @@ let test_padet_grid_domains () =
   in
   if one <> two then Alcotest.fail "padet grid differs on 2 domains"
 
+(* DA's replicas all start as copies of one cached marked tree per
+   (q, jobs). Each must read as a fresh [initial_marks], at init and
+   after a restart (a restart is [init] again), and a pid's writes must
+   reach neither the cached tree (a later init still reads fresh) nor
+   any other pid. *)
+let da_states ~q ~p ~t =
+  let module A = (val Algo_da.make_open ~q ()) in
+  let cfg = Config.make ~seed:1 ~p ~t () in
+  let sh = Progress_tree.shape ~q ~jobs:(Task.make ~p ~t).Task.n in
+  let fresh = Progress_tree.initial_marks sh in
+  let init pid = A.init cfg ~pid in
+  (* steps [st] until its tree gains a mark: a leaf or node completion *)
+  let write st =
+    let before = Bitset.cardinal (Algo_da.tree st) in
+    let n = ref 0 in
+    while Bitset.cardinal (Algo_da.tree st) = before do
+      incr n;
+      if !n > 10_000 then Alcotest.fail "no tree write within 10000 steps";
+      ignore (A.step st)
+    done
+  in
+  (init, write, fresh)
+
+let test_da_init_trees_fresh () =
+  List.iter
+    (fun (q, p, t) ->
+      let init, write, fresh = da_states ~q ~p ~t in
+      let label what pid = Printf.sprintf "q%d p%d t%d: pid %d %s" q p t pid what in
+      let states = Array.init p init in
+      Array.iteri
+        (fun pid st ->
+          check (label "at init" pid) true (Bitset.equal (Algo_da.tree st) fresh))
+        states;
+      write states.(0);
+      check "the write shows in pid 0" false
+        (Bitset.equal (Algo_da.tree states.(0)) fresh);
+      for pid = 1 to p - 1 do
+        check (label "after pid 0 wrote" pid) true
+          (Bitset.equal (Algo_da.tree states.(pid)) fresh)
+      done;
+      states.(0) <- init 0;
+      check (label "after a restart" 0) true
+        (Bitset.equal (Algo_da.tree states.(0)) fresh);
+      write states.(p - 1);
+      check (label "after pid p-1 wrote" 0) true
+        (Bitset.equal (Algo_da.tree states.(0)) fresh))
+    [ (4, 10, 40); (2, 12, 12); (8, 9, 100); (4, 16, 8) ]
+
+let test_da_shapes_alternate () =
+  (* one cache entry per domain: each shape evicts the other *)
+  let a = da_states ~q:4 ~p:10 ~t:40 and b = da_states ~q:2 ~p:12 ~t:12 in
+  let kept = ref [] in
+  for round = 1 to 3 do
+    List.iter
+      (fun (name, (init, write, fresh)) ->
+        let st = init (round mod 3) in
+        check (Printf.sprintf "%s round %d" name round) true
+          (Bitset.equal (Algo_da.tree st) fresh);
+        kept := (name, st, fresh) :: !kept;
+        write (init 1))
+      [ ("q4 p10", a); ("q2 p12", b) ]
+  done;
+  List.iter
+    (fun (name, st, fresh) ->
+      check (name ^ " still fresh") true (Bitset.equal (Algo_da.tree st) fresh))
+    !kept
+
+let test_da_grid_domains () =
+  let specs =
+    Runner.grid ~seeds:[ 0; 1 ] ~algos:[ "da-q2"; "da-q4"; "da-q8" ]
+      ~advs:[ "fair"; "max-delay"; "flaky-restart"; "lb-det" ]
+      ~points:[ (8, 32, 3); (5, 40, 7); (16, 16, 2); (12, 7, 4) ]
+      ()
+  in
+  let key (r : Runner.result) =
+    ( r.Runner.metrics.Metrics.work,
+      r.Runner.metrics.Metrics.messages,
+      r.Runner.metrics.Metrics.sigma )
+  in
+  let one = List.map key (Runner.run_grid ~jobs:1 specs) in
+  let two =
+    Pool.with_pool ~jobs:2 (fun pool ->
+        List.map key (Runner.run_grid ~pool specs))
+  in
+  if one <> two then Alcotest.fail "DA grid differs on 2 domains"
+
 let test_paran1_vs_paran2_comparable () =
   (* Same expected work family: with matched instances, the two should be
      within a small factor of each other on average. *)
@@ -381,6 +467,12 @@ let suite =
       test_padet_cache_is_seeded_list;
     Alcotest.test_case "PaDet: grid on 1 and 2 domains" `Quick
       test_padet_grid_domains;
+    Alcotest.test_case "DA: init trees read fresh" `Quick
+      test_da_init_trees_fresh;
+    Alcotest.test_case "DA: two shapes alternate" `Quick
+      test_da_shapes_alternate;
+    Alcotest.test_case "DA: grid on 1 and 2 domains" `Quick
+      test_da_grid_domains;
     Alcotest.test_case "PaRan1 ~ PaRan2 on average" `Slow
       test_paran1_vs_paran2_comparable;
     Alcotest.test_case "PA throttled/fanout variants correct" `Quick
