@@ -33,6 +33,9 @@
 type 'msg t = {
   p : int;
   rings : Msg_ring.t option array; (* per dst, made on first send *)
+  seen : int array;
+      (* per dst without a ring: the greatest [now] it received at, -1
+         before its first receive; a ring made later starts there *)
   horizon : int;
   mutable sent : int;
   mutable in_flight : int; (* queued but not yet received, O(1) pending *)
@@ -80,6 +83,7 @@ let create ?digest ~horizon ~p () =
   {
     p;
     rings = Array.make p None;
+    seen = Array.make p (-1);
     horizon;
     sent = 0;
     in_flight = 0;
@@ -118,6 +122,8 @@ let ring_for t dst =
   | Some r -> r
   | None ->
     let r = Msg_ring.create ~horizon:t.horizon () in
+    (* an empty ring's peek moves its cursor to [now] *)
+    ignore (Msg_ring.peek r ~now:(Array.unsafe_get t.seen dst) : bool);
     t.rings.(dst) <- Some r;
     r
 
@@ -361,10 +367,11 @@ let record_for t ~src msg =
   else open_record t ~src msg
 
 (* [Msg_ring.add]'s cursor test, made before a record is taken so that
-   a rejected send leaves no trace; a ring not made yet has cursor -1 *)
+   a rejected send leaves no trace; a ring not made yet has the cursor
+   it will start with, [seen] *)
 let admits t dst due =
   match Array.unsafe_get t.rings dst with
-  | None -> due >= 0
+  | None -> due > Array.unsafe_get t.seen dst
   | Some r -> Msg_ring.admits r ~due
 
 let late = "Msg_ring.add: ring event at or before the cursor"
@@ -483,6 +490,7 @@ let receive_iter t ~dst ~now f =
   | None ->
     (* the common broadcast-only case: one index, no merge; with a
        digest fold this is the chain fast path *)
+    if now > Array.unsafe_get t.seen dst then Array.unsafe_set t.seen dst now;
     drain t ~dst ~now f
   | Some ring ->
     let n = ref 0 in

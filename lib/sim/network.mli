@@ -36,7 +36,9 @@ val create :
     poll and at most [horizon] ahead of the sender's (non-decreasing)
     clock — the engine's delay clamp guarantees exactly this with
     [horizon = d], the paper's delivery bound (§2). A send due at or
-    before the destination's delivery cursor raises [Invalid_argument].
+    before the destination's delivery cursor (the greatest [now] it has
+    received at, by unicast or from the broadcast log alone) raises
+    [Invalid_argument] before any write.
 
     [?digest] is the algorithm's merge-homomorphism witness
     ({!Algorithm.S.merge_homomorphic}): broadcasts due at the same

@@ -174,6 +174,36 @@ let test_send_behind_cursor_rejected () =
     (Invalid_argument "Msg_ring.add: ring event at or before the cursor")
     (fun () -> Network.send net ~src:0 ~dst:1 ~due:5 "late")
 
+let test_send_behind_ringless_cursor_rejected () =
+  (* the same contract for a destination that has read only the
+     broadcast log, so no ring exists for it yet: its receive at [now:5]
+     bounds later sends as a ring's cursor would, before any write *)
+  let late = "Msg_ring.add: ring event at or before the cursor" in
+  let net = Network.create ~horizon:3 ~p:3 () in
+  Network.broadcast net ~src:0 ~due:2 "b";
+  check_int "broadcast received" 1
+    (Network.receive_iter net ~dst:2 ~now:5 (fun _ _ -> ()));
+  let sent = Network.sent net and pending = Network.pending net in
+  Alcotest.check_raises "send due before the last receive"
+    (Invalid_argument late) (fun () ->
+      Network.send net ~src:0 ~dst:2 ~due:1 "late");
+  Alcotest.check_raises "send due at the last receive" (Invalid_argument late)
+    (fun () -> Network.send_replica net ~src:1 ~dst:2 ~due:5 "late");
+  check_int "sent unchanged" sent (Network.sent net);
+  check_int "pending unchanged" pending (Network.pending net);
+  (* a multicast's later copy to that destination fails the same way;
+     the copy before it stays queued, as documented *)
+  Alcotest.check_raises "multicast copy due before the last receive"
+    (Invalid_argument late) (fun () ->
+      Network.multicast net ~src:0 ~now:0 ~dues:[| 0; 3; 2 |] "m");
+  Network.send net ~src:1 ~dst:2 ~due:6 "on time";
+  Alcotest.(check (list (pair int string)))
+    "later sends arrive" [ (1, "on time") ]
+    (Network.receive net ~dst:2 ~now:6);
+  Alcotest.(check (list (pair int string)))
+    "the broadcast, then the multicast prefix" [ (0, "b"); (0, "m") ]
+    (Network.receive net ~dst:1 ~now:6)
+
 let test_reliability () =
   (* every message sent is eventually received exactly once; dues reach
      19, hence the horizon *)
@@ -590,7 +620,8 @@ type op =
    A [Multicast] is checked against the reference's p - 1 sends at
    [now + lats.(dst)]. The last three are rejected calls, which must
    leave no trace: a [Late] send is due at the destination's delivery
-   cursor; a [Far] multicast's copy to [bad] is due past the horizon,
+   cursor, its last poll's [now] (also before any copy has made its
+   ring, when the poll read only broadcasts); a [Far] multicast's copy to [bad] is due past the horizon,
    so only the copies before it are queued; a [Bad_pid] call names a
    pid out of range, or sends to itself ([kind]: 0 = send, 1 =
    replica, 2 = multicast). *)
@@ -669,9 +700,9 @@ let prop_payload_reuse_matches_ref =
       let net = Network.create ~horizon ~p () and rf = Ref_net.create ~p in
       let now = ref 0 and next = ref 0 and replicas = ref 0 in
       let inactive = Array.make p false in
-      (* each destination's ring cursor: made by its first queued copy,
-         moved to [now] by each poll after that *)
-      let has_ring = Array.make p false and cursor = Array.make p (-1) in
+      (* each destination's delivery cursor, moved to [now] by each
+         poll, whether or not its first queued copy has made its ring *)
+      let cursor = Array.make p (-1) in
       let rejected f =
         match f () with
         | () -> false
@@ -715,7 +746,7 @@ let prop_payload_reuse_matches_ref =
            | Poll dst ->
              if not inactive.(dst) then begin
                ok := !ok && poll dst;
-               if has_ring.(dst) then cursor.(dst) <- !now
+               cursor.(dst) <- !now
              end
            | Deactivate pid ->
              Network.deactivate net ~pid;
@@ -732,7 +763,6 @@ let prop_payload_reuse_matches_ref =
                incr replicas
              end
              else Network.send net ~src ~dst ~due m;
-             has_ring.(dst) <- true;
              Ref_net.send rf ~src ~dst ~due m
            | Multicast { src; lats; reuse } ->
              let m = payload reuse in
@@ -740,10 +770,7 @@ let prop_payload_reuse_matches_ref =
              Network.multicast net ~src ~now:!now ~dues m;
              Array.iteri
                (fun dst due ->
-                 if dst <> src then begin
-                   has_ring.(dst) <- true;
-                   Ref_net.send rf ~src ~dst ~due m
-                 end)
+                 if dst <> src then Ref_net.send rf ~src ~dst ~due m)
                dues
            | Late { src; off; reuse; replica } ->
              let dst = (src + off) mod p and m = payload reuse in
@@ -767,10 +794,7 @@ let prop_payload_reuse_matches_ref =
              if bad <> src then
                (* the documented prefix: the copies before [bad] stay *)
                for dst = 0 to bad - 1 do
-                 if dst <> src then begin
-                   has_ring.(dst) <- true;
-                   Ref_net.send rf ~src ~dst ~due:dues.(dst) m
-                 end
+                 if dst <> src then Ref_net.send rf ~src ~dst ~due:dues.(dst) m
                done
            | Bad_pid { src; dst; reuse; kind } ->
              let in_range x = x >= 0 && x < p in
@@ -843,6 +867,8 @@ let suite =
       test_per_destination_isolation;
     Alcotest.test_case "send behind the delivery cursor rejected" `Quick
       test_send_behind_cursor_rejected;
+    Alcotest.test_case "send behind a ring-less receive rejected" `Quick
+      test_send_behind_ringless_cursor_rejected;
     Alcotest.test_case "reliable: no loss, no duplication" `Quick
       test_reliability;
     Alcotest.test_case "broadcast: one record, p-1 messages" `Quick
