@@ -35,16 +35,20 @@ let least_covered s ~tasks ~undone ~plans k =
         incr us
       end)
     undone;
+  let top = ref 0 in
   Array.iter
     (List.iter (fun z ->
          let c = cov.(z) in
-         if c >= 0 then cov.(z) <- c + 1))
+         if c >= 0 then begin
+           cov.(z) <- c + 1;
+           if c >= !top then top := c + 1
+         end))
     plans;
   let k = Int.min k !us in
   if k <= 0 then []
   else begin
     (* one counting pass: tasks per coverage value *)
-    let top = List.fold_left (fun m z -> Int.max m cov.(z)) 0 undone in
+    let top = !top in
     if Array.length s.counts <= top then s.counts <- Array.make (top + 1) 0
     else Array.fill s.counts 0 (top + 1) 0;
     let counts = s.counts in
