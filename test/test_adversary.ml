@@ -177,10 +177,11 @@ let test_lb_registry_entries_die_with_adversary () =
   check "lb-det stage history freed" true (Weak.get weak 0 = None);
   check "lb-rand stage history freed" true (Weak.get weak 1 = None)
 
-(* Stage histories of both stage adversaries, pinned: the stage count,
-   W, the first stage's (now, u_s, |J_s|) and an MD5 of every (now, u_s, J_s) in order, at
-   two (p, t, d) points each. J_s is listed in selection order, so a
-   change in how ties between equally covered tasks break shows. *)
+(* Stage histories of both stage adversaries, pinned at two (p, t, d)
+   points each: W, the stage count, the first stage's (now, u_s, |J_s|)
+   and an MD5 of every (now, u_s, J_s) in order. J_s is listed in
+   selection order, so a change in how ties between equally covered
+   tasks break shows. *)
 let stages_fingerprint stages =
   stages
   |> List.map (fun (now, us, js) ->
@@ -239,15 +240,17 @@ let ref_least_covered ~undone ~plans k =
          | None -> ()))
     plans;
   List.sort
-    (fun a b -> compare (Hashtbl.find coverage a, a) (Hashtbl.find coverage b, b))
+    (fun a b ->
+      compare (Hashtbl.find coverage a, a) (Hashtbl.find coverage b, b))
     undone
   |> List.filteri (fun i _ -> i < k)
 
 (* Several stages on one scratch value, as one adversary instance runs
    them. Task ids are drawn from a small range, so coverage ties are
    common; plans repeat tasks and name tasks outside [undone], and
-   [undone] may be empty or given in any order. Membership must be
-   exactly the last selection. *)
+   [undone] may be empty or given in any order. A stage may instead
+   set the members directly, as lb-rand's random selection does.
+   Membership must be exactly the last selection. *)
 let prop_least_covered_matches_ref =
   QCheck2.Test.make ~name:"least-covered J_s = table and sort reference"
     ~count:500
@@ -256,49 +259,50 @@ let prop_least_covered_matches_ref =
       Printf.sprintf "tasks=%d: %s" tasks
         (String.concat " | "
            (List.map
-              (fun (undone, plans, k) ->
-                Printf.sprintf "undone [%s] plans [%s] k %d" (ints undone)
-                  (String.concat "; " (Array.to_list (Array.map ints plans)))
-                  k)
+              (function
+                | `Select (undone, plans, k) ->
+                  Printf.sprintf "undone [%s] plans [%s] k %d" (ints undone)
+                    (String.concat "; " (Array.to_list (Array.map ints plans)))
+                    k
+                | `Set js -> Printf.sprintf "set [%s]" (ints js))
               stages)))
     QCheck2.Gen.(
       let* tasks = int_range 1 24 in
       let task = int_range 0 (tasks - 1) in
-      let stage =
-        let* undone =
-          map
-            (fun l -> List.sort_uniq compare l)
-            (list_size (int_range 0 tasks) task)
+      let distinct =
+        map (List.sort_uniq compare) (list_size (int_range 0 tasks) task)
+      in
+      let select =
+        let* undone = distinct >>= shuffle_l in
+        let* plans =
+          array_size (int_range 0 6) (list_size (int_range 0 8) task)
         in
-        let* undone = shuffle_l undone in
-        let* plans = array_size (int_range 0 6) (list_size (int_range 0 8) task) in
         let* k = int_range 0 (tasks + 2) in
-        return (undone, plans, k)
+        return (`Select (undone, plans, k))
+      in
+      let stage =
+        frequency [ (4, select); (1, map (fun js -> `Set js) distinct) ]
       in
       let* stages = list_size (int_range 1 4) stage in
       return (tasks, stages))
     (fun (tasks, stages) ->
       let s = Least_covered.create () in
       List.for_all
-        (fun (undone, plans, k) ->
-          let got = Least_covered.least_covered s ~tasks ~undone ~plans k in
-          got = ref_least_covered ~undone ~plans k
+        (fun stage ->
+          let ok, members =
+            match stage with
+            | `Select (undone, plans, k) ->
+              let got = Least_covered.least_covered s ~tasks ~undone ~plans k in
+              (got = ref_least_covered ~undone ~plans k, got)
+            | `Set js ->
+              Least_covered.set_members s ~tasks js;
+              (true, js)
+          in
+          ok
           && List.for_all
-               (fun z -> Least_covered.mem s z = List.mem z got)
+               (fun z -> Least_covered.mem s z = List.mem z members)
                (List.init tasks Fun.id))
         stages)
-
-let test_set_members_replaces_selection () =
-  let s = Least_covered.create () in
-  ignore
-    (Least_covered.least_covered s ~tasks:6 ~undone:[ 0; 1; 2; 3 ]
-       ~plans:[| [ 0 ] |] 2);
-  check "selected 1" true (Least_covered.mem s 1);
-  Least_covered.set_members s ~tasks:6 [ 4; 5 ];
-  check "members are exactly 4 and 5" true
-    (List.for_all
-       (fun z -> Least_covered.mem s z = (z >= 4))
-       (List.init 6 Fun.id))
 
 let test_lb_work_grows_with_d () =
   (* The heart of the delay-sensitive lower bound: more delay budget, more
@@ -424,8 +428,6 @@ let suite =
     Alcotest.test_case "lb stage histories pinned" `Quick
       test_lb_stage_history_pins;
     QCheck_alcotest.to_alcotest prop_least_covered_matches_ref;
-    Alcotest.test_case "set_members replaces the selection" `Quick
-      test_set_members_replaces_selection;
     Alcotest.test_case "forced work grows with d" `Quick
       test_lb_work_grows_with_d;
     Alcotest.test_case "batched delivery legal" `Quick

@@ -232,12 +232,12 @@ let test_padet_cache_is_seeded_list () =
   List.iter check_rows shapes;
   List.iter check_rows (List.rev shapes)
 
-let test_padet_grid_domains () =
-  (* Each domain keeps its own cache entry; interleaved shapes evict it
-     on every cell. Two domains must compute what one does. *)
+(* Each domain keeps its own cache entry (PaDet's schedules, DA's marked
+   tree); interleaved shapes evict it on every cell. Two domains must
+   compute what one does. *)
+let grid_same_on_two_domains ~algos ~advs =
   let specs =
-    Runner.grid ~seeds:[ 0; 1 ] ~algos:[ "padet" ]
-      ~advs:[ "fair"; "max-delay"; "lb-rand" ]
+    Runner.grid ~seeds:[ 0; 1 ] ~algos ~advs
       ~points:[ (8, 32, 3); (5, 40, 7); (16, 16, 2); (12, 7, 4) ]
       ()
   in
@@ -251,7 +251,12 @@ let test_padet_grid_domains () =
     Pool.with_pool ~jobs:2 (fun pool ->
         List.map key (Runner.run_grid ~pool specs))
   in
-  if one <> two then Alcotest.fail "padet grid differs on 2 domains"
+  if one <> two then
+    Alcotest.fail (String.concat "," algos ^ " grid differs on 2 domains")
+
+let test_padet_grid_domains () =
+  grid_same_on_two_domains ~algos:[ "padet" ]
+    ~advs:[ "fair"; "max-delay"; "lb-rand" ]
 
 (* DA's replicas all start as copies of one cached marked tree per
    (q, jobs). Each must read as a fresh [initial_marks], at init and
@@ -280,11 +285,14 @@ let test_da_init_trees_fresh () =
   List.iter
     (fun (q, p, t) ->
       let init, write, fresh = da_states ~q ~p ~t in
-      let label what pid = Printf.sprintf "q%d p%d t%d: pid %d %s" q p t pid what in
+      let label what pid =
+        Printf.sprintf "q%d p%d t%d: pid %d %s" q p t pid what
+      in
       let states = Array.init p init in
       Array.iteri
         (fun pid st ->
-          check (label "at init" pid) true (Bitset.equal (Algo_da.tree st) fresh))
+          check (label "at init" pid) true
+            (Bitset.equal (Algo_da.tree st) fresh))
         states;
       write states.(0);
       check "the write shows in pid 0" false
@@ -321,23 +329,8 @@ let test_da_shapes_alternate () =
     !kept
 
 let test_da_grid_domains () =
-  let specs =
-    Runner.grid ~seeds:[ 0; 1 ] ~algos:[ "da-q2"; "da-q4"; "da-q8" ]
-      ~advs:[ "fair"; "max-delay"; "flaky-restart"; "lb-det" ]
-      ~points:[ (8, 32, 3); (5, 40, 7); (16, 16, 2); (12, 7, 4) ]
-      ()
-  in
-  let key (r : Runner.result) =
-    ( r.Runner.metrics.Metrics.work,
-      r.Runner.metrics.Metrics.messages,
-      r.Runner.metrics.Metrics.sigma )
-  in
-  let one = List.map key (Runner.run_grid ~jobs:1 specs) in
-  let two =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        List.map key (Runner.run_grid ~pool specs))
-  in
-  if one <> two then Alcotest.fail "DA grid differs on 2 domains"
+  grid_same_on_two_domains ~algos:[ "da-q2"; "da-q4"; "da-q8" ]
+    ~advs:[ "fair"; "max-delay"; "flaky-restart"; "lb-det" ]
 
 let test_paran1_vs_paran2_comparable () =
   (* Same expected work family: with matched instances, the two should be
