@@ -5,7 +5,7 @@ type internal = {
   mutable stage_len : int;
   mutable delayed : bool array;
   mutable history : (int * int * int list) list;
-  sel : Least_covered.t; (* J_s scratch: coverage and membership per task *)
+  sel : Least_covered.t; (* J_s: coverage and membership per task *)
 }
 
 let stage_length (o : Adversary.oracle) = max 1 (min o.d (o.t / 6))

@@ -4,7 +4,7 @@ type internal = {
   mutable stage_end : int;
   mutable delayed : bool array; (* delayed-until-stage-end flags *)
   mutable history : (int * int * int list) list;
-  sel : Least_covered.t; (* J_s scratch: coverage and membership per task *)
+  sel : Least_covered.t; (* J_s: coverage and membership per task *)
 }
 
 let stage_length (o : Adversary.oracle) = max 1 (min o.d (max 1 (o.t / 6)))

@@ -2,7 +2,7 @@
     {!Lb_randomized}): the undone tasks that the fewest processors'
     stage plans cover, and a membership test for the set chosen.
 
-    One value is the scratch space of one adversary instance: a
+    One value holds the working arrays of one adversary instance: a
     coverage count and a membership flag per task, sized on first use
     and reset per stage, so a stage costs O(t + total plan length) with
     no sort and no table. *)
@@ -10,7 +10,7 @@
 type t
 
 val create : unit -> t
-(** Empty scratch space; the first stage sizes it to the task count. *)
+(** Empty working arrays; the first stage sizes them to the task count. *)
 
 val least_covered :
   t -> tasks:int -> undone:int list -> plans:int list array -> int -> int list

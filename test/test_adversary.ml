@@ -245,7 +245,7 @@ let ref_least_covered ~undone ~plans k =
     undone
   |> List.filteri (fun i _ -> i < k)
 
-(* Several stages on one scratch value, as one adversary instance runs
+(* Several stages on one value of working arrays, as one adversary runs
    them. Task ids are drawn from a small range, so coverage ties are
    common; plans repeat tasks and name tasks outside [undone], and
    [undone] may be empty or given in any order. A stage may instead
