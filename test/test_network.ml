@@ -402,10 +402,128 @@ let test_broadcast_ring_matches_ref_random () =
   check_int "same sent" (Ref_net.sent rf) (Network.sent ring);
   check_int "same pending" (Ref_net.pending rf) (Network.pending ring)
 
+(* Broadcast traffic checked against the reference: [poll] compares one
+   receive's records (in arrival order, Ref_net.arrive) and delivery
+   count, [final] drains every live receiver and compares the orders,
+   [pending] and [sent]. With a digest a callback may carry records the
+   receiver already holds; a per-record callback may not. *)
+let stream_pair ~digest ~horizon ~p =
+  let net =
+    if digest then Network.create ~digest:Ref_net.union ~horizon ~p ()
+    else Network.create ~horizon ~p ()
+  in
+  let rf = Ref_net.create ~p in
+  let got = Array.init p (fun dst -> Ref_net.arrivals ~dst)
+  and want = Array.init p (fun dst -> Ref_net.arrivals ~dst) in
+  let ok = ref true and id = ref 0 in
+  let broadcast ~src ~due =
+    incr id;
+    let msg = [ (src, !id) ] in
+    Network.broadcast net ~src ~due msg;
+    Ref_net.broadcast rf ~src ~due msg
+  in
+  let poll dst now =
+    let calls = ref 0 in
+    let n =
+      Network.receive_iter net ~dst ~now (fun src msg ->
+          incr calls;
+          ok := !ok && Ref_net.arrive got.(dst) ~src msg)
+    in
+    let n' =
+      Ref_net.receive_iter rf ~dst ~now (fun src msg ->
+          ignore (Ref_net.arrive want.(dst) ~src msg : bool))
+    in
+    ok := !ok && n = n' && Network.pending net = Ref_net.pending rf;
+    !calls
+  in
+  let final live now =
+    List.iter (fun dst -> ignore (poll dst now : int)) live;
+    !ok
+    && List.for_all (fun dst -> got.(dst).Ref_net.order = want.(dst).order) live
+    && Network.pending net = Ref_net.pending rf
+    && Network.sent net = Ref_net.sent rf
+  in
+  (net, broadcast, poll, final)
+
+(* A deactivated pid can keep broadcasting: a Channel station still
+   transmits the frames it queued before it crashed. Its entries must
+   not disturb the live receivers' passing of their own entries, also
+   after the log has grown (a lagging receiver holds 100+ entries) and
+   released slots are reused between two of its broadcasts. *)
+let test_deactivated_source_keeps_broadcasting () =
+  List.iter
+    (fun digest ->
+      let delta = 3 in
+      let net, broadcast, poll, final =
+        stream_pair ~digest ~horizon:delta ~p:4
+      in
+      Network.deactivate net ~pid:3;
+      let peak = ref 0 in
+      for now = 0 to 299 do
+        (* pid 2 lags: it polls every 40 steps *)
+        List.iter
+          (fun dst ->
+            if dst < 2 || now mod 40 = 0 then ignore (poll dst now : int))
+          [ 0; 1; 2 ];
+        peak := max !peak (fst (Network.stream_stats net));
+        if now mod 53 = 0 then broadcast ~src:3 ~due:(now + delta);
+        List.iter (fun src -> broadcast ~src ~due:(now + delta)) [ 0; 1; 2 ];
+        if now mod 53 = 0 then broadcast ~src:3 ~due:(now + delta)
+      done;
+      check "the log grew past its first 64 slots" true (!peak > 64);
+      check
+        (Printf.sprintf "live receivers = reference (digest %b)" digest)
+        true
+        (final [ 0; 1; 2 ] (300 + delta));
+      check_int "log drained" 0 (fst (Network.stream_stats net)))
+    [ false; true ]
+
+(* With a digest, a receiver that skipped several epochs in which it
+   broadcast itself gets them as one chain callback; its count leaves
+   out its own entries, under the chain and past it alike. *)
+let test_chain_skips_own_entries () =
+  let delta = 2 in
+  let _, broadcast, poll, final =
+    stream_pair ~digest:true ~horizon:delta ~p:4
+  in
+  let calls = ref [] in
+  for now = 0 to 9 do
+    List.iter
+      (fun dst ->
+        if dst <> 1 || now = 3 || now = 9 then
+          let c = poll dst now in
+          if dst = 1 then calls := c :: !calls)
+      [ 0; 1; 2; 3 ];
+    List.iter
+      (fun src -> if src <> 1 || now mod 2 = 0 then broadcast ~src ~due:(now + delta))
+      [ 0; 1; 2; 3 ];
+  done;
+  Alcotest.(check (list int))
+    "pid 1: one chain callback at now 3 and at now 9" [ 1; 1 ]
+    (List.rev !calls);
+  check "counts, pending and records = reference" true
+    (final [ 0; 1; 2; 3 ] (10 + delta))
+
+(* The log's release rule, seen from outside: while some pid is active,
+   the log retains exactly the broadcasts due after the earliest last
+   poll among the active pids ([polled_at], -1 before a pid's first
+   poll), since a poll passes every entry due by its [now] and the log
+   drops an entry once no active cursor is at or below it. This pins
+   when entries are released, and so when the digest chain is reset. *)
+let log_retained_ok net ~inactive ~polled_at bdues =
+  let floor = ref max_int in
+  Array.iteri
+    (fun pid at -> if not inactive.(pid) then floor := min !floor at)
+    polled_at;
+  !floor = max_int
+  || fst (Network.stream_stats net)
+     = List.length (List.filter (fun due -> due > !floor) bdues)
+
 (* The determinism keystone: on engine-shaped traffic — unicasts due in
    (now, now + h], broadcasts at one constant latency, readers polling
    at arbitrary instants — the network delivers exactly the reference's
-   per-destination sequences, with or without a digest fold. Payloads
+   per-destination sequences, with or without a digest fold, while pids
+   are deactivated (and never polled again) along the way. Payloads
    are record sets and a digest is their union (Ref_net.union), so a
    chained digest may repeat records; each receiver's records must
    arrive in the reference's order (Ref_net.arrive), a per-record
@@ -424,10 +542,13 @@ let prop_network_matches_ref =
         quad (int_range 0 2) (int_range 0 (p - 1)) (int_range 1 (p - 1))
           (int_range 1 horizon)
       in
+      (* (advance, sends, polled mask, pid deactivated after the polls
+         or -1) *)
       let* ops =
         list_size (int_range 1 60)
-          (triple (int_range 0 3) (list_size (int_range 0 4) send)
-             (int_range 0 ((1 lsl p) - 1)))
+          (quad (int_range 0 3) (list_size (int_range 0 4) send)
+             (int_range 0 ((1 lsl p) - 1))
+             (frequencyl [ (12, -1); (1, 0); (1, 1); (1, 2); (1, 3); (1, 4) ]))
       in
       return (horizon, delta, digest, ops))
     (fun (horizon, delta, digest, ops) ->
@@ -440,7 +561,10 @@ let prop_network_matches_ref =
       and want = Array.init p (fun dst -> Ref_net.arrivals ~dst) in
       let due_of = Hashtbl.create 64 in
       let n_got = ref 0 and n_want = ref 0 and ok = ref true in
+      let inactive = Array.make p false and polled_at = Array.make p (-1) in
+      let bdues = ref [] (* every broadcast's due, newest first *) in
       let poll dst now =
+        polled_at.(dst) <- now;
         n_got :=
           !n_got
           + Network.receive_iter net ~dst ~now (fun src msg ->
@@ -457,16 +581,22 @@ let prop_network_matches_ref =
       in
       let now = ref 0 and id = ref 0 in
       List.iter
-        (fun (advance, sends, polled) ->
+        (fun (advance, sends, polled, deact) ->
           for dst = 0 to p - 1 do
-            if polled land (1 lsl dst) <> 0 then poll dst !now
+            if polled land (1 lsl dst) <> 0 && not inactive.(dst) then
+              poll dst !now
           done;
+          if deact >= 0 then begin
+            Network.deactivate net ~pid:deact;
+            inactive.(deact) <- true
+          end;
           List.iter
             (fun (kind, src, off, lat) ->
               incr id;
               let msg = [ (src, !id) ] in
               if kind = 0 then begin
                 Hashtbl.replace due_of !id (!now + delta);
+                bdues := (!now + delta) :: !bdues;
                 Network.broadcast net ~src ~due:(!now + delta) msg;
                 Ref_net.broadcast rf ~src ~due:(!now + delta) msg
               end
@@ -477,6 +607,7 @@ let prop_network_matches_ref =
                 Ref_net.send rf ~src ~dst ~due:(!now + lat) msg
               end)
             sends;
+          ok := !ok && log_retained_ok net ~inactive ~polled_at !bdues;
           now := !now + advance)
         ops;
       let same_counts () =
@@ -486,13 +617,15 @@ let prop_network_matches_ref =
       in
       let mid = same_counts () in
       for dst = 0 to p - 1 do
-        poll dst (!now + horizon + 1)
+        if not inactive.(dst) then poll dst (!now + horizon + 1)
       done;
+      (* copies owed to a deactivated pid stay pending on both sides *)
       !ok && mid && same_counts ()
+      && log_retained_ok net ~inactive ~polled_at !bdues
       && Array.for_all2
            (fun g w -> g.Ref_net.order = w.Ref_net.order)
            got want
-      && Network.pending net = 0)
+      && (Array.exists Fun.id inactive || Network.pending net = 0))
 
 (* One payload record per multicast: the network reuses the previous
    send's record when the source is the same and the payload physically
@@ -703,6 +836,7 @@ let prop_payload_reuse_matches_ref =
       (* each destination's delivery cursor, moved to [now] by each
          poll, whether or not its first queued copy has made its ring *)
       let cursor = Array.make p (-1) in
+      let bdues = ref [] (* every broadcast's due, newest first *) in
       let rejected f =
         match f () with
         | () -> false
@@ -754,7 +888,8 @@ let prop_payload_reuse_matches_ref =
            | Broadcast src ->
              let m = fresh () in
              Network.broadcast net ~src ~due:(!now + delta) m;
-             Ref_net.broadcast rf ~src ~due:(!now + delta) m
+             Ref_net.broadcast rf ~src ~due:(!now + delta) m;
+             bdues := (!now + delta) :: !bdues
            | Send { src; off; lat; reuse; replica } ->
              let dst = (src + off) mod p and due = !now + lat in
              let m = payload reuse in
@@ -818,7 +953,9 @@ let prop_payload_reuse_matches_ref =
             List.iter
               (fun (_, seq, _, _, m) -> if seq = 0 then filler := Some m)
               rf.Ref_net.queued;
-          ok := !ok && same_counts ())
+          ok :=
+            !ok && same_counts ()
+            && log_retained_ok net ~inactive ~polled_at:cursor !bdues)
         ops;
       now := !now + horizon + 1;
       for dst = 0 to p - 1 do
@@ -881,6 +1018,10 @@ let suite =
       test_broadcast_deactivate;
     Alcotest.test_case "broadcast ring = reference on random traffic" `Quick
       test_broadcast_ring_matches_ref_random;
+    Alcotest.test_case "deactivated source keeps broadcasting" `Quick
+      test_deactivated_source_keeps_broadcasting;
+    Alcotest.test_case "chain skips the receiver's own entries" `Quick
+      test_chain_skips_own_entries;
     QCheck_alcotest.to_alcotest prop_network_matches_ref;
     Alcotest.test_case "broadcast breaks payload reuse" `Quick
       test_broadcast_breaks_payload_reuse;
