@@ -59,6 +59,7 @@ type 'msg t = {
   mutable head : int; (* absolute index of the first retained entry *)
   mutable tail : int; (* absolute index one past the last entry *)
   mutable last_due : int;
+  mutable polled : int; (* the greatest [now] a receive has seen *)
   cursor : int array; (* per pid: absolute index of the next entry *)
   active : bool array;
   mutable n_active : int;
@@ -104,6 +105,7 @@ let create ?digest ~horizon ~p () =
     head = 0;
     tail = 0;
     last_due = min_int;
+    polled = min_int;
     cursor = Array.make p 0;
     active = Array.make p true;
     n_active = p;
@@ -453,6 +455,9 @@ let broadcast t ~src ~due msg =
   if t.p > 1 then begin
     if due < t.last_due then
       invalid_arg "Network.broadcast: due times must be non-decreasing";
+    (* the entry would land behind that receiver's cursor *)
+    if due <= t.polled then
+      invalid_arg "Network.broadcast: due at or before a receiver's clock";
     t.last_due <- due;
     let id = open_record t ~src msg in
     (* a later unicast must draw a later [seq] than this record *)
@@ -486,6 +491,7 @@ let deactivate t ~pid =
 
 let receive_iter t ~dst ~now f =
   check_pid t dst "Network.receive_iter";
+  if now > t.polled then t.polled <- now;
   match Array.unsafe_get t.rings dst with
   | None ->
     (* the common broadcast-only case: one index, no merge; with a

@@ -106,9 +106,12 @@ val broadcast : 'msg t -> src:int -> due:int -> 'msg -> unit
     log entry (see "Storage" above). Only valid when every
     copy is genuinely due at once, i.e. under a declared-constant-latency
     adversary; the engine's per-destination send loop remains the
-    general path. Successive broadcasts' dues must not decrease
-    ([Invalid_argument]). Delivery order is identical to [p - 1]
-    individual {!send}s issued at the same instant. *)
+    general path. Successive broadcasts' dues must not decrease, and a
+    due must come after the greatest [now] any {!receive_iter} has
+    seen, or the entry would reach that receiver late; either violation
+    raises [Invalid_argument] before any write. Delivery order is
+    identical to [p - 1] individual {!send}s issued at the same
+    instant. *)
 
 val deactivate : 'msg t -> pid:int -> unit
 (** Declare that [pid] will never take another step (halted, or crashed

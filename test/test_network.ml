@@ -204,6 +204,32 @@ let test_send_behind_ringless_cursor_rejected () =
     "the broadcast, then the multicast prefix" [ (0, "b"); (0, "m") ]
     (Network.receive net ~dst:1 ~now:6)
 
+let test_broadcast_behind_receive_rejected () =
+  (* a broadcast due at or before the greatest [now] a receive has seen
+     would reach that receiver late: rejected before any write, while
+     the dues themselves still do not decrease *)
+  let behind = "Network.broadcast: due at or before a receiver's clock" in
+  let net = Network.create ~horizon:8 ~p:3 () in
+  Network.broadcast net ~src:0 ~due:2 "a";
+  check_int "broadcast received" 1
+    (Network.receive_iter net ~dst:1 ~now:5 (fun _ _ -> ()));
+  let sent = Network.sent net and pending = Network.pending net in
+  Alcotest.check_raises "due before the last receive"
+    (Invalid_argument behind) (fun () ->
+      Network.broadcast net ~src:0 ~due:3 "late");
+  Alcotest.check_raises "due at the last receive" (Invalid_argument behind)
+    (fun () -> Network.broadcast net ~src:2 ~due:5 "late");
+  check_int "sent unchanged" sent (Network.sent net);
+  check_int "pending unchanged" pending (Network.pending net);
+  check_int "log unchanged" 1 (fst (Network.stream_stats net));
+  Network.broadcast net ~src:0 ~due:6 "on time";
+  Alcotest.(check (list (pair int string)))
+    "dst 1 gets the later broadcast" [ (0, "on time") ]
+    (Network.receive net ~dst:1 ~now:6);
+  Alcotest.(check (list (pair int string)))
+    "dst 2 gets both" [ (0, "a"); (0, "on time") ]
+    (Network.receive net ~dst:2 ~now:6)
+
 let test_reliability () =
   (* every message sent is eventually received exactly once; dues reach
      19, hence the horizon *)
@@ -747,6 +773,7 @@ type op =
   | Send of { src : int; off : int; lat : int; reuse : int; replica : bool }
   | Multicast of { src : int; lats : int array; reuse : int }
   | Late of { src : int; off : int; reuse : int; replica : bool }
+  | Late_broadcast of int (* src *)
   | Far of { src : int; lats : int array; bad : int; reuse : int }
   | Bad_pid of { src : int; dst : int; reuse : int; kind : int }
 (* [reuse]: 0 = fresh payload, 1 = the last one sent, 2 = an older one.
@@ -754,7 +781,8 @@ type op =
    [now + lats.(dst)]. The last three are rejected calls, which must
    leave no trace: a [Late] send is due at the destination's delivery
    cursor, its last poll's [now] (also before any copy has made its
-   ring, when the poll read only broadcasts); a [Far] multicast's copy to [bad] is due past the horizon,
+   ring, when the poll read only broadcasts); a [Late_broadcast] is due
+   at the greatest [now] any poll has seen; a [Far] multicast's copy to [bad] is due past the horizon,
    so only the copies before it are queued; a [Bad_pid] call names a
    pid out of range, or sends to itself ([kind]: 0 = send, 1 =
    replica, 2 = multicast). *)
@@ -774,6 +802,7 @@ let show_op =
   | Late { src; off; reuse; replica } ->
     Printf.sprintf "late %d+%d reuse %d%s" src off reuse
       (if replica then " replica" else "")
+  | Late_broadcast s -> Printf.sprintf "late broadcast %d" s
   | Far { src; lats = l; bad; reuse } ->
     Printf.sprintf "far %d [%s] bad %d reuse %d" src (lats l) bad reuse
   | Bad_pid { src; dst; reuse; kind } ->
@@ -813,6 +842,7 @@ let prop_payload_reuse_matches_ref =
               let* reuse = frequencyl [ (2, 0); (1, 1); (1, 2) ] in
               let* replica = bool in
               return (Late { src; off; reuse; replica }) );
+            (1, map (fun s -> Late_broadcast s) (int_range 0 (p - 1)));
             ( 1,
               let* src = int_range 0 (p - 1) in
               let* lats = array_size (return p) (int_range 1 horizon) in
@@ -914,6 +944,14 @@ let prop_payload_reuse_matches_ref =
              in
              ok :=
                !ok && rejected (fun () -> send net ~src ~dst ~due:cursor.(dst) m)
+           | Late_broadcast src ->
+             let clock = Array.fold_left max (-1) cursor in
+             if clock >= 0 then
+               let m = fresh () in
+               ok :=
+                 !ok
+                 && rejected (fun () ->
+                        Network.broadcast net ~src ~due:clock m)
            | Far { src; lats; bad; reuse } ->
              let m = payload reuse in
              let dues =
@@ -1006,6 +1044,8 @@ let suite =
       test_send_behind_cursor_rejected;
     Alcotest.test_case "send behind a ring-less receive rejected" `Quick
       test_send_behind_ringless_cursor_rejected;
+    Alcotest.test_case "broadcast behind a receive rejected" `Quick
+      test_broadcast_behind_receive_rejected;
     Alcotest.test_case "reliable: no loss, no duplication" `Quick
       test_reliability;
     Alcotest.test_case "broadcast: one record, p-1 messages" `Quick
