@@ -474,33 +474,34 @@ let stream_pair ~digest ~horizon ~p =
 (* A deactivated pid can keep broadcasting: a Channel station still
    transmits the frames it queued before it crashed. Its entries must
    not disturb the live receivers' passing of their own entries, also
-   after the log has grown (a lagging receiver holds 100+ entries) and
-   released slots are reused between two of its broadcasts. *)
+   after the log has grown (a lagging receiver holds 100 entries) and
+   the slot of its previous entry is reused. Here entry 0 is pid 2's,
+   the log grows to 128 slots, and entries 128, 129 and 131 are pid 1's
+   in the epoch that pid 2's next entry, 132, closes: linking 132 from
+   entry 0's slot, now entry 128's, would make pid 1's chain apply skip
+   its own entry 131. *)
 let test_deactivated_source_keeps_broadcasting () =
   List.iter
     (fun digest ->
-      let delta = 3 in
-      let net, broadcast, poll, final =
-        stream_pair ~digest ~horizon:delta ~p:4
-      in
-      Network.deactivate net ~pid:3;
+      let net, broadcast, poll, final = stream_pair ~digest ~horizon:1 ~p:3 in
+      let poll dst now = ignore (poll dst now : int) in
+      Network.deactivate net ~pid:2;
+      broadcast ~src:2 ~due:1;
       let peak = ref 0 in
-      for now = 0 to 299 do
-        (* pid 2 lags: it polls every 40 steps *)
-        List.iter
-          (fun dst ->
-            if dst < 2 || now mod 40 = 0 then ignore (poll dst now : int))
-          [ 0; 1; 2 ];
+      for now = 1 to 127 do
+        poll 0 now;
+        (* pid 1 lags until now 100, then reads every step *)
+        if now >= 100 then poll 1 now;
         peak := max !peak (fst (Network.stream_stats net));
-        if now mod 53 = 0 then broadcast ~src:3 ~due:(now + delta);
-        List.iter (fun src -> broadcast ~src ~due:(now + delta)) [ 0; 1; 2 ];
-        if now mod 53 = 0 then broadcast ~src:3 ~due:(now + delta)
+        broadcast ~src:0 ~due:(now + 1)
       done;
+      poll 0 128;
+      poll 1 128;
+      List.iter (fun src -> broadcast ~src ~due:129) [ 1; 1; 0; 1; 2 ];
       check "the log grew past its first 64 slots" true (!peak > 64);
       check
         (Printf.sprintf "live receivers = reference (digest %b)" digest)
-        true
-        (final [ 0; 1; 2 ] (300 + delta));
+        true (final [ 0; 1 ] 129);
       check_int "log drained" 0 (fst (Network.stream_stats net)))
     [ false; true ]
 
@@ -529,6 +530,19 @@ let test_chain_skips_own_entries () =
     (List.rev !calls);
   check "counts, pending and records = reference" true
     (final [ 0; 1; 2; 3 ] (10 + delta))
+
+(* A receiver whose clock lags the chain's last due takes entries one
+   at a time and passes its own entries among them; a later chain apply
+   must count only the own entries past its cursor. *)
+let test_lagging_clock_then_chain () =
+  let _, broadcast, poll, final = stream_pair ~digest:true ~horizon:1 ~p:3 in
+  for now = 0 to 3 do
+    List.iter (fun src -> broadcast ~src ~due:(now + 1)) [ 0; 1; 2 ]
+  done;
+  check_int "pid 0 folds the four epochs, one callback each" 4 (poll 0 4);
+  check_int "pid 1 at now 2: one callback per other entry" 4 (poll 1 2);
+  check_int "pid 1 at now 4: the chain" 1 (poll 1 4);
+  check "counts, pending and records = reference" true (final [ 0; 1; 2 ] 5)
 
 (* The log's release rule, seen from outside: while some pid is active,
    the log retains exactly the broadcasts due after the earliest last
@@ -1062,6 +1076,8 @@ let suite =
       test_deactivated_source_keeps_broadcasting;
     Alcotest.test_case "chain skips the receiver's own entries" `Quick
       test_chain_skips_own_entries;
+    Alcotest.test_case "lagging clock, then the chain" `Quick
+      test_lagging_clock_then_chain;
     QCheck_alcotest.to_alcotest prop_network_matches_ref;
     Alcotest.test_case "broadcast breaks payload reuse" `Quick
       test_broadcast_breaks_payload_reuse;
