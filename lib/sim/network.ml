@@ -22,13 +22,23 @@
    declared constant: send instants never decrease, so dues never
    decrease, and seq breaks ties in send order. Each destination keeps a
    cursor (absolute log index); delivery walks the cursor over entries
-   due by now. An entry's [l_rc] counts the active destinations whose
-   cursors have not passed it yet (the sender included — it passes its
-   own entry without a delivery). Counts fall in log order, so the
-   entries at zero form a prefix: the log drops them from its head and
-   releases their records. An entry keeps its own [src] and [rc] next to
-   [due] and [id], so every cursor's scan reads contiguous columns, not
-   records the free-list scattered. *)
+   due by now, the sender's included — it passes its own entry without
+   a delivery. The log keeps an entry while some active destination's
+   cursor is at or below it. No active cursor is below [head], so that
+   holds for [head] exactly when a cursor sits on it: [l_at] counts the
+   active cursors sitting on each entry and [at_tail] those at [tail].
+   A cursor move is then two count updates, a deactivation one, and the
+   log drops the entries at zero from its head and releases their
+   records — the same prefix, at the same calls, as a count of the
+   cursors not yet past each entry would. An entry keeps its own [src]
+   next to [due] and [id], so every cursor's scan reads contiguous
+   columns, not records the free-list scattered.
+
+   A receiver passes its own entries without a delivery, and a chain
+   apply (below) must count them. [l_next] links each entry of an
+   active source to that source's next entry, and [own_next] names each
+   pid's first own entry at or past its cursor, so counting them costs
+   one step per own entry passed, not one per entry. *)
 
 type 'msg t = {
   p : int;
@@ -55,14 +65,22 @@ type 'msg t = {
   mutable l_due : int array;
   mutable l_id : int array;
   mutable l_src : int array;
-  mutable l_rc : int array;
+  mutable l_at : int array; (* active cursors sitting on the entry *)
+  mutable l_next : int array;
+      (* the same source's next entry, [none] until it broadcasts again;
+         kept for active sources only *)
   mutable head : int; (* absolute index of the first retained entry *)
   mutable tail : int; (* absolute index one past the last entry *)
   mutable last_due : int;
   mutable polled : int; (* the greatest [now] a receive has seen *)
+  mutable at_tail : int; (* active cursors at [tail] *)
   cursor : int array; (* per pid: absolute index of the next entry *)
+  own_next : int array;
+      (* per pid: its first own entry at or past its cursor, or [none] *)
+  last_own : int array;
+      (* per pid: its latest entry; read only while [own_next] is not
+         [none], when that entry is still in the log *)
   active : bool array;
-  mutable n_active : int;
   (* Digest fast path (None fold = disabled). [chain] is one cumulative
      digest of every log entry below [chain_end] (None: no entry is
      digested yet). An epoch is a maximal run of equal-due entries; the
@@ -77,6 +95,8 @@ type 'msg t = {
   mutable chain : 'msg option;
   mutable chain_end : int;
 }
+
+let none = max_int
 
 let create ?digest ~horizon ~p () =
   if p <= 0 then invalid_arg "Network.create: need at least one processor";
@@ -101,14 +121,17 @@ let create ?digest ~horizon ~p () =
     l_due = [||];
     l_id = [||];
     l_src = [||];
-    l_rc = [||];
+    l_at = [||];
+    l_next = [||];
     head = 0;
     tail = 0;
     last_due = min_int;
     polled = min_int;
+    at_tail = p;
     cursor = Array.make p 0;
+    own_next = Array.make p none;
+    last_own = Array.make p 0;
     active = Array.make p true;
-    n_active = p;
     fold = digest;
     chain = None;
     chain_end = 0;
@@ -209,12 +232,14 @@ let grow_log t =
   t.l_due <- recap t.l_due ~lo ~hi cap' 0;
   t.l_id <- recap t.l_id ~lo ~hi cap' 0;
   t.l_src <- recap t.l_src ~lo ~hi cap' 0;
-  t.l_rc <- recap t.l_rc ~lo ~hi cap' 0
+  t.l_at <- recap t.l_at ~lo ~hi cap' 0;
+  t.l_next <- recap t.l_next ~lo ~hi cap' 0
 
-(* drop the zero-count prefix of the log with its records *)
+(* drop the log's prefix that no active cursor sits on, with its
+   records *)
 let reclaim t =
   let mask = Array.length t.l_due - 1 in
-  while t.head < t.tail && Array.unsafe_get t.l_rc (t.head land mask) = 0 do
+  while t.head < t.tail && Array.unsafe_get t.l_at (t.head land mask) = 0 do
     release t (Array.unsafe_get t.l_id (t.head land mask));
     t.head <- t.head + 1
   done;
@@ -223,13 +248,26 @@ let reclaim t =
     t.chain_end <- t.tail
   end
 
+(* move active [dst]'s cursor forward from [c] (an entry) to [c'] *)
+let move t dst c c' =
+  let mask = Array.length t.l_due - 1 in
+  let i = c land mask in
+  Array.unsafe_set t.l_at i (Array.unsafe_get t.l_at i - 1);
+  if c' < t.tail then begin
+    let i' = c' land mask in
+    Array.unsafe_set t.l_at i' (Array.unsafe_get t.l_at i' + 1)
+  end
+  else t.at_tail <- t.at_tail + 1;
+  Array.unsafe_set t.cursor dst c'
+
 (* Position [dst]'s cursor at its earliest undelivered entry with
    [due <= now]; false if there is none or [dst] is inactive. *)
 let peek t ~dst ~now =
   Array.unsafe_get t.active dst
   &&
   let mask = Array.length t.l_due - 1 in
-  let c = ref (Array.unsafe_get t.cursor dst) in
+  let c0 = Array.unsafe_get t.cursor dst in
+  let c = ref c0 in
   (* pass (without delivering) our own due entries: they keep global
      (due, seq) order but a processor never receives from itself *)
   while
@@ -237,12 +275,11 @@ let peek t ~dst ~now =
     && Array.unsafe_get t.l_due (!c land mask) <= now
     && Array.unsafe_get t.l_src (!c land mask) = dst
   do
-    let i = !c land mask in
-    Array.unsafe_set t.l_rc i (Array.unsafe_get t.l_rc i - 1);
+    Array.unsafe_set t.own_next dst (Array.unsafe_get t.l_next (!c land mask));
     incr c
   done;
-  if !c > Array.unsafe_get t.cursor dst then begin
-    Array.unsafe_set t.cursor dst !c;
+  if !c > c0 then begin
+    move t dst c0 !c;
     reclaim t
   end;
   !c < t.tail && Array.unsafe_get t.l_due (!c land mask) <= now
@@ -250,14 +287,15 @@ let peek t ~dst ~now =
 (* the log slot under [dst]'s cursor *)
 let slot t dst = Array.unsafe_get t.cursor dst land (Array.length t.l_due - 1)
 
-(* Deliver the entry located by the last successful [peek] for [dst]:
-   advance the cursor and drop one count. *)
+(* Deliver the entry located by the last successful [peek] for [dst]
+   and advance the cursor past it. [peek] has passed [dst]'s own
+   entries, so this one is another source's and [own_next] stands. *)
 let pop t ~dst f =
+  let c = Array.unsafe_get t.cursor dst in
   let i = slot t dst in
   let src = Array.unsafe_get t.l_src i
   and msg = Array.unsafe_get t.rec_msg (Array.unsafe_get t.l_id i) in
-  Array.unsafe_set t.l_rc i (Array.unsafe_get t.l_rc i - 1);
-  Array.unsafe_set t.cursor dst (Array.unsafe_get t.cursor dst + 1);
+  move t dst c (c + 1);
   reclaim t;
   t.in_flight <- t.in_flight - 1;
   f src msg
@@ -330,15 +368,15 @@ let drain t ~dst ~now f =
     | Some d
       when c < stop && Array.unsafe_get t.l_due ((stop - 1) land mask) <= now
       ->
-      (* one chain apply replaces the per-entry walk; own entries are
-         passed inside the same scan *)
-      let own = ref 0 in
-      for k = c to stop - 1 do
-        let i = k land mask in
-        Array.unsafe_set t.l_rc i (Array.unsafe_get t.l_rc i - 1);
-        if Array.unsafe_get t.l_src i = dst then incr own
+      (* one chain apply replaces the per-entry walk; the own entries
+         it passes are found through their links *)
+      let own = ref 0 and o = ref (Array.unsafe_get t.own_next dst) in
+      while !o < stop do
+        incr own;
+        o := Array.unsafe_get t.l_next (!o land mask)
       done;
-      Array.unsafe_set t.cursor dst stop;
+      Array.unsafe_set t.own_next dst !o;
+      move t dst c stop;
       reclaim t;
       let n = stop - c - !own in
       if n > 0 then begin
@@ -463,12 +501,28 @@ let broadcast t ~src ~due msg =
     (* a later unicast must draw a later [seq] than this record *)
     t.last <- -1;
     if t.tail - t.head = Array.length t.l_due then grow_log t;
-    let i = t.tail land (Array.length t.l_due - 1) in
+    let mask = Array.length t.l_due - 1 in
+    let k = t.tail in
+    let i = k land mask in
     Array.unsafe_set t.l_due i due;
     Array.unsafe_set t.l_id i id;
     Array.unsafe_set t.l_src i src;
-    Array.unsafe_set t.l_rc i t.n_active;
-    t.tail <- t.tail + 1
+    (* the cursors at the tail now sit on this entry *)
+    Array.unsafe_set t.l_at i t.at_tail;
+    t.at_tail <- 0;
+    Array.unsafe_set t.l_next i none;
+    (* A deactivated source (a Channel station still transmitting) is
+       not linked: its latest entry may be released and its slot
+       reused. An active source's latest entry is still in the log
+       while its [own_next] names an entry. *)
+    if Array.unsafe_get t.active src then begin
+      if Array.unsafe_get t.own_next src = none then
+        Array.unsafe_set t.own_next src k
+      else
+        Array.unsafe_set t.l_next (Array.unsafe_get t.last_own src land mask) k;
+      Array.unsafe_set t.last_own src k
+    end;
+    t.tail <- k + 1
   end;
   (* one multicast = p - 1 point-to-point messages (Definition 2.2),
      however it is stored *)
@@ -479,13 +533,12 @@ let deactivate t ~pid =
   check_pid t pid "Network.deactivate";
   if Array.unsafe_get t.active pid then begin
     t.active.(pid) <- false;
-    t.n_active <- t.n_active - 1;
-    let mask = Array.length t.l_due - 1 in
-    for k = t.cursor.(pid) to t.tail - 1 do
-      let i = k land mask in
-      Array.unsafe_set t.l_rc i (Array.unsafe_get t.l_rc i - 1)
-    done;
-    t.cursor.(pid) <- t.tail;
+    let c = t.cursor.(pid) in
+    if c < t.tail then begin
+      let i = c land (Array.length t.l_due - 1) in
+      t.l_at.(i) <- t.l_at.(i) - 1
+    end
+    else t.at_tail <- t.at_tail - 1;
     if t.head < t.tail then reclaim t
   end
 
