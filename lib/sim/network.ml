@@ -75,9 +75,10 @@ type 'msg t = {
   mutable polled : int; (* the greatest [now] a receive has seen *)
   mutable at_tail : int; (* active cursors at [tail] *)
   cursor : int array; (* per pid: absolute index of the next entry *)
-  own_next : int array;
-      (* per pid: its first own entry at or past its cursor, or [none] *)
-  last_own : int array;
+  mutable own_next : int array;
+      (* per pid: its first own entry at or past its cursor, or [none];
+         made with the log, read only once it holds an entry *)
+  mutable last_own : int array;
       (* per pid: its latest entry; read only while [own_next] is not
          [none], when that entry is still in the log *)
   active : bool array;
@@ -129,8 +130,8 @@ let create ?digest ~horizon ~p () =
     polled = min_int;
     at_tail = p;
     cursor = Array.make p 0;
-    own_next = Array.make p none;
-    last_own = Array.make p 0;
+    own_next = [||];
+    last_own = [||];
     active = Array.make p true;
     fold = digest;
     chain = None;
@@ -228,6 +229,11 @@ let recap a ~lo ~hi cap' z =
 let grow_log t =
   let cap = Array.length t.l_due in
   let cap' = if cap = 0 then 64 else 2 * cap in
+  if cap = 0 then begin
+    (* a network whose log is never used allocates no per-pid links *)
+    t.own_next <- Array.make t.p none;
+    t.last_own <- Array.make t.p 0
+  end;
   let lo = t.head and hi = t.tail in
   t.l_due <- recap t.l_due ~lo ~hi cap' 0;
   t.l_id <- recap t.l_id ~lo ~hi cap' 0;
