@@ -521,9 +521,11 @@ let test_chain_skips_own_entries () =
           let c = poll dst now in
           if dst = 1 then calls := c :: !calls)
       [ 0; 1; 2; 3 ];
+    (* pid 1 broadcasts at even steps only *)
     List.iter
-      (fun src -> if src <> 1 || now mod 2 = 0 then broadcast ~src ~due:(now + delta))
-      [ 0; 1; 2; 3 ];
+      (fun src ->
+        if src <> 1 || now mod 2 = 0 then broadcast ~src ~due:(now + delta))
+      [ 0; 1; 2; 3 ]
   done;
   Alcotest.(check (list int))
     "pid 1: one chain callback at now 3 and at now 9" [ 1; 1 ]
@@ -792,14 +794,14 @@ type op =
   | Bad_pid of { src : int; dst : int; reuse : int; kind : int }
 (* [reuse]: 0 = fresh payload, 1 = the last one sent, 2 = an older one.
    A [Multicast] is checked against the reference's p - 1 sends at
-   [now + lats.(dst)]. The last three are rejected calls, which must
+   [now + lats.(dst)]. The last four are rejected calls, which must
    leave no trace: a [Late] send is due at the destination's delivery
    cursor, its last poll's [now] (also before any copy has made its
    ring, when the poll read only broadcasts); a [Late_broadcast] is due
-   at the greatest [now] any poll has seen; a [Far] multicast's copy to [bad] is due past the horizon,
-   so only the copies before it are queued; a [Bad_pid] call names a
-   pid out of range, or sends to itself ([kind]: 0 = send, 1 =
-   replica, 2 = multicast). *)
+   at the greatest [now] any poll has seen; a [Far] multicast's copy to
+   [bad] is due past the horizon, so only the copies before it are
+   queued; a [Bad_pid] call names a pid out of range, or sends to itself
+   ([kind]: 0 = send, 1 = replica, 2 = multicast). *)
 
 let show_op =
   let lats a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
