@@ -1,8 +1,10 @@
 (* See msg_ring.mli. Layout: [horizon + 1] buckets (slot = due mod
-   buckets); each bucket is a circular struct-of-arrays FIFO of (due, id)
-   int columns with power-of-two capacity, grown geometrically and
-   reused thereafter — zero allocation per message at steady state, and
-   no pointer store (so no remembered-set entry) per message.
+   buckets); each bucket is a circular FIFO of queued events, one int
+   each, [due lsl bits lor id], with power-of-two capacity, grown
+   geometrically and reused thereafter — zero allocation per message at
+   steady state, one word per queued copy, and no pointer store (so no
+   remembered-set entry) per message. [due] and [id] must both fit in
+   [bits] bits, so the packed int is non-negative and decodes exactly.
 
    Correctness rests on one invariant: appends to the same bucket arrive
    in non-decreasing due order. Two events in one bucket have dues
@@ -12,9 +14,12 @@
    [horizon], so equal buckets force equal-or-later dues. Each bucket is
    therefore a FIFO sorted by due, and within one due by insertion. *)
 
+let bits = 31
+let max_due = (1 lsl bits) - 1
+let max_id = max_due
+
 type bucket = {
-  mutable due : int array;
-  mutable id : int array;
+  mutable ev : int array; (* due lsl bits lor id *)
   mutable head : int;
   mutable len : int;
 }
@@ -28,30 +33,24 @@ type t = {
 
 let create ~horizon () =
   if horizon < 1 then invalid_arg "Msg_ring.create: horizon must be >= 1";
-  let bucket () = { due = [||]; id = [||]; head = 0; len = 0 } in
+  let bucket () = { ev = [||]; head = 0; len = 0 } in
   let slots = Array.init (horizon + 1) (fun _ -> bucket ()) in
   { slots; cursor = -1; count = 0; hd = slots.(0) }
 
 let size r = r.count
 
-let push b ~due ~id =
-  let cap = Array.length b.due in
+let push b e =
+  let cap = Array.length b.ev in
   if b.len = cap then begin
     (* full (or never allocated): grow to the next power of two *)
-    let cap' = if cap = 0 then 4 else 2 * cap in
-    let due' = Array.make cap' 0 and id' = Array.make cap' 0 in
+    let ev' = Array.make (if cap = 0 then 4 else 2 * cap) 0 in
     for i = 0 to b.len - 1 do
-      let j = (b.head + i) land (cap - 1) in
-      due'.(i) <- b.due.(j);
-      id'.(i) <- b.id.(j)
+      ev'.(i) <- b.ev.((b.head + i) land (cap - 1))
     done;
-    b.due <- due';
-    b.id <- id';
+    b.ev <- ev';
     b.head <- 0
   end;
-  let at = (b.head + b.len) land (Array.length b.due - 1) in
-  Array.unsafe_set b.due at due;
-  Array.unsafe_set b.id at id;
+  Array.unsafe_set b.ev ((b.head + b.len) land (Array.length b.ev - 1)) e;
   b.len <- b.len + 1
 
 let admits r ~due = due > r.cursor
@@ -59,7 +58,13 @@ let admits r ~due = due > r.cursor
 let add_in r ~bucket ~due ~id =
   if not (admits r ~due) then
     invalid_arg "Msg_ring.add: ring event at or before the cursor";
-  push r.slots.(bucket) ~due ~id;
+  (* one test for both: a negative value has its top bits set *)
+  if (due lor id) lsr bits <> 0 then
+    invalid_arg
+      (if due > max_due then
+         "Msg_ring.add: due past Msg_ring.max_due (2^31 - 1)"
+       else "Msg_ring.add: id outside [0, Msg_ring.max_id] (2^31 - 1)");
+  push r.slots.(bucket) ((due lsl bits) lor id);
   r.count <- r.count + 1
 
 let add r ~due ~id = add_in r ~bucket:(due mod Array.length r.slots) ~due ~id
@@ -75,7 +80,7 @@ let peek r ~now =
     while (not !found) && r.cursor < now do
       let t = r.cursor + 1 in
       let b = Array.unsafe_get r.slots (t mod s) in
-      if b.len > 0 && Array.unsafe_get b.due b.head = t then begin
+      if b.len > 0 && Array.unsafe_get b.ev b.head lsr bits = t then begin
         r.hd <- b;
         found := true
         (* leave [cursor] at [t - 1]: more events due at [t] may remain *)
@@ -85,11 +90,11 @@ let peek r ~now =
     !found
   end
 
-let head_due r = Array.unsafe_get r.hd.due r.hd.head
-let head_id r = Array.unsafe_get r.hd.id r.hd.head
+let head_due r = Array.unsafe_get r.hd.ev r.hd.head lsr bits
+let head_id r = Array.unsafe_get r.hd.ev r.hd.head land max_id
 
 let pop r =
   let b = r.hd in
-  b.head <- (b.head + 1) land (Array.length b.due - 1);
+  b.head <- (b.head + 1) land (Array.length b.ev - 1);
   b.len <- b.len - 1;
   r.count <- r.count - 1

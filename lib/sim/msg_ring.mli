@@ -6,11 +6,13 @@
     [now < due <= now + horizon], where [now] is the caller's clock at
     the moment of the add — never behind a previous {!peek}. The
     engine's delay clamp guarantees exactly this with [horizon = d].
-    Storage is struct-of-arrays bucket FIFOs of two int columns,
-    [due] and [id], so the steady-state hot path allocates nothing
-    per message and stores no pointer: the payload, its source and its
-    send order live once per multicast in the caller's table
-    ({!Network}), and [id] names that record.
+    Storage is bucket FIFOs of one int per queued event, [due] and
+    [id] packed together, so the steady-state hot path allocates
+    nothing per message, stores no pointer and takes one word per
+    event: the payload, its source and its send order live once per
+    multicast in the caller's table ({!Network}), and [id] names that
+    record. The packing caps both: [0 <= due <= max_due] and
+    [0 <= id <= max_id].
 
     Delivery order is (due, insertion order). The caller keeps each
     id's send order [seq], non-decreasing in insertion order, and
@@ -24,12 +26,19 @@
 
 type t
 
+val max_due : int
+(** [2^31 - 1], the greatest due an event can carry. *)
+
+val max_id : int
+(** [2^31 - 1], the greatest id an event can carry. *)
+
 val create : horizon:int -> unit -> t
 (** [horizon >= 1]; events may be added at most [horizon] ahead. *)
 
 val add : t -> due:int -> id:int -> unit
 (** Raises [Invalid_argument] if [due] is at or before the delivery
-    cursor. Violating the upper bound ([due <= now + horizon]) is not
+    cursor, or [due] or [id] is outside the packed range (above), before
+    any write. Violating the upper bound ([due <= now + horizon]) is not
     detectable locally and forfeits delivery-order guarantees. *)
 
 val admits : t -> due:int -> bool

@@ -4,8 +4,10 @@
    record of the table holds one multicast's [src], [seq] and payload
    once, however many copies are queued and however they are delivered.
 
-   Per-destination struct-of-arrays calendar rings (Msg_ring) hold a
-   queued copy as two ints, (due, id), where [id] names a record.
+   Per-destination calendar rings (Msg_ring) hold a queued copy as one
+   int, its due and [id] packed together, where [id] names a record;
+   the packing caps a ring due at [Msg_ring.max_due] and the table at
+   [Msg_ring.max_id + 1] records, both checked before any write.
    [enqueue] reuses the previous send's record when the source is the
    same and the payload physically equal, which is what a multicast's
    per-copy sends (and its replicas and reorders) look like, and
@@ -157,6 +159,9 @@ let ring_for t dst =
 
 let grow t msg =
   let cap = Array.length t.rec_src in
+  (* [cap] is a power of two: opening id [cap] would pass the cap *)
+  if cap > Msg_ring.max_id then
+    invalid_arg "Network: payload table full (Msg_ring.max_id + 1 records)";
   let cap' = if cap = 0 then 16 else 2 * cap in
   let ints a =
     let a' = Array.make cap' 0 in
@@ -431,6 +436,8 @@ let enqueue t ~src ~dst ~due msg name =
     invalid_arg (name ^ ": self-send")
   end;
   if not (admits t dst due) then invalid_arg late;
+  if due > Msg_ring.max_due then
+    invalid_arg (name ^ ": due past Msg_ring.max_due (2^31 - 1)");
   let id = record_for t ~src msg in
   Msg_ring.add (ring_for t dst) ~due ~id;
   Array.unsafe_set t.rec_copies id (Array.unsafe_get t.rec_copies id + 1);
@@ -467,6 +474,10 @@ let multicast t ~src ~now ~dues msg =
     let due = Array.unsafe_get dues first in
     if due - now < 1 || due - now > horizon then invalid_arg window;
     if not (admits t first due) then invalid_arg late;
+    (* every due below is at most [now + horizon] *)
+    if now > Msg_ring.max_due - horizon then
+      invalid_arg
+        "Network.multicast: now + horizon past Msg_ring.max_due (2^31 - 1)";
     let id = record_for t ~src msg in
     let buckets = horizon + 1 in
     let base = now mod buckets in

@@ -13,8 +13,9 @@
 
     Storage: one payload table, indexed two ways. A record holds the
     source, the send order and the payload once for all copies of one
-    multicast. A per-destination send queues a copy of two ints, its
-    due time and the record's id, in the destination's ring; the record
+    multicast. A per-destination send queues a copy as one int, its
+    due time and the record's id packed together, in the destination's
+    ring, which caps a due at {!Msg_ring.max_due}; the record
     is released when its last copy is received, and consecutive sends
     from one source with a physically equal payload share it — a
     {!multicast}, the engine's per-copy loop over a multicast under
@@ -76,10 +77,10 @@ val p : 'msg t -> int
 val send : 'msg t -> src:int -> dst:int -> due:int -> 'msg -> unit
 (** Queue one point-to-point message for delivery at absolute time [due].
     [src] is recorded for tracing; self-sends are rejected
-    ([Invalid_argument]) — a processor already knows its own state.
-    Every check is made before anything is stored, so a rejected send
-    leaves the payload table, the counters and the rings as they
-    were. *)
+    ([Invalid_argument]) — a processor already knows its own state, as
+    is a [due] past {!Msg_ring.max_due}. Every check is made before
+    anything is stored, so a rejected send leaves the payload table,
+    the counters and the rings as they were. *)
 
 val multicast : 'msg t -> src:int -> now:int -> dues:int array -> 'msg -> unit
 (** [multicast t ~src ~now ~dues msg] is {!send} from [src] to every
@@ -92,7 +93,8 @@ val multicast : 'msg t -> src:int -> now:int -> dues:int array -> 'msg -> unit
     fault-free per-destination path fills [dues] in a buffer it reuses
     across multicasts; [dues.(src)] is ignored.
 
-    Requires [0 <= now], [Array.length dues >= p] and
+    Requires [0 <= now], [now + horizon <= Msg_ring.max_due] (checked
+    before the record is taken), [Array.length dues >= p] and
     [now < dues.(dst) <= now + horizon] for every [dst <> src], where
     [now] is the sender's clock; a due outside that window raises
     [Invalid_argument] after the copies before it were queued and
