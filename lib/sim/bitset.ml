@@ -200,10 +200,14 @@ let merge_shared dst src c s d =
   end
   else or_into (writable dst c) s
 
-let union_into ~dst src =
-  if dst.n <> src.n then invalid_arg "Bitset.union_into: capacity mismatch";
+(* [union_into], remembering in [seen] (unless empty) the last chunk
+   found absorbed at each position: a later [src] chunk physically that
+   one is still absorbed, as [dst]'s chunks only gain bits, so it is
+   skipped unread. *)
+let union_seen ~dst src seen =
   if src.count = 0 || dst.count = dst.n then ()
   else begin
+    let remember = Array.length seen > 0 in
     let dcs = dst.chunks and scs = src.chunks in
     let { base; gains } = src.lineage in
     let lineage = Array.length base > 0 in
@@ -216,14 +220,20 @@ let union_into ~dst src =
           Array.unsafe_set dcs c s;
           added := !added + Array.unsafe_get gains c
         end
+        else if remember && s == Array.unsafe_get seen c then ()
         (* absorbed chunks, the steady state, end at the read-only test *)
         else if fresh_bits d s <> 0 then
           added :=
             !added
             + if owns dst c then or_into d s else merge_shared dst src c s d
+        else if remember then Array.unsafe_set seen c s
     done;
     dst.count <- dst.count + !added
   end
+
+let union_into ~dst src =
+  if dst.n <> src.n then invalid_arg "Bitset.union_into: capacity mismatch";
+  union_seen ~dst src [||]
 
 let chunk_count ch =
   let k = ref 0 in
@@ -239,10 +249,15 @@ let union_snapshots ss =
   if Array.length ss = 0 then invalid_arg "Bitset.union_snapshots: empty";
   let first = ss.(0) in
   let acc = create first.n in
+  (* once one sender's private copy of a chunk is merged, the snapshots
+     still holding the shared one find it absorbed once, not each *)
+  let seen = Array.make (Array.length acc.chunks) [||] in
   for i = 1 to Array.length ss - 1 do
-    union_into ~dst:acc ss.(i)
+    if ss.(i).n <> first.n then
+      invalid_arg "Bitset.union_into: capacity mismatch";
+    union_seen ~dst:acc ss.(i) seen
   done;
-  union_into ~dst:acc first;
+  union_seen ~dst:acc first seen;
   let base = first.chunks in
   let gains =
     Array.mapi

@@ -424,6 +424,72 @@ let prop_cow_model =
         ops;
       !ok)
 
+(* [union_snapshots] against the plain fold it replaces: [ss.(1..)],
+   then [ss.(0)], each by [union_into]. The families are an epoch's:
+   senders that took the previous digest share its chunks, and each
+   writes private copies of a few of them, so most snapshot chunks are
+   the shared ones a private copy already covered. A receiver holding
+   the previous digest, with a private bit or not, takes the new one
+   through the lineage and must end where the plain fold takes it. *)
+let plain_fold ss =
+  let acc = Bitset.create (Bitset.length ss.(0)) in
+  for i = 1 to Array.length ss - 1 do
+    Bitset.union_into ~dst:acc ss.(i)
+  done;
+  Bitset.union_into ~dst:acc ss.(0);
+  acc
+
+let prop_fold_matches_plain =
+  QCheck2.Test.make ~name:"union_snapshots = plain union_into fold" ~count:200
+    QCheck2.Gen.(
+      let* n = oneofl [ 504; 4097; 32768 ] in
+      let bit = oneof [ int_range 0 (n - 1); int_range 0 (min n 1500 - 1) ] in
+      let* base = list_size (int_range 0 40) bit in
+      let* senders = int_range 2 6 in
+      let* rounds =
+        list_size (int_range 1 4)
+          (pair (array_size (return senders) (list_size (int_range 0 4) bit))
+             (opt bit))
+      in
+      return (n, base, rounds))
+    (fun (n, base, rounds) ->
+      let b = Bitset.create n in
+      List.iter (Bitset.set b) base;
+      let senders = ref [||] and prev = ref None and ok = ref true in
+      List.iter
+        (fun (writes, private_bit) ->
+          if !senders = [||] then
+            senders := Array.map (fun _ -> Bitset.copy b) writes;
+          Array.iteri (fun i bits -> List.iter (Bitset.set !senders.(i)) bits)
+            writes;
+          let snaps = Array.map Bitset.snapshot !senders in
+          let ss =
+            match !prev with
+            | None -> snaps
+            | Some d -> Array.append [| d |] snaps
+          in
+          let d = Bitset.union_snapshots ss and plain = plain_fold ss in
+          let same x y =
+            Bitset.equal x y
+            && Bitset.cardinal x = Bitset.cardinal y
+            && Bitset.to_list x = Bitset.to_list y
+          in
+          if not (same d plain) then ok := false;
+          (match !prev with
+           | None -> ()
+           | Some p ->
+             let r = Bitset.create n in
+             Bitset.union_into ~dst:r p;
+             Option.iter (Bitset.set r) private_bit;
+             let r' = Bitset.copy r in
+             Bitset.union_into ~dst:r d;
+             Bitset.union_into ~dst:r' plain;
+             if not (same r r') then ok := false);
+          Array.iter (fun s -> Bitset.union_into ~dst:s d) !senders;
+          prev := Some d)
+        rounds;
+      !ok)
+
 let test_no_adoption_into_owned_chunk () =
   (* [live] owns its chunk ({1}) when the superset snapshot {1, 2}
      arrives. Adopting the snapshot's chunk there would let the next
@@ -535,4 +601,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_union_commutes_with_membership;
     QCheck_alcotest.to_alcotest prop_subset_iff_union_noop;
     QCheck_alcotest.to_alcotest prop_cow_model;
+    QCheck_alcotest.to_alcotest prop_fold_matches_plain;
   ]
