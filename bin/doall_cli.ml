@@ -842,6 +842,10 @@ let lemma32_cmd =
            ~doc:"Largest u to scan.")
   in
   let run u_max =
+    if u_max < 2 then begin
+      prerr_endline "doall: --u-max: must be >= 2";
+      exit 2
+    end;
     match Lemma32.first_counterexample ~u_max with
     | None ->
       Printf.printf
@@ -868,6 +872,10 @@ let contention_cmd =
            ~doc:"Permutation size (2..8 for certified search).")
   in
   let run n seed =
+    if n < 2 || n > 8 then begin
+      prerr_endline "doall: -n: must be in 2..8 (certified search)";
+      exit 2
+    end;
     let rng = Doall_sim.Rng.create seed in
     let cert = Doall_perms.Search.certified ~rng n in
     Printf.printf "n=%d  Cont(psi)=%d  bound 3nH_n=%.2f\n" n
