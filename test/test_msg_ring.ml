@@ -62,12 +62,14 @@ let test_add_behind_cursor () =
   Msg_ring.add r ~due:6 ~id:1;
   Alcotest.check events "after the cursor" [ (6, 1) ] (drain r ~now:6)
 
-(* The packing caps due and id at [Msg_ring.max_due] and
-   [Msg_ring.max_id]; one past either is rejected before any write. An
+(* The packing caps due and id at [cap] ([Msg_ring.max_due] and
+   [Msg_ring.max_id]); one past either is rejected before any write. An
    empty ring's cursor jumps to the polled instant, so the test starts
    it near the cap without walking there. *)
+let cap = (1 lsl 31) - 1
+
 let test_add_past_cap () =
-  let top = Msg_ring.max_due and idmax = Msg_ring.max_id in
+  let top = cap in
   let r = Msg_ring.create ~horizon:4 () in
   Alcotest.(check bool) "nothing due" false (Msg_ring.peek r ~now:(top - 4));
   Msg_ring.add r ~due:(top - 1) ~id:7;
@@ -76,13 +78,13 @@ let test_add_past_cap () =
     (fun () -> Msg_ring.add r ~due:(top + 1) ~id:0);
   let bad_id = "Msg_ring.add: id outside [0, Msg_ring.max_id] (2^31 - 1)" in
   Alcotest.check_raises "id past the cap" (Invalid_argument bad_id) (fun () ->
-      Msg_ring.add r ~due:top ~id:(idmax + 1));
+      Msg_ring.add r ~due:top ~id:(cap + 1));
   Alcotest.check_raises "negative id" (Invalid_argument bad_id) (fun () ->
       Msg_ring.add_in r ~bucket:(top mod 5) ~due:top ~id:(-1));
   Alcotest.(check int) "size unchanged" 1 (Msg_ring.size r);
-  Msg_ring.add r ~due:top ~id:idmax;
+  Msg_ring.add r ~due:top ~id:cap;
   Alcotest.check events "both extremes decode"
-    [ (top - 1, 7); (top, idmax) ]
+    [ (top - 1, 7); (top, cap) ]
     (drain r ~now:top)
 
 (* The same cap through every [Network] send, checked before a record
@@ -96,7 +98,7 @@ let[@inline never] rejected_payload f =
   w
 
 let test_network_due_past_cap () =
-  let top = Msg_ring.max_due and horizon = 4 in
+  let top = cap and horizon = 4 in
   let net = Network.create ~horizon ~p:3 () in
   let receive dst ~now =
     List.map
@@ -183,7 +185,7 @@ let prop_ring_matches_model =
     QCheck2.Gen.(
       let id =
         oneof
-          [ int_range 0 50; int_range (Msg_ring.max_id - 50) Msg_ring.max_id ]
+          [ int_range 0 50; int_range (cap - 50) cap ]
       in
       let op =
         frequency
@@ -201,7 +203,7 @@ let prop_ring_matches_model =
     (fun (high, ops) ->
       let r = Msg_ring.create ~horizon () in
       (* near the cap, 150 advances of 4 reach it *)
-      let start = if high then Msg_ring.max_due - 600 else 0 in
+      let start = if high then cap - 600 else 0 in
       ignore (Msg_ring.peek r ~now:start : bool);
       let clock = ref start and read = ref start in
       let model = ref [] (* (due, insertion, id), sorted *) and n = ref 0 in
@@ -226,9 +228,9 @@ let prop_ring_matches_model =
       List.iter
         (fun op ->
           (match op with
-           | Advance k -> clock := min (!clock + k) (Msg_ring.max_due - 1)
+           | Advance k -> clock := min (!clock + k) (cap - 1)
            | Add (lat, id) ->
-             let due = min (!clock + lat) Msg_ring.max_due in
+             let due = min (!clock + lat) cap in
              Msg_ring.add r ~due ~id;
              incr n;
              model := List.merge compare !model [ (due, !n, id) ]
