@@ -40,18 +40,15 @@ let adaptive_laggard (o : Adversary.oracle) =
    with Exit -> ());
   active
 
-let combine ~name ?schedule ?delay ?latency ?(crash = Adversary.no_crash)
-    ?faults ?restart () =
+let combine ~name ?schedule ?delay ?(crash = Adversary.no_crash) ?faults
+    ?restart () =
   let schedule = Option.value schedule ~default:all in
   (* The implicit default delay is [immediate], a constant the engine may
-     rely on; an explicit [delay] is opaque unless the caller also
-     declares its latency. *)
+     rely on; an explicit [delay] is opaque. *)
   let delay, latency =
-    match (delay, latency) with
-    | None, None -> (Delay.immediate, Adversary.Fixed 1)
-    | None, Some l -> (Delay.immediate, l)
-    | Some f, None -> (f, Adversary.Variable)
-    | Some f, Some l -> (f, l)
+    match delay with
+    | None -> (Delay.immediate, Adversary.Fixed 1)
+    | Some f -> (f, Adversary.Variable)
   in
   let adv =
     Adversary.with_latency latency

@@ -40,7 +40,6 @@ val combine :
   name:string ->
   ?schedule:t ->
   ?delay:Delay.t ->
-  ?latency:Adversary.latency ->
   ?crash:(Adversary.oracle -> int list) ->
   ?faults:Adversary.faults ->
   ?restart:(Adversary.oracle -> int list) ->
@@ -49,5 +48,5 @@ val combine :
 (** Assemble an adversary from parts; omitted parts are fair (and the
     network reliable, crashes permanent). Latency declaration: when
     [delay] is omitted the default immediate delivery is declared
-    [Fixed 1]; a supplied [delay] is treated as [Variable] unless
-    [latency] vouches for it. *)
+    [Fixed 1]; a supplied [delay] is always declared [Variable], so the
+    engine calls it for every copy and no declaration here can lie. *)

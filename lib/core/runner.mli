@@ -134,8 +134,9 @@ type run_spec = {
 (** One cell of an experiment grid, by registry name. *)
 
 exception Run_timeout of { spec : run_spec; metrics : Metrics.t }
-(** Raised by {!run} and {!run_traced} when the run hits its time cap
-    without completing. Carries the full partial metrics (work,
+(** Raised by {!run} when the run hits its time cap without
+    completing; {!run_traced} and {!run_spec} never raise it and report
+    a capped run through [metrics.completed = false]. Carries the full partial metrics (work,
     messages, executions, per-processor work so far; [sigma] is the cap
     time and [completed] is false) so callers can report how far the
     run got instead of discarding it. A printable form is installed via
@@ -191,6 +192,9 @@ val run_traced :
   d:int ->
   unit ->
   result * Trace.t
+(** {!run} with the trace recorded. A capped run is reported through
+    [metrics.completed = false], as by {!run_spec}, not by raising
+    {!Run_timeout}: the partial trace is returned with it. *)
 
 (** {1 Parallel grids} *)
 
