@@ -34,16 +34,57 @@ let optional check = function
   | None -> Ok None
   | Some v -> Result.map Option.some (check v)
 
-let each check vs =
-  List.fold_right
-    (fun v acc -> Result.bind (check v) (fun v -> Result.map (List.cons v) acc))
-    vs (Ok [])
+(* a list of at least one value, each passing [check] *)
+let each check = function
+  | [] -> Error "must name at least one value"
+  | vs ->
+    List.fold_right
+      (fun v acc ->
+        Result.bind (check v) (fun v -> Result.map (List.cons v) acc))
+      vs (Ok [])
 
 (* a registry name, checked by a lookup that raises [Failure] *)
 let known find name =
   match find name with _ -> Ok name | exception Failure e -> Error e
 
 let one arg = Term.(const (fun v -> [ v ]) $ arg)
+
+(* An output the command writes after its run: a path must name a
+   writable place, checked without creating anything, so a bad path is
+   refused before the run rather than after it. *)
+let writable path =
+  match Unix.access path [ Unix.W_OK ] with
+  | () -> true
+  | exception Unix.Unix_error _ -> false
+
+let directory path = Sys.file_exists path && Sys.is_directory path
+
+(* a file: '-' (stdout), or a non-directory in a writable directory *)
+let out_file path =
+  let dir = Filename.dirname path in
+  if path = "-" then Ok path
+  else if directory path then Error (Printf.sprintf "%S is a directory" path)
+  else if not (directory dir) then
+    Error (Printf.sprintf "directory %S does not exist" dir)
+  else if not (writable (if Sys.file_exists path then path else dir)) then
+    Error (Printf.sprintf "%S is not writable" path)
+  else Ok path
+
+(* a directory that exists and is writable, or can be made in one *)
+let out_dir path =
+  let parent = Filename.dirname path in
+  if directory path then
+    if writable path then Ok path
+    else Error (Printf.sprintf "directory %S is not writable" path)
+  else if Sys.file_exists path then
+    Error (Printf.sprintf "%S is not a directory" path)
+  else if not (directory parent && writable parent) then
+    Error (Printf.sprintf "cannot make directory %S" path)
+  else Ok path
+
+(* a message's due is at most d after its send, and a queued due is an
+   int of at most [Msg_ring.max_due] *)
+let delay = in_range 0 Doall_sim.Msg_ring.max_due
 
 let p_arg =
   checked "-p" (at_least 1)
@@ -57,7 +98,7 @@ let t_arg =
 
 (* 0 is legal and read as 1, as the engine does *)
 let d_arg =
-  checked "-d" (at_least 0)
+  checked "-d" delay
     Arg.(value & opt int 8 & info [ "d"; "delay" ] ~docv:"D"
            ~doc:"Adversary's message-delay bound (unknown to the algorithms).")
 
@@ -89,11 +130,12 @@ let jobs_arg =
                    machine's recommended domain count.")
 
 let obs_arg =
-  Arg.(value & opt (some string) None & info [ "obs" ] ~docv:"FILE"
-         ~doc:"Instrument the run with in-engine probes and write the \
-               final snapshot as JSONL to $(docv) ('-' for stdout); \
-               schema in docs/OBSERVABILITY.md. Metrics are identical \
-               with and without probes.")
+  checked "--obs" (optional out_file)
+    Arg.(value & opt (some string) None & info [ "obs" ] ~docv:"FILE"
+           ~doc:"Instrument the run with in-engine probes and write the \
+                 final snapshot as JSONL to $(docv) ('-' for stdout); \
+                 schema in docs/OBSERVABILITY.md. Metrics are identical \
+                 with and without probes.")
 
 let profile_arg =
   Arg.(value & flag & info [ "profile" ]
@@ -355,17 +397,19 @@ let trace_cmd =
      as JSONL."
   in
   let jsonl_arg =
-    Arg.(value & opt string "-" & info [ "jsonl" ] ~docv:"FILE"
-           ~doc:"Destination for the JSONL event stream ('-' = stdout, \
-                 the default); one event per line, schema in \
-                 docs/OBSERVABILITY.md.")
+    checked "--jsonl" out_file
+      Arg.(value & opt string "-" & info [ "jsonl" ] ~docv:"FILE"
+             ~doc:"Destination for the JSONL event stream ('-' = stdout, \
+                   the default); one event per line, schema in \
+                   docs/OBSERVABILITY.md.")
   in
   let chrome_arg =
-    Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"FILE"
-           ~doc:"Also export the run as a Chrome trace-event document \
-                 ('-' = stdout): per-processor tracks, broadcast flow \
-                 arrows and the engine phase profile, loadable in \
-                 Perfetto / chrome://tracing.")
+    checked "--chrome" (optional out_file)
+      Arg.(value & opt (some string) None & info [ "chrome" ] ~docv:"FILE"
+             ~doc:"Also export the run as a Chrome trace-event document \
+                   ('-' = stdout): per-processor tracks, broadcast flow \
+                   arrows and the engine phase profile, loadable in \
+                   Perfetto / chrome://tracing.")
   in
   let run algo adv p t d seed jsonl chrome (transport, _) =
     outcome @@ fun () ->
@@ -433,7 +477,7 @@ let obs_cmd =
   Cmd.group (cmd_info "obs" ~doc) [ obs_diff_cmd ]
 
 let delays_arg =
-  checked "--delays" (each (at_least 0))
+  checked "--delays" (each delay)
     Arg.(value & opt (list int) [ 1; 2; 4; 8; 16; 32; 64 ]
          & info [ "delays" ] ~docv:"D1,D2,.." ~doc:"Delay bounds to sweep.")
 
@@ -575,11 +619,12 @@ let synth_cmd =
     Term.(term_result' ~usage:false (const check $ space $ transport_arg))
   in
   let out_arg =
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
-           ~doc:"Write JSONL search progress ('synth-gen' per \
-                 generation, 'synth-best' at the end, plus a \
-                 best-so-far probe series) to $(docv) ('-' for \
-                 stdout).")
+    checked "--out" (optional out_file)
+      Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE"
+             ~doc:"Write JSONL search progress ('synth-gen' per \
+                   generation, 'synth-best' at the end, plus a \
+                   best-so-far probe series) to $(docv) ('-' for \
+                   stdout).")
   in
   let wall_cap_arg =
     Arg.(value & opt (some float) None & info [ "wall-cap" ] ~docv:"SECONDS"
@@ -807,14 +852,16 @@ let exp_describe_cmd =
 let exp_run_cmd =
   let doc = "Run experiments through the declarative engine." in
   let csv_arg =
-    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR"
-           ~doc:"Also write every table as $(docv)/<exp>-<table>.csv \
-                 (stable names; the directory is created if needed).")
+    checked "--csv" (optional out_dir)
+      Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR"
+             ~doc:"Also write every table as $(docv)/<exp>-<table>.csv \
+                   (stable names; the directory is created if needed).")
   in
   let jsonl_arg =
-    Arg.(value & opt (some string) None & info [ "jsonl" ] ~docv:"FILE"
-           ~doc:"Append versioned table/row JSONL lines to $(docv) \
-                 ('-' for stdout); schema in docs/OBSERVABILITY.md.")
+    checked "--jsonl" (optional out_file)
+      Arg.(value & opt (some string) None & info [ "jsonl" ] ~docv:"FILE"
+             ~doc:"Append versioned table/row JSONL lines to $(docv) \
+                   ('-' for stdout); schema in docs/OBSERVABILITY.md.")
   in
   let run es jobs csv jsonl progress =
     outcome @@ fun () ->

@@ -136,6 +136,14 @@ module Make (A : Algorithm.S) = struct
     mutable live : int;
     mutable halted_count : int;
     mutable done_alive : int; (* live pids observed with [A.is_done] *)
+    mutable lat_v : int;
+    mutable lat_n : int;
+        (* net.delivery_latency's run-length registers: a run of [lat_n]
+           equal deltas [lat_v] not yet flushed to the histogram *)
+    mutable receiver : int; (* the pid whose step is receiving *)
+    mutable deliver : int -> A.msg -> unit;
+        (* the receive callback, built once: it hands a delivery to
+           [receiver]'s state *)
   }
 
   (* Lookahead used by the omniscient adversary: clone [pid]'s state and
@@ -186,6 +194,10 @@ module Make (A : Algorithm.S) = struct
 
   let create ?probe ?spans ?(check = false) cfg ~d ~adversary =
     if d < 0 then invalid_arg "Engine.create: d must be non-negative";
+    (* a message is due at most d after its send; a larger d cannot be
+       queued (see Msg_ring's packing) *)
+    if d > Msg_ring.max_due then
+      invalid_arg "Engine.create: d past Msg_ring.max_due (2^31 - 1)";
     let d = Int.max 1 d in
     let p = cfg.Config.p in
     let probe =
@@ -268,8 +280,14 @@ module Make (A : Algorithm.S) = struct
         live = p;
         halted_count = 0;
         done_alive = 0;
+        lat_v = -1;
+        lat_n = 0;
+        receiver = 0;
+        deliver = (fun _ _ -> ());
       }
     in
+    eng.deliver <-
+      (fun src msg -> A.receive eng.states.(eng.receiver) ~src msg);
     let plan_step_cap = 16 * (cfg.Config.t + 8) in
     eng.oracle <-
       Some
@@ -346,26 +364,26 @@ module Make (A : Algorithm.S) = struct
      lost — modelling a node that lost volatile memory. Messages queued
      to it while it was down survive (the network is a separate entity)
      and are delivered on its next step. *)
-  let apply_restarts eng pids =
-    List.iter
-      (fun pid ->
-        if pid >= 0 && pid < eng.cfg.Config.p && not eng.alive.(pid) then begin
-          eng.alive.(pid) <- true;
-          eng.live <- eng.live + 1;
-          eng.states.(pid) <- A.init eng.cfg ~pid;
-          if eng.halted.(pid) then begin
-            (* halted-then-crashed: the halt claim died with the state *)
-            eng.halted.(pid) <- false;
-            eng.halted_count <- eng.halted_count - 1
-          end;
-          (* the fresh state knows nothing, so it no longer counts as
-             informed; step_processor re-detects it incrementally *)
-          eng.done_seen.(pid) <- false;
-          link_eligible eng pid;
-          if eng.cfg.Config.record_trace then
-            Trace.add eng.trace (Trace.Restart { time = eng.time; pid })
-        end)
-      pids
+  let rec apply_restarts eng = function
+    | [] -> ()
+    | pid :: rest ->
+      if pid >= 0 && pid < eng.cfg.Config.p && not eng.alive.(pid) then begin
+        eng.alive.(pid) <- true;
+        eng.live <- eng.live + 1;
+        eng.states.(pid) <- A.init eng.cfg ~pid;
+        if eng.halted.(pid) then begin
+          (* halted-then-crashed: the halt claim died with the state *)
+          eng.halted.(pid) <- false;
+          eng.halted_count <- eng.halted_count - 1
+        end;
+        (* the fresh state knows nothing, so it no longer counts as
+           informed; step_processor re-detects it incrementally *)
+        eng.done_seen.(pid) <- false;
+        link_eligible eng pid;
+        if eng.cfg.Config.record_trace then
+          Trace.add eng.trace (Trace.Restart { time = eng.time; pid })
+      end;
+      apply_restarts eng rest
 
   (* Without a restart policy a halt or crash is permanent, so shared
      broadcast storage stops waiting for [pid]. *)
@@ -377,26 +395,38 @@ module Make (A : Algorithm.S) = struct
       | Ptp net -> Network.deactivate net ~pid
       | Shared ch -> Channel.deactivate ch ~pid)
 
-  let apply_crashes eng pids =
-    List.iter
-      (fun pid ->
-        if pid >= 0 && pid < eng.cfg.Config.p && eng.alive.(pid) && eng.live > 1
-        then begin
-          eng.alive.(pid) <- false;
-          eng.live <- eng.live - 1;
-          if not eng.halted.(pid) then unlink_eligible eng pid;
-          (* in-flight messages outlive their sender (§2.1); on the
-             shared channel the transmit buffer dies with the volatile
-             state *)
-          (match eng.fabric with
-           | Ptp _ -> ()
-           | Shared ch -> Channel.silence ch ~pid);
-          deactivate_if_permanent eng pid;
-          if eng.done_seen.(pid) then eng.done_alive <- eng.done_alive - 1;
-          if eng.cfg.Config.record_trace then
-            Trace.add eng.trace (Trace.Crash { time = eng.time; pid })
-        end)
-      pids
+  let rec apply_crashes eng = function
+    | [] -> ()
+    | pid :: rest ->
+      if pid >= 0 && pid < eng.cfg.Config.p && eng.alive.(pid) && eng.live > 1
+      then begin
+        eng.alive.(pid) <- false;
+        eng.live <- eng.live - 1;
+        if not eng.halted.(pid) then unlink_eligible eng pid;
+        (* in-flight messages outlive their sender (§2.1); on the
+           shared channel the transmit buffer dies with the volatile
+           state *)
+        (match eng.fabric with
+         | Ptp _ -> ()
+         | Shared ch -> Channel.silence ch ~pid);
+        deactivate_if_permanent eng pid;
+        if eng.done_seen.(pid) then eng.done_alive <- eng.done_alive - 1;
+        if eng.cfg.Config.record_trace then
+          Trace.add eng.trace (Trace.Crash { time = eng.time; pid })
+      end;
+      apply_crashes eng rest
+
+  (* The step's unicasts to other pids: the count, and whether one is
+     addressed to the sender itself (the engine drops those). Plain
+     recursion, so the per-step send path builds no closure. *)
+  let rec count_others pid acc = function
+    | [] -> acc
+    | (dst, _) :: rest ->
+      count_others pid (if dst <> pid then acc + 1 else acc) rest
+
+  let rec has_self pid = function
+    | [] -> false
+    | (dst, _) :: rest -> dst = pid || has_self pid rest
 
   (* Shared channel: the step's whole outbound — broadcast and/or
      unicasts — is one frame queued at [pid]'s station. The delayed
@@ -407,7 +437,10 @@ module Make (A : Algorithm.S) = struct
      per-message adversary pick. *)
   let transmit_frame eng ch pid (r : A.msg Algorithm.step_result) =
     let bcast = r.Algorithm.broadcast in
-    let unis = List.filter (fun (dst, _) -> dst <> pid) r.Algorithm.unicasts in
+    let unis =
+      let l = r.Algorithm.unicasts in
+      if has_self pid l then List.filter (fun (dst, _) -> dst <> pid) l else l
+    in
     let logical =
       (match bcast with Some _ -> 1 | None -> 0) + List.length unis
     in
@@ -432,65 +465,73 @@ module Make (A : Algorithm.S) = struct
         (Trace.Broadcast
            { time = eng.time; src = pid; copies = eng.cfg.Config.p - 1 })
 
+  (* Per-message delivery deltas feed net.delivery_latency, but paying
+     a histogram update per send costs ~10% on broadcast-heavy runs.
+     Deltas arrive in runs of equal values (constant for max-delay,
+     the common case), so batch by run length in the engine's
+     [lat_v]/[lat_n] registers: per send, one compare and a register
+     increment; one histogram flush per distinct run, and one at the
+     end of the step ({!send_ptp}). *)
+  let observe_latency eng delta n =
+    if eng.ins.obs_on then
+      if delta = eng.lat_v then eng.lat_n <- eng.lat_n + n
+      else begin
+        Probe.observe_n eng.ins.i_latency eng.lat_v eng.lat_n;
+        eng.lat_v <- delta;
+        eng.lat_n <- n
+      end
+
+  (* one point-to-point copy from [pid] to [dst], with its adversarial
+     delay and fault verdict *)
+  let send_one eng net pid dst msg =
+    let o = oracle eng in
+    let raw = eng.adv.Adversary.delay o ~src:pid ~dst in
+    let delta = Int.max 1 (Int.min eng.d raw) in
+    match eng.adv.Adversary.faults with
+    | None ->
+      (* the reliable network of the paper's model: one branch, no
+         extra RNG draws — fault-free runs stay bit-identical *)
+      observe_latency eng delta 1;
+      Network.send net ~src:pid ~dst ~due:(eng.time + delta) msg
+    | Some f -> (
+      match f o ~src:pid ~dst with
+      | Adversary.Deliver ->
+        observe_latency eng delta 1;
+        Network.send net ~src:pid ~dst ~due:(eng.time + delta) msg
+      | Adversary.Drop ->
+        (* the algorithm paid for the send: it counts toward M even
+           though nothing is enqueued; no latency sample (no delivery) *)
+        Network.count_lost net;
+        if eng.ins.obs_on then Probe.incr eng.ins.i_drops
+      | Adversary.Duplicate n ->
+        observe_latency eng delta 1;
+        Network.send net ~src:pid ~dst ~due:(eng.time + delta) msg;
+        (* replicas re-draw their latency (a resend travels a fresh
+           path) and do not count toward M — the algorithm sent once *)
+        for _ = 1 to n do
+          let raw' = eng.adv.Adversary.delay o ~src:pid ~dst in
+          let delta' = Int.max 1 (Int.min eng.d raw') in
+          Network.send_replica net ~src:pid ~dst ~due:(eng.time + delta')
+            msg
+        done;
+        if eng.ins.obs_on then Probe.add eng.ins.i_dups (Int.max 0 n)
+      | Adversary.Reorder j ->
+        (* extra latency on top of the adversary's delay, re-clamped
+           into [1..d] so the calendar-ring horizon still holds *)
+        let delta' = Int.max 1 (Int.min eng.d (delta + Int.max 0 j)) in
+        observe_latency eng delta' 1;
+        Network.send net ~src:pid ~dst ~due:(eng.time + delta') msg)
+
+  let rec send_unicasts eng net pid = function
+    | [] -> ()
+    | (dst, msg) :: rest ->
+      if dst <> pid then send_one eng net pid dst msg;
+      send_unicasts eng net pid rest
+
   (* Point-to-point: every copy gets its own adversarial delay (and
      fault verdict), except on the stream fast path, where a broadcast
      is one broadcast log entry due after the declared constant. *)
   let send_ptp eng net pid (r : A.msg Algorithm.step_result) =
-    (* Per-message delivery deltas feed net.delivery_latency, but paying
-       a histogram update per send costs ~10% on broadcast-heavy runs.
-       Deltas arrive in runs of equal values (constant for max-delay,
-       the common case), so batch by run length: per send, one compare
-       and a register increment; one histogram flush per distinct run. *)
-    let lat_v = ref (-1) and lat_n = ref 0 in
-    let observe_latency delta =
-      if eng.ins.obs_on then begin
-        if delta = !lat_v then incr lat_n
-        else begin
-          Probe.observe_n eng.ins.i_latency !lat_v !lat_n;
-          lat_v := delta;
-          lat_n := 1
-        end
-      end
-    in
-    let send_one dst msg =
-      let o = oracle eng in
-      let raw = eng.adv.Adversary.delay o ~src:pid ~dst in
-      let delta = Int.max 1 (Int.min eng.d raw) in
-      match eng.adv.Adversary.faults with
-      | None ->
-        (* the reliable network of the paper's model: one branch, no
-           extra RNG draws — fault-free runs stay bit-identical *)
-        observe_latency delta;
-        Network.send net ~src:pid ~dst ~due:(eng.time + delta) msg
-      | Some f -> (
-        match f o ~src:pid ~dst with
-        | Adversary.Deliver ->
-          observe_latency delta;
-          Network.send net ~src:pid ~dst ~due:(eng.time + delta) msg
-        | Adversary.Drop ->
-          (* the algorithm paid for the send: it counts toward M even
-             though nothing is enqueued; no latency sample (no delivery) *)
-          Network.count_lost net;
-          if eng.ins.obs_on then Probe.incr eng.ins.i_drops
-        | Adversary.Duplicate n ->
-          observe_latency delta;
-          Network.send net ~src:pid ~dst ~due:(eng.time + delta) msg;
-          (* replicas re-draw their latency (a resend travels a fresh
-             path) and do not count toward M — the algorithm sent once *)
-          for _ = 1 to n do
-            let raw' = eng.adv.Adversary.delay o ~src:pid ~dst in
-            let delta' = Int.max 1 (Int.min eng.d raw') in
-            Network.send_replica net ~src:pid ~dst ~due:(eng.time + delta')
-              msg
-          done;
-          if eng.ins.obs_on then Probe.add eng.ins.i_dups (Int.max 0 n)
-        | Adversary.Reorder j ->
-          (* extra latency on top of the adversary's delay, re-clamped
-             into [1..d] so the calendar-ring horizon still holds *)
-          let delta' = Int.max 1 (Int.min eng.d (delta + Int.max 0 j)) in
-          observe_latency delta';
-          Network.send net ~src:pid ~dst ~due:(eng.time + delta') msg)
-    in
     (match r.Algorithm.broadcast with
      | Some msg ->
        let p = eng.cfg.Config.p in
@@ -499,13 +540,7 @@ module Make (A : Algorithm.S) = struct
          (* one shared record replaces the p-1 send_one calls; the
             latency probe still sees p-1 samples of [delta], batched
             through the same run-length registers *)
-         if eng.ins.obs_on then
-           if delta = !lat_v then lat_n := !lat_n + (p - 1)
-           else begin
-             Probe.observe_n eng.ins.i_latency !lat_v !lat_n;
-             lat_v := delta;
-             lat_n := p - 1
-           end;
+         observe_latency eng delta (p - 1);
          Network.broadcast net ~src:pid ~due:(eng.time + delta) msg
        end
        else begin
@@ -521,31 +556,30 @@ module Make (A : Algorithm.S) = struct
            for dst = 0 to p - 1 do
              if dst <> pid then begin
                let delta = Int.max 1 (Int.min d (delay o ~src:pid ~dst)) in
-               observe_latency delta;
+               observe_latency eng delta 1;
                Array.unsafe_set dues dst (now + delta)
              end
            done;
            Network.multicast net ~src:pid ~now ~dues msg
          | Some _ ->
            for dst = 0 to p - 1 do
-             if dst <> pid then send_one dst msg
+             if dst <> pid then send_one eng net pid dst msg
            done
        end;
        if eng.cfg.Config.record_trace then
          Trace.add eng.trace
            (Trace.Broadcast { time = eng.time; src = pid; copies = p - 1 })
      | None -> ());
-    List.iter
-      (fun (dst, msg) -> if dst <> pid then send_one dst msg)
-      r.Algorithm.unicasts;
+    send_unicasts eng net pid r.Algorithm.unicasts;
     if eng.ins.obs_on then begin
-      Probe.observe_n eng.ins.i_latency !lat_v !lat_n;
+      Probe.observe_n eng.ins.i_latency eng.lat_v eng.lat_n;
+      eng.lat_v <- -1;
+      eng.lat_n <- 0;
       (* multicast fan-out of this step: point-to-point copies sent.
          [fan] equals the number of [send_one] calls above, so one
          [add] also maintains net.sends without per-send increments. *)
       let fan =
-        List.fold_left
-          (fun acc (dst, _) -> if dst <> pid then acc + 1 else acc)
+        count_others pid
           (match r.Algorithm.broadcast with
            | Some _ -> eng.cfg.Config.p - 1
            | None -> 0)
@@ -572,11 +606,12 @@ module Make (A : Algorithm.S) = struct
     (* The three hot phases run back to back, so each transition is one
        clock read ({!Span.shift}); the whole step costs four reads. *)
     Span.enter eng.ph.ph_deliver;
-    let deliver src msg = A.receive st ~src msg in
+    eng.receiver <- pid;
     let delivered =
       match eng.fabric with
-      | Ptp net -> Network.receive_iter net ~dst:pid ~now:eng.time deliver
-      | Shared ch -> Channel.receive_iter ch ~dst:pid ~now:eng.time deliver
+      | Ptp net -> Network.receive_iter net ~dst:pid ~now:eng.time eng.deliver
+      | Shared ch ->
+        Channel.receive_iter ch ~dst:pid ~now:eng.time eng.deliver
     in
     if eng.ins.obs_on && delivered > 0 then
       Probe.add eng.ins.i_deliveries delivered;
@@ -623,6 +658,12 @@ module Make (A : Algorithm.S) = struct
       eng.done_alive <- eng.done_alive + 1
     end
 
+  (* some eligible pid from [pid] on (in list order) is [active] *)
+  let rec any_active eng active pid =
+    pid <> eng.cfg.Config.p
+    && (Array.unsafe_get active pid
+       || any_active eng active eng.next_eligible.(pid))
+
   let tick eng =
     let o = oracle eng in
     (* adversary decisions for the tick: restart, crash, and schedule
@@ -644,11 +685,8 @@ module Make (A : Algorithm.S) = struct
        The eligible list is ascending, so its head is the lowest pid. *)
     let sentinel = p in
     let head = eng.next_eligible.(sentinel) in
-    let rec any_active pid =
-      pid <> sentinel
-      && (Array.unsafe_get active pid || any_active eng.next_eligible.(pid))
-    in
-    if head <> sentinel && not (any_active head) then active.(head) <- true;
+    if head <> sentinel && not (any_active eng active head) then
+      active.(head) <- true;
     let pid = ref head in
     while !pid <> sentinel do
       (* capture the successor first: a step may halt (unlink) [!pid] *)

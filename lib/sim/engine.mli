@@ -37,7 +37,8 @@ module Make (A : Algorithm.S) : sig
     d:int ->
     adversary:Adversary.t ->
     t
-  (** Builds initial states for all [p] processors. [d >= 0]; [d = 0] is
+  (** Builds initial states for all [p] processors.
+      [0 <= d <= Msg_ring.max_due], else [Invalid_argument]; [d = 0] is
       treated as [d = 1] (a message needs at least one time unit).
 
       [?probe] attaches an observability probe (default: a private

@@ -5,9 +5,9 @@
    on the command line, and nothing on stdout. The built binary runs as
    a subprocess on argument vectors drawn from a small grammar per
    command: valid and unknown names, strategy specs good and bad,
-   integers in and out of range, and fault/transport pairs. Sizes stay
-   small (p <= 8, t <= 32, --jobs <= 2), so no case starts a large run
-   or many domains. *)
+   integers in and out of range, empty lists, output paths writable and
+   not, and fault/transport pairs. Sizes stay small (p <= 8, t <= 32,
+   --jobs <= 2), so no case starts a large run or many domains. *)
 
 let exe = Filename.concat Filename.parent_dir_name "bin/doall_cli.exe"
 
@@ -117,7 +117,8 @@ let adv =
 let algo = opt "--algo" (name_of algos)
 let p = opt "-p" (int_in ~bad:[ 0; -1; -7 ] 1 8)
 let t = opt "-t" (int_in ~bad:[ 0; -3 ] 1 32)
-let d = opt "-d" (int_in ~bad:[ -1; -5 ] 0 16)
+(* 3e9 is past the ring cap, [Msg_ring.max_due] = 2^31 - 1 *)
+let d = opt "-d" (int_in ~bad:[ -1; -5; 3_000_000_000 ] 0 16)
 let seed = maybe (opt "--seed" (int_in (-3) 50))
 let jobs = maybe (opt "--jobs" (int_in (-1) 2))
 let max_time = maybe (opt "--max-time" (int_in ~bad:[ 0; -5 ] 1 60))
@@ -134,7 +135,17 @@ let faults =
           (oneofl [ "drop=0.1"; "dup=0.2x2,reorder=0.1" ])
           (oneofl [ "drop=1.5"; "bogus" ])))
 
-let list_of g = map (String.concat ",") (list_size (int_range 1 3) g)
+(* one to three entries, or sometimes none *)
+let list_of g =
+  mostly (map (String.concat ",") (list_size (int_range 1 3) g)) (pure "")
+
+(* An output path: stdout, a writable temporary file, or a path that
+   cannot be written (a missing directory, or a directory itself). *)
+let out_file =
+  let tmp = Filename.temp_file "doall-cli" ".jsonl" in
+  at_exit (fun () -> if Sys.file_exists tmp then Sys.remove tmp);
+  mostly (oneofl [ "-"; tmp ])
+    (oneofl [ "/nonexistent/x.jsonl"; Filename.get_temp_dir_name () ])
 
 let args parts = map List.concat (flatten_l parts)
 
@@ -142,14 +153,16 @@ let run_args =
   [ algo;
     frequency
       [ (3, opt "--adv" adv); (1, opt "--strategy" spec); (1, pure []) ];
-    p; t; d; seed; switch "--check"; faults; max_time; transport ]
+    p; t; d; seed; switch "--check"; faults; max_time; transport;
+    maybe (opt "--obs" out_file) ]
 
 let commands =
   [
     ("run", args (pure [ "run" ] :: run_args));
     ("run --trace", args (pure [ "run"; "--trace" ] :: run_args));
     ("trace", args [ pure [ "trace" ]; algo; opt "--adv" adv; p; t; d; seed;
-                     transport ]);
+                     transport; maybe (opt "--jsonl" out_file);
+                     maybe (opt "--chrome" out_file) ]);
     ("sweep",
      args [ pure [ "sweep" ]; algo; opt "--adv" adv; p; t;
             opt "--delays" (list_of (int_in ~bad:[ -2; -1 ] 0 16)); seed;
@@ -169,7 +182,8 @@ let commands =
                  (mostly
                     (oneofl [ "full"; "live"; "in-model"; "quorum-safe" ])
                     (pure "y")));
-            max_time; switch "--no-check"; jobs; transport ]);
+            max_time; switch "--no-check"; jobs; transport;
+            maybe (opt "--out" out_file) ]);
     ("contention",
      args [ pure [ "contention" ];
             opt "-n" (int_in ~bad:[ 9; 1; 0; -2 ] 2 8); seed ]);
@@ -205,6 +219,24 @@ let probes =
      Some "--space");
     ([ "contention"; "-n"; "9" ], 2, Some "-n");
     ([ "lemma32"; "--u-max=0" ], 2, Some "--u-max");
+    ([ "run"; "-p"; "2"; "-t"; "4"; "--obs"; "/nonexistent/x.jsonl" ], 2,
+     Some "--obs");
+    ([ "trace"; "-p"; "2"; "-t"; "4"; "--jsonl"; "/nonexistent/x.jsonl" ], 2,
+     Some "--jsonl");
+    ([ "trace"; "-p"; "2"; "-t"; "4"; "--chrome"; "/nonexistent/x.json" ], 2,
+     Some "--chrome");
+    ([ "synth"; "--quick"; "--budget"; "2"; "--out"; "/nonexistent/x" ], 2,
+     Some "--out");
+    ([ "exp"; "run"; "e1"; "--csv"; "/nonexistent/csv" ], 2, Some "--csv");
+    ([ "exp"; "run"; "e1"; "--jsonl"; "/nonexistent/x.jsonl" ], 2,
+     Some "--jsonl");
+    ([ "compare"; "--algos=" ], 2, Some "--algos");
+    ([ "sweep"; "--delays=" ], 2, Some "--delays");
+    ([ "run"; "-p"; "8"; "-t"; "64"; "-d"; "3000000000"; "--adv";
+       "uniform-delay" ], 2, Some "-d");
+    ([ "run"; "-p"; "8"; "-t"; "32"; "-d"; "3000000000"; "--adv";
+       "max-delay" ], 2, Some "-d");
+    ([ "sweep"; "--delays=1,3000000000" ], 2, Some "--delays");
     ([ "run"; "--algo"; "paran1"; "--adv"; "fair"; "-p"; "4"; "-t"; "64";
        "--max-time"; "3"; "--trace" ], 1, None);
     ([ "sweep"; "--algo"; "awq-q2"; "--adv"; "chaos"; "-p"; "2"; "-t"; "5";

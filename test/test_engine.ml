@@ -212,6 +212,118 @@ let test_fresh_flags_in_trace () =
       | _ -> ());
   check_int "each task fresh exactly once" 6 !fresh
 
+let test_delay_past_ring_cap () =
+  (* a due is packed into [Msg_ring.max_due]; a larger d is refused
+     before any state is built *)
+  let cfg = Config.make ~p:4 ~t:8 () in
+  Alcotest.check_raises "d past the ring cap"
+    (Invalid_argument "Engine.create: d past Msg_ring.max_due (2^31 - 1)")
+    (fun () ->
+      ignore
+        (Engine.run_packed (Algo_trivial.make ()) cfg
+           ~d:(Msg_ring.max_due + 1) ~adversary:Adversary.max_delay ()))
+
+(* A probe algorithm whose own work allocates nothing: [step] returns
+   one of two results built at [init], both carrying one shared
+   payload, and [receive] only counts. A pid sends on the steps where
+   [(n + pid) mod period = 0]: every step with [period = 1], and one
+   pid per tick with [period = p]. *)
+let quiet_probe ~bcast ~unicast ~period : Algorithm.packed =
+  (module struct
+    let name = "quiet-probe"
+
+    type msg = int array
+
+    type state = {
+      send : msg Algorithm.step_result;
+      rest : msg Algorithm.step_result;
+      known : Bitset.t;
+      mutable n : int;
+      mutable received : int;
+    }
+
+    let payload = Array.make 8 0
+
+    let init cfg ~pid =
+      let p = cfg.Config.p in
+      let unicasts =
+        if unicast then [ ((pid + 1) mod p, payload) ] else []
+      in
+      {
+        send =
+          Algorithm.result
+            ?broadcast:(if bcast then Some payload else None)
+            ~unicasts ();
+        rest = Algorithm.nothing;
+        known = Bitset.create cfg.Config.t;
+        n = pid;
+        received = 0;
+      }
+
+    let copy st = { st with n = st.n }
+    let receive st ~src:_ _ = st.received <- st.received + 1
+    let merge_homomorphic = None
+
+    let step st =
+      let r = if st.n mod period = 0 then st.send else st.rest in
+      st.n <- st.n + 1;
+      r
+
+    let is_done _ = false
+    let done_tasks st = st.known
+  end)
+
+(* Minor words the engine allocates per step on one outbound path, the
+   probe's own results and payload being preallocated. The schedule
+   array is reused too, so what remains is the engine's and the
+   fabric's own: nothing on the point-to-point paths, and on the
+   shared channel the slot's result record, 4 words a tick (0.25 a
+   step at p = 16). Warm-up (ring and table growth) runs before the
+   measured window. *)
+let words_per_step ?(transport = Config.Ptp) ?faults ~latency ~bcast
+    ~unicast ~period () =
+  let p = 16 in
+  let cfg = Config.make ~seed:1 ~transport ~p ~t:64 () in
+  let all = Array.make p true in
+  let adversary =
+    { Adversary.max_delay with schedule = (fun _ -> all); latency; faults }
+  in
+  let (module A) = quiet_probe ~bcast ~unicast ~period in
+  let module E = Engine.Make (A) in
+  let eng = E.create cfg ~d:4 ~adversary in
+  let warm = E.run ~max_time:64 eng in
+  let w0 = Gc.minor_words () in
+  let m = E.run ~max_time:2112 eng in
+  let words = Gc.minor_words () -. w0 in
+  check "probe ran to the cap" false m.Metrics.completed;
+  check "messages flowed" true (m.Metrics.messages > warm.Metrics.messages);
+  words /. float_of_int (m.Metrics.work - warm.Metrics.work)
+
+let test_step_allocates_nothing () =
+  let deliver _ ~src:_ ~dst:_ = Adversary.Deliver in
+  List.iter
+    (fun (path, words) ->
+      if words > 0.5 then
+        Alcotest.failf "%s: %.2f minor words per step (at most 0.5)" path
+          words)
+    [
+      ( "stream broadcast",
+        words_per_step ~latency:Adversary.Maximal ~bcast:true ~unicast:false
+          ~period:1 () );
+      ( "per-destination multicast",
+        words_per_step ~latency:Adversary.Variable ~bcast:true ~unicast:false
+          ~period:1 () );
+      ( "per-destination with a fault policy",
+        words_per_step ~latency:Adversary.Variable ~faults:deliver ~bcast:true
+          ~unicast:false ~period:1 () );
+      ( "unicasts",
+        words_per_step ~latency:Adversary.Maximal ~bcast:false ~unicast:true
+          ~period:1 () );
+      ( "shared channel",
+        words_per_step ~transport:(Config.Channel Config.Silent)
+          ~latency:Adversary.Maximal ~bcast:true ~unicast:true ~period:16 () );
+    ]
+
 let suite =
   [
     Alcotest.test_case "trivial completes, W=pt, M=0" `Quick
@@ -244,4 +356,8 @@ let suite =
       test_timeout_reported;
     Alcotest.test_case "trace records performs" `Quick test_trace_records;
     Alcotest.test_case "trace fresh flags" `Quick test_fresh_flags_in_trace;
+    Alcotest.test_case "a step allocates nothing of the engine's" `Quick
+      test_step_allocates_nothing;
+    Alcotest.test_case "d past the ring cap refused" `Quick
+      test_delay_past_ring_cap;
   ]
