@@ -3,15 +3,8 @@ open Doall_sim
 type t = Adversary.oracle -> int list
 type restart = Adversary.oracle -> int list
 
-let none = Adversary.no_crash
-
 let at_time ~time ~pids (o : Adversary.oracle) =
   if o.time () = time then pids else []
-
-let all_but_one ~survivor ~time (o : Adversary.oracle) =
-  if o.time () = time then
-    List.filter (fun pid -> pid <> survivor) (List.init o.p Fun.id)
-  else []
 
 let poisson ?(survivor = 0) ~rate (o : Adversary.oracle) =
   (* One draw per pid regardless of the survivor filter, so changing

@@ -17,14 +17,8 @@ type t = Adversary.oracle -> int list
 type restart = Adversary.oracle -> int list
 (** Called once per tick (before {!t}); returns crashed pids to revive. *)
 
-val none : t
-
 val at_time : time:int -> pids:int list -> t
 (** Crash exactly [pids] at [time]. *)
-
-val all_but_one : survivor:int -> time:int -> t
-(** At [time], crash every processor except [survivor] — the adversary's
-    strongest legal crash pattern. *)
 
 val poisson : ?survivor:int -> rate:float -> t
 (** Each unit, each live processor crashes independently with probability

@@ -3,7 +3,6 @@ open Doall_sim
 type t = Adversary.oracle -> src:int -> dst:int -> int
 
 let immediate _ ~src:_ ~dst:_ = 1
-let constant k _ ~src:_ ~dst:_ = k
 let maximal (o : Adversary.oracle) ~src:_ ~dst:_ = o.d
 
 let uniform (o : Adversary.oracle) ~src:_ ~dst:_ =
@@ -12,7 +11,6 @@ let uniform (o : Adversary.oracle) ~src:_ ~dst:_ =
 let bimodal ~slow_fraction (o : Adversary.oracle) ~src:_ ~dst:_ =
   if Rng.float o.rng 1.0 < slow_fraction then o.d else 1
 
-let per_destination f _ ~src:_ ~dst = f dst
 
 let stage_batched ~stage_len (o : Adversary.oracle) ~src:_ ~dst:_ =
   if stage_len < 1 then invalid_arg "Delay.stage_batched: stage_len >= 1";

@@ -13,9 +13,6 @@ val immediate : t
 (** Every message arrives after one time unit — the fastest legal
     network. *)
 
-val constant : int -> t
-(** Fixed latency (clamped to the run's [d] by the engine). *)
-
 val maximal : t
 (** Every message takes the full bound [d]. *)
 
@@ -25,11 +22,6 @@ val uniform : t
 val bimodal : slow_fraction:float -> t
 (** Mostly-fast network with a fraction of worst-case stragglers:
     latency 1 with probability [1 - slow_fraction], else [d]. *)
-
-val per_destination : (int -> int) -> t
-(** [per_destination f] delays every message to [dst] by [f dst] —
-    models heterogeneous links (e.g. half the cluster behind a slow
-    switch). *)
 
 val stage_batched : stage_len:int -> t
 (** Deliver at the next multiple of [stage_len] strictly after now — the

@@ -13,8 +13,6 @@ let drop ~prob =
   fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
     if Rng.float o.rng 1.0 < prob then Adversary.Drop else Adversary.Deliver
 
-let drop_all (_ : Adversary.oracle) ~src:_ ~dst:_ = Adversary.Drop
-
 let duplicate ?(copies = 1) ~prob =
   check_prob "duplicate" prob;
   if copies < 1 then invalid_arg "Fault.duplicate: copies >= 1";

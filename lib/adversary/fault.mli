@@ -25,11 +25,6 @@ val none : t
 val drop : prob:float -> t
 (** Drop each send independently with probability [prob]. *)
 
-val drop_all : t
-(** Drop every message: the harshest network. Every algorithm in the
-    registry still terminates under it via solo fallback — pinned by
-    [test/test_faults.ml]. *)
-
 val duplicate : ?copies:int -> prob:float -> t
 (** With probability [prob], deliver [copies] (default 1) extra replicas
     of the send, each with independently re-drawn latency. *)

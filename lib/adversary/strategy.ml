@@ -607,6 +607,9 @@ let into t =
 
 (* ---- search support ---- *)
 
+(* Enforce a space's liveness rules (see [space]), deterministically
+   replacing offending rules; applied by [random], [mutate] and
+   [crossover] to their results. *)
 let repair ~space ~p t =
   let t = make t in
   let delaggard t =

@@ -140,19 +140,11 @@ val of_spec : string -> (t, string) result
 (** Parse a spec (inverse of {!to_spec} up to normalization):
     [of_spec s] followed by {!to_spec} is a fixpoint. *)
 
-val has_faults : t -> bool
-val has_restart : t -> bool
-
-val has_chan : t -> bool
-(** Any phase carries a shared-channel contention rule. *)
-
-val latency_of : t -> Adversary.latency
-(** The declaration {!into} makes: [Variable] if any fault rule is
-    present or the strategy has several phases; [Fixed k] / [Maximal]
-    only for a fault-free single phase with [D_const k] / [D_max]. *)
-
 val into : t -> Adversary.t
-(** Compile to a runnable adversary named ["strategy:" ^ to_spec].
+(** Compile to a runnable adversary named ["strategy:" ^ to_spec]. Its
+    latency declaration is [Variable] if any fault rule is present or
+    the strategy has several phases; [Fixed k] / [Maximal] only for a
+    fault-free single phase with [D_const k] / [D_max].
     Pure and stateless: safe to call once per run from worker domains
     ({!Doall_core.Runner}'s thread-safety contract). A one-phase
     strategy's schedule, delay, crash, fault and restart fields are its
@@ -162,11 +154,6 @@ val into : t -> Adversary.t
     [o.time ()]. *)
 
 (** {1 Search support} *)
-
-val repair : space:space -> p:int -> t -> t
-(** Enforce a space's liveness rules (see {!space}), deterministically
-    replacing offending rules; applied by {!random}, {!mutate} and
-    {!crossover} to their results. *)
 
 val random :
   ?chan:bool -> rng:Rng.t -> space:space -> p:int -> t:int -> d:int -> unit ->

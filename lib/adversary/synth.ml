@@ -29,6 +29,8 @@ let fitness_of_string = function
       (Printf.sprintf
          "unknown fitness %S (work|effort|sigma|cap-hits|wall-per-work)" s)
 
+(* Higher is worse-for-the-algorithm, i.e. better for the search. Any
+   invariant violation scores [infinity]. *)
 let score fitness e =
   match e.e_violation with
   | Some _ -> infinity

@@ -3,7 +3,7 @@
     A population evolutionary search (elitism + mutation + crossover,
     prior art [lib/perms/search.ml]) with a per-generation hill-climb of
     the incumbent best. Candidates are evaluated through a caller-
-    supplied evaluator — {!Doall_core.Worstcase.evaluator} wires in
+    supplied evaluator — {!Doall_core.Worstcase.search} wires in
     {!Doall_core.Runner.run_spec} — fanned across a {!Doall_sim.Pool}
     (embarrassingly parallel, results in submission order).
 
@@ -40,10 +40,6 @@ type fitness =
 
 val fitness_to_string : fitness -> string
 val fitness_of_string : string -> (fitness, string) result
-
-val score : fitness -> eval -> float
-(** Higher is worse-for-the-algorithm, i.e. better for the search. Any
-    invariant violation scores [infinity]. *)
 
 type progress = {
   gen : int;

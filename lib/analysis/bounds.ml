@@ -1,3 +1,4 @@
+(* bases are clamped to [> 1.000001] and arguments to [>= 1] *)
 let log_base ~base x =
   let base = max 1.000001 base in
   let x = max 1.0 x in
@@ -24,11 +25,6 @@ let pa_upper ~p ~t ~d =
   let n = Float.min pf tf in
   (tf *. log (max 2.0 n))
   +. (pf *. Float.min tf df *. log (2.0 +. (tf /. df)))
-
-let da_message_upper ~p ~work = float_of_int p *. work
-
-let pa_message_upper ~p ~t ~d =
-  float_of_int p *. pa_upper ~p ~t ~d
 
 let epsilon_of_q ~q =
   let qf = float_of_int q in

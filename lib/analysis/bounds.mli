@@ -6,11 +6,6 @@
     absolute values. A delay bound [d < 1] is read as [d = 1], the value
     the engine runs with. *)
 
-val log_base : base:float -> float -> float
-(** [log_base ~base x]; guards degenerate bases by flooring the base at
-    [exp 1 /. exp 1 +. epsilon]... concretely: bases are clamped to
-    [> 1.000001] and arguments to [>= 1]. *)
-
 val lower_bound : p:int -> t:int -> d:int -> float
 (** Theorems 3.1 and 3.4: [t + p min(d,t) log_{d+1}(d+t)] — the
     delay-sensitive lower bound on (expected) work for any algorithm. *)
@@ -26,12 +21,6 @@ val pa_upper : p:int -> t:int -> d:int -> float
 (** Theorem 6.2 / Corollary 6.4-6.5:
     [t log p + p min(t,d) log(2 + t/d)] (with [log n] for [n = min(p,t)]
     in the first summand, per Theorem 6.2). *)
-
-val da_message_upper : p:int -> work:float -> float
-(** Theorem 5.6: [p * W]. *)
-
-val pa_message_upper : p:int -> t:int -> d:int -> float
-(** Theorem 6.2: [t p log p + p^2 min(t,d) log(2 + t/d)]. *)
 
 val epsilon_of_q : q:int -> float
 (** The exponent achieved by DA(q) in Theorem 5.4's proof:

@@ -30,11 +30,8 @@ val ratio : u:int -> d:int -> float
 val sandwich : u:int -> d:int -> float * float
 (** [(lower, upper)] = the proof's two sandwich expressions. *)
 
-val holds : u:int -> d:int -> bool
-(** The operative claim plus the proof's sandwich:
-    [lower <= ratio <= upper], [ratio >= 1/4], and [upper >= 1/e].
-    Only meaningful when [1 <= d <= sqrt u]. *)
-
 val first_counterexample : u_max:int -> (int * int) option
-(** Scan every [u <= u_max] and every [1 <= d <= sqrt u]; [None] when the
-    lemma holds everywhere (the expected outcome). *)
+(** Scan every [u <= u_max] and every [1 <= d <= sqrt u] for a pair
+    breaking the operative claim or the proof's sandwich
+    ([lower <= ratio <= upper], [ratio >= 1/4], [upper >= 1/e]); [None]
+    when the lemma holds everywhere (the expected outcome). *)

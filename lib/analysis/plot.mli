@@ -16,11 +16,9 @@ val render :
   series list ->
   string
 (** [render series] draws all series on one canvas (default 56x16).
-    Each series gets a distinct mark, listed in the legend. With [logx]
+    Each series gets a mark ([*], [+], [o], [x], [#], [@], ..., cycling),
+    listed in the legend. With [logx]
     or [logy], points with non-positive coordinates on that axis are
     dropped. Returns [""] when no point survives. Axis extremes are
     labelled with the raw (non-log) values. *)
 
-val mark_of : int -> char
-(** Mark assigned to the i-th series ([*], [+], [o], [x], [#], [@], ...,
-    cycling). *)

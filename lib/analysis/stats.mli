@@ -22,10 +22,7 @@ val median : float list -> float
 
 type fit = { slope : float; intercept : float; r2 : float }
 
-val linear_fit : (float * float) list -> fit
-(** Ordinary least squares on [(x, y)] pairs; needs at least two distinct
-    x values. *)
-
 val loglog_fit : (float * float) list -> fit
-(** OLS on [(log x, log y)]: [slope] is the empirical growth exponent.
-    Pairs with non-positive coordinates are dropped. *)
+(** Ordinary least squares on [(log x, log y)]: [slope] is the
+    empirical growth exponent. Pairs with non-positive coordinates are
+    dropped; at least two distinct x values must remain. *)

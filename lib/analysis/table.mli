@@ -23,8 +23,6 @@ val render : t -> string
 val print : t -> unit
 (** [render] to stdout. *)
 
-val to_csv : t -> string
-
 val write_csv : t -> path:string -> unit
 
 (** Cell formatting helpers. *)

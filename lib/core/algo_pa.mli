@@ -73,12 +73,9 @@ val make_det :
     unicasts. Note this adds coin flips to PaDet's sends (its task
     schedule stays deterministic). Benchmark E16 maps this trade-off. *)
 
-val det_list_seed : int
-(** The fixed seed from which PaDet's default schedule list derives. *)
-
 val det_schedules : n:int -> p:int -> int array array
 (** PaDet's default list for [p] processors and [n = min(p, t)] jobs:
     row [u] is [Perm.to_array] of entry [u] of
-    [Gen.seeded_list ~seed:det_list_seed ~n ~count:p]. Built once and
+    [Gen.seeded_list ~seed:0xD0A11 ~n ~count:p]. Built once and
     kept in a one-entry per-domain cache keyed on [(n, p)], so every
     processor of a run shares it; the rows must not be written. *)

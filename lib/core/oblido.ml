@@ -59,9 +59,6 @@ let replay ~psi ~rounds =
   drain ();
   { executions = !executions; primary = !primary; rounds_used = !rounds_used }
 
-let lockstep_rounds ~n ~count =
-  List.init n (fun _ -> List.init count Fun.id)
-
 let random_rounds ~rng ~n ~count ~prob =
   (* Upper bound on rounds needed: each processor needs n active rounds;
      generate lazily until everyone would have finished, by budgeting the

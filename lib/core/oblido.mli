@@ -30,10 +30,6 @@ val replay : psi:Perm.t list -> rounds:int list list -> replay_stats
     processor finishes, remaining steps run in lock-step rounds.
     Duplicate pids within a round raise [Invalid_argument]. *)
 
-val lockstep_rounds : n:int -> count:int -> int list list
-(** All [count] processors step in every round, [n] rounds — maximal
-    concurrency. *)
-
 val random_rounds :
   rng:Doall_sim.Rng.t -> n:int -> count:int -> prob:float -> int list list
 (** Enough Bernoulli rounds ([prob] per processor per round) to let every

@@ -34,19 +34,10 @@ let child sh v j =
   if j < 0 || j >= sh.q then invalid_arg "Progress_tree.child: branch out of range";
   (sh.q * v) + 1 + j
 
-let parent sh v =
-  check sh v;
-  if v = 0 then invalid_arg "Progress_tree.parent: root";
-  (v - 1) / sh.q
-
 let depth sh v =
   check sh v;
   let rec go v acc = if v = 0 then acc else go ((v - 1) / sh.q) (acc + 1) in
   go v 0
-
-let leaf_of_job sh j =
-  if j < 0 || j >= sh.jobs then invalid_arg "Progress_tree.leaf_of_job";
-  sh.first_leaf + j
 
 let is_dummy_leaf sh v =
   is_leaf sh v && v - sh.first_leaf >= sh.jobs

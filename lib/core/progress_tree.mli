@@ -29,14 +29,10 @@ val is_leaf : t -> int -> bool
 val child : t -> int -> int -> int
 (** [child sh v j] is the [j]-th child ([0 <= j < q]) of interior [v]. *)
 
-val parent : t -> int -> int
 val depth : t -> int -> int
-val leaf_of_job : t -> int -> int
 val job_of_leaf : t -> int -> int
-(** Partial inverse of {!leaf_of_job}; dummy leaves raise
-    [Invalid_argument]. *)
-
-val is_dummy_leaf : t -> int -> bool
+(** The job at a leaf: leaf [first_leaf + j] holds job [j]; dummy leaves
+    raise [Invalid_argument]. *)
 
 val initial_marks : t -> Doall_sim.Bitset.t
 (** A node bitset (capacity [size]) with every dummy leaf and every

@@ -221,11 +221,6 @@ val spec_name : run_spec -> string
     keep the historical unsuffixed form, so pre-transport golden pins
     stay byte-identical. *)
 
-val pp_spec : Format.formatter -> run_spec -> unit
-(** Readable ["algo/adv/p=…/t=…/d=…/seed=…"] rendering; what the
-    registered {!Grid_incomplete} exception printer lists capped cells
-    with (one per line, truncated past 12 cells). *)
-
 val grid :
   ?seeds:int list ->
   ?transport:Config.transport ->

@@ -21,16 +21,9 @@ let job_hi part j =
   check_job part j;
   lo part (j + 1)
 
-let job_size part j = job_hi part j - lo part j
-
 let tasks_of_job part j =
   let first = job_lo part j in
   List.init (lo part (j + 1) - first) (fun k -> first + k)
-
-let job_of_task part z =
-  if z < 0 || z >= part.t then invalid_arg "Task.job_of_task: out of range";
-  let big = part.extra * (part.base + 1) in
-  if z < big then z / (part.base + 1) else part.extra + ((z - big) / part.base)
 
 let first_unknown part know j ~from =
   let hi = job_hi part j in
@@ -42,10 +35,3 @@ let job_done part know j = first_unknown part know j ~from:0 = job_hi part j
 let next_member part know j =
   let z = first_unknown part know j ~from:0 in
   if z < job_hi part j then Some z else None
-
-let jobs_done_count part know =
-  let c = ref 0 in
-  for j = 0 to part.n - 1 do
-    if job_done part know j then incr c
-  done;
-  !c

@@ -28,9 +28,7 @@ val job_hi : partition -> int -> int
 (** One past the last task of the job: job [j] owns
     [job_lo j .. job_hi j - 1], and [job_hi j = job_lo (j + 1)]. *)
 
-val job_size : partition -> int -> int
 val tasks_of_job : partition -> int -> int list
-val job_of_task : partition -> int -> int
 
 val job_done : partition -> Doall_sim.Bitset.t -> int -> bool
 (** Whether every member task of the job is set in the knowledge set. *)
@@ -47,5 +45,3 @@ val first_unknown : partition -> Doall_sim.Bitset.t -> int -> from:int -> int
     O(job size) instead of O(job size) {e per call} — the difference
     between [next_member] and this under a long run is the whole
     known-prefix rescan on every step. *)
-
-val jobs_done_count : partition -> Doall_sim.Bitset.t -> int

@@ -11,39 +11,6 @@
 
 open Doall_adversary
 
-val default_max_time : p:int -> t:int -> d:int -> int
-(** The per-candidate time cap: generous enough that every liveness-safe
-    strategy completes at experiment scale, small enough that a
-    livelocking candidate costs bounded time. *)
-
-val evaluator :
-  ?check:bool ->
-  ?max_time:int ->
-  ?transport:Doall_sim.Config.transport ->
-  algo:string ->
-  p:int ->
-  t:int ->
-  d:int ->
-  seed:int ->
-  unit ->
-  Strategy.t ->
-  Synth.eval
-(** One candidate = one {!Runner.run_spec} cell with
-    [spec_adv = "strategy:" ^ to_spec], run in the calling domain.
-    [?check] (default true) audits with the oracle and reports a
-    violation in [e_violation] instead of raising. [?transport] (default
-    point-to-point) runs every candidate on that backend. Deterministic
-    in ([algo], p, t, d, [seed]) except for the measured [e_wall]. *)
-
-val default_space : algo:string -> Strategy.space
-(** [Quorum_safe] for [`Needs_quorum] algorithms (per the registry's
-    liveness declaration), [Live] otherwise. *)
-
-val default_init : space:Strategy.space -> Strategy.t list
-(** Strong hand-crafted openers seeded into generation 0 (max-delay
-    laggard, full-loss, flaky churn + fault storm, ...), so the search
-    starts at least as bad as the chaos registry. *)
-
 val search :
   ?seed:int ->
   ?population:int ->
@@ -65,8 +32,18 @@ val search :
   budget:int ->
   unit ->
   Synth.outcome
-(** {!Synth.search} against [algo] with the evaluator, space and seed
-    population defaulted as above. [?seed] (default 0) drives both the
+(** {!Synth.search} against [algo]. Each candidate is one
+    {!Runner.run_spec} cell with [spec_adv = "strategy:" ^ to_spec], run
+    under the invariant oracle unless [?check = false] (a violation is
+    reported in [e_violation] instead of raising) and capped by
+    [?max_time] (default: generous enough that every liveness-safe
+    strategy completes at experiment scale, small enough that a
+    livelocking candidate costs bounded time). [?space] defaults to
+    [Quorum_safe] for [`Needs_quorum] algorithms and [Live] otherwise;
+    [?init] defaults to strong hand-crafted openers (max-delay laggard,
+    full loss, flaky churn with a fault storm, ...), so the search
+    starts at least as bad as the chaos registry. [?seed] (default 0)
+    drives both the
     search RNG and every candidate run, so a fixed seed makes the whole
     search — including the winning spec — bit-identical across repeated
     runs and across any [?jobs]. A channel [?transport] additionally

@@ -96,12 +96,6 @@ type sink = {
 let stdout_sink =
   { on_table = (fun ~name:_ tbl -> Table.print tbl); on_text = print_string }
 
-let buffer_sink buf =
-  {
-    on_table = (fun ~name:_ tbl -> Buffer.add_string buf (Table.render tbl));
-    on_text = Buffer.add_string buf;
-  }
-
 let run ?jobs ?pool ?csv_dir ?jsonl ?(progress = false) ?(sink = stdout_sink)
     e =
   let on_table ~name tbl =

@@ -83,14 +83,6 @@ type sink = {
   on_text : string -> unit;
 }
 
-val stdout_sink : sink
-(** [Table.print] / [print_string] — the byte-identical replacement for
-    the pre-refactor hand-rolled printing. *)
-
-val buffer_sink : Buffer.t -> sink
-(** Captures tables (rendered) and text into one buffer, in emission
-    order — what the golden snapshot tests compare across [jobs]. *)
-
 val run :
   ?jobs:int ->
   ?pool:Doall_sim.Pool.t ->
@@ -104,5 +96,6 @@ val run :
     caller-owned pool; otherwise [?jobs] creates one transient pool for
     the whole experiment (not per grid). [?csv_dir] writes every emitted
     table as [<id>-<name>.csv]; [?jsonl] appends [table]/[row] lines
-    (schema in docs/OBSERVABILITY.md). Results are bit-identical for
-    every [jobs >= 1]. *)
+    (schema in docs/OBSERVABILITY.md). [?sink] receives every table
+    and text block in emission order (default: [Table.print] and
+    [print_string]). Results are bit-identical for every [jobs >= 1]. *)

@@ -27,9 +27,6 @@
     Validity (every line parses, flows pair up) is pinned by
     [test/test_span.ml]. *)
 
-val json : ?spans:Span.snapshot -> p:int -> Doall_sim.Trace.t -> Export.Json.t
-(** The whole document as a {!Export.Json.t} value. *)
-
 val write :
   out_channel -> ?spans:Span.snapshot -> p:int -> Doall_sim.Trace.t -> unit
 (** [json] pretty-printed to the channel

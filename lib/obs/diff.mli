@@ -30,25 +30,4 @@ type finding = {
 
 val pp_finding : Format.formatter -> finding -> unit
 
-val machine_key : string -> bool
-(** The key classifier described above. *)
-
-val compare_values :
-  ?tol:float -> Export.Json.t -> Export.Json.t -> finding list
-(** Structural comparison of two documents; paths rooted at [$]. Object
-    fields match by name (missing/extra fields are findings, order is
-    ignored); a machine-dependent key puts its whole subtree under the
-    tolerance rule. *)
-
-val compare_docs :
-  ?tol:float -> Export.Json.t list -> Export.Json.t list -> finding list
-(** Pairs documents by position (JSONL writers emit in deterministic
-    order); a length mismatch is itself a finding. A single document on
-    both sides compares without the [line N] prefix. *)
-
-val load : string -> (Export.Json.t list, string) result
-(** Reads a file as one whole JSON document if it parses as one
-    (BENCH_*.json, Chrome traces), else as JSONL (one document per
-    non-empty line). [Error] carries the failing path/line. *)
-
 val compare_files : ?tol:float -> string -> string -> (finding list, string) result

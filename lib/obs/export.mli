@@ -27,8 +27,6 @@ module Json : sig
   (** Compact single-line rendering. Strings are escaped per RFC 8259;
       non-finite floats render as [null]. *)
 
-  val to_channel : out_channel -> t -> unit
-
   val pp_to_channel : out_channel -> t -> unit
   (** Multi-line, 2-space-indented rendering (for whole-file artifacts
       like BENCH_*.json). *)
@@ -43,19 +41,9 @@ module Json : sig
       objects. *)
 end
 
-val version : int
-(** Schema version stamped on every JSONL line ([1]). *)
-
 val line : out_channel -> kind:string -> (string * Json.t) list -> unit
 (** [line oc ~kind fields] writes one newline-terminated JSONL object
-    [{"v": …, "kind": kind, fields…}]. *)
-
-val metrics_fields : Doall_sim.Metrics.t -> (string * Json.t) list
-(** The [metrics] line payload: p, t, d, work, messages, sigma,
-    executions, redundant, completed, halted, crashed, per_proc_work. *)
-
-val trace_event_fields : Doall_sim.Trace.event -> (string * Json.t) list
-(** The [event] line payload: a ["type"] tag plus the event's fields. *)
+    [{"v": 1, "kind": kind, fields…}], [1] being the schema version. *)
 
 val snapshot_lines : Probe.snapshot -> (string * (string * Json.t) list) list
 (** One [(kind, fields)] pair per instrument: kinds [counter], [gauge],
@@ -64,12 +52,6 @@ val snapshot_lines : Probe.snapshot -> (string * (string * Json.t) list) list
     bucket-certified [p50]/[p90]/[p99] intervals ([[lo, hi]] pairs from
     {!Probe.percentile}). *)
 
-val spans_fields : Span.snapshot -> (string * Json.t) list
-(** The [phases] line payload: a ["phases"] list with one
-    [{"name", "wall_s", "count"}] object per engine phase. [wall_s] is
-    machine-dependent (named so {!Diff} tolerance-gates it); [count] is
-    deterministic. *)
-
 val write_run :
   out_channel ->
   meta:(string * Json.t) list ->
@@ -77,9 +59,13 @@ val write_run :
   ?spans:Span.snapshot ->
   Doall_sim.Metrics.t ->
   unit
-(** Header line (kind [run], with [meta] inlined), the metrics line,
-    then the snapshot's instrument lines, then a [phases] line when a
-    span snapshot is given. *)
+(** Header line (kind [run], with [meta] inlined), the [metrics] line
+    (p, t, d, work, messages, sigma, executions, redundant, completed,
+    halted, crashed, per_proc_work), then the snapshot's instrument
+    lines, then, when a span snapshot is given, a [phases] line: a
+    ["phases"] list with one [{"name", "wall_s", "count"}] object per
+    engine phase. [wall_s] is machine-dependent (named so {!Diff}
+    tolerance-gates it); [count] is deterministic. *)
 
 val write_trace :
   out_channel ->
@@ -88,7 +74,8 @@ val write_trace :
   Doall_sim.Trace.t ->
   unit
 (** Header line (kind [trace]), the metrics line, then one [event] line
-    per trace event in recording order (via {!Doall_sim.Trace.fold} —
+    (a ["type"] tag plus the event's fields) per trace event in
+    recording order (via {!Doall_sim.Trace.fold} —
     no intermediate list). *)
 
 val write_table :

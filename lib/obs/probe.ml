@@ -135,7 +135,6 @@ let vector t name ~len =
   v
 
 let[@inline] vincr v i = if v.v_on then v.v_values.(i) <- v.v_values.(i) + 1
-let[@inline] vadd v i n = if v.v_on then v.v_values.(i) <- v.v_values.(i) + n
 
 (* -- series -- *)
 

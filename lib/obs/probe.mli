@@ -66,7 +66,6 @@ val vector : t -> string -> len:int -> vector
     [Invalid_argument]. *)
 
 val vincr : vector -> int -> unit
-val vadd : vector -> int -> int -> unit
 
 type series
 (** An append-only time series of [(time, value)] samples. *)

@@ -73,5 +73,4 @@ let snapshot t =
     t.spans []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let names_and_counts snap = List.map (fun (name, (_, n)) -> (name, n)) snap
 let total snap = List.fold_left (fun acc (_, (s, _)) -> acc +. s) 0.0 snap

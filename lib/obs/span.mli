@@ -63,10 +63,5 @@ val snapshot : t -> snapshot
 (** Totals and counts of every registered span. A disabled profiler
     snapshots to registered-but-zero spans. *)
 
-val names_and_counts : snapshot -> (string * int) list
-(** The deterministic projection of a snapshot: span names and enter
-    counts, wall fields dropped. What the jobs-1/2/4 determinism tests
-    compare. *)
-
 val total : snapshot -> float
 (** Sum of every span's [total_s] — the profiled fraction of the run. *)

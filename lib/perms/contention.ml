@@ -203,9 +203,6 @@ let estimate eval ?(restarts = 8) ?(samples = 64) ~rng psi =
     done;
     !best
 
-let contention_estimate ?restarts ?samples ~rng psi =
-  estimate contention_wrt ?restarts ?samples ~rng psi
-
 let d_contention_estimate ?restarts ?samples ~rng ~d psi =
   estimate (d_contention_wrt ~d) ?restarts ?samples ~rng psi
 

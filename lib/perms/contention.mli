@@ -61,13 +61,6 @@ val try_swap : table -> int -> int -> int -> unit
     keeps the swap iff {!value} does not grow; otherwise the schedule
     and the table are restored exactly. *)
 
-val contention_estimate :
-  ?restarts:int -> ?samples:int -> rng:Doall_sim.Rng.t -> Perm.t list -> int
-(** Lower estimate of [Cont(psi)]: the best of [samples] random [rho]'s
-    and [restarts] hill-climbing runs (adjacent transpositions plus
-    arbitrary swaps, first-improvement). Always [>= Cont(psi, identity)]
-    and [<= Cont(psi)]. *)
-
 val d_contention_estimate :
   ?restarts:int ->
   ?samples:int ->
@@ -75,12 +68,13 @@ val d_contention_estimate :
   d:int ->
   Perm.t list ->
   int
-
-val harmonic : int -> float
-(** [H_n = sum_{j=1..n} 1/j]. *)
+(** Lower estimate of [(d)-Cont(psi)]: the best of [samples] random
+    [rho]'s and [restarts] hill-climbing runs (adjacent transpositions
+    plus arbitrary swaps, first-improvement). Always
+    [>= (d)-Cont(psi, identity)] and [<= (d)-Cont(psi)]. *)
 
 val bound_lemma_4_1 : int -> float
-(** [3 n H_n] — Lemma 4.1: a list of [n] permutations with contention at
+(** [3 n H_n], with [H_n = sum_{j=1..n} 1/j] — Lemma 4.1: a list of [n] permutations with contention at
     most this exists for every [n]. *)
 
 val bound_theorem_4_4 : n:int -> p:int -> d:int -> float

@@ -2,8 +2,6 @@ open Doall_sim
 
 let random_list ~rng ~n ~count = List.init count (fun _ -> Perm.random rng n)
 let identity_list ~n ~count = List.init count (fun _ -> Perm.identity n)
-let rotation_list ~n ~count = List.init count (fun u -> Perm.rotation n u)
-let reverse_identity_pair ~n = [ Perm.identity n; Perm.reverse n ]
 
 let seeded_list ~seed ~n ~count =
   let rng = Rng.create (seed lxor 0x9e3779b9) in

@@ -14,13 +14,6 @@ val identity_list : n:int -> count:int -> Perm.t list
 (** All-identity — the worst list (contention [count * n]); used as an
     adversarial baseline in tests and ablations. *)
 
-val rotation_list : n:int -> count:int -> Perm.t list
-(** [pi_u = rotation by u] — a cheap structured family; decent but not
-    optimal contention. *)
-
-val reverse_identity_pair : n:int -> Perm.t list
-(** [<identity; reverse>] — the two-processor example opening Section 4. *)
-
 val seeded_list : seed:int -> n:int -> count:int -> Perm.t list
 (** Deterministic: the random list generated from a fixed seed. This is
     how PaDet instantiates Corollary 4.5 reproducibly. *)

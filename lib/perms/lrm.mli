@@ -21,19 +21,10 @@ val d_lrm : d:int -> Perm.t -> int
 (** Number of d-lrm's. O(n log n) via a Fenwick tree. Requires [d >= 1].
     [d_lrm ~d:1 pi = lrm pi]; [d_lrm ~d:n pi = n]. *)
 
-val lrm_positions : Perm.t -> int list
-(** Positions [j] holding left-to-right maxima, increasing. *)
-
-val d_lrm_positions : d:int -> Perm.t -> int list
-
-val greater_before : Perm.t -> int array
-(** [greater_before pi] maps each position [j] to the number of earlier
-    elements exceeding [pi(j)] — position [j] is a d-lrm iff
-    [greater_before.(j) < d]. One O(n log n) pass determines d-lrm
-    counts for {e every} d at once; see {!d_lrm_profile}. *)
-
 val d_lrm_profile : Perm.t -> int array
 (** [d_lrm_profile pi] has length [n + 1]; entry [d] (for [1 <= d <= n])
-    is [d_lrm ~d pi], computed for all [d] in one pass (entry 0 is 0).
+    is [d_lrm ~d pi], computed for all [d] in one O(n log n) pass that
+    counts, for each position, the earlier elements exceeding it
+    (entry 0 is 0).
     Satisfies: non-decreasing, [profile.(1) = lrm pi],
     [profile.(n) = n]. *)

@@ -41,8 +41,6 @@ let inverse p =
   done;
   inv
 
-let equal a b = a = b
-let compare = Stdlib.compare
 
 let next_in_place a =
   (* Standard next-permutation: find the rightmost ascent, swap, reverse

@@ -36,19 +36,9 @@ val compose : t -> t -> t
 
 val inverse : t -> t
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-
-val is_valid : int array -> bool
-(** Whether the array is a permutation of [0..n-1]. *)
-
 val all : int -> t list
 (** Every permutation of size [n], in lexicographic order. Intended for
     exhaustive contention computations; guarded to [n <= 9]. *)
-
-val next_in_place : int array -> bool
-(** Advance to the lexicographic successor; [false] (and a wrap to the
-    identity) when the input was the last permutation. *)
 
 val random : Doall_sim.Rng.t -> int -> t
 (** Uniformly random permutation. *)

@@ -11,26 +11,3 @@ let digits ~q ~width pid =
     v := !v / q
   done;
   a
-
-let of_digits ~q a =
-  check_q q;
-  let acc = ref 0 in
-  for m = Array.length a - 1 downto 0 do
-    if a.(m) < 0 || a.(m) >= q then invalid_arg "Qary.of_digits: bad digit";
-    acc := (!acc * q) + a.(m)
-  done;
-  !acc
-
-let digit ~q pid m =
-  check_q q;
-  if m < 0 then invalid_arg "Qary.digit: negative index";
-  let v = ref pid in
-  for _ = 1 to m do
-    v := !v / q
-  done;
-  !v mod q
-
-let width_for ~q v =
-  check_q q;
-  let rec go w acc = if acc > v then w else go (w + 1) (acc * q) in
-  go 1 q

@@ -12,14 +12,3 @@ val digits : q:int -> width:int -> int -> int array
 (** [digits ~q ~width pid] is the little-endian base-[q] expansion of
     [pid], padded/truncated to exactly [width] digits. Requires [q >= 2],
     [width >= 0], [pid >= 0]. *)
-
-val of_digits : q:int -> int array -> int
-(** Inverse of {!digits} (up to truncation): recomposes little-endian
-    digits. *)
-
-val digit : q:int -> int -> int -> int
-(** [digit ~q pid m] is digit [m] of [pid] in base [q]. *)
-
-val width_for : q:int -> int -> int
-(** [width_for ~q v] is the least [w] with [q^w > v] (and at least 1) —
-    the number of digits needed to distinguish values [0..v]. *)

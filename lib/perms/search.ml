@@ -33,17 +33,14 @@ let exhaustive n =
     { list; contention; bound = Contention.bound_lemma_4_1 n }
   | None -> assert false
 
-(* One subset table for the list: a step only updates the gains of the
-   swapped span and re-solves where they can matter. *)
-let improve ?(steps = 400) ~rng list =
+(* Local search from [list] ([n] permutations of size [n], 2 <= n <= 8):
+   random transpositions inside single permutations, keeping those that
+   do not increase exact contention. One subset table for the list: a
+   step only updates the gains of the swapped span and re-solves where
+   they can matter. *)
+let improve ~steps ~rng list =
   let arrs = Array.of_list (List.map Perm.to_array list) in
-  let count = Array.length arrs in
-  if count = 0 then invalid_arg "Search.improve: empty list";
-  let n = Array.length arrs.(0) in
-  if Array.exists (fun a -> Array.length a <> n) arrs then
-    invalid_arg "Search.improve: permutations of different sizes";
-  if n < 1 || n > 8 then
-    invalid_arg "Search.improve: exact contention needs size in 1..8";
+  let count = Array.length arrs and n = Array.length arrs.(0) in
   let table = Contention.table arrs in
   for _ = 1 to steps do
     let u = Rng.int rng count in

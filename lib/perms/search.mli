@@ -28,12 +28,3 @@ val certified :
 (** [certified ~rng n] for [2 <= n <= 8]: a list of [n] permutations with
     exact [Cont <= 3 n H_n]. Raises [Failure] if no list meeting the
     bound is found within the budget (never observed for [n <= 8]). *)
-
-val improve :
-  ?steps:int -> rng:Doall_sim.Rng.t -> Perm.t list -> Perm.t list * int
-(** Local search from a given list: random transpositions inside single
-    permutations, keeping changes that do not increase exact contention.
-    Returns the improved list and its exact contention. Each step is a
-    {!Contention.try_swap} on one {!Contention.table}. Raises
-    [Invalid_argument] on an empty list, on permutations of different
-    sizes, and on sizes outside [1..8]. *)

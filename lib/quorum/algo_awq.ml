@@ -28,8 +28,7 @@ type pending = {
 
 type frame = { node : int; depth : int; order : int array; mutable idx : int }
 
-let make ?(q = 4) ?psi ?(quorum = fun ~p -> Quorum.majority ~p)
-    ?(protocol = `Monotone) () : Algorithm.packed =
+let make ?(q = 4) ?psi ?(protocol = `Monotone) () : Algorithm.packed =
   let psi =
     match psi with
     | Some psi ->
@@ -74,7 +73,7 @@ let make ?(q = 4) ?psi ?(quorum = fun ~p -> Quorum.majority ~p)
     let init (cfg : Config.t) ~pid =
       let part = Task.make ~p:cfg.p ~t:cfg.t in
       let sh = Progress_tree.shape ~q ~jobs:part.Task.n in
-      let qs = quorum ~p:cfg.p in
+      let qs = Quorum.majority ~p:cfg.p in
       let digits = Qary.digits ~q ~width:sh.Progress_tree.h pid in
       let stack, current =
         if Progress_tree.is_leaf sh Progress_tree.root then

@@ -12,7 +12,7 @@
       {!Doall_core.Algo_da}), but where DA consults its local replica and
       multicasts, AWQ performs {e memory operations}: a request is
       multicast to all processors and the operation completes when a
-      quorum (default: majority, counting the issuer's own replica) has
+      majority quorum (counting the issuer's own replica) has
       responded. While an operation is in flight the client can only
       wait — and every waiting step is charged, which is precisely why
       this approach needs delays [O(K)] (K the quorum size) to stay
@@ -43,10 +43,8 @@
 val make :
   ?q:int ->
   ?psi:Doall_perms.Perm.t list ->
-  ?quorum:(p:int -> Quorum.t) ->
   ?protocol:[ `Monotone | `Abd ] ->
   unit ->
   Doall_sim.Algorithm.packed
-(** Same [q]/[psi] contract as {!Doall_core.Algo_da.make}; [quorum]
-    defaults to {!Quorum.majority}; [protocol] defaults to
-    [`Monotone]. *)
+(** Same [q]/[psi] contract as {!Doall_core.Algo_da.make}; the quorum
+    system is {!Quorum.majority}; [protocol] defaults to [`Monotone]. *)

@@ -1,74 +1,12 @@
 open Doall_sim
 
-type t =
-  | Threshold of { p : int; threshold : int }
-  | Grid of { p : int; rows : int; cols : int }
+type t = { p : int; threshold : int }
 
-let of_threshold ~p ~threshold =
-  if p < 1 then invalid_arg "Quorum.of_threshold: p >= 1";
-  if threshold < 1 || threshold > p then
-    invalid_arg "Quorum.of_threshold: threshold must be in 1..p";
-  Threshold { p; threshold }
-
-let majority ~p = of_threshold ~p ~threshold:((p / 2) + 1)
-
-let grid ~p ~rows ~cols =
-  if rows < 1 || cols < 1 then invalid_arg "Quorum.grid: dimensions >= 1";
-  if rows * cols <> p then invalid_arg "Quorum.grid: rows * cols must equal p";
-  Grid { p; rows; cols }
-
-let square_grid ~p =
-  if p < 1 then None
-  else begin
-    let s = int_of_float (Float.round (sqrt (float_of_int p))) in
-    if s * s = p then Some (grid ~p ~rows:s ~cols:s) else None
-  end
-
-let size = function Threshold { p; _ } | Grid { p; _ } -> p
-
-let threshold = function
-  | Threshold { threshold; _ } -> threshold
-  | Grid { rows; cols; _ } -> rows + cols - 1
-
-let intersecting = function
-  | Threshold { p; threshold } -> 2 * threshold > p
-  | Grid _ -> true
-(* any row meets any column *)
-
-let check_capacity t responders =
-  if Bitset.length responders <> size t then
-    invalid_arg "Quorum.satisfied: responder set has the wrong capacity"
+let majority ~p =
+  if p < 1 then invalid_arg "Quorum.majority: p >= 1";
+  { p; threshold = (p / 2) + 1 }
 
 let satisfied t responders =
-  check_capacity t responders;
-  match t with
-  | Threshold { threshold; _ } -> Bitset.cardinal responders >= threshold
-  | Grid { rows; cols; _ } ->
-    let full_row r =
-      let rec go c =
-        c >= cols || (Bitset.mem responders ((r * cols) + c) && go (c + 1))
-      in
-      go 0
-    in
-    let full_col c =
-      let rec go r =
-        r >= rows || (Bitset.mem responders ((r * cols) + c) && go (r + 1))
-      in
-      go 0
-    in
-    let rec any_row r = r < rows && (full_row r || any_row (r + 1)) in
-    let rec any_col c = c < cols && (full_col c || any_col (c + 1)) in
-    any_row 0 && any_col 0
-
-let viable t ~live = satisfied t live
-
-let viable_count t ~live =
-  match t with
-  | Threshold { threshold; _ } -> live >= threshold
-  | Grid { rows; cols; _ } -> live >= rows + cols - 1
-
-let pp ppf = function
-  | Threshold { p; threshold } ->
-    Format.fprintf ppf "quorum(%d-of-%d%s)" threshold p
-      (if 2 * threshold > p then "" else ", non-intersecting")
-  | Grid { rows; cols; _ } -> Format.fprintf ppf "quorum(grid %dx%d)" rows cols
+  if Bitset.length responders <> t.p then
+    invalid_arg "Quorum.satisfied: responder set has the wrong capacity";
+  Bitset.cardinal responders >= t.threshold

@@ -3,16 +3,9 @@
     The alternative route to asynchronous Do-All discussed in Section 1.1
     of the paper (following [16,19]) emulates a shared-memory algorithm
     over memory replicated at all processors, with operations completing
-    once a {e quorum} acknowledges. Two classic constructions are
-    provided:
-
-    - {b threshold} systems: any set of at least [threshold] processors
-      is a quorum; two quorums always intersect when
-      [2 * threshold > p] — majorities guarantee it;
-    - {b grid} systems ([rows * cols = p], processors arranged
-      row-major): a quorum is a full row plus a full column
-      ([O(sqrt p)] processors instead of [p/2], at the cost of less
-      fault tolerance: losing one full row already kills every quorum).
+    once a {e quorum} acknowledges. The emulation here uses the majority
+    system: any set of more than half the processors is a quorum, so two
+    quorums always intersect.
 
     The decisive weakness the paper points out — "when processor failures
     damage quorum systems, the work of such algorithms becomes quadratic,
@@ -25,42 +18,6 @@ type t
 val majority : p:int -> t
 (** Threshold [floor(p/2) + 1] — the standard majority system. *)
 
-val of_threshold : p:int -> threshold:int -> t
-(** Any threshold in [1..p]; raises [Invalid_argument] outside that
-    range. Intersection (hence atomicity of the emulated memory) requires
-    [2 * threshold > p]; smaller thresholds are allowed for experiments
-    but {!intersecting} reports them. *)
-
-val grid : p:int -> rows:int -> cols:int -> t
-(** Requires [rows * cols = p], both positive. Processor [i] occupies
-    row [i / cols], column [i mod cols]. A quorum is (a superset of) one
-    full row union one full column; any two such sets intersect. *)
-
-val square_grid : p:int -> t option
-(** The [sqrt p x sqrt p] grid when [p] is a perfect square. *)
-
-val size : t -> int
-(** Number of processors [p]. *)
-
-val threshold : t -> int
-(** For threshold systems, the threshold; for a grid, the size of its
-    smallest quorum ([rows + cols - 1]) — a lower bound on responders
-    needed. *)
-
-val intersecting : t -> bool
-(** Whether every two quorums intersect (always true for grids). *)
-
 val satisfied : t -> Doall_sim.Bitset.t -> bool
 (** [satisfied q responders]: does the responder set contain a quorum?
-    The bitset's capacity must be [size q]. *)
-
-val viable : t -> live:Doall_sim.Bitset.t -> bool
-(** Whether the live set can still assemble a quorum (same check as
-    {!satisfied}; named for intent at call sites). *)
-
-val viable_count : t -> live:int -> bool
-(** Count-only viability: exact for threshold systems; for grids it is
-    the {e optimistic} bound (enough live processors somewhere), since
-    grid viability depends on which processors are live. *)
-
-val pp : Format.formatter -> t -> unit
+    The bitset's capacity must be the system's [p]. *)

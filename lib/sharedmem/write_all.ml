@@ -36,9 +36,6 @@ let solo pid ~time:_ ~p = Array.init p (fun i -> i = pid)
 
 let no_crashes ~time:_ ~alive:_ = []
 
-let crash_at ~time ~pids =
- fun ~time:now ~alive:_ -> if now = time then pids else []
-
 (* Per-processor traversal state: the same frame-stack realization of
    Dowork as Algo_da, but against the one shared tree. *)
 type frame = { node : int; depth : int; order : int array; mutable idx : int }

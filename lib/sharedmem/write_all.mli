@@ -56,9 +56,6 @@ val rotating : width:int -> schedule
 val random_subset : seed:int -> prob:float -> schedule
 val solo : int -> schedule
 
-val no_crashes : crash_plan
-val crash_at : time:int -> pids:int list -> crash_plan
-
 val run :
   ?q:int ->
   ?psi:Doall_perms.Perm.t list ->
@@ -70,7 +67,8 @@ val run :
   unit ->
   metrics
 (** Execute AW(q) to completion. Same [q]/[psi] contract as
-    {!Doall_core.Algo_da.make} (default: the cached certified list).
+    {!Doall_core.Algo_da.make} (default: the cached certified list);
+    [?schedule] defaults to {!fair}, [?crashes] to no crash at all.
     Raises nothing on adversarial schedules — the algorithm terminates
     under any interleaving with one survivor; [max_time] is a safety
     cap, reported via [completed]. *)

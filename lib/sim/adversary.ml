@@ -56,20 +56,6 @@ let fair =
        ~delay:(fun _ ~src:_ ~dst:_ -> 1)
        ~crash:no_crash)
 
-let fixed_delay delta =
-  with_latency (Fixed delta)
-    (make
-       ~name:(Printf.sprintf "fixed-delay-%d" delta)
-       ~schedule:all_active
-       ~delay:(fun _ ~src:_ ~dst:_ -> delta)
-       ~crash:no_crash)
-
-let max_delay =
-  with_latency Maximal
-    (make ~name:"max-delay" ~schedule:all_active
-       ~delay:(fun o ~src:_ ~dst:_ -> o.d)
-       ~crash:no_crash)
-
 let uniform_delay =
   make ~name:"uniform-delay" ~schedule:all_active
     ~delay:(fun o ~src:_ ~dst:_ -> 1 + Rng.int o.rng (Int.max 1 o.d))

@@ -139,12 +139,6 @@ val fair : t
 (** Everyone steps every unit; all messages arrive after one unit; no
     crashes. The best case against which adversarial runs are compared. *)
 
-val fixed_delay : int -> t
-(** Fair scheduling, constant latency (clamped to the run's [d]). *)
-
-val max_delay : t
-(** Fair scheduling, every message takes the full [d]. *)
-
 val uniform_delay : t
 (** Fair scheduling, latency uniform in [1..d]. *)
 

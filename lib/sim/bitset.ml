@@ -130,7 +130,6 @@ let set b i =
 
 let cardinal b = b.count
 let is_full b = b.count = b.n
-let is_empty b = b.count = 0
 
 (* Branch-free SWAR popcount. The classic 64-bit ladder, adapted to
    OCaml's 63-bit ints by peeling the top bit first so the remaining 62

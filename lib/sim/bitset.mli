@@ -62,8 +62,6 @@ val cardinal : _ set -> int
 val is_full : _ set -> bool
 (** All [length b] bits set. *)
 
-val is_empty : _ set -> bool
-
 val union_into : dst:t -> _ set -> unit
 (** [union_into ~dst src] ORs [src] into [dst]. The two must have equal
     capacity. This is the receive-side "merge the sender's knowledge"
@@ -97,10 +95,6 @@ val subset : _ set -> _ set -> bool
 (** [subset a b] iff every bit of [a] is set in [b]. *)
 
 val equal : _ set -> _ set -> bool
-
-val iter_missing : _ set -> (int -> unit) -> unit
-(** [iter_missing b f] applies [f] to every index whose bit is clear, in
-    increasing order. *)
 
 val iter_set : _ set -> (int -> unit) -> unit
 (** [iter_set b f] applies [f] to every set index, in increasing order. *)

@@ -139,14 +139,7 @@ let deactivate t ~pid =
   check_pid t pid "Channel.deactivate";
   Network.deactivate t.net ~pid
 
-type slot = {
-  slot_busy : bool;
-  slot_collided : bool;
-  slot_delivered : int;
-}
-
-let idle = { slot_busy = false; slot_collided = false; slot_delivered = 0 }
-let collided = { slot_busy = true; slot_collided = true; slot_delivered = 0 }
+type slot = Idle | Collided | Delivered
 
 let rec send_unis t ~src ~due = function
   | [] -> ()
@@ -167,10 +160,7 @@ let deliver t ~now ~src =
   send_unis t ~src ~due unis;
   t.queued_fan <- t.queued_fan - fan t bcast unis;
   t.n_success <- t.n_success + 1;
-  (* logical messages, matching the channel's M measure: a delivered
-     broadcast counts 1 even though it fans out to p - 1 destinations *)
-  { slot_busy = true; slot_collided = false;
-    slot_delivered = logical bcast unis }
+  Delivered
 
 (* the deterministic TDMA backoff: the next slot u > now in [src]'s
    residue class mod p — distinct transmitters land in distinct slots *)
@@ -225,7 +215,7 @@ let resolve t ~now ?arbitrate () =
   in
   (match order with Some perm -> check_permutation t n perm | None -> ());
   t.last_slot <- now;
-  if n = 0 then idle
+  if n = 0 then Idle
   else begin
     t.n_busy <- t.n_busy + 1;
     if n = 1 then deliver t ~now ~src:t.contenders.(0)
@@ -249,7 +239,7 @@ let resolve t ~now ?arbitrate () =
           | Config.Detectable ->
             defer t src ~release:(backoff_slot ~p:t.p ~now ~src)
         done;
-        collided
+        Collided
   end
 
 let receive_iter t ~dst ~now f =

@@ -80,11 +80,10 @@ val deactivate : 'msg t -> pid:int -> unit
     already queued, and messages already owed to it still count in
     {!pending}. Idempotent. *)
 
-type slot = {
-  slot_busy : bool;  (** at least one frame contended *)
-  slot_collided : bool;  (** two or more contended with no arbitration *)
-  slot_delivered : int;  (** logical messages delivered this slot *)
-}
+type slot =
+  | Idle  (** no frame contended *)
+  | Collided  (** two or more contended with no arbitration *)
+  | Delivered  (** one frame went out; {!receive_iter} counts its copies *)
 
 val resolve :
   'msg t -> now:int -> ?arbitrate:(int array -> int array option) -> unit ->

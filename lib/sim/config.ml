@@ -16,7 +16,6 @@ let make ?(seed = 0) ?(record_trace = false) ?(transport = Ptp) ~p ~t () =
   if t <= 0 then invalid_arg "Config.make: t must be positive";
   { p; t; seed; record_trace; transport }
 
-let with_seed cfg seed = { cfg with seed }
 
 let transport_to_string = function
   | Ptp -> "ptp"

@@ -36,8 +36,6 @@ val make :
   unit -> t
 (** Validates [p >= 1] and [t >= 1]. [transport] defaults to [Ptp]. *)
 
-val with_seed : t -> int -> t
-
 val transport_to_string : transport -> string
 (** ["ptp"], ["channel"] (silent collisions) or ["channel-detect"] —
     the vocabulary of the CLIs' [--transport] flag and of

@@ -713,11 +713,14 @@ module Make (A : Algorithm.S) = struct
            Some (fun contenders -> f o contenders)
          | _ -> None
        in
-       let slot = Channel.resolve ch ~now:eng.time ?arbitrate () in
-       if eng.ins.obs_on then begin
-         if slot.Channel.slot_busy then Probe.incr eng.ins.i_busy;
-         if slot.Channel.slot_collided then Probe.incr eng.ins.i_collisions
-       end);
+       match Channel.resolve ch ~now:eng.time ?arbitrate () with
+       | Channel.Idle -> ()
+       | Channel.Delivered -> if eng.ins.obs_on then Probe.incr eng.ins.i_busy
+       | Channel.Collided ->
+         if eng.ins.obs_on then begin
+           Probe.incr eng.ins.i_busy;
+           Probe.incr eng.ins.i_collisions
+         end);
     if eng.ins.obs_on then begin
       (* per-tick trajectories: cumulative executions and the in-flight
          message backlog (sends minus deliveries so far) *)
@@ -764,6 +767,9 @@ module Make (A : Algorithm.S) = struct
       | None ->
         default_max_time ~p:eng.cfg.Config.p ~t:eng.cfg.Config.t ~d:eng.d
     in
+    (* a send at time [now < cap] is due by [now + d]: stop before a
+       due could pass the ring cap *)
+    let cap = Int.min cap (Msg_ring.max_due - eng.d) in
     while (not eng.finished) && eng.time < cap do
       tick eng
     done;

@@ -68,7 +68,11 @@ module Make (A : Algorithm.S) : sig
 
   val run : ?max_time:int -> t -> Metrics.t
   (** Runs to [sigma] or to [max_time]. The default cap is generous
-      enough for any of the paper's algorithms to finish solo. *)
+      enough for any of the paper's algorithms to finish solo. Either
+      cap is clamped to [Msg_ring.max_due - d], so no message is ever
+      due past the ring cap: at [d = Msg_ring.max_due] no tick runs, and
+      a run that needs more time than the clamp allows ends capped
+      ([completed = false]). *)
 
   val state : t -> int -> A.state
   (** Direct access to a processor's live state (tests, adversaries). *)
@@ -110,6 +114,3 @@ val run_traced :
   unit ->
   Metrics.t * Trace.t
 (** Like {!run_packed} but also returns the trace (forces recording). *)
-
-val default_max_time : p:int -> t:int -> d:int -> int
-(** The default safety cap used by [run]. *)

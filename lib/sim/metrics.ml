@@ -20,11 +20,3 @@ let pp ppf m =
     "p=%d t=%d d=%d | W=%d M=%d sigma=%d exec=%d redundant=%d%s" m.p m.t m.d
     m.work m.messages m.sigma m.executions (redundant m)
     (if m.completed then "" else " [TIMED OUT]")
-
-let pp_wide ppf m =
-  pp ppf m;
-  Format.fprintf ppf "@.halted=%d crashed=%d@.per-processor work:@." m.halted
-    m.crashed;
-  Array.iteri
-    (fun pid w -> Format.fprintf ppf "  p%-3d %d@." pid w)
-    m.per_proc_work

@@ -30,6 +30,3 @@ val effort : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** One-line human-readable summary. *)
-
-val pp_wide : Format.formatter -> t -> unit
-(** Multi-line summary with the per-processor breakdown. *)

@@ -17,7 +17,7 @@
     served it.
 
     Thread-safety contract for callers: the function passed to
-    {!map} / {!map_array} is called from worker domains, possibly
+    {!map} is called from worker domains, possibly
     concurrently with itself. It must only touch state it owns (per-call
     state, or data it was handed in its argument). All of
     [Doall_core.Runner]'s run descriptors satisfy this: each run builds
@@ -60,8 +60,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     pool and returns the results in the order of [xs]. Safe to call
     repeatedly; concurrent batches from different domains are also safe
     (their elements interleave in the queue). *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val shutdown : t -> unit
 (** Signals the workers to exit and joins them. Idempotent. Calling

@@ -38,17 +38,6 @@ let fold t ~init ~f =
   !acc
 
 let iter t f = fold t ~init:() ~f:(fun () ev -> f ev)
-let events t = List.init t.length (fun i -> t.events.(i))
-
-let time_of = function
-  | Step { time; _ }
-  | Delayed { time; _ }
-  | Perform { time; _ }
-  | Broadcast { time; src = _; copies = _ }
-  | Halt { time; _ }
-  | Crash { time; _ }
-  | Restart { time; _ }
-  | Note { time; _ } -> time
 
 let timeline t ~p ~until =
   let grid = Array.init p (fun _ -> Bytes.make until ' ') in

@@ -32,25 +32,16 @@ val length : t -> int
 
 val fold : t -> init:'a -> f:('a -> event -> 'a) -> 'a
 (** Folds over the events in recording order, in place — the traversal
-    primitive {!iter}, {!events} and {!timeline} are built on. O(1)
+    primitive {!iter} and {!pp_timeline} are built on. O(1)
     space beyond the accumulator (no copy of the event log). *)
 
 val iter : t -> (event -> unit) -> unit
 
-val events : t -> event list
-(** In recording order, as a fresh list. O(n) copy — kept for tests and
-    small-trace pattern matching; bulk consumers should use {!fold}. *)
-
-val time_of : event -> int
-
-val timeline : t -> p:int -> until:int -> string array
-(** [timeline tr ~p ~until] renders one row per processor over times
-    [0..until-1]:
+val pp_timeline : Format.formatter -> t * int * int -> unit
+(** [pp_timeline ppf (tr, p, until)] prints one row per processor over
+    times [0..until-1], as ["p<pid, 3 wide> |<row>|"]:
     ['#'] a step that performed a task, ['o'] a step without a task,
     ['.'] a step withheld by the adversary, ['X'] crashed, ['R']
-    restarted, ['H'] halted, [' '] before/after activity. This is the
-    rendering used to reproduce Fig. 1 of the paper. *)
-
-val pp_timeline : Format.formatter -> t * int * int -> unit
-(** [pp_timeline ppf (tr, p, until)] prints the {!timeline} rows with pid
-    labels. *)
+    restarted, ['H'] halted, ['x']/['h'] after a crash/halt, [' ']
+    before/after activity. This is the rendering used to reproduce
+    Fig. 1 of the paper. *)

@@ -4,8 +4,6 @@ let make ?(equal = ( = )) ~t run =
   if t < 1 then invalid_arg "Workload.make: t >= 1";
   { t; run; equal }
 
-let tasks w = w.t
-
 let run_task w z =
   if z < 0 || z >= w.t then invalid_arg "Workload.run_task: task out of range";
   w.run z
@@ -16,29 +14,22 @@ module Journal = struct
   type 'r t = {
     w : 'r workload;
     first : (int, 'r) Hashtbl.t;
-    mutable executions : int;
     mutable redundant : int;
-    mutable violations : (int * int) list;
+    mutable consistent : bool;
   }
 
   let create w =
-    {
-      w;
-      first = Hashtbl.create 64;
-      executions = 0;
-      redundant = 0;
-      violations = [];
-    }
+    { w; first = Hashtbl.create 64; redundant = 0; consistent = true }
 
+  (* execute [task] and record the outcome: a re-execution that
+     disagrees with the first result breaks idempotence *)
   let record j ~task =
     let r = run_task j.w task in
-    j.executions <- j.executions + 1;
     match Hashtbl.find_opt j.first task with
     | None -> Hashtbl.add j.first task r
     | Some r0 ->
       j.redundant <- j.redundant + 1;
-      if not (j.w.equal r0 r) then
-        j.violations <- (task, j.executions) :: j.violations
+      if not (j.w.equal r0 r) then j.consistent <- false
 
   let replay_trace j trace =
     Doall_sim.Trace.iter trace (fun ev ->
@@ -46,48 +37,18 @@ module Journal = struct
         | Doall_sim.Trace.Perform { task; _ } -> record j ~task
         | _ -> ())
 
-  let executions j = j.executions
-  let distinct j = Hashtbl.length j.first
   let redundant j = j.redundant
-  let complete j = distinct j = j.w.t
-  let consistent j = j.violations = []
-  let violations j = List.rev j.violations
-  let result j task = Hashtbl.find_opt j.first task
+  let complete j = Hashtbl.length j.first = j.w.t
+  let consistent j = j.consistent
 
   let results j =
     List.filter_map
-      (fun z -> Option.map (fun r -> (z, r)) (result j z))
+      (fun z -> Option.map (fun r -> (z, r)) (Hashtbl.find_opt j.first z))
       (List.init j.w.t Fun.id)
 end
-
-(* ----- stock workloads ----- *)
-
-let mix z =
-  (* splitmix-style integer hash: deterministic, well spread (constants
-     truncated to OCaml's 63-bit int) *)
-  let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
-  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
-  z lxor (z lsr 31)
-
-let checksum ~t =
-  make ~t (fun z ->
-      let acc = ref 0 in
-      for i = 1 to 32 do
-        acc := !acc + mix ((z * 37) + i)
-      done;
-      !acc)
 
 let keyspace_scan ~t ~shard_size ~hit =
   if shard_size < 1 then invalid_arg "Workload.keyspace_scan: shard_size >= 1";
   make ~t (fun z ->
       let lo = z * shard_size in
       List.filter hit (List.init shard_size (fun k -> lo + k)))
-
-let flaky_but_idempotent ~t ~seed =
-  make ~t (fun z -> mix (mix (z + seed)))
-
-let broken_nonidempotent ~t () =
-  let counter = ref 0 in
-  make ~t (fun z ->
-      incr counter;
-      z + !counter)

@@ -21,10 +21,6 @@ val make : ?equal:('r -> 'r -> bool) -> t:int -> (int -> 'r) -> 'r t
     structural equality) decides whether a re-execution reproduced the
     original result. *)
 
-val tasks : 'r t -> int
-val run_task : 'r t -> int -> 'r
-(** Execute one task (raises whatever [f] raises). *)
-
 (** Journals: replaying simulated executions against real effects. *)
 module Journal : sig
   type 'r workload := 'r t
@@ -33,16 +29,11 @@ module Journal : sig
 
   val create : 'r workload -> 'r t
 
-  val record : 'r t -> task:int -> unit
-  (** Execute task [task] and record the outcome; flags an idempotence
-      violation if a previous execution produced a different result. *)
-
   val replay_trace : 'r t -> Doall_sim.Trace.t -> unit
-  (** Feed every [Perform] event of a trace through {!record}. *)
-
-  val executions : 'r t -> int
-  val distinct : 'r t -> int
-  (** Tasks executed at least once. *)
+  (** Execute the task of every [Perform] event of a trace, in order,
+      and record its outcome; a re-execution whose result differs from
+      the task's first one breaks {!consistent}. A task outside the
+      workload raises [Invalid_argument]. *)
 
   val redundant : 'r t -> int
   (** Executions beyond the first per task. *)
@@ -53,32 +44,10 @@ module Journal : sig
   val consistent : 'r t -> bool
   (** No re-execution ever disagreed with the first result. *)
 
-  val violations : 'r t -> (int * int) list
-  (** [(task, execution_index)] pairs where idempotence broke. *)
-
-  val result : 'r t -> int -> 'r option
-  (** First-recorded result of a task. *)
-
   val results : 'r t -> (int * 'r) list
   (** All first results, by increasing task id. *)
 end
 
-(** Stock workloads for examples and tests. *)
-
-val checksum : t:int -> int t
-(** Task [z] computes a cheap arithmetic digest of [z] — deterministic,
-    nontrivial, fast. *)
-
 val keyspace_scan : t:int -> shard_size:int -> hit:(int -> bool) -> int list t
 (** Task [z] scans keys [z * shard_size .. (z+1) * shard_size - 1] and
     returns the hits. *)
-
-val flaky_but_idempotent : t:int -> seed:int -> int t
-(** Deterministic per-task results computed through a seeded hash —
-    looks random, replays identically: the kind of task the model
-    wants. *)
-
-val broken_nonidempotent : t:int -> unit -> int t
-(** A deliberately NON-idempotent workload (a hidden counter leaks into
-    results) for testing that journals catch violations. Fresh state per
-    call. *)

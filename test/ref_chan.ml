@@ -91,8 +91,7 @@ let deliver t ~now ~src f =
     f.bcast;
   List.iter (fun (dst, m) -> enqueue t ~due ~src ~dst m) f.unis;
   t.successes <- t.successes + 1;
-  { Doall_sim.Channel.slot_busy = true; slot_collided = false;
-    slot_delivered = logical f }
+  Doall_sim.Channel.Delivered
 
 let backoff ~p ~now ~src =
   let u = ref (now + 1) in
@@ -128,8 +127,7 @@ let resolve t ~now ?arbitrate () =
   t.last_slot <- now;
   match contenders with
   | [] ->
-    { Doall_sim.Channel.slot_busy = false; slot_collided = false;
-      slot_delivered = 0 }
+    Doall_sim.Channel.Idle
   | [ src ] ->
     t.busy <- t.busy + 1;
     deliver t ~now ~src (pop t src)
@@ -149,8 +147,7 @@ let resolve t ~now ?arbitrate () =
           | Doall_sim.Config.Detectable ->
             (head t src).release <- backoff ~p:t.p ~now ~src)
         contenders;
-      { Doall_sim.Channel.slot_busy = true; slot_collided = true;
-        slot_delivered = 0 })
+      Doall_sim.Channel.Collided)
 
 let receive_iter t ~dst ~now f =
   check_pid t dst "Channel.receive_iter";

@@ -10,6 +10,10 @@ let run ?(p = 8) ?(t = 32) ?(d = 4) ?(seed = 0) ?(algo = Algo_pa.make_det ())
   let cfg = Config.make ~seed ~p ~t () in
   Engine.run_packed algo cfg ~d ~adversary:adv ()
 
+(* a fixed latency, and a latency chosen per destination *)
+let constant k _ ~src:_ ~dst:_ = k
+let per_destination f _ ~src:_ ~dst = f dst
+
 (* work under a delay policy with fair scheduling and no crashes *)
 let work_under ~d delay =
   (run (Schedule.combine ~name:"delay" ~delay ()) ~d).Metrics.work
@@ -21,11 +25,11 @@ let test_delay_policies_complete () =
       check (name ^ " completes") true m.Metrics.completed)
     [
       ("immediate", Delay.immediate);
-      ("constant-3", Delay.constant 3);
+      ("constant-3", constant 3);
       ("maximal", Delay.maximal);
       ("uniform", Delay.uniform);
       ("bimodal", Delay.bimodal ~slow_fraction:0.3);
-      ("per-dest", Delay.per_destination (fun dst -> 1 + (dst mod 3)));
+      ("per-dest", per_destination (fun dst -> 1 + (dst mod 3)));
       ("batched", Delay.stage_batched ~stage_len:4);
       ("partition", Delay.partition ~split:4);
       ("churn", Delay.churn ~calm:6 ~storm:6);
@@ -95,9 +99,9 @@ let test_crashes_complete () =
       let m = run (Schedule.combine ~name ~crash ()) in
       check (name ^ " completes") true m.Metrics.completed)
     [
-      ("none", Crash.none);
+      ("none", fun _ -> []);
       ("at-time", Crash.at_time ~time:2 ~pids:[ 1; 3 ]);
-      ("all-but-one", Crash.all_but_one ~survivor:4 ~time:1);
+      ("all-but-one", Crash.at_time ~time:1 ~pids:[ 0; 1; 2; 3; 5; 6; 7 ]);
       ("poisson", Crash.poisson ~survivor:0 ~rate:0.02);
       ("staggered", Crash.staggered ~every:3);
     ]
@@ -106,7 +110,7 @@ let test_all_but_one_crash_counts () =
   let m =
     run
       (Schedule.combine ~name:"abo"
-         ~crash:(Crash.all_but_one ~survivor:0 ~time:1)
+         ~crash:(Crash.at_time ~time:1 ~pids:(List.init 7 succ))
          ())
   in
   check_int "p-1 crashed" 7 m.Metrics.crashed
@@ -363,11 +367,11 @@ let test_delay_policies_clamped () =
       let m = run ~d:3 (Schedule.combine ~name ~delay ()) in
       check (name ^ " completes under d=3") true m.Metrics.completed)
     [
-      ("per-dest-huge", Delay.per_destination (fun dst -> 1000 + dst));
-      ("per-dest-zero", Delay.per_destination (fun _ -> 0));
-      ("per-dest-negative", Delay.per_destination (fun dst -> -dst));
+      ("per-dest-huge", per_destination (fun dst -> 1000 + dst));
+      ("per-dest-zero", per_destination (fun _ -> 0));
+      ("per-dest-negative", per_destination (fun dst -> -dst));
       ("batched-long", Delay.stage_batched ~stage_len:50);
-      ("constant-over", Delay.constant 99);
+      ("constant-over", constant 99);
     ]
 
 let test_structured_delays_deterministic () =
@@ -386,7 +390,7 @@ let test_structured_delays_deterministic () =
         [ 0; 3; 11 ])
     [
       ("partition", Delay.partition ~split:4);
-      ("per-dest", Delay.per_destination (fun dst -> 1 + (dst mod 4)));
+      ("per-dest", per_destination (fun dst -> 1 + (dst mod 4)));
       ("batched", Delay.stage_batched ~stage_len:3);
     ]
 

@@ -6,6 +6,12 @@
 open Doall_sim
 open Doall_core
 
+(* fair scheduling, every message takes the full [d] *)
+let max_delay =
+  { Adversary.fair with
+    name = "max-delay"; delay = (fun o ~src:_ ~dst:_ -> o.Adversary.d);
+    latency = Adversary.Maximal }
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -26,7 +32,7 @@ let adversaries ~p ~t =
   ignore p;
   [
     Adversary.fair;
-    Adversary.max_delay;
+    max_delay;
     Adversary.uniform_delay;
     Doall_adversary.Schedule.combine ~name:"rr"
       ~schedule:(Doall_adversary.Schedule.round_robin ~width:2) ();
@@ -160,7 +166,7 @@ let test_da_solo_traversal () =
     [ 2; 4; 8 ]
 
 let test_da_explicit_psi () =
-  let psi = Doall_perms.Gen.rotation_list ~n:3 ~count:3 in
+  let psi = List.init 3 (Doall_perms.Perm.rotation 3) in
   let m, _ =
     run_audited
       (let (module A : Algorithm.S) = Algo_da.make ~q:3 ~psi () in
@@ -194,7 +200,7 @@ let test_padet_explicit_psi () =
     run_audited
       (let (module A : Algorithm.S) = Algo_pa.make_det ~psi () in
        (module A))
-      ~p:6 ~t:6 ~d:2 ~adv:Adversary.max_delay ~seed:6
+      ~p:6 ~t:6 ~d:2 ~adv:max_delay ~seed:6
   in
   check "padet with explicit psi" true m.Metrics.completed
 
@@ -216,7 +222,7 @@ let test_padet_cache_is_seeded_list () =
   let check_rows (n, p) =
     let psi = Algo_pa.det_schedules ~n ~p in
     let expected =
-      Doall_perms.Gen.seeded_list ~seed:Algo_pa.det_list_seed ~n ~count:p
+      Doall_perms.Gen.seeded_list ~seed:0xD0A11 ~n ~count:p
     in
     check_int "one row per processor" p (Array.length psi);
     List.iteri
@@ -368,7 +374,7 @@ let test_pa_throttled_and_fanout_correct () =
             Alcotest.failf "%s vs %s did not complete" label
               adv.Adversary.name;
           check (label ^ " all performed") true (Bitset.is_full global))
-        [ Adversary.fair; Adversary.max_delay; Adversary.uniform_delay ])
+        [ Adversary.fair; max_delay; Adversary.uniform_delay ])
     [
       ("padet-b4", fun () -> Algo_pa.make_det ~broadcast_every:4 ());
       ("paran1-b8", fun () -> Algo_pa.make_ran1 ~broadcast_every:8 ());

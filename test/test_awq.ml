@@ -18,88 +18,13 @@ let run ?(seed = 1) ?(p = 8) ?(t = 32) ?(d = 3) ?max_time ?(algo = Algo_awq.make
 
 let test_quorum_arithmetic () =
   let q = Quorum.majority ~p:7 in
-  check_int "threshold" 4 (Quorum.threshold q);
-  check "intersecting" true (Quorum.intersecting q);
-  check "viable at 4" true (Quorum.viable_count q ~live:4);
-  check "not viable at 3" false (Quorum.viable_count q ~live:3);
   check "satisfied with 4 responders" true
     (Quorum.satisfied q (Bitset.of_list 7 [ 0; 2; 4; 6 ]));
   check "unsatisfied with 3" false
     (Quorum.satisfied q (Bitset.of_list 7 [ 0; 2; 4 ]));
-  let weak = Quorum.of_threshold ~p:7 ~threshold:3 in
-  check "non-intersecting flagged" false (Quorum.intersecting weak);
-  Alcotest.check_raises "bad threshold"
-    (Invalid_argument "Quorum.of_threshold: threshold must be in 1..p")
-    (fun () -> ignore (Quorum.of_threshold ~p:4 ~threshold:5))
-
-let test_grid_quorum () =
-  (* 3x3 grid over pids 0..8: row r = {3r, 3r+1, 3r+2}, col c = {c, c+3,
-     c+6}. A quorum needs a full row AND a full column. *)
-  let g = Quorum.grid ~p:9 ~rows:3 ~cols:3 in
-  check "intersecting" true (Quorum.intersecting g);
-  check_int "smallest quorum size" 5 (Quorum.threshold g);
-  check "row 0 + col 0" true
-    (Quorum.satisfied g (Bitset.of_list 9 [ 0; 1; 2; 3; 6 ]));
-  check "row without column" false
-    (Quorum.satisfied g (Bitset.of_list 9 [ 0; 1; 2 ]));
-  check "column without row" false
-    (Quorum.satisfied g (Bitset.of_list 9 [ 0; 3; 6 ]));
-  check "everything" true
-    (Quorum.satisfied g (Bitset.of_list 9 (List.init 9 Fun.id)));
-  (* losing one whole row kills all quorums even with 6 survivors *)
-  check "row loss fatal despite 6 live" false
-    (Quorum.satisfied g (Bitset.of_list 9 [ 0; 1; 2; 3; 4; 5 ]));
-  Alcotest.check_raises "dimension mismatch"
-    (Invalid_argument "Quorum.grid: rows * cols must equal p") (fun () ->
-      ignore (Quorum.grid ~p:10 ~rows:3 ~cols:3))
-
-let test_square_grid () =
-  check "p=9 has a square grid" true (Quorum.square_grid ~p:9 <> None);
-  check "p=8 does not" true (Quorum.square_grid ~p:8 = None)
-
-let test_awq_with_grid_quorum () =
-  let m =
-    run ~p:9 ~t:27
-      ~algo:
-        (Algo_awq.make
-           ~quorum:(fun ~p ->
-             match Quorum.square_grid ~p with
-             | Some g -> g
-             | None -> Quorum.majority ~p)
-           ())
-      "uniform-delay"
-  in
-  check "grid-quorum AWQ completes" true m.Metrics.completed
-
-let test_awq_grid_row_loss_stalls () =
-  (* crash one full row of a 3x3 grid: 6 survivors, but no quorum. *)
-  let adv =
-    Doall_adversary.Schedule.combine ~name:"kill-row"
-      ~crash:(Doall_adversary.Crash.at_time ~time:2 ~pids:[ 0; 1; 2 ])
-      ()
-  in
-  let algo =
-    Algo_awq.make
-      ~quorum:(fun ~p ->
-        match Quorum.square_grid ~p with
-        | Some g -> g
-        | None -> Quorum.majority ~p)
-      ()
-  in
-  let cfg = Config.make ~seed:1 ~p:9 ~t:27 () in
-  let m = Engine.run_packed algo cfg ~d:3 ~adversary:adv ~max_time:5_000 () in
-  check "row loss stalls the grid system" false m.Metrics.completed;
-  (* while a majority system tolerates the same crash pattern *)
-  let cfg = Config.make ~seed:1 ~p:9 ~t:27 () in
-  let adv2 =
-    Doall_adversary.Schedule.combine ~name:"kill-row2"
-      ~crash:(Doall_adversary.Crash.at_time ~time:2 ~pids:[ 0; 1; 2 ])
-      ()
-  in
-  let m2 =
-    Engine.run_packed (Algo_awq.make ()) cfg ~d:3 ~adversary:adv2 ()
-  in
-  check "majority survives the same crashes" true m2.Metrics.completed
+  Alcotest.check_raises "wrong capacity"
+    (Invalid_argument "Quorum.satisfied: responder set has the wrong capacity")
+    (fun () -> ignore (Quorum.satisfied q (Bitset.of_list 8 [ 0 ])))
 
 let test_completes_under_benign_adversaries () =
   List.iter
@@ -408,11 +333,6 @@ let test_waiting_lookahead_steps () =
 let suite =
   [
     Alcotest.test_case "quorum arithmetic" `Quick test_quorum_arithmetic;
-    Alcotest.test_case "grid quorum" `Quick test_grid_quorum;
-    Alcotest.test_case "square grid" `Quick test_square_grid;
-    Alcotest.test_case "AWQ with grid quorum" `Quick test_awq_with_grid_quorum;
-    Alcotest.test_case "grid row loss stalls" `Quick
-      test_awq_grid_row_loss_stalls;
     Alcotest.test_case "completes under benign adversaries" `Quick
       test_completes_under_benign_adversaries;
     Alcotest.test_case "instance shapes" `Quick test_shapes;

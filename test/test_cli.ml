@@ -241,6 +241,10 @@ let probes =
        "--max-time"; "3"; "--trace" ], 1, None);
     ([ "sweep"; "--algo"; "awq-q2"; "--adv"; "chaos"; "-p"; "2"; "-t"; "5";
        "--delays"; "1" ], 1, None);
+    (* a delay at the ring cap leaves no time before a due would pass
+       it: the run stops capped at time 0 *)
+    ([ "run"; "-p"; "8"; "-t"; "64"; "-d"; "2147483647"; "--adv";
+       "uniform-delay" ], 1, None);
   ]
 
 let test_probes () =

@@ -8,7 +8,7 @@ let test_two_processor_example () =
   (* Section 4's opening example: with psi = <id, reverse> and rho = id,
      the identity contributes n lrm's and the reverse contributes 1. *)
   let n = 6 in
-  let psi = Gen.reverse_identity_pair ~n in
+  let psi = [ Perm.identity n; Perm.reverse n ] in
   check_int "Cont(psi, id)" (n + 1)
     (Contention.contention_wrt psi ~rho:(Perm.identity n))
 
@@ -45,7 +45,7 @@ let test_estimate_sandwich () =
   let n = 6 in
   let psi = Gen.random_list ~rng ~n ~count:n in
   let exact = Contention.contention_exact psi in
-  let est = Contention.contention_estimate ~rng psi in
+  let est = Contention.d_contention_estimate ~rng ~d:1 psi in
   check "estimate <= exact" true (est <= exact);
   check "estimate >= Cont(psi, id)" true
     (est >= Contention.contention_wrt psi ~rho:(Perm.identity n));
@@ -82,10 +82,11 @@ let test_d_contention_monotone_in_d () =
   done
 
 let test_harmonic () =
-  check "H_1" true (abs_float (Contention.harmonic 1 -. 1.0) < 1e-9);
-  check "H_2" true (abs_float (Contention.harmonic 2 -. 1.5) < 1e-9);
-  check "H_4" true
-    (abs_float (Contention.harmonic 4 -. (25.0 /. 12.0)) < 1e-9)
+  (* Lemma 4.1's bound is 3 n H_n *)
+  let h n = Contention.bound_lemma_4_1 n /. (3.0 *. float_of_int n) in
+  check "H_1" true (abs_float (h 1 -. 1.0) < 1e-9);
+  check "H_2" true (abs_float (h 2 -. 1.5) < 1e-9);
+  check "H_4" true (abs_float (h 4 -. (25.0 /. 12.0)) < 1e-9)
 
 let test_bound_lemma41 () =
   check "3nHn for n=4" true
@@ -161,9 +162,14 @@ let prop_exact_matches_reference =
       let rng = Rng.create seed in
       let psi = Gen.random_list ~rng ~n ~count in
       let reference eval psi =
+        let n = Perm.size (List.hd psi) in
         List.fold_left (fun m rho -> max m (eval psi ~rho)) min_int (Perm.all n)
       in
-      let improved, c = Search.improve ~steps:20 ~rng psi in
+      (* one attempt always certifies: Cont <= n^2 <= 3 n H_n for n <= 8 *)
+      let cert =
+        Search.certified ~attempts:1 ~local_steps:20 ~rng (max 2 n)
+      in
+      let improved = cert.Search.list and c = cert.Search.contention in
       Contention.contention_exact psi = reference Contention.contention_wrt psi
       && Contention.d_contention_exact ~d psi
          = reference (Contention.d_contention_wrt ~d) psi
@@ -203,19 +209,21 @@ let test_exact_n8_matches_definition () =
           best)
     [
       ("all-identity", Gen.identity_list ~n ~count:n);
-      ("identity/reverse", Gen.reverse_identity_pair ~n);
+      ("identity/reverse", [ Perm.identity n; Perm.reverse n ]);
       ("DA(8) list", Doall_core.Algo_da.default_psi ~q:n);
     ]
 
-(* 200 steps at n = 8 reject some swaps, so the value Search.improve
+(* 200 steps at n = 8 reject some swaps, so the value the local search
    returns is only right if every rejected step restored its table
-   exactly. *)
+   exactly. One attempt starts from the first list the seed draws. *)
 let test_improve_n8_exact () =
   let n = 8 in
-  let rng = Rng.create 88 in
-  let psi = Gen.random_list ~rng ~n ~count:n in
+  let psi = Gen.random_list ~rng:(Rng.create 88) ~n ~count:n in
   let before = Contention.contention_exact psi in
-  let improved, c = Search.improve ~steps:200 ~rng psi in
+  let cert =
+    Search.certified ~attempts:1 ~local_steps:200 ~rng:(Rng.create 88) n
+  in
+  let improved = cert.Search.list and c = cert.Search.contention in
   check "never worse" true (c <= before);
   check_int "improve's value = exact Cont of its list"
     (Contention.contention_exact improved)

@@ -10,6 +10,12 @@ open Doall_sim
 open Doall_adversary
 open Doall_core
 
+(* fair scheduling, every message takes the full [d] *)
+let max_delay =
+  { Adversary.fair with
+    name = "max-delay"; delay = (fun o ~src:_ ~dst:_ -> o.Adversary.d);
+    latency = Adversary.Maximal }
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -229,7 +235,7 @@ let test_engine_probe_parity () =
             true (fast = slow))
         [
           ("fair", Adversary.fair);
-          ("max-delay", Adversary.max_delay);
+          ("max-delay", max_delay);
           ( "laggard",
             Schedule.combine ~name:"laggard"
               ~schedule:Schedule.adaptive_laggard () );

@@ -156,7 +156,14 @@ let read_file path =
 let render_with_jobs id jobs =
   let e = Option.get (Exp.find id) in
   let buf = Buffer.create 4096 in
-  Exp.run ~jobs ~sink:(Exp.buffer_sink buf) e;
+  let sink =
+    {
+      Exp.on_table =
+        (fun ~name:_ tbl -> Buffer.add_string buf (Doall_analysis.Table.render tbl));
+      on_text = Buffer.add_string buf;
+    }
+  in
+  Exp.run ~jobs ~sink e;
   Buffer.contents buf
 
 (* `dune runtest` runs with cwd = the test directory; `dune exec

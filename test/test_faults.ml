@@ -35,11 +35,13 @@ let test_total_loss_terminates () =
 
 let test_drop_all_overlay () =
   (* the same network via the --faults overlay path instead of the
-     registry adversary: drop_all on top of max-delay *)
+     registry adversary: a policy dropping every message on top of
+     max-delay *)
+  let drop_all _ ~src:_ ~dst:_ = Adversary.Drop in
   List.iter
     (fun algo ->
       let r =
-        Runner.run ~check:true ~faults:Doall_adversary.Fault.drop_all ~algo
+        Runner.run ~check:true ~faults:drop_all ~algo
           ~adv:"max-delay" ~p:5 ~t:15 ~d:3 ~seed:2 ()
       in
       check (algo ^ " completes with drop_all overlay") true
@@ -121,7 +123,7 @@ let test_restart_changes_outcome () =
     let base =
       Doall_adversary.Schedule.combine ~name:"flaky"
         ~schedule:Doall_adversary.Schedule.all
-        ~delay:(Doall_adversary.Delay.constant d)
+        ~delay:(fun _ ~src:_ ~dst:_ -> d)
         ~crash
         ?restart:(if restart then Some revive else None)
         ()

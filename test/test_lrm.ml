@@ -15,10 +15,6 @@ let test_knuth_example () =
   (* <1, 0, 3, 2, 5, 4>: maxima at values 1, 3, 5 *)
   check_int "interleaved" 3 (Lrm.lrm (Perm.of_array [| 1; 0; 3; 2; 5; 4 |]))
 
-let test_lrm_positions () =
-  Alcotest.(check (list int)) "positions" [ 0; 2; 4 ]
-    (Lrm.lrm_positions (Perm.of_array [| 1; 0; 3; 2; 5; 4 |]))
-
 let test_singleton () =
   check_int "lrm of single" 1 (Lrm.lrm (Perm.identity 1))
 
@@ -59,16 +55,11 @@ let test_d_requires_positive () =
   Alcotest.check_raises "d=0" (Invalid_argument "Lrm.d_lrm: d must be >= 1")
     (fun () -> ignore (Lrm.d_lrm ~d:0 (Perm.identity 3)))
 
-let test_d_lrm_positions_subset () =
-  let p = Perm.of_array [| 3; 4; 0; 1; 2 |] in
-  Alcotest.(check (list int)) "positions d=3" [ 0; 1; 2; 3; 4 ]
-    (Lrm.d_lrm_positions ~d:3 p);
-  Alcotest.(check (list int)) "positions d=1" [ 0; 1 ]
-    (Lrm.d_lrm_positions ~d:1 p)
-
 let test_greater_before () =
-  let g = Lrm.greater_before (Perm.of_array [| 3; 4; 0; 1; 2 |]) in
-  Alcotest.(check (array int)) "counts" [| 0; 0; 2; 2; 2 |] g
+  (* 0, 0, 2, 2, 2 earlier elements exceed each position: a position
+     is a d-lrm iff its count is below d *)
+  let prof = Lrm.d_lrm_profile (Perm.of_array [| 3; 4; 0; 1; 2 |]) in
+  Alcotest.(check (array int)) "counts" [| 0; 2; 2; 5; 5; 5 |] prof
 
 let prop_profile_matches_per_d =
   QCheck2.Test.make ~name:"d-lrm profile agrees with per-d computation"
@@ -115,8 +106,7 @@ let prop_first_d_always_dlrm =
       let rng = Rng.create ((n * 37) + d) in
       let p = Perm.random rng n in
       let d = min d n in
-      let positions = Lrm.d_lrm_positions ~d p in
-      List.for_all (fun j -> List.mem j positions) (List.init d Fun.id))
+      Lrm.d_lrm ~d p >= d)
 
 let prop_brute_force_agreement =
   QCheck2.Test.make ~name:"d-lrm agrees with O(n^2) definition" ~count:300
@@ -140,14 +130,12 @@ let suite =
     Alcotest.test_case "identity: n maxima" `Quick test_identity_all_lrm;
     Alcotest.test_case "reverse: 1 maximum" `Quick test_reverse_single_lrm;
     Alcotest.test_case "interleaved example" `Quick test_knuth_example;
-    Alcotest.test_case "lrm positions" `Quick test_lrm_positions;
     Alcotest.test_case "singleton" `Quick test_singleton;
     Alcotest.test_case "d=1 equals lrm" `Quick test_d1_equals_lrm;
     Alcotest.test_case "d=n counts all" `Quick test_dn_counts_all;
     Alcotest.test_case "worked d-lrm example" `Quick test_d_lrm_example;
     Alcotest.test_case "reverse d-lrm" `Quick test_reverse_d_lrm;
     Alcotest.test_case "d must be positive" `Quick test_d_requires_positive;
-    Alcotest.test_case "d-lrm positions" `Quick test_d_lrm_positions_subset;
     Alcotest.test_case "greater_before" `Quick test_greater_before;
     QCheck_alcotest.to_alcotest prop_profile_matches_per_d;
     QCheck_alcotest.to_alcotest prop_monotone_in_d;

@@ -5,11 +5,14 @@ open Doall_sim
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* all [count] processors step in every round, [n] rounds *)
+let lockstep_rounds ~n ~count = List.init n (fun _ -> List.init count Fun.id)
+
 let test_lockstep_counts () =
   let n = 4 in
   let psi = Gen.identity_list ~n ~count:n in
   let stats =
-    Oblido.replay ~psi ~rounds:(Oblido.lockstep_rounds ~n ~count:n)
+    Oblido.replay ~psi ~rounds:(lockstep_rounds ~n ~count:n)
   in
   check_int "n^2 executions" (n * n) stats.Oblido.executions;
   (* all processors hit job j in the same round: all primary *)
@@ -34,13 +37,13 @@ let test_two_processor_reverse () =
      p1's first (0), giving one extra primary when n >= 2 and the halves
      never collide earlier (reverse vs identity meet in the middle). *)
   let n = 6 in
-  let psi = Gen.reverse_identity_pair ~n in
+  let psi = [ Perm.identity n; Perm.reverse n ] in
   let serial =
     List.init n (fun _ -> [ 0 ]) @ List.init n (fun _ -> [ 1 ])
   in
   let stats = Oblido.replay ~psi ~rounds:serial in
   check_int "serial: n primaries" n stats.Oblido.primary;
-  let lockstep = Oblido.lockstep_rounds ~n ~count:2 in
+  let lockstep = lockstep_rounds ~n ~count:2 in
   let stats2 = Oblido.replay ~psi ~rounds:lockstep in
   (* identity covers 0,1,2 while reverse covers 5,4,3: disjoint halves,
      so every execution before the crossover is primary. *)

@@ -92,7 +92,9 @@ let test_vector () =
   let pr = Probe.create () in
   let v = Probe.vector pr "v" ~len:4 in
   Probe.vincr v 0;
-  Probe.vadd v 3 5;
+  for _ = 1 to 5 do
+    Probe.vincr v 3
+  done;
   check "values" true
     (List.assoc "v" (Probe.snapshot pr).Probe.vectors = [| 1; 0; 0; 5 |]);
   check "len mismatch rejected" true

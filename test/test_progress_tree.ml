@@ -28,32 +28,36 @@ let test_children_and_parent () =
   for v = 0 to sh.Progress_tree.first_leaf - 1 do
     for j = 0 to 2 do
       let c = Progress_tree.child sh v j in
-      check_int "parent of child" v (Progress_tree.parent sh c)
+      check_int "parent of child" v ((c - 1) / 3);
+      check_int "child one level down" (Progress_tree.depth sh v + 1)
+        (Progress_tree.depth sh c)
     done
   done
 
 let test_depth () =
   let sh = Progress_tree.shape ~q:2 ~jobs:8 in
   check_int "root depth" 0 (Progress_tree.depth sh 0);
-  check_int "leaf depth" 3 (Progress_tree.depth sh (Progress_tree.leaf_of_job sh 0));
+  check_int "leaf depth" 3 (Progress_tree.depth sh sh.Progress_tree.first_leaf);
   check_int "mid depth" 1 (Progress_tree.depth sh 1)
 
 let test_leaf_job_roundtrip () =
   let sh = Progress_tree.shape ~q:3 ~jobs:7 in
   for j = 0 to 6 do
     check_int "roundtrip" j
-      (Progress_tree.job_of_leaf sh (Progress_tree.leaf_of_job sh j))
+      (Progress_tree.job_of_leaf sh (sh.Progress_tree.first_leaf + j))
   done
 
 let test_dummy_leaves () =
   let sh = Progress_tree.shape ~q:3 ~jobs:7 in
-  check "leaf 7 is dummy" true
-    (Progress_tree.is_dummy_leaf sh (sh.Progress_tree.first_leaf + 7));
-  check "leaf 6 is real" false
-    (Progress_tree.is_dummy_leaf sh (sh.Progress_tree.first_leaf + 6));
-  Alcotest.check_raises "job_of_leaf on dummy"
-    (Invalid_argument "Progress_tree.job_of_leaf: dummy leaf") (fun () ->
-      ignore (Progress_tree.job_of_leaf sh (sh.Progress_tree.first_leaf + 8)))
+  check_int "leaf 6 is real" 6
+    (Progress_tree.job_of_leaf sh (sh.Progress_tree.first_leaf + 6));
+  List.iter
+    (fun k ->
+      Alcotest.check_raises
+        (Printf.sprintf "leaf %d is dummy" k)
+        (Invalid_argument "Progress_tree.job_of_leaf: dummy leaf") (fun () ->
+          ignore (Progress_tree.job_of_leaf sh (sh.Progress_tree.first_leaf + k))))
+    [ 7; 8 ]
 
 let test_initial_marks () =
   let sh = Progress_tree.shape ~q:2 ~jobs:5 in
@@ -61,7 +65,7 @@ let test_initial_marks () =
   let marks = Progress_tree.initial_marks sh in
   for j = 0 to 4 do
     check "real leaves unmarked" false
-      (Bitset.mem marks (Progress_tree.leaf_of_job sh j))
+      (Bitset.mem marks (sh.Progress_tree.first_leaf + j))
   done;
   for k = 5 to 7 do
     check "dummy leaves marked" true
@@ -97,10 +101,7 @@ let test_validation () =
   let sh = Progress_tree.shape ~q:2 ~jobs:4 in
   Alcotest.check_raises "child of leaf"
     (Invalid_argument "Progress_tree.child: leaf has no children") (fun () ->
-      ignore (Progress_tree.child sh (Progress_tree.leaf_of_job sh 0) 0));
-  Alcotest.check_raises "parent of root"
-    (Invalid_argument "Progress_tree.parent: root") (fun () ->
-      ignore (Progress_tree.parent sh 0))
+      ignore (Progress_tree.child sh sh.Progress_tree.first_leaf 0))
 
 let prop_shape_consistent =
   QCheck2.Test.make ~name:"shape arithmetic consistent" ~count:200

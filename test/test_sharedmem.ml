@@ -36,10 +36,13 @@ let test_rotating_and_random () =
       Write_all.random_subset ~seed:5 ~prob:0.4;
     ]
 
+(* crash exactly [pids] at time [at] *)
+let crash_at ~at ~pids ~time ~alive:_ = if time = at then pids else []
+
 let test_crashes_tolerated () =
   let m =
     Write_all.run
-      ~crashes:(Write_all.crash_at ~time:3 ~pids:[ 0; 1; 2 ])
+      ~crashes:(crash_at ~at:3 ~pids:[ 0; 1; 2 ])
       ~p:4 ~t:24 ()
   in
   check "completes with one survivor" true m.Write_all.completed;
@@ -48,7 +51,7 @@ let test_crashes_tolerated () =
 let test_last_survivor_immune () =
   let m =
     Write_all.run
-      ~crashes:(Write_all.crash_at ~time:1 ~pids:[ 0; 1; 2; 3 ])
+      ~crashes:(crash_at ~at:1 ~pids:[ 0; 1; 2; 3 ])
       ~p:4 ~t:12 ()
   in
   check "completes" true m.Write_all.completed;
@@ -77,7 +80,7 @@ let test_shared_memory_beats_message_passing () =
     (shm.Write_all.work <= msg.Doall_sim.Metrics.work)
 
 let test_explicit_psi () =
-  let psi = Gen.rotation_list ~n:3 ~count:3 in
+  let psi = List.init 3 (Perm.rotation 3) in
   let m = Write_all.run ~q:3 ~psi ~p:9 ~t:27 () in
   check "explicit psi" true m.Write_all.completed
 

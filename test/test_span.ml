@@ -9,6 +9,11 @@ module Chrome = Doall_obs.Chrome
 module Diff = Doall_obs.Diff
 module Json = Doall_obs.Export.Json
 
+(* the deterministic projection of a snapshot: span names and enter
+   counts, wall fields dropped *)
+let names_and_counts (snap : Span.snapshot) =
+  List.map (fun (name, (_, n)) -> (name, n)) snap
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -53,14 +58,14 @@ let test_span_shift () =
   Span.enter a;
   Span.shift a b;
   Span.leave b;
-  let counts = Span.names_and_counts (Span.snapshot t) in
+  let counts = names_and_counts (Span.snapshot t) in
   check "shift closes a and opens b" true
     (counts = [ ("a", 1); ("b", 1) ]);
   (* shift with the source closed still opens the destination *)
   Span.shift a b;
   Span.leave b;
   check "shift on closed source" true
-    (Span.names_and_counts (Span.snapshot t) = [ ("a", 1); ("b", 2) ])
+    (names_and_counts (Span.snapshot t) = [ ("a", 1); ("b", 2) ])
 
 let test_span_registry_and_snapshot () =
   let t = Span.create () in
@@ -78,7 +83,7 @@ let test_span_registry_and_snapshot () =
        Span.time sp (fun () -> raise Exit)
      with Exit ->
        (* the section still closed *)
-       List.assoc "a" (Span.names_and_counts (Span.snapshot t)) = 2)
+       List.assoc "a" (names_and_counts (Span.snapshot t)) = 2)
 
 (* ------------------------------------------------------------------ *)
 (* Profiled runs: deterministic counts, bit-identical metrics.         *)
@@ -95,7 +100,7 @@ let test_profile_phase_counts () =
         | Some sp -> sp
         | None -> Alcotest.fail "profile:true must fill result.spans"
       in
-      let counts = Span.names_and_counts sp in
+      let counts = names_and_counts sp in
       let c name = List.assoc name counts in
       let w = r.Runner.metrics.Doall_sim.Metrics.work in
       let sigma = r.Runner.metrics.Doall_sim.Metrics.sigma in
@@ -109,7 +114,7 @@ let test_profile_phase_counts () =
 
 let test_profile_oracle_span () =
   let r = profiled_run ~check:true ~algo:"paran1" ~adv:"fair" ~p:6 ~t:24 ~d:3 () in
-  let counts = Span.names_and_counts (Option.get r.Runner.spans) in
+  let counts = names_and_counts (Option.get r.Runner.spans) in
   check "oracle span counts with ~check" true (List.assoc "oracle" counts > 0)
 
 let comparable (r : Runner.result) =
@@ -138,7 +143,7 @@ let test_profile_structure_stable_across_jobs () =
   let structure rs =
     List.map
       (fun (r : Runner.result) ->
-        (comparable r, Option.map Span.names_and_counts r.Runner.spans))
+        (comparable r, Option.map names_and_counts r.Runner.spans))
       rs
   in
   let base = structure (Runner.run_grid ~jobs:1 ~profile:true specs) in
@@ -180,19 +185,21 @@ let field name = function
   | Json.Obj fields -> List.assoc name fields
   | _ -> raise Not_found
 
+(* the document [Chrome.write] prints, parsed back by the strict
+   parser *)
+let chrome_doc ?spans ~p tr =
+  let path = Filename.temp_file "doall_chrome" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Chrome.write oc ?spans ~p tr);
+      match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok doc -> doc
+      | Error msg -> Alcotest.fail ("chrome document does not parse: " ^ msg))
+
 let test_chrome_valid_json_and_flows () =
   let r, tr = traced_run () in
-  let doc = Chrome.json ?spans:r.Runner.spans ~p:5 tr in
-  (* the rendered artifact round-trips through the strict parser *)
-  (* validate the artifact as serialized: parse back and walk that.
-     (Not compared for identity with [doc]: the printer keeps 12
-     significant digits, enough for trace viewers but not for
-     bit-exact float round-trips of the clock-derived span values.) *)
-  let evs =
-    match Json.of_string (Json.to_string doc) with
-    | Ok doc' -> trace_events doc'
-    | Error msg -> Alcotest.fail ("chrome document does not parse: " ^ msg)
-  in
+  let evs = trace_events (chrome_doc ?spans:r.Runner.spans ~p:5 tr) in
   check "has events" true (evs <> []);
   (* s/f flows come in exactly matched id pairs *)
   let ids ph =
@@ -237,7 +244,7 @@ let test_chrome_without_spans () =
     Runner.run_traced ~seed:7 ~algo:"da-q4" ~adv:"fair" ~p:4 ~t:12 ~d:2 ()
   in
   check "no profile requested" true (r.Runner.spans = None);
-  let evs = trace_events (Chrome.json ~p:4 tr) in
+  let evs = trace_events (chrome_doc ~p:4 tr) in
   check "profile track absent" true
     (List.for_all
        (fun ev ->
@@ -250,10 +257,41 @@ let test_chrome_without_spans () =
 (* ------------------------------------------------------------------ *)
 (* Structured run-diff.                                                *)
 
+let with_temp_files f =
+  let pa = Filename.temp_file "doall_diff_a" ".jsonl" in
+  let pb = Filename.temp_file "doall_diff_b" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ pa; pb ])
+    (fun () -> f pa pb)
+
+let write_file path text =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      output_string oc text)
+
+(* [Diff.compare_files] on files holding the given documents, one per
+   line (a single document reads as a whole-file one) *)
+let diff ?tol docs_a docs_b =
+  with_temp_files (fun pa pb ->
+      let put path docs =
+        write_file path
+          (String.concat "" (List.map (fun d -> Json.to_string d ^ "\n") docs))
+      in
+      put pa docs_a;
+      put pb docs_b;
+      match Diff.compare_files ?tol pa pb with
+      | Ok fs -> fs
+      | Error msg -> Alcotest.fail msg)
+
 let test_diff_machine_key () =
   List.iter
     (fun (name, expect) ->
-      check (Printf.sprintf "machine_key %S" name) expect (Diff.machine_key name))
+      let doc v = Json.Obj [ (name, Json.Int v) ] in
+      match diff [ doc 1 ] [ doc 100 ] with
+      | [ f ] ->
+        check (Printf.sprintf "machine_key %S" name) expect f.Diff.machine
+      | fs -> Alcotest.failf "%s: %d findings" name (List.length fs))
     [
       ("wall_s", true);
       ("cell_wall", true);
@@ -273,28 +311,28 @@ let test_diff_exact_vs_tolerant () =
   let doc work wall =
     Json.Obj [ ("work", Json.Int work); ("wall_s", Json.Float wall) ]
   in
-  check "identical agree" true (Diff.compare_values (doc 368 0.5) (doc 368 0.7) = []);
-  (match Diff.compare_values (doc 368 0.5) (doc 369 0.5) with
+  check "identical agree" true (diff [ doc 368 0.5 ] [ doc 368 0.7 ] = []);
+  (match diff [ doc 368 0.5 ] [ doc 369 0.5 ] with
    | [ f ] ->
      check "logical path" true (f.Diff.path = "$.work");
      check "logical finding not machine" true (not f.Diff.machine)
    | fs -> Alcotest.failf "expected one finding, got %d" (List.length fs));
   (* machine values: absolute slack of 1s, then ratio tolerance *)
-  let wall a b = Diff.compare_values (doc 1 a) (doc 1 b) in
+  let wall a b = diff [ doc 1 a ] [ doc 1 b ] in
   check "within absolute slack" true (wall 0.2 1.1 = []);
   check "within ratio" true (wall 100.0 130.0 = []);
   (match wall 100.0 200.0 with
    | [ f ] -> check "tolerance miss is machine" true f.Diff.machine
    | fs -> Alcotest.failf "expected one wall finding, got %d" (List.length fs));
-  check "custom tol" true (Diff.compare_values ~tol:2.5 (doc 1 100.0) (doc 1 200.0) = [])
+  check "custom tol" true (diff ~tol:2.5 [ doc 1 100.0 ] [ doc 1 200.0 ] = [])
 
 let test_diff_structure () =
   let a = Json.Obj [ ("x", Json.Int 1); ("y", Json.Int 2) ] in
   let b = Json.Obj [ ("y", Json.Int 2); ("x", Json.Int 1) ] in
-  check "field order ignored" true (Diff.compare_values a b = []);
+  check "field order ignored" true (diff [ a ] [ b ] = []);
   let missing = Json.Obj [ ("x", Json.Int 1) ] in
   check_int "missing field is a finding" 1
-    (List.length (Diff.compare_values a missing));
+    (List.length (diff [ a ] [ missing ]));
   let nested =
     Json.Obj [ ("wall", Json.Obj [ ("inner", Json.Float 9.0) ]) ]
   in
@@ -302,25 +340,12 @@ let test_diff_structure () =
     Json.Obj [ ("wall", Json.Obj [ ("inner", Json.Float 9.5) ]) ]
   in
   check "machine flag covers subtree" true
-    (Diff.compare_values nested nested' = []);
+    (diff [ nested ] [ nested' ] = []);
   check_int "list length mismatch" 1
     (List.length
-       (Diff.compare_values (Json.List [ Json.Int 1 ]) (Json.List [])));
+       (diff [ Json.List [ Json.Int 1 ] ] [ Json.List [] ]));
   check_int "docs length mismatch" 1
-    (List.length (Diff.compare_docs [ a; b ] [ a ]))
-
-let with_temp_files f =
-  let pa = Filename.temp_file "doall_diff_a" ".jsonl" in
-  let pb = Filename.temp_file "doall_diff_b" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ pa; pb ])
-    (fun () -> f pa pb)
-
-let write_file path text =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc text)
+    (List.length (diff [ a; b ] [ a ]))
 
 let test_diff_files () =
   with_temp_files (fun pa pb ->
@@ -335,9 +360,8 @@ let test_diff_files () =
       check "identical files agree" true (Diff.compare_files pa pa = Ok []);
       (* whole-file documents load as a single doc, no line prefix *)
       write_file pa "{\n  \"cells\": [1, 2],\n  \"wall_s\": 3.0\n}\n";
-      check "whole-file parse" true (Diff.load pa = Ok [ Json.Obj [
-        ("cells", Json.List [ Json.Int 1; Json.Int 2 ]);
-        ("wall_s", Json.Float 3.0) ] ]);
+      write_file pb "{\"cells\":[1,2],\"wall_s\":3.0}\n";
+      check "whole-file parse" true (Diff.compare_files pa pb = Ok []);
       (* unreadable input is an Error, not findings *)
       write_file pb "{not json";
       check "parse failure is Error" true

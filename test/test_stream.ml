@@ -10,6 +10,12 @@ open Doall_sim
 open Doall_adversary
 open Doall_core
 
+(* fair scheduling, every message takes the full [d] *)
+let max_delay =
+  { Adversary.fair with
+    name = "max-delay"; delay = (fun o ~src:_ ~dst:_ -> o.Adversary.d);
+    latency = Adversary.Maximal }
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -38,8 +44,11 @@ let algos () =
 let declared_adversaries () =
   [
     ("fair", Adversary.fair);
-    ("fixed-3", Adversary.fixed_delay 3);
-    ("max-delay", Adversary.max_delay);
+    ("fixed-3",
+     { Adversary.fair with
+       name = "fixed-delay-3"; delay = (fun _ ~src:_ ~dst:_ -> 3);
+       latency = Adversary.Fixed 3 });
+    ("max-delay", max_delay);
     ( "laggard",
       Schedule.combine ~name:"laggard" ~schedule:Schedule.adaptive_laggard () );
     ( "crash-two",
@@ -157,7 +166,7 @@ let test_messages_count_multicast () =
   (* M parity on the stream: one multicast = p-1 point-to-point sends,
      exactly as on the general path (Definition 2.2). *)
   let p = 16 in
-  let m = run ~p (Algo_pa.make_ran1 ()) Adversary.max_delay in
+  let m = run ~p (Algo_pa.make_ran1 ()) max_delay in
   check_int "M is a multiple of p-1" 0 (m.Metrics.messages mod (p - 1))
 
 let suite =

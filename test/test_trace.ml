@@ -3,18 +3,25 @@ open Doall_sim
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+let events tr = List.rev (Trace.fold tr ~init:[] ~f:(fun acc e -> e :: acc))
+
+(* the rows [Trace.pp_timeline] prints, without their "pNNN |" label
+   and closing bar *)
+let timeline tr ~p ~until =
+  Format.asprintf "%a" Trace.pp_timeline (tr, p, until)
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l -> String.sub l 6 until)
+  |> Array.of_list
+
 let test_record_order () =
   let tr = Trace.create () in
   Trace.add tr (Trace.Step { time = 0; pid = 1 });
   Trace.add tr (Trace.Perform { time = 1; pid = 0; task = 3; fresh = true });
   check_int "length" 2 (Trace.length tr);
-  match Trace.events tr with
+  match events tr with
   | [ Trace.Step { time = 0; pid = 1 }; Trace.Perform { task = 3; _ } ] -> ()
   | _ -> Alcotest.fail "wrong order"
-
-let test_time_of () =
-  check_int "step" 5 (Trace.time_of (Trace.Step { time = 5; pid = 0 }));
-  check_int "note" 9 (Trace.time_of (Trace.Note { time = 9; text = "x" }))
 
 let test_timeline_symbols () =
   let tr = Trace.create () in
@@ -23,7 +30,7 @@ let test_timeline_symbols () =
   Trace.add tr (Trace.Step { time = 1; pid = 0 });
   Trace.add tr (Trace.Halt { time = 2; pid = 0 });
   Trace.add tr (Trace.Crash { time = 1; pid = 1 });
-  let rows = Trace.timeline tr ~p:2 ~until:4 in
+  let rows = timeline tr ~p:2 ~until:4 in
   check_int "two rows" 2 (Array.length rows);
   check "perform mark" true (rows.(0).[0] = '#');
   check "step mark" true (rows.(0).[1] = 'o');
@@ -36,7 +43,7 @@ let test_timeline_symbols () =
 let test_timeline_clips () =
   let tr = Trace.create () in
   Trace.add tr (Trace.Perform { time = 99; pid = 0; task = 0; fresh = false });
-  let rows = Trace.timeline tr ~p:1 ~until:10 in
+  let rows = timeline tr ~p:1 ~until:10 in
   check "out-of-window event ignored" true (rows.(0) = String.make 10 ' ')
 
 let test_fold () =
@@ -47,11 +54,12 @@ let test_fold () =
   check_int "fold counts all" 1000
     (Trace.fold tr ~init:0 ~f:(fun acc _ -> acc + 1));
   (* fold visits in recording order and agrees with [events] *)
-  let times_via_fold =
-    List.rev (Trace.fold tr ~init:[] ~f:(fun acc e -> Trace.time_of e :: acc))
+  let times =
+    Trace.fold tr ~init:[] ~f:(fun acc e ->
+        match e with Trace.Step { time; _ } -> time :: acc | _ -> acc)
   in
-  let times_via_events = List.map Trace.time_of (Trace.events tr) in
-  check "fold order = events order" true (times_via_fold = times_via_events)
+  check "fold visits in recording order" true
+    (List.rev times = List.init 1000 Fun.id)
 
 let test_pp_timeline_output () =
   let tr = Trace.create () in
@@ -62,7 +70,6 @@ let test_pp_timeline_output () =
 let suite =
   [
     Alcotest.test_case "record order" `Quick test_record_order;
-    Alcotest.test_case "time_of" `Quick test_time_of;
     Alcotest.test_case "timeline symbols" `Quick test_timeline_symbols;
     Alcotest.test_case "timeline clips window" `Quick test_timeline_clips;
     Alcotest.test_case "fold" `Quick test_fold;

@@ -1,81 +1,105 @@
 open Doall_workload
 open Doall_core
+module Trace = Doall_sim.Trace
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Fixtures. [checksum]: a deterministic arithmetic digest per task;
+   [broken]: a hidden counter leaks into the results, so re-executions
+   disagree (fresh state per call). *)
+let checksum ~t =
+  Workload.make ~t (fun z ->
+      let acc = ref 0 in
+      for i = 1 to 32 do
+        acc := !acc + ((((z * 37) + i) * 0x2545F4914F6CDD1D) lsr 17)
+      done;
+      !acc)
+
+let broken ~t =
+  let counter = ref 0 in
+  Workload.make ~t (fun z ->
+      incr counter;
+      z + !counter)
+
+(* replay a trace performing [tasks] in order *)
+let record_all j tasks =
+  let tr = Trace.create () in
+  List.iteri
+    (fun time task ->
+      Trace.add tr (Trace.Perform { time; pid = 0; task; fresh = true }))
+    tasks;
+  Workload.Journal.replay_trace j tr
+
+let journal w tasks =
+  let j = Workload.Journal.create w in
+  record_all j tasks;
+  j
+
+(* executions = distinct tasks + re-executions *)
+let executions j =
+  List.length (Workload.Journal.results j) + Workload.Journal.redundant j
+
 let test_checksum_deterministic () =
-  let w = Workload.checksum ~t:16 in
-  for z = 0 to 15 do
-    check_int "replays identically" (Workload.run_task w z)
-      (Workload.run_task w z)
-  done
+  let j = journal (checksum ~t:16) (List.init 32 (fun i -> i mod 16)) in
+  check_int "every task re-executed" 16 (Workload.Journal.redundant j);
+  check "replays identically" true (Workload.Journal.consistent j)
 
 let test_checksum_distinct () =
-  let w = Workload.checksum ~t:32 in
-  let results = List.init 32 (Workload.run_task w) in
+  let j = journal (checksum ~t:32) (List.init 32 Fun.id) in
+  let results = List.map snd (Workload.Journal.results j) in
   check_int "results distinct" 32
     (List.length (List.sort_uniq compare results))
 
 let test_range_check () =
-  let w = Workload.checksum ~t:4 in
   Alcotest.check_raises "out of range"
     (Invalid_argument "Workload.run_task: task out of range") (fun () ->
-      ignore (Workload.run_task w 4))
+      ignore (journal (checksum ~t:4) [ 4 ]))
 
 let test_keyspace_scan () =
   let w = Workload.keyspace_scan ~t:5 ~shard_size:10 ~hit:(fun k -> k mod 7 = 0) in
-  Alcotest.(check (list int)) "shard 0 hits" [ 0; 7 ] (Workload.run_task w 0);
-  Alcotest.(check (list int)) "shard 2 hits" [ 21; 28 ] (Workload.run_task w 2)
+  Alcotest.(check (list (pair int (list int))))
+    "shards 0 and 2" [ (0, [ 0; 7 ]); (2, [ 21; 28 ]) ]
+    (Workload.Journal.results (journal w [ 0; 2 ]))
 
 let test_journal_counts () =
-  let w = Workload.checksum ~t:4 in
-  let j = Workload.Journal.create w in
-  Workload.Journal.record j ~task:0;
-  Workload.Journal.record j ~task:1;
-  Workload.Journal.record j ~task:0;
-  check_int "executions" 3 (Workload.Journal.executions j);
-  check_int "distinct" 2 (Workload.Journal.distinct j);
+  let j = journal (checksum ~t:4) [ 0; 1; 0 ] in
+  check_int "executions" 3 (executions j);
+  check_int "distinct" 2 (List.length (Workload.Journal.results j));
   check_int "redundant" 1 (Workload.Journal.redundant j);
   check "incomplete" false (Workload.Journal.complete j);
   check "consistent" true (Workload.Journal.consistent j);
-  Workload.Journal.record j ~task:2;
-  Workload.Journal.record j ~task:3;
+  record_all j [ 2; 3 ];
   check "complete" true (Workload.Journal.complete j)
 
 let test_journal_results () =
-  let w = Workload.checksum ~t:3 in
-  let j = Workload.Journal.create w in
-  Workload.Journal.record j ~task:2;
-  Alcotest.(check (option int)) "recorded" (Some (Workload.run_task w 2))
-    (Workload.Journal.result j 2);
-  Alcotest.(check (option int)) "absent" None (Workload.Journal.result j 0);
+  let w = checksum ~t:3 in
+  let j = journal w [ 2 ] in
+  let expected = Workload.Journal.results (journal w [ 0; 1; 2 ]) in
+  Alcotest.(check (option int)) "recorded" (List.assoc_opt 2 expected)
+    (List.assoc_opt 2 (Workload.Journal.results j));
+  Alcotest.(check (option int)) "absent" None
+    (List.assoc_opt 0 (Workload.Journal.results j));
   check_int "results list" 1 (List.length (Workload.Journal.results j))
 
 let test_journal_catches_nonidempotence () =
-  let w = Workload.broken_nonidempotent ~t:3 () in
-  let j = Workload.Journal.create w in
-  Workload.Journal.record j ~task:1;
-  Workload.Journal.record j ~task:1;
-  check "violation detected" false (Workload.Journal.consistent j);
-  check_int "one violation" 1 (List.length (Workload.Journal.violations j))
+  let j = journal (broken ~t:3) [ 1; 1 ] in
+  check "violation detected" false (Workload.Journal.consistent j)
 
 let test_replay_simulated_run () =
   (* End-to-end: adversarial run -> trace -> journal; idempotence and
      completeness must hold with a real workload attached. *)
   let p = 6 and t = 30 and d = 4 in
-  let w = Workload.flaky_but_idempotent ~t ~seed:99 in
   let result, trace =
     Runner.run_traced ~seed:4 ~algo:"paran1" ~adv:"random-half" ~p ~t ~d ()
   in
   check "sim completed" true result.Runner.metrics.Doall_sim.Metrics.completed;
-  let j = Workload.Journal.create w in
+  let j = Workload.Journal.create (checksum ~t) in
   Workload.Journal.replay_trace j trace;
   check "all tasks executed" true (Workload.Journal.complete j);
   check "idempotence verified" true (Workload.Journal.consistent j);
   check_int "journal matches metrics"
-    result.Runner.metrics.Doall_sim.Metrics.executions
-    (Workload.Journal.executions j)
+    result.Runner.metrics.Doall_sim.Metrics.executions (executions j)
 
 let test_replay_catches_bad_tasks_under_redundancy () =
   (* The same end-to-end loop flags a broken workload whenever the
@@ -86,7 +110,7 @@ let test_replay_catches_bad_tasks_under_redundancy () =
   in
   let m = result.Runner.metrics in
   check "run had redundancy" true (Doall_sim.Metrics.redundant m > 0);
-  let j = Workload.Journal.create (Workload.broken_nonidempotent ~t ()) in
+  let j = Workload.Journal.create (broken ~t) in
   Workload.Journal.replay_trace j trace;
   check "violations surfaced" false (Workload.Journal.consistent j)
 
@@ -97,13 +121,11 @@ let prop_journal_accounting =
       let* ops = list_size (int_range 0 60) (int_range 0 (t - 1)) in
       return (t, ops))
     (fun (t, ops) ->
-      let j = Workload.Journal.create (Workload.checksum ~t) in
-      List.iter (fun task -> Workload.Journal.record j ~task) ops;
-      Workload.Journal.executions j = List.length ops
-      && Workload.Journal.distinct j
-         = List.length (List.sort_uniq compare ops)
-      && Workload.Journal.redundant j
-         = List.length ops - Workload.Journal.distinct j
+      let j = journal (checksum ~t) ops in
+      let distinct = List.length (Workload.Journal.results j) in
+      executions j = List.length ops
+      && distinct = List.length (List.sort_uniq compare ops)
+      && Workload.Journal.redundant j = List.length ops - distinct
       && Workload.Journal.consistent j)
 
 let suite =
