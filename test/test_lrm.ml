@@ -139,7 +139,7 @@ let suite =
     Alcotest.test_case "greater_before" `Quick test_greater_before;
     QCheck_alcotest.to_alcotest prop_profile_matches_per_d;
     QCheck_alcotest.to_alcotest prop_monotone_in_d;
-    QCheck_alcotest.to_alcotest prop_bounds;
     QCheck_alcotest.to_alcotest prop_first_d_always_dlrm;
     QCheck_alcotest.to_alcotest prop_brute_force_agreement;
+    QCheck_alcotest.to_alcotest prop_bounds;
   ]
