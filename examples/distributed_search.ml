@@ -30,7 +30,7 @@ let workload =
   Workload.keyspace_scan ~t:shards ~shard_size ~hit:(fun key -> key mod 171 = 0)
 
 let hostile () =
-  Schedule.combine ~name:"hostile"
+  Adversary.make ~name:"hostile"
     ~schedule:Schedule.adaptive_laggard ~delay:Delay.maximal
     ~crash:(Crash.staggered ~every:8) ()
 

@@ -27,7 +27,7 @@ let worst_latency = 16
 
 (* A campaign-specific adversary assembled from library parts. *)
 let flaky_grid () =
-  Schedule.combine ~name:"flaky-grid" ~schedule:Schedule.harmonic_speeds
+  Adversary.make ~name:"flaky-grid" ~schedule:Schedule.harmonic_speeds
     ~delay:(Delay.bimodal ~slow_fraction:0.2)
     ~crash:
       (Crash.at_time

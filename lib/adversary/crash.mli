@@ -34,4 +34,4 @@ val flaky : ?survivor:int -> up:int -> down:int -> unit -> t * restart
 (** A deterministic churn cycle: every processor except [survivor]
     (default pid 0) repeats [up] ticks alive, [down] ticks crashed, with
     per-pid phase offsets so outages stagger. Returns the matching
-    (crash, restart) pair — wire both, e.g. via {!Schedule.combine}. *)
+    (crash, restart) pair — pass both to {!Doall_sim.Adversary.make}. *)

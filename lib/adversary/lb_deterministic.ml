@@ -92,7 +92,7 @@ let create () =
     (* Deliver at the end of the current stage. *)
     max 1 (st.stage_end - o.time ())
   in
-  Adversary.make ~name:key ~schedule ~delay ~crash:Adversary.no_crash
+  Adversary.make ~name:key ~schedule ~delay:(Adversary.Per_copy delay) ()
 
 let stages_of (adv : Adversary.t) =
   match

@@ -99,7 +99,7 @@ let create ?(selection = `Coverage) () =
   let delay (o : Adversary.oracle) ~src:_ ~dst:_ =
     max 1 (st.stage_end - o.time ())
   in
-  Adversary.make ~name:key ~schedule ~delay ~crash:Adversary.no_crash
+  Adversary.make ~name:key ~schedule ~delay:(Adversary.Per_copy delay) ()
 
 let stages_of (adv : Adversary.t) =
   match

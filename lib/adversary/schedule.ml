@@ -39,22 +39,3 @@ let adaptive_laggard (o : Adversary.oracle) =
      done
    with Exit -> ());
   active
-
-let combine ~name ?schedule ?delay ?(crash = Adversary.no_crash) ?faults
-    ?restart () =
-  let schedule = Option.value schedule ~default:all in
-  (* The implicit default delay is [immediate], a constant the engine may
-     rely on; an explicit [delay] is opaque. *)
-  let delay, latency =
-    match delay with
-    | None -> (Delay.immediate, Adversary.Fixed 1)
-    | Some f -> (f, Adversary.Variable)
-  in
-  let adv =
-    Adversary.with_latency latency
-      (Adversary.make ~name ~schedule ~delay ~crash)
-  in
-  let adv =
-    match faults with None -> adv | Some f -> Adversary.with_faults f adv
-  in
-  match restart with None -> adv | Some r -> Adversary.with_restart r adv

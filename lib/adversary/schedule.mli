@@ -35,18 +35,3 @@ val adaptive_laggard : t
     adversary that noticeably inflates work for schedule-based
     algorithms; the stage adversaries in {!Lb_deterministic} and
     {!Lb_randomized} are the principled versions. *)
-
-val combine :
-  name:string ->
-  ?schedule:t ->
-  ?delay:Delay.t ->
-  ?crash:(Adversary.oracle -> int list) ->
-  ?faults:Adversary.faults ->
-  ?restart:(Adversary.oracle -> int list) ->
-  unit ->
-  Adversary.t
-(** Assemble an adversary from parts; omitted parts are fair (and the
-    network reliable, crashes permanent). Latency declaration: when
-    [delay] is omitted the default immediate delivery is declared
-    [Fixed 1]; a supplied [delay] is always declared [Variable], so the
-    engine calls it for every copy and no declaration here can lie. *)

@@ -422,15 +422,6 @@ let has_restart t =
 
 let has_chan t = List.exists (fun ph -> ph.chan <> Ch_none) t
 
-let latency_of t =
-  let t = make t in
-  if has_faults t then Adversary.Variable
-  else
-    match t with
-    | [ { delay = D_const k; _ } ] -> Adversary.Fixed k
-    | [ { delay = D_max; _ } ] -> Adversary.Maximal
-    | _ -> Adversary.Variable
-
 let compile_sched = function
   | S_all -> Schedule.all
   | S_solo pid -> fun (o : Adversary.oracle) -> Schedule.solo (pid mod o.p) o
@@ -440,14 +431,12 @@ let compile_sched = function
   | S_laggard -> Schedule.adaptive_laggard
 
 let compile_delay = function
-  | D_const k -> fun (_ : Adversary.oracle) ~src:_ ~dst:_ -> k
+  | D_const k -> Adversary.Constant k
   | D_max -> Delay.maximal
   | D_uniform -> Delay.uniform
   | D_bimodal pr -> Delay.bimodal ~slow_fraction:pr
   | D_stage k -> Delay.stage_batched ~stage_len:k
-  | D_partition k ->
-    fun (o : Adversary.oracle) ~src ~dst ->
-      Delay.partition ~split:(Int.max 1 (o.p / k)) o ~src ~dst
+  | D_partition k -> Delay.partition ~cut:k
   | D_target m -> Delay.targeted ~victims:(fun pid -> pid mod m = 0)
   | D_churn (a, b) -> Delay.churn ~calm:a ~storm:b
 
@@ -546,18 +535,16 @@ let into t =
   let delay =
     match delays with
     | [| d |] -> d
-    | _ -> fun o ~src ~dst -> delays.(at o) o ~src ~dst
+    | _ ->
+      let delays = Array.map Adversary.closure delays in
+      Adversary.Per_copy (fun o ~src ~dst -> delays.(at o) o ~src ~dst)
   in
   let crash =
     match crashes with [| c |] -> c | _ -> fun o -> crashes.(at o) o
   in
-  let adv =
-    Adversary.with_latency (latency_of t)
-      (Adversary.make ~name ~schedule ~delay ~crash)
-  in
-  let adv =
+  let faults =
     if has_faults t then
-      Adversary.with_faults
+      Some
         (match faults with
          | [| Some f |] -> f
          | _ ->
@@ -565,12 +552,11 @@ let into t =
              match faults.(at o) with
              | None -> Adversary.Deliver
              | Some f -> f o ~src ~dst)
-        adv
-    else adv
+    else None
   in
-  let adv =
+  let restart =
     if has_restart t then
-      Adversary.with_restart
+      Some
         (match restarts with
          | [| Some r |] -> r
          | _ ->
@@ -578,32 +564,33 @@ let into t =
              match restarts.(at o) with
              | None -> []
              | Some r -> r o)
-        adv
-    else adv
+    else None
   in
-  if has_chan t then begin
-    let chans = Array.map (fun ph -> compile_chan ph.chan) arr in
-    (* a phase without an ordering rule declines arbitration (collide);
-       one without a hold rule releases in the submission slot *)
-    Adversary.with_channel
-      {
-        Adversary.chan_name = "strategy";
-        order =
-          Some
-            (fun (o : Adversary.oracle) contenders ->
-              match fst chans.(at o) with
-              | Some f -> f o contenders
-              | None -> None);
-        hold =
-          Some
-            (fun (o : Adversary.oracle) ~src ->
-              match snd chans.(at o) with
-              | Some h -> h o ~src
-              | None -> 0);
-      }
-      adv
-  end
-  else adv
+  let channel =
+    if has_chan t then begin
+      let chans = Array.map (fun ph -> compile_chan ph.chan) arr in
+      (* a phase without an ordering rule declines arbitration (collide);
+         one without a hold rule releases in the submission slot *)
+      Some
+        {
+          Adversary.chan_name = "strategy";
+          order =
+            Some
+              (fun (o : Adversary.oracle) contenders ->
+                match fst chans.(at o) with
+                | Some f -> f o contenders
+                | None -> None);
+          hold =
+            Some
+              (fun (o : Adversary.oracle) ~src ->
+                match snd chans.(at o) with
+                | Some h -> h o ~src
+                | None -> 0);
+        }
+    end
+    else None
+  in
+  Adversary.make ~name ~schedule ~delay ~crash ?faults ?restart ?channel ()
 
 (* ---- search support ---- *)
 

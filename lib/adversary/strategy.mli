@@ -10,12 +10,12 @@
     ({!to_spec}/{!of_spec}, in the style of {!Fault.of_spec}) and can be
     mutated/crossed over by the search in {!Synth}.
 
-    Strategies compile ({!into}) to a plain {!Doall_sim.Adversary.t}
-    that declares the correct {!Doall_sim.Adversary.latency} class: a
-    strategy with any fault rule always compiles to [Variable], and only
-    a single-phase constant/maximal delay may declare [Fixed]/[Maximal]
-    — so the engine's shared-broadcast stream gate stays sound
-    (docs/PERFORMANCE.md).
+    Strategies compile ({!into}) through {!Doall_sim.Adversary.make}
+    to a plain {!Doall_sim.Adversary.t}. Its delay rule is the phase's
+    own: a single phase with [D_const k] or [D_max] is a constant rule,
+    and every other delay gene, or any phase change, is [Per_copy].
+    Whether a run takes the shared-broadcast stream is then the
+    engine's decision alone (docs/PERFORMANCE.md).
 
     Determinism: compilation is pure, every random rule draws from the
     run's oracle RNG, and {!random}/{!mutate}/{!crossover} draw only
@@ -142,9 +142,8 @@ val of_spec : string -> (t, string) result
 
 val into : t -> Adversary.t
 (** Compile to a runnable adversary named ["strategy:" ^ to_spec]. Its
-    latency declaration is [Variable] if any fault rule is present or
-    the strategy has several phases; [Fixed k] / [Maximal] only for a
-    fault-free single phase with [D_const k] / [D_max].
+    delay rule is [Constant k] / [Bound] for a single phase with
+    [D_const k] / [D_max], and [Per_copy] otherwise.
     Pure and stateless: safe to call once per run from worker domains
     ({!Doall_core.Runner}'s thread-safety contract). A one-phase
     strategy's schedule, delay, crash, fault and restart fields are its

@@ -27,9 +27,6 @@ val ratio : u:int -> d:int -> float
 (** [C(u-d, k) / C(u, k)] with [k = u / (d+1)] (integer division, as in
     the proof). Requires [1 <= d] and [u >= d + 1]. *)
 
-val sandwich : u:int -> d:int -> float * float
-(** [(lower, upper)] = the proof's two sandwich expressions. *)
-
 val first_counterexample : u_max:int -> (int * int) option
 (** Scan every [u <= u_max] and every [1 <= d <= sqrt u] for a pair
     breaking the operative claim or the proof's sandwich

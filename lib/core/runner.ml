@@ -149,7 +149,7 @@ let adversaries =
       adv_doc = "the lowest live pid crashes at regular intervals";
       instantiate =
         (fun ~p ~t ~d:_ ->
-          Schedule.combine ~name:"crash-staggered"
+          Adversary.make ~name:"crash-staggered"
             ~crash:(Crash.staggered ~every:(max 1 (t / max 1 p)))
             ());
     };
@@ -188,10 +188,11 @@ let adversaries =
       adv_doc = "shared channel: rotating grant across contenders";
       instantiate =
         (fun ~p:_ ~t:_ ~d:_ ->
-          Adversary.with_channel
-            { Adversary.chan_name = "rotor"; order = Some (Chan.rotor 1);
-              hold = None }
-            { Adversary.fair with name = "chan-rotor" });
+          Adversary.make ~name:"chan-rotor"
+            ~channel:
+              { Adversary.chan_name = "rotor"; order = Some (Chan.rotor 1);
+                hold = None }
+            ());
     };
     strategy_row "chan-delayed"
       "shared channel: releases batched every min(d, 4) slots, so \
@@ -337,7 +338,7 @@ let () =
 let overlay ?faults adversary =
   match faults with
   | None -> adversary
-  | Some f -> Adversary.with_faults f adversary
+  | Some f -> { adversary with Adversary.faults = Some f }
 
 (* Process-wide count of engine runs started through the runner — atomic
    because grid cells execute in pool worker domains. The experiment

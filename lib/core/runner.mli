@@ -52,15 +52,13 @@ type adv_spec = {
   instantiate : p:int -> t:int -> d:int -> Adversary.t;
 }
 
-val algorithms : algo_spec list
-(** The built-ins: trivial, paran1, paran2, padet, da-q2 .. da-q8. *)
-
 val register_algorithm : algo_spec -> unit
 (** Add (or replace) an externally provided algorithm; built-in names are
     protected ([Invalid_argument]). Used by [Doall_quorum.Register]. *)
 
 val all_algorithms : unit -> algo_spec list
-(** Built-ins plus everything registered so far. *)
+(** The built-ins (trivial, paran1, paran2, padet, coord, da-q2 ..
+    da-q8) plus everything registered so far. *)
 
 val adversaries : adv_spec list
 (** fair, max-delay, uniform-delay, batch, solo, round-robin,

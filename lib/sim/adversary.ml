@@ -21,6 +21,11 @@ type faults = oracle -> src:int -> dst:int -> fault_action
 
 type latency = Variable | Fixed of int | Maximal
 
+type delay_rule =
+  | Constant of int
+  | Bound
+  | Per_copy of (oracle -> src:int -> dst:int -> int)
+
 type channel_policy = {
   chan_name : string;
   order : (oracle -> int array -> int array option) option;
@@ -41,22 +46,34 @@ type t = {
 let no_crash (_ : oracle) = []
 let all_active o = Array.make o.p true
 
-let make ~name ~schedule ~delay ~crash =
-  { name; schedule; delay; latency = Variable; crash; faults = None;
-    restart = None; channel = None }
+let closure = function
+  | Constant k -> fun _ ~src:_ ~dst:_ -> k
+  | Bound -> fun o ~src:_ ~dst:_ -> o.d
+  | Per_copy f -> f
 
-let with_faults f adv = { adv with faults = Some f }
-let with_restart r adv = { adv with restart = Some r }
-let with_latency l adv = { adv with latency = l }
-let with_channel c adv = { adv with channel = Some c }
+let make ~name ?(schedule = all_active) ?(delay = Constant 1)
+    ?(crash = no_crash) ?faults ?restart ?channel () =
+  let latency =
+    match delay with
+    | Constant k -> Fixed k
+    | Bound -> Maximal
+    | Per_copy _ -> Variable
+  in
+  { name; schedule; delay = closure delay; latency; crash; faults; restart;
+    channel }
 
-let fair =
-  with_latency (Fixed 1)
-    (make ~name:"fair" ~schedule:all_active
-       ~delay:(fun _ ~src:_ ~dst:_ -> 1)
-       ~crash:no_crash)
+let per_copy adv =
+  let rule =
+    match adv.latency with
+    | Fixed k -> Constant k
+    | Maximal -> Bound
+    | Variable -> Per_copy adv.delay
+  in
+  { adv with delay = closure rule; latency = Variable }
+
+let fair = make ~name:"fair" ()
 
 let uniform_delay =
-  make ~name:"uniform-delay" ~schedule:all_active
-    ~delay:(fun o ~src:_ ~dst:_ -> 1 + Rng.int o.rng (Int.max 1 o.d))
-    ~crash:no_crash
+  make ~name:"uniform-delay"
+    ~delay:(Per_copy (fun o ~src:_ ~dst:_ -> 1 + Rng.int o.rng (Int.max 1 o.d)))
+    ()

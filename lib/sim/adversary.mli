@@ -44,36 +44,37 @@ type fault_action =
   | Drop  (** the message is lost; it still counts toward [M] *)
   | Duplicate of int
       (** deliver the message plus [n >= 1] extra copies; each extra
-          copy's latency is re-drawn from the adversary's [delay]
-          policy, so copies may arrive out of order. Network-level
+          copy's latency is drawn again from the adversary's
+          {!delay_rule}, so copies may arrive out of order. Network-level
           replicas do not count toward [M]. *)
   | Reorder of int
       (** deliver, but add [j >= 0] extra latency units on top of the
-          [delay] policy's pick (the sum is still clamped into
+          delay rule's pick (the sum is still clamped into
           [1 .. d]) — pushes the message behind later traffic. *)
 
 type faults = oracle -> src:int -> dst:int -> fault_action
-(** Invoked once per point-to-point send (after the [delay] policy). *)
+(** Invoked once per point-to-point send (after the delay rule). *)
 
 type latency =
-  | Variable
-      (** no promise: the engine consults [delay] once per
-          point-to-point copy — the general case. *)
-  | Fixed of int
-      (** a declaration that [delay] always returns exactly this value:
-          it ignores [src]/[dst], draws no randomness, and reads no
-          mutable oracle state. *)
-  | Maximal
-      (** a declaration that [delay] always returns the bound [d]
-          (equivalent to [Fixed d], stated without knowing [d]). *)
-(** A {e declared} latency profile. Declaring [Fixed]/[Maximal] is a
-    promise, not a measurement: the engine trusts it to skip the
-    per-destination [delay] consultations of a multicast and enqueue one
-    shared broadcast record for all [p - 1] recipients (the
-    constant-delay fast path; see docs/PERFORMANCE.md). A declaration
-    that does not match the [delay] function's behaviour changes run
-    results. Profiles where latency varies per message, per destination,
-    or per tick must stay [Variable]. *)
+  | Variable  (** the engine consults [delay] once per point-to-point copy *)
+  | Fixed of int  (** every copy takes this many units *)
+  | Maximal  (** every copy takes the bound [d] *)
+(** The latency profile {!make} derives from a {!delay_rule}, alongside
+    the [delay] closure. It is authoritative: under [Fixed]/[Maximal]
+    the engine takes the constant for every copy on every path and
+    never calls [delay], so the two fields cannot disagree. A constant
+    profile lets a fault- and restart-free run enqueue one shared
+    broadcast record for all [p - 1] recipients of a multicast (the
+    stream; see docs/PERFORMANCE.md). *)
+
+type delay_rule =
+  | Constant of int  (** every copy takes this many units *)
+  | Bound  (** every copy takes the run's bound [d] *)
+  | Per_copy of (oracle -> src:int -> dst:int -> int)
+      (** asked once per point-to-point copy submitted now *)
+(** The adversary's one decision about message latency (§2): a
+    constant, or a pick per copy. The engine clamps every answer into
+    [1 .. max 1 d]. Stock rules live in {!Doall_adversary.Delay}. *)
 
 type channel_policy = {
   chan_name : string;  (** for display and registry names *)
@@ -107,11 +108,9 @@ type t = {
           lowest-pid live processor to step if the adversary delays
           everyone (time units are defined by the fastest processor). *)
   delay : oracle -> src:int -> dst:int -> int;
-      (** latency for a message submitted now; the engine clamps the
-          result into [1 .. max 1 d]. *)
-  latency : latency;
-      (** declared profile of [delay]; [Variable] unless a constructor
-          or {!with_latency} promises otherwise. *)
+      (** the per-copy closure of the adversary's {!delay_rule}; the
+          engine clamps the result into [1 .. max 1 d]. *)
+  latency : latency;  (** the rule's profile, read first by the engine *)
   crash : oracle -> int list;
       (** pids to crash at this instant; the engine refuses to crash the
           last live processor. *)
@@ -142,36 +141,30 @@ val fair : t
 val uniform_delay : t
 (** Fair scheduling, latency uniform in [1..d]. *)
 
-val no_crash : oracle -> int list
 val all_active : oracle -> bool array
-(** Building blocks for custom adversaries. *)
+(** Everyone steps: {!make}'s default schedule. *)
 
 val make :
   name:string ->
-  schedule:(oracle -> bool array) ->
-  delay:(oracle -> src:int -> dst:int -> int) ->
-  crash:(oracle -> int list) ->
+  ?schedule:(oracle -> bool array) ->
+  ?delay:delay_rule ->
+  ?crash:(oracle -> int list) ->
+  ?faults:faults ->
+  ?restart:(oracle -> int list) ->
+  ?channel:channel_policy ->
+  unit ->
   t
-(** An adversary inside the paper's model: no faults, no restarts, and a
-    [Variable] latency declaration (always safe). The constructor all
-    paper-mode builders go through, so adding beyond-the-model
-    capabilities never touches them. *)
+(** The one constructor. [delay] yields both the [delay] closure and the
+    [latency] profile. Omitted parts are the paper's best case: everyone
+    steps, [Constant 1], no crashes, a reliable network, permanent
+    crashes and no channel policy. Fault, restart and channel rule
+    builders live in {!Doall_adversary.Fault}, {!Doall_adversary.Crash}
+    and {!Doall_adversary.Chan}. *)
 
-val with_latency : latency -> t -> t
-(** Overlay a latency declaration (see {!type-latency} for the promise it
-    makes). [with_latency Variable] strips a declaration, forcing the
-    engine's general per-destination path — useful for differential
-    tests of the fast path. *)
+val closure : delay_rule -> oracle -> src:int -> dst:int -> int
+(** The per-copy closure of a rule: what {!make} stores in [delay]. *)
 
-val with_faults : faults -> t -> t
-(** Overlay a fault policy (replacing any existing one); the name is
-    kept. Compose several policies first with
-    {!Doall_adversary.Fault.all}. *)
-
-val with_restart : (oracle -> int list) -> t -> t
-(** Overlay a restart policy (replacing any existing one). *)
-
-val with_channel : channel_policy -> t -> t
-(** Overlay a shared-channel contention policy (replacing any existing
-    one); inert unless the run's transport is a shared channel. Rule
-    builders live in {!Doall_adversary.Chan}. *)
+val per_copy : t -> t
+(** Test hook: the same adversary with its delay rule recast as
+    [Per_copy] of the constant its profile names, which keeps a run
+    off the stream without changing any copy's delay. *)

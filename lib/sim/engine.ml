@@ -88,7 +88,7 @@ module Make (A : Algorithm.S) = struct
     d : int;
     adv : Adversary.t;
     stream : bool;
-        (* constant-latency fast path: declared Fixed/Maximal latency, no
+        (* constant-latency fast path: a Fixed/Maximal latency profile, no
            fault injection, no crash recovery. Broadcasts become one
            entry of the network's broadcast log instead of p-1 sends and
            merge-homomorphic payloads fold, epoch by epoch, into one
@@ -101,7 +101,11 @@ module Make (A : Algorithm.S) = struct
            receiver's knowledge already contains them, and a restart
            resets that knowledge (test_stream pins a flaky cell where
            the two paths differ). *)
-    stream_delta : int; (* the declared constant, clamped into [1..d] *)
+    stream_delta : int; (* the profile's constant, clamped into [1..d] *)
+    delay : Adversary.oracle -> src:int -> dst:int -> int;
+        (* the run's per-copy delay, read by every path: the profile's
+           constant under [Fixed]/[Maximal], else the adversary's
+           [delay] closure *)
     dues : int array;
         (* per-destination due instants of the multicast being sent,
            reused by every fault-free per-destination broadcast *)
@@ -220,13 +224,18 @@ module Make (A : Algorithm.S) = struct
       invalid_arg
         "Engine.create: fault injection requires the point-to-point \
          transport";
+    let constant =
+      match adversary.Adversary.latency with
+      | Adversary.Fixed k -> Some (Int.max 1 (Int.min d k))
+      | Adversary.Maximal -> Some d
+      | Adversary.Variable -> None
+    in
+    let delay =
+      match constant with
+      | Some k -> fun _ ~src:_ ~dst:_ -> k
+      | None -> adversary.Adversary.delay
+    in
     let stream_delta =
-      let constant =
-        match adversary.Adversary.latency with
-        | Adversary.Fixed k -> Some (Int.max 1 (Int.min d k))
-        | Adversary.Maximal -> Some d
-        | Adversary.Variable -> None
-      in
       let reliable =
         (match adversary.Adversary.faults with None -> true | Some _ -> false)
         && match adversary.Adversary.restart with
@@ -246,6 +255,7 @@ module Make (A : Algorithm.S) = struct
         adv = adversary;
         stream;
         stream_delta;
+        delay;
         dues = Array.make p 0;
         states = Array.init p (fun pid -> A.init cfg ~pid);
         fabric =
@@ -485,7 +495,7 @@ module Make (A : Algorithm.S) = struct
      delay and fault verdict *)
   let send_one eng net pid dst msg =
     let o = oracle eng in
-    let raw = eng.adv.Adversary.delay o ~src:pid ~dst in
+    let raw = eng.delay o ~src:pid ~dst in
     let delta = Int.max 1 (Int.min eng.d raw) in
     match eng.adv.Adversary.faults with
     | None ->
@@ -509,7 +519,7 @@ module Make (A : Algorithm.S) = struct
         (* replicas re-draw their latency (a resend travels a fresh
            path) and do not count toward M — the algorithm sent once *)
         for _ = 1 to n do
-          let raw' = eng.adv.Adversary.delay o ~src:pid ~dst in
+          let raw' = eng.delay o ~src:pid ~dst in
           let delta' = Int.max 1 (Int.min eng.d raw') in
           Network.send_replica net ~src:pid ~dst ~due:(eng.time + delta')
             msg
@@ -530,7 +540,7 @@ module Make (A : Algorithm.S) = struct
 
   (* Point-to-point: every copy gets its own adversarial delay (and
      fault verdict), except on the stream fast path, where a broadcast
-     is one broadcast log entry due after the declared constant. *)
+     is one broadcast log entry due after the profile's constant. *)
   let send_ptp eng net pid (r : A.msg Algorithm.step_result) =
     (match r.Algorithm.broadcast with
      | Some msg ->
@@ -549,7 +559,7 @@ module Make (A : Algorithm.S) = struct
            (* fault-free: every copy's due into the reusable [dues]
               buffer, then one [Network.multicast] queues them all *)
            let o = oracle eng in
-           let delay = eng.adv.Adversary.delay
+           let delay = eng.delay
            and dues = eng.dues
            and d = eng.d
            and now = eng.time in

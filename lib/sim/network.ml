@@ -604,11 +604,6 @@ let receive_iter t ~dst ~now f =
     done;
     !n
 
-let receive t ~dst ~now =
-  let acc = ref [] in
-  let _ : int = receive_iter t ~dst ~now (fun src msg -> acc := (src, msg) :: !acc) in
-  List.rev !acc
-
 let stream_stats t =
   let words =
     match t.chain with Some d -> Obj.reachable_words (Obj.repr d) | None -> 0

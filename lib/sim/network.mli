@@ -106,8 +106,8 @@ val broadcast : 'msg t -> src:int -> due:int -> 'msg -> unit
     the same absolute time — [p - 1] logical point-to-point messages
     ({!sent} and {!pending} advance by [p - 1]), but stored as {e one}
     log entry (see "Storage" above). Only valid when every
-    copy is genuinely due at once, i.e. under a declared-constant-latency
-    adversary; the engine's per-destination send loop remains the
+    copy is genuinely due at once, i.e. under an adversary with a
+    constant latency profile; the engine's per-destination send loop remains the
     general path. Successive broadcasts' dues must not decrease, and a
     due must come after the greatest [now] any {!receive_iter} has
     seen, or the entry would reach that receiver late; either violation
@@ -133,14 +133,11 @@ val count_lost : 'msg t -> unit
     the message, so it contributes to {!sent} ([M]) even though it is
     never enqueued. *)
 
-val receive : 'msg t -> dst:int -> now:int -> (int * 'msg) list
-(** [(sender, message)] pairs due at or before [now], removed from the
-    queue, in (due time, send order) order. *)
-
 val receive_iter : 'msg t -> dst:int -> now:int -> (int -> 'msg -> unit) -> int
-(** [receive_iter t ~dst ~now f] calls [f sender message] for each due
-    message, in the same order as {!receive}, without materializing the
-    intermediate list — the engine's per-step delivery path. Returns
+(** [receive_iter t ~dst ~now f] calls [f sender message] for each
+    message due at or before [now], removing it from the queue, in
+    (due time, send order) order — the engine's per-step delivery
+    path. Returns
     the number of logical deliveries: on the digest fast path one
     callback can stand for one or several epochs ([f (-1) digest]), but the
     count still reflects the individual messages consumed, so

@@ -11,27 +11,27 @@ let run ?(p = 8) ?(t = 32) ?(d = 4) ?(seed = 0) ?(algo = Algo_pa.make_det ())
   Engine.run_packed algo cfg ~d ~adversary:adv ()
 
 (* a fixed latency, and a latency chosen per destination *)
-let constant k _ ~src:_ ~dst:_ = k
-let per_destination f _ ~src:_ ~dst = f dst
+let constant k = Adversary.Constant k
+let per_destination f = Adversary.Per_copy (fun _ ~src:_ ~dst -> f dst)
 
 (* work under a delay policy with fair scheduling and no crashes *)
 let work_under ~d delay =
-  (run (Schedule.combine ~name:"delay" ~delay ()) ~d).Metrics.work
+  (run (Adversary.make ~name:"delay" ~delay ()) ~d).Metrics.work
 
 let test_delay_policies_complete () =
   List.iter
     (fun (name, delay) ->
-      let m = run (Schedule.combine ~name ~delay ()) in
+      let m = run (Adversary.make ~name ~delay ()) in
       check (name ^ " completes") true m.Metrics.completed)
     [
-      ("immediate", Delay.immediate);
+      ("immediate", constant 1);
       ("constant-3", constant 3);
       ("maximal", Delay.maximal);
       ("uniform", Delay.uniform);
       ("bimodal", Delay.bimodal ~slow_fraction:0.3);
       ("per-dest", per_destination (fun dst -> 1 + (dst mod 3)));
       ("batched", Delay.stage_batched ~stage_len:4);
-      ("partition", Delay.partition ~split:4);
+      ("partition", Delay.partition ~cut:2);
       ("churn", Delay.churn ~calm:6 ~storm:6);
       ("targeted", Delay.targeted ~victims:(fun pid -> pid mod 3 = 0));
     ]
@@ -39,12 +39,12 @@ let test_delay_policies_complete () =
 let test_partition_slows_cross_traffic () =
   (* A partitioned network with large d must cost more than a uniform
      fast one on a coordination-heavy algorithm. *)
-  let w_fast = work_under ~d:32 Delay.immediate in
-  let w_part = work_under ~d:32 (Delay.partition ~split:4) in
+  let w_fast = work_under ~d:32 (constant 1) in
+  let w_part = work_under ~d:32 (Delay.partition ~cut:2) in
   check "partition costs work" true (w_part >= w_fast)
 
 let test_churn_between_extremes () =
-  let w_fast = work_under ~d:16 Delay.immediate in
+  let w_fast = work_under ~d:16 (constant 1) in
   let w_slow = work_under ~d:16 Delay.maximal in
   let w_churn = work_under ~d:16 (Delay.churn ~calm:8 ~storm:8) in
   check
@@ -54,14 +54,14 @@ let test_churn_between_extremes () =
     (w_churn >= w_fast && w_churn <= (2 * w_slow) + 16)
 
 let test_max_delay_increases_work () =
-  let w_fast = work_under ~d:16 Delay.immediate in
+  let w_fast = work_under ~d:16 (constant 1) in
   let w_slow = work_under ~d:16 Delay.maximal in
   check "slower network, no less work" true (w_slow >= w_fast)
 
 let test_schedules_complete () =
   List.iter
     (fun (name, schedule) ->
-      let m = run (Schedule.combine ~name ~schedule ()) in
+      let m = run (Adversary.make ~name ~schedule ()) in
       check (name ^ " completes") true m.Metrics.completed)
     [
       ("all", Schedule.all);
@@ -75,7 +75,7 @@ let test_schedules_complete () =
 
 let test_solo_serializes () =
   let m =
-    run (Schedule.combine ~name:"solo" ~schedule:(Schedule.solo 2) ()) ~p:4
+    run (Adversary.make ~name:"solo" ~schedule:(Schedule.solo 2) ()) ~p:4
       ~t:12
   in
   (* Only processor 2 works: its work is the total. *)
@@ -84,7 +84,7 @@ let test_solo_serializes () =
 let test_round_robin_spreads () =
   let m =
     run
-      (Schedule.combine ~name:"rr"
+      (Adversary.make ~name:"rr"
          ~schedule:(Schedule.round_robin ~width:2)
          ())
   in
@@ -96,7 +96,7 @@ let test_round_robin_spreads () =
 let test_crashes_complete () =
   List.iter
     (fun (name, crash) ->
-      let m = run (Schedule.combine ~name ~crash ()) in
+      let m = run (Adversary.make ~name ~crash ()) in
       check (name ^ " completes") true m.Metrics.completed)
     [
       ("none", fun _ -> []);
@@ -109,7 +109,7 @@ let test_crashes_complete () =
 let test_all_but_one_crash_counts () =
   let m =
     run
-      (Schedule.combine ~name:"abo"
+      (Adversary.make ~name:"abo"
          ~crash:(Crash.at_time ~time:1 ~pids:(List.init 7 succ))
          ())
   in
@@ -335,7 +335,7 @@ let test_poisson_survivor_deterministic () =
     (fun seed ->
       let m =
         run ~seed
-          (Schedule.combine ~name:"p1"
+          (Adversary.make ~name:"p1"
              ~crash:(Crash.poisson ~survivor:3 ~rate:1.0)
              ())
       in
@@ -350,7 +350,7 @@ let test_poisson_survivor_deterministic () =
   (* moderate rate: same seed, same execution, bit for bit *)
   let go () =
     run ~seed:5
-      (Schedule.combine ~name:"p.3"
+      (Adversary.make ~name:"p.3"
          ~crash:(Crash.poisson ~survivor:0 ~rate:0.3)
          ())
   in
@@ -364,7 +364,7 @@ let test_delay_policies_clamped () =
      rejected outright, so mere completion proves the clamp held. *)
   List.iter
     (fun (name, delay) ->
-      let m = run ~d:3 (Schedule.combine ~name ~delay ()) in
+      let m = run ~d:3 (Adversary.make ~name ~delay ()) in
       check (name ^ " completes under d=3") true m.Metrics.completed)
     [
       ("per-dest-huge", per_destination (fun dst -> 1000 + dst));
@@ -382,14 +382,14 @@ let test_structured_delays_deterministic () =
     (fun (name, delay) ->
       List.iter
         (fun seed ->
-          let go () = run ~seed ~d:5 (Schedule.combine ~name ~delay ()) in
+          let go () = run ~seed ~d:5 (Adversary.make ~name ~delay ()) in
           Alcotest.(check bool)
             (Printf.sprintf "%s seed=%d reproducible" name seed)
             true
             (metrics_tuple (go ()) = metrics_tuple (go ())))
         [ 0; 3; 11 ])
     [
-      ("partition", Delay.partition ~split:4);
+      ("partition", Delay.partition ~cut:2);
       ("per-dest", per_destination (fun dst -> 1 + (dst mod 4)));
       ("batched", Delay.stage_batched ~stage_len:3);
     ]
@@ -400,7 +400,7 @@ let test_batched_delivery_legal () =
      batching must not lose messages (PA would then stall). *)
   let m =
     run
-      (Schedule.combine ~name:"b" ~delay:(Delay.stage_batched ~stage_len:4) ())
+      (Adversary.make ~name:"b" ~delay:(Delay.stage_batched ~stage_len:4) ())
       ~d:4
   in
   check "completes" true m.Metrics.completed

@@ -7,10 +7,7 @@ open Doall_sim
 open Doall_core
 
 (* fair scheduling, every message takes the full [d] *)
-let max_delay =
-  { Adversary.fair with
-    name = "max-delay"; delay = (fun o ~src:_ ~dst:_ -> o.Adversary.d);
-    latency = Adversary.Maximal }
+let max_delay = Adversary.make ~name:"max-delay" ~delay:Adversary.Bound ()
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -34,14 +31,14 @@ let adversaries ~p ~t =
     Adversary.fair;
     max_delay;
     Adversary.uniform_delay;
-    Doall_adversary.Schedule.combine ~name:"rr"
+    Adversary.make ~name:"rr"
       ~schedule:(Doall_adversary.Schedule.round_robin ~width:2) ();
-    Doall_adversary.Schedule.combine ~name:"harmonic"
+    Adversary.make ~name:"harmonic"
       ~schedule:Doall_adversary.Schedule.harmonic_speeds ();
-    Doall_adversary.Schedule.combine ~name:"random-half"
+    Adversary.make ~name:"random-half"
       ~schedule:(Doall_adversary.Schedule.random_subset ~prob:0.5)
       ~delay:Doall_adversary.Delay.uniform ();
-    Doall_adversary.Schedule.combine ~name:"crash-mid"
+    Adversary.make ~name:"crash-mid"
       ~crash:(Doall_adversary.Crash.at_time ~time:(max 1 (t / 2)) ~pids:[ 0 ])
       ();
   ]

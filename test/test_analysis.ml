@@ -155,9 +155,18 @@ let test_lemma32_ratio_exact () =
      < 0.01)
 
 let test_lemma32_sandwich () =
+  (* the proof's two sandwich expressions around the ratio, written out
+     here so points past first_counterexample's test-time range are
+     checked too *)
+  let sandwich ~u ~d =
+    let k = float_of_int (u / (d + 1))
+    and d = float_of_int d
+    and u = float_of_int u in
+    ((1.0 -. (d /. (u -. k +. 1.0))) ** k, (1.0 -. (d /. u)) ** k)
+  in
   List.iter
     (fun (u, d) ->
-      let lower, upper = Lemma32.sandwich ~u ~d in
+      let lower, upper = sandwich ~u ~d in
       let r = Lemma32.ratio ~u ~d in
       check
         (Printf.sprintf "sandwich at u=%d d=%d" u d)

@@ -87,7 +87,7 @@ let test_coordinator_crash_failover () =
   (* Crash the epoch-0 coordinator (pid 0) immediately: the rotation plus
      timeouts must hand progress to the others. *)
   let adversary =
-    Doall_adversary.Schedule.combine ~name:"kill-coord"
+    Adversary.make ~name:"kill-coord"
       ~crash:(Doall_adversary.Crash.at_time ~time:1 ~pids:[ 0 ])
       ()
   in

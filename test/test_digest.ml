@@ -11,10 +11,7 @@ open Doall_adversary
 open Doall_core
 
 (* fair scheduling, every message takes the full [d] *)
-let max_delay =
-  { Adversary.fair with
-    name = "max-delay"; delay = (fun o ~src:_ ~dst:_ -> o.Adversary.d);
-    latency = Adversary.Maximal }
+let max_delay = Adversary.make ~name:"max-delay" ~delay:Delay.maximal ()
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -205,8 +202,8 @@ let test_idle_network_holds_no_digest () =
   check_int "nothing pending" 0 (Network.pending net)
 
 (* ------------------------------------------------------------------ *)
-(* Engine parity: declared (stream + digest) vs stripped (Variable =
-   general path) runs agree on metrics and on the net.sends /
+(* Engine parity: declared (stream + digest) vs stripped
+   ([Adversary.per_copy] = general path) runs agree on metrics and on the net.sends /
    net.deliveries probe counters, for both merge-homomorphic families. *)
 
 let metrics_key (m : Metrics.t) =
@@ -227,9 +224,7 @@ let test_engine_probe_parity () =
       List.iter
         (fun (vname, adv) ->
           let fast = counted_run algo adv in
-          let slow =
-            counted_run algo (Adversary.with_latency Adversary.Variable adv)
-          in
+          let slow = counted_run algo (Adversary.per_copy adv) in
           check
             (Printf.sprintf "%s under %s: declared = stripped" name vname)
             true (fast = slow))
@@ -237,7 +232,7 @@ let test_engine_probe_parity () =
           ("fair", Adversary.fair);
           ("max-delay", max_delay);
           ( "laggard",
-            Schedule.combine ~name:"laggard"
+            Adversary.make ~name:"laggard"
               ~schedule:Schedule.adaptive_laggard () );
         ])
     [

@@ -2,10 +2,7 @@ open Doall_sim
 open Doall_core
 
 (* fair scheduling, every message takes the full [d] *)
-let max_delay =
-  { Adversary.fair with
-    name = "max-delay"; delay = (fun o ~src:_ ~dst:_ -> o.Adversary.d);
-    latency = Adversary.Maximal }
+let max_delay = Adversary.make ~name:"max-delay" ~delay:Adversary.Bound ()
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -76,7 +73,7 @@ let test_forced_step_under_total_delay () =
 
 let test_crash_all_but_one_still_completes () =
   let adv =
-    Doall_adversary.Schedule.combine ~name:"cabo"
+    Adversary.make ~name:"cabo"
       ~crash:(Doall_adversary.Crash.at_time ~time:3 ~pids:[ 0; 1; 3 ])
       ()
   in
@@ -87,7 +84,7 @@ let test_crash_all_but_one_still_completes () =
 let test_survivor_rule () =
   (* Crashing everyone is refused for the last processor. *)
   let adv =
-    Doall_adversary.Schedule.combine ~name:"kill-all"
+    Adversary.make ~name:"kill-all"
       ~crash:(fun o -> List.init o.Adversary.p Fun.id)
       ()
   in
@@ -162,12 +159,7 @@ let test_delay_clamped_to_d () =
   (* An adversary demanding absurd latencies is clamped into [1, d]:
      the run must behave exactly like max-delay. *)
   let absurd =
-    { Adversary.fair with
-      name = "absurd";
-      delay = (fun _ ~src:_ ~dst:_ -> 1_000_000_000);
-      (* keep the declaration honest so the stream fast path is also
-         exercised by the clamp *)
-      latency = Adversary.Fixed 1_000_000_000 }
+    Adversary.make ~name:"absurd" ~delay:(Adversary.Constant 1_000_000_000) ()
   in
   let m1 = run (Algo_pa.make_det ()) ~p:6 ~t:24 ~d:5 ~adv:absurd in
   let m2 = run (Algo_pa.make_det ()) ~p:6 ~t:24 ~d:5 ~adv:max_delay in
@@ -175,10 +167,7 @@ let test_delay_clamped_to_d () =
   check_int "identical to max-delay" m2.Metrics.work m1.Metrics.work;
   (* and a zero/negative delay is floored at one time unit *)
   let instant =
-    { Adversary.fair with
-      name = "instant";
-      delay = (fun _ ~src:_ ~dst:_ -> -3);
-      latency = Adversary.Fixed (-3) }
+    Adversary.make ~name:"instant" ~delay:(Adversary.Constant (-3)) ()
   in
   let m3 = run (Algo_pa.make_det ()) ~p:6 ~t:24 ~d:5 ~adv:instant in
   let m4 = run (Algo_pa.make_det ()) ~p:6 ~t:24 ~d:5 ~adv:Adversary.fair in
@@ -286,13 +275,14 @@ let quiet_probe ~bcast ~unicast ~period : Algorithm.packed =
    amortised growth; a [slot] record per delivered slot read 0.25 on
    the shared channel at p = 16). Warm-up (ring and table growth) runs
    before the measured window. *)
-let words_per_step ?(transport = Config.Ptp) ?faults ~latency ~bcast
-    ~unicast ~period () =
+let words_per_step ?(transport = Config.Ptp) ?faults ?(per_copy = false)
+    ~bcast ~unicast ~period () =
   let p = 16 in
   let cfg = Config.make ~seed:1 ~transport ~p ~t:64 () in
   let all = Array.make p true in
+  let adversary = { max_delay with schedule = (fun _ -> all); faults } in
   let adversary =
-    { max_delay with schedule = (fun _ -> all); latency; faults }
+    if per_copy then Adversary.per_copy adversary else adversary
   in
   let (module A) = quiet_probe ~bcast ~unicast ~period in
   let module E = Engine.Make (A) in
@@ -314,20 +304,17 @@ let test_step_allocates_nothing () =
           words)
     [
       ( "stream broadcast",
-        words_per_step ~latency:Adversary.Maximal ~bcast:true ~unicast:false
-          ~period:1 () );
+        words_per_step ~bcast:true ~unicast:false ~period:1 () );
       ( "per-destination multicast",
-        words_per_step ~latency:Adversary.Variable ~bcast:true ~unicast:false
-          ~period:1 () );
+        words_per_step ~per_copy:true ~bcast:true ~unicast:false ~period:1 ()
+      );
       ( "per-destination with a fault policy",
-        words_per_step ~latency:Adversary.Variable ~faults:deliver ~bcast:true
+        words_per_step ~per_copy:true ~faults:deliver ~bcast:true
           ~unicast:false ~period:1 () );
-      ( "unicasts",
-        words_per_step ~latency:Adversary.Maximal ~bcast:false ~unicast:true
-          ~period:1 () );
+      ( "unicasts", words_per_step ~bcast:false ~unicast:true ~period:1 () );
       ( "shared channel",
-        words_per_step ~transport:(Config.Channel Config.Silent)
-          ~latency:Adversary.Maximal ~bcast:true ~unicast:true ~period:16 () );
+        words_per_step ~transport:(Config.Channel Config.Silent) ~bcast:true
+          ~unicast:true ~period:16 () );
     ]
 
 let suite =

@@ -31,7 +31,10 @@ let test_total_loss_terminates () =
           aspec.Runner.algo_name;
       check (aspec.Runner.algo_name ^ " performed every task") true
         (m.Metrics.work >= 15))
-    Runner.algorithms
+    (* the quorum variants other suites register need a live quorum *)
+    (List.filter
+       (fun s -> s.Runner.liveness = `Any_survivor)
+       (Runner.all_algorithms ()))
 
 let test_drop_all_overlay () =
   (* the same network via the --faults overlay path instead of the
@@ -121,9 +124,9 @@ let test_restart_changes_outcome () =
       Doall_adversary.Crash.flaky ~survivor:0 ~up:4 ~down:2 ()
     in
     let base =
-      Doall_adversary.Schedule.combine ~name:"flaky"
+      Adversary.make ~name:"flaky"
         ~schedule:Doall_adversary.Schedule.all
-        ~delay:(fun _ ~src:_ ~dst:_ -> d)
+        ~delay:(Adversary.Constant d)
         ~crash
         ?restart:(if restart then Some revive else None)
         ()

@@ -103,7 +103,7 @@ let test_network_due_past_cap () =
   let receive dst ~now =
     List.map
       (fun (s, m) -> (s, Bytes.to_string m))
-      (Network.receive net ~dst ~now)
+      (Test_network.receive net ~dst ~now)
   in
   (* the first payload a network sees fills released slots for good *)
   Network.send net ~src:0 ~dst:1 ~due:1 (Bytes.make 64 'f');

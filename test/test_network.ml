@@ -6,15 +6,24 @@ let check_int = Alcotest.(check int)
 (* Unit tests that drive a network directly use the sender's clock 0, so
    their horizon must cover their largest due. *)
 
+(* [(sender, message)] pairs due at or before [now], consumed, in
+   delivery order *)
+let receive net ~dst ~now =
+  let acc = ref [] in
+  let _ : int =
+    Network.receive_iter net ~dst ~now (fun src msg -> acc := (src, msg) :: !acc)
+  in
+  List.rev !acc
+
 let test_send_receive () =
   let net = Network.create ~horizon:8 ~p:3 () in
   Network.send net ~src:0 ~dst:1 ~due:5 "hello";
   Alcotest.(check (list (pair int string))) "not yet" []
-    (Network.receive net ~dst:1 ~now:4);
+    (receive net ~dst:1 ~now:4);
   Alcotest.(check (list (pair int string))) "delivered" [ (0, "hello") ]
-    (Network.receive net ~dst:1 ~now:5);
+    (receive net ~dst:1 ~now:5);
   Alcotest.(check (list (pair int string))) "consumed" []
-    (Network.receive net ~dst:1 ~now:5)
+    (receive net ~dst:1 ~now:5)
 
 let test_no_self_send () =
   let net = Network.create ~horizon:1 ~p:2 () in
@@ -126,13 +135,13 @@ let test_multicast_errors () =
       Network.multicast net ~src:3 ~now:2 ~dues:[| 2; 3; 3; 0 |] "n");
   Alcotest.(check (list (pair int string)))
     "dst 1 gets the queued copy" [ (0, "m") ]
-    (Network.receive net ~dst:1 ~now:6);
+    (receive net ~dst:1 ~now:6);
   check_int "nothing pending" 0 (Network.pending net);
   (* the src's own entry is never read *)
   Network.multicast net ~src:2 ~now:6 ~dues:[| 7; 8; -1; 10 |] "k";
   Alcotest.(check (list (pair int string)))
     "dst 3 at its own due" [ (2, "k") ]
-    (Network.receive net ~dst:3 ~now:10);
+    (receive net ~dst:3 ~now:10);
   check_int "two copies still pending" 2 (Network.pending net)
 
 let test_message_counting () =
@@ -141,7 +150,7 @@ let test_message_counting () =
   List.iter (fun dst -> Network.send net ~src:0 ~dst ~due:2 "m") [ 1; 2; 3 ];
   check_int "sent counts p2p" 3 (Network.sent net);
   check_int "pending" 3 (Network.pending net);
-  ignore (Network.receive net ~dst:1 ~now:2);
+  ignore (receive net ~dst:1 ~now:2);
   check_int "pending after one receive" 2 (Network.pending net);
   check_int "sent unchanged by receive" 3 (Network.sent net)
 
@@ -154,7 +163,7 @@ let test_delayed_processor_receives_backlog () =
   Network.send net ~src:0 ~dst:1 ~due:2 "c";
   Alcotest.(check (list (pair int string))) "backlog in due order"
     [ (0, "a"); (0, "c"); (0, "b") ]
-    (Network.receive net ~dst:1 ~now:10)
+    (receive net ~dst:1 ~now:10)
 
 let test_per_destination_isolation () =
   let net = Network.create ~horizon:1 ~p:3 () in
@@ -162,14 +171,14 @@ let test_per_destination_isolation () =
   Network.send net ~src:0 ~dst:2 ~due:1 "for2";
   Alcotest.(check (list (pair int string))) "only own messages"
     [ (0, "for2") ]
-    (Network.receive net ~dst:2 ~now:1)
+    (receive net ~dst:2 ~now:1)
 
 let test_send_behind_cursor_rejected () =
   (* the ring contract: once [dst] has polled at [now], a send due at or
      before [now] would land in a bucket the cursor already passed *)
   let net = Network.create ~horizon:3 ~p:2 () in
   Network.send net ~src:0 ~dst:1 ~due:2 "on time";
-  ignore (Network.receive net ~dst:1 ~now:5);
+  ignore (receive net ~dst:1 ~now:5);
   Alcotest.check_raises "send at the cursor"
     (Invalid_argument "Msg_ring.add: ring event at or before the cursor")
     (fun () -> Network.send net ~src:0 ~dst:1 ~due:5 "late")
@@ -199,10 +208,10 @@ let test_send_behind_ringless_cursor_rejected () =
   Network.send net ~src:1 ~dst:2 ~due:6 "on time";
   Alcotest.(check (list (pair int string)))
     "later sends arrive" [ (1, "on time") ]
-    (Network.receive net ~dst:2 ~now:6);
+    (receive net ~dst:2 ~now:6);
   Alcotest.(check (list (pair int string)))
     "the broadcast, then the multicast prefix" [ (0, "b"); (0, "m") ]
-    (Network.receive net ~dst:1 ~now:6)
+    (receive net ~dst:1 ~now:6)
 
 let test_broadcast_behind_receive_rejected () =
   (* a broadcast due at or before the greatest [now] a receive has seen
@@ -225,10 +234,10 @@ let test_broadcast_behind_receive_rejected () =
   Network.broadcast net ~src:0 ~due:6 "on time";
   Alcotest.(check (list (pair int string)))
     "dst 1 gets the later broadcast" [ (0, "on time") ]
-    (Network.receive net ~dst:1 ~now:6);
+    (receive net ~dst:1 ~now:6);
   Alcotest.(check (list (pair int string)))
     "dst 2 gets both" [ (0, "a"); (0, "on time") ]
-    (Network.receive net ~dst:2 ~now:6)
+    (receive net ~dst:2 ~now:6)
 
 let test_reliability () =
   (* every message sent is eventually received exactly once; dues reach
@@ -247,7 +256,7 @@ let test_reliability () =
   for dst = 0 to 3 do
     List.iter
       (fun (_, payload) -> received := (dst, payload) :: !received)
-      (Network.receive net ~dst ~now:100)
+      (receive net ~dst ~now:100)
   done;
   check_int "no losses" 100 (List.length !received);
   let norm l = List.sort compare l in
@@ -262,15 +271,14 @@ let test_receive_iter_matches_receive () =
     Network.send net ~src:0 ~dst:1 ~due:1 "c";
     net
   in
-  let by_list = Network.receive (mk ()) ~dst:1 ~now:3 in
   let by_iter = ref [] in
   let n =
     Network.receive_iter (mk ()) ~dst:1 ~now:3 (fun src msg ->
         by_iter := (src, msg) :: !by_iter)
   in
-  check_int "returned count = deliveries" (List.length by_list) n;
+  check_int "returned count = deliveries" 3 n;
   Alcotest.(check (list (pair int string)))
-    "same messages, same order" by_list
+    "by due, then send order" [ (0, "a"); (0, "c"); (2, "b") ]
     (List.rev !by_iter)
 
 let test_bounded_horizon_network () =
@@ -301,13 +309,13 @@ let test_broadcast_basic () =
   check_int "pending = p-1" 3 (Network.pending net);
   Alcotest.(check (list (pair int string)))
     "source gets nothing" []
-    (Network.receive net ~dst:1 ~now:10);
+    (receive net ~dst:1 ~now:10);
   List.iter
     (fun dst ->
       Alcotest.(check (list (pair int string)))
         (Printf.sprintf "dst %d" dst)
         [ (1, "news") ]
-        (Network.receive net ~dst ~now:10))
+        (receive net ~dst ~now:10))
     [ 0; 2; 3 ];
   check_int "drained" 0 (Network.pending net)
 
@@ -332,7 +340,7 @@ let test_broadcast_merge_order () =
     [ (2, "u-first"); (0, "b1"); (2, "u-mid"); (0, "u-late"); (2, "b2") ]
     spec;
   Alcotest.(check (list (pair int string))) "ring = reference" spec
-    (Network.receive net ~dst:1 ~now:10)
+    (receive net ~dst:1 ~now:10)
 
 let test_broadcast_stream_growth () =
   (* Keep more undelivered broadcasts in flight than the stream's
@@ -356,9 +364,9 @@ let test_broadcast_stream_growth () =
         (Network.receive_iter net ~dst:1 ~now (fun _ msg ->
              slow := msg :: !slow))
   done;
-  ignore (Network.receive net ~dst:0 ~now:2000);
-  ignore (Network.receive net ~dst:1 ~now:2000);
-  ignore (Network.receive net ~dst:2 ~now:2000);
+  ignore (receive net ~dst:0 ~now:2000);
+  ignore (receive net ~dst:1 ~now:2000);
+  ignore (receive net ~dst:2 ~now:2000);
   check_int "dst 2 saw every broadcast" 1000 (List.length !fast);
   check_int "nothing pending" 0 (Network.pending net);
   (* pairwise FIFO within each source's stream *)
@@ -381,7 +389,7 @@ let test_broadcast_deactivate () =
   (* the live destination still gets both *)
   Alcotest.(check (list (pair int string)))
     "live dst" [ (0, "a"); (0, "b") ]
-    (Network.receive net ~dst:1 ~now:10);
+    (receive net ~dst:1 ~now:10);
   (* messages owed to the dead pid rot in pending, like an unread
      per-destination queue *)
   check_int "dead pid's copies still pending" 2 (Network.pending net);
@@ -416,12 +424,12 @@ let test_broadcast_ring_matches_ref_random () =
       end
     done;
     for dst = 0 to p - 1 do
-      if Ref_net.receive rf ~dst ~now <> Network.receive ring ~dst ~now
+      if Ref_net.receive rf ~dst ~now <> receive ring ~dst ~now
       then mismatch := true
     done
   done;
   for dst = 0 to p - 1 do
-    if Ref_net.receive rf ~dst ~now:300 <> Network.receive ring ~dst ~now:300
+    if Ref_net.receive rf ~dst ~now:300 <> receive ring ~dst ~now:300
     then mismatch := true
   done;
   check "ring = reference on mixed random traffic" false !mismatch;
@@ -683,7 +691,7 @@ let test_broadcast_breaks_payload_reuse () =
   Alcotest.(check (list (pair int string)))
     "send order survives payload reuse"
     [ (0, "m1"); (0, "X"); (0, "m1") ]
-    (Network.receive net ~dst:1 ~now:5)
+    (receive net ~dst:1 ~now:5)
 
 (* A released record must not be revived. Its slot holds the filler,
    which is the network's first payload, so resending that payload from
@@ -692,13 +700,13 @@ let test_released_record_not_reused () =
   let net = Network.create ~horizon:4 ~p:3 () in
   let m = "m" ^ string_of_int (Sys.opaque_identity 1) in
   Network.send net ~src:0 ~dst:1 ~due:1 m;
-  ignore (Network.receive net ~dst:1 ~now:1);
+  ignore (receive net ~dst:1 ~now:1);
   Network.send net ~src:0 ~dst:1 ~due:2 m;
   Network.send net ~src:0 ~dst:2 ~due:2 "n";
   Alcotest.(check (list (pair int string)))
-    "dst 1" [ (0, "m1") ] (Network.receive net ~dst:1 ~now:2);
+    "dst 1" [ (0, "m1") ] (receive net ~dst:1 ~now:2);
   Alcotest.(check (list (pair int string)))
-    "dst 2" [ (0, "n") ] (Network.receive net ~dst:2 ~now:2)
+    "dst 2" [ (0, "n") ] (receive net ~dst:2 ~now:2)
 
 (* The payload table keeps a payload only while a copy of it is queued.
    The first payload a network sees fills released slots for the

@@ -1,20 +1,19 @@
 (* The shared-broadcast stream and its epoch digests are pure transport
-   optimizations: a run under a declared-constant-latency adversary must
-   be observably identical to the same run with the declaration stripped
-   ([Adversary.with_latency Variable]), which forces the general
-   per-destination path. These tests pin that equivalence across
-   algorithms and adversaries, and pin the xl cell shapes' determinism
-   across domain-pool sizes. *)
+   optimizations: a run under a constant-latency adversary must be
+   observably identical to the same run recast as per-copy
+   ([Adversary.per_copy]), which forces the general per-destination
+   path with the same delay on every copy. These tests pin that
+   equivalence across algorithms and every registry adversary, pin that
+   the latency profile alone decides each copy's delay on every path
+   (even against a [delay] closure that disagrees with it), and pin the
+   xl cell shapes' determinism across domain-pool sizes. *)
 
 open Doall_sim
 open Doall_adversary
 open Doall_core
 
 (* fair scheduling, every message takes the full [d] *)
-let max_delay =
-  { Adversary.fair with
-    name = "max-delay"; delay = (fun o ~src:_ ~dst:_ -> o.Adversary.d);
-    latency = Adversary.Maximal }
+let max_delay = Adversary.make ~name:"max-delay" ~delay:Delay.maximal ()
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -41,38 +40,70 @@ let algos () =
     ("da-q2", Algo_da.make ~q:2 ());
   ]
 
-let declared_adversaries () =
-  [
-    ("fair", Adversary.fair);
-    ("fixed-3",
-     { Adversary.fair with
-       name = "fixed-delay-3"; delay = (fun _ ~src:_ ~dst:_ -> 3);
-       latency = Adversary.Fixed 3 });
-    ("max-delay", max_delay);
-    ( "laggard",
-      Schedule.combine ~name:"laggard" ~schedule:Schedule.adaptive_laggard () );
-    ( "crash-two",
-      Schedule.combine ~name:"crash-two"
-        ~crash:(Crash.at_time ~time:2 ~pids:[ 1; 5 ])
-        () );
-  ]
+(* Every registry adversary at the suite's instance, plus a strategy
+   that `doall synth` found against DA(4) (the benchmark's
+   adaptive-adversary cell). Instantiated per run: lb-det and lb-rand
+   are stateful. *)
+let synth_winner = "strategy:sched=all;delay=bimodal:0.783;crash=flaky:4:1"
+
+let adversaries () =
+  List.map (fun (s : Runner.adv_spec) -> s.Runner.adv_name) Runner.adversaries
+  @ [ synth_winner ]
+
+let instantiate name =
+  (Runner.find_adv name).Runner.instantiate ~p:16 ~t:96 ~d:5
 
 let test_stream_equals_slow_path () =
-  (* The keystone: declared vs stripped runs agree on every metric, for
+  (* The keystone: declared vs per-copy runs agree on every metric, for
      every (algorithm x adversary) pair — including crash-without-
      recovery, where halted and crashed pids deactivate the stream. *)
   List.iter
     (fun (aname, algo) ->
       List.iter
-        (fun (vname, adv) ->
-          let fast = run algo adv in
-          let slow = run algo (Adversary.with_latency Adversary.Variable adv) in
+        (fun vname ->
+          let fast = run algo (instantiate vname) in
+          let slow = run algo (Adversary.per_copy (instantiate vname)) in
           Alcotest.(check bool)
-            (Printf.sprintf "%s under %s: declared = stripped" aname vname)
+            (Printf.sprintf "%s under %s: declared = per-copy" aname vname)
             true
             (metrics_key fast = metrics_key slow))
-        (declared_adversaries ()))
+        (adversaries ()))
     (algos ())
+
+let test_profile_decides_every_path () =
+  (* A [delay] closure put beside a constant profile by a record update
+     is never asked: the streamed run, the per-copy run and a run the
+     fault policy forces through the per-copy send all read the
+     profile's constant. Against uniform draws the closure would also
+     move the adversary's RNG. *)
+  let deliver _ ~src:_ ~dst:_ = Adversary.Deliver in
+  List.iter
+    (fun (label, adv, expect) ->
+      List.iter
+        (fun (path, adv) ->
+          let m = run ~p:8 ~t:64 ~d:4 ~seed:0 (Algo_pa.make_ran1 ()) adv in
+          Alcotest.(check (triple int int int))
+            (Printf.sprintf "%s, %s: W/M/sigma" label path)
+            expect
+            (m.Metrics.work, m.Metrics.messages, m.Metrics.sigma))
+        [
+          ("streamed", adv);
+          ("per-copy", Adversary.per_copy adv);
+          ("faulted", { adv with Adversary.faults = Some deliver });
+        ])
+    [
+      ( "Constant 3 beside a latency-1 closure",
+        { (Adversary.make ~name:"fixed-3" ~delay:(Adversary.Constant 3) ())
+          with
+          Adversary.delay = (fun _ ~src:_ ~dst:_ -> 1) },
+        (152, 1050, 18) );
+      ( "Bound beside a uniform closure",
+        { (Adversary.make ~name:"max" ~delay:Adversary.Bound ()) with
+          Adversary.delay =
+            (fun o ~src:_ ~dst:_ -> 1 + Rng.int o.Adversary.rng o.Adversary.d)
+        },
+        (160, 1106, 19) );
+    ]
 
 let test_variable_latency_not_streamed () =
   (* uniform_delay draws from the adversary RNG per destination and is
@@ -86,19 +117,17 @@ let test_variable_latency_not_streamed () =
 
 let test_faulted_declaration_is_safe () =
   (* Fault injection (dup / reorder / drop) gates the stream off even
-     when latency is declared: the declared and
-     stripped runs still agree, now both on the general path. *)
+     under a constant profile: the declared and per-copy runs still
+     agree, now both on the general path. *)
   let faulted name policy =
-    (name, Schedule.combine ~name ~faults:policy ())
+    (name, Adversary.make ~name ~faults:policy ())
   in
   List.iter
     (fun (vname, adv) ->
       List.iter
         (fun (aname, algo) ->
           let fast = run ~seed:9 algo adv in
-          let slow =
-            run ~seed:9 algo (Adversary.with_latency Adversary.Variable adv)
-          in
+          let slow = run ~seed:9 algo (Adversary.per_copy adv) in
           Alcotest.(check bool)
             (Printf.sprintf "%s under %s: faults force one path" aname vname)
             true
@@ -111,15 +140,15 @@ let test_faulted_declaration_is_safe () =
     ]
 
 let test_recovery_gates_stream_off () =
-  (* A restart policy keeps the stream off even under declared latency.
+  (* A restart policy keeps the stream off even under a constant profile.
      The epoch digest folds in the receiver's own broadcasts, which is
      harmless only while the receiver's knowledge already contains them;
      a restart resets that knowledge, so a restarted pid would re-learn
      its own pre-crash work from the digest and skip re-doing it. The
      flaky strategy cells are the ones where the declared run would
-     differ (paran1 reads W=236 streamed against W=254 stripped). *)
+     differ (paran1 reads W=236 streamed against W=254 per-copy). *)
   let crash, restart = Crash.flaky ~survivor:0 ~up:6 ~down:3 () in
-  let flaky = Schedule.combine ~name:"flaky" ~crash ~restart () in
+  let flaky = Adversary.make ~name:"flaky" ~crash ~restart () in
   let strategy spec =
     match Strategy.of_spec spec with
     | Ok s -> Strategy.into s
@@ -129,8 +158,8 @@ let test_recovery_gates_stream_off () =
   List.iter
     (fun (label, algo, adv) ->
       let fast = run (algo ()) adv in
-      let slow = run (algo ()) (Adversary.with_latency Adversary.Variable adv) in
-      check (label ^ ": declared = stripped") true
+      let slow = run (algo ()) (Adversary.per_copy adv) in
+      check (label ^ ": declared = per-copy") true
         (metrics_key fast = metrics_key slow);
       check (label ^ " completes") true fast.Metrics.completed)
     [
@@ -182,4 +211,6 @@ let suite =
     Alcotest.test_case "xl shapes: jobs 1/2/4 bit-identical" `Quick
       test_xl_shape_jobs_determinism;
     Alcotest.test_case "multicast M parity" `Quick test_messages_count_multicast;
+    Alcotest.test_case "the latency profile decides every path" `Quick
+      test_profile_decides_every_path;
   ]

@@ -2,9 +2,10 @@
    (docs/FAULTS.md "Strategy DSL").
 
    Pinned here: spec round-tripping (to_spec/of_spec is a fixpoint over
-   random strategies in every space), the latency declaration the engine's
-   stream gate relies on (any fault rule or phase change forces
-   [Variable]), bit-determinism of strategy-compiled adversaries across
+   random strategies in every space), the latency profile a strategy
+   compiles to (its delay gene's, [Variable] after a phase change) and
+   the engine keeping faulted constant runs off the stream,
+   bit-determinism of strategy-compiled adversaries across
    --jobs, bit-determinism of the whole search (same seed => same winning
    spec, at any jobs), and a soak: a small-budget search against every
    registry algorithm with the oracle on finds zero violations and never
@@ -94,31 +95,48 @@ let test_of_spec_normalizes () =
        "sched=all;delay=max;for=1|sched=all;delay=const:1");
     ]
 
-(* -- latency declaration (stream-gate soundness) -------------------- *)
+(* -- latency profile and the stream gate ---------------------------- *)
 
-let latency_of_spec spec =
+let strategy_of_spec spec =
   match Strategy.of_spec spec with
   | Error e -> Alcotest.failf "of_spec %S: %s" spec e
   | Ok t -> t
 
+(* the broadcast log's peak occupancy over a paran1 run: 0 unless the
+   run took the stream *)
+let peak_stream_pending spec =
+  let probe = Probe.create () in
+  let cfg = Config.make ~seed:1 ~p:16 ~t:96 () in
+  let adversary = Strategy.into (strategy_of_spec spec) in
+  ignore
+    (Engine.run_packed (Algo_pa.make_ran1 ()) cfg ~d:5 ~adversary ~probe ());
+  snd (List.assoc "net.stream_pending" (Probe.snapshot probe).Probe.gauges)
+
 let test_latency_pins () =
   let pin spec expect =
-    let t = latency_of_spec spec in
+    let t = strategy_of_spec spec in
     if (Strategy.into t).Adversary.latency <> expect then
-      Alcotest.failf "%s: wrong latency declared" spec
+      Alcotest.failf "%s: wrong latency profile" spec
   in
   pin "sched=all;delay=const:3" (Adversary.Fixed 3);
   pin "sched=laggard;delay=const:1;crash=staggered:4" (Adversary.Fixed 1);
   pin "sched=all;delay=max" Adversary.Maximal;
   pin "sched=all;delay=uniform" Adversary.Variable;
-  (* any fault rule pins Variable even under a constant delay: faults
-     perturb delivery, so the declared-constant stream gate must stay
-     closed *)
-  pin "sched=all;delay=const:3;fault=drop:0.5" Adversary.Variable;
-  pin "sched=all;delay=max;fault=dup:0.2:2" Adversary.Variable;
-  (* phase changes likewise *)
+  (* the profile is the delay gene's, faults or not *)
+  pin "sched=all;delay=const:3;fault=drop:0.5" (Adversary.Fixed 3);
+  pin "sched=all;delay=max;fault=dup:0.2:2" Adversary.Maximal;
+  (* a phase change makes the delay per copy *)
   pin "sched=all;delay=const:3;for=8|sched=all;delay=const:3"
-    Adversary.Variable
+    Adversary.Variable;
+  (* faults perturb delivery, so the engine keeps those runs off the
+     stream itself; the fault-free twin shows the gauge does record *)
+  check "fault-free constant run streams" true
+    (peak_stream_pending "sched=all;delay=const:3" > 0);
+  List.iter
+    (fun spec -> Alcotest.(check int) (spec ^ ": never streamed") 0
+        (peak_stream_pending spec))
+    [ "sched=all;delay=const:3;fault=drop:0.5";
+      "sched=all;delay=max;fault=dup:0.2:2" ]
 
 (* -- determinism of compiled strategies across jobs ----------------- *)
 
