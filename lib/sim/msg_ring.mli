@@ -6,13 +6,23 @@
     [now < due <= now + horizon], where [now] is the caller's clock at
     the moment of the add — never behind a previous {!peek}. The
     engine's delay clamp guarantees exactly this with [horizon = d].
-    Storage is bucket FIFOs of one int per queued event, [due] and
-    [id] packed together, so the steady-state hot path allocates
-    nothing per message, stores no pointer and takes one word per
-    event: the payload, its source and its send order live once per
-    multicast in the caller's table ({!Network}), and [id] names that
-    record. The packing caps both: [0 <= due <= max_due] and
-    [0 <= id <= max_id].
+    Storage is [horizon + 1] bucket FIFOs of one int per queued event,
+    [due] and [id] packed together: the payload, its source and its
+    send order live once per multicast in the caller's table
+    ({!Network}), and [id] names that record. The packing caps both:
+    [0 <= due <= max_due] and [0 <= id <= max_id].
+
+    A bucket is two ints (its head and tail positions) over a chain of
+    fixed-size blocks of 32 events taken from the ring's free list.
+    An event goes to bucket [due mod (horizon + 1)], and under the add
+    contract each bucket receives its events in non-decreasing due
+    order (proved in msg_ring.ml), so each chain is a due-sorted FIFO
+    and its head is the bucket's earliest event. A block goes back to
+    the list once the bucket's head passes it, so the ring allocates in
+    proportion to the events it holds at once, never copies an event to
+    grow, and at steady state allocates nothing per message and stores
+    no pointer. A ring costs two words per bucket before its first
+    add.
 
     Delivery order is (due, insertion order). The caller keeps each
     id's send order [seq], non-decreasing in insertion order, and

@@ -27,13 +27,21 @@ let test_bucket_spans_laps () =
   Alcotest.check events "second lap" [ (7, 11) ] (drain r ~now:7);
   Alcotest.(check int) "empty" 0 (Msg_ring.size r)
 
-let test_growth_with_wrapped_head () =
-  (* horizon 1: dues 1 and 3 share bucket 1. Fill it to its first
-     capacity (4), pop two so the head sits mid-array, then append
-     three more: the first two wrap to the array's start and the third
-     grows the bucket while its live range straddles the end. *)
+let drain_all r ~now =
+  while Msg_ring.peek r ~now do
+    Msg_ring.pop r
+  done
+
+(* A ring keeps each bucket in a chain of 32-event blocks. *)
+let block = 32
+
+let test_block_boundary_with_lagging_head () =
+  (* horizon 1: dues 1 and 3 share bucket 1. Fill its first block
+     (32 events due 1), pop two so the head sits inside it, then append
+     three due 3: they open a second block while the head still reads the
+     first, and popping through the boundary frees the first block. *)
   let r = Msg_ring.create ~horizon:1 () in
-  for id = 0 to 3 do
+  for id = 0 to block - 1 do
     Msg_ring.add r ~due:1 ~id
   done;
   Alcotest.(check bool) "due at 1" true (Msg_ring.peek r ~now:1);
@@ -41,13 +49,95 @@ let test_growth_with_wrapped_head () =
   Alcotest.(check bool) "still due at 1" true (Msg_ring.peek r ~now:1);
   Msg_ring.pop r;
   (* sender's clock 2; the reader stopped after two pops *)
-  for id = 4 to 6 do
+  for id = block to block + 2 do
     Msg_ring.add r ~due:3 ~id
   done;
-  Alcotest.(check int) "five queued" 5 (Msg_ring.size r);
-  Alcotest.check events "FIFO across the grow"
-    [ (1, 2); (1, 3); (3, 4); (3, 5); (3, 6) ]
+  Alcotest.(check int) "queued" (block + 1) (Msg_ring.size r);
+  Alcotest.check events "FIFO across the block boundary"
+    (List.init (block - 2) (fun i -> (1, i + 2))
+    @ [ (3, block); (3, block + 1); (3, block + 2) ])
     (drain r ~now:3)
+
+let test_block_refilled_by_another_bucket () =
+  (* horizon 3: bucket 1 takes two blocks (40 events due 1). Popping 33
+     passes its first block, which goes back to the free list while the
+     bucket still holds 7 events; 32 events due 2 then fill bucket 2
+     from that block without allocating, and both read back in order. *)
+  let r = Msg_ring.create ~horizon:3 () in
+  for id = 0 to 39 do
+    Msg_ring.add r ~due:1 ~id
+  done;
+  for _ = 1 to 33 do
+    Alcotest.(check bool) "due at 1" true (Msg_ring.peek r ~now:1);
+    Msg_ring.pop r
+  done;
+  let w0 = Gc.minor_words () in
+  for id = 100 to 100 + block - 1 do
+    Msg_ring.add r ~due:2 ~id
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "no block made" 0. words;
+  Alcotest.check events "both buckets in order"
+    (List.init 7 (fun i -> (1, 33 + i))
+    @ List.init block (fun i -> (2, 100 + i)))
+    (drain r ~now:2)
+
+(* One burst: at each of [rounds] instants, add [n] events spread
+   unevenly over the horizon (most in one bucket, longer than a block),
+   then drain everything due. Returns the number of events added. *)
+let burst r ~horizon ~start ~rounds ~n =
+  for round = 0 to rounds - 1 do
+    let now = start + round in
+    for i = 0 to n - 1 do
+      let lat = if i mod 3 = 0 then 1 + (i mod horizon) else horizon in
+      Msg_ring.add r ~due:(now + lat) ~id:i
+    done;
+    drain_all r ~now
+  done;
+  drain_all r ~now:(start + rounds + horizon);
+  rounds * n
+
+let test_warm_ring_allocates_nothing () =
+  let horizon = 7 in
+  let r = Msg_ring.create ~horizon () in
+  let at ~start = burst r ~horizon ~start ~rounds:20 ~n:150 in
+  ignore (at ~start:0 : int);
+  let w0 = Gc.minor_words () in
+  (* the same burst, shifted so it lands on other buckets *)
+  let n = at ~start:1003 in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "drained" 0 (Msg_ring.size r);
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "minor words over %d events" n)
+    0. words
+
+let test_burst_allocates_blocks_only () =
+  (* A burst of [n] events into [touched] buckets of a fresh ring makes
+     at most ceil(n / 32) + touched blocks. A block is 32 events and a
+     link (34 words with its header); the block table grows by doubling
+     from 4, so it adds at most 4 words per block and a few headers.
+     A bucket grown by copying its events would read about twice this. *)
+  let horizon = 7 and n = 1000 in
+  let r = Msg_ring.create ~horizon () in
+  let w0 = Gc.allocated_bytes () in
+  for i = 0 to n - 1 do
+    let lat = if i mod 8 = 0 then 1 + (i mod horizon) else horizon in
+    Msg_ring.add r ~due:lat ~id:i
+  done;
+  let words =
+    (Gc.allocated_bytes () -. w0) /. float_of_int (Sys.word_size / 8)
+  in
+  let blocks = ((n + block - 1) / block) + horizon in
+  let bound = (blocks * (block + 2 + 4)) + 32 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d events, bound %d" words n bound)
+    true
+    (words <= float_of_int bound);
+  Alcotest.check events "in order"
+    (List.sort compare
+       (List.init n (fun i ->
+            ((if i mod 8 = 0 then 1 + (i mod horizon) else horizon), i))))
+    (drain r ~now:horizon)
 
 let test_add_behind_cursor () =
   let r = Msg_ring.create ~horizon:4 () in
@@ -165,13 +255,20 @@ let test_network_due_past_cap () =
 (* Differential test against a sorted-list model: events added within
    the horizon of a non-decreasing sender clock, taken by a reader whose
    clock lags it by up to three laps of the ring (so one bucket holds
-   several laps), a few at a time, with dues and ids reaching the packed
-   maximum. Delivery order is (due, insertion order). *)
-type op = Advance of int | Add of int * int | Take of int * int
+   several laps), a few or many at a time, with dues and ids reaching the
+   packed maximum. Bursts put more than a block into one bucket at once,
+   so a bucket's chain spans many blocks while the reader lags laps
+   behind. Delivery order is (due, insertion order). *)
+type op =
+  | Advance of int
+  | Add of int * int
+  | Burst of int * int * int
+  | Take of int * int
 
 let show_op = function
   | Advance k -> Printf.sprintf "advance %d" k
   | Add (lat, id) -> Printf.sprintf "add +%d id %d" lat id
+  | Burst (lat, k, id) -> Printf.sprintf "burst +%d x%d from id %d" lat k id
   | Take (lag, k) -> Printf.sprintf "take lag %d max %d" lag k
 
 let prop_ring_matches_model =
@@ -192,11 +289,19 @@ let prop_ring_matches_model =
           [
             (2, map (fun k -> Advance k) (int_range 0 4));
             (5, map2 (fun lat id -> Add (lat, id)) (int_range 1 horizon) id);
+            ( 1,
+              map3
+                (fun lat k id -> Burst (lat, k, id))
+                (int_range 1 horizon) (int_range 33 100) id );
             ( 2,
               map2
                 (fun lag k -> Take (lag, k))
-                (int_range 0 (3 * (horizon + 1)))
-                (int_range 1 8) );
+                (oneof
+                   [
+                     int_range 0 (3 * (horizon + 1));
+                     return (2 * (horizon + 1));
+                   ])
+                (oneof [ int_range 1 8; int_range 30 120 ]) );
           ]
       in
       pair bool (list_size (int_range 1 150) op))
@@ -234,6 +339,15 @@ let prop_ring_matches_model =
              Msg_ring.add r ~due ~id;
              incr n;
              model := List.merge compare !model [ (due, !n, id) ]
+           | Burst (lat, k, id) ->
+             let due = min (!clock + lat) cap in
+             let ids = List.init k (fun j -> (id + j) land cap) in
+             List.iter (fun id -> Msg_ring.add r ~due ~id) ids;
+             let n0 = !n in
+             n := n0 + k;
+             model :=
+               List.merge compare !model
+                 (List.mapi (fun j id -> (due, n0 + j + 1, id)) ids)
            | Take (lag, k) ->
              (* the reader's clock never passes the sender's *)
              read := max !read (!clock - lag);
@@ -246,8 +360,14 @@ let suite =
   [
     Alcotest.test_case "bucket holds two laps behind a lagging cursor" `Quick
       test_bucket_spans_laps;
-    Alcotest.test_case "growth while the bucket head has wrapped" `Quick
-      test_growth_with_wrapped_head;
+    Alcotest.test_case "block boundary while the bucket head lags" `Quick
+      test_block_boundary_with_lagging_head;
+    Alcotest.test_case "a freed block refills another bucket" `Quick
+      test_block_refilled_by_another_bucket;
+    Alcotest.test_case "a warmed ring's second burst allocates nothing" `Quick
+      test_warm_ring_allocates_nothing;
+    Alcotest.test_case "a burst allocates its blocks only" `Quick
+      test_burst_allocates_blocks_only;
     Alcotest.test_case "add at or before the cursor rejected" `Quick
       test_add_behind_cursor;
     Alcotest.test_case "due or id past the packed cap rejected" `Quick
