@@ -63,7 +63,7 @@ type latency =
     the [delay] closure. It is authoritative: under [Fixed]/[Maximal]
     the engine takes the constant for every copy on every path and
     never calls [delay], so the two fields cannot disagree. A constant
-    profile lets a fault- and restart-free run enqueue one shared
+    profile lets a fault- and restart-free run queue one shared
     broadcast record for all [p - 1] recipients of a multicast (the
     stream; see docs/PERFORMANCE.md). *)
 

@@ -22,6 +22,8 @@ type 'msg t = {
   collision : Config.collision;
   stations : 'msg station array;
   net : 'msg Network.t; (* resolved deliveries, due one slot later *)
+  uni_dst : int array; (* a unicast's one copy, reused by every call *)
+  uni_due : int array;
   contenders : int array; (* this slot's contending pids, ascending *)
   stamp : int array; (* per pid: the last permutation check that saw it *)
   mutable generation : int;
@@ -44,6 +46,8 @@ let create ~p ~collision () =
       Array.init p (fun _ ->
           { bcast = [||]; unis = [||]; release = [||]; head = 0; len = 0 });
     net = Network.create ~horizon:1 ~p ();
+    uni_dst = [| 0 |];
+    uni_due = [| 0 |];
     contenders = Array.make p 0;
     stamp = Array.make p 0;
     generation = 0;
@@ -141,11 +145,14 @@ let deactivate t ~pid =
 
 type slot = Idle | Collided | Delivered
 
-let rec send_unis t ~src ~due = function
+let rec send_unis t ~src ~now = function
   | [] -> ()
   | (dst, m) :: rest ->
-    Network.send t.net ~src ~dst ~due m;
-    send_unis t ~src ~due rest
+    t.uni_dst.(0) <- dst;
+    t.uni_due.(0) <- now + 1;
+    Network.multicast t.net ~src ~now ~dsts:t.uni_dst ~dues:t.uni_due ~n:1
+      ~paid:1 m;
+    send_unis t ~src ~now rest
 
 (* [src]'s head frame transmits alone in slot [now] *)
 let deliver t ~now ~src =
@@ -153,11 +160,10 @@ let deliver t ~now ~src =
   let bcast = Array.unsafe_get st.bcast st.head
   and unis = Array.unsafe_get st.unis st.head in
   drop_head st;
-  let due = now + 1 in
   (match bcast with
-   | Some m -> Network.broadcast t.net ~src ~due m
+   | Some m -> Network.broadcast t.net ~src ~due:(now + 1) m
    | None -> ());
-  send_unis t ~src ~due unis;
+  send_unis t ~src ~now unis;
   t.queued_fan <- t.queued_fan - fan t bcast unis;
   t.n_success <- t.n_success + 1;
   Delivered

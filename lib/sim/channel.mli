@@ -28,7 +28,7 @@
     point-to-point [M] of Definition 2.2 — see docs/MODEL.md.
 
     Everything is deterministic: contenders are resolved in ascending
-    pid order, per-destination deliveries are enqueued in slot order,
+    pid order, per-destination deliveries are queued in slot order,
     and no randomness is drawn.
 
     Storage: each station is a ring of frames whose columns are the

@@ -106,9 +106,12 @@ module Make (A : Algorithm.S) = struct
         (* the run's per-copy delay, read by every path: the profile's
            constant under [Fixed]/[Maximal], else the adversary's
            [delay] closure *)
-    dues : int array;
-        (* per-destination due instants of the multicast being sent,
-           reused by every fault-free per-destination broadcast *)
+    mutable dsts : int array;
+    mutable dues : int array;
+        (* the [copies] copies of the payload being sent, destination
+           and due instant, reused by every per-destination send and
+           grown when replicas overflow them *)
+    mutable copies : int;
     states : A.state array;
     fabric : A.msg fabric;
         (* on a shared channel each step's outbound traffic becomes one
@@ -256,7 +259,9 @@ module Make (A : Algorithm.S) = struct
         stream;
         stream_delta;
         delay;
+        dsts = Array.make p 0;
         dues = Array.make p 0;
+        copies = 0;
         states = Array.init p (fun pid -> A.init cfg ~pid);
         fabric =
           (match cfg.Config.transport with
@@ -426,14 +431,9 @@ module Make (A : Algorithm.S) = struct
       end;
       apply_crashes eng rest
 
-  (* The step's unicasts to other pids: the count, and whether one is
-     addressed to the sender itself (the engine drops those). Plain
-     recursion, so the per-step send path builds no closure. *)
-  let rec count_others pid acc = function
-    | [] -> acc
-    | (dst, _) :: rest ->
-      count_others pid (if dst <> pid then acc + 1 else acc) rest
-
+  (* Whether one of the step's unicasts is addressed to the sender
+     itself (the engine drops those). Plain recursion, so the per-step
+     send path builds no closure. *)
   let rec has_self pid = function
     | [] -> false
     | (dst, _) :: rest -> dst = pid || has_self pid rest
@@ -491,9 +491,25 @@ module Make (A : Algorithm.S) = struct
         eng.lat_n <- n
       end
 
+  (* one more copy in the engine's buffers *)
+  let push_copy eng dst due =
+    let k = eng.copies in
+    if k = Array.length eng.dues then begin
+      let grow a =
+        let a' = Array.make (2 * k) 0 in
+        Array.blit a 0 a' 0 k;
+        a'
+      in
+      eng.dsts <- grow eng.dsts;
+      eng.dues <- grow eng.dues
+    end;
+    Array.unsafe_set eng.dsts k dst;
+    Array.unsafe_set eng.dues k due;
+    eng.copies <- k + 1
+
   (* one point-to-point copy from [pid] to [dst], with its adversarial
-     delay and fault verdict *)
-  let send_one eng net pid dst msg =
+     delay and fault verdict, into the engine's buffers *)
+  let decide eng pid dst =
     let o = oracle eng in
     let raw = eng.delay o ~src:pid ~dst in
     let delta = Int.max 1 (Int.min eng.d raw) in
@@ -502,27 +518,25 @@ module Make (A : Algorithm.S) = struct
       (* the reliable network of the paper's model: one branch, no
          extra RNG draws — fault-free runs stay bit-identical *)
       observe_latency eng delta 1;
-      Network.send net ~src:pid ~dst ~due:(eng.time + delta) msg
+      push_copy eng dst (eng.time + delta)
     | Some f -> (
       match f o ~src:pid ~dst with
       | Adversary.Deliver ->
         observe_latency eng delta 1;
-        Network.send net ~src:pid ~dst ~due:(eng.time + delta) msg
+        push_copy eng dst (eng.time + delta)
       | Adversary.Drop ->
         (* the algorithm paid for the send: it counts toward M even
-           though nothing is enqueued; no latency sample (no delivery) *)
-        Network.count_lost net;
+           though nothing is queued; no latency sample (no delivery) *)
         if eng.ins.obs_on then Probe.incr eng.ins.i_drops
       | Adversary.Duplicate n ->
         observe_latency eng delta 1;
-        Network.send net ~src:pid ~dst ~due:(eng.time + delta) msg;
+        push_copy eng dst (eng.time + delta);
         (* replicas re-draw their latency (a resend travels a fresh
            path) and do not count toward M — the algorithm sent once *)
         for _ = 1 to n do
           let raw' = eng.delay o ~src:pid ~dst in
           let delta' = Int.max 1 (Int.min eng.d raw') in
-          Network.send_replica net ~src:pid ~dst ~due:(eng.time + delta')
-            msg
+          push_copy eng dst (eng.time + delta')
         done;
         if eng.ins.obs_on then Probe.add eng.ins.i_dups (Int.max 0 n)
       | Adversary.Reorder j ->
@@ -530,71 +544,83 @@ module Make (A : Algorithm.S) = struct
            into [1..d] so the calendar-ring horizon still holds *)
         let delta' = Int.max 1 (Int.min eng.d (delta + Int.max 0 j)) in
         observe_latency eng delta' 1;
-        Network.send net ~src:pid ~dst ~due:(eng.time + delta') msg)
+        push_copy eng dst (eng.time + delta'))
 
-  let rec send_unicasts eng net pid = function
-    | [] -> ()
+  (* the buffered copies of [msg] as one network call, [paid] of them
+     counted toward M *)
+  let flush eng net pid ~paid msg =
+    Network.multicast net ~src:pid ~now:eng.time ~dsts:eng.dsts
+      ~dues:eng.dues ~n:eng.copies ~paid msg;
+    eng.copies <- 0
+
+  (* each unicast to another pid is its own call; returns [fan] plus the
+     messages paid for *)
+  let rec send_unicasts eng net pid fan = function
+    | [] -> fan
     | (dst, msg) :: rest ->
-      if dst <> pid then send_one eng net pid dst msg;
-      send_unicasts eng net pid rest
+      if dst <> pid then begin
+        decide eng pid dst;
+        flush eng net pid ~paid:1 msg;
+        send_unicasts eng net pid (fan + 1) rest
+      end
+      else send_unicasts eng net pid fan rest
 
   (* Point-to-point: every copy gets its own adversarial delay (and
      fault verdict), except on the stream fast path, where a broadcast
      is one broadcast log entry due after the profile's constant. *)
   let send_ptp eng net pid (r : A.msg Algorithm.step_result) =
-    (match r.Algorithm.broadcast with
-     | Some msg ->
-       let p = eng.cfg.Config.p in
-       if eng.stream && p > 1 then begin
-         let delta = eng.stream_delta in
-         (* one shared record replaces the p-1 send_one calls; the
-            latency probe still sees p-1 samples of [delta], batched
-            through the same run-length registers *)
-         observe_latency eng delta (p - 1);
-         Network.broadcast net ~src:pid ~due:(eng.time + delta) msg
-       end
-       else begin
-         match eng.adv.Adversary.faults with
-         | None ->
-           (* fault-free: every copy's due into the reusable [dues]
-              buffer, then one [Network.multicast] queues them all *)
-           let o = oracle eng in
-           let delay = eng.delay
-           and dues = eng.dues
-           and d = eng.d
-           and now = eng.time in
-           for dst = 0 to p - 1 do
-             if dst <> pid then begin
-               let delta = Int.max 1 (Int.min d (delay o ~src:pid ~dst)) in
-               observe_latency eng delta 1;
-               Array.unsafe_set dues dst (now + delta)
-             end
-           done;
-           Network.multicast net ~src:pid ~now ~dues msg
-         | Some _ ->
-           for dst = 0 to p - 1 do
-             if dst <> pid then send_one eng net pid dst msg
-           done
-       end;
-       if eng.cfg.Config.record_trace then
-         Trace.add eng.trace
-           (Trace.Broadcast { time = eng.time; src = pid; copies = p - 1 })
-     | None -> ());
-    send_unicasts eng net pid r.Algorithm.unicasts;
+    let fan =
+      match r.Algorithm.broadcast with
+      | None -> 0
+      | Some msg ->
+        let p = eng.cfg.Config.p in
+        if eng.stream && p > 1 then begin
+          let delta = eng.stream_delta in
+          (* one shared record replaces the p-1 copies; the latency
+             probe still sees p-1 samples of [delta], batched through
+             the same run-length registers *)
+          observe_latency eng delta (p - 1);
+          Network.broadcast net ~src:pid ~due:(eng.time + delta) msg
+        end
+        else begin
+          (match eng.adv.Adversary.faults with
+           | None ->
+             (* fault-free: every copy straight into the buffers, without
+                [decide]'s per-copy verdict dispatch *)
+             let o = oracle eng in
+             let delay = eng.delay
+             and dsts = eng.dsts
+             and dues = eng.dues
+             and d = eng.d
+             and now = eng.time in
+             for dst = 0 to p - 1 do
+               if dst <> pid then begin
+                 let delta = Int.max 1 (Int.min d (delay o ~src:pid ~dst)) in
+                 observe_latency eng delta 1;
+                 let k = if dst < pid then dst else dst - 1 in
+                 Array.unsafe_set dsts k dst;
+                 Array.unsafe_set dues k (now + delta)
+               end
+             done;
+             eng.copies <- p - 1
+           | Some _ ->
+             for dst = 0 to p - 1 do
+               if dst <> pid then decide eng pid dst
+             done);
+          flush eng net pid ~paid:(p - 1) msg
+        end;
+        if eng.cfg.Config.record_trace then
+          Trace.add eng.trace
+            (Trace.Broadcast { time = eng.time; src = pid; copies = p - 1 });
+        p - 1
+    in
+    let fan = send_unicasts eng net pid fan r.Algorithm.unicasts in
     if eng.ins.obs_on then begin
       Probe.observe_n eng.ins.i_latency eng.lat_v eng.lat_n;
       eng.lat_v <- -1;
       eng.lat_n <- 0;
-      (* multicast fan-out of this step: point-to-point copies sent.
-         [fan] equals the number of [send_one] calls above, so one
-         [add] also maintains net.sends without per-send increments. *)
-      let fan =
-        count_others pid
-          (match r.Algorithm.broadcast with
-           | Some _ -> eng.cfg.Config.p - 1
-           | None -> 0)
-          r.Algorithm.unicasts
-      in
+      (* multicast fan-out of this step: the messages paid for, so one
+         [add] also maintains net.sends without per-send increments *)
       if fan > 0 then begin
         Probe.add eng.ins.i_sends fan;
         Probe.observe eng.ins.i_fanout fan

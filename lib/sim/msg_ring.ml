@@ -101,10 +101,8 @@ let push r b e =
   Array.unsafe_set (blk r (pos lsr lg)) (pos land slot) e;
   Array.unsafe_set r.last b pos
 
-let admits r ~due = due > r.cursor
-
-let add_in r ~bucket ~due ~id =
-  if not (admits r ~due) then
+let add r ~bucket ~due ~id =
+  if due <= r.cursor then
     invalid_arg "Msg_ring.add: ring event at or before the cursor";
   (* one test for both: a negative value has its top bits set *)
   if (due lor id) lsr bits <> 0 then
@@ -114,8 +112,6 @@ let add_in r ~bucket ~due ~id =
        else "Msg_ring.add: id outside [0, Msg_ring.max_id] (2^31 - 1)");
   push r bucket ((due lsl bits) lor id);
   r.count <- r.count + 1
-
-let add r ~due ~id = add_in r ~bucket:(due mod Array.length r.first) ~due ~id
 
 let peek r ~now =
   if r.count = 0 then begin

@@ -45,22 +45,17 @@ val max_id : int
 val create : horizon:int -> unit -> t
 (** [horizon >= 1]; events may be added at most [horizon] ahead. *)
 
-val add : t -> due:int -> id:int -> unit
-(** Raises [Invalid_argument] if [due] is at or before the delivery
-    cursor, or [due] or [id] is outside the packed range (above), before
-    any write. Violating the upper bound ([due <= now + horizon]) is not
-    detectable locally and forfeits delivery-order guarantees. *)
-
-val admits : t -> due:int -> bool
-(** Whether {!add} accepts [due]: [due] is after the delivery cursor. *)
-
-val add_in : t -> bucket:int -> due:int -> id:int -> unit
-(** {!add} with the bucket supplied by the caller, who guarantees
-    [bucket = due mod (horizon + 1)]. Every ring of one horizon has
+val add : t -> bucket:int -> due:int -> id:int -> unit
+(** Queue event [id] due at [due] in [bucket], which the caller
+    guarantees is [due mod (horizon + 1)]. Every ring of one horizon has
     these [horizon + 1] buckets, so a caller adding many events at one
     instant [now] takes [b = now mod (horizon + 1)] once and reaches
     each event's bucket as [b + (due - now)], less [horizon + 1] when
-    that passes it: no division per event ({!Network.multicast}). *)
+    that passes it: no division per event ({!Network.multicast}).
+    Raises [Invalid_argument] if [due] is at or before the delivery
+    cursor, or [due] or [id] is outside the packed range (above), before
+    any write. Violating the upper bound ([due <= now + horizon]) is not
+    detectable locally and forfeits delivery-order guarantees. *)
 
 val size : t -> int
 (** Events added but not yet popped. *)

@@ -8,15 +8,11 @@
    int, its due and [id] packed together, where [id] names a record;
    the packing caps a ring due at [Msg_ring.max_due] and the table at
    [Msg_ring.max_id + 1] records, both checked before any write.
-   [enqueue] reuses the previous send's record when the source is the
-   same and the payload physically equal, which is what a multicast's
-   per-copy sends (and its replicas and reorders) look like, and
-   [multicast] makes the same test once for all its copies;
-   otherwise it opens a record, which draws the next [seq]. Sharing one
-   [seq] among copies keeps the merge exact: every copy of a record is
-   sent before the next broadcast, because {!broadcast} drops the reuse
-   cache. A ring record is released when its last queued copy is
-   received.
+   [multicast] opens one record for all the copies of its call, which
+   draws the next [seq]. Sharing one [seq] among copies keeps the merge
+   exact: every copy of a record is queued in one call, so none can
+   come after a later broadcast. A ring record is released when its
+   last queued copy is received.
 
    A broadcast opens a record and appends one entry to the broadcast
    log, a growable circular struct-of-arrays buffer, globally sorted by
@@ -46,8 +42,10 @@ type 'msg t = {
   p : int;
   rings : Msg_ring.t option array; (* per dst, made on first send *)
   seen : int array;
-      (* per dst without a ring: the greatest [now] it received at, -1
-         before its first receive; a ring made later starts there *)
+      (* per dst: the greatest [now] it received at, -1 before its first
+         receive. A ring made later starts there, and a ring's cursor
+         reaches it by the end of every receive, so a send must be due
+         after it. *)
   horizon : int;
   mutable sent : int;
   mutable in_flight : int; (* queued but not yet received, O(1) pending *)
@@ -61,7 +59,6 @@ type 'msg t = {
   mutable free : int array;
   mutable n_free : int;
   mutable opened : int;
-  mutable last : int; (* the previous send's record, or -1 *)
   mutable filler : 'msg option; (* overwrites released slots *)
   (* broadcast log, circular: slot = index land (capacity - 1) *)
   mutable l_due : int array;
@@ -119,7 +116,6 @@ let create ?digest ~horizon ~p () =
     free = [||];
     n_free = 0;
     opened = 0;
-    last = -1;
     filler = None;
     l_due = [||];
     l_id = [||];
@@ -200,7 +196,6 @@ let open_record t ~src msg =
   t.seq <- t.seq + 1;
   Array.unsafe_set t.rec_msg id msg;
   Array.unsafe_set t.rec_copies id 0;
-  t.last <- id;
   id
 
 (* back on the free-list, so the table holds no payload nobody will
@@ -210,8 +205,7 @@ let release t id =
    | Some f -> Array.unsafe_set t.rec_msg id f
    | None -> ());
   Array.unsafe_set t.free t.n_free id;
-  t.n_free <- t.n_free + 1;
-  if t.last = id then t.last <- -1
+  t.n_free <- t.n_free + 1
 
 (* one ring copy of record [id] was received: release it with its last *)
 let drop_copy t id =
@@ -406,104 +400,59 @@ let drain t ~dst ~now f =
 
 (* -- sends and deliveries ------------------------------------------ *)
 
-(* the previous send's record when the source is the same and the
-   payload physically equal, else a new one *)
-let record_for t ~src msg =
-  let last = t.last in
-  if
-    last >= 0
-    && Array.unsafe_get t.rec_src last = src
-    && Array.unsafe_get t.rec_msg last == msg
-  then last
-  else open_record t ~src msg
-
-(* [Msg_ring.add]'s cursor test, made before a record is taken so that
-   a rejected send leaves no trace; a ring not made yet has the cursor
-   it will start with, [seen] *)
-let admits t dst due =
-  match Array.unsafe_get t.rings dst with
-  | None -> due > Array.unsafe_get t.seen dst
-  | Some r -> Msg_ring.admits r ~due
-
 let late = "Msg_ring.add: ring event at or before the cursor"
-
-let enqueue t ~src ~dst ~due msg name =
-  (* one test on the per-copy path; the error text is built only when
-     it fails, with the same precedence: src range, dst range, self *)
-  if src < 0 || src >= t.p || dst < 0 || dst >= t.p || src = dst then begin
-    check_pid t src (name ^ " src");
-    check_pid t dst (name ^ " dst");
-    invalid_arg (name ^ ": self-send")
-  end;
-  if not (admits t dst due) then invalid_arg late;
-  if due > Msg_ring.max_due then
-    invalid_arg (name ^ ": due past Msg_ring.max_due (2^31 - 1)");
-  let id = record_for t ~src msg in
-  Msg_ring.add (ring_for t dst) ~due ~id;
-  Array.unsafe_set t.rec_copies id (Array.unsafe_get t.rec_copies id + 1);
-  t.in_flight <- t.in_flight + 1
-
-let send t ~src ~dst ~due msg =
-  enqueue t ~src ~dst ~due msg "Network.send";
-  t.sent <- t.sent + 1
-
-let send_replica t ~src ~dst ~due msg =
-  enqueue t ~src ~dst ~due msg "Network.send_replica"
-
-let count_copies t id n =
-  Array.unsafe_set t.rec_copies id (Array.unsafe_get t.rec_copies id + n);
-  t.in_flight <- t.in_flight + n;
-  t.sent <- t.sent + n
-
 let window = "Network.multicast: due outside [now + 1, now + horizon]"
 
-(* [send] to every [dst <> src] at [dues.(dst)], with the per-multicast
-   work done once: one pid check, one [record_for] (so the table
-   evolves exactly as under p - 1 sends), one [now mod buckets], and
-   the counters raised once. *)
-let multicast t ~src ~now ~dues msg =
+(* Every copy is checked before the record is taken, so a rejected call
+   leaves the table, the counters and the rings as they were. Then one
+   record, one [now mod buckets], and the counters raised once. *)
+let multicast t ~src ~now ~dsts ~dues ~n ~paid msg =
   check_pid t src "Network.multicast src";
-  if Array.length dues < t.p then
-    invalid_arg "Network.multicast: dues too short";
+  if n < 0 || n > Array.length dsts || n > Array.length dues then
+    invalid_arg "Network.multicast: n outside the buffers";
+  if paid < 0 then invalid_arg "Network.multicast: negative paid";
   if now < 0 then invalid_arg "Network.multicast: negative now";
-  if t.p > 1 then begin
-    let horizon = t.horizon in
-    (* the first copy is checked before a record is taken, so a
-       multicast rejected there leaves no trace *)
-    let first = if src = 0 then 1 else 0 in
-    let due = Array.unsafe_get dues first in
-    if due - now < 1 || due - now > horizon then invalid_arg window;
-    if not (admits t first due) then invalid_arg late;
-    (* every due below is at most [now + horizon] *)
-    if now > Msg_ring.max_due - horizon then
-      invalid_arg
-        "Network.multicast: now + horizon past Msg_ring.max_due (2^31 - 1)";
-    let id = record_for t ~src msg in
+  let horizon = t.horizon in
+  (* every due below is at most [now + horizon] *)
+  if now > Msg_ring.max_due - horizon then
+    invalid_arg
+      "Network.multicast: now + horizon past Msg_ring.max_due (2^31 - 1)";
+  let p = t.p and seen = t.seen in
+  for i = 0 to n - 1 do
+    let dst = Array.unsafe_get dsts i and due = Array.unsafe_get dues i in
+    (* one test per copy; the error text is built only when it fails,
+       with the same precedence: dst range, then self *)
+    if dst < 0 || dst >= p || dst = src then begin
+      check_pid t dst "Network.multicast dst";
+      invalid_arg "Network.multicast: self-send"
+    end;
+    if due - now < 1 || due - now > horizon then invalid_arg window
+  done;
+  (* [Msg_ring.add]'s cursor test, made here so that a rejected call
+     leaves no trace; every due is after [now], so only a receiver whose
+     clock is ahead of the sender's can fail it *)
+  if now < t.polled then
+    for i = 0 to n - 1 do
+      let dst = Array.unsafe_get dsts i in
+      if Array.unsafe_get dues i <= Array.unsafe_get seen dst then
+        invalid_arg late
+    done;
+  if n > 0 then begin
+    let id = open_record t ~src msg in
     let buckets = horizon + 1 in
     let base = now mod buckets in
-    let queued = ref 0 in
-    (try
-       for dst = 0 to t.p - 1 do
-         if dst <> src then begin
-           let due = Array.unsafe_get dues dst in
-           let delta = due - now in
-           if delta < 1 || delta > horizon then invalid_arg window;
-           let b = base + delta in
-           Msg_ring.add_in (ring_for t dst)
-             ~bucket:(if b >= buckets then b - buckets else b)
-             ~due ~id;
-           incr queued
-         end
-       done
-     with e ->
-       (* the copies queued before the failing one stay counted, as
-          after the same prefix of sends *)
-       count_copies t id !queued;
-       raise e);
-    count_copies t id !queued
-  end
-
-let count_lost t = t.sent <- t.sent + 1
+    for i = 0 to n - 1 do
+      let due = Array.unsafe_get dues i in
+      let b = base + (due - now) in
+      Msg_ring.add
+        (ring_for t (Array.unsafe_get dsts i))
+        ~bucket:(if b >= buckets then b - buckets else b)
+        ~due ~id
+    done;
+    Array.unsafe_set t.rec_copies id n;
+    t.in_flight <- t.in_flight + n
+  end;
+  t.sent <- t.sent + paid
 
 let broadcast t ~src ~due msg =
   check_pid t src "Network.broadcast src";
@@ -515,8 +464,6 @@ let broadcast t ~src ~due msg =
       invalid_arg "Network.broadcast: due at or before a receiver's clock";
     t.last_due <- due;
     let id = open_record t ~src msg in
-    (* a later unicast must draw a later [seq] than this record *)
-    t.last <- -1;
     if t.tail - t.head = Array.length t.l_due then grow_log t;
     let mask = Array.length t.l_due - 1 in
     let k = t.tail in
@@ -562,11 +509,11 @@ let deactivate t ~pid =
 let receive_iter t ~dst ~now f =
   check_pid t dst "Network.receive_iter";
   if now > t.polled then t.polled <- now;
+  if now > Array.unsafe_get t.seen dst then Array.unsafe_set t.seen dst now;
   match Array.unsafe_get t.rings dst with
   | None ->
     (* the common broadcast-only case: one index, no merge; with a
        digest fold this is the chain fast path *)
-    if now > Array.unsafe_get t.seen dst then Array.unsafe_set t.seen dst now;
     drain t ~dst ~now f
   | Some ring ->
     let n = ref 0 in

@@ -9,22 +9,20 @@
 
     A multicast is modelled, exactly as in the paper's complexity measure
     (Definition 2.2), as [p - 1] point-to-point messages: {!sent} counts
-    every point-to-point send.
+    every point-to-point message the algorithm paid for.
 
     Storage: one payload table, indexed two ways. A record holds the
     source, the send order and the payload once for all copies of one
-    multicast. A per-destination send queues a copy as one int, its
-    due time and the record's id packed together, in the destination's
-    ring, which caps a due at {!Msg_ring.max_due}; the record
-    is released when its last copy is received, and consecutive sends
-    from one source with a physically equal payload share it — a
-    {!multicast}, the engine's per-copy loop over a multicast under
-    faults, and its replicas. A
+    {!multicast} call: a multicast, a unicast with its replicas, or
+    whatever copies the caller gathered for one payload. A queued copy
+    is one int, its due time and the record's id packed together, in
+    the destination's ring, which caps a due at {!Msg_ring.max_due};
+    the record is released when its last copy is received. A
     {!broadcast} appends one entry to a due-ordered log that every
     destination reads through its own cursor; the record is released
     when every active destination's cursor has passed the entry. Ring
     copies owed to a processor that never steps again keep their
-    records alive, one per multicast, as its ring keeps one entry each;
+    records alive, one per call, as its ring keeps one entry each;
     log entries stop waiting for it once it is {!deactivate}d. *)
 
 type 'msg t
@@ -74,32 +72,37 @@ val create :
 
 val p : 'msg t -> int
 
-val send : 'msg t -> src:int -> dst:int -> due:int -> 'msg -> unit
-(** Queue one point-to-point message for delivery at absolute time [due].
-    [src] is recorded for tracing; self-sends are rejected
-    ([Invalid_argument]) — a processor already knows its own state, as
-    is a [due] past {!Msg_ring.max_due}. Every check is made before
-    anything is stored, so a rejected send leaves the payload table,
-    the counters and the rings as they were. *)
+val multicast :
+  'msg t ->
+  src:int ->
+  now:int ->
+  dsts:int array ->
+  dues:int array ->
+  n:int ->
+  paid:int ->
+  'msg ->
+  unit
+(** [multicast t ~src ~now ~dsts ~dues ~n ~paid msg] queues [n] copies
+    of [msg] from [src], copy [i] to [dsts.(i)] due at [dues.(i)], in
+    index order, and counts [paid] messages in {!sent}: the messages the
+    algorithm paid for (Definition 2.2), which is M. A copy dropped by a
+    fault policy is paid for but not passed, so [paid > n]; a replica
+    injected by a duplicating policy is passed but not paid for, so it
+    may make [paid < n], and a [dst] may repeat. The call's copies share
+    one record, opened only when [n > 0]; {!pending} rises by [n]. The
+    buffers belong to the caller, who may reuse them once the call
+    returns; the engine keeps one pair for every send.
 
-val multicast : 'msg t -> src:int -> now:int -> dues:int array -> 'msg -> unit
-(** [multicast t ~src ~now ~dues msg] is {!send} from [src] to every
-    [dst <> src] at [~due:dues.(dst)], in ascending [dst] order, in one
-    call: the same queued copies, delivery order, {!sent}, {!pending}
-    and record sharing as those [p - 1] sends, with the per-multicast
-    work — the [src] check, the record, the counters — done once, and
-    each copy's ring bucket found from one [now mod (horizon + 1)]
-    without a division per copy ({!Msg_ring.add_in}). The engine's
-    fault-free per-destination path fills [dues] in a buffer it reuses
-    across multicasts; [dues.(src)] is ignored.
-
-    Requires [0 <= now], [now + horizon <= Msg_ring.max_due] (checked
-    before the record is taken), [Array.length dues >= p] and
-    [now < dues.(dst) <= now + horizon] for every [dst <> src], where
-    [now] is the sender's clock; a due outside that window raises
-    [Invalid_argument] after the copies before it were queued and
-    counted, as after the same prefix of sends. A multicast rejected
-    before its first copy was queued leaves no trace, as {!send}. *)
+    [now] is the sender's clock. Requires [0 <= now],
+    [now + horizon <= Msg_ring.max_due], [0 <= n] within both buffers,
+    [paid >= 0], and for every copy [dst] in range and not [src] (a
+    processor already knows its own state) and
+    [now < due <= now + horizon], after the destination's delivery
+    cursor. Every copy is checked before anything is stored, so a
+    rejected call raises [Invalid_argument] and leaves the payload
+    table, the counters and the rings as they were. Each copy's ring
+    bucket comes from one [now mod (horizon + 1)] without a division per
+    copy ({!Msg_ring.add}). *)
 
 val broadcast : 'msg t -> src:int -> due:int -> 'msg -> unit
 (** Queue one multicast from [src] to every other processor, all due at
@@ -112,7 +115,7 @@ val broadcast : 'msg t -> src:int -> due:int -> 'msg -> unit
     due must come after the greatest [now] any {!receive_iter} has
     seen, or the entry would reach that receiver late; either violation
     raises [Invalid_argument] before any write. Delivery order is
-    identical to [p - 1] individual {!send}s issued at the same
+    identical to a {!multicast} of [p - 1] copies issued at the same
     instant. *)
 
 val deactivate : 'msg t -> pid:int -> unit
@@ -121,17 +124,6 @@ val deactivate : 'msg t -> pid:int -> unit
     it. Messages already owed to [pid] still count in {!pending} —
     exactly like undeliverable messages rotting in a per-destination
     queue. *)
-
-val send_replica : 'msg t -> src:int -> dst:int -> due:int -> 'msg -> unit
-(** Like {!send} but without incrementing {!sent}: a network-level copy
-    injected by a duplicating fault policy. The algorithm paid for one
-    message (Definition 2.2); the unreliable network delivering it twice
-    must not inflate [M]. *)
-
-val count_lost : 'msg t -> unit
-(** Count one send that the fault layer dropped: the algorithm paid for
-    the message, so it contributes to {!sent} ([M]) even though it is
-    never enqueued. *)
 
 val receive_iter : 'msg t -> dst:int -> now:int -> (int -> 'msg -> unit) -> int
 (** [receive_iter t ~dst ~now f] calls [f sender message] for each
@@ -150,8 +142,9 @@ val pending : 'msg t -> int
     queues. *)
 
 val sent : 'msg t -> int
-(** Total point-to-point messages sent so far — the message complexity
-    [M] of Definition 2.2, counted incrementally. *)
+(** Total point-to-point messages paid for so far — the message
+    complexity [M] of Definition 2.2, counted incrementally: a dropped
+    copy counts, a replica does not ({!multicast}'s [paid]). *)
 
 val stream_stats : 'msg t -> int * int
 (** [(pending_records, digest_words)]: the broadcast log's occupancy —

@@ -77,7 +77,7 @@ let pop t src =
 
 let head t src = List.hd t.stations.(src)
 
-let enqueue t ~due ~src ~dst msg =
+let queue t ~due ~src ~dst msg =
   t.queued <- (due, t.seq, src, dst, msg) :: t.queued;
   t.seq <- t.seq + 1
 
@@ -86,10 +86,10 @@ let deliver t ~now ~src f =
   Option.iter
     (fun m ->
       for dst = 0 to t.p - 1 do
-        if dst <> src then enqueue t ~due ~src ~dst m
+        if dst <> src then queue t ~due ~src ~dst m
       done)
     f.bcast;
-  List.iter (fun (dst, m) -> enqueue t ~due ~src ~dst m) f.unis;
+  List.iter (fun (dst, m) -> queue t ~due ~src ~dst m) f.unis;
   t.successes <- t.successes + 1;
   Doall_sim.Channel.Delivered
 

@@ -11,6 +11,11 @@ let drain r ~now =
 
 let events = Alcotest.(list (pair int int))
 
+(* [Msg_ring.add] in the bucket its contract names, for a ring made with
+   [horizon] *)
+let add ~horizon r ~due ~id =
+  Msg_ring.add r ~bucket:(due mod (horizon + 1)) ~due ~id
+
 let test_bucket_spans_laps () =
   (* horizon 3 means 4 buckets: dues 3 and 7 share a bucket. A reader
      that has not polled since the start leaves the cursor behind both,
@@ -18,10 +23,10 @@ let test_bucket_spans_laps () =
      order, with due 5 from another bucket in between. *)
   let r = Msg_ring.create ~horizon:3 () in
   (* sender's clock 0 *)
-  Msg_ring.add r ~due:3 ~id:10;
+  add ~horizon:3 r ~due:3 ~id:10;
   (* sender's clock 4: due 7 is within the horizon, due 3 still queued *)
-  Msg_ring.add r ~due:7 ~id:11;
-  Msg_ring.add r ~due:5 ~id:12;
+  add ~horizon:3 r ~due:7 ~id:11;
+  add ~horizon:3 r ~due:5 ~id:12;
   Alcotest.(check int) "three queued" 3 (Msg_ring.size r);
   Alcotest.check events "first lap" [ (3, 10); (5, 12) ] (drain r ~now:6);
   Alcotest.check events "second lap" [ (7, 11) ] (drain r ~now:7);
@@ -42,7 +47,7 @@ let test_block_boundary_with_lagging_head () =
      first, and popping through the boundary frees the first block. *)
   let r = Msg_ring.create ~horizon:1 () in
   for id = 0 to block - 1 do
-    Msg_ring.add r ~due:1 ~id
+    add ~horizon:1 r ~due:1 ~id
   done;
   Alcotest.(check bool) "due at 1" true (Msg_ring.peek r ~now:1);
   Msg_ring.pop r;
@@ -50,7 +55,7 @@ let test_block_boundary_with_lagging_head () =
   Msg_ring.pop r;
   (* sender's clock 2; the reader stopped after two pops *)
   for id = block to block + 2 do
-    Msg_ring.add r ~due:3 ~id
+    add ~horizon:1 r ~due:3 ~id
   done;
   Alcotest.(check int) "queued" (block + 1) (Msg_ring.size r);
   Alcotest.check events "FIFO across the block boundary"
@@ -65,7 +70,7 @@ let test_block_refilled_by_another_bucket () =
      from that block without allocating, and both read back in order. *)
   let r = Msg_ring.create ~horizon:3 () in
   for id = 0 to 39 do
-    Msg_ring.add r ~due:1 ~id
+    add ~horizon:3 r ~due:1 ~id
   done;
   for _ = 1 to 33 do
     Alcotest.(check bool) "due at 1" true (Msg_ring.peek r ~now:1);
@@ -73,7 +78,7 @@ let test_block_refilled_by_another_bucket () =
   done;
   let w0 = Gc.minor_words () in
   for id = 100 to 100 + block - 1 do
-    Msg_ring.add r ~due:2 ~id
+    add ~horizon:3 r ~due:2 ~id
   done;
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check (float 0.)) "no block made" 0. words;
@@ -90,7 +95,7 @@ let burst r ~horizon ~start ~rounds ~n =
     let now = start + round in
     for i = 0 to n - 1 do
       let lat = if i mod 3 = 0 then 1 + (i mod horizon) else horizon in
-      Msg_ring.add r ~due:(now + lat) ~id:i
+      add ~horizon r ~due:(now + lat) ~id:i
     done;
     drain_all r ~now
   done;
@@ -122,7 +127,7 @@ let test_burst_allocates_blocks_only () =
   let w0 = Gc.allocated_bytes () in
   for i = 0 to n - 1 do
     let lat = if i mod 8 = 0 then 1 + (i mod horizon) else horizon in
-    Msg_ring.add r ~due:lat ~id:i
+    add ~horizon r ~due:lat ~id:i
   done;
   let words =
     (Gc.allocated_bytes () -. w0) /. float_of_int (Sys.word_size / 8)
@@ -142,14 +147,14 @@ let test_burst_allocates_blocks_only () =
 let test_add_behind_cursor () =
   let r = Msg_ring.create ~horizon:4 () in
   Alcotest.(check bool) "nothing due" false (Msg_ring.peek r ~now:5);
-  let behind due () = Msg_ring.add r ~due ~id:0 in
+  let behind due () = add ~horizon:4 r ~due ~id:0 in
   Alcotest.check_raises "at the cursor"
     (Invalid_argument "Msg_ring.add: ring event at or before the cursor")
     (behind 5);
   Alcotest.check_raises "before the cursor"
     (Invalid_argument "Msg_ring.add: ring event at or before the cursor")
     (behind 2);
-  Msg_ring.add r ~due:6 ~id:1;
+  add ~horizon:4 r ~due:6 ~id:1;
   Alcotest.check events "after the cursor" [ (6, 1) ] (drain r ~now:6)
 
 (* The packing caps due and id at [cap] ([Msg_ring.max_due] and
@@ -162,22 +167,22 @@ let test_add_past_cap () =
   let top = cap in
   let r = Msg_ring.create ~horizon:4 () in
   Alcotest.(check bool) "nothing due" false (Msg_ring.peek r ~now:(top - 4));
-  Msg_ring.add r ~due:(top - 1) ~id:7;
+  add ~horizon:4 r ~due:(top - 1) ~id:7;
   Alcotest.check_raises "due past the cap"
     (Invalid_argument "Msg_ring.add: due past Msg_ring.max_due (2^31 - 1)")
-    (fun () -> Msg_ring.add r ~due:(top + 1) ~id:0);
+    (fun () -> add ~horizon:4 r ~due:(top + 1) ~id:0);
   let bad_id = "Msg_ring.add: id outside [0, Msg_ring.max_id] (2^31 - 1)" in
   Alcotest.check_raises "id past the cap" (Invalid_argument bad_id) (fun () ->
-      Msg_ring.add r ~due:top ~id:(cap + 1));
+      add ~horizon:4 r ~due:top ~id:(cap + 1));
   Alcotest.check_raises "negative id" (Invalid_argument bad_id) (fun () ->
-      Msg_ring.add_in r ~bucket:(top mod 5) ~due:top ~id:(-1));
+      add ~horizon:4 r ~due:top ~id:(-1));
   Alcotest.(check int) "size unchanged" 1 (Msg_ring.size r);
-  Msg_ring.add r ~due:top ~id:cap;
+  add ~horizon:4 r ~due:top ~id:cap;
   Alcotest.check events "both extremes decode"
     [ (top - 1, 7); (top, cap) ]
     (drain r ~now:top)
 
-(* The same cap through every [Network] send, checked before a record
+(* The same cap through every [Network] call, checked before a record
    is taken: [sent], [pending] and later deliveries are unchanged, and
    the payload table does not hold the rejected payload. *)
 let[@inline never] rejected_payload f =
@@ -196,7 +201,7 @@ let test_network_due_past_cap () =
       (Test_network.receive net ~dst ~now)
   in
   (* the first payload a network sees fills released slots for good *)
-  Network.send net ~src:0 ~dst:1 ~due:1 (Bytes.make 64 'f');
+  Test_network.send net ~src:0 ~dst:1 ~due:1 (Bytes.make 64 'f');
   let now = top - horizon in
   Alcotest.(check int) "throwaway received" 1 (List.length (receive 1 ~now));
   List.iter
@@ -204,34 +209,27 @@ let test_network_due_past_cap () =
       Alcotest.(check int) "nothing else" 0 (List.length (receive dst ~now)))
     [ 0; 2 ];
   let sent = Network.sent net and pending = Network.pending net in
-  let past name =
-    Invalid_argument (name ^ ": due past Msg_ring.max_due (2^31 - 1)")
-  and past_window =
+  let past =
     Invalid_argument
       "Network.multicast: now + horizon past Msg_ring.max_due (2^31 - 1)"
   in
-  let raises name e f =
-    Alcotest.check_raises name e (fun () -> f (Bytes.make 1 'r'))
+  let raises name f =
+    Alcotest.check_raises name past (fun () -> f (Bytes.make 1 'r'))
   in
-  raises "send" (past "Network.send") (fun m ->
-      Network.send net ~src:0 ~dst:1 ~due:(top + 1) m);
-  raises "replica" (past "Network.send_replica") (fun m ->
-      Network.send_replica net ~src:0 ~dst:2 ~due:(top + 1) m);
-  raises "multicast" past_window (fun m ->
-      Network.multicast net ~src:0 ~now:(now + 1)
-        ~dues:[| 0; top + 1; top |]
-        m);
+  let send = Test_network.send ~now:(now + 1) net
+  and multicast ?paid = Test_network.multicast ?paid net ~now:(now + 1) in
+  raises "send" (fun m -> send ~src:0 ~dst:1 ~due:(top + 1) m);
+  raises "replica" (fun m -> multicast ~paid:0 ~src:0 [ (2, top + 1) ] m);
+  raises "multicast" (fun m ->
+      multicast ~src:0 [ (1, top + 1); (2, top) ] m);
   (* the cap is on [now + horizon], wherever the copies' dues fall *)
-  raises "multicast due within the cap" past_window (fun m ->
-      Network.multicast net ~src:0 ~now:(now + 1) ~dues:[| 0; top; top |] m);
+  raises "multicast due within the cap" (fun m ->
+      multicast ~src:0 [ (1, top); (2, top) ] m);
   let ws =
     [
+      rejected_payload (fun m -> send ~src:0 ~dst:1 ~due:(top + 1) m);
       rejected_payload (fun m ->
-          Network.send net ~src:0 ~dst:1 ~due:(top + 1) m);
-      rejected_payload (fun m ->
-          Network.multicast net ~src:2 ~now:(now + 1)
-            ~dues:[| top + 1; top; 0 |]
-            m);
+          multicast ~src:2 [ (0, top + 1); (1, top) ] m);
     ]
   in
   Gc.full_major ();
@@ -240,9 +238,9 @@ let test_network_due_past_cap () =
     ws;
   Alcotest.(check int) "sent unchanged" sent (Network.sent net);
   Alcotest.(check int) "pending unchanged" pending (Network.pending net);
-  Network.send net ~src:0 ~dst:1 ~due:top (Bytes.of_string "in");
-  Network.multicast net ~src:2 ~now
-    ~dues:[| top; top - 1; 0 |]
+  Test_network.send ~now net ~src:0 ~dst:1 ~due:top (Bytes.of_string "in");
+  Test_network.multicast net ~src:2 ~now
+    [ (0, top); (1, top - 1) ]
     (Bytes.of_string "mc");
   Alcotest.(check (list (pair int string)))
     "dst 1 at the cap"
@@ -336,13 +334,13 @@ let prop_ring_matches_model =
            | Advance k -> clock := min (!clock + k) (cap - 1)
            | Add (lat, id) ->
              let due = min (!clock + lat) cap in
-             Msg_ring.add r ~due ~id;
+             add ~horizon r ~due ~id;
              incr n;
              model := List.merge compare !model [ (due, !n, id) ]
            | Burst (lat, k, id) ->
              let due = min (!clock + lat) cap in
              let ids = List.init k (fun j -> (id + j) land cap) in
-             List.iter (fun id -> Msg_ring.add r ~due ~id) ids;
+             List.iter (fun id -> add ~horizon r ~due ~id) ids;
              let n0 = !n in
              n := n0 + k;
              model :=

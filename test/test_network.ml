@@ -15,9 +15,25 @@ let receive net ~dst ~now =
   in
   List.rev !acc
 
+(* One [Network.multicast] call: copy [i] of [copies] goes to its dst at
+   its due, and [paid] messages count toward [sent] (by default one per
+   copy, as for a multicast no fault touched). *)
+let multicast ?paid net ~src ~now copies m =
+  let dsts = Array.of_list (List.map fst copies)
+  and dues = Array.of_list (List.map snd copies) in
+  let n = Array.length dsts in
+  Network.multicast net ~src ~now ~dsts ~dues ~n
+    ~paid:(Option.value paid ~default:n)
+    m
+
+(* A unicast from a sender whose clock reads [now] (0 unless given): one
+   copy, one message paid. *)
+let send ?(now = 0) net ~src ~dst ~due m =
+  multicast net ~src ~now [ (dst, due) ] m
+
 let test_send_receive () =
   let net = Network.create ~horizon:8 ~p:3 () in
-  Network.send net ~src:0 ~dst:1 ~due:5 "hello";
+  send net ~src:0 ~dst:1 ~due:5 "hello";
   Alcotest.(check (list (pair int string))) "not yet" []
     (receive net ~dst:1 ~now:4);
   Alcotest.(check (list (pair int string))) "delivered" [ (0, "hello") ]
@@ -27,50 +43,56 @@ let test_send_receive () =
 
 let test_no_self_send () =
   let net = Network.create ~horizon:1 ~p:2 () in
-  Alcotest.check_raises "self send" (Invalid_argument "Network.send: self-send")
-    (fun () -> Network.send net ~src:1 ~dst:1 ~due:1 ())
+  Alcotest.check_raises "self send"
+    (Invalid_argument "Network.multicast: self-send") (fun () ->
+      send net ~src:1 ~dst:1 ~due:1 ())
 
 let test_pid_range () =
   let net = Network.create ~horizon:1 ~p:2 () in
   Alcotest.check_raises "bad dst"
-    (Invalid_argument "Network.send dst: pid out of range") (fun () ->
-      Network.send net ~src:0 ~dst:5 ~due:1 ())
+    (Invalid_argument "Network.multicast dst: pid out of range") (fun () ->
+      send net ~src:0 ~dst:5 ~due:1 ())
 
 let test_send_src_range () =
   let net = Network.create ~horizon:1 ~p:2 () in
   Alcotest.check_raises "bad src"
-    (Invalid_argument "Network.send src: pid out of range") (fun () ->
-      Network.send net ~src:(-1) ~dst:1 ~due:1 ());
+    (Invalid_argument "Network.multicast src: pid out of range") (fun () ->
+      send net ~src:(-1) ~dst:1 ~due:1 ());
   (* src is checked first, even when the send is also a self-send *)
   Alcotest.check_raises "bad src = dst"
-    (Invalid_argument "Network.send src: pid out of range") (fun () ->
-      Network.send net ~src:2 ~dst:2 ~due:1 ())
+    (Invalid_argument "Network.multicast src: pid out of range") (fun () ->
+      send net ~src:2 ~dst:2 ~due:1 ())
 
-let test_send_replica_errors () =
+(* A replica is a copy the algorithm did not pay for: a repeated dst,
+   [paid] below the copies. Its dst is checked like any copy's. *)
+let test_replica_errors () =
   let net = Network.create ~horizon:1 ~p:2 () in
   Alcotest.check_raises "self send"
-    (Invalid_argument "Network.send_replica: self-send") (fun () ->
-      Network.send_replica net ~src:1 ~dst:1 ~due:1 ());
-  Alcotest.check_raises "bad src"
-    (Invalid_argument "Network.send_replica src: pid out of range") (fun () ->
-      Network.send_replica net ~src:5 ~dst:1 ~due:1 ());
+    (Invalid_argument "Network.multicast: self-send") (fun () ->
+      multicast ~paid:1 net ~src:0 ~now:0 [ (1, 1); (0, 1) ] ());
   Alcotest.check_raises "bad dst"
-    (Invalid_argument "Network.send_replica dst: pid out of range") (fun () ->
-      Network.send_replica net ~src:0 ~dst:(-1) ~due:1 ());
-  check_int "nothing queued" 0 (Network.pending net)
+    (Invalid_argument "Network.multicast dst: pid out of range") (fun () ->
+      multicast ~paid:0 net ~src:0 ~now:0 [ (1, 1); (-1, 1) ] ());
+  check_int "nothing queued" 0 (Network.pending net);
+  check_int "nothing sent" 0 (Network.sent net)
 
-(* A per-copy send allocates nothing once the destination's calendar
-   buckets have grown: rounds of all-to-all sends due one tick later,
+(* A unicast allocates nothing once the destination's calendar buckets
+   have grown: rounds of all-to-all one-copy calls due one tick later,
    received outside the measured window. *)
 let test_send_allocates_nothing () =
   let p = 8 and rounds = 200 in
   let net = Network.create ~horizon:4 ~p () in
+  let dsts = [| 0 |] and dues = [| 0 |] in
   let words = ref 0.0 in
   for round = 0 to rounds - 1 do
     let w0 = Gc.minor_words () in
     for src = 0 to p - 1 do
       for dst = 0 to p - 1 do
-        if src <> dst then Network.send net ~src ~dst ~due:(round + 1) round
+        if src <> dst then begin
+          dsts.(0) <- dst;
+          dues.(0) <- round + 1;
+          Network.multicast net ~src ~now:round ~dsts ~dues ~n:1 ~paid:1 round
+        end
       done
     done;
     (* the first lap over the buckets grows them; measure after it *)
@@ -88,15 +110,20 @@ let test_send_allocates_nothing () =
 let test_multicast_allocates_nothing () =
   let p = 8 and rounds = 200 in
   let net = Network.create ~horizon:4 ~p () in
-  let dues = Array.make p 0 in
+  let dsts = Array.make (p - 1) 0 and dues = Array.make (p - 1) 0 in
   let words = ref 0.0 in
   for round = 0 to rounds - 1 do
     let w0 = Gc.minor_words () in
     for src = 0 to p - 1 do
       for dst = 0 to p - 1 do
-        dues.(dst) <- round + 1 + ((src + dst) mod 4)
+        if dst <> src then begin
+          let k = if dst < src then dst else dst - 1 in
+          dsts.(k) <- dst;
+          dues.(k) <- round + 1 + ((src + dst) mod 4)
+        end
       done;
-      Network.multicast net ~src ~now:round ~dues round
+      Network.multicast net ~src ~now:round ~dsts ~dues ~n:(p - 1)
+        ~paid:(p - 1) round
     done;
     (* copies stay queued up to four rounds: measure once every bucket
        has grown to the most it holds *)
@@ -115,39 +142,47 @@ let test_multicast_allocates_nothing () =
     (Printf.sprintf "%.0f words over %d multicasts" !words ((rounds - 20) * p))
     true (!words = 0.0)
 
-(* A due outside [now + 1, now + horizon] is rejected, after the copies
-   before it were queued and counted, as after the same prefix of
-   sends. *)
+let window = "Network.multicast: due outside [now + 1, now + horizon]"
+let late = "Msg_ring.add: ring event at or before the cursor"
+
 let test_multicast_errors () =
   let net = Network.create ~horizon:4 ~p:4 () in
-  Alcotest.check_raises "src out of range"
-    (Invalid_argument "Network.multicast src: pid out of range") (fun () ->
-      Network.multicast net ~src:4 ~now:0 ~dues:(Array.make 4 1) "m");
-  Alcotest.check_raises "dues too short"
-    (Invalid_argument "Network.multicast: dues too short") (fun () ->
-      Network.multicast net ~src:0 ~now:0 ~dues:(Array.make 3 1) "m");
-  let window = "Network.multicast: due outside [now + 1, now + horizon]" in
-  Alcotest.check_raises "due past the horizon" (Invalid_argument window)
-    (fun () -> Network.multicast net ~src:0 ~now:2 ~dues:[| 0; 3; 7; 3 |] "m");
-  check_int "the copy before it counts" 1 (Network.sent net);
-  check_int "and is pending" 1 (Network.pending net);
-  Alcotest.check_raises "due at now" (Invalid_argument window) (fun () ->
-      Network.multicast net ~src:3 ~now:2 ~dues:[| 2; 3; 3; 0 |] "n");
-  Alcotest.(check (list (pair int string)))
-    "dst 1 gets the queued copy" [ (0, "m") ]
-    (receive net ~dst:1 ~now:6);
+  let raises name e f = Alcotest.check_raises name (Invalid_argument e) f in
+  raises "src out of range" "Network.multicast src: pid out of range"
+    (fun () -> multicast net ~src:4 ~now:0 [ (1, 1) ] "m");
+  let outside = "Network.multicast: n outside the buffers" in
+  raises "n past a buffer" outside (fun () ->
+      Network.multicast net ~src:0 ~now:0 ~dsts:[| 1 |] ~dues:[| 1; 1 |] ~n:2
+        ~paid:2 "m");
+  raises "negative n" outside (fun () ->
+      Network.multicast net ~src:0 ~now:0 ~dsts:[||] ~dues:[||] ~n:(-1)
+        ~paid:0 "m");
+  raises "negative paid" "Network.multicast: negative paid" (fun () ->
+      multicast ~paid:(-1) net ~src:0 ~now:0 [ (1, 1) ] "m");
+  raises "negative now" "Network.multicast: negative now" (fun () ->
+      multicast net ~src:0 ~now:(-1) [ (1, 1) ] "m");
+  raises "due past the horizon" window (fun () ->
+      multicast net ~src:0 ~now:2 [ (1, 3); (2, 7) ] "m");
+  raises "due at now" window (fun () ->
+      multicast net ~src:3 ~now:2 [ (0, 2) ] "n");
+  check_int "nothing sent" 0 (Network.sent net);
   check_int "nothing pending" 0 (Network.pending net);
-  (* the src's own entry is never read *)
-  Network.multicast net ~src:2 ~now:6 ~dues:[| 7; 8; -1; 10 |] "k";
+  (* copies queue in index order, whatever their dsts' order, and a dst
+     may repeat *)
+  multicast net ~src:2 ~now:6 [ (3, 10); (0, 7); (3, 8) ] "k";
   Alcotest.(check (list (pair int string)))
-    "dst 3 at its own due" [ (2, "k") ]
+    "dst 3 gets both copies" [ (2, "k"); (2, "k") ]
     (receive net ~dst:3 ~now:10);
-  check_int "two copies still pending" 2 (Network.pending net)
+  check_int "dst 0's copy still pending" 1 (Network.pending net);
+  (* a call of no copies counts what it paid for and queues nothing *)
+  multicast ~paid:2 net ~src:1 ~now:6 [] "lost";
+  check_int "sent counts the paid messages" 5 (Network.sent net);
+  check_int "pending unchanged" 1 (Network.pending net)
 
 let test_message_counting () =
   let net = Network.create ~horizon:2 ~p:4 () in
-  (* simulate one multicast from 0: three point-to-point sends *)
-  List.iter (fun dst -> Network.send net ~src:0 ~dst ~due:2 "m") [ 1; 2; 3 ];
+  (* one multicast from 0: three point-to-point messages *)
+  multicast net ~src:0 ~now:0 [ (1, 2); (2, 2); (3, 2) ] "m";
   check_int "sent counts p2p" 3 (Network.sent net);
   check_int "pending" 3 (Network.pending net);
   ignore (receive net ~dst:1 ~now:2);
@@ -158,17 +193,17 @@ let test_delayed_processor_receives_backlog () =
   (* A processor that did not step for a while gets everything at once,
      in order. *)
   let net = Network.create ~horizon:3 ~p:2 () in
-  Network.send net ~src:0 ~dst:1 ~due:1 "a";
-  Network.send net ~src:0 ~dst:1 ~due:3 "b";
-  Network.send net ~src:0 ~dst:1 ~due:2 "c";
+  send net ~src:0 ~dst:1 ~due:1 "a";
+  send net ~src:0 ~dst:1 ~due:3 "b";
+  send net ~src:0 ~dst:1 ~due:2 "c";
   Alcotest.(check (list (pair int string))) "backlog in due order"
     [ (0, "a"); (0, "c"); (0, "b") ]
     (receive net ~dst:1 ~now:10)
 
 let test_per_destination_isolation () =
   let net = Network.create ~horizon:1 ~p:3 () in
-  Network.send net ~src:0 ~dst:1 ~due:1 "for1";
-  Network.send net ~src:0 ~dst:2 ~due:1 "for2";
+  send net ~src:0 ~dst:1 ~due:1 "for1";
+  send net ~src:0 ~dst:2 ~due:1 "for2";
   Alcotest.(check (list (pair int string))) "only own messages"
     [ (0, "for2") ]
     (receive net ~dst:2 ~now:1)
@@ -177,40 +212,39 @@ let test_send_behind_cursor_rejected () =
   (* the ring contract: once [dst] has polled at [now], a send due at or
      before [now] would land in a bucket the cursor already passed *)
   let net = Network.create ~horizon:3 ~p:2 () in
-  Network.send net ~src:0 ~dst:1 ~due:2 "on time";
+  send net ~src:0 ~dst:1 ~due:2 "on time";
   ignore (receive net ~dst:1 ~now:5);
-  Alcotest.check_raises "send at the cursor"
-    (Invalid_argument "Msg_ring.add: ring event at or before the cursor")
-    (fun () -> Network.send net ~src:0 ~dst:1 ~due:5 "late")
+  (* a sender whose clock lags the receiver's *)
+  Alcotest.check_raises "send at the cursor" (Invalid_argument late)
+    (fun () -> send ~now:4 net ~src:0 ~dst:1 ~due:5 "late")
 
 let test_send_behind_ringless_cursor_rejected () =
   (* the same contract for a destination that has read only the
      broadcast log, so no ring exists for it yet: its receive at [now:5]
      bounds later sends as a ring's cursor would, before any write *)
-  let late = "Msg_ring.add: ring event at or before the cursor" in
   let net = Network.create ~horizon:3 ~p:3 () in
   Network.broadcast net ~src:0 ~due:2 "b";
   check_int "broadcast received" 1
     (Network.receive_iter net ~dst:2 ~now:5 (fun _ _ -> ()));
   let sent = Network.sent net and pending = Network.pending net in
   Alcotest.check_raises "send due before the last receive"
+    (Invalid_argument late) (fun () -> send net ~src:0 ~dst:2 ~due:1 "late");
+  Alcotest.check_raises "replica due at the last receive"
     (Invalid_argument late) (fun () ->
-      Network.send net ~src:0 ~dst:2 ~due:1 "late");
-  Alcotest.check_raises "send due at the last receive" (Invalid_argument late)
-    (fun () -> Network.send_replica net ~src:1 ~dst:2 ~due:5 "late");
-  check_int "sent unchanged" sent (Network.sent net);
-  check_int "pending unchanged" pending (Network.pending net);
-  (* a multicast's later copy to that destination fails the same way;
-     the copy before it stays queued, as documented *)
+      multicast ~paid:0 net ~src:1 ~now:2 [ (2, 5) ] "late");
+  (* a multicast's later copy to that destination fails the same way,
+     and the copy before it is not queued either *)
   Alcotest.check_raises "multicast copy due before the last receive"
     (Invalid_argument late) (fun () ->
-      Network.multicast net ~src:0 ~now:0 ~dues:[| 0; 3; 2 |] "m");
-  Network.send net ~src:1 ~dst:2 ~due:6 "on time";
+      multicast net ~src:0 ~now:0 [ (1, 3); (2, 2) ] "m");
+  check_int "sent unchanged" sent (Network.sent net);
+  check_int "pending unchanged" pending (Network.pending net);
+  send ~now:5 net ~src:1 ~dst:2 ~due:6 "on time";
   Alcotest.(check (list (pair int string)))
     "later sends arrive" [ (1, "on time") ]
     (receive net ~dst:2 ~now:6);
   Alcotest.(check (list (pair int string)))
-    "the broadcast, then the multicast prefix" [ (0, "b"); (0, "m") ]
+    "the broadcast only" [ (0, "b") ]
     (receive net ~dst:1 ~now:6)
 
 let test_broadcast_behind_receive_rejected () =
@@ -240,16 +274,16 @@ let test_broadcast_behind_receive_rejected () =
     (receive net ~dst:2 ~now:6)
 
 let test_reliability () =
-  (* every message sent is eventually received exactly once; dues reach
-     19, hence the horizon *)
+  (* every message sent is eventually received exactly once; dues run
+     from 1, after the senders' clock 0, to 20, hence the horizon *)
   let net = Network.create ~horizon:20 ~p:4 () in
   let sent = ref [] in
   let rng = Rng.create 77 in
   for i = 0 to 99 do
     let src = Rng.int rng 4 in
     let dst = (src + 1 + Rng.int rng 3) mod 4 in
-    let due = Rng.int rng 20 in
-    Network.send net ~src ~dst ~due i;
+    let due = 1 + Rng.int rng 20 in
+    send net ~src ~dst ~due i;
     sent := (dst, i) :: !sent
   done;
   let received = ref [] in
@@ -266,9 +300,9 @@ let test_reliability () =
 let test_receive_iter_matches_receive () =
   let mk () =
     let net = Network.create ~horizon:4 ~p:3 () in
-    Network.send net ~src:0 ~dst:1 ~due:1 "a";
-    Network.send net ~src:2 ~dst:1 ~due:3 "b";
-    Network.send net ~src:0 ~dst:1 ~due:1 "c";
+    send net ~src:0 ~dst:1 ~due:1 "a";
+    send net ~src:2 ~dst:1 ~due:3 "b";
+    send net ~src:0 ~dst:1 ~due:1 "c";
     net
   in
   let by_iter = ref [] in
@@ -289,7 +323,8 @@ let test_bounded_horizon_network () =
     ignore
       (Network.receive_iter net ~dst:1 ~now (fun _src msg ->
            received := msg :: !received));
-    if now < 20 then Network.send net ~src:0 ~dst:1 ~due:(now + 1 + (now mod 3)) now
+    if now < 20 then
+      send ~now net ~src:0 ~dst:1 ~due:(now + 1 + (now mod 3)) now
   done;
   check_int "all delivered" 20 (List.length !received);
   check_int "nothing pending" 0 (Network.pending net);
@@ -324,15 +359,15 @@ let test_broadcast_merge_order () =
      exactly as if the broadcast had been p-1 individual sends: global
      (due, send order). *)
   let net = Network.create ~horizon:8 ~p:3 () and rf = Ref_net.create ~p:3 in
-  Network.send net ~src:2 ~dst:1 ~due:2 "u-first";
+  send net ~src:2 ~dst:1 ~due:2 "u-first";
   Ref_net.send rf ~src:2 ~dst:1 ~due:2 "u-first";
   Network.broadcast net ~src:0 ~due:2 "b1";
   Ref_net.broadcast rf ~src:0 ~due:2 "b1";
-  Network.send net ~src:2 ~dst:1 ~due:2 "u-mid";
+  send net ~src:2 ~dst:1 ~due:2 "u-mid";
   Ref_net.send rf ~src:2 ~dst:1 ~due:2 "u-mid";
   Network.broadcast net ~src:2 ~due:4 "b2";
   Ref_net.broadcast rf ~src:2 ~due:4 "b2";
-  Network.send net ~src:0 ~dst:1 ~due:3 "u-late";
+  send net ~src:0 ~dst:1 ~due:3 "u-late";
   Ref_net.send rf ~src:0 ~dst:1 ~due:3 "u-late";
   let spec = Ref_net.receive rf ~dst:1 ~now:10 in
   Alcotest.(check (list (pair int string)))
@@ -420,7 +455,7 @@ let test_broadcast_ring_matches_ref_random () =
         let dst = (src + 1 + Rng.int rng (p - 1)) mod p in
         let due = now + 1 + Rng.int rng 8 in
         Ref_net.send rf ~src ~dst ~due now;
-        Network.send ring ~src ~dst ~due now
+        send ~now ring ~src ~dst ~due now
       end
     done;
     for dst = 0 to p - 1 do
@@ -653,7 +688,7 @@ let prop_network_matches_ref =
               else begin
                 let dst = (src + off) mod p in
                 Hashtbl.replace due_of !id (!now + lat);
-                Network.send net ~src ~dst ~due:(!now + lat) msg;
+                send ~now:!now net ~src ~dst ~due:(!now + lat) msg;
                 Ref_net.send rf ~src ~dst ~due:(!now + lat) msg
               end)
             sends;
@@ -677,37 +712,6 @@ let prop_network_matches_ref =
            got want
       && (Array.exists Fun.id inactive || Network.pending net = 0))
 
-(* One payload record per multicast: the network reuses the previous
-   send's record when the source is the same and the payload physically
-   equal. A broadcast in between must break that reuse, or the second
-   send would share the first one's send order and overtake the
-   broadcast in the (due, seq) merge. *)
-let test_broadcast_breaks_payload_reuse () =
-  let net = Network.create ~horizon:8 ~p:3 () in
-  let m = "m" ^ string_of_int (Sys.opaque_identity 1) in
-  Network.send net ~src:0 ~dst:1 ~due:5 m;
-  Network.broadcast net ~src:0 ~due:5 "X";
-  Network.send net ~src:0 ~dst:1 ~due:5 m;
-  Alcotest.(check (list (pair int string)))
-    "send order survives payload reuse"
-    [ (0, "m1"); (0, "X"); (0, "m1") ]
-    (receive net ~dst:1 ~now:5)
-
-(* A released record must not be revived. Its slot holds the filler,
-   which is the network's first payload, so resending that payload from
-   the same source is the one send that could match it again. *)
-let test_released_record_not_reused () =
-  let net = Network.create ~horizon:4 ~p:3 () in
-  let m = "m" ^ string_of_int (Sys.opaque_identity 1) in
-  Network.send net ~src:0 ~dst:1 ~due:1 m;
-  ignore (receive net ~dst:1 ~now:1);
-  Network.send net ~src:0 ~dst:1 ~due:2 m;
-  Network.send net ~src:0 ~dst:2 ~due:2 "n";
-  Alcotest.(check (list (pair int string)))
-    "dst 1" [ (0, "m1") ] (receive net ~dst:1 ~now:2);
-  Alcotest.(check (list (pair int string)))
-    "dst 2" [ (0, "n") ] (receive net ~dst:2 ~now:2)
-
 (* The payload table keeps a payload only while a copy of it is queued.
    The first payload a network sees fills released slots for the
    network's lifetime, so each test sends a throwaway one first. *)
@@ -727,13 +731,15 @@ let alive w =
   Gc.full_major ();
   Weak.check w 0
 
+(* The copies of one call share a record: the payload lives until the
+   last of them is received. *)
 let test_payload_released_with_last_copy () =
   let net = Network.create ~horizon:4 ~p:4 () in
-  Network.send net ~src:0 ~dst:1 ~due:1 (fresh_payload ());
+  send net ~src:0 ~dst:1 ~due:1 (fresh_payload ());
   receive_none net ~dst:1 ~now:1;
   let w =
     sent_payload (fun m ->
-        List.iter (fun dst -> Network.send net ~src:0 ~dst ~due:2 m) [ 1; 2; 3 ])
+        multicast net ~src:0 ~now:1 [ (1, 2); (2, 2); (3, 2) ] m)
   in
   receive_none net ~dst:1 ~now:2;
   receive_none net ~dst:2 ~now:2;
@@ -741,6 +747,46 @@ let test_payload_released_with_last_copy () =
   receive_none net ~dst:3 ~now:2;
   check "collected after the last copy" false (alive w);
   check_int "nothing pending" 0 (Network.pending net)
+
+(* Every copy of a multicast is checked before the record is taken: a
+   call whose last copy is bad raises and leaves [sent], [pending] and
+   the payload table as they were, the copies before it unqueued. *)
+let test_rejected_multicast_leaves_no_trace () =
+  let net = Network.create ~horizon:4 ~p:4 () in
+  send net ~src:0 ~dst:1 ~due:1 (fresh_payload ());
+  receive_none net ~dst:1 ~now:3;
+  let sent = Network.sent net and pending = Network.pending net in
+  List.iter
+    (fun (name, e, now, bad) ->
+      let w =
+        sent_payload (fun m ->
+            Alcotest.check_raises name (Invalid_argument e) (fun () ->
+                multicast net ~src:0 ~now
+                  [ (2, now + 1); (3, now + 2); bad ]
+                  m))
+      in
+      check (name ^ ": payload not held") false (alive w);
+      check_int (name ^ ": sent unchanged") sent (Network.sent net);
+      check_int (name ^ ": pending unchanged") pending (Network.pending net))
+    [
+      ("due outside the window", window, 3, (1, 8));
+      (* dst 1 has received at 3, ahead of this sender's clock *)
+      ("due at the cursor", late, 2, (1, 3));
+      ("self-send", "Network.multicast: self-send", 3, (0, 4));
+      ( "dst out of range",
+        "Network.multicast dst: pid out of range",
+        3,
+        (4, 4) );
+    ];
+  List.iter
+    (fun dst ->
+      Alcotest.(check (list (pair int string)))
+        (Printf.sprintf "nothing for dst %d" dst)
+        []
+        (List.map
+           (fun (s, m) -> (s, Bytes.to_string m))
+           (receive net ~dst ~now:9)))
+    [ 0; 1; 2; 3 ]
 
 (* A broadcast's payload is held once for every receiver, so it lives
    while any cursor still owes it, the sender's included: it goes with
@@ -765,70 +811,91 @@ let test_broadcast_payload_released () =
   check "collected once the lagging pid is deactivated" false (alive w);
   check_int "the deactivated pid's copy still pending" 1 (Network.pending net)
 
+(* A payload sent with replicas lives until its last replica is
+   received, the replicas of one copy and the other copies alike. *)
 let test_replica_payload_released () =
-  let net = Network.create ~horizon:4 ~p:2 () in
-  Network.send net ~src:0 ~dst:1 ~due:1 (fresh_payload ());
+  let net = Network.create ~horizon:4 ~p:3 () in
+  send net ~src:0 ~dst:1 ~due:1 (fresh_payload ());
   receive_none net ~dst:1 ~now:1;
   let w =
     sent_payload (fun m ->
-        Network.send net ~src:0 ~dst:1 ~due:2 m;
-        Network.send_replica net ~src:0 ~dst:1 ~due:4 m)
+        multicast ~paid:2 net ~src:0 ~now:1
+          [ (1, 2); (1, 5); (2, 3); (1, 4) ]
+          m)
   in
   receive_none net ~dst:1 ~now:2;
-  check "alive while the replica is queued" true (alive w);
+  receive_none net ~dst:2 ~now:3;
+  check "alive while replicas are queued" true (alive w);
   receive_none net ~dst:1 ~now:4;
-  check "collected after the replica" false (alive w);
-  check_int "sent counts the original only" 2 (Network.sent net)
+  check "alive while the last replica is queued" true (alive w);
+  receive_none net ~dst:1 ~now:5;
+  check "collected after the last replica" false (alive w);
+  check_int "sent counts the paid messages only" 3 (Network.sent net)
 
-(* Differential test of the payload table: sends that often reuse a
-   payload, both across consecutive sends (a multicast's per-copy loop,
-   replicas) and across sources, mixed with constant-offset broadcasts
-   and polls at a non-decreasing clock. Every poll must return the
-   reference's (src, msg) sequence. [Ref_net] has no replicas, so each
-   replica is a reference send that does not count toward [sent]. A
-   deactivated pid is never polled again; the reference keeps its copies
-   queued, as the network counts them in [pending], and the broadcast
-   records it no longer holds are released and their ids reused. *)
+(* Differential test of the payload table: calls that often reuse a
+   payload across calls and sources, mixed with constant-offset
+   broadcasts and polls at a non-decreasing clock. Every poll must
+   return the reference's (src, msg) sequence. [Ref_net] knows neither
+   drops nor replicas: each queued copy is one reference send, and
+   [extra] tracks the copies the reference counted beyond what the calls
+   paid for. A deactivated pid is never polled again; the reference
+   keeps its copies queued, as the network counts them in [pending],
+   and the broadcast records it no longer holds are released and their
+   ids reused. *)
 type op =
   | Advance of int
   | Poll of int (* dst *)
   | Deactivate of int (* pid *)
   | Broadcast of int (* src *)
-  | Send of { src : int; off : int; lat : int; reuse : int; replica : bool }
-  | Multicast of { src : int; lats : int array; reuse : int }
+  | Send of { src : int; off : int; lat : int; reuse : int; drop : bool }
+  | Replica of { src : int; off : int; lats : int list; reuse : int }
+  | Multicast of { src : int; lats : int array; fates : int array; reuse : int }
   | Late of { src : int; off : int; reuse : int; replica : bool }
   | Late_broadcast of int (* src *)
-  | Far of { src : int; lats : int array; bad : int; reuse : int }
+  | Far of { src : int; lats : int array; bad : int; how : int; reuse : int }
   | Bad_pid of { src : int; dst : int; reuse : int; kind : int }
 (* [reuse]: 0 = fresh payload, 1 = the last one sent, 2 = an older one.
-   A [Multicast] is checked against the reference's p - 1 sends at
-   [now + lats.(dst)]. The last four are rejected calls, which must
-   leave no trace: a [Late] send is due at the destination's delivery
-   cursor, its last poll's [now] (also before any copy has made its
-   ring, when the poll read only broadcasts); a [Late_broadcast] is due
-   at the greatest [now] any poll has seen; a [Far] multicast's copy to
-   [bad] is due past the horizon, so only the copies before it are
-   queued; a [Bad_pid] call names a pid out of range, or sends to itself
-   ([kind]: 0 = send, 1 = replica, 2 = multicast). *)
+   A [Send] is one copy and one message paid, or no copy when dropped. A
+   [Replica] is one paid message with 2 or 3 copies to one dst. A
+   [Multicast] pays p - 1 messages, one per other dst in ascending
+   order, whose [fates.(dst)] is 0 (dropped, no copy), 1 (one copy at
+   [now + lats.(dst)]) or 2 (that copy and a replica at
+   [now + horizon + 1 - lats.(dst)]). The last four are rejected calls,
+   which must leave no trace: a [Late] call comes from a sender whose
+   clock is one behind the destination's delivery cursor, its last
+   poll's [now] (also before any copy has made its ring, when the poll
+   read only broadcasts), and its copy is due at that cursor, after a
+   valid replica when [replica]; a [Late_broadcast] is due at the
+   greatest [now] any poll has seen; a [Far] multicast's copy to [bad]
+   is made bad ([how]: 0 = due past the horizon, 1 = due at [now],
+   2 = sent to [src] itself, 3 = sent to pid p), so none of its copies
+   is queued; a [Bad_pid] call names a pid out of range, or sends to
+   itself ([kind]: 0 = a unicast, 1 = a replica only, 2 = a multicast
+   from [src] to every pid). *)
 
 let show_op =
-  let lats a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let arr a = ints (Array.to_list a) in
   function
   | Advance k -> Printf.sprintf "advance %d" k
   | Poll d -> Printf.sprintf "poll %d" d
   | Deactivate d -> Printf.sprintf "deactivate %d" d
   | Broadcast s -> Printf.sprintf "broadcast %d" s
-  | Send { src; off; lat; reuse; replica } ->
+  | Send { src; off; lat; reuse; drop } ->
     Printf.sprintf "send %d+%d lat %d reuse %d%s" src off lat reuse
-      (if replica then " replica" else "")
-  | Multicast { src; lats = l; reuse } ->
-    Printf.sprintf "multicast %d [%s] reuse %d" src (lats l) reuse
+      (if drop then " dropped" else "")
+  | Replica { src; off; lats; reuse } ->
+    Printf.sprintf "replica %d+%d lats [%s] reuse %d" src off (ints lats) reuse
+  | Multicast { src; lats; fates; reuse } ->
+    Printf.sprintf "multicast %d [%s] fates [%s] reuse %d" src (arr lats)
+      (arr fates) reuse
   | Late { src; off; reuse; replica } ->
     Printf.sprintf "late %d+%d reuse %d%s" src off reuse
       (if replica then " replica" else "")
   | Late_broadcast s -> Printf.sprintf "late broadcast %d" s
-  | Far { src; lats = l; bad; reuse } ->
-    Printf.sprintf "far %d [%s] bad %d reuse %d" src (lats l) bad reuse
+  | Far { src; lats; bad; how; reuse } ->
+    Printf.sprintf "far %d [%s] bad %d how %d reuse %d" src (arr lats) bad how
+      reuse
   | Bad_pid { src; dst; reuse; kind } ->
     Printf.sprintf "bad-pid %d -> %d reuse %d kind %d" src dst reuse kind
 
@@ -841,6 +908,7 @@ let prop_payload_reuse_matches_ref =
     QCheck2.Gen.(
       let* p = int_range 2 5 in
       let* delta = int_range 1 horizon in
+      let reuse = frequencyl [ (2, 0); (2, 1); (1, 2) ] in
       let op =
         frequency
           [
@@ -848,22 +916,31 @@ let prop_payload_reuse_matches_ref =
             (2, map (fun d -> Poll d) (int_range 0 (p - 1)));
             (1, map (fun s -> Broadcast s) (int_range 0 (p - 1)));
             (1, map (fun d -> Deactivate d) (int_range 0 (p - 1)));
-            ( 6,
+            ( 4,
               let* src = int_range 0 (p - 1) in
               let* off = int_range 1 (p - 1) in
               let* lat = int_range 1 horizon in
               let* reuse = frequencyl [ (1, 0); (3, 1); (1, 2) ] in
-              let* replica = frequencyl [ (4, false); (1, true) ] in
-              return (Send { src; off; lat; reuse; replica }) );
+              let* drop = frequencyl [ (5, false); (1, true) ] in
+              return (Send { src; off; lat; reuse; drop }) );
+            ( 2,
+              let* src = int_range 0 (p - 1) in
+              let* off = int_range 1 (p - 1) in
+              let* lats = list_size (int_range 2 3) (int_range 1 horizon) in
+              let* reuse = frequencyl [ (1, 0); (3, 1); (1, 2) ] in
+              return (Replica { src; off; lats; reuse }) );
             ( 2,
               let* src = int_range 0 (p - 1) in
               let* lats = array_size (return p) (int_range 1 horizon) in
-              let* reuse = frequencyl [ (2, 0); (2, 1); (1, 2) ] in
-              return (Multicast { src; lats; reuse }) );
+              let* fates =
+                array_size (return p) (frequencyl [ (1, 0); (4, 1); (1, 2) ])
+              in
+              let* reuse in
+              return (Multicast { src; lats; fates; reuse }) );
             ( 1,
               let* src = int_range 0 (p - 1) in
               let* off = int_range 1 (p - 1) in
-              let* reuse = frequencyl [ (2, 0); (1, 1); (1, 2) ] in
+              let* reuse in
               let* replica = bool in
               return (Late { src; off; reuse; replica }) );
             (1, map (fun s -> Late_broadcast s) (int_range 0 (p - 1)));
@@ -871,12 +948,13 @@ let prop_payload_reuse_matches_ref =
               let* src = int_range 0 (p - 1) in
               let* lats = array_size (return p) (int_range 1 horizon) in
               let* bad = int_range 0 (p - 1) in
-              let* reuse = frequencyl [ (2, 0); (1, 1); (1, 2) ] in
-              return (Far { src; lats; bad; reuse }) );
+              let* how = int_range 0 3 in
+              let* reuse in
+              return (Far { src; lats; bad; how; reuse }) );
             ( 1,
               let* src = int_range (-1) p in
               let* dst = int_range (-1) p in
-              let* reuse = frequencyl [ (2, 0); (1, 1); (1, 2) ] in
+              let* reuse in
               let* kind = int_range 0 2 in
               return (Bad_pid { src; dst; reuse; kind }) );
           ]
@@ -885,7 +963,7 @@ let prop_payload_reuse_matches_ref =
       return (p, delta, ops))
     (fun (p, delta, ops) ->
       let net = Network.create ~horizon ~p () and rf = Ref_net.create ~p in
-      let now = ref 0 and next = ref 0 and replicas = ref 0 in
+      let now = ref 0 and next = ref 0 and extra = ref 0 in
       let inactive = Array.make p false in
       (* each destination's delivery cursor, moved to [now] by each
          poll, whether or not its first queued copy has made its ring *)
@@ -910,6 +988,12 @@ let prop_payload_reuse_matches_ref =
           List.nth older (!next mod List.length older)
         | _ -> fresh ()
       in
+      (* one accepted call, and its copies as reference sends *)
+      let call ~src ~paid copies m =
+        multicast ~paid net ~src ~now:!now copies m;
+        List.iter (fun (dst, due) -> Ref_net.send rf ~src ~dst ~due m) copies;
+        extra := !extra + List.length copies - paid
+      in
       let poll dst =
         let got = ref [] and want = ref [] in
         let n =
@@ -923,8 +1007,14 @@ let prop_payload_reuse_matches_ref =
         n = n' && !got = !want
       in
       let same_counts () =
-        Network.sent net + !replicas = Ref_net.sent rf
+        Network.sent net + !extra = Ref_net.sent rf
         && Network.pending net = Ref_net.pending rf
+      in
+      (* every other dst in ascending order *)
+      let others src f =
+        List.concat_map
+          (fun dst -> if dst = src then [] else f dst)
+          (List.init p Fun.id)
       in
       let ok = ref true and filler = ref None in
       List.iter
@@ -944,30 +1034,38 @@ let prop_payload_reuse_matches_ref =
              Network.broadcast net ~src ~due:(!now + delta) m;
              Ref_net.broadcast rf ~src ~due:(!now + delta) m;
              bdues := (!now + delta) :: !bdues
-           | Send { src; off; lat; reuse; replica } ->
-             let dst = (src + off) mod p and due = !now + lat in
-             let m = payload reuse in
-             if replica then begin
-               Network.send_replica net ~src ~dst ~due m;
-               incr replicas
-             end
-             else Network.send net ~src ~dst ~due m;
-             Ref_net.send rf ~src ~dst ~due m
-           | Multicast { src; lats; reuse } ->
-             let m = payload reuse in
-             let dues = Array.map (fun lat -> !now + lat) lats in
-             Network.multicast net ~src ~now:!now ~dues m;
-             Array.iteri
-               (fun dst due ->
-                 if dst <> src then Ref_net.send rf ~src ~dst ~due m)
-               dues
+           | Send { src; off; lat; reuse; drop } ->
+             let dst = (src + off) mod p in
+             call ~src ~paid:1
+               (if drop then [] else [ (dst, !now + lat) ])
+               (payload reuse)
+           | Replica { src; off; lats; reuse } ->
+             let dst = (src + off) mod p in
+             call ~src ~paid:1
+               (List.map (fun lat -> (dst, !now + lat)) lats)
+               (payload reuse)
+           | Multicast { src; lats; fates; reuse } ->
+             let copies =
+               others src (fun dst ->
+                   let due = !now + lats.(dst) in
+                   match fates.(dst) with
+                   | 0 -> []
+                   | 1 -> [ (dst, due) ]
+                   | _ ->
+                     [ (dst, due); (dst, !now + horizon + 1 - lats.(dst)) ])
+             in
+             call ~src ~paid:(p - 1) copies (payload reuse)
            | Late { src; off; reuse; replica } ->
              let dst = (src + off) mod p and m = payload reuse in
-             let send =
-               if replica then Network.send_replica else Network.send
-             in
-             ok :=
-               !ok && rejected (fun () -> send net ~src ~dst ~due:cursor.(dst) m)
+             let c = cursor.(dst) in
+             if c >= 1 then
+               let copies =
+                 (if replica then [ (dst, c + 1) ] else []) @ [ (dst, c) ]
+               in
+               ok :=
+                 !ok
+                 && rejected (fun () ->
+                        multicast ~paid:1 net ~src ~now:(c - 1) copies m)
            | Late_broadcast src ->
              let clock = Array.fold_left max (-1) cursor in
              if clock >= 0 then
@@ -976,23 +1074,23 @@ let prop_payload_reuse_matches_ref =
                  !ok
                  && rejected (fun () ->
                         Network.broadcast net ~src ~due:clock m)
-           | Far { src; lats; bad; reuse } ->
+           | Far { src; lats; bad; how; reuse } ->
              let m = payload reuse in
-             let dues =
-               Array.mapi
-                 (fun dst lat -> !now + if dst = bad then horizon + 1 else lat)
-                 lats
+             let copies =
+               others src (fun dst ->
+                   let due = !now + lats.(dst) in
+                   if dst <> bad then [ (dst, due) ]
+                   else
+                     match how with
+                     | 0 -> [ (dst, !now + horizon + 1) ]
+                     | 1 -> [ (dst, !now) ]
+                     | 2 -> [ (src, due) ]
+                     | _ -> [ (p, due) ])
              in
              ok :=
                !ok
                && (bad = src
-                  || rejected (fun () ->
-                         Network.multicast net ~src ~now:!now ~dues m));
-             if bad <> src then
-               (* the documented prefix: the copies before [bad] stay *)
-               for dst = 0 to bad - 1 do
-                 if dst <> src then Ref_net.send rf ~src ~dst ~due:dues.(dst) m
-               done
+                  || rejected (fun () -> multicast net ~src ~now:!now copies m))
            | Bad_pid { src; dst; reuse; kind } ->
              let in_range x = x >= 0 && x < p in
              if not (in_range src && in_range dst && src <> dst) then begin
@@ -1002,13 +1100,15 @@ let prop_payload_reuse_matches_ref =
                  !ok
                  && rejected (fun () ->
                         match kind with
-                        | 0 -> Network.send net ~src ~dst ~due m
-                        | 1 -> Network.send_replica net ~src ~dst ~due m
+                        | 0 -> multicast net ~src ~now:!now [ (dst, due) ] m
+                        | 1 ->
+                          multicast ~paid:0 net ~src ~now:!now [ (dst, due) ] m
                         | _ ->
                           if in_range src then raise (Invalid_argument "")
                           else
-                            Network.multicast net ~src ~now:!now
-                              ~dues:(Array.make p due) m)
+                            multicast net ~src ~now:!now
+                              (List.init p (fun dst -> (dst, due)))
+                              m)
              end);
           (* the first payload the network took: its first record's *)
           if !filler = None then
@@ -1053,12 +1153,14 @@ let suite =
     Alcotest.test_case "self-send rejected" `Quick test_no_self_send;
     Alcotest.test_case "pid range checked" `Quick test_pid_range;
     Alcotest.test_case "src range checked" `Quick test_send_src_range;
-    Alcotest.test_case "send_replica errors" `Quick test_send_replica_errors;
+    Alcotest.test_case "replica copy errors" `Quick test_replica_errors;
     Alcotest.test_case "send allocates nothing" `Quick
       test_send_allocates_nothing;
     Alcotest.test_case "multicast allocates nothing" `Quick
       test_multicast_allocates_nothing;
     Alcotest.test_case "multicast errors" `Quick test_multicast_errors;
+    Alcotest.test_case "rejected multicast leaves no trace" `Quick
+      test_rejected_multicast_leaves_no_trace;
     Alcotest.test_case "message counting" `Quick test_message_counting;
     Alcotest.test_case "backlog delivered in order" `Quick
       test_delayed_processor_receives_backlog;
@@ -1089,10 +1191,6 @@ let suite =
     Alcotest.test_case "lagging clock, then the chain" `Quick
       test_lagging_clock_then_chain;
     QCheck_alcotest.to_alcotest prop_network_matches_ref;
-    Alcotest.test_case "broadcast breaks payload reuse" `Quick
-      test_broadcast_breaks_payload_reuse;
-    Alcotest.test_case "released record not reused" `Quick
-      test_released_record_not_reused;
     Alcotest.test_case "payload released with its last copy" `Quick
       test_payload_released_with_last_copy;
     Alcotest.test_case "broadcast payload released" `Quick
