@@ -364,26 +364,36 @@ let run_cmd =
     end
     else begin
       let probe = Option.map (fun _ -> Probe.create ()) obs in
+      (* [run_spec] reports a cap in the metrics instead of raising, so a
+         capped run still writes its partial snapshot ([completed]
+         false) before it exits 1 *)
       let result =
-        Runner.run ~seed ?probe ~profile ~check ?faults ?max_time ~transport
-          ~algo ~adv ~p ~t ~d ()
+        Runner.run_spec ?probe ~profile ~check ?faults ?max_time
+          (Runner.spec ~seed ~transport ~algo ~adv ~p ~t ~d ())
       in
-      Format.printf "%a@." Metrics.pp result.Runner.metrics;
+      let m = result.Runner.metrics in
+      let export () =
+        Option.iter
+          (fun path ->
+            write_artifact "probe snapshot" path (fun oc ->
+                Export.write_run oc
+                  ~meta:(result_meta result p t d)
+                  ?snapshot:result.Runner.obs ?spans:result.Runner.spans m))
+          obs
+      in
+      if not m.Metrics.completed then begin
+        export ();
+        capped m
+      end;
+      Format.printf "%a@." Metrics.pp m;
       Option.iter print_span_summary result.Runner.spans;
       Option.iter print_percentiles result.Runner.obs;
-      let m = result.Runner.metrics in
       Format.printf "bounds: lower=%.0f pa-upper=%.0f oblivious=%.0f@."
         (Bounds.lower_bound ~p ~t ~d)
         (Bounds.pa_upper ~p ~t ~d)
         (Bounds.oblivious_work ~p ~t);
       Format.printf "effort (W+M) = %d@." (Metrics.effort m);
-      Option.iter
-        (fun path ->
-          write_artifact "probe snapshot" path (fun oc ->
-              Export.write_run oc
-                ~meta:(result_meta result p t d)
-                ?snapshot:result.Runner.obs ?spans:result.Runner.spans m))
-        obs
+      export ()
     end
   in
   Cmd.v (cmd_info "run" ~doc)

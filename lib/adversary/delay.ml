@@ -12,7 +12,7 @@ let uniform =
 let bimodal ~slow_fraction =
   Adversary.Per_copy
     (fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
-      if Rng.float o.rng 1.0 < slow_fraction then o.d else 1)
+      if Rng.chance o.rng slow_fraction then o.d else 1)
 
 let stage_batched ~stage_len =
   if stage_len < 1 then invalid_arg "Delay.stage_batched: stage_len >= 1";

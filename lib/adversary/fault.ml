@@ -11,20 +11,28 @@ let check_prob name prob =
 let drop ~prob =
   check_prob "drop" prob;
   fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
-    if Rng.float o.rng 1.0 < prob then Adversary.Drop else Adversary.Deliver
+    if Rng.chance o.rng prob then Adversary.Drop else Adversary.Deliver
 
 let duplicate ?(copies = 1) ~prob =
   check_prob "duplicate" prob;
   if copies < 1 then invalid_arg "Fault.duplicate: copies >= 1";
   let dup = Adversary.Duplicate copies in
   fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
-    if Rng.float o.rng 1.0 < prob then dup else Adversary.Deliver
+    if Rng.chance o.rng prob then dup else Adversary.Deliver
+
+(* [Reorder j] for every [j <= 64], built once: a verdict under any
+   bound up to 64 is shared, not allocated. Never written, so domains
+   may share it. *)
+let reorders = Array.init 65 (fun j -> Adversary.Reorder j)
 
 let reorder ~prob =
   check_prob "reorder" prob;
   fun (o : Adversary.oracle) ~src:_ ~dst:_ ->
-    if Rng.float o.rng 1.0 < prob then
-      Adversary.Reorder (1 + Rng.int o.rng (Int.max 1 o.d))
+    if Rng.chance o.rng prob then begin
+      let j = 1 + Rng.int o.rng (Int.max 1 o.d) in
+      if j < Array.length reorders then reorders.(j)
+      else Adversary.Reorder j
+    end
     else Adversary.Deliver
 
 (* the first non-[Deliver] verdict, policies asked in order; top-level so

@@ -13,7 +13,9 @@
 
     Randomized policies draw from the oracle's RNG, so fault decisions
     are deterministic in the run's seed like every other adversary
-    choice. *)
+    choice. A verdict allocates nothing: a coin flip is {!Rng.chance},
+    and [Duplicate] and [Reorder] verdicts are built in advance (for
+    [Reorder], every extra latency up to 64). *)
 
 open Doall_sim
 

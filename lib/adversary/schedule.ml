@@ -17,7 +17,7 @@ let round_robin ~width (o : Adversary.oracle) =
   active
 
 let random_subset ~prob (o : Adversary.oracle) =
-  Array.init o.p (fun _ -> Rng.float o.rng 1.0 < prob)
+  Array.init o.p (fun _ -> Rng.chance o.rng prob)
 
 let harmonic_speeds (o : Adversary.oracle) =
   let now = o.time () in

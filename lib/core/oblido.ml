@@ -69,7 +69,7 @@ let random_rounds ~rng ~n ~count ~prob =
   while anyone_left () do
     let round = ref [] in
     for u = count - 1 downto 0 do
-      if remaining.(u) > 0 && Rng.float rng 1.0 < prob then begin
+      if remaining.(u) > 0 && Rng.chance rng prob then begin
         round := u :: !round;
         remaining.(u) <- remaining.(u) - 1
       end

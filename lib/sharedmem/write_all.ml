@@ -30,7 +30,7 @@ let rotating ~width ~time ~p =
 
 let random_subset ~seed ~prob =
   let rng = Rng.create seed in
-  fun ~time:_ ~p -> Array.init p (fun _ -> Rng.float rng 1.0 < prob)
+  fun ~time:_ ~p -> Array.init p (fun _ -> Rng.chance rng prob)
 
 let solo pid ~time:_ ~p = Array.init p (fun i -> i = pid)
 

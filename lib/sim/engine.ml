@@ -133,7 +133,9 @@ module Make (A : Algorithm.S) = struct
     ins : instruments;
     ph : phases;
     trace : Trace.t;
-    check : Oracle.t option; (* the invariant oracle, when [~check:true] *)
+    mutable check : (Oracle.t * Oracle.view) option;
+        (* the invariant oracle and its window onto this engine, built
+           once in [create] when [~check:true] *)
     mutable oracle : Adversary.oracle option;
     mutable time : int;
     mutable work : int;
@@ -285,7 +287,7 @@ module Make (A : Algorithm.S) = struct
         ins = instruments probe ~p;
         ph = phases spans;
         trace = Trace.create ();
-        check = (if check then Some (Oracle.create ()) else None);
+        check = None;
         oracle = None;
         time = 0;
         work = 0;
@@ -328,6 +330,20 @@ module Make (A : Algorithm.S) = struct
                 Trace.add eng.trace (Trace.Note { time = eng.time; text }));
           rng = Rng.create (cfg.Config.seed lxor 0x5adbeef);
         };
+    if check then
+      eng.check <-
+        Some
+          ( Oracle.create (),
+            {
+              Oracle.time = (fun () -> eng.time);
+              p;
+              t = cfg.Config.t;
+              global_done = eng.global_done;
+              local_done = (fun pid -> A.done_tasks eng.states.(pid));
+              halted = (fun pid -> eng.halted.(pid));
+              live = (fun () -> eng.live);
+              finished = (fun () -> eng.finished);
+            } );
     eng
 
   let oracle eng =
@@ -358,21 +374,6 @@ module Make (A : Algorithm.S) = struct
     eng.prev_eligible.(pid) <- !prv;
     eng.next_eligible.(pid) <- nxt;
     eng.prev_eligible.(nxt) <- pid
-
-  (* A read-only window for the invariant oracle's per-tick audit; built
-     only on checked runs, so the closures cost nothing in the default
-     configuration. *)
-  let oracle_view eng =
-    {
-      Oracle.time = eng.time;
-      p = eng.cfg.Config.p;
-      t = eng.cfg.Config.t;
-      global_done = eng.global_done;
-      local_done = (fun pid -> A.done_tasks eng.states.(pid));
-      halted = (fun pid -> eng.halted.(pid));
-      live = eng.live;
-      finished = eng.finished;
-    }
 
   (* Crash-recovery (docs/FAULTS.md): a restarted processor comes back
      with {e reset} local state — `A.init` run afresh, all knowledge
@@ -789,9 +790,9 @@ module Make (A : Algorithm.S) = struct
       eng.sigma <- eng.time
     end;
     (match eng.check with
-     | Some oc ->
+     | Some (oc, view) ->
        Span.enter eng.ph.ph_oracle;
-       Oracle.check_tick oc (oracle_view eng);
+       Oracle.check_tick oc view;
        Span.leave eng.ph.ph_oracle
      | None -> ());
     eng.time <- eng.time + 1
@@ -829,7 +830,7 @@ module Make (A : Algorithm.S) = struct
   let state eng pid = eng.states.(pid)
   let trace eng = eng.trace
   let global_done eng = eng.global_done
-  let checker eng = eng.check
+  let checker eng = Option.map fst eng.check
 end
 
 let run_packed (module A : Algorithm.S) cfg ~d ~adversary ?max_time ?probe

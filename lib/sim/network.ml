@@ -400,7 +400,8 @@ let drain t ~dst ~now f =
 
 (* -- sends and deliveries ------------------------------------------ *)
 
-let late = "Msg_ring.add: ring event at or before the cursor"
+let late =
+  "Network.multicast: due at or before the receiver's delivery cursor"
 let window = "Network.multicast: due outside [now + 1, now + horizon]"
 
 (* Every copy is checked before the record is taken, so a rejected call

@@ -19,14 +19,14 @@ let () =
     | _ -> None)
 
 type view = {
-  time : int;
+  time : unit -> int;
   p : int;
   t : int;
   global_done : Bitset.t;
   local_done : int -> Bitset.t;
   halted : int -> bool;
-  live : int;
-  finished : bool;
+  live : unit -> int;
+  finished : unit -> bool;
 }
 
 type t = {
@@ -67,10 +67,11 @@ let[@inline never] subset_failure ~time ?pid ~invariant ~sub ~super ~what
 
 let check_tick t view =
   t.ticks <- t.ticks + 1;
+  let time = view.time () and live = view.live () in
   (* survivor: the model guarantees at least one live processor. *)
-  if view.live < 1 then
-    fail ~time:view.time ~invariant:"survivor"
-      (Printf.sprintf "no processor alive (live=%d)" view.live);
+  if live < 1 then
+    fail ~time ~invariant:"survivor"
+      (Printf.sprintf "no processor alive (live=%d)" live);
   (* monotone-global-done: performed tasks are never un-performed. Once
      [prev ⊆ global_done] holds, [prev ∪ global_done] is the ledger. *)
   let prev =
@@ -82,7 +83,7 @@ let check_tick t view =
       prev
   in
   if not (Bitset.subset prev view.global_done) then
-    subset_failure ~time:view.time ~invariant:"monotone-global-done"
+    subset_failure ~time ~invariant:"monotone-global-done"
       ~sub:prev ~super:view.global_done ~what:"previous tick"
       ~ledger:"the current ledger (a done task was un-done)" ();
   Bitset.union_into ~dst:prev view.global_done;
@@ -90,18 +91,18 @@ let check_tick t view =
   for pid = 0 to view.p - 1 do
     let local = view.local_done pid in
     if not (Bitset.subset local view.global_done) then
-      subset_failure ~time:view.time ~pid ~invariant:"local-within-global"
+      subset_failure ~time ~pid ~invariant:"local-within-global"
         ~sub:local ~super:view.global_done
         ~what:(Printf.sprintf "pid %d" pid) ~ledger:"the global ledger" ();
     (* halted-knows-all: halting is a terminal claim of completion. *)
     if view.halted pid && not (Bitset.is_full local) then
-      fail ~time:view.time ~pid ~invariant:"halted-knows-all"
+      fail ~time ~pid ~invariant:"halted-knows-all"
         (Printf.sprintf "halted with only %d/%d tasks known done"
            (Bitset.cardinal local) view.t)
   done;
   (* termination-complete: Definition 2.1. *)
-  if view.finished && not (Bitset.is_full view.global_done) then
-    fail ~time:view.time ~invariant:"termination-complete"
+  if view.finished () && not (Bitset.is_full view.global_done) then
+    fail ~time ~invariant:"termination-complete"
       (Printf.sprintf "run reported finished with %d/%d tasks done"
          (Bitset.cardinal view.global_done)
          view.t)

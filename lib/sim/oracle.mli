@@ -44,17 +44,18 @@ exception Invariant_violation of violation
 val pp_violation : Format.formatter -> violation -> unit
 
 type view = {
-  time : int;
+  time : unit -> int;  (** the tick being audited *)
   p : int;
   t : int;
   global_done : Bitset.t;  (** ground truth: tasks performed anywhere *)
   local_done : int -> Bitset.t;  (** a processor's knowledge *)
   halted : int -> bool;
-  live : int;
-  finished : bool;
+  live : unit -> int;
+  finished : unit -> bool;
 }
-(** A read-only window onto the engine. The engine builds one per
-    audited tick; {!check_step} needs none. *)
+(** A read-only window onto the engine. Every field that changes during
+    a run is read through a function, so the engine builds one view per
+    run and audits every tick through it; {!check_step} needs none. *)
 
 type t
 (** Checker state (the previous tick's ledger and a tick count). *)

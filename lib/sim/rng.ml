@@ -1,7 +1,7 @@
 (* The four xoshiro256** state words live unboxed in a 32-byte buffer,
    read and written in native byte order: a draw touches no Int64 box
-   and no write barrier, so [int] and [bool] allocate nothing and
-   [float] only its boxed result where the call is not inlined. The
+   and no write barrier, so [int], [bool] and [chance] allocate nothing
+   and [float] only its boxed result where the call is not inlined. The
    byte order never leaks: the state is only seeded, stepped and copied
    in place. *)
 type t = Bytes.t
@@ -79,6 +79,10 @@ let int t n =
 
 let[@inline] float t x =
   x *. (Float.of_int (next t 11) /. 9007199254740992.0 (* 2^53 *))
+
+(* [float t 1.0 < p] without the float crossing the module boundary:
+   [1.0 *. x = x], so the same bits make the same decision *)
+let chance t p = Float.of_int (next t 11) /. 9007199254740992.0 < p
 
 let bool t = next t 0 land 1 = 1
 

@@ -34,7 +34,15 @@ val int : t -> int -> int
     sampling, so the distribution is exactly uniform. *)
 
 val float : t -> float -> float
-(** [float rng x] is uniform in [\[0, x)]. *)
+(** [float rng x] is uniform in [\[0, x)]. Its result is a boxed float
+    (two words) wherever the call is not inlined, which is every call
+    from another module in a build without cross-module inlining. *)
+
+val chance : t -> float -> bool
+(** [chance rng p] is [float rng 1.0 < p]: it draws the same bits and
+    makes the same decision, but returns a [bool], so it allocates
+    nothing. A coin of bias [p]: [true] with probability [p] for [p] in
+    [\[0, 1\]], never for [p <= 0], always for [p >= 1]. *)
 
 val bool : t -> bool
 (** A fair coin. *)

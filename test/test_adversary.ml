@@ -405,6 +405,133 @@ let test_batched_delivery_legal () =
   in
   check "completes" true m.Metrics.completed
 
+(* A stand-in for the engine's oracle: [p] pids, bound [d], the clock
+   at [!now], liveness read from [alive]. *)
+let stub_oracle ?(p = 64) ?(d = 16) ?(alive = Array.make p true) ~now seed =
+  {
+    Adversary.time = (fun () -> !now);
+    p;
+    t = 256;
+    d;
+    undone_count = (fun () -> 0);
+    undone = (fun () -> []);
+    task_done = (fun _ -> false);
+    would_perform = (fun _ -> None);
+    plan = (fun ~pid:_ ~horizon:_ -> []);
+    alive = (fun pid -> alive.(pid));
+    halted = (fun _ -> false);
+    note = ignore;
+    rng = Rng.create seed;
+  }
+
+(* Minor words per call of [decide], over [calls] calls made after as
+   many warm-up calls; [decide i] is the [i]-th decision. *)
+let words_per_call ?(calls = 10_000) decide =
+  for i = 0 to calls - 1 do
+    decide i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    decide i
+  done;
+  (Gc.minor_words () -. w0) /. Float.of_int calls
+
+(* Every stock per-copy decision, the fault verdicts and each delay rule
+   a strategy compiles, allocates nothing: coin flips return a [bool],
+   and a [Reorder] verdict comes from a table built once. *)
+let test_per_copy_decisions_allocate_nothing () =
+  let now = ref 0 in
+  let o = stub_oracle ~now 7 in
+  let faults =
+    [
+      ("drop", Fault.drop ~prob:0.5);
+      ("duplicate", Fault.duplicate ~copies:2 ~prob:0.5);
+      ("reorder", Fault.reorder ~prob:0.5);
+      ( "all",
+        Fault.all
+          [ Fault.drop ~prob:0.2; Fault.duplicate ~copies:1 ~prob:0.3;
+            Fault.reorder ~prob:0.4 ] );
+    ]
+  in
+  let src i = i land 63 and dst i = (i lsr 6) land 63 in
+  List.iter
+    (fun (name, (f : Fault.t)) ->
+      let w =
+        words_per_call (fun i ->
+            ignore (Sys.opaque_identity (f o ~src:(src i) ~dst:(dst i))))
+      in
+      check (Printf.sprintf "Fault.%s: %.4f words per verdict" name w) true
+        (w <= 0.01))
+    faults;
+  let delays =
+    Strategy.
+      [ D_const 3; D_max; D_uniform; D_bimodal 0.3; D_stage 4;
+        D_partition 2; D_target 3; D_churn (4, 4) ]
+  in
+  List.iter
+    (fun rule ->
+      let adv =
+        Strategy.into (Strategy.make [ Strategy.phase ~delay:rule () ])
+      in
+      let w =
+        words_per_call (fun i ->
+            now := i lsr 4;
+            ignore
+              (Sys.opaque_identity
+                 (adv.Adversary.delay o ~src:(src i) ~dst:(dst i))))
+      in
+      check (Printf.sprintf "%s: %.4f words per delay" adv.Adversary.name w)
+        true (w <= 0.01))
+    delays
+
+(* [Crash.flaky]'s two callbacks and [Crash.poisson] cons only the pids
+   they return: over a run of ticks the words allocated are three per
+   returned pid (a cons cell), and each list is the one the filter over
+   every pid gave, the poisson one drawing the same RNG stream. *)
+let test_crash_lists_allocate_only_their_cells () =
+  let p = 64 and ticks = 400 in
+  let alive = Array.make p true and now = ref 0 in
+  let o = stub_oracle ~p ~alive ~now 11 in
+  let crash, restart = Crash.flaky ~survivor:0 ~up:3 ~down:2 () in
+  let poisson = Crash.poisson ~survivor:5 ~rate:0.05 in
+  (* the filters these callbacks replaced *)
+  let every = List.init p Fun.id in
+  let up pid = pid = 0 || (!now + (pid * 2)) mod 5 < 3 in
+  let ref_crash () =
+    List.filter (fun pid -> pid <> 0 && alive.(pid) && not (up pid)) every
+  and ref_restart () =
+    List.filter (fun pid -> (not alive.(pid)) && up pid) every
+  and ref_poisson rng =
+    List.filter
+      (fun pid -> alive.(pid) && Rng.chance rng 0.05 && pid <> 5)
+      every
+  in
+  let returned = ref 0 and words = ref 0.0 in
+  for tick = 0 to ticks - 1 do
+    now := tick;
+    let expect_restart = ref_restart () and expect_crash = ref_crash () in
+    let expect_poisson = ref_poisson (Rng.copy o.Adversary.rng) in
+    let w0 = Gc.minor_words () in
+    let r = restart o in
+    let c = crash o in
+    let q = poisson o in
+    words := !words +. (Gc.minor_words () -. w0);
+    returned := !returned + List.length r + List.length c + List.length q;
+    Alcotest.(check (list int)) "restart list" expect_restart r;
+    Alcotest.(check (list int)) "crash list" expect_crash c;
+    Alcotest.(check (list int)) "poisson list" expect_poisson q;
+    List.iter (fun pid -> alive.(pid) <- true) r;
+    (* poisson's victims stay up, so it keeps drawing for every pid *)
+    List.iter (fun pid -> alive.(pid) <- false) c
+  done;
+  check "some pids returned" true (!returned > ticks);
+  (* each [Gc.minor_words] reading boxes its result *)
+  let slack = Float.of_int (4 * ticks) in
+  check
+    (Printf.sprintf "%.0f words for %d returned pids" !words !returned)
+    true
+    (!words <= (3.0 *. Float.of_int !returned) +. slack)
+
 let suite =
   [
     Alcotest.test_case "delay policies complete" `Quick
@@ -442,4 +569,8 @@ let suite =
       test_delay_policies_clamped;
     Alcotest.test_case "structured delays deterministic" `Quick
       test_structured_delays_deterministic;
+    Alcotest.test_case "per-copy decisions allocate nothing" `Quick
+      test_per_copy_decisions_allocate_nothing;
+    Alcotest.test_case "crash lists allocate only their cells" `Quick
+      test_crash_lists_allocate_only_their_cells;
   ]

@@ -261,8 +261,37 @@ let test_probes () =
         Alcotest.(check string) (what ^ ": stdout") "" out)
     probes
 
+(* A capped run keeps exit 1 and still writes its --obs snapshot, the
+   metrics line saying the run did not complete: the stalled runs are
+   the ones whose gauges explain a stall. *)
+let test_capped_run_writes_obs () =
+  let obs = Filename.temp_file "doall-cli" ".jsonl" in
+  Sys.remove obs;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists obs then Sys.remove obs)
+  @@ fun () ->
+  let code, out, _ =
+    doall
+      [ "run"; "--algo"; "paran1"; "--adv"; "fair"; "-p"; "4"; "-t"; "64";
+        "--max-time"; "3"; "--obs"; obs ]
+  in
+  Alcotest.(check int) "capped run exits 1" 1 code;
+  Alcotest.(check string) "partial metrics on stdout"
+    "partial p=4 t=64 d=8 | W=12 M=36 sigma=3 exec=12 redundant=12 [TIMED \
+     OUT]\n"
+    out;
+  Alcotest.(check bool) "snapshot written" true (Sys.file_exists obs);
+  let lines = In_channel.with_open_bin obs In_channel.input_lines in
+  Alcotest.(check bool) "metrics line says not completed" true
+    (List.exists
+       (fun l ->
+         String.starts_with ~prefix:{|{"v":1,"kind":"metrics",|} l
+         && Str.string_match (Str.regexp {|.*"completed":false|}) l 0)
+       lines)
+
 let suite =
   Alcotest.test_case "rejections and capped runs pinned" `Quick test_probes
+  :: Alcotest.test_case "capped run writes its obs snapshot" `Quick
+       test_capped_run_writes_obs
   :: List.map
        (fun c ->
          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xC11 |])

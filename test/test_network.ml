@@ -143,7 +143,8 @@ let test_multicast_allocates_nothing () =
     true (!words = 0.0)
 
 let window = "Network.multicast: due outside [now + 1, now + horizon]"
-let late = "Msg_ring.add: ring event at or before the cursor"
+let late =
+  "Network.multicast: due at or before the receiver's delivery cursor"
 
 let test_multicast_errors () =
   let net = Network.create ~horizon:4 ~p:4 () in

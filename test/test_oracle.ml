@@ -17,14 +17,14 @@ let view ?(time = 5) ?(locals = Array.make 4 []) ?(halted = Array.make 4 false)
     ?(live = 4) ?(finished = false) global =
   let locals = Array.map set_of locals in
   {
-    Oracle.time;
+    Oracle.time = (fun () -> time);
     p = 4;
     t;
     global_done = set_of global;
     local_done = (fun pid -> locals.(pid));
     halted = (fun pid -> halted.(pid));
-    live;
-    finished;
+    live = (fun () -> live);
+    finished = (fun () -> finished);
   }
 
 let violation_t =
@@ -126,14 +126,14 @@ let test_healthy_ticks_allocate_nothing () =
   let full = ref false in
   let view ~finished =
     {
-      Oracle.time = 0;
+      Oracle.time = (fun () -> 0);
       p;
       t;
       global_done = global;
       local_done = (fun pid -> if !full && pid < 8 then all else locals.(pid));
       halted = (fun pid -> !full && pid < 8);
-      live = p;
-      finished;
+      live = (fun () -> p);
+      finished = (fun () -> finished);
     }
   in
   let growing = view ~finished:false and finished = view ~finished:true in

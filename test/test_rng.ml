@@ -238,7 +238,9 @@ let test_draws_allocate_nothing () =
   check_words "Rng.bool r" 0.0 (fun () ->
       ignore (Sys.opaque_identity (Rng.bool r)));
   check_words "Rng.float r 1.0 < 0.5" 2.0 (fun () ->
-      ignore (Sys.opaque_identity (Rng.float r 1.0 < 0.5)))
+      ignore (Sys.opaque_identity (Rng.float r 1.0 < 0.5)));
+  check_words "Rng.chance r 0.5" 0.0 (fun () ->
+      ignore (Sys.opaque_identity (Rng.chance r 0.5)))
 
 (* The two-division draw [Rng.int] used before its one-division form,
    kept here as the reference: reject [v >= mask / n * n], return
@@ -296,6 +298,52 @@ let test_int_rejection_fires () =
     true
     (!consumed > draws + (draws / 4))
 
+(* The bias of a coin: 0, 1, a multiple of 2^-53 (every draw is one),
+   the next draw itself or one step either side of it, so that [x < p]
+   is tested at [x = p], or a bias that is not dyadic or not in [0, 1]. *)
+type bias = Zero | One | Multiple of int | At_next of int | Other of float
+
+let bias_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        pure Zero;
+        pure One;
+        map (fun k -> Multiple k) (int_bound (1 lsl 53));
+        map (fun off -> At_next off) (int_range (-1) 1);
+        map (fun p -> Other p)
+          (oneofl [ 0.1; 1.0 /. 3.0; 0.783; -0.5; 1.5; Float.nan ]);
+      ])
+
+let print_bias = function
+  | Zero -> "0"
+  | One -> "1"
+  | Multiple k -> Printf.sprintf "%d*2^-53" k
+  | At_next off -> Printf.sprintf "next%+d*2^-53" off
+  | Other p -> Printf.sprintf "%h" p
+
+let prop_chance_is_float_below =
+  QCheck2.Test.make ~name:"Rng.chance p = (Rng.float 1.0 < p), states equal"
+    ~count:300 ~print:QCheck2.Print.(pair int (list print_bias))
+    QCheck2.Gen.(pair int (list_size (int_range 1 40) bias_gen))
+    (fun (seed, biases) ->
+      let a = Rng.create seed in
+      let b = Rng.copy a in
+      List.for_all
+        (fun bias ->
+          let p =
+            match bias with
+            | Zero -> 0.0
+            | One -> 1.0
+            | Multiple k -> Float.ldexp (Float.of_int k) (-53)
+            | At_next off ->
+              Rng.float (Rng.copy b) 1.0 +. Float.ldexp (Float.of_int off) (-53)
+            | Other p -> p
+          in
+          Rng.chance a p = (Rng.float b 1.0 < p))
+        biases
+      && Rng.bits64 a = Rng.bits64 b)
+
 let suite =
   [
     Alcotest.test_case "determinism from seed" `Quick test_determinism;
@@ -325,4 +373,5 @@ let suite =
     Alcotest.test_case "int rejection fires at n > 2^61" `Quick
       test_int_rejection_fires;
     QCheck_alcotest.to_alcotest prop_int_matches_reference;
+    QCheck_alcotest.to_alcotest prop_chance_is_float_below;
   ]
